@@ -43,7 +43,7 @@ for samples in (200, 2000):
                              shots_per_value=1)
     mc = om.reconstruct(model, z, rho0, t, order=2, plan=plan)
     print(f"  {samples:5d} samples/order: {mc.value:.5f}  "
-          f"(quadrature {quad.value:.5f})")
+          f"(exact series {quad.value:.5f})")
 
 print("\nhow many samples does order n = 1 need for |error| <= 0.05 "
       "with confidence 1 - e^-2?")

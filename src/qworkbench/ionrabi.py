@@ -199,20 +199,6 @@ def qrm_hamiltonian(r: RabiParams, n_max: int) -> OperatorSum:
     ], hermitian=True)
 
 
-def dicke_hamiltonian(r: RabiParams, n_qubits: int, n_max: int) -> OperatorSum:
-    space = HilbertSpace(tuple(Qubit() for _ in range(n_qubits)) + (Boson(n_max),))
-    terms = []
-    for q in range(n_qubits):
-        fz = ["I"] * (n_qubits + 1)
-        fz[q] = "Z"
-        terms.append((0.5 * r.omega0_r, tuple(fz)))
-        fy = ["I"] * n_qubits + ["x"]
-        fy[q] = "Y"
-        terms.append((-r.g, tuple(fy)))
-    terms.append((r.omega_r, tuple(["I"] * n_qubits + ["n"])))
-    return OperatorSum(space, terms, hermitian=True)
-
-
 def two_photon_hamiltonian(tp: TwoPhotonParams, n_qubits: int, n_max: int,
                            simulation_frame: bool = False) -> OperatorSum:
     """omega a^dag a + sum_n (omega_q/2) sigma_z^n

@@ -4,6 +4,12 @@ correlators, single-shot Monte-Carlo integration over the time simplex,
 and the rigorous error-bound calculators (trace-distance, observable,
 sample-size, measurement totals, and the non-Hermitian variant).
 
+The series terms themselves are computed exactly: for a generator
+L0(s) + LP(s) truncated at order n, [vec rho0, 0, ..., 0] is propagated
+under the block-bidiagonal generator ``B(s) = I_(n+1) kron L0(s) +
+S kron LP(s)`` (S the sub-diagonal shift), and block k of the result is
+the order-k simplex integral (Van Loan, IEEE TAC 23 (1978) 395).
+
 Vectorization is column-stacking throughout: ``vec(A X B) = (B^T kron A)
 vec(X)``, so superoperator matrices are reproducible.
 """
@@ -125,9 +131,6 @@ class LindbladModel:
             return 0.0
         return float(np.max(np.abs(self._rate_samples(self.horizon if t is None else t))))
 
-    def dissipator_matrices(self) -> list:
-        return [ch.operator.matrix() for ch in self.channels]
-
 
 # ---------------------------------------------------------------------------
 # exact oracle
@@ -141,20 +144,36 @@ def _unvec(v: np.ndarray, d: int) -> np.ndarray:
     return v.reshape(d, d, order="F")
 
 
-def liouvillian_matrix(model: LindbladModel, t: float) -> np.ndarray:
-    """Dense superoperator of the master equation at time ``t`` (column stacking)."""
+def _expectation(omat: np.ndarray, xi: np.ndarray) -> float:
+    return float(np.real(np.trace(omat @ xi)))
+
+
+def _commutator_generator(h: np.ndarray) -> np.ndarray:
+    """Superoperator of -i[h, .] (column stacking)."""
+    eye = np.eye(h.shape[0], dtype=complex)
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
+def _generator_parts(model: LindbladModel, t: float) -> tuple:
+    """(L_H, L_D): the Hamiltonian and dissipator superoperators at time ``t``."""
     d = model.space.dim
     eye = np.eye(d, dtype=complex)
-    h = model.h.matrix_at(t)
-    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    l_h = _commutator_generator(model.h.matrix_at(t))
+    l_d = np.zeros_like(l_h)
     for ch in model.channels:
         l = ch.operator.matrix()
         g = ch.rate(t)
         ldl = l.conj().T @ l
-        gen += g * (np.kron(l.conj(), l)
+        l_d += g * (np.kron(l.conj(), l)
                     - 0.5 * np.kron(eye, ldl)
                     - 0.5 * np.kron(ldl.T, eye))
-    return gen
+    return l_h, l_d
+
+
+def liouvillian_matrix(model: LindbladModel, t: float) -> np.ndarray:
+    """Dense superoperator of the master equation at time ``t`` (column stacking)."""
+    l_h, l_d = _generator_parts(model, t)
+    return l_h + l_d
 
 
 def _rates_constant(model: LindbladModel, t: float, probes: int = 7) -> bool:
@@ -165,6 +184,22 @@ def _rates_constant(model: LindbladModel, t: float, probes: int = 7) -> bool:
         if max(vals) - min(vals) > 1e-14 * max(1.0, abs(vals[0])):
             return False
     return True
+
+
+def _propagate(generator: Callable[[float], np.ndarray], v0: np.ndarray, t: float,
+               tol: float, constant: bool) -> np.ndarray:
+    """v(t) for dv/ds = generator(s) v, v(0) = v0.
+
+    A constant generator gets one matrix exponential; otherwise the
+    adaptive stepper runs at ``rtol=tol``, ``atol=tol*1e-2``.
+    """
+    if constant:
+        return expm(generator(0.0) * t) @ v0
+    sol = solve_ivp(lambda s, y: generator(s) @ y, (0.0, t), v0, method="RK45",
+                    rtol=tol, atol=tol * 1e-2)
+    if not sol.success:
+        raise RuntimeError(f"generator integration failed: {sol.message}")
+    return sol.y[:, -1]
 
 
 def lindblad_exact(model: LindbladModel, rho0: DensityMatrix, t: float,
@@ -178,21 +213,43 @@ def lindblad_exact(model: LindbladModel, rho0: DensityMatrix, t: float,
         raise ValueError("initial state does not live on the model's space")
     if t == 0.0:
         return rho0
-    d = model.space.dim
-    if _rates_constant(model, t):
-        prop = expm(liouvillian_matrix(model, 0.0) * t)
-        rho = _unvec(prop @ _vec(rho0.matrix), d)
-    else:
-        def rhs(s, y):
-            return liouvillian_matrix(model, s) @ y
-
-        sol = solve_ivp(rhs, (0.0, t), _vec(rho0.matrix), method="RK45",
-                        rtol=tol, atol=tol * 1e-2)
-        if not sol.success:
-            raise RuntimeError(f"Lindblad integration failed: {sol.message}")
-        rho = _unvec(sol.y[:, -1], d)
+    v = _propagate(lambda s: liouvillian_matrix(model, s), _vec(rho0.matrix), t, tol,
+                   _rates_constant(model, t))
+    rho = _unvec(v, model.space.dim)
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(model.space, rho)
+
+
+def _dyson_blocks(parts: Callable[[float], tuple], rho0: np.ndarray, t: float,
+                  order: int, tol: float, constant: bool) -> list:
+    """Dyson terms [xi_0(t), ..., xi_order(t)] of dx/ds = (L0(s) + LP(s)) x, x(0) = rho0.
+
+    ``parts(s)`` returns (L0(s), LP(s)); xi_k holds k insertions of LP.
+    [vec rho0, 0, ..., 0] is propagated under B(s) = I kron L0(s) +
+    S kron LP(s), S the sub-diagonal shift, so block k obeys
+    d xi_k/ds = L0 xi_k + LP xi_(k-1): exactly the order-k simplex integral
+    (Van Loan, IEEE TAC 23 (1978) 395).
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    d = rho0.shape[0]
+    eye, shift = np.eye(order + 1), np.eye(order + 1, k=-1)
+
+    def generator(s):
+        l0, lp = parts(s)
+        return np.kron(eye, l0) + np.kron(shift, lp)
+
+    v0 = np.zeros((order + 1) * d * d, dtype=complex)
+    v0[:d * d] = _vec(rho0)
+    v = _propagate(generator, v0, t, tol, constant)
+    return [_unvec(block, d) for block in v.reshape(order + 1, d * d)]
+
+
+def _lindblad_terms(model: LindbladModel, rho0: DensityMatrix, t: float, order: int,
+                    tol: float) -> list:
+    """Dyson terms of the master equation with L0 = L_H and LP = L_D."""
+    return _dyson_blocks(lambda s: _generator_parts(model, s), rho0.matrix, t, order,
+                         tol, _rates_constant(model, t))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +291,7 @@ def dyson_term(model: LindbladModel, observable: OperatorSum | np.ndarray,
         l = ch.operator.matrix()
         xi = _dissipator_apply(l, l.conj().T @ l, ch.rate(s_k), xi)
         current = s_k
-    xi = fac.conjugate(xi, current, t)
-    value = float(np.real(np.trace(omat @ xi)))
+    value = _expectation(omat, fac.conjugate(xi, current, t))
 
     if debug_expand:
         alt = _dyson_term_by_correlators(model, omat, rho0, channel_indices, times, t, tol)
@@ -245,117 +301,17 @@ def dyson_term(model: LindbladModel, observable: OperatorSum | np.ndarray,
     return value
 
 
-def _dyson_term_by_correlators(model, omat, rho0, channel_indices, times, t, tol) -> float:
-    """Same quantity as a sum of Pauli-string multi-time correlators.
+def _pauli_chains(model, omat, channel_indices, times, t) -> list:
+    """Nested dissipators expanded into Pauli-string operator chains.
 
-    Expands every Lindblad operator over Pauli strings and distributes the
-    nested dissipators into left/right operator chains, each evaluated by
-    the generic Heisenberg-chain oracle.
+    Returns ``(coeff, left, right)`` triples whose ops are ``(matrix, time)``
+    pairs, built outward from O(t): left ops multiply O's left, right ops
+    its right; each dissipator contributes an L^dag ... L sandwich and the
+    two halves of -1/2 {L^dag L, .}.
     """
-    space = model.space
-    o_terms = pauli_decompose(omat, space)
-    # chains: list of (coeff, left ops [(mat, time)...], right ops) built
-    # outward from O(t); left ops multiply O's left, right ops its right.
+    o_terms = pauli_decompose(omat, model.space)
     chains = [(q, [(dense_pauli(lbl), t)], []) for q, lbl in o_terms]
-    for k, (idx, s) in enumerate(zip(channel_indices, times)):
-        ch = model.channels[idx]
-        g = ch.rate(s)
-        l_terms = pauli_decompose(ch.operator)
-        new_chains = []
-        for coeff, left, right in chains:
-            for ql, lbl_l in l_terms:
-                for qr, lbl_r in l_terms:
-                    # L^dag ... L sandwich
-                    new_chains.append((
-                        coeff * g * np.conj(ql) * qr,
-                        [(dense_pauli(lbl_l).conj().T, s)] + left,
-                        right + [(dense_pauli(lbl_r), s)],
-                    ))
-                    # -1/2 {L^dag L, .}
-                    new_chains.append((
-                        -0.5 * coeff * g * np.conj(ql) * qr,
-                        [(dense_pauli(lbl_l).conj().T, s), (dense_pauli(lbl_r), s)] + left,
-                        right,
-                    ))
-                    new_chains.append((
-                        -0.5 * coeff * g * np.conj(ql) * qr,
-                        left,
-                        right + [(dense_pauli(lbl_l).conj().T, s), (dense_pauli(lbl_r), s)],
-                    ))
-        chains = new_chains
-    total = 0.0 + 0.0j
-    for coeff, left, right in chains:
-        total += coeff * heisenberg_chain_expectation(
-            model.h, left + right, rho0, t_ref=0.0, tol=tol)
-    return float(np.real(total))
-
-
-# ---------------------------------------------------------------------------
-# reconstruction
-# ---------------------------------------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _nested_quadrature(fn, t: float, n: int) -> float:
-    """Iterated 16-point Gauss-Legendre over the simplex t >= s_1 >= ... >= s_n >= 0."""
-    def level(k: int, upper: float, prefix: tuple) -> float:
-        nodes = 0.5 * upper * (_GL_NODES + 1.0)
-        weights = 0.5 * upper * _GL_WEIGHTS
-        acc = 0.0
-        for x, w in zip(nodes, weights):
-            point = prefix + (x,)
-            if k == n:
-                acc += w * fn(point)
-            else:
-                acc += w * level(k + 1, x, point)
-        return acc
-
-    return level(1, t, ())
-
-
-@dataclass(frozen=True)
-class MonteCarloPlan:
-    samples_per_order: int
-    master_seed: int = 0
-    shots_per_value: int | None = None  # None: exact single-sample values
-
-
-@dataclass
-class Reconstruction:
-    value: float
-    per_order: list
-    mode: str
-
-
-def _order_contribution_quadrature(model, omat, rho0, order, t, tol) -> float:
-    fac = _UnitaryFactory(model.h, tol)
-    if order == 0:
-        return float(np.real(np.trace(omat @ fac.conjugate(rho0.matrix, 0.0, t))))
-    total = 0.0
-    n_ch = model.n_channels
-    indices = np.stack(np.meshgrid(*([np.arange(n_ch)] * order), indexing="ij"),
-                       axis=-1).reshape(-1, order) if n_ch else np.zeros((0, order), int)
-    for idx_combo in indices:
-        total += _nested_quadrature(
-            lambda s: dyson_term(model, omat, rho0, list(idx_combo), list(s), t, tol,
-                                 _factory=fac),
-            t, order)
-    return total
-
-
-def _single_shot_value(model, omat, rho0, idx_combo, times, t, rng, shots, tol,
-                       fac: "_UnitaryFactory") -> float:
-    """Single-shot (or k-shot) unbiased estimate of the Dyson integrand.
-
-    Expands the nested dissipators into Pauli-string chains exactly as the
-    measurement protocol would, then replaces every chain's complex
-    expectation by +-1 coherence outcomes.
-    """
-    space = model.space
-    o_terms = pauli_decompose(omat, space)
-    chains = [(q, [(dense_pauli(lbl), t)], []) for q, lbl in o_terms]
-    for idx, s in zip(idx_combo, times):
+    for idx, s in zip(channel_indices, times):
         ch = model.channels[idx]
         g = ch.rate(s)
         l_terms = pauli_decompose(ch.operator)
@@ -373,7 +329,48 @@ def _single_shot_value(model, omat, rho0, idx_combo, times, t, rng, shots, tol,
                                        right + [(dense_pauli(lbl_l).conj().T, s),
                                                 (dense_pauli(lbl_r), s)]))
         chains = new_chains
+    return chains
 
+
+def _dyson_term_by_correlators(model, omat, rho0, channel_indices, times, t, tol) -> float:
+    """Same quantity as a sum of Pauli-string multi-time correlators.
+
+    Every chain from ``_pauli_chains`` is evaluated by the generic
+    Heisenberg-chain oracle.
+    """
+    total = 0.0 + 0.0j
+    for coeff, left, right in _pauli_chains(model, omat, channel_indices, times, t):
+        total += coeff * heisenberg_chain_expectation(
+            model.h, left + right, rho0, t_ref=0.0, tol=tol)
+    return float(np.real(total))
+
+
+# ---------------------------------------------------------------------------
+# reconstruction
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MonteCarloPlan:
+    samples_per_order: int
+    master_seed: int = 0
+    shots_per_value: int | None = None  # None: exact single-sample values
+
+
+@dataclass
+class Reconstruction:
+    value: float
+    per_order: list
+    mode: str
+
+
+def _single_shot_value(model, omat, rho0, idx_combo, times, t, rng, shots, tol,
+                       fac: "_UnitaryFactory") -> float:
+    """Single-shot (or k-shot) unbiased estimate of the Dyson integrand.
+
+    Expands the nested dissipators into Pauli-string chains exactly as the
+    measurement protocol would, then replaces every chain's complex
+    expectation by +-1 coherence outcomes.
+    """
     def chain_mean(ops) -> complex:
         acc = rho0.matrix
         for mat, tau in reversed(ops):
@@ -382,7 +379,7 @@ def _single_shot_value(model, omat, rho0, idx_combo, times, t, rng, shots, tol,
         return complex(np.trace(acc))
 
     total = 0.0
-    for coeff, left, right in chains:
+    for coeff, left, right in _pauli_chains(model, omat, idx_combo, times, t):
         mean = chain_mean(left + right)
         k = shots if shots else 1
         px = np.clip(0.5 * (1.0 + np.clip(mean.real, -1.0, 1.0)), 0.0, 1.0)
@@ -395,7 +392,7 @@ def _single_shot_value(model, omat, rho0, idx_combo, times, t, rng, shots, tol,
 
 def _order_contribution_monte_carlo(model, omat, rho0, order, t, plan, tol) -> float:
     if order == 0:
-        return _order_contribution_quadrature(model, omat, rho0, 0, t, tol)
+        return _expectation(omat, _lindblad_terms(model, rho0, t, 0, tol)[0])
     n_ch = model.n_channels
     if n_ch == 0:
         return 0.0
@@ -423,8 +420,9 @@ def reconstruct(model: LindbladModel, observable: OperatorSum | np.ndarray,
                 plan: MonteCarloPlan | None = None, tol: float = 1e-10) -> Reconstruction:
     """Estimate <O>_rho(t) from the Volterra series truncated at ``order``.
 
-    Without a plan the simplex integrals are done by nested Gauss-Legendre
-    quadrature (orders <= 3); with a plan each order uses uniform simplex
+    Without a plan ``per_order[n]`` is Re Tr[O xi_n(t)] with xi_n the exact
+    order-n term of the block-generator propagation (Van Loan 1978; see the
+    module docstring); with a plan each order n >= 1 uses uniform simplex
     sampling with the ``(N t)^n / (n! |Omega_n|) sum`` estimator, optionally
     replacing each sampled value by a k-shot coherence estimate.
     """
@@ -432,68 +430,27 @@ def reconstruct(model: LindbladModel, observable: OperatorSum | np.ndarray,
         raise ValueError("order must be >= 0")
     if order > 6:
         raise ValueError("order capped at 6 (cost guard)")
-    if plan is None and order > 3:
-        raise ValueError("quadrature reconstruction supports order <= 3; pass a Monte-Carlo plan")
     omat = observable.matrix() if isinstance(observable, OperatorSum) else np.asarray(observable)
-    per_order = []
-    for n in range(order + 1):
-        if plan is None:
-            per_order.append(_order_contribution_quadrature(model, omat, rho0, n, t, tol))
-        else:
-            per_order.append(_order_contribution_monte_carlo(model, omat, rho0, n, t, plan, tol))
+    if plan is None:
+        per_order = [_expectation(omat, xi)
+                     for xi in _lindblad_terms(model, rho0, t, order, tol)]
+    else:
+        per_order = [_order_contribution_monte_carlo(model, omat, rho0, n, t, plan, tol)
+                     for n in range(order + 1)]
     return Reconstruction(value=float(sum(per_order)), per_order=per_order,
-                          mode="quadrature" if plan is None else "monte-carlo")
+                          mode="exact" if plan is None else "monte-carlo")
 
 
 def truncated_states(model: LindbladModel, rho0: DensityMatrix, t: float,
                      max_order: int, tol: float = 1e-10) -> list:
     """Dense series states [rho~_0(t), rho~_1(t), ..., rho~_max_order(t)].
 
-    Each entry adds the next simplex-integrated correction (nested 16-point
-    Gauss-Legendre, matrix-valued).  The truncated states are not exactly
-    trace one or positive; that is the point of the bounds.
+    Entry n is the cumulative sum of the exact Dyson terms 0..n, all taken
+    from one block-generator propagation (Van Loan 1978; see the module
+    docstring).  The truncated states are not exactly trace one or
+    positive; that is the point of the bounds.
     """
-    if max_order > 3:
-        raise ValueError("quadrature series states support order <= 3")
-    d = model.space.dim
-    fac = _UnitaryFactory(model.h, tol)
-    ls = model.dissipator_matrices()
-    ldls = [l.conj().T @ l for l in ls]
-
-    def term(order_n):
-        if order_n == 0:
-            return fac.conjugate(rho0.matrix, 0.0, t)
-
-        def integrand(s):
-            # s sorted descending: s_1 >= ... >= s_n
-            xi = rho0.matrix
-            current = 0.0
-            for k in range(order_n - 1, -1, -1):
-                xi = fac.conjugate(xi, current, s[k])
-                acc = np.zeros_like(xi)
-                for ch, l, ldl in zip(model.channels, ls, ldls):
-                    acc += _dissipator_apply(l, ldl, ch.rate(s[k]), xi)
-                xi = acc
-                current = s[k]
-            return fac.conjugate(xi, current, t)
-
-        def level(k, upper, prefix):
-            nodes = 0.5 * upper * (_GL_NODES + 1.0)
-            weights = 0.5 * upper * _GL_WEIGHTS
-            acc = np.zeros((d, d), dtype=complex)
-            for x, w in zip(nodes, weights):
-                point = prefix + (x,)
-                acc += w * (integrand(point) if k == order_n else level(k + 1, x, point))
-            return acc
-
-        return level(1, t, ())
-
-    out = []
-    total = np.zeros((d, d), dtype=complex)
-    for n in range(max_order + 1):
-        total = total + term(n)
-        out.append(total.copy())
-    return out
+    return list(np.cumsum(_lindblad_terms(model, rho0, t, max_order, tol), axis=0))
 
 
 def truncated_state(model: LindbladModel, rho0: DensityMatrix, t: float,
@@ -605,8 +562,9 @@ def nonhermitian_evolve(h: OperatorSum, gamma_op: OperatorSum, rho0: DensityMatr
 
     ``order=None`` propagates exactly: rho(t) = e^{-iJt} rho0 e^{+iJ^dag t}
     (trace decays for positive semidefinite Gamma).  An integer order
-    treats the anticommutator as the perturbation and sums the Volterra
-    series by nested quadrature.
+    treats -{Gamma, .} as the perturbation of -i[H, .] and sums the exact
+    Dyson terms 0..order of the block-generator propagation (Van Loan
+    1978; see the module docstring).
     """
     hm, gm = h.matrix(), gamma_op.matrix()
     for name, m in (("H", hm), ("Gamma", gm)):
@@ -626,37 +584,10 @@ def nonhermitian_evolve(h: OperatorSum, gamma_op: OperatorSum, rho0: DensityMatr
                 "check the inputs")
         return DensityMatrix(space, 0.5 * (rho + rho.conj().T), check_trace=False)
 
-    d = space.dim
-    fac = _UnitaryFactory(Schedule.constant(h), tol)
-
-    def term(order_n):
-        if order_n == 0:
-            return fac.conjugate(rho0.matrix, 0.0, t)
-
-        def integrand(s):
-            xi = rho0.matrix
-            current = 0.0
-            for k in range(order_n - 1, -1, -1):
-                xi = fac.conjugate(xi, current, s[k])
-                xi = -(gm @ xi + xi @ gm)
-                current = s[k]
-            return fac.conjugate(xi, current, t)
-
-        def level(k, upper, prefix):
-            nodes = 0.5 * upper * (_GL_NODES + 1.0)
-            weights = 0.5 * upper * _GL_WEIGHTS
-            acc = np.zeros((d, d), dtype=complex)
-            for x, w in zip(nodes, weights):
-                point = prefix + (x,)
-                acc += w * (integrand(point) if k == order_n else level(k + 1, x, point))
-            return acc
-
-        return level(1, t, ())
-
-    if order > 3:
-        raise ValueError("perturbative non-Hermitian propagation supports order <= 3")
-    total = sum(term(n) for n in range(order + 1))
-    return np.asarray(total)
+    eye = np.eye(space.dim, dtype=complex)
+    parts = (_commutator_generator(hm), -(np.kron(eye, gm) + np.kron(gm.T, eye)))
+    return np.asarray(sum(_dyson_blocks(lambda s: parts, rho0.matrix, t, order, tol,
+                                        constant=True)))
 
 
 def nonhermitian_bound(gamma_op: OperatorSum, n: int, t: float) -> float:

@@ -83,9 +83,6 @@ class HilbertSpace:
     def is_qubit_only(self) -> bool:
         return all(isinstance(f, Qubit) for f in self.factors)
 
-    def qubit_indices(self) -> list:
-        return [i for i, f in enumerate(self.factors) if isinstance(f, Qubit)]
-
     # -- convenience constructors -------------------------------------------------
 
     @staticmethod
@@ -99,10 +96,6 @@ class HilbertSpace:
     @staticmethod
     def qubit_boson(n_max: int = DEFAULT_N_MAX, n_qubits: int = 1) -> "HilbertSpace":
         return HilbertSpace(tuple(Qubit() for _ in range(n_qubits)) + (Boson(n_max),))
-
-    def extended_left(self, *factors) -> "HilbertSpace":
-        """New space with extra factors prepended (e.g. an ancilla qubit)."""
-        return HilbertSpace(tuple(factors) + self.factors)
 
 
 def check_same_space(a, b) -> None:

@@ -76,9 +76,6 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         space = HilbertSpace(self.space.factors + other.space.factors)
         return DensityMatrix(space, np.kron(self.matrix, other.matrix),

@@ -182,8 +182,7 @@ def test_criterion_06_monte_carlo_sample_bound():
     beta, delta_n = 2.0, 0.05
     gb = model.gamma_bar(t)
     omega_1 = openmaster.sample_size_bound(delta_n, beta, 1, t, 1, 1, 1, gb)
-    truth = openmaster._order_contribution_quadrature(model, obs.matrix(), rho0,
-                                                      1, t, 1e-10)
+    truth = openmaster.reconstruct(model, obs, rho0, t, 1).per_order[1]
     failures = 0
     trials = 300
     for seed in range(trials):
