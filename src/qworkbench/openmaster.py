@@ -10,6 +10,14 @@ under the block-bidiagonal generator ``B(s) = I_(n+1) kron L0(s) +
 S kron LP(s)`` (S the sub-diagonal shift), and block k of the result is
 the order-k simplex integral (Van Loan, IEEE TAC 23 (1978) 395).
 
+The Monte-Carlo estimator samples the simplex instead.  Order n draws one
+block of uniforms from ``Philox(key=(master_seed, n))``, one row per
+sample (channel indices, times, shot uniforms; see ``MonteCarloPlan``).
+The nested dissipators are expanded into Pauli-string chains once per
+channel combination, and the chain means of all samples sharing that
+combination are evaluated together on stacked propagators
+U(0, tau) = V diag(exp(-i E tau)) V^dag.
+
 Vectorization is column-stacking throughout: ``vec(A X B) = (B^T kron A)
 vec(X)``, so superoperator matrices are reproducible.
 """
@@ -49,7 +57,8 @@ class _UnitaryFactory:
     """U(a -> b) under the model Hamiltonian, cheap for constant generators.
 
     Constant Hamiltonians are diagonalized once so each propagator is two
-    matrix products; time-dependent ones fall back to the adaptive stepper.
+    matrix products (a stack of them one ``einsum``); time-dependent ones
+    fall back to the adaptive stepper.
     """
 
     def __init__(self, h: Schedule, tol: float):
@@ -70,6 +79,13 @@ class _UnitaryFactory:
         if b >= a:
             return propagator(self.h, a, b, self.tol)
         return propagator(self.h, b, a, self.tol).conj().T
+
+    def u_stack(self, taus: np.ndarray) -> np.ndarray:
+        """Stacked U(0 -> tau) for every tau, shape (len(taus), d, d)."""
+        if self._evals is not None:
+            phases = np.exp(-1j * np.multiply.outer(taus, self._evals))
+            return np.einsum("ij,mj,kj->mik", self._evecs, phases, self._evecs.conj())
+        return np.stack([self.u(0.0, tau) for tau in taus])
 
     def conjugate(self, mat: np.ndarray, a: float, b: float) -> np.ndarray:
         u = self.u(a, b)
@@ -263,8 +279,7 @@ def _dissipator_apply(l: np.ndarray, ldl: np.ndarray, g: float, xi: np.ndarray) 
 def dyson_term(model: LindbladModel, observable: OperatorSum | np.ndarray,
                rho0: DensityMatrix, channel_indices: Sequence[int],
                times: Sequence[float], t: float, tol: float = 1e-10,
-               debug_expand: bool = False,
-               _factory: "_UnitaryFactory | None" = None) -> float:
+               debug_expand: bool = False) -> float:
     """Integrand <A_{[i_1..i_n]}(s_1..s_n)> of the order-n Volterra term.
 
     ``times`` must be sorted descending (t >= s_1 >= ... >= s_n >= 0); the
@@ -280,7 +295,7 @@ def dyson_term(model: LindbladModel, observable: OperatorSum | np.ndarray,
     if any(b > a for a, b in zip(times, times[1:])) or (n and times[0] > t):
         raise ValueError("times must satisfy t >= s_1 >= ... >= s_n >= 0")
     omat = observable.matrix() if isinstance(observable, OperatorSum) else np.asarray(observable)
-    fac = _factory or _UnitaryFactory(model.h, tol)
+    fac = _UnitaryFactory(model.h, tol)
 
     xi = rho0.matrix
     current = 0.0
@@ -301,35 +316,31 @@ def dyson_term(model: LindbladModel, observable: OperatorSum | np.ndarray,
     return value
 
 
-def _pauli_chains(model, omat, channel_indices, times, t) -> list:
+def _pauli_chains(o_terms: list, slot_terms: Sequence[list]) -> list:
     """Nested dissipators expanded into Pauli-string operator chains.
 
-    Returns ``(coeff, left, right)`` triples whose ops are ``(matrix, time)``
-    pairs, built outward from O(t): left ops multiply O's left, right ops
-    its right; each dissipator contributes an L^dag ... L sandwich and the
-    two halves of -1/2 {L^dag L, .}.
+    ``o_terms`` is the Pauli expansion of O, read at time slot 0 (time t);
+    ``slot_terms[k - 1]`` is that of the Lindblad operator applied at slot
+    k (time s_k, with t >= s_1 >= ... >= s_n).  Returns ``(coeff, ops)``
+    pairs, ops being ``(label, slot)`` pairs read left to right.  Chains are
+    built outward from O: each dissipator contributes an L^dag ... L
+    sandwich and the two halves of -1/2 {L^dag L, .} (Pauli strings are
+    Hermitian, so L^dag = sum conj(q) P).  The coefficients are rate-free:
+    a sample's chain weight is ``coeff * prod_k gamma_(i_k)(s_k)``.
     """
-    o_terms = pauli_decompose(omat, model.space)
-    chains = [(q, [(dense_pauli(lbl), t)], []) for q, lbl in o_terms]
-    for idx, s in zip(channel_indices, times):
-        ch = model.channels[idx]
-        g = ch.rate(s)
-        l_terms = pauli_decompose(ch.operator)
+    chains = [(q, [(lbl, 0)], []) for q, lbl in o_terms]
+    for slot, l_terms in enumerate(slot_terms, start=1):
         new_chains = []
         for coeff, left, right in chains:
             for ql, lbl_l in l_terms:
                 for qr, lbl_r in l_terms:
-                    c = coeff * g * np.conj(ql) * qr
-                    new_chains.append((c, [(dense_pauli(lbl_l).conj().T, s)] + left,
-                                       right + [(dense_pauli(lbl_r), s)]))
-                    new_chains.append((-0.5 * c,
-                                       [(dense_pauli(lbl_l).conj().T, s),
-                                        (dense_pauli(lbl_r), s)] + left, right))
-                    new_chains.append((-0.5 * c, left,
-                                       right + [(dense_pauli(lbl_l).conj().T, s),
-                                                (dense_pauli(lbl_r), s)]))
+                    c = coeff * np.conj(ql) * qr
+                    a, b = (lbl_l, slot), (lbl_r, slot)
+                    new_chains.append((c, [a] + left, right + [b]))
+                    new_chains.append((-0.5 * c, [a, b] + left, right))
+                    new_chains.append((-0.5 * c, left, right + [a, b]))
         chains = new_chains
-    return chains
+    return [(coeff, left + right) for coeff, left, right in chains]
 
 
 def _dyson_term_by_correlators(model, omat, rho0, channel_indices, times, t, tol) -> float:
@@ -338,11 +349,17 @@ def _dyson_term_by_correlators(model, omat, rho0, channel_indices, times, t, tol
     Every chain from ``_pauli_chains`` is evaluated by the generic
     Heisenberg-chain oracle.
     """
+    chains = _pauli_chains(pauli_decompose(omat, model.space),
+                           [pauli_decompose(model.channels[i].operator)
+                            for i in channel_indices])
+    slot_times = [t] + list(times)
+    weight = math.prod(model.channels[i].rate(s) for i, s in zip(channel_indices, times))
     total = 0.0 + 0.0j
-    for coeff, left, right in _pauli_chains(model, omat, channel_indices, times, t):
+    for coeff, ops in chains:
         total += coeff * heisenberg_chain_expectation(
-            model.h, left + right, rho0, t_ref=0.0, tol=tol)
-    return float(np.real(total))
+            model.h, [(dense_pauli(lbl), slot_times[slot]) for lbl, slot in ops], rho0,
+            t_ref=0.0, tol=tol)
+    return float(np.real(weight * total))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +368,25 @@ def _dyson_term_by_correlators(model, omat, rho0, channel_indices, times, t, tol
 
 @dataclass(frozen=True)
 class MonteCarloPlan:
+    """Uniform simplex sampling, ``samples_per_order`` samples per order n >= 1.
+
+    Order n draws all its uniforms at once, one ``(samples_per_order, w)``
+    block from ``Philox(key=(master_seed, n))``.  Row j belongs to sample j:
+    n channel indices ``floor(u * N)``, then n times ``u * t`` sorted
+    descending, then (with k shots) 2k uniforms per Pauli chain, real parts
+    first.  The width w is fixed by the model and k, not by what was drawn,
+    so sample j is a pure function of (master_seed, n, j) and a plan with
+    fewer samples sees a prefix of the same rows.
+    """
     samples_per_order: int
     master_seed: int = 0
     shots_per_value: int | None = None  # None: exact single-sample values
+
+    def __post_init__(self):
+        if self.samples_per_order < 1:
+            raise ValueError("samples_per_order must be >= 1")
+        if self.shots_per_value is not None and self.shots_per_value < 1:
+            raise ValueError("shots_per_value must be None or >= 1")
 
 
 @dataclass
@@ -363,31 +396,69 @@ class Reconstruction:
     mode: str
 
 
-def _single_shot_value(model, omat, rho0, idx_combo, times, t, rng, shots, tol,
-                       fac: "_UnitaryFactory") -> float:
-    """Single-shot (or k-shot) unbiased estimate of the Dyson integrand.
+def _chain_sums(chains, paulis, rho0, times, t, fac, shots, uniforms) -> np.ndarray:
+    """Re sum_c coeff_c * mean_c for samples sharing one channel combination.
 
-    Expands the nested dissipators into Pauli-string chains exactly as the
-    measurement protocol would, then replaces every chain's complex
-    expectation by +-1 coherence outcomes.
+    ``times`` is (M, n), sorted descending per row.  Each distinct Pauli is
+    conjugated once per time slot over the stacked U(0, tau); every chain is
+    multiplied against rho0 for all M samples at once.  With ``shots`` the
+    chain means' real and imaginary parts become means of k +-1 coherence
+    outcomes drawn from ``uniforms`` (M, 2k * chains).
     """
-    def chain_mean(ops) -> complex:
+    us = [fac.u_stack(np.array([t]))] + [fac.u_stack(times[:, k])
+                                         for k in range(times.shape[1])]
+    heis = {}
+    # sample-major, so every reduction below runs along one sample's row and
+    # a sample's value does not depend on how many samples share its batch
+    means = np.empty((len(times), len(chains)), dtype=complex)
+    for c, (_, ops) in enumerate(chains):
         acc = rho0.matrix
-        for mat, tau in reversed(ops):
-            u = fac.u(0.0, tau)
-            acc = (u.conj().T @ mat @ u) @ acc
-        return complex(np.trace(acc))
+        for key in reversed(ops):
+            if key not in heis:
+                lbl, slot = key
+                heis[key] = us[slot].conj().transpose(0, 2, 1) @ paulis[lbl] @ us[slot]
+            acc = heis[key] @ acc
+        means[:, c] = np.einsum("mii->m", acc)
+    if shots is not None:
+        u = uniforms[:, :2 * shots * len(chains)].reshape(len(times), len(chains), 2, shots)
+        p = np.clip(0.5 * (1.0 + np.clip(np.stack([means.real, means.imag], axis=-1),
+                                          -1.0, 1.0)), 0.0, 1.0)
+        outcomes = np.where(u < p[..., None], 1.0, -1.0).mean(axis=-1)
+        means = outcomes[..., 0] + 1j * outcomes[..., 1]
+    coeffs = np.array([coeff for coeff, _ in chains])
+    return np.real(np.sum(means * coeffs, axis=1))
 
-    total = 0.0
-    for coeff, left, right in _pauli_chains(model, omat, idx_combo, times, t):
-        mean = chain_mean(left + right)
-        k = shots if shots else 1
-        px = np.clip(0.5 * (1.0 + np.clip(mean.real, -1.0, 1.0)), 0.0, 1.0)
-        py = np.clip(0.5 * (1.0 + np.clip(mean.imag, -1.0, 1.0)), 0.0, 1.0)
-        x_est = np.mean(np.where(rng.random(k) < px, 1.0, -1.0))
-        y_est = np.mean(np.where(rng.random(k) < py, 1.0, -1.0))
-        total += float(np.real(coeff * complex(x_est, y_est)))
-    return total
+
+def _sample_values(model, omat, rho0, order, t, plan, tol) -> np.ndarray:
+    """Per-sample Dyson integrands of order ``order >= 1`` under ``plan``.
+
+    Draws the ``MonteCarloPlan`` row block, expands the Pauli chains once per
+    channel combination and evaluates all samples of a combination together;
+    each sample's rates prod_k gamma_(i_k)(s_k) are evaluated at its own times.
+    """
+    o_terms = pauli_decompose(omat, model.space)
+    l_terms = [pauli_decompose(ch.operator) for ch in model.channels]
+    paulis = {lbl: dense_pauli(lbl) for _, lbl in o_terms + sum(l_terms, [])}
+    shots = plan.shots_per_value
+    width = 2 * order
+    if shots is not None:
+        max_chains = len(o_terms) * max(3 * len(terms) ** 2 for terms in l_terms) ** order
+        width += 2 * shots * max_chains
+    rng = np.random.Generator(np.random.Philox(key=(plan.master_seed, order)))
+    rows = rng.random((plan.samples_per_order, width))
+    indices = (rows[:, :order] * model.n_channels).astype(np.int64)
+    times = np.sort(rows[:, order:2 * order] * t, axis=1)[:, ::-1]
+    values = np.ones(plan.samples_per_order)
+    for k in range(order):
+        values *= [model.channels[i].rate(s) for i, s in zip(indices[:, k], times[:, k])]
+    fac = _UnitaryFactory(model.h, tol)
+    combos, which = np.unique(indices, axis=0, return_inverse=True)
+    for c, combo in enumerate(combos):
+        sel = np.flatnonzero(which.reshape(-1) == c)
+        chains = _pauli_chains(o_terms, [l_terms[i] for i in combo])
+        values[sel] *= _chain_sums(chains, paulis, rho0, times[sel], t, fac, shots,
+                                   rows[sel, 2 * order:])
+    return values
 
 
 def _order_contribution_monte_carlo(model, omat, rho0, order, t, plan, tol) -> float:
@@ -396,23 +467,9 @@ def _order_contribution_monte_carlo(model, omat, rho0, order, t, plan, tol) -> f
     n_ch = model.n_channels
     if n_ch == 0:
         return 0.0
-    fac = _UnitaryFactory(model.h, tol)
-    total = 0.0
     volume_factor = (n_ch * t) ** order / math.factorial(order)
-    for j in range(plan.samples_per_order):
-        # per-sample stream: a pure function of (master_seed, order, j)
-        key = np.asarray((plan.master_seed, (order << 32) | j), dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        idx_combo = rng.integers(0, n_ch, size=order)
-        times = np.sort(rng.uniform(0.0, t, size=order))[::-1]
-        if plan.shots_per_value is None:
-            val = dyson_term(model, omat, rho0, list(idx_combo), list(times), t, tol,
-                             _factory=fac)
-        else:
-            val = _single_shot_value(model, omat, rho0, idx_combo, times, t,
-                                     rng, plan.shots_per_value, tol, fac)
-        total += val
-    return volume_factor * total / plan.samples_per_order
+    values = _sample_values(model, omat, rho0, order, t, plan, tol)
+    return volume_factor * float(np.mean(values))
 
 
 def reconstruct(model: LindbladModel, observable: OperatorSum | np.ndarray,
@@ -424,7 +481,12 @@ def reconstruct(model: LindbladModel, observable: OperatorSum | np.ndarray,
     order-n term of the block-generator propagation (Van Loan 1978; see the
     module docstring); with a plan each order n >= 1 uses uniform simplex
     sampling with the ``(N t)^n / (n! |Omega_n|) sum`` estimator, optionally
-    replacing each sampled value by a k-shot coherence estimate.
+    replacing each sampled value by a k-shot coherence estimate.  Sample j
+    of order n is row j of the uniform block drawn from
+    ``Philox(key=(master_seed, n))``, so it depends only on
+    (master_seed, n, j) (see ``MonteCarloPlan``).  Sampled values come from
+    Pauli-string chains, so a plan needs a qubit-only space (at most 6
+    qubits, the ``pauli_decompose`` cap).
     """
     if order < 0:
         raise ValueError("order must be >= 0")

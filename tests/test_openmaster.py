@@ -227,6 +227,128 @@ def test_monte_carlo_consistent_with_quadrature():
     assert hits >= trials - 1
 
 
+def pauli_channel_model(rng, n_qubits, n_channels, rate=None):
+    """Random H; each channel is two random non-identity Pauli strings."""
+    space = qc.HilbertSpace.qubits(n_qubits)
+    d = space.dim
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = qc.Schedule.constant(0.5 * (m + m.conj().T), space)
+    labels = [lbl for lbl in qc.all_pauli_labels(n_qubits) if set(lbl) != {"I"}]
+    channels = []
+    for _ in range(n_channels):
+        terms = [(complex(*rng.standard_normal(2)), tuple(lbl))
+                 for lbl in rng.choice(labels, size=2, replace=False)]
+        channels.append((qc.OperatorSum(space, terms), float(rng.uniform(0.1, 0.5))))
+    if rate is not None:
+        channels[0] = (channels[0][0], rate)
+    return om.LindbladModel(h, channels)
+
+
+def plan_rows(plan, order, width):
+    """The documented row block of ``MonteCarloPlan``: one row per sample."""
+    rng = np.random.Generator(np.random.Philox(key=(plan.master_seed, order)))
+    return rng.random((plan.samples_per_order, width))
+
+
+def test_batched_samples_match_dyson_term():
+    # exact-mode sample values equal the superoperator integrand at the
+    # same (channel indices, times), for constant and time-dependent rates
+    rng = np.random.default_rng(211)
+    rate = lambda s: 0.3 + 0.4 * math.cos(7.0 * s)
+    t = 0.8
+    for n_qubits, n_channels, with_rate in ((1, 1, False), (1, 2, True), (2, 1, True),
+                                            (2, 2, False)):
+        model = pauli_channel_model(rng, n_qubits, n_channels, rate if with_rate else None)
+        rho0 = random_density_matrix(model.space, rng)
+        obs = qc.OperatorSum(model.space, [(0.8, tuple("Z" * n_qubits)),
+                                           (0.3, tuple("X" + "I" * (n_qubits - 1)))]).matrix()
+        for order in (1, 2, 3):
+            plan = om.MonteCarloPlan(12, master_seed=order + 10 * n_qubits)
+            values = om._sample_values(model, obs, rho0, order, t, plan, 1e-10)
+            rows = plan_rows(plan, order, 2 * order)
+            idx = (rows[:, :order] * n_channels).astype(int)
+            times = np.sort(rows[:, order:] * t, axis=1)[:, ::-1]
+            ref = np.array([om.dyson_term(model, obs, rho0, list(i), list(s), t)
+                            for i, s in zip(idx, times)])
+            np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
+
+
+def test_batched_samples_time_dependent_hamiltonian():
+    # a non-constant H fills the propagator stack step by step; agreement
+    # is then limited by the adaptive stepper's tolerance
+    space = one_qubit_space()
+    z, x = sigma(space, "Z").matrix(), sigma(space, "X").matrix()
+    h = qc.Schedule.time_dependent(space, lambda s: 0.6 * z + math.cos(3.0 * s) * x)
+    model = om.LindbladModel(h, [(sigma(space, "S-"), 0.4)])
+    rho0 = qc.DensityMatrix(space, np.array([[0.6, 0.2j], [-0.2j, 0.4]]))
+    plan = om.MonteCarloPlan(5, master_seed=3)
+    values = om._sample_values(model, z, rho0, 2, 0.9, plan, 1e-10)
+    rows = plan_rows(plan, 2, 4)
+    times = np.sort(rows[:, 2:] * 0.9, axis=1)[:, ::-1]
+    ref = [om.dyson_term(model, z, rho0, [0, 0], list(s), 0.9) for s in times]
+    np.testing.assert_allclose(values, ref, rtol=0.0, atol=1e-9)
+
+
+def test_monte_carlo_samples_prefix_stable_and_replayable():
+    # sample j is a pure function of (master_seed, order, j): a smaller
+    # plan sees the first rows of a larger one, and a replay is identical
+    rng = np.random.default_rng(223)
+    model = pauli_channel_model(rng, 2, 2)
+    rho0 = random_density_matrix(model.space, rng)
+    obs = qc.OperatorSum.pauli_string(model.space, "ZI").matrix()
+    for shots in (None, 1, 3):
+        for order in (1, 2):
+            big = om._sample_values(model, obs, rho0, order, 0.6,
+                                    om.MonteCarloPlan(40, 5, shots), 1e-10)
+            small = om._sample_values(model, obs, rho0, order, 0.6,
+                                      om.MonteCarloPlan(7, 5, shots), 1e-10)
+            assert np.array_equal(big[:7], small)
+        plan = om.MonteCarloPlan(40, 9, shots)
+        first = om.reconstruct(model, obs, rho0, 0.6, 2, plan=plan).value
+        assert om.reconstruct(model, obs, rho0, 0.6, 2, plan=plan).value == first
+
+
+def test_single_shot_success_rate_can_fail():
+    # Unlike criterion 06 (every chain mean is +-1 there, so every estimate
+    # is exact), H contains X: the integrand varies over the simplex and the
+    # chain means are not +-1, so single-shot estimates scatter.
+    space = one_qubit_space()
+    model = om.LindbladModel(qc.OperatorSum(space, [(0.65, ("Z",)), (3.0, ("X",))]),
+                             [(qc.OperatorSum.pauli_string(space, "X"), 0.25)])
+    rho0 = qc.basis_state(space, [0]).to_density_matrix()
+    obs = sigma(space, "Z").matrix()
+    t, beta, delta = 0.3, 2.0, 0.05
+    omega_1 = om.sample_size_bound(delta, beta, 1, t, 1, 1, 1, model.gamma_bar(t))
+    truth = om.reconstruct(model, obs, rho0, t, 1).per_order[1]
+    target = 1.0 - math.exp(-beta) - 0.03
+
+    def estimates(samples):
+        return np.array([om._order_contribution_monte_carlo(
+            model, obs, rho0, 1, t, om.MonteCarloPlan(samples, seed, 1), 1e-10)
+            for seed in range(200)])
+
+    full = estimates(omega_1)
+    assert np.mean(np.abs(full - truth) <= delta) >= target
+    assert np.std(full) > 0.0
+    # The bound is conservative: delta is 19 standard deviations of the
+    # estimate at |Omega_1| and still 1.8 at |Omega_1| / 100 = 12 samples,
+    # which succeed in 92% of trials; 4 samples (about one standard
+    # deviation per delta) miss the target.
+    few = estimates(4)
+    assert np.mean(np.abs(few - truth) <= delta) < target
+
+
+def test_monte_carlo_plan_validation():
+    with pytest.raises(ValueError):
+        om.MonteCarloPlan(samples_per_order=0)
+    with pytest.raises(ValueError):
+        om.MonteCarloPlan(samples_per_order=-3)
+    with pytest.raises(ValueError):
+        om.MonteCarloPlan(samples_per_order=10, shots_per_value=0)
+    om.MonteCarloPlan(samples_per_order=1, shots_per_value=1)
+    om.MonteCarloPlan(samples_per_order=1, shots_per_value=None)
+
+
 def test_reconstruct_guards():
     space = one_qubit_space()
     model = amplitude_damping_model(0.2)
