@@ -35,16 +35,20 @@ for t in np.linspace(0.2, t_max, 5):
     print(f"{t:5.2f} {exact:10.6f} " + " ".join(f"{v:10.6f}" for v in cum)
           + f" {bound:10.2e}")
 
-print("\nMonte-Carlo integration over the time simplex (single-shot values):")
-t = 0.8
-quad = om.reconstruct(model, z, rho0, t, order=2)
-for samples in (200, 2000):
+print("\nMonte-Carlo integration over the time simplex (single-shot values),")
+print("on a driven qubit: H = 0.65 sz + 3 sx, L = sx at rate 0.25, rho0 = |0><0|")
+driven = om.LindbladModel(qc.OperatorSum(space, [(0.65, ("Z",)), (3.0, ("X",))]),
+                          [(qc.OperatorSum.pauli_string(space, "X"), 0.25)])
+t_mc = 0.3
+quad = om.reconstruct(driven, z, rho0, t_mc, order=2)
+for samples in (20, 200, 2000, 20000):
     plan = om.MonteCarloPlan(samples_per_order=samples, master_seed=4,
                              shots_per_value=1)
-    mc = om.reconstruct(model, z, rho0, t, order=2, plan=plan)
+    mc = om.reconstruct(driven, z, rho0, t_mc, order=2, plan=plan)
     print(f"  {samples:5d} samples/order: {mc.value:.5f}  "
           f"(exact series {quad.value:.5f})")
 
+t = 0.8
 print("\nhow many samples does order n = 1 need for |error| <= 0.05 "
       "with confidence 1 - e^-2?")
 n_samples = om.sample_size_bound(0.05, beta=2.0, n=1, t=t, n_channels=1,

@@ -11,6 +11,7 @@ the two halves commute and a single step is exact.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .qcore import (
     kron_all,
     partial_trace,
 )
-from .qcore.operators import PAULIS, boson_annihilation
+from .qcore.operators import PAULIS, SIGMA_P, boson_annihilation
 
 MAX_SPINS = 12
 
@@ -229,6 +230,27 @@ class XYBlockResult:
     eta_eff: float
 
 
+def _xy_drive_schedule(space: HilbertSpace, strength: float, delta_mode: float,
+                       delta_spin: float) -> Schedule:
+    """``strength S+ (x) (a e^{i(delta_mode - delta_spin)t} + a^dag
+    e^{-i(delta_mode + delta_spin)t}) + h.c.`` on spins (x) one mode, with
+    ``S+ = sum_j sigma+_j``: four terms over fixed matrices."""
+    *spins, mode = space.factors
+    n_spins = len(spins)
+    a = boson_annihilation(mode.dim)
+    sp_total = sum(kron_all([SIGMA_P if k == q else np.eye(2, dtype=complex)
+                             for k in range(n_spins)]) for q in range(n_spins))
+    k_a = np.kron(sp_total, a)
+    k_adag = np.kron(sp_total, a.conj().T)
+    w_lo, w_hi = delta_mode - delta_spin, delta_mode + delta_spin
+    return Schedule.from_terms(space, [
+        (lambda t: strength * cmath.exp(1j * w_lo * t), k_a),
+        (lambda t: strength * cmath.exp(-1j * w_hi * t), k_adag),
+        (lambda t: strength * cmath.exp(-1j * w_lo * t), k_a.conj().T),
+        (lambda t: strength * cmath.exp(1j * w_hi * t), k_adag.conj().T),
+    ])
+
+
 def xy_block_physical(j_coupling: float, delta_mode: float, delta_spin: float,
                       omega: float, n_spins: int, times: Sequence[float],
                       n_max: int = 8, tol: float = 1e-8) -> XYBlockResult:
@@ -249,26 +271,11 @@ def xy_block_physical(j_coupling: float, delta_mode: float, delta_spin: float,
     space = HilbertSpace(tuple(Qubit() for _ in range(n_spins)) + (Boson(n_max),))
     db = n_max + 1
     d_spin = 2 ** n_spins
-    a = boson_annihilation(db)
-
-    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    sp_ops = []
-    for q in range(n_spins):
-        ops = [np.eye(2, dtype=complex)] * n_spins
-        ops[q] = sp
-        sp_ops.append(kron_all(ops))
-    sp_total = sum(sp_ops)
-
-    def builder(t: float) -> np.ndarray:
-        mode = a * np.exp(1j * delta_mode * t) + a.conj().T * np.exp(-1j * delta_mode * t)
-        spin = sp_total * np.exp(-1j * delta_spin * t)
-        half = omega * eta_eff * np.kron(spin, mode)
-        return half + half.conj().T
+    sched = _xy_drive_schedule(space, omega * eta_eff, delta_mode, delta_spin)
 
     coupling = SpinCouplingMatrix.uniform(n_spins, j_coupling)
     h_ideal = 0.5 * analog_block("XY", coupling)
 
-    sched = Schedule.time_dependent(space, builder)
     # benchmark state: all spins down except the middle one
     flipped = ["1"] * n_spins
     flipped[n_spins // 2] = "0"

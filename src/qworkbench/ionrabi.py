@@ -8,7 +8,8 @@ The full bichromatic interaction-picture Hamiltonian
 is materialized exactly on the truncated mode: the displacement exponential
 at time t is the phase conjugation ``R(t) D R(t)^dag`` of the static
 ``D = exp(i eta (a + a^dag))`` with ``R(t) = diag(e^{i nu t k})``, which
-keeps every evaluation O(d^2) and exactly unitary at the truncation edge.
+keeps it exactly unitary at the truncation edge.  The schedule is in term
+form: two fixed matrices built from ``D`` and the frame ``nu a^dag a``.
 
 First sidebands with detunings (delta_r, delta_b) realize the quantum Rabi
 model with ``omega_0^R = -(delta_r + delta_b)/2``, ``omega^R =
@@ -38,7 +39,7 @@ from .qcore import (
     evolve,
     expectation,
 )
-from .qcore.operators import PAULIS, SIGMA_Y, SIGMA_Z, kron_all
+from .qcore.operators import PAULIS, SIGMA_M, SIGMA_P, SIGMA_Y, SIGMA_Z, kron_all
 
 
 class TruncationError(RuntimeError):
@@ -140,9 +141,9 @@ def _require_balanced(p: IonDriveParams):
 def ion_hamiltonian(p: IonDriveParams, n_max: int) -> Schedule:
     """Schedule for the full interaction-picture bichromatic drive.
 
-    The builder reuses one output buffer across evaluations (the hot loop
-    of the adaptive stepper); callers holding a matrix across times must
-    copy it.
+    In term form: ``c(t) sigma^+ (x) D + conj(c(t)) sigma^- (x) D^dag`` in
+    the frame ``nu a^dag a`` on both qubit levels, which turns the static
+    ``D`` into ``R(t) D R(t)^dag``; ``c(t)`` sums the two sideband tones.
     """
     if n_max < 10:
         raise ValueError("n_max >= 10 required for the full drive")
@@ -150,26 +151,21 @@ def ion_hamiltonian(p: IonDriveParams, n_max: int) -> Schedule:
     db = n_max + 1
     a = boson_annihilation(db)
     disp = expm(1j * p.eta * (a + a.conj().T))
-    fock = np.arange(db)
     s = p.sideband_order
     # omega_0 - omega_r = s*nu - delta_r ; omega_0 - omega_b = -s*nu - delta_b
     freq_r = s * p.nu - p.delta_r
     freq_b = -s * p.nu - p.delta_b
     amp_r = 0.5 * p.omega_r * cmath.exp(1j * p.phi_r)
     amp_b = 0.5 * p.omega_b * cmath.exp(1j * p.phi_b)
-    dim = 2 * db
-    buf = np.zeros((dim, dim), dtype=complex)
 
-    def builder(t: float) -> np.ndarray:
-        phases = np.exp(1j * p.nu * t * fock)
-        m = (phases[:, None] * disp) * phases.conj()[None, :]
-        c = amp_r * cmath.exp(1j * freq_r * t) + amp_b * cmath.exp(1j * freq_b * t)
-        block = c * m
-        buf[:db, db:] = block            # sigma^+ block (|e><g| (x) m)
-        buf[db:, :db] = block.conj().T
-        return buf
+    def c(t: float) -> complex:
+        return amp_r * cmath.exp(1j * freq_r * t) + amp_b * cmath.exp(1j * freq_b * t)
 
-    return Schedule.time_dependent(space, builder)
+    frame = np.tile(p.nu * np.arange(db, dtype=float), 2)
+    return Schedule.from_terms(space, [
+        (c, np.kron(SIGMA_P, disp)),
+        (lambda t: c(t).conjugate(), np.kron(SIGMA_M, disp.conj().T)),
+    ], frame=frame)
 
 
 def lamb_dicke_monitor(p: IonDriveParams, states: Sequence[PureState]) -> float:
@@ -589,20 +585,27 @@ def parity_direct(state: PureState) -> complex:
 _DISPERSIVE_CAL_CACHE: dict = {}
 
 
-def _dispersive_pulse_builder(db: int, sign: float, delta: float, eps: float,
-                              duration: float, coupling: float):
+def _dispersive_pulse_schedule(space: HilbertSpace, sign: float, delta: float,
+                               eps: float, duration: float, coupling: float) -> Schedule:
+    """``sigma^+ (x) B(t) + h.c.`` with ``B(t) = coupling w(t) e^{i sign delta t}
+    (a e^{-i eps t} + a^dag e^{i eps t})`` and ``w = sin^2(pi t / duration)``,
+    as four terms over fixed matrices."""
+    db = space.factors[1].dim
     a = boson_annihilation(db)
+    w_lo, w_hi = sign * delta - eps, sign * delta + eps
 
-    def builder(t: float) -> np.ndarray:
-        w = math.sin(math.pi * t / duration) ** 2
-        mode = a * cmath.exp(-1j * eps * t) + a.conj().T * cmath.exp(1j * eps * t)
-        block = (coupling * w) * cmath.exp(1j * sign * delta * t) * mode
-        h = np.zeros((2 * db, 2 * db), dtype=complex)
-        h[:db, db:] = block
-        h[db:, :db] = block.conj().T
-        return h
+    def f_lo(t: float) -> complex:
+        return coupling * math.sin(math.pi * t / duration) ** 2 * cmath.exp(1j * w_lo * t)
 
-    return builder
+    def f_hi(t: float) -> complex:
+        return coupling * math.sin(math.pi * t / duration) ** 2 * cmath.exp(1j * w_hi * t)
+
+    return Schedule.from_terms(space, [
+        (f_lo, np.kron(SIGMA_P, a)),
+        (f_hi, np.kron(SIGMA_P, a.conj().T)),
+        (lambda t: f_lo(t).conjugate(), np.kron(SIGMA_M, a.conj().T)),
+        (lambda t: f_hi(t).conjugate(), np.kron(SIGMA_M, a)),
+    ])
 
 
 def _dispersive_calibration(db: int, delta_ratio: float, eps_frac: float,
@@ -611,9 +614,9 @@ def _dispersive_calibration(db: int, delta_ratio: float, eps_frac: float,
     phase advances by pi/4 per phonon, plus the measured n=0 offsets.
 
     This mirrors an experimental Ramsey calibration on the n = 0, 1
-    manifold; both are cached per parameter set.
+    manifold; both are cached per parameter set and tolerance.
     """
-    key = (db, delta_ratio, eps_frac)
+    key = (db, delta_ratio, eps_frac, tol)
     if key in _DISPERSIVE_CAL_CACHE:
         return _DISPERSIVE_CAL_CACHE[key]
     coupling = 1.0
@@ -625,8 +628,7 @@ def _dispersive_calibration(db: int, delta_ratio: float, eps_frac: float,
     duration = (8.0 / 3.0) * t_star / chi_eff   # int of sin^4 envelope = 3T/8
 
     def phases(T: float) -> dict:
-        sched = Schedule.time_dependent(
-            space, _dispersive_pulse_builder(db, +1.0, delta, eps, T, coupling))
+        sched = _dispersive_pulse_schedule(space, +1.0, delta, eps, T, coupling)
         out = {}
         for q in (0, 1):
             for n in (0, 1):
@@ -673,8 +675,7 @@ def parity_measurement_dispersive(state: PureState, delta_ratio: float = 20.0,
 
     def realized_rotation(sign: float) -> np.ndarray:
         """~ exp(-i sign n sigma_x t*)|psi>: u [comp U_disp(sign)] u^dag |psi>."""
-        sched = Schedule.time_dependent(
-            space, _dispersive_pulse_builder(db, sign, delta, eps, duration, coupling))
+        sched = _dispersive_pulse_schedule(space, sign, delta, eps, duration, coupling)
         start = PureState(space, axis_rot.conj().T @ state.amplitudes)
         evolved = evolve(start, sched, 0.0, duration, tol=tol).amplitudes
         comp = np.kron(np.diag([cmath.exp(-1j * sign * off_e),

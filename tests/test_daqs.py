@@ -146,6 +146,33 @@ def test_xy_block_improves_with_stiffer_mode():
     assert worst[1] < worst[0]
 
 
+def closed_form_xy_drive_matrix(n_spins, db, strength, delta_mode, delta_spin, t):
+    """The XY-block drive assembled densely at time t."""
+    a = qc.boson_annihilation(db)
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    sp_total = sum(qc.kron_all([sp if k == q else np.eye(2) for k in range(n_spins)])
+                   for q in range(n_spins))
+    mode = a * np.exp(1j * delta_mode * t) + a.conj().T * np.exp(-1j * delta_mode * t)
+    half = strength * np.kron(sp_total * np.exp(-1j * delta_spin * t), mode)
+    return half + half.conj().T
+
+
+@pytest.mark.parametrize("n_spins", [2, 3])
+def test_xy_drive_terms_match_closed_form(n_spins):
+    two_pi = 2 * math.pi
+    space = qc.HilbertSpace(tuple(qc.Qubit() for _ in range(n_spins)) + (qc.Boson(4),))
+    args = (two_pi * 1.5e3, two_pi * 60e3, two_pi * 3e3)
+    h = daqs._xy_drive_schedule(space, *args)
+    for t in np.linspace(0.0, 4.1e-4, 5):
+        oracle = closed_form_xy_drive_matrix(n_spins, 5, *args, t)
+        assert np.max(np.abs(h.matrix_at(t) - oracle)) < 1e-12 * np.max(np.abs(oracle))
+    first = h.matrix_at(1e-4)
+    kept = first.copy()
+    second = h.matrix_at(3e-4)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+
+
 def test_xy_block_trivial_at_zero_coupling():
     res = daqs.xy_block_physical(j_coupling=1e-9, delta_mode=1e5, delta_spin=1e3,
                                  omega=1e5, n_spins=2, times=[1e-4], n_max=4)

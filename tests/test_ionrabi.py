@@ -95,6 +95,44 @@ def test_small_eta_expansion_scaling():
     assert 3.0 < devs[0.08] / devs[0.04] < 5.0
 
 
+def closed_form_drive_matrix(p, n_max, t):
+    """The full drive assembled densely at time t: c(t) R D R^dag on the
+    sigma^+ block, with R(t) = diag(e^{i nu t k})."""
+    db = n_max + 1
+    a = qc.boson_annihilation(db)
+    disp = expm(1j * p.eta * (a + a.conj().T))
+    phases = np.exp(1j * p.nu * t * np.arange(db))
+    m = (phases[:, None] * disp) * phases.conj()[None, :]
+    s = p.sideband_order
+    c = 0.5 * p.omega_r * np.exp(1j * p.phi_r) * np.exp(1j * (s * p.nu - p.delta_r) * t) \
+        + 0.5 * p.omega_b * np.exp(1j * p.phi_b) * np.exp(1j * (-s * p.nu - p.delta_b) * t)
+    h = np.zeros((2 * db, 2 * db), dtype=complex)
+    h[:db, db:] = c * m
+    h[db:, :db] = (c * m).conj().T
+    return h
+
+
+def relative_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_drive_terms_match_closed_form(order):
+    p = ir.IonDriveParams(nu=TWO_PI * 1e6, omega0=TWO_PI * 12e6,
+                          omega_r=TWO_PI * 100e3, omega_b=TWO_PI * 80e3, eta=0.04,
+                          delta_r=TWO_PI * 300.0, delta_b=-TWO_PI * 400.0,
+                          sideband_order=order, phi_r=0.3, phi_b=-1.1)
+    h = ir.ion_hamiltonian(p, n_max=14)
+    for t in np.linspace(0.0, 3.7e-6, 5):
+        assert relative_gap(h.matrix_at(t), closed_form_drive_matrix(p, 14, t)) < 1e-12
+    first = h.matrix_at(1.1e-6)
+    kept = first.copy()
+    second = h.matrix_at(2.9e-6)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(first, second)
+
+
 def test_jc_regime_short_run():
     # half a Rabi oscillation of the full drive against the closed-form
     # resonant JC solution
@@ -392,6 +430,43 @@ def test_parity_dispersive_low_manifold():
     st = qc.PureState(space, amps)
     err = abs(ir.parity_measurement_dispersive(st) - ir.parity_direct(st))
     assert err < 2e-2
+
+
+def closed_form_dispersive_matrix(db, sign, delta, eps, duration, coupling, t):
+    """The dispersive pulse assembled densely at time t."""
+    a = qc.boson_annihilation(db)
+    w = math.sin(math.pi * t / duration) ** 2
+    mode = a * np.exp(-1j * eps * t) + a.conj().T * np.exp(1j * eps * t)
+    block = (coupling * w) * np.exp(1j * sign * delta * t) * mode
+    h = np.zeros((2 * db, 2 * db), dtype=complex)
+    h[:db, db:] = block
+    h[db:, :db] = block.conj().T
+    return h
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dispersive_terms_match_closed_form(sign):
+    space = qc.HilbertSpace.qubit_boson(n_max=9)
+    args = (sign, 20.0, 5.0, 3.3, 0.8)
+    h = ir._dispersive_pulse_schedule(space, *args)
+    for t in np.linspace(0.1, 3.2, 5):
+        oracle = closed_form_dispersive_matrix(10, *args, t)
+        assert relative_gap(h.matrix_at(t), oracle) < 1e-12
+    first = h.matrix_at(0.7)
+    kept = first.copy()
+    h.matrix_at(2.1)
+    assert np.array_equal(first, kept)
+
+
+def test_dispersive_calibration_keyed_by_tolerance(monkeypatch):
+    # a readout at its default tolerance must not reuse a calibration made
+    # at another tolerance
+    monkeypatch.setattr(ir, "_DISPERSIVE_CAL_CACHE", {})
+    st = qc.basis_state(qc.HilbertSpace.qubit_boson(n_max=6), [1, 2])
+    alone = ir.parity_measurement_dispersive(st, delta_ratio=6.0)
+    monkeypatch.setattr(ir, "_DISPERSIVE_CAL_CACHE", {})
+    ir.parity_measurement_dispersive(st, delta_ratio=6.0, tol=1e-6)
+    assert ir.parity_measurement_dispersive(st, delta_ratio=6.0) == alone
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,83 @@ def test_norm_preservation_time_dependent():
     assert out.norm_error < 1e-8
 
 
+def random_hermitian(rng, d):
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (m + m.conj().T)
+
+
+@pytest.mark.parametrize("dims", [(qc.Qubit(), qc.Qubit()),
+                                  (qc.Qubit(), qc.Boson(2)),
+                                  (qc.Boson(4),)])
+@pytest.mark.parametrize("with_frame", [False, True])
+def test_term_form_matches_builder(dims, with_frame):
+    # H(t) = F(t) [cos(3t) H_0 + sin(2t) H_1 + exp(-t/2) H_2] F(t)^dag in term
+    # form against the same Hamiltonian assembled densely by a builder
+    space = qc.HilbertSpace(dims)
+    d = space.dim
+    rng = np.random.default_rng(40 + d + 10 * with_frame)
+    mats = [random_hermitian(rng, d) for _ in range(3)]
+    coeffs = (lambda t: math.cos(3.0 * t), lambda t: math.sin(2.0 * t),
+              lambda t: math.exp(-0.5 * t))
+    frame = 4.0 * rng.standard_normal(d) if with_frame else np.zeros(d)
+
+    def builder(t):
+        phase = np.exp(1j * t * frame)
+        h = sum(f(t) * m for f, m in zip(coeffs, mats))
+        return phase[:, None] * h * phase.conj()[None, :]
+
+    terms = qc.Schedule.from_terms(space, list(zip(coeffs, mats)),
+                                   frame=frame if with_frame else None)
+    dense_form = qc.Schedule.time_dependent(space, builder)
+    for t in (0.0, 0.37, 1.9):
+        assert np.max(np.abs(terms.matrix_at(t) - builder(t))) < 1e-10
+    psi = qc.random_pure_state(space, rng)
+    a = qc.evolve(psi, terms, 0.1, 1.4)
+    b = qc.evolve(psi, dense_form, 0.1, 1.4)
+    assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-10
+    rho = qc.DensityMatrix(space, 0.6 * psi.to_density_matrix().matrix
+                           + 0.4 * np.eye(d) / d)
+    a = qc.evolve(rho, terms, 0.1, 1.4)
+    b = qc.evolve(rho, dense_form, 0.1, 1.4)
+    assert np.max(np.abs(a.matrix - b.matrix)) < 1e-10
+    u = qc.propagator(terms, 0.1, 1.4)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(d))) < 1e-8
+    assert np.max(np.abs(a.matrix - u @ rho.matrix @ u.conj().T)) < 1e-8
+    assert np.max(np.abs(u - qc.propagator(dense_form, 0.1, 1.4))) < 1e-10
+
+
+def test_term_form_apply_shapes_and_fresh_results():
+    space = qc.HilbertSpace.qubits(2)
+    rng = np.random.default_rng(3)
+    h0, h1 = random_hermitian(rng, 4), random_hermitian(rng, 4)
+    sched = qc.Schedule.from_terms(space, [(math.cos, h0), (math.sin, h1)],
+                                   frame=[0.5, -1.0, 2.0, 0.0])
+    apply = sched.pieces[0].apply
+    block = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    out = apply(0.8, block)
+    assert out.shape == (4, 3)
+    for j in range(3):
+        assert np.max(np.abs(out[:, j] - apply(0.8, block[:, j]))) < 1e-14
+    first = sched.matrix_at(0.3)
+    kept = first.copy()
+    second = sched.matrix_at(1.2)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+
+
+def test_term_form_validation():
+    space = qc.HilbertSpace.qubits(1)
+    z = qc.SIGMA_Z
+    with pytest.raises(ValueError):
+        qc.Schedule.from_terms(space, [])
+    with pytest.raises(qc.DimensionMismatchError):
+        qc.Schedule.from_terms(space, [(math.cos, np.eye(4))])
+    with pytest.raises(qc.DimensionMismatchError):
+        qc.Schedule.from_terms(space, [(math.cos, z)], frame=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        qc.Schedule.from_terms(space, [(math.cos, z)], frame=[1j, 0.0])
+
+
 def test_dimension_mismatch_rejected():
     s1, s2 = qc.HilbertSpace.qubits(1), qc.HilbertSpace.qubits(2)
     h = qc.Schedule.constant(qc.OperatorSum.zero(s2))
