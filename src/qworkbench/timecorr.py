@@ -6,9 +6,17 @@ controlled gates ``exp(-i |g><g| (x) (pi/2) O_k)`` interleave with segments
 of the system evolution, and the correlator is read off the final ancilla
 coherence as ``i^n (<sigma_x> + i <sigma_y>)``.
 
-Conventions fixed here (see :class:`AncillaLayout`):
+The ancilla is only ever a control, so the protocol is simulated on the
+system space alone.  Its two branches evolve separately: the |e> branch
+sees only the segment propagators, the |g> branch sees the gates
+interleaved with them, and the coherence ``<sigma_x> + i <sigma_y> =
+2 rho_ge`` is the branch overlap ``<psi_e|psi_g>`` (``Tr(U_e^dag W rho)``
+for a mixed state).  The segment propagators depend only on the evolution
+and the times, so each correlator computes them once and every Pauli
+chain or finite-difference signal reuses them.
 
-* the ancilla is subsystem 0 (leftmost) of the enlarged space;
+Conventions fixed here:
+
 * controlled gates act on the ``|g> = |1>`` branch;
 * operator times are nondecreasing, the LEFTMOST operator in the
   correlator carries the LATEST time, and Heisenberg operators are taken
@@ -37,23 +45,13 @@ from .qcore import (
     PureState,
     Qubit,
     Schedule,
+    evolve,
     expectation,
     pauli_decompose,
     propagator,
 )
-from .qcore.operators import PAULI_LABELS, PROJ_E, PROJ_G, SIGMA_X, SIGMA_Y, dense_pauli
+from .qcore.operators import PAULI_LABELS, dense_pauli
 from .qcore.spaces import DimensionMismatchError
-
-
-@dataclass(frozen=True)
-class AncillaLayout:
-    """Fixed wiring of the probe qubit (documentation of the convention)."""
-
-    ancilla_index: int = 0
-    control_level: str = "g"   # controlled gates act on the |g> = |1> branch
-
-
-LAYOUT = AncillaLayout()
 
 
 @dataclass(frozen=True)
@@ -187,47 +185,30 @@ def _protocol_terms(op: OperatorSum) -> list:
     return [(q, dense_pauli(lbl)) for q, lbl in pauli_decompose(op)]
 
 
-def _controlled(generator_unitary: np.ndarray, system_dim: int) -> np.ndarray:
-    """|e><e| (x) 1 + |g><g| (x) V on the ancilla-system space."""
-    return np.kron(PROJ_E, np.eye(system_dim, dtype=complex)) + \
-        np.kron(PROJ_G, generator_unitary)
+def _segment_propagators(spec: CorrelationSpec) -> list:
+    """V_k = U(t_{k+1}, t_k) for the n-1 evolution segments of ``spec``."""
+    return [propagator(spec.evolution, a, b, spec.tol)
+            for a, b in zip(spec.times, spec.times[1:])]
 
 
-def _run_protocol(spec: CorrelationSpec, gate_unitaries: Sequence[np.ndarray]):
-    """Final enlarged-space state after gates interleaved with evolution."""
-    d = spec.system.dim
-    vs = [propagator(spec.evolution, a, b, spec.tol)
-          for a, b in zip(spec.times, spec.times[1:])]
+def _branch_coherence(initial, gates: Sequence[np.ndarray],
+                      segments: Sequence[np.ndarray]) -> complex:
+    """Final ancilla coherence ``<sigma_x> + i <sigma_y>`` of the protocol.
 
-    if isinstance(spec.initial, PureState):
-        anc = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-        state = np.kron(anc, spec.initial.amplitudes)
-        state = _controlled(gate_unitaries[0], d) @ state
-        for v, gate in zip(vs, gate_unitaries[1:]):
-            state = np.kron(np.eye(2, dtype=complex), v) @ state
-            state = _controlled(gate, d) @ state
-        return state
-
-    anc = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    rho = np.kron(anc, spec.initial.matrix)
-    g0 = _controlled(gate_unitaries[0], d)
-    rho = g0 @ rho @ g0.conj().T
-    for v, gate in zip(vs, gate_unitaries[1:]):
-        big_v = np.kron(np.eye(2, dtype=complex), v)
-        rho = big_v @ rho @ big_v.conj().T
-        g = _controlled(gate, d)
-        rho = g @ rho @ g.conj().T
-    return rho
-
-
-def _ancilla_xy(state, d: int) -> tuple:
-    sx = np.kron(SIGMA_X, np.eye(d, dtype=complex))
-    sy = np.kron(SIGMA_Y, np.eye(d, dtype=complex))
-    if state.ndim == 1:
-        return (float(np.real(np.vdot(state, sx @ state))),
-                float(np.real(np.vdot(state, sy @ state))))
-    return (float(np.real(np.trace(sx @ state))),
-            float(np.real(np.trace(sy @ state))))
+    The |e> branch gets only the segment propagators, the |g> branch the
+    gates interleaved with them; the coherence is their overlap.  A mixed
+    state starts |e> from the identity and |g> from rho, so the same
+    ``vdot`` gives ``Tr(U_e^dag W rho)``.
+    """
+    if isinstance(initial, PureState):
+        e = g = initial.amplitudes
+    else:
+        e, g = np.eye(initial.space.dim, dtype=complex), initial.matrix
+    g = gates[0] @ g
+    for v, gate in zip(segments, gates[1:]):
+        e = v @ e
+        g = gate @ (v @ g)
+    return complex(np.vdot(e, g))
 
 
 def _shot_uniforms(master_seed, count: int) -> np.ndarray:
@@ -245,17 +226,15 @@ def _sample_coherence(x_mean: float, y_mean: float, plan: ShotPlan, stream_key) 
     return complex(np.mean(x_shots), np.mean(y_shots))
 
 
-def correlation_ancilla(spec: CorrelationSpec, plan: ShotPlan | None = None) -> complex:
-    """Correlator via the probe-qubit protocol.
+def _chain_sum(spec: CorrelationSpec, per_op: Sequence[Sequence],
+               plan: ShotPlan | None) -> complex:
+    """Sum the protocol over every chain of ``(coeff, Pauli matrix)`` terms.
 
-    Each operator must be (a scalar multiple of) a Pauli string or
-    Pauli-decomposable; products of expansions are summed.  With ``plan``
-    the ancilla coherence of each expanded chain is estimated from
-    ``ceil(shots/2)`` sigma_x outcomes and as many sigma_y outcomes
-    (physically one cannot measure both in the same shot).
+    Chain j (in ``itertools.product`` order) draws its shots from the
+    stream ``(master_seed, j)``; the segment propagators are shared.
     """
-    n = spec.order
-    per_op = [_protocol_terms(op) for op in spec.operators]
+    phase = 1j ** spec.order
+    segments = _segment_propagators(spec)
     total = 0.0 + 0.0j
     for chain_idx, combo in enumerate(itertools.product(*per_op)):
         coeff = 1.0 + 0.0j
@@ -263,15 +242,26 @@ def correlation_ancilla(spec: CorrelationSpec, plan: ShotPlan | None = None) -> 
         for c, pauli_mat in combo:
             coeff *= c
             gates.append(-1j * pauli_mat)  # exp(-i (pi/2) P) = -i P
-        final = _run_protocol(spec, gates)
-        x_mean, y_mean = _ancilla_xy(final, spec.system.dim)
-        if plan is None:
-            coherence = complex(x_mean, y_mean)
-        else:
-            coherence = _sample_coherence(x_mean, y_mean, plan,
+        coherence = _branch_coherence(spec.initial, gates, segments)
+        if plan is not None:
+            coherence = _sample_coherence(coherence.real, coherence.imag, plan,
                                           (plan.master_seed, chain_idx))
-        total += coeff * (1j ** n) * coherence
+        total += coeff * phase * coherence
     return total
+
+
+def correlation_ancilla(spec: CorrelationSpec, plan: ShotPlan | None = None) -> complex:
+    """Correlator via the probe-qubit protocol.
+
+    Each operator must be (a scalar multiple of) a Pauli string or
+    Pauli-decomposable; products of expansions are summed.  The protocol
+    runs as two system-space branches (see the module docstring) over
+    segment propagators computed once for all chains.  With ``plan`` the
+    ancilla coherence of each expanded chain is estimated from
+    ``ceil(shots/2)`` sigma_x outcomes and as many sigma_y outcomes
+    (physically one cannot measure both in the same shot).
+    """
+    return _chain_sum(spec, [_protocol_terms(op) for op in spec.operators], plan)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +313,7 @@ def correlation_bosonic(spec: CorrelationSpec, h: float = 1e-3,
             coeff, pauli = terms[0]
             scale *= coeff
             bare[k] = pauli
+    segments = _segment_propagators(spec)
 
     def signal(angles: dict) -> complex:
         gates = []
@@ -331,8 +322,7 @@ def correlation_bosonic(spec: CorrelationSpec, h: float = 1e-3,
                 gates.append(expm(-1j * angles[k] * bare[k]))
             else:
                 gates.append(-1j * bare[k])
-        x_mean, y_mean = _ancilla_xy(_run_protocol(spec, gates), spec.system.dim)
-        return complex(x_mean, y_mean)
+        return _branch_coherence(spec.initial, gates, segments)
 
     def derivative(axes: list, angles: dict, step: float) -> complex:
         if not axes:
@@ -406,18 +396,17 @@ def correlation_fermionic(evolution: Schedule, entries: Sequence, state,
 
     ``entries`` is a sequence of ``(mode, dagger, time)`` with nondecreasing
     times, ordered like the operator list of :class:`CorrelationSpec`
-    (entry 0 = earliest = rightmost in the correlator).
+    (entry 0 = earliest = rightmost in the correlator).  The Jordan-Wigner
+    chains run through the same chain loop as :func:`correlation_ancilla`,
+    so with ``plan`` chain j draws from the stream ``(master_seed, j)``.
     """
     space = evolution.space
-    times = [t for _, _, t in entries]
     expansions = [jordan_wigner_terms(space, p, dg) for p, dg, _ in entries]
-    total = 0.0 + 0.0j
-    for combo in itertools.product(*expansions):
-        coeff = np.prod([c for c, _ in combo])
-        ops = tuple(OperatorSum.pauli_string(space, lbl) for _, lbl in combo)
-        sub = CorrelationSpec(evolution, tuple(times), ops, state, tol=tol)
-        total += coeff * correlation_ancilla(sub, plan)
-    return total
+    ops = tuple(OperatorSum(space, [(c, tuple(lbl)) for c, lbl in terms])
+                for terms in expansions)
+    spec = CorrelationSpec(evolution, tuple(t for _, _, t in entries), ops, state, tol=tol)
+    per_op = [[(c, dense_pauli(lbl)) for c, lbl in terms] for terms in expansions]
+    return _chain_sum(spec, per_op, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +467,7 @@ def linear_response_check(h0: Schedule, a: OperatorSum, b: OperatorSum, state,
     grid = np.linspace(0.0, t, n_grid)
     phi = response_function(h0, a, b, state, grid, tol=tol)
     chi = susceptibility(phi, grid, omega)
-    evolved = _evolve_any(state, h0, t, tol)
+    evolved = evolve(state, h0, 0.0, t, tol)
     base = expectation(evolved, b).real
     predicted = base - 2.0 * f * (np.exp(1j * omega * t) * chi).real
 
@@ -486,7 +475,7 @@ def linear_response_check(h0: Schedule, a: OperatorSum, b: OperatorSum, state,
     a_mat = a.matrix()
     builder = lambda s: h0_mat(s) + (2.0 * f * math.cos(omega * s)) * a_mat
     perturbed = Schedule.time_dependent(h0.space, builder)
-    exact_state = _evolve_any(state, perturbed, t, tol)
+    exact_state = evolve(state, perturbed, 0.0, t, tol)
     exact = expectation(exact_state, b).real
     return float(predicted), float(exact)
 
@@ -496,11 +485,6 @@ def _schedule_matrix_fn(h: Schedule) -> Callable[[float], np.ndarray]:
         mat = h.constant_matrix
         return lambda t: mat
     return h.matrix_at
-
-
-def _evolve_any(state, h: Schedule, t: float, tol: float):
-    from .qcore import evolve
-    return evolve(state, h, 0.0, t, tol)
 
 
 # ---------------------------------------------------------------------------

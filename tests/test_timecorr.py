@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qworkbench import qcore as qc
 from qworkbench import timecorr as tc
@@ -141,7 +142,6 @@ def test_equal_times_match_single_time_product():
     t = 0.75
     spec = tc.CorrelationSpec(h, (t, t, t), ops, state)
     got = tc.correlation_exact(spec)
-    u = qc.propagator(h, t, t)  # identity; product taken at common reference
     prod = ops[2].matrix() @ ops[1].matrix() @ ops[0].matrix()
     expected = tc.heisenberg_chain_expectation(h, [(prod, t)], state, t_ref=t)
     assert abs(got - expected) < 1e-12
@@ -180,6 +180,86 @@ def test_ten_time_alternating_chain():
     ops = tuple(pauli_op(space, "X" if k % 2 == 0 else "Y") for k in range(10))
     spec = tc.CorrelationSpec(h, times, ops, state)
     assert abs(tc.correlation_ancilla(spec) - tc.correlation_exact(spec)) < 1e-10
+
+
+def enlarged_space_coherence(spec, paulis):
+    """<sigma_x> + i <sigma_y> of the explicit ancilla (x) system circuit.
+
+    The ancilla (leftmost factor) starts in |+>, each gate is
+    exp(-i |g><g| (x) (pi/2) P_k) on the 2d-dimensional space, and every
+    segment evolves the system factor only.
+    """
+    d = spec.system.dim
+    eye2 = np.eye(2)
+    proj_g = np.diag([0.0, 1.0])
+    gates = [expm(-0.5j * math.pi * np.kron(proj_g, p)) for p in paulis]
+    segs = [np.kron(eye2, qc.propagator(spec.evolution, a, b))
+            for a, b in zip(spec.times, spec.times[1:])]
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    if isinstance(spec.initial, qc.PureState):
+        rho = np.outer(np.kron(plus, spec.initial.amplitudes),
+                       np.kron(plus, spec.initial.amplitudes).conj())
+    else:
+        rho = np.kron(np.outer(plus, plus), spec.initial.matrix)
+    rho = gates[0] @ rho @ gates[0].conj().T
+    for v, g in zip(segs, gates[1:]):
+        u = g @ v
+        rho = u @ rho @ u.conj().T
+    sx = np.kron(qc.dense_pauli("X"), np.eye(d))
+    sy = np.kron(qc.dense_pauli("Y"), np.eye(d))
+    return np.trace(sx @ rho) + 1j * np.trace(sy @ rho)
+
+
+def test_ancilla_matches_enlarged_space_circuit():
+    rng = np.random.default_rng(2718)
+    for trial in range(40):
+        n_qubits = int(rng.integers(1, 3))
+        space = qc.HilbertSpace.qubits(n_qubits)
+        h = random_hermitian_schedule(space, rng)
+        n = int(rng.integers(1, 5))
+        times = tuple(np.sort(rng.uniform(0.0, 2.0, size=n)))
+        labels = ["".join(rng.choice(list("IXYZ"), size=n_qubits)) for _ in range(n)]
+        if trial % 2:
+            state = qc.random_pure_state(space, rng)
+        else:
+            a = rng.standard_normal((space.dim,) * 2) + 1j * rng.standard_normal((space.dim,) * 2)
+            rho = a @ a.conj().T
+            state = qc.DensityMatrix(space, rho / np.trace(rho))
+        spec = tc.CorrelationSpec(h, times, tuple(pauli_op(space, lbl) for lbl in labels), state)
+        coherence = enlarged_space_coherence(spec, [qc.dense_pauli(lbl) for lbl in labels])
+        assert abs(tc.correlation_ancilla(spec) - (1j ** n) * coherence) < 1e-12
+
+
+def test_segment_propagators_computed_once(monkeypatch):
+    calls = []
+    real = tc.propagator
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tc, "propagator", counting)
+    # sigma- expands into two Pauli chains
+    space = qc.HilbertSpace.qubits(1)
+    sm = qc.OperatorSum.single(space, 0, "S-")
+    tc.correlation_ancilla(tc.CorrelationSpec(qubit_schedule(0.9), (0.0, 0.7),
+                                              (sm, pauli_op(space, "X")), qc.plus_state()))
+    assert len(calls) == 1
+    # Richardson extrapolation evaluates four finite-difference signals
+    calls.clear()
+    jc_space = qc.HilbertSpace.qubit_boson(n_max=8)
+    sx = qc.OperatorSum.single(jc_space, 0, "X")
+    bx = qc.OperatorSum(jc_space, [(1.0, ("I", "x"))])
+    tc.correlation_bosonic(tc.CorrelationSpec(jc_schedule(jc_space, 1.0), (0.0, 0.9), (sx, bx),
+                                              qc.basis_state(jc_space, [0, 0])))
+    assert len(calls) == 1
+    # four Jordan-Wigner entries expand into sixteen Pauli chains
+    calls.clear()
+    space3 = qc.HilbertSpace.qubits(3)
+    h3 = random_hermitian_schedule(space3, np.random.default_rng(3))
+    entries = ((0, False, 0.0), (2, True, 0.3), (1, False, 0.7), (1, True, 1.1))
+    tc.correlation_fermionic(h3, entries, qc.basis_state(space3, [0, 1, 0]))
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +428,29 @@ def test_fermionic_hopping_two_point():
     expected = tc.heisenberg_chain_expectation(
         h, [(b1.conj().T, t), (b0, 0.0)], state)
     assert abs(got - expected) < 1e-10
+
+
+def test_fermionic_chains_draw_distinct_streams(monkeypatch):
+    # each Jordan-Wigner chain draws its shots from its own stream
+    space = qc.HilbertSpace.qubits(3)
+    rng = np.random.default_rng(17)
+    h = random_hermitian_schedule(space, rng)
+    state = qc.random_pure_state(space, rng)
+    entries = ((2, False, 0.0), (0, True, 0.8))
+    keys = []
+    real = tc._shot_uniforms
+
+    def spy(key, count):
+        keys.append(key)
+        return real(key, count)
+
+    monkeypatch.setattr(tc, "_shot_uniforms", spy)
+    tc.correlation_fermionic(h, entries, state, plan=tc.ShotPlan(shots=64, master_seed=5))
+    assert keys == [(5, 0), (5, 1), (5, 2), (5, 3)]
+    b2 = tc.fermion_operator_dense(space, 2, dagger=False)
+    b0d = tc.fermion_operator_dense(space, 0, dagger=True)
+    expected = tc.heisenberg_chain_expectation(h, [(b0d, 0.8), (b2, 0.0)], state)
+    assert abs(tc.correlation_fermionic(h, entries, state) - expected) < 1e-10
 
 
 # ---------------------------------------------------------------------------
