@@ -11,7 +11,6 @@ the two halves commute and a single step is exact.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from .qcore import (
     kron_all,
     partial_trace,
 )
-from .qcore.operators import PAULIS, SIGMA_P, boson_annihilation
+from .qcore.operators import PAULIS, PROJ_E, SIGMA_P, boson_annihilation
 
 MAX_SPINS = 12
 
@@ -234,21 +233,26 @@ def _xy_drive_schedule(space: HilbertSpace, strength: float, delta_mode: float,
                        delta_spin: float) -> Schedule:
     """``strength S+ (x) (a e^{i(delta_mode - delta_spin)t} + a^dag
     e^{-i(delta_mode + delta_spin)t}) + h.c.`` on spins (x) one mode, with
-    ``S+ = sum_j sigma+_j``: four terms over fixed matrices."""
+    ``S+ = sum_j sigma+_j``.
+
+    In the frame ``G = -delta_spin N_e - delta_mode n`` (``N_e`` counts the
+    excited spins) the phases become static: one term
+    ``strength (S+ (x) (a + a^dag) + h.c.)`` with a constant coefficient,
+    so ``evolve`` takes the static route.  ``matrix_at`` is still the
+    lab-frame H(t).
+    """
     *spins, mode = space.factors
     n_spins = len(spins)
     a = boson_annihilation(mode.dim)
     sp_total = sum(kron_all([SIGMA_P if k == q else np.eye(2, dtype=complex)
                              for k in range(n_spins)]) for q in range(n_spins))
-    k_a = np.kron(sp_total, a)
-    k_adag = np.kron(sp_total, a.conj().T)
-    w_lo, w_hi = delta_mode - delta_spin, delta_mode + delta_spin
-    return Schedule.from_terms(space, [
-        (lambda t: strength * cmath.exp(1j * w_lo * t), k_a),
-        (lambda t: strength * cmath.exp(-1j * w_hi * t), k_adag),
-        (lambda t: strength * cmath.exp(-1j * w_lo * t), k_a.conj().T),
-        (lambda t: strength * cmath.exp(1j * w_hi * t), k_adag.conj().T),
-    ])
+    half = np.kron(sp_total, a + a.conj().T)
+    excited = np.diag(PROJ_E).real
+    n_exc = sum(kron_all([excited if k == q else np.ones(2) for k in range(n_spins)])
+                for q in range(n_spins))
+    frame = -delta_spin * np.kron(n_exc, np.ones(mode.dim)) \
+        - delta_mode * np.kron(np.ones(2 ** n_spins), np.arange(mode.dim, dtype=float))
+    return Schedule.from_terms(space, [(strength, half + half.conj().T)], frame=frame)
 
 
 def xy_block_physical(j_coupling: float, delta_mode: float, delta_spin: float,
@@ -264,8 +268,11 @@ def xy_block_physical(j_coupling: float, delta_mode: float, delta_spin: float,
     phonon vacuum, and the reduced spin state is compared with the ideal
     evolution at each requested time.
     """
-    if delta_spin / delta_mode > 0.2:
-        warnings.warn("delta_spin/delta_mode > 0.2: the second rotating-wave "
+    if not j_coupling * delta_mode > 0.0:
+        raise ValueError("j_coupling and delta_mode must be nonzero and of one sign: "
+                         "the folded mode needs eta_eff^2 = J delta_mode / (2 omega^2) > 0")
+    if abs(delta_spin / delta_mode) > 0.2:
+        warnings.warn("|delta_spin/delta_mode| > 0.2: the second rotating-wave "
                       "step behind the XY block is getting shaky", stacklevel=2)
     eta_eff = math.sqrt(j_coupling * delta_mode / 2.0) / omega
     space = HilbertSpace(tuple(Qubit() for _ in range(n_spins)) + (Boson(n_max),))

@@ -9,7 +9,10 @@ is materialized exactly on the truncated mode: the displacement exponential
 at time t is the phase conjugation ``R(t) D R(t)^dag`` of the static
 ``D = exp(i eta (a + a^dag))`` with ``R(t) = diag(e^{i nu t k})``, which
 keeps it exactly unitary at the truncation edge.  The schedule is in term
-form: two fixed matrices built from ``D`` and the frame ``nu a^dag a``.
+form: two fixed matrices built from ``D`` in the frame ``nu a^dag a`` plus
+a rotation of the excited level that leaves the coefficients exactly
+periodic, so ``qcore.evolve`` powers a one-period propagator instead of
+integrating every sideband period.
 
 First sidebands with detunings (delta_r, delta_b) realize the quantum Rabi
 model with ``omega_0^R = -(delta_r + delta_b)/2``, ``omega^R =
@@ -39,7 +42,7 @@ from .qcore import (
     evolve,
     expectation,
 )
-from .qcore.operators import PAULIS, SIGMA_M, SIGMA_P, SIGMA_Y, SIGMA_Z, kron_all
+from .qcore.operators import PAULIS, PROJ_E, SIGMA_M, SIGMA_P, SIGMA_Y, SIGMA_Z, kron_all
 
 
 class TruncationError(RuntimeError):
@@ -142,8 +145,13 @@ def ion_hamiltonian(p: IonDriveParams, n_max: int) -> Schedule:
     """Schedule for the full interaction-picture bichromatic drive.
 
     In term form: ``c(t) sigma^+ (x) D + conj(c(t)) sigma^- (x) D^dag`` in
-    the frame ``nu a^dag a`` on both qubit levels, which turns the static
-    ``D`` into ``R(t) D R(t)^dag``; ``c(t)`` sums the two sideband tones.
+    the frame ``nu a^dag a + beta P_e``, which turns the static ``D`` into
+    ``R(t) D R(t)^dag``.  The drive's two tones sit at ``f_r = s nu -
+    delta_r`` and ``f_b = -s nu - delta_b``; rotating the excited level by
+    ``beta = (f_r + f_b)/2`` leaves ``c(t)`` only the tones
+    ``+-(f_r - f_b)/2``.  So the frame Hamiltonian is exactly periodic with
+    ``T = 4 pi/|f_r - f_b|`` for any detunings, and ``evolve`` takes the
+    periodic route.  ``matrix_at`` is still the lab-frame H(t).
     """
     if n_max < 10:
         raise ValueError("n_max >= 10 required for the full drive")
@@ -155,17 +163,21 @@ def ion_hamiltonian(p: IonDriveParams, n_max: int) -> Schedule:
     # omega_0 - omega_r = s*nu - delta_r ; omega_0 - omega_b = -s*nu - delta_b
     freq_r = s * p.nu - p.delta_r
     freq_b = -s * p.nu - p.delta_b
+    beta = 0.5 * (freq_r + freq_b)
+    tone = 0.5 * (freq_r - freq_b)
     amp_r = 0.5 * p.omega_r * cmath.exp(1j * p.phi_r)
     amp_b = 0.5 * p.omega_b * cmath.exp(1j * p.phi_b)
 
     def c(t: float) -> complex:
-        return amp_r * cmath.exp(1j * freq_r * t) + amp_b * cmath.exp(1j * freq_b * t)
+        return amp_r * cmath.exp(1j * tone * t) + amp_b * cmath.exp(-1j * tone * t)
 
-    frame = np.tile(p.nu * np.arange(db, dtype=float), 2)
+    # sigma^+ raises into the level PROJ_E selects, so beta rotates that level
+    frame = np.tile(p.nu * np.arange(db, dtype=float), 2) \
+        + beta * np.kron(np.diag(PROJ_E).real, np.ones(db))
     return Schedule.from_terms(space, [
         (c, np.kron(SIGMA_P, disp)),
         (lambda t: c(t).conjugate(), np.kron(SIGMA_M, disp.conj().T)),
-    ], frame=frame)
+    ], frame=frame, period=2.0 * math.pi / abs(tone) if tone else None)
 
 
 def lamb_dicke_monitor(p: IonDriveParams, states: Sequence[PureState]) -> float:

@@ -1,4 +1,4 @@
-"""Exact time evolution: matrix exponentials and adaptive integration.
+"""Exact time evolution: matrix exponentials, exact frames and adaptive integration.
 
 Constant generators are propagated with ``scipy.linalg.expm`` (scaling and
 squaring).  Time-dependent generators are integrated with an embedded 4(5)
@@ -15,9 +15,32 @@ block.  Pieces come in two forms.  A builder ``t -> dense H(t)`` acts as
 with ``F(t)^dag y`` and one contraction with the coefficient vector, so no
 Hamiltonian is rebuilt at a Runge-Kutta stage and nothing is shared
 between evaluations.
+
+In the frame of ``F`` a term-form Hamiltonian reads
+``K(t) = diag(frame) + sum_k f_k(t) H_k``, and
+``U(t1, t0) = F(t1) U_K(t1, t0) F(t0)^dag``.  ``evolve``, ``propagator``
+and ``evolve_trace`` pick one of three routes for a time-dependent schedule:
+
+* static: every coefficient of a term form is a number, so K is constant.
+  One ``eigh`` of K, cached on the schedule, gives U_K at every time.
+* periodic: the term form declares the common period T of its
+  coefficients, so ``K(t + T) = K(t)`` and a window splits into whole
+  periods and at most one partial period at each end.  ``U_K(T, 0)`` is
+  integrated once per tolerance and cached on the schedule; whole periods
+  are its powers (Floquet stroboscopy: Shirley, Phys. Rev. 138 (1965)
+  B979), and the partial periods are integrated on times shifted into
+  ``[0, T]``.
+* RK45 over the whole window: every other schedule.
+
+RK45 always steps the lab-frame action, also on the partial periods and
+for ``U_K(T, 0)``.  There a drive's fast phases sit in small off-resonant
+terms, while in the frame of K they are large diagonal phases that the
+stepper has to resolve: on the ion drive that costs about twenty times the
+steps per period.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +52,10 @@ from .spaces import DimensionMismatchError, HilbertSpace
 from .states import DensityMatrix, PureState
 
 DEFAULT_TOL = 1e-10
+
+# fractions of the period at which from_terms checks f(t + T) = f(t)
+_PERIOD_PROBES = (0.0, 0.1377, 0.5, 0.7813)
+_PERIOD_RTOL = 1e-9
 
 
 class ToleranceError(RuntimeError):
@@ -55,7 +82,7 @@ class SchedulePiece:
 
 def _term_action(d: int, terms, frame) -> Callable[[float, np.ndarray], np.ndarray]:
     """``apply`` for H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag, F = exp(i t diag(frame))."""
-    coeffs = tuple(f for f, _ in terms)
+    coeffs = tuple(f if callable(f) else (lambda t, c=f: c) for f, _ in terms)
     # rows k*d .. (k+1)*d - 1 hold H_k: one product serves every term
     stack = np.concatenate([m for _, m in terms], axis=0)
     n_terms = len(coeffs)
@@ -72,6 +99,55 @@ def _term_action(d: int, terms, frame) -> Callable[[float, np.ndarray], np.ndarr
     return apply
 
 
+def _is_periodic(f: Callable[[float], complex], period: float) -> bool:
+    """f(t + T) = f(t) at the probe times, to ``_PERIOD_RTOL`` of the largest value."""
+    pairs = [(complex(f(x * period)), complex(f(x * period + period)))
+             for x in _PERIOD_PROBES]
+    scale = max(max(abs(a), abs(b)) for a, b in pairs)
+    return all(abs(b - a) <= _PERIOD_RTOL * scale for a, b in pairs)
+
+
+class _ExactFrame:
+    """What the static and periodic routes need of a term-form schedule.
+
+    ``frame`` is the diagonal of the frame generator and ``apply`` the
+    lab-frame action.  ``static`` is the constant ``K = diag(frame) +
+    sum_k c_k H_k`` when every coefficient is a number (else None);
+    ``period`` is the common period T of the coefficients otherwise.  The
+    ``eigh`` of a static K, and ``U_K(T, 0)`` per tolerance, are computed
+    on first use and kept here.
+    """
+
+    __slots__ = ("frame", "apply", "static", "period", "_eig", "_one_period")
+
+    def __init__(self, frame: np.ndarray, apply, static: np.ndarray | None,
+                 period: float | None):
+        self.frame = frame
+        self.apply = apply
+        self.static = static
+        self.period = period
+        self._eig = None
+        self._one_period: dict = {}
+
+    def phase(self, t: float) -> np.ndarray:
+        """Diagonal of F(t) = exp(i t diag(frame))."""
+        return np.exp(1j * t * self.frame)
+
+    def eig(self):
+        if self._eig is None:
+            self._eig = np.linalg.eigh(self.static)
+        return self._eig
+
+    def one_period(self, tol: float) -> np.ndarray:
+        """U_K(T, 0) = F(T)^dag U(T, 0), integrated once per tolerance."""
+        w = self._one_period.get(tol)
+        if w is None:
+            u = _integrate_ket(self.apply, np.eye(self.frame.size, dtype=complex),
+                               0.0, self.period, tol)
+            w = self._one_period[tol] = self.phase(-self.period)[:, None] * u
+        return w
+
+
 class Schedule:
     """Hamiltonian over time: a constant operator or contiguous pieces.
 
@@ -80,17 +156,23 @@ class Schedule:
 
     * ``Schedule.time_dependent(space, builder)`` wraps a callable
       ``t -> dense H(t)``; its action is ``builder(t) @ y``.
-    * ``Schedule.from_terms(space, terms, frame)`` stands for
-      ``H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag`` with scalar coefficient
-      functions ``f_k`` over fixed matrices ``H_k`` (QuTiP's list format)
-      and an optional diagonal frame ``F(t) = exp(i t diag(frame))``.  Its
-      action is one stacked product of the fixed matrices with
-      ``F(t)^dag y`` contracted with the coefficient vector, so no matrix
-      is rebuilt per evaluation.
+    * ``Schedule.from_terms(space, terms, frame, period)`` stands for
+      ``H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag`` with scalar coefficients
+      ``f_k`` over fixed matrices ``H_k`` (QuTiP's list format) and an
+      optional diagonal frame ``F(t) = exp(i t diag(frame))``.  Its action
+      is one stacked product of the fixed matrices with ``F(t)^dag y``
+      contracted with the coefficient vector, so no matrix is rebuilt per
+      evaluation.  In the frame the Hamiltonian is
+      ``K(t) = diag(frame) + sum_k f_k(t) H_k``; if every coefficient is a
+      number K is static, and with a ``period`` it is periodic.  Either
+      way ``exact_frame`` holds what the exact routes of ``evolve`` and
+      ``propagator`` need, and their cached ``eigh`` or one-period
+      propagator; it is None for every other schedule.
 
     Pieces must be contiguous and non-overlapping; the last piece is
-    extended to any later time the caller asks for.  On a time-dependent
-    schedule ``matrix_at`` returns a new array on every call.
+    extended to any later time the caller asks for.  A term form covers
+    every time.  On a time-dependent schedule ``matrix_at`` returns the
+    lab-frame H(t) as a new array on every call.
     """
 
     def __init__(self, space: HilbertSpace, constant: OperatorSum | np.ndarray | None = None,
@@ -98,6 +180,7 @@ class Schedule:
         if (constant is None) == (pieces is None):
             raise ValueError("give either a constant operator or a list of pieces")
         self.space = space
+        self.exact_frame: _ExactFrame | None = None
         if constant is not None:
             # any object exposing .matrix() (OperatorSum or a dense wrapper) works
             mat = constant.matrix() if hasattr(constant, "matrix") else \
@@ -129,17 +212,25 @@ class Schedule:
             SchedulePiece(t_start, t_end, lambda t, y: builder(t) @ y)])
 
     @staticmethod
-    def from_terms(space: HilbertSpace, terms: Sequence[tuple], frame=None) -> "Schedule":
+    def from_terms(space: HilbertSpace, terms: Sequence[tuple], frame=None,
+                   period: float | None = None) -> "Schedule":
         """H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag from ``(f_k, H_k)`` pairs.
 
-        Each ``f_k`` maps a time to a (complex) scalar; each ``H_k`` is a
-        fixed ``d x d`` matrix, of which the schedule keeps its own copy.
-        The sum must be Hermitian at every time, though single terms need
-        not be.  ``frame`` is a real length-``d`` vector:
-        ``F(t) = exp(i t diag(frame))``.
+        Each ``f_k`` is a number (a constant coefficient) or maps a time to
+        a (complex) scalar; each ``H_k`` is a fixed ``d x d`` matrix, of
+        which the schedule keeps its own copy.  The sum must be Hermitian
+        at every time, though single terms need not be.  ``frame`` is a
+        real length-``d`` vector: ``F(t) = exp(i t diag(frame))``.
+        ``period`` is the common period T of the coefficients, so that
+        ``K(t) = diag(frame) + sum_k f_k(t) H_k`` is T-periodic; it is
+        checked as ``f_k(t + T) = f_k(t)`` at a few times, to 1e-9 of the
+        coefficient's scale.  Neither constancy nor the period is an
+        option: both describe the Hamiltonian, and they select the static
+        or the periodic route of ``evolve`` and ``propagator``.
         """
         d = space.dim
-        terms = [(f, np.asarray(m, dtype=complex)) for f, m in terms]
+        terms = [(f if callable(f) else complex(f), np.asarray(m, dtype=complex))
+                 for f, m in terms]
         if not terms:
             raise ValueError("give at least one term")
         if any(m.shape != (d, d) for _, m in terms):
@@ -150,8 +241,23 @@ class Schedule:
             frame = np.array(frame, dtype=float)
             if frame.shape != (d,):
                 raise DimensionMismatchError("frame does not match the space")
-        return Schedule(space, pieces=[
-            SchedulePiece(0.0, np.inf, _term_action(d, terms, frame))])
+        if period is not None:
+            period = float(period)
+            if not (math.isfinite(period) and period > 0.0):
+                raise ValueError("period must be finite and positive")
+            if not all(_is_periodic(f, period) for f, _ in terms if callable(f)):
+                raise ValueError("a coefficient does not repeat with the given period")
+        apply = _term_action(d, terms, frame)
+        sched = Schedule(space, pieces=[SchedulePiece(-np.inf, np.inf, apply)])
+        diag = np.zeros(d) if frame is None else frame
+        if not any(callable(f) for f, _ in terms):
+            k = np.diag(diag).astype(complex) + sum(c * m for c, m in terms)
+            if np.max(np.abs(k - k.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(k))):
+                raise ValueError("constant terms must sum to a Hermitian matrix")
+            sched.exact_frame = _ExactFrame(diag, apply, k, None)
+        elif period is not None:
+            sched.exact_frame = _ExactFrame(diag, apply, None, period)
+        return sched
 
     @property
     def is_constant(self) -> bool:
@@ -191,14 +297,92 @@ def _integrate(rhs, y0: np.ndarray, t0: float, t1: float, tol: float) -> np.ndar
     return sol.y[:, -1]
 
 
+def _integrate_ket(apply, y: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
+    """``y' = -i H y`` for a state vector or a column block."""
+    if y.ndim == 1:
+        return _integrate(lambda t, v: -1j * apply(t, v), y, t0, t1, tol)
+    shape = y.shape
+
+    def rhs(t, v):
+        return -1j * apply(t, v.reshape(shape)).reshape(-1)
+    return _integrate(rhs, y.reshape(-1), t0, t1, tol).reshape(shape)
+
+
+def _integrate_density(apply, rho: np.ndarray, t0: float, t1: float,
+                       tol: float) -> np.ndarray:
+    """``rho' = -i (H rho - rho H)`` with ``rho H = (H rho^dag)^dag``, so
+    both products are one action on a column block."""
+    d = rho.shape[0]
+
+    def rhs(t, y):
+        m = y.reshape(d, d)
+        both = apply(t, np.concatenate([m, m.conj().T], axis=1))
+        return (-1j * (both[:, :d] - both[:, d:].conj().T)).reshape(-1)
+    return _integrate(rhs, rho.reshape(-1), t0, t1, tol).reshape(d, d)
+
+
+def _exact_route(ef: _ExactFrame, y: np.ndarray, t0: float, t1: float, tol: float,
+                 density: bool) -> np.ndarray:
+    """Carry ``y`` from t0 to t1 by the static or the periodic route.
+
+    ``y`` is a lab-frame ket (a vector or a column block) or, with
+    ``density``, a density matrix.
+    """
+    if density:
+        def diag(p, y):
+            return p[:, None] * y * p.conj()
+
+        def rotate(u, y):
+            return u @ y @ u.conj().T
+        integrate = _integrate_density
+    else:
+        def diag(p, y):
+            return p.reshape((-1,) + (1,) * (y.ndim - 1)) * y
+
+        def rotate(u, y):
+            return u @ y
+        integrate = _integrate_ket
+
+    y = diag(ef.phase(-t0), y)  # into the frame
+    if ef.static is not None:
+        w, v = ef.eig()
+        y = rotate((v * np.exp(-1j * (t1 - t0) * w)) @ v.conj().T, y)
+        return diag(ef.phase(t1), y)
+
+    period = ef.period
+
+    def within(y, a, b):
+        """U_K(b, a) on a window shifted into one period, stepped in the lab frame."""
+        if b <= a:
+            return y
+        y = integrate(ef.apply, diag(ef.phase(a), y), a, b, tol)
+        return diag(ef.phase(-b), y)
+
+    first, last = math.ceil(t0 / period), math.floor(t1 / period)
+    if first > last:  # no period boundary inside (t0, t1)
+        y = within(y, t0 - last * period, t1 - last * period)
+    else:
+        y = within(y, t0 - (first - 1) * period, period)
+        whole = last - first
+        if whole:
+            w = ef.one_period(tol)
+            if y.ndim == 1:
+                for _ in range(whole):
+                    y = w @ y
+            else:  # repeated squaring
+                y = rotate(np.linalg.matrix_power(w, whole), y)
+        y = within(y, 0.0, t1 - last * period)
+    return diag(ef.phase(t1), y)
+
+
 def evolve(state: PureState | DensityMatrix, h: Schedule, t0: float, t1: float,
            tol: float = DEFAULT_TOL):
     """Propagate ``state`` under ``h`` from ``t0`` to ``t1``.
 
     Returns the same kind of state.  Norm/trace drift is monitored through
-    the returned object's ``norm_error`` / ``trace_error``.  A density
-    matrix is integrated as ``-i (H rho - rho H)`` with ``rho H`` taken as
-    ``(H rho^dag)^dag``, so both products are one action on a column block.
+    the returned object's ``norm_error`` / ``trace_error``.  A static or
+    periodic term form takes its exact route (module docstring); on the
+    periodic one ``tol`` governs U(T) and the partial periods.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -207,49 +391,38 @@ def evolve(state: PureState | DensityMatrix, h: Schedule, t0: float, t1: float,
     if t1 == t0:
         return state
 
-    if isinstance(state, PureState):
-        psi = state.amplitudes
-        if h.is_constant:
-            psi = expm(-1j * h.constant_matrix * (t1 - t0)) @ psi
-        else:
-            for a, b, apply in h._segments(t0, t1):
-                psi = _integrate(lambda t, y: -1j * apply(t, y), psi, a, b, tol)
-        return PureState(state.space, psi)
-
-    rho = state.matrix
+    density = isinstance(state, DensityMatrix)
+    y = state.matrix if density else state.amplitudes
     if h.is_constant:
         u = expm(-1j * h.constant_matrix * (t1 - t0))
-        rho = u @ rho @ u.conj().T
+        if not density:
+            return PureState(state.space, u @ y)
+        return DensityMatrix(state.space, u @ y @ u.conj().T)
+    if h.exact_frame is not None:
+        y = _exact_route(h.exact_frame, y, t0, t1, tol, density)
     else:
-        d = state.space.dim
-
-        def make_rhs(apply):
-            def rhs(t, y):
-                m = y.reshape(d, d)
-                both = apply(t, np.concatenate([m, m.conj().T], axis=1))
-                return (-1j * (both[:, :d] - both[:, d:].conj().T)).reshape(-1)
-            return rhs
-
-        y = rho.reshape(-1)
+        integrate = _integrate_density if density else _integrate_ket
         for a, b, apply in h._segments(t0, t1):
-            y = _integrate(make_rhs(apply), y, a, b, tol)
-        rho = y.reshape(d, d)
-        rho = 0.5 * (rho + rho.conj().T)  # remove integrator's Hermiticity dust
-    return DensityMatrix(state.space, rho)
+            y = integrate(apply, y, a, b, tol)
+    if not density:
+        return PureState(state.space, y)
+    return DensityMatrix(state.space, 0.5 * (y + y.conj().T))  # remove rounding dust
 
 
 def evolve_trace(state: PureState, h: Schedule, times: Sequence[float],
                  tol: float = DEFAULT_TOL) -> list:
-    """States at each checkpoint of a nondecreasing ``times`` grid (pure only)."""
+    """States at each checkpoint of a nonempty, nonnegative, nondecreasing
+    ``times`` grid, for a pure ``state`` given at t = 0."""
     times = list(times)
+    if not times:
+        raise ValueError("times must not be empty")
+    if times[0] < 0:
+        raise ValueError("times must be >= 0: the state is given at t = 0")
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be nondecreasing")
     out = []
-    current = state
-    t_prev = times[0]
-    current = evolve(state, h, 0.0, t_prev, tol) if t_prev > 0 else state
-    out.append(current)
-    for t in times[1:]:
+    current, t_prev = state, 0.0
+    for t in times:
         current = evolve(current, h, t_prev, t, tol)
         out.append(current)
         t_prev = t
@@ -259,8 +432,9 @@ def evolve_trace(state: PureState, h: Schedule, times: Sequence[float],
 def propagator(h: Schedule, t0: float, t1: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Dense unitary U(t1; t0) of the schedule.
 
-    Constant schedules get a single matrix exponential; time-dependent ones
-    integrate the full matrix column block through the adaptive stepper.
+    Constant schedules get a single matrix exponential, static and periodic
+    term forms their exact route, and other time-dependent ones integrate
+    the full matrix column block through the adaptive stepper.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -270,8 +444,8 @@ def propagator(h: Schedule, t0: float, t1: float, tol: float = DEFAULT_TOL) -> n
     if h.is_constant:
         return expm(-1j * h.constant_matrix * (t1 - t0))
     u = np.eye(d, dtype=complex)
+    if h.exact_frame is not None:
+        return _exact_route(h.exact_frame, u, t0, t1, tol, density=False)
     for a, b, apply in h._segments(t0, t1):
-        def rhs(t, y):
-            return -1j * apply(t, y.reshape(d, d)).reshape(-1)
-        u = _integrate(rhs, u.reshape(-1), a, b, tol).reshape(d, d)
+        u = _integrate_ket(apply, u, a, b, tol)
     return u

@@ -1,4 +1,5 @@
 """Digital-analog Heisenberg and circuit-QED Rabi digitization."""
+import importlib
 import math
 
 import numpy as np
@@ -171,6 +172,57 @@ def test_xy_drive_terms_match_closed_form(n_spins):
     second = h.matrix_at(3e-4)
     assert not np.shares_memory(first, second)
     assert np.array_equal(first, kept)
+
+
+@pytest.mark.parametrize("n_spins", [2, 3])
+def test_xy_static_route_matches_rk45(n_spins):
+    # one eigh of the frame Hamiltonian against RK45 on the closed-form drive
+    # matrix at tol 1e-10
+    two_pi = 2 * math.pi
+    space = qc.HilbertSpace(tuple(qc.Qubit() for _ in range(n_spins)) + (qc.Boson(3),))
+    args = (two_pi * 4e3, two_pi * 60e3, two_pi * 3e3)
+    h = daqs._xy_drive_schedule(space, *args)
+    assert h.exact_frame.static is not None
+    oracle = qc.Schedule.time_dependent(
+        space, lambda t: closed_form_xy_drive_matrix(n_spins, 4, *args, t))
+    psi = qc.random_pure_state(space, np.random.default_rng(80 + n_spins))
+    for t0, t1 in ((0.0, 4e-5), (1.1e-5, 6e-5)):
+        a, b = qc.evolve(psi, h, t0, t1), qc.evolve(psi, oracle, t0, t1)
+        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-8
+        u, v = qc.propagator(h, t0, t1), qc.propagator(oracle, t0, t1)
+        assert np.max(np.abs(u - v)) < 1e-8
+    times = [0.0, 1.5e-5, 5e-5]
+    for a, b in zip(qc.evolve_trace(psi, h, times), qc.evolve_trace(psi, oracle, times)):
+        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-8
+
+
+def test_xy_block_diagonalizes_once(monkeypatch):
+    # every requested time of the block reuses one eigh, and nothing is integrated
+    eighs, runs = [], []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m.shape) or real_eigh(m))
+    evolve_module = importlib.import_module("qworkbench.qcore.evolve")
+    monkeypatch.setattr(evolve_module, "solve_ivp", lambda *a, **k: runs.append(a))
+    two_pi = 2 * math.pi
+    j = two_pi * 200.0
+    daqs.xy_block_physical(j, two_pi * 60e3, two_pi * 3e3, two_pi * 62e3, n_spins=2,
+                           times=np.linspace(0.0, math.pi / j, 7)[1:], n_max=4)
+    assert eighs == [(20, 20)]
+    assert runs == []
+
+
+def test_xy_block_validation():
+    two_pi = 2 * math.pi
+    common = dict(omega=two_pi * 62e3, n_spins=2, times=[1e-4], n_max=4)
+    for delta_mode, j in ((0.0, two_pi * 200.0), (two_pi * 60e3, -two_pi * 200.0),
+                          (-two_pi * 60e3, two_pi * 200.0)):
+        with pytest.raises(ValueError):
+            daqs.xy_block_physical(j, delta_mode, two_pi * 3e3, **common)
+    # the rotating-wave warning reads the size of the ratio, not its sign
+    for ratio in (0.5, -0.5):
+        with pytest.warns(UserWarning, match="delta_spin/delta_mode"):
+            daqs.xy_block_physical(two_pi * 200.0, two_pi * 60e3, ratio * two_pi * 60e3,
+                                   **common)
 
 
 def test_xy_block_trivial_at_zero_coupling():

@@ -1,4 +1,5 @@
 """Ion drives, effective Rabi models, spectra, parity, and regime labels."""
+import importlib
 import math
 
 import numpy as np
@@ -131,6 +132,71 @@ def test_drive_terms_match_closed_form(order):
     assert not np.shares_memory(first, second)
     assert np.array_equal(first, kept)
     assert not np.array_equal(first, second)
+
+
+def detuned_drive(order):
+    return ir.IonDriveParams(nu=TWO_PI * 1e6, omega0=TWO_PI * 12e6,
+                             omega_r=TWO_PI * 100e3, omega_b=TWO_PI * 80e3, eta=0.04,
+                             delta_r=TWO_PI * 20e3, delta_b=-TWO_PI * 35e3,
+                             sideband_order=order, phi_r=0.3, phi_b=-1.1)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_periodic_route_matches_rk45(order):
+    # the stroboscopic route of the full drive against RK45 on the
+    # closed-form drive matrix, both at tol 1e-10
+    p = detuned_drive(order)
+    n_max = 11
+    h = ir.ion_hamiltonian(p, n_max)
+    s = p.sideband_order
+    period = 4.0 * math.pi / abs(2.0 * s * p.nu - p.delta_r + p.delta_b)
+    assert abs(h.exact_frame.period - period) < 1e-12 * period
+    oracle = qc.Schedule.time_dependent(h.space,
+                                        lambda t: closed_form_drive_matrix(p, n_max, t))
+    rng = np.random.default_rng(70 + order)
+    psi = qc.random_pure_state(h.space, rng)
+    d = h.space.dim
+    rho = qc.DensityMatrix(h.space, 0.6 * psi.to_density_matrix().matrix + 0.4 * np.eye(d) / d)
+    windows = [(0.37 * period, 9.62 * period),   # off the period boundaries
+               (1.2 * period, 1.9 * period),     # inside one period
+               (2.7 * period, 3.1 * period)]     # shorter than a period, across a boundary
+    for t0, t1 in windows:
+        a, b = qc.evolve(psi, h, t0, t1), qc.evolve(psi, oracle, t0, t1)
+        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-8
+    t0, t1 = windows[0]
+    a, b = qc.evolve(rho, h, t0, t1), qc.evolve(rho, oracle, t0, t1)
+    assert np.max(np.abs(a.matrix - b.matrix)) < 1e-8
+    assert np.max(np.abs(qc.propagator(h, t0, t1) - qc.propagator(oracle, t0, t1))) < 1e-8
+    times = np.array([0.3, 2.0, 2.45, 6.8]) * period
+    for a, b in zip(qc.evolve_trace(psi, h, times), qc.evolve_trace(psi, oracle, times)):
+        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-8
+
+
+def test_one_period_propagator_built_once(monkeypatch):
+    # criterion 03's twelve checkpoints and repeated evolve calls at one tol
+    # integrate U(T) once; every other RK45 run is a partial period of a state
+    evolve_module = importlib.import_module("qworkbench.qcore.evolve")
+    block_runs = []
+    real = evolve_module.solve_ivp
+
+    def counting(fun, t_span, y0, **kwargs):
+        block_runs.append(np.size(y0) == d * d)
+        return real(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(evolve_module, "solve_ivp", counting)
+    p = jc_drive()
+    r = ir.effective_qrm(p)
+    h = ir.ion_hamiltonian(p, 30)
+    d = h.space.dim
+    psi0 = qc.basis_state(h.space, [0, 0])
+    checkpoints = np.linspace(0.0, 3.0 * math.pi / r.g, 13)[1:]
+    qc.evolve_trace(psi0, h, checkpoints, tol=1e-6)
+    qc.evolve(psi0, h, 0.0, 0.4 * checkpoints[-1], tol=1e-6)
+    qc.evolve(psi0, h, 0.1 * checkpoints[-1], checkpoints[-1], tol=1e-6)
+    assert sum(block_runs) == 1
+    assert 0 < len(block_runs) - 1 <= 2 * 14
+    qc.evolve(psi0, h, 0.0, checkpoints[0], tol=1e-7)   # a new tol builds its own
+    assert sum(block_runs) == 2
 
 
 def test_jc_regime_short_run():

@@ -202,6 +202,123 @@ def test_term_form_validation():
         qc.Schedule.from_terms(space, [(math.cos, z)], frame=[1j, 0.0])
 
 
+def periodic_terms(rng, d, omega):
+    """cos(omega t) H_0 + sin(2 omega t) H_1 + (0.8 e^{i omega t} M + h.c.):
+    every coefficient repeats with T = 2 pi / omega."""
+    h0, h1 = random_hermitian(rng, d), random_hermitian(rng, d)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return [(lambda t: math.cos(omega * t), h0),
+            (lambda t: math.sin(2.0 * omega * t), h1),
+            (lambda t: 0.8 * np.exp(1j * omega * t), m),
+            (lambda t: 0.8 * np.exp(-1j * omega * t), m.conj().T)]
+
+
+def test_periodic_route_matches_rk45():
+    # the stroboscopic route against RK45 over the whole window (the same
+    # terms without a period), both at tol 1e-10
+    space = qc.HilbertSpace((qc.Qubit(), qc.Boson(2)))
+    d = space.dim
+    rng = np.random.default_rng(61)
+    omega = 9.0
+    period = 2.0 * math.pi / omega
+    terms = periodic_terms(rng, d, omega)
+    frame = 5.0 * rng.standard_normal(d)
+    strobe = qc.Schedule.from_terms(space, terms, frame=frame, period=period)
+    rk45 = qc.Schedule.from_terms(space, terms, frame=frame)
+    assert strobe.exact_frame.period == period and rk45.exact_frame is None
+    psi = qc.random_pure_state(space, rng)
+    rho = qc.DensityMatrix(space, 0.7 * psi.to_density_matrix().matrix + 0.3 * np.eye(d) / d)
+    windows = [(0.37 * period, 6.81 * period),   # ends off the period boundaries
+               (2.0 * period, 5.0 * period),     # ends on them
+               (1.2 * period, 1.7 * period),     # inside one period
+               (3.8 * period, 4.3 * period),     # shorter than a period, across a boundary
+               (0.0, 0.6 * period)]
+    for t0, t1 in windows:
+        a, b = qc.evolve(psi, strobe, t0, t1), qc.evolve(psi, rk45, t0, t1)
+        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-8
+        a, b = qc.evolve(rho, strobe, t0, t1), qc.evolve(rho, rk45, t0, t1)
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-8
+        u, v = qc.propagator(strobe, t0, t1), qc.propagator(rk45, t0, t1)
+        assert np.max(np.abs(u - v)) < 1e-8
+        assert np.max(np.abs(u @ u.conj().T - np.eye(d))) < 1e-8
+    times = np.array([0.0, 0.41, 2.3, 3.0, 7.95]) * period
+    for a, b in zip(qc.evolve_trace(psi, strobe, times), qc.evolve_trace(psi, rk45, times)):
+        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-8
+
+
+def test_static_route_matches_rk45():
+    # number coefficients: one eigh of K = diag(frame) + sum c_k H_k against
+    # RK45 on the same terms with constant callables, both at tol 1e-10
+    space = qc.HilbertSpace.qubits(2)
+    rng = np.random.default_rng(62)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h0 = random_hermitian(rng, 4)
+    frame = 3.0 * rng.standard_normal(4)
+    static = qc.Schedule.from_terms(space, [(1.3, h0), (0.5j, m), (-0.5j, m.conj().T)],
+                                    frame=frame)
+    rk45 = qc.Schedule.from_terms(space, [(lambda t: 1.3, h0), (lambda t: 0.5j, m),
+                                          (lambda t: -0.5j, m.conj().T)], frame=frame)
+    assert static.exact_frame.static is not None and rk45.exact_frame is None
+    for t in (0.0, 0.8, 2.1):
+        assert np.max(np.abs(static.matrix_at(t) - rk45.matrix_at(t))) < 1e-14
+    psi = qc.random_pure_state(space, rng)
+    rho = qc.DensityMatrix(space, 0.5 * psi.to_density_matrix().matrix + 0.5 * np.eye(4) / 4)
+    for t0, t1 in ((0.0, 1.7), (0.45, 3.2)):
+        a, b = qc.evolve(psi, static, t0, t1), qc.evolve(psi, rk45, t0, t1)
+        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-8
+        a, b = qc.evolve(rho, static, t0, t1), qc.evolve(rho, rk45, t0, t1)
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-8
+        assert np.max(np.abs(qc.propagator(static, t0, t1) - qc.propagator(rk45, t0, t1))) < 1e-8
+
+
+def test_from_terms_period_validation():
+    space = qc.HilbertSpace.qubits(1)
+    omega = 3.0
+    period = 2.0 * math.pi / omega
+    terms = [(lambda t: math.cos(omega * t), qc.SIGMA_X), (0.4, qc.SIGMA_Z)]
+    assert qc.Schedule.from_terms(space, terms, period=period).exact_frame.period == period
+    assert qc.Schedule.from_terms(space, terms, period=3 * period).exact_frame is not None
+    for bad in (0.0, -period, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            qc.Schedule.from_terms(space, terms, period=bad)
+    with pytest.raises(ValueError):  # cos(omega (t + T/2)) = -cos(omega t)
+        qc.Schedule.from_terms(space, terms, period=0.5 * period)
+    with pytest.raises(ValueError):  # a tone that does not share the period
+        qc.Schedule.from_terms(space, terms + [(lambda t: math.sin(math.sqrt(2) * omega * t),
+                                                qc.SIGMA_Y)], period=period)
+    # callables without a period, or numbers only
+    assert qc.Schedule.from_terms(space, terms).exact_frame is None
+    assert qc.Schedule.from_terms(space, [(0.4, qc.SIGMA_Z)]).exact_frame.static is not None
+    with pytest.raises(ValueError):  # a static K must be Hermitian
+        qc.Schedule.from_terms(space, [(1.0, qc.SIGMA_P)])
+
+
+def test_term_form_covers_negative_times():
+    # a window across t = 0 used to skip the part before 0
+    space = qc.HilbertSpace.qubits(1)
+    psi = qc.basis_state(space, [0])
+    exact = qc.evolve(psi, qc.Schedule.constant(qc.SIGMA_X, space), -1.0, 0.5)
+    for coeff in (1.0, lambda t: 1.0):
+        h = qc.Schedule.from_terms(space, [(coeff, qc.SIGMA_X)])
+        assert np.max(np.abs(qc.evolve(psi, h, -1.0, 0.5).amplitudes - exact.amplitudes)) < 1e-8
+
+
+def test_evolve_trace_rejects_bad_grids():
+    # the input state is given at t = 0: a negative first checkpoint used to
+    # come back unchanged and shift every later one; an empty grid used to
+    # raise IndexError
+    space = qc.HilbertSpace.qubits(1)
+    h = qc.Schedule.time_dependent(space, lambda t: math.cos(t) * qc.SIGMA_X)
+    psi = qc.basis_state(space, [0])
+    with pytest.raises(ValueError):
+        qc.evolve_trace(psi, h, [-1.0, 0.5])
+    with pytest.raises(ValueError):
+        qc.evolve_trace(psi, h, [])
+    first, second = qc.evolve_trace(psi, h, [0.0, 0.5])
+    assert first is psi
+    assert np.max(np.abs(second.amplitudes - qc.evolve(psi, h, 0.0, 0.5).amplitudes)) < 1e-12
+
+
 def test_dimension_mismatch_rejected():
     s1, s2 = qc.HilbertSpace.qubits(1), qc.HilbertSpace.qubits(2)
     h = qc.Schedule.constant(qc.OperatorSum.zero(s2))
