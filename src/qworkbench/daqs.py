@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .qcore import (
@@ -29,6 +28,7 @@ from .qcore import (
     Schedule,
     dense_pauli,
     evolve_trace,
+    integrate,
     kron_all,
     partial_trace,
 )
@@ -469,11 +469,7 @@ def _cqed_noisy_run(space, initial, h1, h2_tilde, n_qubits, db, tau, steps,
             out = -1j * (h @ m - m @ h) + dissipator(m)
             return out.reshape(-1)
 
-        sol = solve_ivp(rhs, (0.0, duration), rho.reshape(-1), method="RK45",
-                        rtol=tol, atol=tol * 1e-2)
-        if not sol.success:
-            raise RuntimeError(f"noisy digitization failed: {sol.message}")
-        out = sol.y[:, -1].reshape(d, d)
+        out = integrate(rhs, rho.reshape(-1), 0.0, duration, tol).reshape(d, d)
         return 0.5 * (out + out.conj().T)
 
     t_f = noise.flip_duration

@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.integrate import solve_ivp
 
 from .qcore import (
     DensityMatrix,
@@ -37,6 +36,7 @@ from .qcore import (
     OperatorSum,
     Schedule,
     dense_pauli,
+    integrate,
     pauli_decompose,
     propagator,
 )
@@ -211,11 +211,7 @@ def _propagate(generator: Callable[[float], np.ndarray], v0: np.ndarray, t: floa
     """
     if constant:
         return expm(generator(0.0) * t) @ v0
-    sol = solve_ivp(lambda s, y: generator(s) @ y, (0.0, t), v0, method="RK45",
-                    rtol=tol, atol=tol * 1e-2)
-    if not sol.success:
-        raise RuntimeError(f"generator integration failed: {sol.message}")
-    return sol.y[:, -1]
+    return integrate(lambda s, y: generator(s) @ y, v0, 0.0, t, tol)
 
 
 def lindblad_exact(model: LindbladModel, rho0: DensityMatrix, t: float,

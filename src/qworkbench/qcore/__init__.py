@@ -50,10 +50,10 @@ from .states import (
 from .evolve import (
     DEFAULT_TOL,
     Schedule,
-    SchedulePiece,
     ToleranceError,
     evolve,
     evolve_trace,
+    integrate,
     propagator,
 )
 from .metrics import (

@@ -4,13 +4,15 @@ Constant generators are propagated with ``scipy.linalg.expm`` (scaling and
 squaring).  Time-dependent generators are integrated with an embedded 4(5)
 adaptive Runge-Kutta pair (scipy's RK45) at a caller-chosen local tolerance,
 default 1e-10: the perturbative error bounds checked elsewhere in the
-package are meaningless if this oracle layer is loose.
+package are meaningless if this oracle layer is loose.  ``integrate`` is
+the one place that runs the stepper; the master-equation integrators of
+other modules call it too.
 
-A time-dependent schedule acts through one right-hand side per state kind:
-each piece exposes ``apply(t, y) = H(t) @ y`` for a vector or a column
-block.  Pieces come in two forms.  A builder ``t -> dense H(t)`` acts as
-``builder(t) @ y``.  The term form ``H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag``
-(scalar coefficients over fixed matrices, with an optional diagonal frame
+A time-dependent schedule is one lab-frame action ``apply(t, y) = H(t) @ y``
+for a vector or a column block, valid at every time.  Two forms build it.
+A builder ``t -> dense H(t)`` acts as ``builder(t) @ y``.  The term form
+``H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag`` (scalar coefficients over
+fixed matrices, with an optional diagonal frame
 ``F(t) = exp(i t diag(frame))``) acts as one product of the stacked ``H_k``
 with ``F(t)^dag y`` and one contraction with the coefficient vector, so no
 Hamiltonian is rebuilt at a Runge-Kutta stage and nothing is shared
@@ -18,8 +20,8 @@ between evaluations.
 
 In the frame of ``F`` a term-form Hamiltonian reads
 ``K(t) = diag(frame) + sum_k f_k(t) H_k``, and
-``U(t1, t0) = F(t1) U_K(t1, t0) F(t0)^dag``.  ``evolve``, ``propagator``
-and ``evolve_trace`` pick one of three routes for a time-dependent schedule:
+``U(t1, t0) = F(t1) U_K(t1, t0) F(t0)^dag``.  A ket or a column block is
+carried by one of three routes of a time-dependent schedule:
 
 * static: every coefficient of a term form is a number, so K is constant.
   One ``eigh`` of K, cached on the schedule, gives U_K at every time.
@@ -37,6 +39,9 @@ for ``U_K(T, 0)``.  There a drive's fast phases sit in small off-resonant
 terms, while in the frame of K they are large diagonal phases that the
 stepper has to resolve: on the ion drive that costs about twenty times the
 steps per period.
+
+A density matrix is never integrated itself: ``evolve`` conjugates it by
+the propagator, ``rho -> U rho U^dag``, for every kind of schedule.
 """
 from __future__ import annotations
 
@@ -60,24 +65,6 @@ _PERIOD_RTOL = 1e-9
 
 class ToleranceError(RuntimeError):
     """The adaptive integrator failed to meet the requested tolerance."""
-
-
-class SchedulePiece:
-    """One time interval of a schedule and its action ``apply(t, y) = H(t) @ y``.
-
-    ``y`` is a state vector or a column block (shape ``(d,)`` or ``(d, m)``);
-    the result has the same shape and is a new array.
-    """
-
-    __slots__ = ("t_start", "t_end", "apply")
-
-    def __init__(self, t_start: float, t_end: float,
-                 apply: Callable[[float, np.ndarray], np.ndarray]):
-        if not t_end > t_start:
-            raise ValueError("schedule piece must have t_end > t_start")
-        self.t_start = float(t_start)
-        self.t_end = float(t_end)
-        self.apply = apply
 
 
 def _term_action(d: int, terms, frame) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -149,10 +136,12 @@ class _ExactFrame:
 
 
 class Schedule:
-    """Hamiltonian over time: a constant operator or contiguous pieces.
+    """Hamiltonian over time: a constant operator or one lab-frame action.
 
-    Each piece acts through ``apply(t, y) = H(t) @ y``.  Two forms build
-    pieces:
+    A time-dependent schedule acts through ``apply(t, y) = H(t) @ y`` on a
+    vector or a column block, at every time; ``evolve`` carries kets with
+    it and conjugates a density matrix by the propagator.  Two forms build
+    it:
 
     * ``Schedule.time_dependent(space, builder)`` wraps a callable
       ``t -> dense H(t)``; its action is ``builder(t) @ y``.
@@ -169,18 +158,18 @@ class Schedule:
       ``propagator`` need, and their cached ``eigh`` or one-period
       propagator; it is None for every other schedule.
 
-    Pieces must be contiguous and non-overlapping; the last piece is
-    extended to any later time the caller asks for.  A term form covers
-    every time.  On a time-dependent schedule ``matrix_at`` returns the
-    lab-frame H(t) as a new array on every call.
+    ``matrix_at`` returns the stored matrix of a constant schedule and, on
+    a time-dependent one, the lab-frame H(t) as a new array on every call.
     """
 
     def __init__(self, space: HilbertSpace, constant: OperatorSum | np.ndarray | None = None,
-                 pieces: Sequence[SchedulePiece] | None = None):
-        if (constant is None) == (pieces is None):
-            raise ValueError("give either a constant operator or a list of pieces")
+                 apply: Callable[[float, np.ndarray], np.ndarray] | None = None):
+        if (constant is None) == (apply is None):
+            raise ValueError("give either a constant operator or an action")
         self.space = space
         self.exact_frame: _ExactFrame | None = None
+        self.apply = apply
+        self.constant_matrix = None
         if constant is not None:
             # any object exposing .matrix() (OperatorSum or a dense wrapper) works
             mat = constant.matrix() if hasattr(constant, "matrix") else \
@@ -188,14 +177,6 @@ class Schedule:
             if mat.shape != (space.dim, space.dim):
                 raise DimensionMismatchError("constant Hamiltonian does not match the space")
             self.constant_matrix = mat
-            self.pieces = None
-        else:
-            pieces = list(pieces)
-            for prev, nxt in zip(pieces, pieces[1:]):
-                if abs(prev.t_end - nxt.t_start) > 1e-15:
-                    raise ValueError("schedule pieces must be contiguous and non-overlapping")
-            self.constant_matrix = None
-            self.pieces = pieces
 
     @staticmethod
     def constant(op, space: HilbertSpace | None = None) -> "Schedule":
@@ -206,10 +187,10 @@ class Schedule:
         return Schedule(space, constant=op)
 
     @staticmethod
-    def time_dependent(space: HilbertSpace, builder: Callable[[float], np.ndarray],
-                       t_start: float = 0.0, t_end: float = np.inf) -> "Schedule":
-        return Schedule(space, pieces=[
-            SchedulePiece(t_start, t_end, lambda t, y: builder(t) @ y)])
+    def time_dependent(space: HilbertSpace,
+                       builder: Callable[[float], np.ndarray]) -> "Schedule":
+        """H(t) = ``builder(t)``, a dense matrix, at every time."""
+        return Schedule(space, apply=lambda t, y: builder(t) @ y)
 
     @staticmethod
     def from_terms(space: HilbertSpace, terms: Sequence[tuple], frame=None,
@@ -248,7 +229,7 @@ class Schedule:
             if not all(_is_periodic(f, period) for f, _ in terms if callable(f)):
                 raise ValueError("a coefficient does not repeat with the given period")
         apply = _term_action(d, terms, frame)
-        sched = Schedule(space, pieces=[SchedulePiece(-np.inf, np.inf, apply)])
+        sched = Schedule(space, apply=apply)
         diag = np.zeros(d) if frame is None else frame
         if not any(callable(f) for f, _ in terms):
             k = np.diag(diag).astype(complex) + sum(c * m for c, m in terms)
@@ -266,30 +247,15 @@ class Schedule:
     def matrix_at(self, t: float) -> np.ndarray:
         if self.is_constant:
             return self.constant_matrix
-        for piece in self.pieces:
-            if piece.t_start <= t <= piece.t_end:
-                break
-        else:  # extend the last piece beyond its nominal end
-            piece = self.pieces[-1]
-        return piece.apply(t, np.eye(self.space.dim, dtype=complex))
-
-    def _segments(self, t0: float, t1: float):
-        """Yield (a, b, apply) sub-intervals covering [t0, t1] of a
-        time-dependent schedule."""
-        t = t0
-        for piece in self.pieces:
-            if piece.t_end <= t or piece.t_start >= t1:
-                continue
-            a, b = max(t, piece.t_start), min(t1, piece.t_end)
-            if b > a:
-                yield a, b, piece.apply
-                t = b
-        if t < t1:  # beyond the last piece
-            yield t, t1, self.pieces[-1].apply
+        return self.apply(t, np.eye(self.space.dim, dtype=complex))
 
 
-def _integrate(rhs, y0: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
-    """Final state of ``y' = rhs(t, y)`` from ``y0`` at ``t0`` to ``t1``."""
+def integrate(rhs, y0: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
+    """Final state of ``y' = rhs(t, y)`` from ``y0`` at ``t0`` to ``t1``.
+
+    The adaptive RK45 stepper runs at ``rtol=tol``, ``atol=tol*1e-2``; it
+    raises ``ToleranceError`` if it cannot meet them.
+    """
     sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=tol,
                     atol=tol * 1e-2, dense_output=False)
     if not sol.success:
@@ -300,53 +266,25 @@ def _integrate(rhs, y0: np.ndarray, t0: float, t1: float, tol: float) -> np.ndar
 def _integrate_ket(apply, y: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
     """``y' = -i H y`` for a state vector or a column block."""
     if y.ndim == 1:
-        return _integrate(lambda t, v: -1j * apply(t, v), y, t0, t1, tol)
+        return integrate(lambda t, v: -1j * apply(t, v), y, t0, t1, tol)
     shape = y.shape
 
     def rhs(t, v):
         return -1j * apply(t, v.reshape(shape)).reshape(-1)
-    return _integrate(rhs, y.reshape(-1), t0, t1, tol).reshape(shape)
+    return integrate(rhs, y.reshape(-1), t0, t1, tol).reshape(shape)
 
 
-def _integrate_density(apply, rho: np.ndarray, t0: float, t1: float,
-                       tol: float) -> np.ndarray:
-    """``rho' = -i (H rho - rho H)`` with ``rho H = (H rho^dag)^dag``, so
-    both products are one action on a column block."""
-    d = rho.shape[0]
-
-    def rhs(t, y):
-        m = y.reshape(d, d)
-        both = apply(t, np.concatenate([m, m.conj().T], axis=1))
-        return (-1j * (both[:, :d] - both[:, d:].conj().T)).reshape(-1)
-    return _integrate(rhs, rho.reshape(-1), t0, t1, tol).reshape(d, d)
-
-
-def _exact_route(ef: _ExactFrame, y: np.ndarray, t0: float, t1: float, tol: float,
-                 density: bool) -> np.ndarray:
-    """Carry ``y`` from t0 to t1 by the static or the periodic route.
-
-    ``y`` is a lab-frame ket (a vector or a column block) or, with
-    ``density``, a density matrix.
-    """
-    if density:
-        def diag(p, y):
-            return p[:, None] * y * p.conj()
-
-        def rotate(u, y):
-            return u @ y @ u.conj().T
-        integrate = _integrate_density
-    else:
-        def diag(p, y):
-            return p.reshape((-1,) + (1,) * (y.ndim - 1)) * y
-
-        def rotate(u, y):
-            return u @ y
-        integrate = _integrate_ket
+def _exact_route(ef: _ExactFrame, y: np.ndarray, t0: float, t1: float,
+                 tol: float) -> np.ndarray:
+    """Carry a lab-frame ket or column block ``y`` from t0 to t1 by the
+    static or the periodic route."""
+    def diag(p, y):
+        return p.reshape((-1,) + (1,) * (y.ndim - 1)) * y
 
     y = diag(ef.phase(-t0), y)  # into the frame
     if ef.static is not None:
         w, v = ef.eig()
-        y = rotate((v * np.exp(-1j * (t1 - t0) * w)) @ v.conj().T, y)
+        y = ((v * np.exp(-1j * (t1 - t0) * w)) @ v.conj().T) @ y
         return diag(ef.phase(t1), y)
 
     period = ef.period
@@ -355,7 +293,7 @@ def _exact_route(ef: _ExactFrame, y: np.ndarray, t0: float, t1: float, tol: floa
         """U_K(b, a) on a window shifted into one period, stepped in the lab frame."""
         if b <= a:
             return y
-        y = integrate(ef.apply, diag(ef.phase(a), y), a, b, tol)
+        y = _integrate_ket(ef.apply, diag(ef.phase(a), y), a, b, tol)
         return diag(ef.phase(-b), y)
 
     first, last = math.ceil(t0 / period), math.floor(t1 / period)
@@ -370,19 +308,30 @@ def _exact_route(ef: _ExactFrame, y: np.ndarray, t0: float, t1: float, tol: floa
                 for _ in range(whole):
                     y = w @ y
             else:  # repeated squaring
-                y = rotate(np.linalg.matrix_power(w, whole), y)
+                y = np.linalg.matrix_power(w, whole) @ y
         y = within(y, 0.0, t1 - last * period)
     return diag(ef.phase(t1), y)
+
+
+def _carry(h: Schedule, y: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
+    """U(t1, t0) @ y for a ket or a column block ``y``, with t1 > t0."""
+    if h.is_constant:
+        return expm(-1j * h.constant_matrix * (t1 - t0)) @ y
+    if h.exact_frame is not None:
+        return _exact_route(h.exact_frame, y, t0, t1, tol)
+    return _integrate_ket(h.apply, y, t0, t1, tol)
 
 
 def evolve(state: PureState | DensityMatrix, h: Schedule, t0: float, t1: float,
            tol: float = DEFAULT_TOL):
     """Propagate ``state`` under ``h`` from ``t0`` to ``t1``.
 
-    Returns the same kind of state.  Norm/trace drift is monitored through
-    the returned object's ``norm_error`` / ``trace_error``.  A static or
-    periodic term form takes its exact route (module docstring); on the
-    periodic one ``tol`` governs U(T) and the partial periods.
+    Returns the same kind of state: a pure state is carried directly, a
+    density matrix is conjugated by ``propagator``, ``U rho U^dag``.
+    Norm/trace drift is monitored through the returned object's
+    ``norm_error`` / ``trace_error``.  A static or periodic term form takes
+    its exact route (module docstring); on the periodic one ``tol`` governs
+    U(T) and the partial periods.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -390,23 +339,10 @@ def evolve(state: PureState | DensityMatrix, h: Schedule, t0: float, t1: float,
         raise DimensionMismatchError("state and schedule live on different spaces")
     if t1 == t0:
         return state
-
-    density = isinstance(state, DensityMatrix)
-    y = state.matrix if density else state.amplitudes
-    if h.is_constant:
-        u = expm(-1j * h.constant_matrix * (t1 - t0))
-        if not density:
-            return PureState(state.space, u @ y)
-        return DensityMatrix(state.space, u @ y @ u.conj().T)
-    if h.exact_frame is not None:
-        y = _exact_route(h.exact_frame, y, t0, t1, tol, density)
-    else:
-        integrate = _integrate_density if density else _integrate_ket
-        for a, b, apply in h._segments(t0, t1):
-            y = integrate(apply, y, a, b, tol)
-    if not density:
-        return PureState(state.space, y)
-    return DensityMatrix(state.space, 0.5 * (y + y.conj().T))  # remove rounding dust
+    if isinstance(state, DensityMatrix):
+        u = propagator(h, t0, t1, tol)
+        return DensityMatrix(state.space, u @ state.matrix @ u.conj().T)
+    return PureState(state.space, _carry(h, state.amplitudes, t0, t1, tol))
 
 
 def evolve_trace(state: PureState, h: Schedule, times: Sequence[float],
@@ -438,14 +374,9 @@ def propagator(h: Schedule, t0: float, t1: float, tol: float = DEFAULT_TOL) -> n
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    d = h.space.dim
+    u = np.eye(h.space.dim, dtype=complex)
     if t1 == t0:
-        return np.eye(d, dtype=complex)
-    if h.is_constant:
+        return u
+    if h.is_constant:  # the expm itself, with no product with the identity
         return expm(-1j * h.constant_matrix * (t1 - t0))
-    u = np.eye(d, dtype=complex)
-    if h.exact_frame is not None:
-        return _exact_route(h.exact_frame, u, t0, t1, tol, density=False)
-    for a, b, apply in h._segments(t0, t1):
-        u = _integrate_ket(apply, u, a, b, tol)
-    return u
+    return _carry(h, u, t0, t1, tol)

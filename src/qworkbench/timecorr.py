@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -471,20 +471,12 @@ def linear_response_check(h0: Schedule, a: OperatorSum, b: OperatorSum, state,
     base = expectation(evolved, b).real
     predicted = base - 2.0 * f * (np.exp(1j * omega * t) * chi).real
 
-    h0_mat = _schedule_matrix_fn(h0)
     a_mat = a.matrix()
-    builder = lambda s: h0_mat(s) + (2.0 * f * math.cos(omega * s)) * a_mat
+    builder = lambda s: h0.matrix_at(s) + (2.0 * f * math.cos(omega * s)) * a_mat
     perturbed = Schedule.time_dependent(h0.space, builder)
     exact_state = evolve(state, perturbed, 0.0, t, tol)
     exact = expectation(exact_state, b).real
     return float(predicted), float(exact)
-
-
-def _schedule_matrix_fn(h: Schedule) -> Callable[[float], np.ndarray]:
-    if h.is_constant:
-        mat = h.constant_matrix
-        return lambda t: mat
-    return h.matrix_at
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,56 @@ def test_monte_carlo_consistent_with_quadrature():
     assert hits >= trials - 1
 
 
+def test_monte_carlo_bernstein_against_exact_series():
+    """Exact-mode sample means of orders 1 and 2 against the exact series.
+
+    Model: H = 0.65 Z + 3 X, L = X at gamma = 0.25, O = Z, t = 0.3, so the
+    chain means are not +-1 and the integrand varies over the simplex.  A
+    scaled sample of order n is Y = (t^n / n!) * value; each dissipator
+    adjoint has norm at most 2 gamma ||X||^2, so |Y| <= B = (t^n / n!) (2
+    gamma)^n ||Z|| and |Y - E Y| <= R = 2B.
+
+    The variance comes from a pilot draw (master seed 1, 20000 samples),
+    disjoint from the tested draw (master seed 0, 20000 samples).  It is
+    raised to an upper bound, sigma <= s + R sqrt(2 ln(1/d) / (m - 1)),
+    which fails with probability at most d (Maurer & Pontil, COLT 2009,
+    Thm. 10).  Bernstein's inequality then gives
+    P(|mean - E Y| >= eps) <= 2 exp(-M eps^2 / (2 sigma^2 + 2 R eps / 3)),
+    and eps is solved from that probability set to d.  With d = 1e-6 / 4
+    for each of the two variance bounds and the two deviations, the test
+    fails on a correct estimator with probability at most 1e-6.
+
+    The exact series and the samples are both exact to rounding here
+    (constant H), so eps is the whole tolerance: eps = 5.7e-4 for order 1
+    (1.8% of its value 0.0321) and 4.3e-5 for order 2 (1.7% of -0.00244).
+    A bias above 2 eps (1.1e-3 and 8.5e-5) makes the test fail with
+    probability at least 1 - 1e-6, if the biased sampler keeps the
+    variance bound.  Dropping the factor 1/2 on one anticommutator chain
+    of ``_pauli_chains`` moves the means by 7.9e-3 and 1.35e-3.
+    """
+    space = one_qubit_space()
+    gamma, t, samples, d = 0.25, 0.3, 20000, 1e-6 / 4
+    model = om.LindbladModel(qc.OperatorSum(space, [(0.65, ("Z",)), (3.0, ("X",))]),
+                             [(qc.OperatorSum.pauli_string(space, "X"), gamma)])
+    rho0 = qc.basis_state(space, [0]).to_density_matrix()
+    obs = sigma(space, "Z").matrix()
+    truth = om.reconstruct(model, obs, rho0, t, 2).per_order
+    log_2_d = math.log(2.0 / d)
+    for order in (1, 2):
+        scale = t ** order / math.factorial(order)
+        r = 2.0 * scale * (2.0 * gamma) ** order
+
+        def draw(seed):
+            plan = om.MonteCarloPlan(samples, master_seed=seed)
+            return scale * om._sample_values(model, obs, rho0, order, t, plan, 1e-10)
+
+        sd = np.std(draw(1), ddof=1) + r * math.sqrt(2.0 * math.log(1.0 / d) / (samples - 1))
+        # the positive root of M eps^2 = log(2/d) (2 sd^2 + 2 r eps / 3)
+        lin = r * log_2_d / (3.0 * samples)
+        eps = lin + math.sqrt(lin ** 2 + 2.0 * sd ** 2 * log_2_d / samples)
+        assert abs(np.mean(draw(0)) - truth[order]) < eps
+
+
 def pauli_channel_model(rng, n_qubits, n_channels, rate=None):
     """Random H; each channel is two random non-identity Pauli strings."""
     space = qc.HilbertSpace.qubits(n_qubits)

@@ -176,7 +176,7 @@ def test_term_form_apply_shapes_and_fresh_results():
     h0, h1 = random_hermitian(rng, 4), random_hermitian(rng, 4)
     sched = qc.Schedule.from_terms(space, [(math.cos, h0), (math.sin, h1)],
                                    frame=[0.5, -1.0, 2.0, 0.0])
-    apply = sched.pieces[0].apply
+    apply = sched.apply
     block = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     out = apply(0.8, block)
     assert out.shape == (4, 3)
@@ -294,13 +294,18 @@ def test_from_terms_period_validation():
 
 
 def test_term_form_covers_negative_times():
-    # a window across t = 0 used to skip the part before 0
+    # a window across t = 0 used to skip the part before 0, and a window
+    # wholly before 0 to be evolved under the wrong part of a builder
     space = qc.HilbertSpace.qubits(1)
     psi = qc.basis_state(space, [0])
-    exact = qc.evolve(psi, qc.Schedule.constant(qc.SIGMA_X, space), -1.0, 0.5)
-    for coeff in (1.0, lambda t: 1.0):
-        h = qc.Schedule.from_terms(space, [(coeff, qc.SIGMA_X)])
-        assert np.max(np.abs(qc.evolve(psi, h, -1.0, 0.5).amplitudes - exact.amplitudes)) < 1e-8
+    constant = qc.Schedule.constant(qc.SIGMA_X, space)
+    schedules = [qc.Schedule.from_terms(space, [(coeff, qc.SIGMA_X)])
+                 for coeff in (1.0, lambda t: 1.0)]
+    schedules.append(qc.Schedule.time_dependent(space, lambda t: qc.SIGMA_X))
+    for t0, t1 in ((-1.0, 0.5), (-2.0, -1.0)):
+        exact = qc.evolve(psi, constant, t0, t1)
+        for h in schedules:
+            assert np.max(np.abs(qc.evolve(psi, h, t0, t1).amplitudes - exact.amplitudes)) < 1e-8
 
 
 def test_evolve_trace_rejects_bad_grids():
