@@ -26,7 +26,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -41,6 +41,8 @@ from .qcore import (
     boson_annihilation,
     evolve,
     expectation,
+    integrate,
+    propagator,
 )
 from .qcore.operators import PAULIS, PROJ_E, SIGMA_M, SIGMA_P, SIGMA_Y, SIGMA_Z, kron_all
 
@@ -553,6 +555,12 @@ def _n_sigma_generator(space: HilbertSpace, axis: str) -> np.ndarray:
     return np.kron(PAULIS[axis], np.diag(np.arange(db, dtype=complex)))
 
 
+def _require_qubit_boson(space: HilbertSpace):
+    if (space.n_factors != 2 or not isinstance(space.factors[0], Qubit)
+            or not isinstance(space.factors[1], Boson)):
+        raise ValueError("expected a single qubit (x) boson register")
+
+
 def parity_measurement(state: PureState, shots: int | None = None,
                        master_seed: int = 0) -> complex:
     """(Re Pi, Im Pi) of the single-ion generalized parity from four
@@ -565,8 +573,7 @@ def parity_measurement(state: PureState, shots: int | None = None,
     time pi/4.  Optional shot sampling draws +-1 outcomes per observable.
     """
     space = state.space
-    if space.n_factors != 2 or not isinstance(space.factors[1], Boson):
-        raise ValueError("expected a single qubit (x) boson register")
+    _require_qubit_boson(space)
     gen = _n_sigma_generator(space, "X")
     t_star = math.pi / 4.0
     psi_plus = expm(-1j * gen * t_star) @ state.amplitudes   # for the e^{+...} bracket
@@ -592,6 +599,14 @@ def parity_measurement(state: PureState, shots: int | None = None,
 def parity_direct(state: PureState) -> complex:
     diag = generalized_parity_diagonal(state.space)
     return complex(np.sum(diag * np.abs(state.amplitudes) ** 2))
+
+
+class _DispersiveCalibration(NamedTuple):
+    duration: float        # pulse length: the phase advances by pi/4 per phonon
+    off_e: float           # phase of |e,0> after the +delta pulse
+    off_g: float           # phase of |g,0> after the +delta pulse
+    m_plus: np.ndarray     # axis_rot comp_+ U_+ axis_rot^dag, read-only
+    m_minus: np.ndarray    # axis_rot comp_- U_- axis_rot^dag, read-only
 
 
 _DISPERSIVE_CAL_CACHE: dict = {}
@@ -621,12 +636,22 @@ def _dispersive_pulse_schedule(space: HilbertSpace, sign: float, delta: float,
 
 
 def _dispersive_calibration(db: int, delta_ratio: float, eps_frac: float,
-                            tol: float) -> tuple:
-    """(duration, offset_e, offset_g): pulse length tuned so the realized
-    phase advances by pi/4 per phonon, plus the measured n=0 offsets.
+                            tol: float) -> _DispersiveCalibration:
+    """Pulse length, n = 0 offsets and the two readout operators, cached per
+    ``(db, delta_ratio, eps_frac, tol)``.
 
     This mirrors an experimental Ramsey calibration on the n = 0, 1
-    manifold; both are cached per parameter set and tolerance.
+    manifold.  A first pulse of the sin^4-area length carries only the four
+    columns |q, n>, q, n in {0, 1}, and one Newton step on their phases
+    sets the duration so the phase advances by pi/4 per phonon.  The pulse
+    of that duration is integrated once, as the full propagator U_+ of the
+    +delta detuning; the offsets are the phases of its |e,0> and |g,0>
+    diagonal entries.  The -delta pulse needs no integration:
+    ``B_-(t) = B_+(t)^dag``, so ``X H_-(t) X = H_+(t)`` with
+    ``X = sigma_x (x) 1`` and ``U_- = X U_+ X``.  The readout operators
+    ``M_+- = axis_rot comp_+- U_+- axis_rot^dag`` fold in the offset
+    compensation ``comp_+- = exp(-+i diag(off_e, off_g)) (x) 1`` and the
+    local pi/4 pulses ``axis_rot`` that move the rotation axis to sigma_x.
     """
     key = (db, delta_ratio, eps_frac, tol)
     if key in _DISPERSIVE_CAL_CACHE:
@@ -637,24 +662,31 @@ def _dispersive_calibration(db: int, delta_ratio: float, eps_frac: float,
     chi_eff = coupling ** 2 * (1.0 / (delta - eps) + 1.0 / (delta + eps))
     t_star = math.pi / 4.0
     space = HilbertSpace.qubit_boson(n_max=db - 1)
+    low = [0, 1, db, db + 1]                  # |e,0>, |e,1>, |g,0>, |g,1>
     duration = (8.0 / 3.0) * t_star / chi_eff   # int of sin^4 envelope = 3T/8
 
-    def phases(T: float) -> dict:
-        sched = _dispersive_pulse_schedule(space, +1.0, delta, eps, T, coupling)
-        out = {}
-        for q in (0, 1):
-            for n in (0, 1):
-                amps = np.zeros(2 * db, dtype=complex)
-                amps[q * db + n] = 1.0
-                ev = evolve(PureState(space, amps), sched, 0.0, T, tol=tol).amplitudes
-                out[(q, n)] = float(np.angle(ev[q * db + n]))
-        return out
-
-    ph = phases(duration)
-    slope = 0.5 * (abs(ph[(0, 1)] - ph[(0, 0)]) + abs(ph[(1, 1)] - ph[(1, 0)]))
+    pulse = _dispersive_pulse_schedule(space, +1.0, delta, eps, duration, coupling)
+    shape = (2 * db, len(low))
+    block = np.eye(2 * db, dtype=complex)[:, low].reshape(-1)
+    block = integrate(lambda t, y: -1j * pulse.apply(t, y.reshape(shape)).reshape(-1),
+                      block, 0.0, duration, tol).reshape(shape)
+    ph = np.angle(block[low, range(len(low))])
+    slope = 0.5 * (abs(ph[1] - ph[0]) + abs(ph[3] - ph[2]))
     duration *= t_star / slope               # one Newton step; slope ~ T
-    ph = phases(duration)
-    result = (duration, ph[(0, 0)], ph[(1, 0)])
+
+    pulse = _dispersive_pulse_schedule(space, +1.0, delta, eps, duration, coupling)
+    u_plus = propagator(pulse, 0.0, duration, tol)
+    off_e, off_g = float(np.angle(u_plus[0, 0])), float(np.angle(u_plus[db, db]))
+    flip = np.r_[db:2 * db, 0:db]             # X = sigma_x (x) 1 as an index swap
+    u_minus = u_plus[np.ix_(flip, flip)]
+    axis_rot = np.kron(expm(-1j * t_star * SIGMA_Y), np.eye(db))  # u sz u^dag = sx
+    readout = []
+    for sign, u in ((1.0, u_plus), (-1.0, u_minus)):
+        comp = np.repeat([cmath.exp(-1j * sign * off_e), cmath.exp(-1j * sign * off_g)], db)
+        m = axis_rot @ (comp[:, None] * u) @ axis_rot.conj().T
+        m.setflags(write=False)
+        readout.append(m)
+    result = _DispersiveCalibration(duration, off_e, off_g, *readout)
     _DISPERSIVE_CAL_CACHE[key] = result
     return result
 
@@ -674,28 +706,26 @@ def parity_measurement_dispersive(state: PureState, delta_ratio: float = 20.0,
     offsets, and perfect local pi/4 pulses move the rotation axis to
     sigma_x.  Residual error is the quartic light shift, growing like
     n(n-1): about 2e-2 on the n <= 2 manifold at ``delta_ratio = 20``.
+
+    The pulse does not depend on the state: ``_dispersive_calibration``
+    integrates it once per parameter set and tolerance and keeps the two
+    composite operators ``M_+-`` (pulse, offset compensation and axis
+    rotation), so a readout is two matrix-vector products and runs no
+    integrator.  Raises ``ValueError`` unless the state lives on one
+    qubit (x) boson, ``delta_ratio > 0`` and ``|eps_frac| < 1``.
     """
     space = state.space
+    _require_qubit_boson(space)
+    if not delta_ratio > 0.0:
+        raise ValueError("delta_ratio must be positive")
+    if not abs(eps_frac) < 1.0:
+        raise ValueError("eps_frac must lie strictly between -1 and 1")
     db = space.factors[1].dim
-    coupling = 1.0
-    delta = delta_ratio * coupling
-    eps = eps_frac * delta
-    duration, off_e, off_g = _dispersive_calibration(db, delta_ratio, eps_frac, tol)
-    axis_rot = np.kron(expm(-1j * math.pi / 4.0 * SIGMA_Y), np.eye(db))  # u sz u^dag = sx
+    cal = _dispersive_calibration(db, delta_ratio, eps_frac, tol)
+    psi_plus = cal.m_plus @ state.amplitudes     # ~ exp(-i n sigma_x t*)|psi>
+    psi_minus = cal.m_minus @ state.amplitudes   # ~ exp(+i n sigma_x t*)|psi>
     sz = np.kron(SIGMA_Z, np.eye(db))
     sy = np.kron(SIGMA_Y, np.eye(db))
-
-    def realized_rotation(sign: float) -> np.ndarray:
-        """~ exp(-i sign n sigma_x t*)|psi>: u [comp U_disp(sign)] u^dag |psi>."""
-        sched = _dispersive_pulse_schedule(space, sign, delta, eps, duration, coupling)
-        start = PureState(space, axis_rot.conj().T @ state.amplitudes)
-        evolved = evolve(start, sched, 0.0, duration, tol=tol).amplitudes
-        comp = np.kron(np.diag([cmath.exp(-1j * sign * off_e),
-                                cmath.exp(-1j * sign * off_g)]), np.eye(db))
-        return axis_rot @ (comp @ evolved)
-
-    psi_plus = realized_rotation(+1.0)
-    psi_minus = realized_rotation(-1.0)
 
     def ev(vec, op):
         return float(np.real(np.vdot(vec, op @ vec)))

@@ -254,9 +254,13 @@ def integrate(rhs, y0: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarr
     """Final state of ``y' = rhs(t, y)`` from ``y0`` at ``t0`` to ``t1``.
 
     The adaptive RK45 stepper runs at ``rtol=tol``, ``atol=tol*1e-2``; it
-    raises ``ToleranceError`` if it cannot meet them.
+    raises ``ToleranceError`` if it cannot meet them.  Only the state at
+    ``t1`` is kept (``t_eval=(t1,)``): without it ``solve_ivp`` stores every
+    accepted step and stacks them at the end, which for a propagator's
+    column block is tens of megabytes.  The kept value is the last step's
+    interpolant at ``t1``, equal to the stepped state to rounding.
     """
-    sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=tol,
+    sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", t_eval=(t1,), rtol=tol,
                     atol=tol * 1e-2, dense_output=False)
     if not sol.success:
         raise ToleranceError(f"adaptive integration failed: {sol.message}")

@@ -1,6 +1,7 @@
 """Ion drives, effective Rabi models, spectra, parity, and regime labels."""
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -533,6 +534,103 @@ def test_dispersive_calibration_keyed_by_tolerance(monkeypatch):
     monkeypatch.setattr(ir, "_DISPERSIVE_CAL_CACHE", {})
     ir.parity_measurement_dispersive(st, delta_ratio=6.0, tol=1e-6)
     assert ir.parity_measurement_dispersive(st, delta_ratio=6.0) == alone
+
+
+def test_dispersive_sign_flip_is_sigma_x_conjugation():
+    # X H_-(t) X = H_+(t) exactly, so the -delta pulse is X U_+ X
+    space = qc.HilbertSpace.qubit_boson(n_max=6)
+    args = (6.0, 1.5, 6.4, 1.0)
+    h_plus = ir._dispersive_pulse_schedule(space, +1.0, *args)
+    h_minus = ir._dispersive_pulse_schedule(space, -1.0, *args)
+    x = np.kron(qc.operators.PAULIS["X"], np.eye(7))
+    for t in (0.0, 0.37, 1.9, 3.2, 5.55, 6.4):
+        assert np.max(np.abs(x @ h_minus.matrix_at(t) @ x - h_plus.matrix_at(t))) < 1e-14
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dispersive_readout_operators_match_ket_oracle(sign, monkeypatch):
+    # each cached operator against its pulse integrated ket by ket at a
+    # tighter tolerance, from the closed-form matrix (no sigma_x symmetry)
+    monkeypatch.setattr(ir, "_DISPERSIVE_CAL_CACHE", {})
+    db, delta_ratio, eps_frac = 7, 6.0, 0.25
+    space = qc.HilbertSpace.qubit_boson(n_max=db - 1)
+    cal = ir._dispersive_calibration(db, delta_ratio, eps_frac, 1e-9)
+    delta = delta_ratio
+    args = (db, sign, delta, eps_frac * delta, cal.duration, 1.0)
+    oracle = qc.Schedule.time_dependent(
+        space, lambda t: closed_form_dispersive_matrix(*args, t))
+    axis_rot = np.kron(expm(-1j * math.pi / 4.0 * qc.operators.SIGMA_Y), np.eye(db))
+    comp = np.repeat(np.exp(-1j * sign * np.array([cal.off_e, cal.off_g])), db)
+    m = cal.m_plus if sign > 0 else cal.m_minus
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        amps = rng.standard_normal(2 * db) + 1j * rng.standard_normal(2 * db)
+        psi = qc.PureState(space, amps / np.linalg.norm(amps))
+        start = qc.PureState(space, axis_rot.conj().T @ psi.amplitudes)
+        ket = qc.evolve(start, oracle, 0.0, cal.duration, tol=1e-12).amplitudes
+        expected = axis_rot @ (comp * ket)
+        assert np.max(np.abs(m @ psi.amplitudes - expected)) < 1e-8
+
+
+def test_dispersive_pulse_integrated_once_per_calibration(monkeypatch):
+    # the calibration makes two RK45 runs (the Newton pulse and the final
+    # propagator); readouts apply the cached operators and integrate nothing
+    evolve_module = importlib.import_module("qworkbench.qcore.evolve")
+    runs = []
+    real = evolve_module.solve_ivp
+
+    def counting(fun, t_span, y0, **kwargs):
+        runs.append(t_span)
+        return real(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(evolve_module, "solve_ivp", counting)
+    monkeypatch.setattr(ir, "_DISPERSIVE_CAL_CACHE", {})
+    space = qc.HilbertSpace.qubit_boson(n_max=6)
+    ir.parity_measurement_dispersive(qc.basis_state(space, [1, 0]), delta_ratio=6.0)
+    assert len(runs) == 2
+    for occ in ([0, 1], [1, 2], [0, 3]):
+        ir.parity_measurement_dispersive(qc.basis_state(space, occ), delta_ratio=6.0)
+    assert len(runs) == 2
+    ir.parity_measurement_dispersive(qc.basis_state(space, [0, 1]), delta_ratio=6.0,
+                                     tol=1e-7)   # a new tol calibrates again
+    assert len(runs) == 4
+
+
+def test_dispersive_readout_operators_read_only(monkeypatch):
+    monkeypatch.setattr(ir, "_DISPERSIVE_CAL_CACHE", {})
+    cal = ir._dispersive_calibration(5, 6.0, 0.25, 1e-6)
+    for m in (cal.m_plus, cal.m_minus):
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
+def test_parity_dispersive_rejects_bad_inputs(monkeypatch):
+    monkeypatch.setattr(ir, "_DISPERSIVE_CAL_CACHE", {})
+    two_qubits = qc.basis_state(qc.HilbertSpace.qubits(2), [1, 0])
+    with pytest.raises(ValueError):
+        ir.parity_measurement_dispersive(two_qubits)
+    st = qc.basis_state(qc.HilbertSpace.qubit_boson(n_max=4), [1, 0])
+    for bad in ({"eps_frac": 1.0}, {"eps_frac": -1.0}, {"eps_frac": float("nan")},
+                {"delta_ratio": 0.0}, {"delta_ratio": -6.0},
+                {"delta_ratio": float("nan")}):
+        with pytest.raises(ValueError):
+            ir.parity_measurement_dispersive(st, **bad)
+    assert ir._DISPERSIVE_CAL_CACHE == {}   # rejected before any calibration
+
+
+def test_pulse_propagator_keeps_no_step_history():
+    # a 30-column propagator of the dispersive pulse takes about 3000 RK45
+    # steps; storing every step and stacking them peaks above 80 MB
+    space = qc.HilbertSpace.qubit_boson(n_max=14)
+    h = ir._dispersive_pulse_schedule(space, 1.0, 20.0, 5.0, 19.87, 1.0)
+    tracemalloc.start()
+    try:
+        u = qc.propagator(h, 0.0, 19.87, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(u.conj().T @ u - np.eye(30))) < 1e-7
+    assert peak < 10e6, peak
 
 
 # ---------------------------------------------------------------------------
