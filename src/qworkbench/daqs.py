@@ -327,16 +327,16 @@ def _tavis_cummings(n_qubits: int, db: int, omega_r_half: float, dq: float,
                     g: float) -> np.ndarray:
     a = boson_annihilation(db)
     d_spin = 2 ** n_qubits
-    h = omega_r_half * np.kron(np.eye(d_spin), np.diag(np.arange(db, dtype=complex)))
+    h = omega_r_half * kron_all([np.eye(d_spin), np.diag(np.arange(db, dtype=complex))])
     sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     for q in range(n_qubits):
         ops_z = [np.eye(2, dtype=complex)] * n_qubits
         ops_z[q] = PAULIS["Z"]
-        h += dq * np.kron(kron_all(ops_z), np.eye(db))
+        h += dq * kron_all([*ops_z, np.eye(db)])
         ops_p = [np.eye(2, dtype=complex)] * n_qubits
         ops_p[q] = sp
         pq = kron_all(ops_p)
-        h += g * (np.kron(pq, a) + np.kron(pq.conj().T, a.conj().T))
+        h += g * (kron_all([pq, a]) + kron_all([pq.conj().T, a.conj().T]))
     return h
 
 
@@ -344,23 +344,20 @@ def rabi_hamiltonian_dense(n_qubits: int, db: int, omega_r: float, omega_q: floa
                            g: float) -> np.ndarray:
     a = boson_annihilation(db)
     d_spin = 2 ** n_qubits
-    h = omega_r * np.kron(np.eye(d_spin), np.diag(np.arange(db, dtype=complex)))
+    h = omega_r * kron_all([np.eye(d_spin), np.diag(np.arange(db, dtype=complex))])
     for q in range(n_qubits):
         ops_z = [np.eye(2, dtype=complex)] * n_qubits
         ops_z[q] = PAULIS["Z"]
-        h += 0.5 * omega_q * np.kron(kron_all(ops_z), np.eye(db))
+        h += 0.5 * omega_q * kron_all([*ops_z, np.eye(db)])
         ops_x = [np.eye(2, dtype=complex)] * n_qubits
         ops_x[q] = PAULIS["X"]
-        h += g * np.kron(kron_all(ops_x), a + a.conj().T)
+        h += g * kron_all([*ops_x, a + a.conj().T])
     return h
 
 
 def _collective_flip(n_qubits: int, db: int) -> np.ndarray:
     x = expm(-1j * math.pi / 2.0 * PAULIS["X"])
-    flip = x
-    for _ in range(n_qubits - 1):
-        flip = np.kron(flip, x)
-    return np.kron(flip, np.eye(db, dtype=complex))
+    return kron_all([x] * n_qubits + [np.eye(db, dtype=complex)])
 
 
 def cqed_rabi_digitize(omega_r: float, omega_q: float, g: float, t: float,
@@ -419,10 +416,10 @@ def cqed_rabi_digitize(omega_r: float, omega_q: float, g: float, t: float,
         fid = float(np.real(np.vdot(reference.amplitudes,
                                     final.matrix @ reference.amplitudes)))
 
-    n_op = np.kron(np.eye(2 ** n_qubits), np.diag(np.arange(db, dtype=complex)))
+    n_op = kron_all([np.eye(2 ** n_qubits), np.diag(np.arange(db, dtype=complex))])
     z_total = sum(
-        np.kron(kron_all([PAULIS["Z"] if k == q else np.eye(2, dtype=complex)
-                          for k in range(n_qubits)]), np.eye(db))
+        kron_all([PAULIS["Z"] if k == q else np.eye(2, dtype=complex)
+                  for k in range(n_qubits)] + [np.eye(db)])
         for q in range(n_qubits))
     if isinstance(final, PureState):
         obs = {"n": float(np.real(np.vdot(final.amplitudes, n_op @ final.amplitudes))),

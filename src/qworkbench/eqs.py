@@ -31,7 +31,7 @@ from .qcore import (
     dense_pauli,
     kron_all,
 )
-from .qcore.operators import PAULIS, SIGMA_Y, boson_annihilation
+from .qcore.operators import PAULI_LABELS, PAULIS, SIGMA_Y, boson_annihilation
 
 #: metric weights over (I, X, Y, Z) used by the antilinear monotone family
 METRIC_DIAGONAL = (-1.0, 1.0, 0.0, 1.0)
@@ -571,18 +571,29 @@ def trotter_embedded_circuit(terms: Sequence, t: float, steps: int,
                              initial: PureState, noise: NoiseModel | None = None):
     """First-order Trotter evolution of a sum of Pauli-string terms.
 
-    ``terms`` is a list of (coeff, label); each step applies
+    ``terms`` is a list of (coeff, label), each label one letter of ``IXYZ``
+    per register qubit; each of the ``steps >= 1`` steps applies
     ``exp(-i coeff label t/steps)`` for every term.  Single-qubit rotations
     are compiled through z rotations so the crosstalk model (which affects
     only z rotations) acts on them; multi-qubit exponentials are applied
-    exactly.  With depolarizing noise the state is carried as a density
-    matrix and every gate contributes one depolarizing application.
+    exactly.  Every gate is built once, before the step loop, and each step
+    applies the same list.  With depolarizing noise the state is carried as
+    a density matrix and every gate contributes one depolarizing
+    application.
 
     Returns ``(state_or_rho, n_gates)``.
     """
     n = initial.space.n_factors
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    for _, label in terms:
+        if len(label) != n or any(ch not in PAULI_LABELS for ch in label):
+            raise ValueError(f"label {label!r} needs one letter of IXYZ for each "
+                             f"of the {n} register qubits")
+    eps = noise.gate_fidelity if noise else 1.0
+    delta0 = noise.crosstalk if noise else 0.0
     dt = t / steps
-    gate_seq = []
+    gates = []
     for coeff, label in terms:
         support = [i for i, ch in enumerate(label) if ch != "I"]
         theta = 2.0 * coeff * dt  # exp(-i coeff P dt) = Rp(2 coeff dt) convention
@@ -593,37 +604,26 @@ def trotter_embedded_circuit(terms: Sequence, t: float, steps: int,
             # U sigma_z U^dag = sigma_axis; gates are listed first-applied
             # first, so the list reads [U^dag, Rz, U].
             q, axis = support[0], label[support[0]]
+            rz = crosstalk_z_rotation(theta, q, n, delta0)
             if axis == "Z":
-                seq = [("rz", q, theta)]
+                gates.append(rz)
             else:
                 gen = "Y" if axis == "X" else "X"
                 sgn = -1.0 if axis == "X" else +1.0
                 u = expm(sgn * 1j * math.pi / 4.0 * _single_site(PAULIS[gen], q, n))
-                seq = [("u", None, u.conj().T), ("rz", q, theta), ("u", None, u)]
-            gate_seq.extend(seq)
+                gates.extend([u.conj().T, rz, u])
         else:
-            gate_seq.append(("u", None, expm(-1j * coeff * dt * dense_pauli(label))))
+            gates.append(expm(-1j * coeff * dt * dense_pauli(label)))
 
-    eps = noise.gate_fidelity if noise else 1.0
-    delta0 = noise.crosstalk if noise else 0.0
     use_dm = eps < 1.0
     state = initial.to_density_matrix() if use_dm else initial
     d = initial.space.dim
-    n_gates = 0
-
-    def apply(u, st):
-        if use_dm:
-            out = u @ st.matrix @ u.conj().T
-            out = eps * out + (1.0 - eps) * np.eye(d) / d
-            return DensityMatrix(initial.space, out)
-        return PureState(initial.space, u @ st.amplitudes)
-
     for _ in range(steps):
-        for kind, q, payload in gate_seq:
-            if kind == "rz":
-                u = crosstalk_z_rotation(payload, q, n, delta0)
+        for u in gates:
+            if use_dm:
+                out = u @ state.matrix @ u.conj().T
+                out = eps * out + (1.0 - eps) * np.eye(d) / d
+                state = DensityMatrix(initial.space, out)
             else:
-                u = payload
-            state = apply(u, state)
-            n_gates += 1
-    return state, n_gates
+                state = PureState(initial.space, u @ state.amplitudes)
+    return state, steps * len(gates)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from .qcore import (
     Boson,
@@ -457,15 +457,21 @@ def two_photon_spectrum(omega: float, omega_q: float, n_qubits: int,
 
 
 def _two_photon_point(omega, omega_q, n_qubits, g, n_levels, n_max) -> SpectrumPoint:
+    """Lowest ``n_levels`` levels of the two-photon model at coupling ``g``.
+
+    The Hamiltonian is real by construction, so only its lowest
+    ``n_levels`` eigenpairs are solved for, from the real part; the parity
+    labels read only ``|eigenvector|^2``, which no sign choice changes.
+    """
     tp = TwoPhotonParams(omega=omega, omega_q=omega_q, g=g, n_qubits=n_qubits)
     h = two_photon_hamiltonian(tp, n_qubits, n_max).matrix()
     dim = h.shape[0]
-    if n_levels > dim // 4:
-        raise ValueError("n_levels must not exceed a quarter of the dimension")
-    evals, evecs = np.linalg.eigh(h)
+    if not 1 <= n_levels <= dim // 4:
+        raise ValueError(f"n_levels must lie in [1, {dim // 4}] (a quarter of the "
+                         f"dimension), got {n_levels}")
+    evals, evecs = eigh(h.real, subset_by_index=[0, n_levels - 1])
     diag = generalized_parity_diagonal(
         HilbertSpace(tuple(Qubit() for _ in range(n_qubits)) + (Boson(n_max),)))
-    energies = evals[:n_levels]
     parities = np.empty(n_levels, dtype=complex)
     weights = np.empty(n_levels)
     for k in range(n_levels):
@@ -475,7 +481,7 @@ def _two_photon_point(omega, omega_q, n_qubits, g, n_levels, n_max) -> SpectrumP
         best = int(np.argmax(sector_weights))
         parities[k] = PARITY_SECTORS[best]
         weights[k] = sector_weights[best]
-    return SpectrumPoint(g=float(g), energies=energies, parities=parities,
+    return SpectrumPoint(g=float(g), energies=evals, parities=parities,
                          parity_weights=weights,
                          mixing_flags=weights < 0.999)
 
@@ -493,17 +499,19 @@ def collapse_diagnostics(omega: float, omega_q: float, g_values: Sequence[float]
     """Level-spacing and occupation trends on the way to the collapse point.
 
     No convergence gate here: the non-convergence near g = omega/2 is the
-    signal being reported.
+    signal being reported.  Only the lowest ``n_levels`` eigenpairs of the
+    (real) Hamiltonian are solved for.
     """
+    dim = 2 * (n_max + 1)
+    if not 2 <= n_levels <= dim:
+        raise ValueError(f"n_levels must lie in [2, {dim}], got {n_levels}")
     spacings, occupations = [], []
-    space = HilbertSpace.qubit_boson(n_max=n_max)
     n_diag = np.kron(np.ones(2), np.arange(n_max + 1))
     for g in g_values:
         tp = TwoPhotonParams(omega=omega, omega_q=omega_q, g=float(g))
         h = two_photon_hamiltonian(tp, 1, n_max).matrix()
-        evals, evecs = np.linalg.eigh(h)
-        lowest = evals[:n_levels]
-        spacings.append(float(np.min(np.diff(lowest))))
+        evals, evecs = eigh(h.real, subset_by_index=[0, n_levels - 1])
+        spacings.append(float(np.min(np.diff(evals))))
         occupations.append([float(np.sum(n_diag * np.abs(evecs[:, k]) ** 2))
                             for k in range(n_levels)])
     g_arr = np.asarray(list(g_values), dtype=float)

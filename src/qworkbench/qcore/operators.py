@@ -106,9 +106,24 @@ def factor_matrix(factor, code) -> np.ndarray:
 
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of factors that are all 2-D matrices or all 1-D vectors.
+
+    Each factor is joined by one broadcast product,
+    ``out[:, None, :, None] * m[None, :, None, :]`` (``np.multiply.outer``
+    for vectors).  These are the elementwise products ``np.kron`` forms, so
+    the result is byte-identical to a chained ``np.kron``, signed zeros
+    included, without its per-call shape handling.
+    """
     out = mats[0]
+    ndim = out.ndim
+    if ndim not in (1, 2) or any(m.ndim != ndim for m in mats[1:]):
+        raise ValueError("kron_all factors must be all 2-D matrices or all 1-D vectors")
     for m in mats[1:]:
-        out = np.kron(out, m)
+        if ndim == 1:
+            out = np.multiply.outer(out, m).reshape(-1)
+        else:
+            (r1, c1), (r2, c2) = out.shape, m.shape
+            out = (out[:, None, :, None] * m[None, :, None, :]).reshape(r1 * r2, c1 * c2)
     return out
 
 
@@ -240,7 +255,11 @@ class OperatorSum:
 
 def dense_pauli(label: str) -> np.ndarray:
     """Dense matrix of a Pauli string label such as ``"XIY"``."""
-    return kron_all([PAULIS[ch] for ch in label])
+    try:
+        mats = [PAULIS[ch] for ch in label]
+    except KeyError as exc:
+        raise ValueError(f"bad Pauli letter {exc.args[0]!r} in {label!r}") from None
+    return kron_all(mats)
 
 
 def all_pauli_labels(n: int) -> list:

@@ -401,3 +401,39 @@ def test_trotter_circuit_crosstalk_changes_dynamics():
     clean, _ = eqs.trotter_embedded_circuit(terms, 0.6, steps=6, initial=psi0)
     assert np.max(np.abs(base.amplitudes - clean.amplitudes)) < 1e-12
     assert np.max(np.abs(skew.amplitudes - clean.amplitudes)) > 1e-4
+
+
+def test_trotter_circuit_builds_each_rotation_once(monkeypatch):
+    # three single-qubit rotations (Y, Y, Z) and one three-qubit exponential
+    terms = [(1.0, "IYI"), (1.0, "IIY"), (-2.0, "YXX"), (0.4, "ZII")]
+    psi0 = qc.basis_state(qc.HilbertSpace.qubits(3), [0, 0, 0])
+    noise = eqs.NoiseModel(0.98, crosstalk=0.05)
+    calls = []
+    original = eqs.crosstalk_z_rotation
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(eqs, "crosstalk_z_rotation", counted)
+    for steps in (1, 6, 24):
+        calls.clear()
+        _, n_gates = eqs.trotter_embedded_circuit(terms, 0.6, steps=steps,
+                                                  initial=psi0, noise=noise)
+        assert len(calls) == 3
+        assert n_gates == steps * (3 + 3 + 1 + 1)
+
+
+@pytest.mark.parametrize("steps", [0, -2])
+def test_trotter_circuit_rejects_bad_steps(steps):
+    psi0 = qc.basis_state(qc.HilbertSpace.qubits(2), [0, 0])
+    with pytest.raises(ValueError):
+        eqs.trotter_embedded_circuit([(1.0, "XX")], 0.5, steps=steps, initial=psi0)
+
+
+@pytest.mark.parametrize("label", ["X", "XXX", "XQ"])
+def test_trotter_circuit_rejects_bad_labels(label):
+    psi0 = qc.basis_state(qc.HilbertSpace.qubits(2), [0, 0])
+    with pytest.raises(ValueError):
+        eqs.trotter_embedded_circuit([(0.3, "ZI"), (1.0, label)], 0.5, steps=4,
+                                     initial=psi0)

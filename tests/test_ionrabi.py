@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from qworkbench import ionrabi as ir
 from qworkbench import qcore as qc
+from qworkbench.harness.scenarios import SCENARIOS
 
 TWO_PI = 2.0 * math.pi
 
@@ -659,3 +660,74 @@ def test_quadrature_operators():
     comm = np.real(np.diag((x @ p - p @ x) / 2j))
     fock = np.kron(np.ones(2), np.arange(n_max + 1))
     assert np.max(np.abs(comm[fock < n_max] - 1.0)) < 1e-12
+
+
+def _full_eigh_spectrum_point(omega, omega_q, g, n_levels, n_max):
+    """Reference labelling of the lowest levels from a full complex eigh."""
+    tp = ir.TwoPhotonParams(omega=omega, omega_q=omega_q, g=g)
+    evals, evecs = np.linalg.eigh(ir.two_photon_hamiltonian(tp, 1, n_max).matrix())
+    diag = ir.generalized_parity_diagonal(qc.HilbertSpace.qubit_boson(n_max=n_max))
+    parities, weights = [], []
+    for k in range(n_levels):
+        probs = np.abs(evecs[:, k]) ** 2
+        sector = [float(np.sum(probs[np.abs(diag - lam) < 1e-9]))
+                  for lam in ir.PARITY_SECTORS]
+        best = int(np.argmax(sector))
+        parities.append(ir.PARITY_SECTORS[best])
+        weights.append(sector[best])
+    return evals[:n_levels], np.array(parities), np.array(weights)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("simulation_frame", [False, True])
+def test_two_photon_hamiltonian_is_real(n_qubits, simulation_frame):
+    tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=0.3, n_qubits=n_qubits)
+    h = ir.two_photon_hamiltonian(tp, n_qubits, 12, simulation_frame=simulation_frame)
+    assert np.all(h.matrix().imag == 0.0)
+
+
+def test_two_photon_subset_eigh_matches_full_at_scenario_defaults():
+    params = SCENARIOS["twophoton-spectrum"].defaults
+    n_levels = params["n_levels"]
+    for n_max in (params["n_max"], params["n_max"] + 10):
+        for g in params["g_values"]:
+            point = ir._two_photon_point(1.0, params["omega_q"], 1, g, n_levels, n_max)
+            energies, parities, weights = _full_eigh_spectrum_point(
+                1.0, params["omega_q"], g, n_levels, n_max)
+            assert np.max(np.abs(point.energies - energies)) < 1e-12
+            assert np.array_equal(point.parities, parities)
+            assert np.max(np.abs(point.parity_weights - weights)) < 1e-12
+
+
+def test_collapse_diagnostics_subset_matches_full_eigh():
+    n_max, n_levels, g_values = 40, 6, [0.1, 0.3, 0.45]
+    diag = ir.collapse_diagnostics(1.0, 1.9, g_values, n_levels=n_levels, n_max=n_max)
+    n_diag = np.kron(np.ones(2), np.arange(n_max + 1))
+    for i, g in enumerate(g_values):
+        tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=g)
+        evals, evecs = np.linalg.eigh(ir.two_photon_hamiltonian(tp, 1, n_max).matrix())
+        assert abs(diag.min_spacings[i] - np.min(np.diff(evals[:n_levels]))) < 1e-12
+        occ = [np.sum(n_diag * np.abs(evecs[:, k]) ** 2) for k in range(n_levels)]
+        assert np.max(np.abs(diag.mean_occupations[i] - occ)) < 1e-10
+
+
+def _forbid_eigh(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("eigh called before n_levels was validated")
+
+    monkeypatch.setattr(ir, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+
+
+def test_two_photon_spectrum_rejects_bad_n_levels(monkeypatch):
+    _forbid_eigh(monkeypatch)
+    for n_levels in (0, -1, 11):  # a quarter of d = 42 is 10
+        with pytest.raises(ValueError):
+            ir.two_photon_spectrum(1.0, 1.9, 1, [0.2], n_levels=n_levels, n_max=20)
+
+
+def test_collapse_diagnostics_rejects_bad_n_levels(monkeypatch):
+    _forbid_eigh(monkeypatch)
+    for n_levels in (0, 1, 43, 100):  # d = 42 at n_max = 20
+        with pytest.raises(ValueError):
+            ir.collapse_diagnostics(1.0, 1.9, [0.2], n_levels=n_levels, n_max=20)

@@ -489,3 +489,54 @@ def test_operator_algebra_dagger():
     op = qc.OperatorSum(space, [(2.0j, ("S+", "a")), (1.0, ("Z", ("disp", 0.3)))])
     dag = op.dagger()
     assert np.max(np.abs(dag.matrix() - op.matrix().conj().T)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# dense Kronecker products and Pauli strings
+# ---------------------------------------------------------------------------
+
+def _chained_kron(mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+def _assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def test_kron_all_byte_identical_to_chained_kron():
+    labels = [""]
+    for _ in range(4):
+        labels = [s + ch for s in labels for ch in "IXYZ"]
+        for label in labels:
+            mats = [qc.PAULIS[ch] for ch in label]
+            _assert_same_bytes(qc.kron_all(mats), _chained_kron(mats))
+    # mixed real and complex factors around a boson-sized 3x3 factor,
+    # with signed zeros that a different product order would flip
+    rng = np.random.default_rng(7)
+    boson = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    boson[0, 0] = -0.0 + 0.0j
+    for mats in ([qc.PAULIS["Y"], boson, np.eye(2)],
+                 [np.eye(2), -np.zeros((3, 3)), qc.PAULIS["Y"], boson],
+                 [boson, np.array([[1.0, -0.0], [0.0, -1.0]])]):
+        _assert_same_bytes(qc.kron_all(mats), _chained_kron(mats))
+    # 1-D lists, as the diagonal builders pass them
+    for vecs in ([np.array([1.0, -1.0]), np.ones(2), np.array([0.0, 1.0])],
+                 [np.array([1.0, -1.0]), 1j ** np.arange(5)],
+                 [np.array([-0.0, 2.0])]):
+        _assert_same_bytes(qc.kron_all(vecs), _chained_kron(vecs))
+
+
+def test_kron_all_rejects_mixed_ranks():
+    with pytest.raises(ValueError):
+        qc.kron_all([np.eye(2), np.ones(2)])
+    with pytest.raises(ValueError):
+        qc.kron_all([np.ones(2), np.eye(2)])
+
+
+def test_dense_pauli_rejects_bad_letter():
+    with pytest.raises(ValueError):
+        qc.dense_pauli("XQ")
