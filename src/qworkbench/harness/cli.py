@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..ionrabi import TruncationError
 from .config import ConfigError, ScenarioConfig, load_config, parse_set_overrides
 from .scenarios import InvariantBreach, describe_scenario, list_scenarios, run_scenario
 
@@ -66,7 +65,9 @@ def main(argv=None) -> int:
             print(f"  {key} = {value}")
         return EXIT_OK
 
-    # run
+    # run; the physics modules load only here
+    from ..ionrabi import TruncationError
+
     try:
         if args.config:
             config = load_config(args.config)

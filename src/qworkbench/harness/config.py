@@ -6,6 +6,7 @@ schema so typos fail loudly instead of silently running defaults.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +26,8 @@ class ScenarioConfig:
     threads: int = 1
 
     def resolved(self, defaults: dict) -> dict:
+        if self.threads < 1:
+            raise ConfigError(f"threads must be at least 1, got {self.threads}")
         params = dict(defaults)
         unknown = set(self.overrides) - set(defaults)
         if unknown:
@@ -51,7 +54,7 @@ def _coerce_like(reference, value, key: str):
             as_float = float(value)
         except (TypeError, ValueError):
             raise ConfigError(f"cannot read {value!r} as an integer for {key!r}") from None
-        if as_float != int(as_float):
+        if not math.isfinite(as_float) or as_float != int(as_float):
             raise ConfigError(f"{key!r} expects an integer, got {value!r}")
         return int(as_float)
     if isinstance(reference, float):
@@ -61,10 +64,11 @@ def _coerce_like(reference, value, key: str):
             raise ConfigError(f"cannot read {value!r} as a number for {key!r}") from None
     if isinstance(reference, (list, tuple)):
         if isinstance(value, str):
-            parts = [p for p in value.split(",") if p != ""]
-            elem = reference[0] if reference else 0.0
-            return [_coerce_like(elem, p, key) for p in parts]
-        return list(value)
+            value = [p for p in value.split(",") if p != ""]
+        elif not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key!r} expects a list, got {value!r}")
+        elem = reference[0] if reference else 0.0
+        return [_coerce_like(elem, p, key) for p in value]
     return value
 
 
@@ -81,9 +85,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not isinstance(params, dict):
         raise ConfigError("'params' must be a mapping")
     return ScenarioConfig(scenario=str(raw["scenario"]), overrides=params,
-                          master_seed=int(raw.get("seed", 0)),
+                          master_seed=_coerce_like(0, raw.get("seed", 0), "seed"),
                           out_dir=str(raw.get("out_dir", "runs")),
-                          threads=int(raw.get("threads", 1)))
+                          threads=_coerce_like(1, raw.get("threads", 1), "threads"))
 
 
 def parse_set_overrides(pairs) -> dict:

@@ -1,34 +1,20 @@
 """Scenario registry: canned numerical experiments producing data tables.
 
 Each scenario exposes typed default parameters (the override schema), a
-description, and a runner returning a :class:`RunArtifact`.  Grid sweeps
-run through :func:`parallel_map`, which preserves input order so results
-are identical for any thread count.
+description, and the name of its runner in :mod:`.runners`.  The registry is
+plain data, so listing and describing scenarios imports no numerical module;
+:func:`run_scenario` loads the runners on its first call.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
-import numpy as np
-from scipy.linalg import expm
-
-from .. import daqs, eqs, ionrabi, openmaster, timecorr
-from .. import qcore as qc
-from .artifact import RunArtifact, Stopwatch, Table
+from .artifact import RunArtifact, Stopwatch
 
 
 class InvariantBreach(RuntimeError):
     """A scenario-level correctness guarantee failed during the run."""
-
-
-def parallel_map(fn: Callable, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -37,389 +23,7 @@ class Scenario:
     description: str
     details: str
     defaults: dict
-    runner: Callable
-
-
-# ---------------------------------------------------------------------------
-# time-correlation scenarios
-# ---------------------------------------------------------------------------
-
-def _run_timecorr_2pt(params, seed, threads) -> RunArtifact:
-    omega0 = params["omega0"]
-    space = qc.HilbertSpace.qubits(1)
-    h = qc.Schedule.constant(qc.OperatorSum.single(space, 0, "Z", omega0 / 2,
-                                                   hermitian=True))
-    x = qc.OperatorSum.pauli_string(space, "X")
-    states = {"plus": qc.plus_state(), "excited": qc.basis_state(space, [0])}
-    grid = np.linspace(0.0, params["t_max"], params["n_points"])
-
-    def one(args):
-        name, t = args
-        spec = timecorr.CorrelationSpec(h, (0.0, float(t)), (x, x), states[name])
-        exact = timecorr.correlation_exact(spec)
-        ancilla = timecorr.correlation_ancilla(spec)
-        return (name, float(t), exact.real, exact.imag, ancilla.real,
-                ancilla.imag, abs(ancilla - exact))
-
-    jobs = [(name, t) for name in ("plus", "excited") for t in grid]
-    rows = parallel_map(one, jobs, threads)
-    worst = max(r[-1] for r in rows)
-    if worst > 1e-9:
-        raise InvariantBreach(f"ancilla/direct mismatch {worst:.3e} above 1e-9")
-    table = Table("two_point", ("state", "t", "re_direct", "im_direct",
-                                "re_ancilla", "im_ancilla", "abs_diff"),
-                  ("label", "s", "1", "1", "1", "1", "1"), rows)
-    return RunArtifact("timecorr-2pt", params, seed, threads, [table],
-                       notes={"worst_mismatch": worst})
-
-
-def _run_timecorr_3pt(params, seed, threads) -> RunArtifact:
-    space = qc.HilbertSpace.qubits(1)
-    h = qc.Schedule.constant(qc.OperatorSum.single(space, 0, "Z", -100.0 * math.pi,
-                                                   hermitian=True))
-    state = qc.plus_state()
-    ops = (qc.OperatorSum.pauli_string(space, "Z"),
-           qc.OperatorSum.pauli_string(space, "Y"),
-           qc.OperatorSum.pauli_string(space, "Y"))
-    t_grid = np.linspace(params["t_min"], params["t_max"], params["grid_points"])
-
-    def one(args):
-        t1, t2 = args
-        spec = timecorr.CorrelationSpec(h, (0.0, t1, t1 + t2), ops, state)
-        val = timecorr.correlation_ancilla(spec)
-        exact = timecorr.correlation_exact(spec)
-        return (t1, t2, val.real, val.imag, abs(val - exact))
-
-    jobs = [(float(t1), float(t2)) for t1 in t_grid for t2 in t_grid]
-    rows = parallel_map(one, jobs, threads)
-    worst = max(r[-1] for r in rows)
-    if worst > 1e-9:
-        raise InvariantBreach(f"ancilla/direct mismatch {worst:.3e} above 1e-9")
-    table = Table("three_point_grid", ("t1", "t2", "re", "im", "abs_diff"),
-                  ("s", "s", "1", "1", "1"), rows)
-    return RunArtifact("timecorr-3pt-grid", params, seed, threads, [table],
-                       notes={"worst_mismatch": worst})
-
-
-# ---------------------------------------------------------------------------
-# open-system scenarios
-# ---------------------------------------------------------------------------
-
-def _damping_model(gamma: float) -> openmaster.LindbladModel:
-    space = qc.HilbertSpace.qubits(1)
-    return openmaster.LindbladModel(
-        qc.OperatorSum.zero(space),
-        [(qc.OperatorSum.single(space, 0, "S-"), gamma)])
-
-
-def _run_lindblad_reconstruction(params, seed, threads) -> RunArtifact:
-    gamma = params["gamma"]
-    order = params["order"]
-    model = _damping_model(gamma)
-    space = model.space
-    rho0 = qc.basis_state(space, [0]).to_density_matrix()
-    obs = qc.OperatorSum.single(space, 0, "Z", hermitian=True)
-    grid = np.linspace(0.0, params["t_max"], params["n_points"])[1:]
-
-    def one(t):
-        exact = qc.expectation(openmaster.lindblad_exact(model, rho0, t), obs).real
-        rec = openmaster.reconstruct(model, obs, rho0, t, order)
-        bound = openmaster.truncation_bound(order, t, model.gamma_bar(t),
-                                            model.n_channels)
-        row = [float(t), exact] + [float(v) for v in np.cumsum(rec.per_order)] \
-            + [bound, abs(rec.value - exact)]
-        if abs(rec.value - exact) > 2.0 * bound + 1e-12:
-            raise InvariantBreach("series error escaped the trace-distance bound")
-        return tuple(row)
-
-    rows = parallel_map(one, list(grid), threads)
-    cols = ("t", "exact") + tuple(f"series_order_{k}" for k in range(order + 1)) \
-        + ("bound", "abs_error")
-    table = Table("reconstruction", cols, ("s",) + ("1",) * (len(cols) - 1), rows)
-    return RunArtifact("lindblad-reconstruction", params, seed, threads, [table])
-
-
-def _run_lindblad_bounds(params, seed, threads) -> RunArtifact:
-    rng = np.random.default_rng(seed)
-    rows = []
-    violations = 0
-    for model_idx in range(params["n_models"]):
-        n_qubits = int(rng.integers(1, 3))
-        space = qc.HilbertSpace.qubits(n_qubits)
-        d = space.dim
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = qc.Schedule.constant(0.5 * (m + m.conj().T), space)
-        channels = []
-        for _ in range(int(rng.integers(1, 3))):
-            labels = "IXYZ"
-            terms = [(complex(*rng.standard_normal(2)),
-                      tuple(rng.choice(list(labels), size=n_qubits)))
-                     for _ in range(int(rng.integers(1, 3)))]
-            op = qc.OperatorSum(space, terms)
-            if op.norm_inf() < 1e-9:
-                op = qc.OperatorSum.pauli_string(space, "X" * n_qubits)
-            channels.append((op, float(rng.uniform(0.05, 0.4))))
-        model = openmaster.LindbladModel(h, channels)
-        rho = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rho = rho @ rho.conj().T
-        rho0 = qc.DensityMatrix(space, rho / np.trace(rho).real)
-        t = float(rng.uniform(0.2, 0.7))
-        exact = openmaster.lindblad_exact(model, rho0, t)
-        gb = model.gamma_bar(t)
-        states = openmaster.truncated_states(model, rho0, t, params["max_order"])
-        for n, tilde in enumerate(states):
-            d1 = 0.5 * float(np.sum(np.linalg.svd(exact.matrix - tilde,
-                                                  compute_uv=False)))
-            bound = openmaster.truncation_bound(n, t, gb, model.n_channels)
-            if d1 > bound + 1e-9:
-                violations += 1
-            rows.append((model_idx, n_qubits, model.n_channels, t, gb, n, d1,
-                         bound, bound - d1))
-    if violations:
-        raise InvariantBreach(f"{violations} trace-distance bound violations")
-    table = Table("bounds", ("model", "n_qubits", "n_channels", "t", "gamma_bar",
-                             "order", "d1", "bound", "margin"),
-                  ("index", "1", "1", "s", "1/s", "1", "1", "1", "1"), rows)
-    return RunArtifact("lindblad-bounds", params, seed, threads, [table],
-                       notes={"violations": violations})
-
-
-# ---------------------------------------------------------------------------
-# embedding scenarios
-# ---------------------------------------------------------------------------
-
-def _run_eqs_concurrence(params, seed, threads) -> RunArtifact:
-    grid = np.linspace(0.0, math.pi, params["n_points"])
-    # embedded image of H = -g ZZ; the dynamics depends only on gt
-    h_tilde = qc.dense_pauli("YZZ")
-    psi0 = eqs.embed_state(qc.all_plus_state(2))
-
-    def one(gt):
-        tilde = expm(-1j * h_tilde * gt) @ psi0.amplitudes
-        state = qc.PureState(qc.HilbertSpace.qubits(3), tilde)
-        c_eqs = eqs.monotone(state, eqs.MonotoneSpec("Concurrence2", 2)).value
-        direct = abs(math.sin(2.0 * gt))
-        return (float(gt), c_eqs, direct, abs(c_eqs - direct))
-
-    rows = parallel_map(one, [float(x) for x in grid], threads)
-    worst = max(r[-1] for r in rows)
-    if worst > 1e-9:
-        raise InvariantBreach(f"embedded concurrence off by {worst:.3e}")
-    circuit_dev = max(
-        float(np.linalg.norm(eqs.reduced_circuit_unitary(phi)
-                             - eqs.reduced_circuit_target(phi), ord=2))
-        for phi in np.linspace(0.0, math.pi, 9))
-    table = Table("concurrence", ("gt", "c_embedded", "c_closed_form", "abs_diff"),
-                  ("rad", "1", "1", "1"), rows)
-    return RunArtifact("eqs-concurrence", params, seed, threads, [table],
-                       notes={"worst_mismatch": worst,
-                              "circuit_identity_deviation": circuit_dev})
-
-
-def _tangle_from_embedded(rho_or_state, rescale=None) -> float:
-    values = []
-    for mu in ("I", "X", "Z"):
-        z_label, x_label = "Z" + mu + "YY", "X" + mu + "YY"
-        vals = []
-        for label in (z_label, x_label):
-            op = qc.dense_pauli(label)
-            if isinstance(rho_or_state, qc.PureState):
-                v = float(np.real(np.vdot(rho_or_state.amplitudes,
-                                          op @ rho_or_state.amplitudes)))
-            else:
-                v = float(np.real(np.trace(op @ rho_or_state.matrix)))
-            if rescale is not None:
-                v = eqs.rescale_expectation(v, *rescale, op)
-            vals.append(v)
-        values.append(complex(vals[0], -vals[1]))
-    acc = -values[0] ** 2 + values[1] ** 2 + values[2] ** 2
-    return float(abs(acc))
-
-
-def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
-    omega, g = params["omega"], params["g"]
-    terms = [(omega, "IYII"), (omega, "IIYI"), (omega, "IIIY"), (-g, "YXXX")]
-    psi0 = qc.basis_state(qc.HilbertSpace.qubits(4), [0, 0, 0, 0])
-    grid = np.linspace(0.0, params["t_max"], params["n_points"])[1:]
-    steps = params["trotter_steps"]
-    eps_list = list(params["gate_fidelities"])
-    xtalk_list = list(params["crosstalk"])
-    h = sum(c * qc.dense_pauli(lbl) for c, lbl in terms)
-
-    def one(t):
-        ideal = qc.PureState(qc.HilbertSpace.qubits(4), expm(-1j * h * t) @ psi0.amplitudes)
-        row = [float(t), _tangle_from_embedded(ideal)]
-        for eps in eps_list:
-            noisy, n_gates = eqs.trotter_embedded_circuit(
-                terms, t, steps, psi0, noise=eqs.NoiseModel(gate_fidelity=eps))
-            row.append(_tangle_from_embedded(noisy))
-            row.append(_tangle_from_embedded(noisy, rescale=(eps, n_gates)))
-        for delta0 in xtalk_list:
-            skew, _ = eqs.trotter_embedded_circuit(
-                terms, t, steps, psi0, noise=eqs.NoiseModel(crosstalk=delta0))
-            row.append(_tangle_from_embedded(skew))
-        return tuple(row)
-
-    rows = parallel_map(one, [float(t) for t in grid], threads)
-    cols = ["t", "tangle_ideal"]
-    for eps in eps_list:
-        cols += [f"tangle_eps_{eps}", f"tangle_eps_{eps}_rescaled"]
-    cols += [f"tangle_xtalk_{d}" for d in xtalk_list]
-    table = Table("three_tangle", tuple(cols), ("1/omega",) + ("1",) * (len(cols) - 1), rows)
-    return RunArtifact("eqs-3tangle", params, seed, threads, [table])
-
-
-# ---------------------------------------------------------------------------
-# ion and Rabi scenarios
-# ---------------------------------------------------------------------------
-
-def _run_qrm_regimes(params, seed, threads) -> RunArtifact:
-    omega = 1.0
-    ratios0 = np.linspace(params["omega0_min"], params["omega0_max"], params["n_omega0"])
-    ratios_g = np.geomspace(params["g_min"], params["g_max"], params["n_g"])
-    rows = []
-    for w0 in ratios0:
-        for g in ratios_g:
-            label = ionrabi.classify_regime(
-                ionrabi.RabiParams(omega0_r=float(w0), omega_r=omega, g=float(g)))
-            rows.append((float(w0), float(g), label))
-    table = Table("regimes", ("omega0_over_omega", "g_over_omega", "label"),
-                  ("1", "1", "label"), rows)
-    return RunArtifact("qrm-regimes", params, seed, threads, [table])
-
-
-def _run_qrm_adiabatic(params, seed, threads) -> RunArtifact:
-    n_max = params["n_max"]
-    fam_base = ionrabi.RabiParams(omega0_r=1.0, omega_r=1.0, g=0.0)
-    h0 = ionrabi.qrm_hamiltonian(fam_base, n_max).matrix()
-    db = n_max + 1
-    a = qc.boson_annihilation(db)
-    coupling = -np.kron(qc.SIGMA_Y, a + a.conj().T)
-    fam = lambda g: h0 + g * coupling
-    space = qc.HilbertSpace.qubit_boson(n_max=n_max)
-
-    def one(duration):
-        out = ionrabi.adiabatic_ground_state(fam, params["g_final"], float(duration),
-                                             space, n_checkpoints=params["checkpoints"],
-                                             tol=1e-8)
-        return (float(duration), out.final_fidelity, float(np.min(out.gaps)))
-
-    rows = parallel_map(one, list(params["durations"]), threads)
-    fids = [r[1] for r in rows]
-    if any(b < a - 1e-6 for a, b in zip(fids, fids[1:])):
-        raise InvariantBreach("longer ramps must not lose fidelity")
-    table = Table("adiabatic", ("duration", "final_fidelity", "min_gap"),
-                  ("1/omega", "1", "omega"), rows)
-    return RunArtifact("qrm-adiabatic", params, seed, threads, [table])
-
-
-def _run_twophoton_spectrum(params, seed, threads) -> RunArtifact:
-    omega, omega_q = 1.0, params["omega_q"]
-    n_levels, n_max = params["n_levels"], params["n_max"]
-    rows = []
-    for g in params["g_values"]:
-        base = ionrabi._two_photon_point(omega, omega_q, 1, float(g), n_levels, n_max)
-        again = ionrabi._two_photon_point(omega, omega_q, 1, float(g), n_levels,
-                                          n_max + 10)
-        shifts = np.abs(base.energies - again.energies)
-        for level in range(n_levels):
-            lam = base.parities[level]
-            label = {1.0 + 0j: "+1", -1.0 + 0j: "-1", 1j: "+i", -1j: "-i"}[lam]
-            rows.append((float(g), level, float(base.energies[level]), label,
-                         float(base.parity_weights[level]), float(shifts[level])))
-    table = Table("spectrum", ("g_over_omega", "level", "energy_over_omega",
-                               "parity", "parity_weight", "truncation_shift"),
-                  ("1", "index", "1", "label", "1", "1"), rows)
-    return RunArtifact("twophoton-spectrum", params, seed, threads, [table])
-
-
-def _run_twophoton_dynamics(params, seed, threads) -> RunArtifact:
-    omega = 1.0
-    tp = ionrabi.TwoPhotonParams(omega=omega, omega_q=params["omega_q"],
-                                 g=params["g_over_omega"])
-    grid = np.linspace(0.0, params["t_max"], params["n_points"])
-
-    def trace_for(n_max: int):
-        h = ionrabi.two_photon_hamiltonian(tp, 1, n_max).matrix()
-        space = qc.HilbertSpace.qubit_boson(n_max=n_max)
-        psi0 = qc.basis_state(space, [1, 2])
-        evals, evecs = np.linalg.eigh(h)
-        coeff = evecs.conj().T @ psi0.amplitudes
-        n_diag = np.kron(np.ones(2), np.arange(n_max + 1))
-        z_diag = np.kron(np.array([1.0, -1.0]), np.ones(n_max + 1))
-        out = []
-        for t in grid:
-            psi = evecs @ (np.exp(-1j * evals * t) * coeff)
-            prob = np.abs(psi) ** 2
-            out.append((float(t), float(np.sum(n_diag * prob)),
-                        float(np.sum(z_diag * prob))))
-        return out
-
-    n_max = params["n_max"]
-    base = trace_for(n_max)
-    again = trace_for(n_max + 10)
-    drift = max(abs(a[1] - b[1]) for a, b in zip(base, again))
-    if drift > 1e-6:
-        raise ionrabi.TruncationError(
-            f"two-photon dynamics drifted {drift:.2e} between n_max={n_max} and +10")
-    table = Table("dynamics", ("t", "mean_phonons", "qubit_z"),
-                  ("1/omega", "1", "1"), base)
-    return RunArtifact("twophoton-dynamics", params, seed, threads, [table],
-                       notes={"truncation_drift": drift})
-
-
-# ---------------------------------------------------------------------------
-# digital-analog scenarios
-# ---------------------------------------------------------------------------
-
-def _run_daqs_heisenberg(params, seed, threads) -> RunArtifact:
-    coupling = daqs.SpinCouplingMatrix.power_law(params["n_spins"], 1.0,
-                                                 params["alpha"])
-    state = qc.qubit_register_state(params["benchmark_state"])
-    states = {"bench": state}
-    grid = np.linspace(params["jt_min"], params["jt_max"], params["n_points"])
-
-    def one(args):
-        steps, jt = args
-        da = daqs.daqs_heisenberg(coupling, jt, steps, states)
-        dg = daqs.digital_heisenberg(coupling, jt, steps, states)
-        return (steps, float(jt), da.fidelities["bench"], dg.fidelities["bench"],
-                da.trotter_defect, dg.trotter_defect)
-
-    jobs = [(steps, float(jt)) for steps in params["step_counts"] for jt in grid]
-    rows = parallel_map(one, jobs, threads)
-    for steps, jt, f_da, f_dg, *_ in rows:
-        if f_da < f_dg - 1e-12:
-            raise InvariantBreach(
-                f"digital route beat the digital-analog one at l={steps}, Jt={jt}")
-    table = Table("heisenberg", ("steps", "jt", "fidelity_daqs", "fidelity_digital",
-                                 "defect_daqs", "defect_digital"),
-                  ("1", "rad", "1", "1", "1", "1"), rows)
-    return RunArtifact("daqs-heisenberg", params, seed, threads, [table])
-
-
-def _run_cqed_rabi(params, seed, threads) -> RunArtifact:
-    presets = {
-        "g=wr2=wq2": dict(omega_r=2.0, omega_q=2.0, g=1.0),
-        "g=wr=wq": dict(omega_r=1.0, omega_q=1.0, g=1.0),
-        "g=2wr=wq": dict(omega_r=0.5, omega_q=1.0, g=1.0),
-        "g=2wr=1.5wq": dict(omega_r=0.5, omega_q=2.0 / 3.0, g=1.0),
-    }
-
-    def one(args):
-        name, steps = args
-        pr = presets[name]
-        t = params["g_t"] / pr["g"]
-        run = daqs.cqed_rabi_digitize(**pr, t=t, steps=steps, n_max=params["n_max"])
-        return (name, steps, 1.0 - run.fidelity, run.observables["n"],
-                run.observables["z"])
-
-    jobs = [(name, steps) for name in presets for steps in params["step_counts"]]
-    rows = parallel_map(one, jobs, threads)
-    table = Table("digitization", ("preset", "steps", "infidelity",
-                                   "mean_photons", "qubit_z"),
-                  ("label", "1", "1", "1", "1"), rows)
-    return RunArtifact("cqed-rabi", params, seed, threads, [table])
+    runner: str             # name of a function in .runners
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +44,7 @@ _register(
     "<sx(t) sx(0)> under H = (omega0/2) sz from |+> and |0>; the protocol "
     "value must match the matrix oracle to 1e-9 at every grid point.",
     {"omega0": 2.0, "t_max": 6.0, "n_points": 49},
-    _run_timecorr_2pt)
+    "_run_timecorr_2pt")
 
 _register(
     "timecorr-3pt-grid",
@@ -448,7 +52,7 @@ _register(
     "<sy(t1+t2) sy(t1) sz(0)> on a millisecond grid under H = -100 pi sz, "
     "protocol vs oracle.",
     {"t_min": 0.5e-3, "t_max": 5.0e-3, "grid_points": 10},
-    _run_timecorr_3pt)
+    "_run_timecorr_3pt")
 
 _register(
     "lindblad-reconstruction",
@@ -456,7 +60,7 @@ _register(
     "amplitude-damped qubit: exact <sz>(t) against cumulative series orders "
     "with the trace-distance bound alongside.",
     {"gamma": 0.25, "order": 3, "t_max": 1.2, "n_points": 13},
-    _run_lindblad_reconstruction)
+    "_run_lindblad_reconstruction")
 
 _register(
     "lindblad-bounds",
@@ -464,7 +68,7 @@ _register(
     "random 1-2 qubit models: measured D1(exact, series_n) against "
     "(2 gamma_bar N t)^(n+1)/(2 (n+1)!) for n = 0..max_order.",
     {"n_models": 12, "max_order": 3},
-    _run_lindblad_bounds)
+    "_run_lindblad_bounds")
 
 _register(
     "eqs-concurrence",
@@ -473,7 +77,7 @@ _register(
     "enlarged-space observables must reproduce |sin 2gt| to 1e-9 and the "
     "five-gate controlled-Z identity is checked to 1e-12.",
     {"n_points": 64},
-    _run_eqs_concurrence)
+    "_run_eqs_concurrence")
 
 _register(
     "eqs-3tangle",
@@ -483,7 +87,7 @@ _register(
     "runs.",
     {"omega": 1.0, "g": 2.0, "t_max": 3.0, "n_points": 13, "trotter_steps": 6,
      "gate_fidelities": [0.99, 0.97], "crosstalk": [0.01, 0.05]},
-    _run_eqs_3tangle)
+    "_run_eqs_3tangle")
 
 _register(
     "qrm-regimes",
@@ -491,7 +95,7 @@ _register(
     "classifier labels on a (omega0/omega, g/omega) grid.",
     {"omega0_min": -2.0, "omega0_max": 2.0, "n_omega0": 21,
      "g_min": 1e-3, "g_max": 10.0, "n_g": 25},
-    _run_qrm_regimes)
+    "_run_qrm_regimes")
 
 _register(
     "qrm-adiabatic",
@@ -500,7 +104,7 @@ _register(
     "ramps must not lose fidelity.",
     {"n_max": 16, "g_final": 1.0, "durations": [3.0, 6.0, 12.0, 24.0, 48.0],
      "checkpoints": 7},
-    _run_qrm_adiabatic)
+    "_run_qrm_adiabatic")
 
 _register(
     "twophoton-spectrum",
@@ -509,7 +113,7 @@ _register(
     "truncation shift at n_max+10 reported per level.",
     {"omega_q": 1.9, "n_levels": 8, "n_max": 120,
      "g_values": [0.1, 0.2, 0.3, 0.4, 0.45, 0.49]},
-    _run_twophoton_spectrum)
+    "_run_twophoton_spectrum")
 
 _register(
     "twophoton-dynamics",
@@ -518,7 +122,7 @@ _register(
     "Hamiltonian, with the Fock-cutoff convergence guard.",
     {"omega_q": 2.0, "g_over_omega": 0.2, "t_max": 30.0, "n_points": 121,
      "n_max": 40},
-    _run_twophoton_dynamics)
+    "_run_twophoton_dynamics")
 
 _register(
     "daqs-heisenberg",
@@ -528,7 +132,7 @@ _register(
     {"n_spins": 5, "alpha": 0.6, "benchmark_state": [1, 1, 0, 1, 1],
      "step_counts": [1, 2, 3], "jt_min": 0.15, "jt_max": 2.0 * math.pi / 3.0,
      "n_points": 7},
-    _run_daqs_heisenberg)
+    "_run_daqs_heisenberg")
 
 _register(
     "cqed-rabi",
@@ -536,7 +140,7 @@ _register(
     "Jaynes-Cummings steps plus flips: infidelity vs step count for four "
     "coupling presets at a fixed simulated phase g*t.",
     {"g_t": 2.0, "step_counts": [2, 4, 8, 16, 32], "n_max": 24},
-    _run_cqed_rabi)
+    "_run_cqed_rabi")
 
 
 def list_scenarios() -> list:
@@ -552,10 +156,13 @@ def describe_scenario(scenario_id: str) -> Scenario:
 
 
 def run_scenario(config) -> RunArtifact:
+    from . import runners
+
     scenario = describe_scenario(config.scenario)
     params = config.resolved(scenario.defaults)
+    runner = getattr(runners, scenario.runner)
     with Stopwatch() as clock:
-        artifact = scenario.runner(params, config.master_seed, config.threads)
+        artifact = runner(params, config.master_seed, config.threads)
     artifact.wall_time = clock.elapsed
     artifact.threads = config.threads
     artifact.notes.setdefault(

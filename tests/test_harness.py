@@ -134,3 +134,117 @@ def test_truncation_guard_exit_code(tmp_path):
                      "--set", "g_over_omega=0.45", "--set", "t_max=12",
                      "--set", "n_points=7", "--out", str(tmp_path)])
     assert code == 4
+
+
+# ---------------------------------------------------------------------------
+# the registry is plain data; the runners load only on a run
+# ---------------------------------------------------------------------------
+
+NUMERICAL_MODULES = ("numpy", "scipy", "qworkbench.qcore", "qworkbench.timecorr",
+                     "qworkbench.openmaster", "qworkbench.eqs", "qworkbench.ionrabi",
+                     "qworkbench.daqs")
+
+
+@pytest.mark.parametrize("argv", [["list"], ["describe", "eqs-3tangle"]])
+def test_list_and_describe_import_no_numerical_module(argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qworkbench
+
+    env = dict(os.environ, PYTHONPATH=str(Path(qworkbench.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qworkbench.harness.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "eqs-3tangle" in proc.stdout
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and line.count("|") == 2]
+    assert "qworkbench.harness.scenarios" in imported
+    loaded = [name for name in imported
+              if any(name == mod or name.startswith(mod + ".") for mod in NUMERICAL_MODULES)]
+    assert loaded == []
+
+
+def test_every_runner_is_registered_and_every_registered_runner_exists():
+    from qworkbench.harness import runners
+
+    registered = {s.runner for s in harness.SCENARIOS.values()}
+    assert all(callable(getattr(runners, name, None)) for name in registered)
+    defined = {name for name, obj in vars(runners).items()
+               if name.startswith("_run_") and callable(obj)}
+    assert defined == registered
+
+
+# ---------------------------------------------------------------------------
+# malformed configuration is a configuration error (exit 2), not a crash
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value", ["nan", "1e400"])
+def test_cli_non_finite_integer_override_is_config_error(value, tmp_path):
+    assert cli_main(["run", "timecorr-2pt", "--set", f"n_points={value}",
+                     "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("line", ["seed: abc", "threads: x"])
+def test_cli_yaml_non_integer_seed_or_threads_is_config_error(line, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"scenario: timecorr-2pt\n{line}\nparams:\n  n_points: 4\n")
+    with pytest.raises(harness.ConfigError):
+        harness.load_config(cfg)
+    assert cli_main(["run", "timecorr-2pt", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+
+
+def test_cli_yaml_scalar_for_list_parameter_is_config_error(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("scenario: cqed-rabi\nparams:\n  step_counts: 5\n")
+    assert cli_main(["run", "cqed-rabi", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+
+
+def test_yaml_list_elements_are_coerced_like_comma_strings(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("scenario: qrm-adiabatic\nparams:\n  durations: [3, '6']\n"
+                   "  checkpoints: 4\n")
+    config = harness.load_config(cfg)
+    defaults = harness.describe_scenario("qrm-adiabatic").defaults
+    durations = config.resolved(defaults)["durations"]
+    assert durations == [3.0, 6.0]
+    assert all(type(d) is float for d in durations)
+    config = harness.ScenarioConfig("cqed-rabi", overrides={"step_counts": [2, 2.5]})
+    with pytest.raises(harness.ConfigError):
+        config.resolved(harness.describe_scenario("cqed-rabi").defaults)
+
+
+def test_threads_below_one_is_config_error(tmp_path):
+    assert cli_main(["run", "timecorr-2pt", "--set", "n_points=4", "--threads", "-3",
+                     "--out", str(tmp_path)]) == 2
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("scenario: timecorr-2pt\nthreads: 0\nparams:\n  n_points: 4\n")
+    assert cli_main(["run", "timecorr-2pt", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "timecorr-2pt").exists()
+
+
+def test_lindblad_bounds_uses_its_threads(monkeypatch):
+    from qworkbench.harness import runners
+
+    calls = []
+    original = runners.parallel_map
+
+    def recording(fn, items, threads):
+        calls.append((len(items), threads))
+        return original(fn, items, threads)
+
+    monkeypatch.setattr(runners, "parallel_map", recording)
+    rows = {}
+    for threads in (1, 2):
+        config = harness.ScenarioConfig("lindblad-bounds",
+                                        overrides={"n_models": 3, "max_order": 2},
+                                        master_seed=5, threads=threads)
+        rows[threads] = harness.run_scenario(config).tables[0].rows
+    assert calls == [(3, 1), (3, 2)]
+    assert rows[1] == rows[2]
