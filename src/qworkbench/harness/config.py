@@ -28,6 +28,8 @@ class ScenarioConfig:
     def resolved(self, defaults: dict) -> dict:
         if self.threads < 1:
             raise ConfigError(f"threads must be at least 1, got {self.threads}")
+        if self.master_seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.master_seed}")
         params = dict(defaults)
         unknown = set(self.overrides) - set(defaults)
         if unknown:

@@ -279,12 +279,14 @@ def _run_qrm_regimes(params, seed, threads) -> RunArtifact:
     omega = 1.0
     ratios0 = np.linspace(params["omega0_min"], params["omega0_max"], params["n_omega0"])
     ratios_g = np.geomspace(params["g_min"], params["g_max"], params["n_g"])
-    rows = []
-    for w0 in ratios0:
-        for g in ratios_g:
-            label = ionrabi.classify_regime(
-                ionrabi.RabiParams(omega0_r=float(w0), omega_r=omega, g=float(g)))
-            rows.append((float(w0), float(g), label))
+
+    def one(args):
+        w0, g = args
+        return (w0, g, ionrabi.classify_regime(
+            ionrabi.RabiParams(omega0_r=w0, omega_r=omega, g=g)))
+
+    rows = parallel_map(one, [(float(w0), float(g)) for w0 in ratios0 for g in ratios_g],
+                        threads)
     table = Table("regimes", ("omega0_over_omega", "g_over_omega", "label"),
                   ("1", "1", "label"), rows)
     return RunArtifact("qrm-regimes", params, seed, threads, [table])
@@ -318,17 +320,21 @@ def _run_qrm_adiabatic(params, seed, threads) -> RunArtifact:
 def _run_twophoton_spectrum(params, seed, threads) -> RunArtifact:
     omega, omega_q = 1.0, params["omega_q"]
     n_levels, n_max = params["n_levels"], params["n_max"]
-    rows = []
-    for g in params["g_values"]:
-        base = ionrabi._two_photon_point(omega, omega_q, 1, float(g), n_levels, n_max)
-        again = ionrabi._two_photon_point(omega, omega_q, 1, float(g), n_levels,
-                                          n_max + 10)
+
+    def one(g):
+        base = ionrabi._two_photon_point(omega, omega_q, 1, g, n_levels, n_max)
+        again = ionrabi._two_photon_point(omega, omega_q, 1, g, n_levels, n_max + 10)
         shifts = np.abs(base.energies - again.energies)
+        rows = []
         for level in range(n_levels):
             lam = base.parities[level]
             label = {1.0 + 0j: "+1", -1.0 + 0j: "-1", 1j: "+i", -1j: "-i"}[lam]
-            rows.append((float(g), level, float(base.energies[level]), label,
+            rows.append((g, level, float(base.energies[level]), label,
                          float(base.parity_weights[level]), float(shifts[level])))
+        return rows
+
+    rows = [row for rows in parallel_map(one, [float(g) for g in params["g_values"]],
+                                         threads) for row in rows]
     table = Table("spectrum", ("g_over_omega", "level", "energy_over_omega",
                                "parity", "parity_weight", "truncation_shift"),
                   ("1", "index", "1", "label", "1", "1"), rows)
@@ -358,8 +364,7 @@ def _run_twophoton_dynamics(params, seed, threads) -> RunArtifact:
         return out
 
     n_max = params["n_max"]
-    base = trace_for(n_max)
-    again = trace_for(n_max + 10)
+    base, again = parallel_map(trace_for, [n_max, n_max + 10], threads)
     drift = max(abs(a[1] - b[1]) for a, b in zip(base, again))
     if drift > 1e-6:
         raise ionrabi.TruncationError(

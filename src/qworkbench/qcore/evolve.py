@@ -1,12 +1,15 @@
 """Exact time evolution: matrix exponentials, exact frames and adaptive integration.
 
 Constant generators are propagated with ``scipy.linalg.expm`` (scaling and
-squaring).  Time-dependent generators are integrated with an embedded 4(5)
-adaptive Runge-Kutta pair (scipy's RK45) at a caller-chosen local tolerance,
-default 1e-10: the perturbative error bounds checked elsewhere in the
-package are meaningless if this oracle layer is loose.  ``integrate`` is
-the one place that runs the stepper; the master-equation integrators of
-other modules call it too.
+squaring).  Time-dependent generators are integrated by ``integrate``, an
+adaptive embedded 4(5) Runge-Kutta stepper written here: the Dormand-Prince
+5(4) pair (RK45) under the step control of Hairer, Norsett & Wanner, at a
+caller-chosen local tolerance, default 1e-10.  The perturbative error
+bounds checked elsewhere in the package are meaningless if this oracle
+layer is loose.  ``integrate`` is the one place that runs the stepper; the
+master-equation integrators of other modules call it too.  It keeps no step
+history and returns the stepped state at the end of the window.  Besides
+numpy, this module imports only ``scipy.linalg``.
 
 A time-dependent schedule is one lab-frame action ``apply(t, y) = H(t) @ y``
 for a vector or a column block, valid at every time.  Two forms build it.
@@ -49,7 +52,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .operators import OperatorSum
@@ -61,6 +63,23 @@ DEFAULT_TOL = 1e-10
 # fractions of the period at which from_terms checks f(t + T) = f(t)
 _PERIOD_PROBES = (0.0, 0.1377, 0.5, 0.7813)
 _PERIOD_RTOL = 1e-9
+
+
+# the Dormand-Prince 5(4) pair, J. Comput. Appl. Math. 6 (1980) 19: stage
+# times, stage coefficients, fifth-order weights and the difference of the
+# fifth- and fourth-order weights over the seven stages (the seventh, FSAL,
+# is f at the new point)
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
 
 
 class ToleranceError(RuntimeError):
@@ -250,21 +269,67 @@ class Schedule:
         return self.apply(t, np.eye(self.space.dim, dtype=complex))
 
 
-def integrate(rhs, y0: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
-    """Final state of ``y' = rhs(t, y)`` from ``y0`` at ``t0`` to ``t1``.
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
 
-    The adaptive RK45 stepper runs at ``rtol=tol``, ``atol=tol*1e-2``; it
-    raises ``ToleranceError`` if it cannot meet them.  Only the state at
-    ``t1`` is kept (``t_eval=(t1,)``): without it ``solve_ivp`` stores every
-    accepted step and stacks them at the end, which for a propagator's
-    column block is tens of megabytes.  The kept value is the last step's
-    interpolant at ``t1``, equal to the stepped state to rounding.
+
+def integrate(rhs, y0: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
+    """Final state of ``y' = rhs(t, y)`` from a 1-D ``y0`` at ``t0`` to ``t1 >= t0``.
+
+    Dormand-Prince 5(4) with local extrapolation: each step is taken with
+    the fifth-order solution and its error estimated against the embedded
+    fourth-order one, in the RMS norm over ``atol + max(|y|, |y_new|) rtol``
+    at ``rtol=tol``, ``atol=tol*1e-2``.  The step control is that of
+    Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4: their initial
+    step, safety factor 0.9, step factors clamped to [0.2, 10], and no
+    growth on the step accepted right after a rejection.  A step below ten
+    ulps of the current time (or a NaN step size) raises
+    ``ToleranceError``.  The state returned is the last step's, at ``t1``;
+    no step history is kept.
     """
-    sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", t_eval=(t1,), rtol=tol,
-                    atol=tol * 1e-2, dense_output=False)
-    if not sol.success:
-        raise ToleranceError(f"adaptive integration failed: {sol.message}")
-    return sol.y[:, -1]
+    if t1 < t0:
+        raise ValueError("t1 must be >= t0")
+    y = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float)
+    if t1 == t0:
+        return y.copy()
+    t, t1 = float(t0), float(t1)
+    rtol, atol = tol, tol * 1e-2
+    f = rhs(t, y)
+    # initial step (Hairer, Norsett & Wanner II.4)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
+    d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else \
+        (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t1 - t)
+    k = np.empty((7, y.size), dtype=y.dtype)
+    while t < t1:
+        min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise ToleranceError(f"step size fell below {min_step:.3g} at t = {t!r}")
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            k[0] = f
+            for s in range(1, 6):
+                k[s] = rhs(t + _DP_C[s] * h, y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:6].T, _DP_B)
+            f_new = k[6] = rhs(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(k.T, _DP_E) * h / scale)
+            # the embedded error is O(h^5): a step scales by err^(-1/5)
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            # max() keeps 0.2 when err is NaN
+            h_abs = h * max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return y
 
 
 def _integrate_ket(apply, y: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:

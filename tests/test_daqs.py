@@ -202,7 +202,7 @@ def test_xy_block_diagonalizes_once(monkeypatch):
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m.shape) or real_eigh(m))
     evolve_module = importlib.import_module("qworkbench.qcore.evolve")
-    monkeypatch.setattr(evolve_module, "solve_ivp", lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(evolve_module, "integrate", lambda *a: runs.append(a))
     two_pi = 2 * math.pi
     j = two_pi * 200.0
     daqs.xy_block_physical(j, two_pi * 60e3, two_pi * 3e3, two_pi * 62e3, n_spins=2,

@@ -248,3 +248,94 @@ def test_lindblad_bounds_uses_its_threads(monkeypatch):
         rows[threads] = harness.run_scenario(config).tables[0].rows
     assert calls == [(3, 1), (3, 2)]
     assert rows[1] == rows[2]
+
+
+@pytest.mark.parametrize("scenario_id, overrides", [
+    ("twophoton-spectrum", {"n_max": 40, "g_values": [0.1, 0.3, 0.45]}),
+    ("qrm-regimes", {"n_omega0": 3, "n_g": 4}),
+    ("twophoton-dynamics", {"n_points": 5, "t_max": 3.0, "n_max": 30}),
+])
+def test_serial_runners_use_their_threads(scenario_id, overrides, monkeypatch):
+    from qworkbench.harness import runners
+
+    calls = []
+    original = runners.parallel_map
+
+    def recording(fn, items, threads):
+        calls.append(threads)
+        return original(fn, items, threads)
+
+    monkeypatch.setattr(runners, "parallel_map", recording)
+    rows = {}
+    for threads in (1, 2):
+        config = harness.ScenarioConfig(scenario_id, overrides=dict(overrides),
+                                        master_seed=0, threads=threads)
+        rows[threads] = harness.run_scenario(config).tables[0].rows
+    assert calls == [1, 2]
+    assert rows[1] == rows[2]
+
+
+def test_negative_seed_is_config_error(tmp_path):
+    assert cli_main(["run", "lindblad-bounds", "--set", "n_models=1", "--seed", "-3",
+                     "--out", str(tmp_path)]) == 2
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("scenario: lindblad-bounds\nseed: -3\nparams:\n  n_models: 1\n")
+    assert cli_main(["run", "lindblad-bounds", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "lindblad-bounds").exists()
+
+
+# ---------------------------------------------------------------------------
+# qcore steps its own ODEs: a run loads neither scipy.integrate nor scipy.optimize
+# ---------------------------------------------------------------------------
+
+UNUSED_SCIPY = ("scipy.integrate", "scipy.optimize")
+
+
+def _is_unused_scipy(name: str) -> bool:
+    return any(name == mod or name.startswith(mod + ".") for mod in UNUSED_SCIPY)
+
+
+def _subprocess_env() -> dict:
+    import os
+    from pathlib import Path
+
+    import qworkbench
+
+    return dict(os.environ, PYTHONPATH=str(Path(qworkbench.__file__).parents[1]),
+                OPENBLAS_NUM_THREADS="1")
+
+
+def test_run_with_the_stepper_imports_no_scipy_integrate(tmp_path):
+    import subprocess
+    import sys
+
+    # qrm-adiabatic drives its ramp through qcore's adaptive stepper
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qworkbench.harness.cli", "run",
+         "qrm-adiabatic", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and line.count("|") == 2]
+    assert "qworkbench.qcore.evolve" in imported
+    assert [name for name in imported if _is_unused_scipy(name)] == []
+
+
+def test_no_scenario_loads_scipy_integrate():
+    import json
+    import subprocess
+    import sys
+
+    code = ("import json, sys\n"
+            "from qworkbench import harness\n"
+            "for sid, over in json.loads(sys.argv[1]).items():\n"
+            "    harness.run_scenario(harness.ScenarioConfig(sid, overrides=over))\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(SMOKE_OVERRIDES)],
+                          capture_output=True, text=True, env=_subprocess_env(),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "qworkbench.harness.runners" in loaded
+    assert [name for name in loaded if _is_unused_scipy(name)] == []

@@ -179,13 +179,13 @@ def test_one_period_propagator_built_once(monkeypatch):
     # integrate U(T) once; every other RK45 run is a partial period of a state
     evolve_module = importlib.import_module("qworkbench.qcore.evolve")
     block_runs = []
-    real = evolve_module.solve_ivp
+    real = evolve_module.integrate
 
-    def counting(fun, t_span, y0, **kwargs):
+    def counting(rhs, y0, t0, t1, tol):
         block_runs.append(np.size(y0) == d * d)
-        return real(fun, t_span, y0, **kwargs)
+        return real(rhs, y0, t0, t1, tol)
 
-    monkeypatch.setattr(evolve_module, "solve_ivp", counting)
+    monkeypatch.setattr(evolve_module, "integrate", counting)
     p = jc_drive()
     r = ir.effective_qrm(p)
     h = ir.ion_hamiltonian(p, 30)
@@ -578,13 +578,15 @@ def test_dispersive_pulse_integrated_once_per_calibration(monkeypatch):
     # propagator); readouts apply the cached operators and integrate nothing
     evolve_module = importlib.import_module("qworkbench.qcore.evolve")
     runs = []
-    real = evolve_module.solve_ivp
+    real = evolve_module.integrate
 
-    def counting(fun, t_span, y0, **kwargs):
-        runs.append(t_span)
-        return real(fun, t_span, y0, **kwargs)
+    def counting(rhs, y0, t0, t1, tol):
+        runs.append((t0, t1))
+        return real(rhs, y0, t0, t1, tol)
 
-    monkeypatch.setattr(evolve_module, "solve_ivp", counting)
+    # the Newton pulse is integrated through ionrabi's own binding
+    monkeypatch.setattr(evolve_module, "integrate", counting)
+    monkeypatch.setattr(ir, "integrate", counting)
     monkeypatch.setattr(ir, "_DISPERSIVE_CAL_CACHE", {})
     space = qc.HilbertSpace.qubit_boson(n_max=6)
     ir.parity_measurement_dispersive(qc.basis_state(space, [1, 0]), delta_ratio=6.0)

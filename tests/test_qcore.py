@@ -1,8 +1,10 @@
 """Substrate tests: spaces, states, operators, evolution, metrics."""
+import importlib
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45, solve_ivp
 from scipy.linalg import expm
 
 from qworkbench import qcore as qc
@@ -329,6 +331,103 @@ def test_dimension_mismatch_rejected():
     h = qc.Schedule.constant(qc.OperatorSum.zero(s2))
     with pytest.raises(qc.DimensionMismatchError):
         qc.evolve(qc.basis_state(s1, [0]), h, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the adaptive stepper against scipy's RK45 (the oracle: same pair, same control)
+# ---------------------------------------------------------------------------
+
+def _recording(rhs, times):
+    def f(t, y):
+        times.append(t)
+        return rhs(t, y)
+    return f
+
+
+def _step_counts(times):
+    """(nfev, accepted, rejected) from the times at which an RK45 run
+    evaluated its right-hand side: f(t0) and one initial-step probe, then
+    six evaluations per attempted step, the last at t + h.  An attempt was
+    accepted when the next one starts past its end, rejected when the next
+    one retries from the same t with a shorter step."""
+    attempts = [times[i:i + 6] for i in range(2, len(times), 6)]
+    accepted = sum(1 for a, b in zip(attempts, attempts[1:]) if b[0] > a[-1]) + 1
+    return len(times), accepted, len(attempts) - accepted
+
+
+def _against_solve_ivp(rhs, y0, t1, tol):
+    """qcore's and scipy's counts and final states over [0, t1]."""
+    scipy_times, times = [], []
+    sol = solve_ivp(_recording(rhs, scipy_times), (0.0, t1), y0, method="RK45",
+                    rtol=tol, atol=tol * 1e-2)
+    assert sol.success
+    accepted = len(sol.t) - 1
+    scipy_counts = (sol.nfev, accepted, (sol.nfev - 2) // 6 - accepted)
+    assert _step_counts(scipy_times) == scipy_counts
+    y = qc.integrate(_recording(rhs, times), y0, 0.0, t1, tol)
+    return _step_counts(times), scipy_counts, np.max(np.abs(y - sol.y[:, -1]))
+
+
+def test_stepper_tableau_is_dormand_prince():
+    evolve = importlib.import_module("qworkbench.qcore.evolve")
+    for ours, theirs in ((evolve._DP_A, RK45.A), (evolve._DP_B, RK45.B),
+                         (evolve._DP_C, RK45.C), (evolve._DP_E, RK45.E)):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def test_stepper_matches_solve_ivp_on_a_tanh_switch():
+    # a fast switch of the transverse field makes the control reject steps
+    def rhs(t, y):
+        return -1j * ((0.5 * qc.SIGMA_Z + 1.3 * math.tanh(20.0 * (t - 1.5)) * qc.SIGMA_X) @ y)
+
+    ours, theirs, diff = _against_solve_ivp(rhs, np.array([1.0, 0.0], dtype=complex),
+                                            3.0, 1e-9)
+    assert ours == theirs
+    assert theirs[2] > 0
+    assert diff < 1e-14
+
+
+def test_stepper_matches_solve_ivp_on_a_random_drive():
+    rng = np.random.default_rng(11)
+    d = 8
+    h0, h1 = (m + m.conj().T for m in (rng.standard_normal((d, d))
+                                        + 1j * rng.standard_normal((d, d)) for _ in range(2)))
+    y0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    y0 /= np.linalg.norm(y0)
+
+    def rhs(t, y):
+        return -1j * ((h0 + math.cos(2.3 * t) * h1) @ y)
+
+    ours, theirs, diff = _against_solve_ivp(rhs, y0, 1.5, 1e-9)
+    assert ours == theirs
+    assert diff < 1e-14
+
+
+@pytest.mark.parametrize("t_nan", [0.0, 0.8])
+def test_stepper_raises_on_a_nan_right_hand_side(t_nan):
+    # NaN from the start or partway: the step shrinks to its floor and the
+    # stepper gives up, rather than looping or returning NaN
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) > 100_000:
+            raise RuntimeError("the stepper does not stop")
+        return -1j * y if t < t_nan else np.full_like(y, np.nan)
+
+    with pytest.raises(qc.ToleranceError), np.errstate(invalid="ignore"):
+        qc.integrate(rhs, np.array([1.0 + 0j]), 0.0, 2.0, 1e-9)
+
+
+def test_stepper_trivial_window_and_direction():
+    y0 = np.array([1.0, 2.0])
+    y = qc.integrate(lambda t, y: -y, y0, 0.5, 0.5, 1e-9)
+    assert np.array_equal(y, y0) and y is not y0
+    with pytest.raises(ValueError):
+        qc.integrate(lambda t, y: -y, y0, 1.0, 0.5, 1e-9)
+    assert np.max(np.abs(qc.integrate(lambda t, y: -y, y0, 0.0, 1.0, 1e-10)
+                         - y0 * math.exp(-1.0))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
