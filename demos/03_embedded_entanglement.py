@@ -14,7 +14,6 @@ inversion that makes the protocol robust to calibrated gate errors.
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from qworkbench import eqs
 from qworkbench import qcore as qc
@@ -27,7 +26,7 @@ print("embedded concurrence of exp(+i g t ZZ)|++>  (closed form |sin 2gt|)")
 print(f"{'gt':>6s} {'embedded':>10s} {'direct':>10s} {'|sin2gt|':>10s}")
 for gt in np.linspace(0.0, math.pi / 2.0, 7):
     tilde = qc.PureState(qc.HilbertSpace.qubits(3),
-                         expm(-1j * h_tilde * gt) @ psi0.amplitudes)
+                         qc.expm(-1j * h_tilde * gt) @ psi0.amplitudes)
     c = eqs.monotone(tilde, eqs.MonotoneSpec("Concurrence2", 2))
     direct = eqs.concurrence_direct(eqs.decode_state(tilde))
     print(f"{gt:6.3f} {c.value:10.6f} {direct:10.6f} {abs(math.sin(2 * gt)):10.6f}")
@@ -39,7 +38,7 @@ terms = [(1.0, "IYII"), (1.0, "IIYI"), (1.0, "IIIY"), (-2.0, "YXXX")]
 h4 = sum(c_ * qc.dense_pauli(lbl) for c_, lbl in terms)
 psi4 = qc.basis_state(qc.HilbertSpace.qubits(4), [0, 0, 0, 0])
 for t in np.linspace(0.0, 1.2, 5):
-    state = qc.PureState(qc.HilbertSpace.qubits(4), expm(-1j * h4 * t) @ psi4.amplitudes)
+    state = qc.PureState(qc.HilbertSpace.qubits(4), qc.expm(-1j * h4 * t) @ psi4.amplitudes)
     tau = eqs.monotone(state, eqs.MonotoneSpec("Tangle3", 3))
     print(f"  t = {t:4.2f}: tangle = {tau.value:.6f} "
           f"({tau.observables_measured} observables)")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .qcore import (
     Boson,
@@ -28,9 +27,11 @@ from .qcore import (
     Schedule,
     dense_pauli,
     evolve_trace,
+    expm,
     integrate,
     kron_all,
     partial_trace,
+    propagator,
 )
 from .qcore.operators import PAULIS, PROJ_E, SIGMA_P, boson_annihilation
 
@@ -281,7 +282,8 @@ def xy_block_physical(j_coupling: float, delta_mode: float, delta_spin: float,
     sched = _xy_drive_schedule(space, omega * eta_eff, delta_mode, delta_spin)
 
     coupling = SpinCouplingMatrix.uniform(n_spins, j_coupling)
-    h_ideal = 0.5 * analog_block("XY", coupling)
+    ideal_sched = Schedule.constant(0.5 * analog_block("XY", coupling),
+                                    HilbertSpace.qubits(n_spins))
 
     # benchmark state: all spins down except the middle one
     flipped = ["1"] * n_spins
@@ -296,7 +298,7 @@ def xy_block_physical(j_coupling: float, delta_mode: float, delta_spin: float,
     trace = evolve_trace(psi0, sched, times, tol=tol)
     fids = np.empty(times.size)
     for k, (t, st) in enumerate(zip(times, trace)):
-        ideal = expm(-1j * h_ideal * t) @ spin0
+        ideal = propagator(ideal_sched, 0.0, t) @ spin0
         rho_spin = partial_trace(st.to_density_matrix(), list(range(n_spins)))
         fids[k] = float(np.real(np.vdot(ideal, rho_spin.matrix @ ideal)))
     return XYBlockResult(times=times, fidelities=fids, eta_eff=eta_eff)

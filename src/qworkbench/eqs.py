@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .qcore import (
     DensityMatrix,
@@ -29,6 +28,7 @@ from .qcore import (
     OperatorSum,
     PureState,
     dense_pauli,
+    expm,
     kron_all,
 )
 from .qcore.operators import PAULI_LABELS, PAULIS, SIGMA_Y, boson_annihilation

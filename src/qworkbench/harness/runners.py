@@ -4,7 +4,7 @@ Each ``_run_<name>`` takes the resolved parameters, the master seed and the
 thread count, and returns a :class:`RunArtifact`.  The registry in
 :mod:`.scenarios` names its runner as a string, and ``run_scenario`` imports
 this module on its first call, so that listing and describing scenarios
-loads neither numpy, scipy nor the physics modules.  Grid sweeps run through
+loads neither numpy nor the physics modules.  Grid sweeps run through
 :func:`parallel_map`, which preserves input order so results are identical
 for any thread count.
 """
@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .. import daqs, eqs, ionrabi, openmaster, timecorr
 from .. import qcore as qc
@@ -197,7 +196,7 @@ def _run_eqs_concurrence(params, seed, threads) -> RunArtifact:
     psi0 = eqs.embed_state(qc.all_plus_state(2))
 
     def one(gt):
-        tilde = expm(-1j * h_tilde * gt) @ psi0.amplitudes
+        tilde = qc.expm(-1j * h_tilde * gt) @ psi0.amplitudes
         state = qc.PureState(qc.HilbertSpace.qubits(3), tilde)
         c_eqs = eqs.monotone(state, eqs.MonotoneSpec("Concurrence2", 2)).value
         direct = abs(math.sin(2.0 * gt))
@@ -249,7 +248,7 @@ def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
     h = sum(c * qc.dense_pauli(lbl) for c, lbl in terms)
 
     def one(t):
-        ideal = qc.PureState(qc.HilbertSpace.qubits(4), expm(-1j * h * t) @ psi0.amplitudes)
+        ideal = qc.PureState(qc.HilbertSpace.qubits(4), qc.expm(-1j * h * t) @ psi0.amplitudes)
         row = [float(t), _tangle_from_embedded(ideal)]
         for eps in eps_list:
             noisy, n_gates = eqs.trotter_embedded_circuit(

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import eigh, expm
 
 from .qcore import (
     Boson,
@@ -41,6 +40,7 @@ from .qcore import (
     boson_annihilation,
     evolve,
     expectation,
+    expm,
     integrate,
     propagator,
 )
@@ -456,12 +456,37 @@ def two_photon_spectrum(omega: float, omega_q: float, n_qubits: int,
     return out
 
 
+def _parity_sector_eigh(h: np.ndarray, diag: np.ndarray, n_levels: int) -> tuple:
+    """Lowest ``n_levels`` eigenpairs of a real symmetric ``h`` that commutes
+    with the generalized parity, whose eigenvalues on the product basis are
+    ``diag``, with the parity of each level.
+
+    ``h`` has no element between two parity sectors, so each sector block
+    is solved by one ``eigh`` and the lowest levels of all sectors are
+    merged by energy.  Returns (energies, parities, eigenvectors); each
+    eigenvector is zero outside its sector, so its label is exact.
+    """
+    energies, parities, vectors = [], [], []
+    for lam in PARITY_SECTORS:
+        idx = np.flatnonzero(np.abs(diag - lam) < 1e-9)
+        w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
+        keep = min(n_levels, idx.size)
+        energies.append(w[:keep])
+        parities += [lam] * keep
+        full = np.zeros((h.shape[0], keep))
+        full[idx] = v[:, :keep]
+        vectors.append(full)
+    order = np.argsort(np.concatenate(energies), kind="stable")[:n_levels]
+    return (np.concatenate(energies)[order], np.array(parities)[order],
+            np.concatenate(vectors, axis=1)[:, order])
+
+
 def _two_photon_point(omega, omega_q, n_qubits, g, n_levels, n_max) -> SpectrumPoint:
     """Lowest ``n_levels`` levels of the two-photon model at coupling ``g``.
 
-    The Hamiltonian is real by construction, so only its lowest
-    ``n_levels`` eigenpairs are solved for, from the real part; the parity
-    labels read only ``|eigenvector|^2``, which no sign choice changes.
+    The Hamiltonian is real by construction and conserves the generalized
+    parity, so it is solved sector by sector (:func:`_parity_sector_eigh`):
+    every level lies wholly in its labelled sector, with weight 1.
     """
     tp = TwoPhotonParams(omega=omega, omega_q=omega_q, g=g, n_qubits=n_qubits)
     h = two_photon_hamiltonian(tp, n_qubits, n_max).matrix()
@@ -469,18 +494,10 @@ def _two_photon_point(omega, omega_q, n_qubits, g, n_levels, n_max) -> SpectrumP
     if not 1 <= n_levels <= dim // 4:
         raise ValueError(f"n_levels must lie in [1, {dim // 4}] (a quarter of the "
                          f"dimension), got {n_levels}")
-    evals, evecs = eigh(h.real, subset_by_index=[0, n_levels - 1])
     diag = generalized_parity_diagonal(
         HilbertSpace(tuple(Qubit() for _ in range(n_qubits)) + (Boson(n_max),)))
-    parities = np.empty(n_levels, dtype=complex)
-    weights = np.empty(n_levels)
-    for k in range(n_levels):
-        probs = np.abs(evecs[:, k]) ** 2
-        sector_weights = [float(np.sum(probs[np.abs(diag - lam) < 1e-9]))
-                          for lam in PARITY_SECTORS]
-        best = int(np.argmax(sector_weights))
-        parities[k] = PARITY_SECTORS[best]
-        weights[k] = sector_weights[best]
+    evals, parities, _ = _parity_sector_eigh(h.real, diag, n_levels)
+    weights = np.ones(n_levels)
     return SpectrumPoint(g=float(g), energies=evals, parities=parities,
                          parity_weights=weights,
                          mixing_flags=weights < 0.999)
@@ -499,18 +516,19 @@ def collapse_diagnostics(omega: float, omega_q: float, g_values: Sequence[float]
     """Level-spacing and occupation trends on the way to the collapse point.
 
     No convergence gate here: the non-convergence near g = omega/2 is the
-    signal being reported.  Only the lowest ``n_levels`` eigenpairs of the
-    (real) Hamiltonian are solved for.
+    signal being reported.  The (real) Hamiltonian is solved by
+    generalized-parity sector (:func:`_parity_sector_eigh`).
     """
     dim = 2 * (n_max + 1)
     if not 2 <= n_levels <= dim:
         raise ValueError(f"n_levels must lie in [2, {dim}], got {n_levels}")
     spacings, occupations = [], []
     n_diag = np.kron(np.ones(2), np.arange(n_max + 1))
+    parity = generalized_parity_diagonal(HilbertSpace.qubit_boson(n_max=n_max))
     for g in g_values:
         tp = TwoPhotonParams(omega=omega, omega_q=omega_q, g=float(g))
         h = two_photon_hamiltonian(tp, 1, n_max).matrix()
-        evals, evecs = eigh(h.real, subset_by_index=[0, n_levels - 1])
+        evals, _, evecs = _parity_sector_eigh(h.real, parity, n_levels)
         spacings.append(float(np.min(np.diff(evals))))
         occupations.append([float(np.sum(n_diag * np.abs(evecs[:, k]) ** 2))
                             for k in range(n_levels)])

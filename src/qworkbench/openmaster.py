@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .qcore import (
     DensityMatrix,
@@ -36,7 +35,9 @@ from .qcore import (
     OperatorSum,
     Schedule,
     dense_pauli,
+    expm,
     integrate,
+    kron_all,
     pauli_decompose,
     propagator,
 )
@@ -56,19 +57,17 @@ def _as_rate(gamma) -> Callable[[float], float]:
 class _UnitaryFactory:
     """U(a -> b) under the model Hamiltonian, cheap for constant generators.
 
-    Constant Hamiltonians are diagonalized once so each propagator is two
-    matrix products (a stack of them one ``einsum``); time-dependent ones
-    fall back to the adaptive stepper.
+    A constant Hamiltonian's eigenbasis, diagonalized once and cached on its
+    (Hermitian) schedule, makes each propagator two matrix products (a
+    stack of them one ``einsum``); time-dependent ones fall back to the
+    adaptive stepper.
     """
 
     def __init__(self, h: Schedule, tol: float):
         self.h = h
         self.tol = tol
         if h.is_constant:
-            m = h.constant_matrix
-            if np.max(np.abs(m - m.conj().T)) > 1e-10:
-                raise ValueError("Hamiltonian part must be Hermitian")
-            self._evals, self._evecs = np.linalg.eigh(m)
+            self._evals, self._evecs = h.exact_frame.eig()
         else:
             self._evals = None
 
@@ -167,7 +166,7 @@ def _expectation(omat: np.ndarray, xi: np.ndarray) -> float:
 def _commutator_generator(h: np.ndarray) -> np.ndarray:
     """Superoperator of -i[h, .] (column stacking)."""
     eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    return -1j * (kron_all([eye, h]) - kron_all([h.T, eye]))
 
 
 def _generator_parts(model: LindbladModel, t: float) -> tuple:
@@ -180,9 +179,9 @@ def _generator_parts(model: LindbladModel, t: float) -> tuple:
         l = ch.operator.matrix()
         g = ch.rate(t)
         ldl = l.conj().T @ l
-        l_d += g * (np.kron(l.conj(), l)
-                    - 0.5 * np.kron(eye, ldl)
-                    - 0.5 * np.kron(ldl.T, eye))
+        l_d += g * (kron_all([l.conj(), l])
+                    - 0.5 * kron_all([eye, ldl])
+                    - 0.5 * kron_all([ldl.T, eye]))
     return l_h, l_d
 
 
@@ -249,7 +248,7 @@ def _dyson_blocks(parts: Callable[[float], tuple], rho0: np.ndarray, t: float,
 
     def generator(s):
         l0, lp = parts(s)
-        return np.kron(eye, l0) + np.kron(shift, lp)
+        return kron_all([eye, l0]) + kron_all([shift, lp])
 
     v0 = np.zeros((order + 1) * d * d, dtype=complex)
     v0[:d * d] = _vec(rho0)
@@ -643,7 +642,7 @@ def nonhermitian_evolve(h: OperatorSum, gamma_op: OperatorSum, rho0: DensityMatr
         return DensityMatrix(space, 0.5 * (rho + rho.conj().T), check_trace=False)
 
     eye = np.eye(space.dim, dtype=complex)
-    parts = (_commutator_generator(hm), -(np.kron(eye, gm) + np.kron(gm.T, eye)))
+    parts = (_commutator_generator(hm), -(kron_all([eye, gm]) + kron_all([gm.T, eye])))
     return np.asarray(sum(_dyson_blocks(lambda s: parts, rho0.matrix, t, order, tol,
                                         constant=True)))
 

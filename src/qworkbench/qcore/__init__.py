@@ -1,5 +1,7 @@
 """Dense linear-algebra substrate: spaces, states, operators, evolution, metrics.
 
+It runs on numpy alone; ``expm`` is its own matrix exponential.
+
 Everything downstream (time-correlation protocols, open-system
 reconstruction, embedding simulators, ion models, digital-analog
 Trotterization) is validated against this layer.  All values are immutable
@@ -47,6 +49,7 @@ from .states import (
     random_pure_state,
     thermal_qubit,
 )
+from .linalg import expm
 from .evolve import (
     DEFAULT_TOL,
     Schedule,

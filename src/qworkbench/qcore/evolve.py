@@ -1,15 +1,16 @@
-"""Exact time evolution: matrix exponentials, exact frames and adaptive integration.
+"""Exact time evolution: eigenbasis propagators, exact frames and adaptive integration.
 
-Constant generators are propagated with ``scipy.linalg.expm`` (scaling and
-squaring).  Time-dependent generators are integrated by ``integrate``, an
+A constant Hamiltonian is diagonalized once: one ``eigh``, cached on the
+schedule, gives U(t) at every time.  Time-dependent generators are
+integrated by ``integrate``, an
 adaptive embedded 4(5) Runge-Kutta stepper written here: the Dormand-Prince
 5(4) pair (RK45) under the step control of Hairer, Norsett & Wanner, at a
 caller-chosen local tolerance, default 1e-10.  The perturbative error
 bounds checked elsewhere in the package are meaningless if this oracle
 layer is loose.  ``integrate`` is the one place that runs the stepper; the
 master-equation integrators of other modules call it too.  It keeps no step
-history and returns the stepped state at the end of the window.  Besides
-numpy, this module imports only ``scipy.linalg``.
+history and returns the stepped state at the end of the window.  This
+module imports nothing but numpy.
 
 A time-dependent schedule is one lab-frame action ``apply(t, y) = H(t) @ y``
 for a vector or a column block, valid at every time.  Two forms build it.
@@ -24,10 +25,11 @@ between evaluations.
 In the frame of ``F`` a term-form Hamiltonian reads
 ``K(t) = diag(frame) + sum_k f_k(t) H_k``, and
 ``U(t1, t0) = F(t1) U_K(t1, t0) F(t0)^dag``.  A ket or a column block is
-carried by one of three routes of a time-dependent schedule:
+carried by one of three routes:
 
-* static: every coefficient of a term form is a number, so K is constant.
-  One ``eigh`` of K, cached on the schedule, gives U_K at every time.
+* static: the schedule is constant (K = H, no frame), or every coefficient
+  of a term form is a number, so K is constant.  One ``eigh`` of K, cached
+  on the schedule, gives U_K at every time.
 * periodic: the term form declares the common period T of its
   coefficients, so ``K(t + T) = K(t)`` and a window splits into whole
   periods and at most one partial period at each end.  ``U_K(T, 0)`` is
@@ -52,7 +54,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .operators import OperatorSum
 from .spaces import DimensionMismatchError, HilbertSpace
@@ -105,6 +106,11 @@ def _term_action(d: int, terms, frame) -> Callable[[float, np.ndarray], np.ndarr
     return apply
 
 
+def _is_hermitian(k: np.ndarray) -> bool:
+    """k = k^dag to 1e-12 of its largest element (or absolutely, below 1)."""
+    return np.max(np.abs(k - k.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(k)))
+
+
 def _is_periodic(f: Callable[[float], complex], period: float) -> bool:
     """f(t + T) = f(t) at the probe times, to ``_PERIOD_RTOL`` of the largest value."""
     pairs = [(complex(f(x * period)), complex(f(x * period + period)))
@@ -114,10 +120,11 @@ def _is_periodic(f: Callable[[float], complex], period: float) -> bool:
 
 
 class _ExactFrame:
-    """What the static and periodic routes need of a term-form schedule.
+    """What the static and periodic routes need of a schedule.
 
     ``frame`` is the diagonal of the frame generator and ``apply`` the
-    lab-frame action.  ``static`` is the constant ``K = diag(frame) +
+    lab-frame action; both are None for a constant schedule, whose K is
+    its Hamiltonian.  ``static`` is the constant ``K = diag(frame) +
     sum_k c_k H_k`` when every coefficient is a number (else None);
     ``period`` is the common period T of the coefficients otherwise.  The
     ``eigh`` of a static K, and ``U_K(T, 0)`` per tolerance, are computed
@@ -126,7 +133,7 @@ class _ExactFrame:
 
     __slots__ = ("frame", "apply", "static", "period", "_eig", "_one_period")
 
-    def __init__(self, frame: np.ndarray, apply, static: np.ndarray | None,
+    def __init__(self, frame: np.ndarray | None, apply, static: np.ndarray | None,
                  period: float | None):
         self.frame = frame
         self.apply = apply
@@ -143,6 +150,11 @@ class _ExactFrame:
         if self._eig is None:
             self._eig = np.linalg.eigh(self.static)
         return self._eig
+
+    def unitary(self, dt: float) -> np.ndarray:
+        """U_K(dt) = V diag(exp(-i w dt)) V^dag of a static K."""
+        w, v = self.eig()
+        return (v * np.exp(-1j * dt * w)) @ v.conj().T
 
     def one_period(self, tol: float) -> np.ndarray:
         """U_K(T, 0) = F(T)^dag U(T, 0), integrated once per tolerance."""
@@ -162,6 +174,9 @@ class Schedule:
     it and conjugates a density matrix by the propagator.  Two forms build
     it:
 
+    * ``Schedule.constant(op, space)`` holds one Hermitian matrix; its
+      ``exact_frame`` has no frame, and the cached ``eigh`` of the matrix
+      gives the propagator at every time.
     * ``Schedule.time_dependent(space, builder)`` wraps a callable
       ``t -> dense H(t)``; its action is ``builder(t) @ y``.
     * ``Schedule.from_terms(space, terms, frame, period)`` stands for
@@ -175,7 +190,7 @@ class Schedule:
       number K is static, and with a ``period`` it is periodic.  Either
       way ``exact_frame`` holds what the exact routes of ``evolve`` and
       ``propagator`` need, and their cached ``eigh`` or one-period
-      propagator; it is None for every other schedule.
+      propagator; it is None for every other time-dependent schedule.
 
     ``matrix_at`` returns the stored matrix of a constant schedule and, on
     a time-dependent one, the lab-frame H(t) as a new array on every call.
@@ -195,7 +210,10 @@ class Schedule:
                 np.asarray(constant, dtype=complex)
             if mat.shape != (space.dim, space.dim):
                 raise DimensionMismatchError("constant Hamiltonian does not match the space")
+            if not _is_hermitian(mat):
+                raise ValueError("a constant Hamiltonian must be Hermitian")
             self.constant_matrix = mat
+            self.exact_frame = _ExactFrame(None, None, mat, None)
 
     @staticmethod
     def constant(op, space: HilbertSpace | None = None) -> "Schedule":
@@ -252,7 +270,7 @@ class Schedule:
         diag = np.zeros(d) if frame is None else frame
         if not any(callable(f) for f, _ in terms):
             k = np.diag(diag).astype(complex) + sum(c * m for c, m in terms)
-            if np.max(np.abs(k - k.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(k))):
+            if not _is_hermitian(k):
                 raise ValueError("constant terms must sum to a Hermitian matrix")
             sched.exact_frame = _ExactFrame(diag, apply, k, None)
         elif period is not None:
@@ -352,9 +370,7 @@ def _exact_route(ef: _ExactFrame, y: np.ndarray, t0: float, t1: float,
 
     y = diag(ef.phase(-t0), y)  # into the frame
     if ef.static is not None:
-        w, v = ef.eig()
-        y = ((v * np.exp(-1j * (t1 - t0) * w)) @ v.conj().T) @ y
-        return diag(ef.phase(t1), y)
+        return diag(ef.phase(t1), ef.unitary(t1 - t0) @ y)
 
     period = ef.period
 
@@ -385,7 +401,7 @@ def _exact_route(ef: _ExactFrame, y: np.ndarray, t0: float, t1: float,
 def _carry(h: Schedule, y: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
     """U(t1, t0) @ y for a ket or a column block ``y``, with t1 > t0."""
     if h.is_constant:
-        return expm(-1j * h.constant_matrix * (t1 - t0)) @ y
+        return h.exact_frame.unitary(t1 - t0) @ y
     if h.exact_frame is not None:
         return _exact_route(h.exact_frame, y, t0, t1, tol)
     return _integrate_ket(h.apply, y, t0, t1, tol)
@@ -437,7 +453,7 @@ def evolve_trace(state: PureState, h: Schedule, times: Sequence[float],
 def propagator(h: Schedule, t0: float, t1: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Dense unitary U(t1; t0) of the schedule.
 
-    Constant schedules get a single matrix exponential, static and periodic
+    Constant schedules get their cached eigenbasis, static and periodic
     term forms their exact route, and other time-dependent ones integrate
     the full matrix column block through the adaptive stepper.
     """
@@ -446,6 +462,6 @@ def propagator(h: Schedule, t0: float, t1: float, tol: float = DEFAULT_TOL) -> n
     u = np.eye(h.space.dim, dtype=complex)
     if t1 == t0:
         return u
-    if h.is_constant:  # the expm itself, with no product with the identity
-        return expm(-1j * h.constant_matrix * (t1 - t0))
+    if h.is_constant:  # the unitary itself, with no product with the identity
+        return h.exact_frame.unitary(t1 - t0)
     return _carry(h, u, t0, t1, tol)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import svdvals
 
 from .operators import OperatorSum, all_pauli_labels, dense_pauli
 from .spaces import DimensionMismatchError, HilbertSpace, Qubit, check_same_space
@@ -51,7 +50,7 @@ def fidelity(a: PureState, b: PureState) -> float:
 def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """D1 = ||rho1 - rho2||_1 / 2 via singular values."""
     check_same_space(rho1, rho2)
-    return float(0.5 * np.sum(svdvals(rho1.matrix - rho2.matrix)))
+    return float(0.5 * np.sum(np.linalg.svd(rho1.matrix - rho2.matrix, compute_uv=False)))
 
 
 def _pauli_basis(n: int):

@@ -17,8 +17,8 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
+from .linalg import expm
 from .spaces import HilbertSpace, Qubit
 
 # ---------------------------------------------------------------------------

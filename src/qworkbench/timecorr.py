@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .qcore import (
     DensityMatrix,
@@ -47,6 +46,7 @@ from .qcore import (
     Schedule,
     evolve,
     expectation,
+    expm,
     pauli_decompose,
     propagator,
 )

@@ -197,7 +197,8 @@ def test_xy_static_route_matches_rk45(n_spins):
 
 
 def test_xy_block_diagonalizes_once(monkeypatch):
-    # every requested time of the block reuses one eigh, and nothing is integrated
+    # every requested time of the block, and of the ideal XY evolution it is
+    # compared with, reuses one eigh per Hamiltonian, and nothing is integrated
     eighs, runs = [], []
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m.shape) or real_eigh(m))
@@ -207,7 +208,7 @@ def test_xy_block_diagonalizes_once(monkeypatch):
     j = two_pi * 200.0
     daqs.xy_block_physical(j, two_pi * 60e3, two_pi * 3e3, two_pi * 62e3, n_spins=2,
                            times=np.linspace(0.0, math.pi / j, 7)[1:], n_max=4)
-    assert eighs == [(20, 20)]
+    assert eighs == [(20, 20), (4, 4)]
     assert runs == []
 
 

@@ -286,10 +286,10 @@ def test_negative_seed_is_config_error(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# qcore steps its own ODEs: a run loads neither scipy.integrate nor scipy.optimize
+# the physics runs on numpy alone: a run loads no scipy module
 # ---------------------------------------------------------------------------
 
-UNUSED_SCIPY = ("scipy.integrate", "scipy.optimize")
+UNUSED_SCIPY = ("scipy",)
 
 
 def _is_unused_scipy(name: str) -> bool:

@@ -664,11 +664,12 @@ def test_quadrature_operators():
     assert np.max(np.abs(comm[fock < n_max] - 1.0)) < 1e-12
 
 
-def _full_eigh_spectrum_point(omega, omega_q, g, n_levels, n_max):
+def _full_eigh_spectrum_point(omega, omega_q, g, n_levels, n_max, n_qubits=1):
     """Reference labelling of the lowest levels from a full complex eigh."""
-    tp = ir.TwoPhotonParams(omega=omega, omega_q=omega_q, g=g)
-    evals, evecs = np.linalg.eigh(ir.two_photon_hamiltonian(tp, 1, n_max).matrix())
-    diag = ir.generalized_parity_diagonal(qc.HilbertSpace.qubit_boson(n_max=n_max))
+    tp = ir.TwoPhotonParams(omega=omega, omega_q=omega_q, g=g, n_qubits=n_qubits)
+    evals, evecs = np.linalg.eigh(ir.two_photon_hamiltonian(tp, n_qubits, n_max).matrix())
+    diag = ir.generalized_parity_diagonal(
+        qc.HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_qubits))
     parities, weights = [], []
     for k in range(n_levels):
         probs = np.abs(evecs[:, k]) ** 2
@@ -713,11 +714,38 @@ def test_collapse_diagnostics_subset_matches_full_eigh():
         assert np.max(np.abs(diag.mean_occupations[i] - occ)) < 1e-10
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_two_photon_hamiltonian_has_no_element_between_parity_sectors(n_qubits):
+    n_max = 30
+    tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=0.45, n_qubits=n_qubits)
+    h = ir.two_photon_hamiltonian(tp, n_qubits, n_max).matrix()
+    diag = ir.generalized_parity_diagonal(
+        qc.HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_qubits))
+    sectors = [np.flatnonzero(np.abs(diag - lam) < 1e-9) for lam in ir.PARITY_SECTORS]
+    assert sorted(np.concatenate(sectors).tolist()) == list(range(h.shape[0]))
+    for i, a in enumerate(sectors):
+        for j, b in enumerate(sectors):
+            if i != j:
+                assert not h[np.ix_(a, b)].any()
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_two_photon_sector_solve_matches_dense_eigvalsh(n_qubits):
+    n_max, n_levels = 40, 10
+    for g in (0.0, 0.1, 0.3, 0.45):
+        point = ir._two_photon_point(1.0, 1.9, n_qubits, g, n_levels, n_max)
+        tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=g, n_qubits=n_qubits)
+        dense = np.linalg.eigvalsh(ir.two_photon_hamiltonian(tp, n_qubits, n_max).matrix())
+        assert np.max(np.abs(point.energies - dense[:n_levels])) < 1e-12
+        _, parities, _ = _full_eigh_spectrum_point(1.0, 1.9, g, n_levels, n_max, n_qubits)
+        assert np.array_equal(point.parities, parities)
+        assert np.all(point.parity_weights == 1.0) and not point.mixing_flags.any()
+
+
 def _forbid_eigh(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("eigh called before n_levels was validated")
 
-    monkeypatch.setattr(ir, "eigh", fail)
     monkeypatch.setattr(np.linalg, "eigh", fail)
 
 

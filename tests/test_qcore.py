@@ -431,6 +431,112 @@ def test_stepper_trivial_window_and_direction():
 
 
 # ---------------------------------------------------------------------------
+# qcore's matrix exponential against scipy's (the oracle)
+# ---------------------------------------------------------------------------
+
+def _expm_rel_error(a) -> float:
+    reference = expm(a)
+    return np.linalg.norm(qc.expm(a) - reference) / np.linalg.norm(reference)
+
+
+def _count_eighs(monkeypatch) -> list:
+    calls = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or real_eigh(m))
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
+def test_expm_anti_hermitian_is_unitary_and_matches_scipy(d, monkeypatch):
+    rng = np.random.default_rng(100 + d)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (m + m.conj().T) / np.linalg.norm(m + m.conj().T, 2)
+    for t in (0.01, 1.0, 10.0):
+        a = -1j * t * h
+        assert _expm_rel_error(a) < 1e-13
+        eighs = _count_eighs(monkeypatch)
+        u = qc.expm(a)
+        assert eighs == [(d, d)]  # the eigh route, one solve
+        monkeypatch.undo()
+        assert np.max(np.abs(u @ u.conj().T - np.eye(d))) < 1e-14
+
+
+def test_expm_pade_degrees_match_scipy(monkeypatch):
+    # 1-norms on both sides of each degree's threshold, and past the last
+    # one, where the argument is scaled and the result squared
+    from qworkbench.qcore.linalg import _THETA, _THETA_13
+
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    m /= np.linalg.norm(m, 1)
+    for _, theta in _THETA + ((13, _THETA_13),):
+        for side in (0.9, 1.1):
+            assert _expm_rel_error(side * theta * m) < 1e-13
+    assert _expm_rel_error(50.0 * m) < 1e-13
+    eighs = _count_eighs(monkeypatch)
+    qc.expm(m)
+    assert eighs == []  # not anti-Hermitian: no eigh
+    real = rng.standard_normal((5, 5))
+    assert qc.expm(real).dtype == float
+    assert _expm_rel_error(real) < 1e-13
+
+
+def test_expm_non_normal_large_norm_matches_scipy():
+    rng = np.random.default_rng(11)
+    d = 10
+    a = np.triu(rng.standard_normal((d, d)), 1) * 10.0 + np.diag(rng.uniform(-3.0, 0.0, d))
+    assert np.linalg.norm(a, 1) > 8 * 5.371920351148152  # three squarings at least
+    assert _expm_rel_error(a) < 1e-13
+    assert _expm_rel_error((1.0 + 0.5j) * a) < 1e-13
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_expm_van_loan_block_matches_scipy(n_qubits):
+    # the generator the dissipative series exponentiates: a random model of
+    # the lindblad-bounds kind, at order 3
+    from qworkbench import openmaster as om
+
+    rng = np.random.default_rng(5 + n_qubits)
+    space = qc.HilbertSpace.qubits(n_qubits)
+    d = space.dim
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    channels = [(qc.OperatorSum.pauli_string(space, label, complex(*rng.standard_normal(2))),
+                 0.3) for label in ("X" * n_qubits, "Y" * n_qubits)]
+    model = om.LindbladModel(qc.Schedule.constant(0.5 * (m + m.conj().T), space), channels)
+    l0, lp = om._generator_parts(model, 0.0)
+    order = 3
+    block = qc.kron_all([np.eye(order + 1), l0]) \
+        + qc.kron_all([np.eye(order + 1, k=-1), lp])
+    for t in (0.2, 0.7):
+        assert _expm_rel_error(block * t) < 1e-13
+        assert _expm_rel_error((l0 + lp) * t) < 1e-13
+
+
+def test_expm_rejects_non_square():
+    with pytest.raises(ValueError):
+        qc.expm(np.zeros((2, 3)))
+
+
+def test_constant_schedule_diagonalizes_once(monkeypatch):
+    space = qc.HilbertSpace.qubits(2)
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    hmat = 0.5 * (m + m.conj().T)
+    eighs = _count_eighs(monkeypatch)
+    h = qc.Schedule.constant(hmat, space)
+    psi = qc.basis_state(space, [0, 1])
+    windows = ((0.0, 0.3), (0.3, 2.0), (-1.0, 4.0))
+    props = [qc.propagator(h, t0, t1) for t0, t1 in windows]
+    kets = [qc.evolve(psi, h, t0, t1).amplitudes for t0, t1 in windows]
+    assert eighs == [(4, 4)]
+    for (t0, t1), u, psi_t in zip(windows, props, kets):
+        assert np.max(np.abs(u - expm(-1j * hmat * (t1 - t0)))) < 1e-13
+        assert np.max(np.abs(psi_t - u @ psi.amplitudes)) < 1e-14
+    with pytest.raises(ValueError):  # a constant Hamiltonian must be Hermitian
+        qc.Schedule.constant(qc.SIGMA_P, qc.HilbertSpace.qubits(1))
+
+
+# ---------------------------------------------------------------------------
 # expectation values
 # ---------------------------------------------------------------------------
 
