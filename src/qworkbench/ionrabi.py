@@ -44,7 +44,9 @@ from .qcore import (
     integrate,
     propagator,
 )
-from .qcore.operators import PAULIS, PROJ_E, SIGMA_M, SIGMA_P, SIGMA_Y, SIGMA_Z, kron_all
+from .qcore.operators import (
+    PAULIS, PROJ_E, SIGMA_M, SIGMA_P, SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all,
+)
 
 
 class TruncationError(RuntimeError):
@@ -638,27 +640,29 @@ class _DispersiveCalibration(NamedTuple):
 _DISPERSIVE_CAL_CACHE: dict = {}
 
 
+def _dispersive_frame(db: int, sign: float, delta: float, eps: float) -> np.ndarray:
+    """Diagonal of ``h0 = (sign delta / 2) sigma_z (x) 1 + eps 1 (x) n``, the
+    frame of the pulse's carrier.  The two signs give the same numbers with
+    the qubit blocks swapped, bit for bit."""
+    half, mode = 0.5 * sign * delta, eps * np.arange(db, dtype=float)
+    return np.concatenate([half + mode, -half + mode])
+
+
 def _dispersive_pulse_schedule(space: HilbertSpace, sign: float, delta: float,
                                eps: float, duration: float, coupling: float) -> Schedule:
     """``sigma^+ (x) B(t) + h.c.`` with ``B(t) = coupling w(t) e^{i sign delta t}
-    (a e^{-i eps t} + a^dag e^{i eps t})`` and ``w = sin^2(pi t / duration)``,
-    as four terms over fixed matrices."""
+    (a e^{-i eps t} + a^dag e^{i eps t})`` and ``w = sin^2(pi t / duration)``.
+
+    In term form this is one real term in the carrier frame:
+    ``H(t) = F(t) [w(t) V] F(t)^dag`` with ``V = coupling sigma_x (x) (a + a^dag)``
+    and ``F(t) = exp(i t diag(h0))``, ``h0`` from ``_dispersive_frame``.  So
+    ``K(t) = diag(h0) + w(t) V`` is real, and ``K(duration - t) = K(t)``."""
     db = space.factors[1].dim
     a = boson_annihilation(db)
-    w_lo, w_hi = sign * delta - eps, sign * delta + eps
-
-    def f_lo(t: float) -> complex:
-        return coupling * math.sin(math.pi * t / duration) ** 2 * cmath.exp(1j * w_lo * t)
-
-    def f_hi(t: float) -> complex:
-        return coupling * math.sin(math.pi * t / duration) ** 2 * cmath.exp(1j * w_hi * t)
-
-    return Schedule.from_terms(space, [
-        (f_lo, np.kron(SIGMA_P, a)),
-        (f_hi, np.kron(SIGMA_P, a.conj().T)),
-        (lambda t: f_lo(t).conjugate(), np.kron(SIGMA_M, a.conj().T)),
-        (lambda t: f_hi(t).conjugate(), np.kron(SIGMA_M, a)),
-    ])
+    return Schedule.from_terms(
+        space, [(lambda t: math.sin(math.pi * t / duration) ** 2,
+                 coupling * np.kron(SIGMA_X, a + a.conj().T))],
+        frame=_dispersive_frame(db, sign, delta, eps))
 
 
 def _dispersive_calibration(db: int, delta_ratio: float, eps_frac: float,
@@ -670,9 +674,17 @@ def _dispersive_calibration(db: int, delta_ratio: float, eps_frac: float,
     manifold.  A first pulse of the sin^4-area length carries only the four
     columns |q, n>, q, n in {0, 1}, and one Newton step on their phases
     sets the duration so the phase advances by pi/4 per phonon.  The pulse
-    of that duration is integrated once, as the full propagator U_+ of the
-    +delta detuning; the offsets are the phases of its |e,0> and |g,0>
-    diagonal entries.  The -delta pulse needs no integration:
+    of that duration gives the full propagator U_+ of the +delta detuning;
+    the offsets are the phases of its |e,0> and |g,0> diagonal entries.
+
+    Both runs integrate only the first half of the pulse.  In its carrier
+    frame the pulse is ``K(t) = diag(h0) + w(t) V``, real, with
+    ``K(T - t) = K(t)``, so its second half is the transpose of its first:
+    ``U_K(T, T/2) = U_K(T/2, 0)^T``.  With ``U_h = U(T/2, 0)`` stepped in the
+    lab frame and ``p = diag F(T) = exp(i T h0)``, the reflection gives
+    ``U_+ = F(T) U_h^T F(T)^dag U_h``; a diagonal entry needs only its own
+    column of ``U_h``, ``U_+[j, j] = p_j sum_k conj(p_k) U_h[k, j]^2``, which
+    is all the Newton step reads.  The -delta pulse needs no integration:
     ``B_-(t) = B_+(t)^dag``, so ``X H_-(t) X = H_+(t)`` with
     ``X = sigma_x (x) 1`` and ``U_- = X U_+ X``.  The readout operators
     ``M_+- = axis_rot comp_+- U_+- axis_rot^dag`` fold in the offset
@@ -690,18 +702,22 @@ def _dispersive_calibration(db: int, delta_ratio: float, eps_frac: float,
     space = HilbertSpace.qubit_boson(n_max=db - 1)
     low = [0, 1, db, db + 1]                  # |e,0>, |e,1>, |g,0>, |g,1>
     duration = (8.0 / 3.0) * t_star / chi_eff   # int of sin^4 envelope = 3T/8
+    frame = _dispersive_frame(db, +1.0, delta, eps)
 
     pulse = _dispersive_pulse_schedule(space, +1.0, delta, eps, duration, coupling)
     shape = (2 * db, len(low))
     block = np.eye(2 * db, dtype=complex)[:, low].reshape(-1)
     block = integrate(lambda t, y: -1j * pulse.apply(t, y.reshape(shape)).reshape(-1),
-                      block, 0.0, duration, tol).reshape(shape)
-    ph = np.angle(block[low, range(len(low))])
+                      block, 0.0, duration / 2, tol).reshape(shape)
+    p = np.exp(1j * duration * frame)         # F(T)
+    ph = np.angle(p[low] * (p.conj() @ block ** 2))   # U_+[j, j], by the reflection
     slope = 0.5 * (abs(ph[1] - ph[0]) + abs(ph[3] - ph[2]))
     duration *= t_star / slope               # one Newton step; slope ~ T
 
     pulse = _dispersive_pulse_schedule(space, +1.0, delta, eps, duration, coupling)
-    u_plus = propagator(pulse, 0.0, duration, tol)
+    u_half = propagator(pulse, 0.0, duration / 2, tol)
+    p = np.exp(1j * duration * frame)
+    u_plus = (p[:, None] * u_half.T * p.conj()) @ u_half   # F(T) U_h^T F(T)^dag U_h
     off_e, off_g = float(np.angle(u_plus[0, 0])), float(np.angle(u_plus[db, db]))
     flip = np.r_[db:2 * db, 0:db]             # X = sigma_x (x) 1 as an index swap
     u_minus = u_plus[np.ix_(flip, flip)]
@@ -734,10 +750,12 @@ def parity_measurement_dispersive(state: PureState, delta_ratio: float = 20.0,
     n(n-1): about 2e-2 on the n <= 2 manifold at ``delta_ratio = 20``.
 
     The pulse does not depend on the state: ``_dispersive_calibration``
-    integrates it once per parameter set and tolerance and keeps the two
-    composite operators ``M_+-`` (pulse, offset compensation and axis
-    rotation), so a readout is two matrix-vector products and runs no
-    integrator.  Raises ``ValueError`` unless the state lives on one
+    builds it once per parameter set and tolerance, from an integration of
+    its first half only (the pulse is time-reversal symmetric in its
+    carrier frame, so the second half is the transpose of the first), and
+    keeps the two composite operators ``M_+-`` (pulse, offset compensation
+    and axis rotation), so a readout is two matrix-vector products and runs
+    no integrator.  Raises ``ValueError`` unless the state lives on one
     qubit (x) boson, ``delta_ratio > 0`` and ``|eps_frac| < 1``.
     """
     space = state.space

@@ -599,6 +599,82 @@ def test_dispersive_pulse_integrated_once_per_calibration(monkeypatch):
     assert len(runs) == 4
 
 
+@pytest.mark.parametrize("db", [7, 15])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dispersive_pulse_reflection_identity(sign, db):
+    # H(T - t) = F(T) conj(H(t)) F(T)^dag with F(T) = exp(i T h0): the pulse
+    # is real and symmetric about T/2 in its carrier frame, which is what
+    # lets the calibration integrate only [0, T/2].  The phases T h0 reach
+    # about 1600 rad here, so the two sides differ by their rounding: the
+    # bound is 1e-14 per radian of the largest phase.
+    delta, eps, duration = 20.0, 5.0, 19.87
+    space = qc.HilbertSpace.qubit_boson(n_max=db - 1)
+    h = ir._dispersive_pulse_schedule(space, sign, delta, eps, duration, 1.0)
+    h0 = (0.5 * sign * delta * np.kron([1.0, -1.0], np.ones(db))
+          + eps * np.kron(np.ones(2), np.arange(db)))
+    f = np.exp(1j * duration * h0)
+    bound = 1e-14 * duration * np.max(np.abs(h0))
+    for t in (0.37, 2.5, 6.1, 9.0, 0.49 * duration):
+        reflected = f[:, None] * h.matrix_at(t).conj() * f.conj()
+        assert relative_gap(h.matrix_at(duration - t), reflected) < bound, t
+
+
+def full_window_dispersive_calibration(db, delta_ratio, eps_frac, tol):
+    """The calibration integrated over whole pulses: a Newton run over
+    [0, T0] on the four low columns, then the propagator over [0, T]."""
+    delta = delta_ratio
+    eps = eps_frac * delta
+    chi_eff = 1.0 / (delta - eps) + 1.0 / (delta + eps)
+    t_star = math.pi / 4.0
+    space = qc.HilbertSpace.qubit_boson(n_max=db - 1)
+    low = [0, 1, db, db + 1]
+    first = (8.0 / 3.0) * t_star / chi_eff
+    pulse = ir._dispersive_pulse_schedule(space, 1.0, delta, eps, first, 1.0)
+    shape = (2 * db, len(low))
+    block = qc.integrate(lambda t, y: -1j * pulse.apply(t, y.reshape(shape)).reshape(-1),
+                         np.eye(2 * db, dtype=complex)[:, low].reshape(-1),
+                         0.0, first, tol).reshape(shape)
+    ph = np.angle(block[low, range(4)])
+    slope = 0.5 * (abs(ph[1] - ph[0]) + abs(ph[3] - ph[2]))
+    duration = first * t_star / slope
+    pulse = ir._dispersive_pulse_schedule(space, 1.0, delta, eps, duration, 1.0)
+    u_plus = qc.propagator(pulse, 0.0, duration, tol)
+    off_e, off_g = np.angle(u_plus[0, 0]), np.angle(u_plus[db, db])
+    x = np.kron(qc.operators.PAULIS["X"], np.eye(db))
+    axis_rot = np.kron(expm(-1j * t_star * qc.operators.SIGMA_Y), np.eye(db))
+    readout = []
+    for sign, u in ((1.0, u_plus), (-1.0, x @ u_plus @ x)):
+        comp = np.repeat(np.exp(-1j * sign * np.array([off_e, off_g])), db)
+        readout.append(axis_rot @ (comp[:, None] * u) @ axis_rot.conj().T)
+    return first, duration, off_e, off_g, readout
+
+
+def test_dispersive_calibration_matches_full_window(monkeypatch):
+    # the half-pulse calibration against whole-pulse integrations written
+    # here, and its two RK45 runs cover only [0, T0/2] and [0, T/2]
+    db, delta_ratio, eps_frac, tol = 7, 6.0, 0.25, 1e-9
+    first, duration, off_e, off_g, (m_plus, m_minus) = \
+        full_window_dispersive_calibration(db, delta_ratio, eps_frac, tol)
+    evolve_module = importlib.import_module("qworkbench.qcore.evolve")
+    runs = []
+    real = evolve_module.integrate
+
+    def counting(rhs, y0, t0, t1, tol):
+        runs.append((t0, t1))
+        return real(rhs, y0, t0, t1, tol)
+
+    monkeypatch.setattr(evolve_module, "integrate", counting)
+    monkeypatch.setattr(ir, "integrate", counting)
+    monkeypatch.setattr(ir, "_DISPERSIVE_CAL_CACHE", {})
+    cal = ir._dispersive_calibration(db, delta_ratio, eps_frac, tol)
+    assert abs(cal.duration - duration) < 1e-9
+    assert abs(cal.off_e - off_e) < 1e-9
+    assert abs(cal.off_g - off_g) < 1e-9
+    assert np.max(np.abs(cal.m_plus - m_plus)) < 1e-9
+    assert np.max(np.abs(cal.m_minus - m_minus)) < 1e-9
+    assert runs == [(0.0, first / 2), (0.0, cal.duration / 2)]
+
+
 def test_dispersive_readout_operators_read_only(monkeypatch):
     monkeypatch.setattr(ir, "_DISPERSIVE_CAL_CACHE", {})
     cal = ir._dispersive_calibration(5, 6.0, 0.25, 1e-6)
