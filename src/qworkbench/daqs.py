@@ -27,6 +27,7 @@ from .qcore import (
     Schedule,
     dense_pauli,
     evolve_trace,
+    expectation,
     expm,
     integrate,
     kron_all,
@@ -127,12 +128,11 @@ def collective_y_rotation(n: int, theta: float = math.pi / 4.0) -> np.ndarray:
 
 @dataclass
 class TrotterPlan:
-    """Ordered per-step blocks (label, duration-or-angle) and annotations."""
+    """Ordered per-step blocks (label, duration-or-angle) and the gate count."""
 
     steps: int
     blocks: tuple
     gate_count: int
-    noise: object | None = None   # CqedNoise or a per-gate depolarizing fidelity
 
 
 @dataclass
@@ -152,16 +152,12 @@ def _state_fidelities(u_approx: np.ndarray, u_exact: np.ndarray, states: dict) -
 
 
 def daqs_heisenberg(coupling: SpinCouplingMatrix, t: float, steps: int,
-                    states: dict | None = None,
-                    depolarizing: float | None = None) -> HeisenbergRun:
+                    states: dict | None = None) -> HeisenbergRun:
     """Digital-analog evolution: two analog blocks and two collective
     rotations per Trotter step.
 
     Returns the composed unitary, the operator-norm Trotter defect against
-    ``exp(-i H t)``, and per-state fidelities.  ``depolarizing`` annotates
-    the plan with a per-gate fidelity (the unitary itself stays clean;
-    apply the channel over ``plan.gate_count`` gates and invert it with
-    the exact rescaling when reading expectations).  The gate count treats
+    ``exp(-i H t)``, and per-state fidelities.  The gate count treats
     each analog block and each collective rotation as one gate.
     """
     if steps < 1:
@@ -178,7 +174,7 @@ def daqs_heisenberg(coupling: SpinCouplingMatrix, t: float, steps: int,
     plan = TrotterPlan(steps=steps,
                        blocks=(("XY", tau), ("Ry", math.pi / 4), ("XX", tau),
                                ("Ry", -math.pi / 4)),
-                       gate_count=4 * steps, noise=depolarizing)
+                       gate_count=4 * steps)
     fids = _state_fidelities(u, exact, states or {})
     return HeisenbergRun(plan=plan, unitary=u, trotter_defect=defect, fidelities=fids)
 
@@ -405,7 +401,7 @@ def cqed_rabi_digitize(omega_r: float, omega_q: float, g: float, t: float,
 
     blocks = (("Flip", math.pi), ("JC-rot", tau), ("Flip", math.pi), ("JC", tau))
     gate_count = 4 * steps
-    plan = TrotterPlan(steps=steps, blocks=blocks, gate_count=gate_count, noise=noise)
+    plan = TrotterPlan(steps=steps, blocks=blocks, gate_count=gate_count)
 
     if noise is None:
         u_step = expm(-1j * h1 * tau) @ flip @ expm(-1j * h2_tilde * tau) @ flip.conj().T
@@ -423,12 +419,7 @@ def cqed_rabi_digitize(omega_r: float, omega_q: float, g: float, t: float,
         kron_all([PAULIS["Z"] if k == q else np.eye(2, dtype=complex)
                   for k in range(n_qubits)] + [np.eye(db)])
         for q in range(n_qubits))
-    if isinstance(final, PureState):
-        obs = {"n": float(np.real(np.vdot(final.amplitudes, n_op @ final.amplitudes))),
-               "z": float(np.real(np.vdot(final.amplitudes, z_total @ final.amplitudes)))}
-    else:
-        obs = {"n": float(np.real(np.trace(n_op @ final.matrix))),
-               "z": float(np.real(np.trace(z_total @ final.matrix)))}
+    obs = {"n": expectation(final, n_op).real, "z": expectation(final, z_total).real}
     return CqedRun(fidelity=fid, state=final, reference=reference, plan=plan,
                    observables=obs)
 

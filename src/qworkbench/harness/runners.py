@@ -321,15 +321,15 @@ def _run_twophoton_spectrum(params, seed, threads) -> RunArtifact:
     n_levels, n_max = params["n_levels"], params["n_max"]
 
     def one(g):
-        base = ionrabi._two_photon_point(omega, omega_q, 1, g, n_levels, n_max)
-        again = ionrabi._two_photon_point(omega, omega_q, 1, g, n_levels, n_max + 10)
-        shifts = np.abs(base.energies - again.energies)
+        point, = ionrabi.two_photon_spectrum(omega, omega_q, 1, [g], n_levels, n_max,
+                                             check_convergence=False)
         rows = []
         for level in range(n_levels):
-            lam = base.parities[level]
+            lam = point.parities[level]
             label = {1.0 + 0j: "+1", -1.0 + 0j: "-1", 1j: "+i", -1j: "-i"}[lam]
-            rows.append((g, level, float(base.energies[level]), label,
-                         float(base.parity_weights[level]), float(shifts[level])))
+            rows.append((g, level, float(point.energies[level]), label,
+                         float(point.parity_weights[level]),
+                         float(point.truncation_shifts[level])))
         return rows
 
     rows = [row for rows in parallel_map(one, [float(g) for g in params["g_values"]],

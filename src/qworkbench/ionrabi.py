@@ -428,6 +428,7 @@ class SpectrumPoint:
     parities: np.ndarray          # one of +-1, +-i per level
     parity_weights: np.ndarray    # dominant-sector weight per level
     mixing_flags: np.ndarray      # weight < 0.999: truncation trouble
+    truncation_shifts: np.ndarray  # |E(n_max) - E(n_max + 10)| per level
 
 
 def two_photon_spectrum(omega: float, omega_q: float, n_qubits: int,
@@ -436,11 +437,12 @@ def two_photon_spectrum(omega: float, omega_q: float, n_qubits: int,
                         convergence_tol: float | None = None) -> list:
     """Lowest eigenvalues with generalized-parity labels over a coupling grid.
 
-    With ``check_convergence`` each point is recomputed at n_max+10 and a
-    :class:`TruncationError` raised when any retained level moved by more
-    than ``convergence_tol`` (default 1e-4 * omega) -- near the collapse
-    point that failure is the physical signature, so callers wanting the
-    trend pass False and read the reported shifts instead.
+    Each point is also solved at n_max+10, and ``truncation_shifts`` holds
+    how far each retained level moved.  With ``check_convergence`` a
+    :class:`TruncationError` is raised when any of them exceeds
+    ``convergence_tol`` (default 1e-4 * omega) -- near the collapse point
+    that failure is the physical signature, so callers wanting the trend
+    pass False and read the shifts instead.
     """
     if convergence_tol is None:
         convergence_tol = 1e-4 * abs(omega)
@@ -448,8 +450,7 @@ def two_photon_spectrum(omega: float, omega_q: float, n_qubits: int,
     for g in g_values:
         point = _two_photon_point(omega, omega_q, n_qubits, g, n_levels, n_max)
         if check_convergence:
-            again = _two_photon_point(omega, omega_q, n_qubits, g, n_levels, n_max + 10)
-            shift = float(np.max(np.abs(point.energies - again.energies)))
+            shift = float(np.max(point.truncation_shifts))
             if shift > convergence_tol:
                 raise TruncationError(
                     f"levels shifted by {shift:.3e} between n_max={n_max} and "
@@ -484,7 +485,18 @@ def _parity_sector_eigh(h: np.ndarray, diag: np.ndarray, n_levels: int) -> tuple
 
 
 def _two_photon_point(omega, omega_q, n_qubits, g, n_levels, n_max) -> SpectrumPoint:
-    """Lowest ``n_levels`` levels of the two-photon model at coupling ``g``.
+    """Lowest ``n_levels`` levels of the two-photon model at coupling ``g``,
+    with their shifts against the same levels at n_max+10."""
+    energies, parities = _two_photon_levels(omega, omega_q, n_qubits, g, n_levels, n_max)
+    again, _ = _two_photon_levels(omega, omega_q, n_qubits, g, n_levels, n_max + 10)
+    weights = np.ones(n_levels)
+    return SpectrumPoint(g=float(g), energies=energies, parities=parities,
+                         parity_weights=weights, mixing_flags=weights < 0.999,
+                         truncation_shifts=np.abs(energies - again))
+
+
+def _two_photon_levels(omega, omega_q, n_qubits, g, n_levels, n_max) -> tuple:
+    """(energies, parities) of the lowest ``n_levels`` levels at cutoff ``n_max``.
 
     The Hamiltonian is real by construction and conserves the generalized
     parity, so it is solved sector by sector (:func:`_parity_sector_eigh`):
@@ -499,10 +511,7 @@ def _two_photon_point(omega, omega_q, n_qubits, g, n_levels, n_max) -> SpectrumP
     diag = generalized_parity_diagonal(
         HilbertSpace(tuple(Qubit() for _ in range(n_qubits)) + (Boson(n_max),)))
     evals, parities, _ = _parity_sector_eigh(h.real, diag, n_levels)
-    weights = np.ones(n_levels)
-    return SpectrumPoint(g=float(g), energies=evals, parities=parities,
-                         parity_weights=weights,
-                         mixing_flags=weights < 0.999)
+    return evals, parities
 
 
 @dataclass

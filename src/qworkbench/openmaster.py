@@ -15,8 +15,8 @@ block of uniforms from ``Philox(key=(master_seed, n))``, one row per
 sample (channel indices, times, shot uniforms; see ``MonteCarloPlan``).
 The nested dissipators are expanded into Pauli-string chains once per
 channel combination, and the chain means of all samples sharing that
-combination are evaluated together on stacked propagators
-U(0, tau) = V diag(exp(-i E tau)) V^dag.
+combination are evaluated together on the stacked propagators U(0, tau)
+of ``qcore.propagator_stack``.
 
 Vectorization is column-stacking throughout: ``vec(A X B) = (B^T kron A)
 vec(X)``, so superoperator matrices are reproducible.
@@ -40,6 +40,7 @@ from .qcore import (
     kron_all,
     pauli_decompose,
     propagator,
+    propagator_stack,
 )
 from .qcore.metrics import operator_infinity_norm
 from .timecorr import heisenberg_chain_expectation
@@ -52,43 +53,6 @@ def _as_rate(gamma) -> Callable[[float], float]:
         return gamma
     g = float(gamma)
     return lambda t: g
-
-
-class _UnitaryFactory:
-    """U(a -> b) under the model Hamiltonian, cheap for constant generators.
-
-    A constant Hamiltonian's eigenbasis, diagonalized once and cached on its
-    (Hermitian) schedule, makes each propagator two matrix products (a
-    stack of them one ``einsum``); time-dependent ones fall back to the
-    adaptive stepper.
-    """
-
-    def __init__(self, h: Schedule, tol: float):
-        self.h = h
-        self.tol = tol
-        if h.is_constant:
-            self._evals, self._evecs = h.exact_frame.eig()
-        else:
-            self._evals = None
-
-    def u(self, a: float, b: float) -> np.ndarray:
-        if self._evals is not None:
-            phases = np.exp(-1j * self._evals * (b - a))
-            return (self._evecs * phases) @ self._evecs.conj().T
-        if b >= a:
-            return propagator(self.h, a, b, self.tol)
-        return propagator(self.h, b, a, self.tol).conj().T
-
-    def u_stack(self, taus: np.ndarray) -> np.ndarray:
-        """Stacked U(0 -> tau) for every tau, shape (len(taus), d, d)."""
-        if self._evals is not None:
-            phases = np.exp(-1j * np.multiply.outer(taus, self._evals))
-            return np.einsum("ij,mj,kj->mik", self._evecs, phases, self._evecs.conj())
-        return np.stack([self.u(0.0, tau) for tau in taus])
-
-    def conjugate(self, mat: np.ndarray, a: float, b: float) -> np.ndarray:
-        u = self.u(a, b)
-        return u @ mat @ u.conj().T
 
 
 @dataclass(frozen=True)
@@ -290,18 +254,21 @@ def dyson_term(model: LindbladModel, observable: OperatorSum | np.ndarray,
     if any(b > a for a, b in zip(times, times[1:])) or (n and times[0] > t):
         raise ValueError("times must satisfy t >= s_1 >= ... >= s_n >= 0")
     omat = observable.matrix() if isinstance(observable, OperatorSum) else np.asarray(observable)
-    fac = _UnitaryFactory(model.h, tol)
+
+    def conjugate(mat, a, b):
+        u = propagator(model.h, a, b, tol)
+        return u @ mat @ u.conj().T
 
     xi = rho0.matrix
     current = 0.0
     for k in range(n - 1, -1, -1):
         s_k = times[k]
-        xi = fac.conjugate(xi, current, s_k)
+        xi = conjugate(xi, current, s_k)
         ch = model.channels[channel_indices[k]]
         l = ch.operator.matrix()
         xi = _dissipator_apply(l, l.conj().T @ l, ch.rate(s_k), xi)
         current = s_k
-    value = _expectation(omat, fac.conjugate(xi, current, t))
+    value = _expectation(omat, conjugate(xi, current, t))
 
     if debug_expand:
         alt = _dyson_term_by_correlators(model, omat, rho0, channel_indices, times, t, tol)
@@ -391,7 +358,7 @@ class Reconstruction:
     mode: str
 
 
-def _chain_sums(chains, paulis, rho0, times, t, fac, shots, uniforms) -> np.ndarray:
+def _chain_sums(chains, paulis, rho0, times, t, h, tol, shots, uniforms) -> np.ndarray:
     """Re sum_c coeff_c * mean_c for samples sharing one channel combination.
 
     ``times`` is (M, n), sorted descending per row.  Each distinct Pauli is
@@ -400,8 +367,8 @@ def _chain_sums(chains, paulis, rho0, times, t, fac, shots, uniforms) -> np.ndar
     chain means' real and imaginary parts become means of k +-1 coherence
     outcomes drawn from ``uniforms`` (M, 2k * chains).
     """
-    us = [fac.u_stack(np.array([t]))] + [fac.u_stack(times[:, k])
-                                         for k in range(times.shape[1])]
+    us = [propagator_stack(h, [t], tol)] + [propagator_stack(h, times[:, k], tol)
+                                            for k in range(times.shape[1])]
     heis = {}
     # sample-major, so every reduction below runs along one sample's row and
     # a sample's value does not depend on how many samples share its batch
@@ -446,13 +413,12 @@ def _sample_values(model, omat, rho0, order, t, plan, tol) -> np.ndarray:
     values = np.ones(plan.samples_per_order)
     for k in range(order):
         values *= [model.channels[i].rate(s) for i, s in zip(indices[:, k], times[:, k])]
-    fac = _UnitaryFactory(model.h, tol)
     combos, which = np.unique(indices, axis=0, return_inverse=True)
     for c, combo in enumerate(combos):
         sel = np.flatnonzero(which.reshape(-1) == c)
         chains = _pauli_chains(o_terms, [l_terms[i] for i in combo])
-        values[sel] *= _chain_sums(chains, paulis, rho0, times[sel], t, fac, shots,
-                                   rows[sel, 2 * order:])
+        values[sel] *= _chain_sums(chains, paulis, rho0, times[sel], t, model.h, tol,
+                                   shots, rows[sel, 2 * order:])
     return values
 
 

@@ -58,6 +58,7 @@ from .evolve import (
     evolve_trace,
     integrate,
     propagator,
+    propagator_stack,
 )
 from .metrics import (
     expectation,

@@ -1,7 +1,8 @@
 """Exact time evolution: eigenbasis propagators, exact frames and adaptive integration.
 
 A constant Hamiltonian is diagonalized once: one ``eigh``, cached on the
-schedule, gives U(t) at every time.  Time-dependent generators are
+schedule, gives U(t) at every time, and ``propagator_stack`` gives a whole
+stack of them in one ``einsum``.  Time-dependent generators are
 integrated by ``integrate``, an
 adaptive embedded 4(5) Runge-Kutta stepper written here: the Dormand-Prince
 5(4) pair (RK45) under the step control of Hairer, Norsett & Wanner, at a
@@ -465,3 +466,20 @@ def propagator(h: Schedule, t0: float, t1: float, tol: float = DEFAULT_TOL) -> n
     if h.is_constant:  # the unitary itself, with no product with the identity
         return h.exact_frame.unitary(t1 - t0)
     return _carry(h, u, t0, t1, tol)
+
+
+def propagator_stack(h: Schedule, times, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Stacked U(t; 0) for every time of a nonnegative 1-D ``times``,
+    shape ``(len(times), d, d)``.
+
+    A constant schedule gives every unitary from its cached eigenbasis in
+    one ``einsum``; any other schedule gets one ``propagator`` per time.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError("times must be >= 0: the stack starts at t = 0")
+    if h.is_constant:
+        w, v = h.exact_frame.eig()
+        phases = np.exp(-1j * np.multiply.outer(times, w))
+        return np.einsum("ij,mj,kj->mik", v, phases, v.conj())
+    return np.stack([propagator(h, 0.0, t, tol) for t in times])

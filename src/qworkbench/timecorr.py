@@ -103,28 +103,6 @@ class CorrelationSpec:
 # exact oracle
 # ---------------------------------------------------------------------------
 
-class _PropagatorCache:
-    """U(t; t_ref) for the unique times of a chain, reused on both sides."""
-
-    def __init__(self, evolution: Schedule, t_ref: float, tol: float):
-        self.evolution = evolution
-        self.t_ref = t_ref
-        self.tol = tol
-        self._cache: dict = {}
-
-    def u(self, t: float) -> np.ndarray:
-        if t not in self._cache:
-            if t >= self.t_ref:
-                self._cache[t] = propagator(self.evolution, self.t_ref, t, self.tol)
-            else:
-                self._cache[t] = propagator(self.evolution, t, self.t_ref, self.tol).conj().T
-        return self._cache[t]
-
-    def heisenberg(self, mat: np.ndarray, t: float) -> np.ndarray:
-        u = self.u(t)
-        return u.conj().T @ mat @ u
-
-
 def heisenberg_chain_expectation(evolution: Schedule, chain: Sequence,
                                  initial: PureState | DensityMatrix,
                                  t_ref: float = 0.0, tol: float = 1e-10) -> complex:
@@ -134,8 +112,12 @@ def heisenberg_chain_expectation(evolution: Schedule, chain: Sequence,
     order (backward propagators are the adjoints of forward ones).  This is
     the package's general-purpose matrix oracle for multi-time products.
     """
-    cache = _PropagatorCache(evolution, t_ref, tol)
-    mats = [cache.heisenberg(np.asarray(m, dtype=complex), t) for m, t in chain]
+    us = {}  # U(t; t_ref), one per distinct time
+    for _, t in chain:
+        if t not in us:
+            us[t] = propagator(evolution, t_ref, t, tol) if t >= t_ref else \
+                propagator(evolution, t, t_ref, tol).conj().T
+    mats = [us[t].conj().T @ np.asarray(m, dtype=complex) @ us[t] for m, t in chain]
     if isinstance(initial, PureState):
         vec = initial.amplitudes
         acc = vec

@@ -396,6 +396,18 @@ def test_truncation_guard_fires_when_too_small():
         ir.two_photon_spectrum(1.0, 1.9, 1, [0.45], n_levels=8, n_max=16)
 
 
+def test_truncation_shifts_are_reported_without_the_check():
+    # the guard above would raise here; without it the shifts are still filled
+    n_levels, n_max = 8, 16
+    for g, point in zip([0.1, 0.45], ir.two_photon_spectrum(
+            1.0, 1.9, 1, [0.1, 0.45], n_levels, n_max, check_convergence=False)):
+        again = ir.two_photon_spectrum(1.0, 1.9, 1, [g], n_levels, n_max + 10,
+                                       check_convergence=False)[0]
+        assert np.array_equal(point.truncation_shifts,
+                              np.abs(point.energies - again.energies))
+    assert np.max(point.truncation_shifts) > 1e-4
+
+
 def test_collapse_compression_trend():
     diag = ir.collapse_diagnostics(1.0, 1.9, [0.10, 0.30, 0.49], n_levels=8, n_max=80)
     # the lowest-8 band compresses toward the collapse point

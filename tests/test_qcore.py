@@ -273,6 +273,29 @@ def test_static_route_matches_rk45():
         assert np.max(np.abs(qc.propagator(static, t0, t1) - qc.propagator(rk45, t0, t1))) < 1e-8
 
 
+def test_propagator_stack_matches_propagator_on_every_route():
+    space = qc.HilbertSpace.qubits(2)
+    rng = np.random.default_rng(63)
+    h0, h1 = random_hermitian(rng, 4), random_hermitian(rng, 4)
+    frame = 3.0 * rng.standard_normal(4)
+    constant = qc.Schedule.constant(h0, space)
+    builder = qc.Schedule.time_dependent(space, lambda t: h0 + math.cos(2.0 * t) * h1)
+    static = qc.Schedule.from_terms(space, [(1.3, h0), (0.4, h1)], frame=frame)
+    times = np.array([0.0, 0.3, 1.1, 2.6])
+    stack = qc.propagator_stack(constant, times)
+    assert stack.shape == (4, 4, 4)
+    for u, t in zip(stack, times):
+        assert np.max(np.abs(u - qc.propagator(constant, 0.0, t))) < 1e-13
+    for sched in (builder, static):
+        stack = qc.propagator_stack(sched, times)
+        assert np.array_equal(stack, np.stack([qc.propagator(sched, 0.0, t) for t in times]))
+        assert np.array_equal(stack[0], np.eye(4))
+    assert np.max(np.abs(qc.propagator_stack(constant, [0.0])[0] - np.eye(4))) < 1e-14
+    for sched in (constant, builder, static):
+        with pytest.raises(ValueError):
+            qc.propagator_stack(sched, [0.5, -0.1])
+
+
 def test_from_terms_period_validation():
     space = qc.HilbertSpace.qubits(1)
     omega = 3.0
