@@ -19,11 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .qcore import (
-    Boson,
     DensityMatrix,
     HilbertSpace,
+    OperatorSum,
     PureState,
-    Qubit,
     Schedule,
     dense_pauli,
     evolve_trace,
@@ -31,10 +30,11 @@ from .qcore import (
     expm,
     integrate,
     kron_all,
+    on_factors,
     partial_trace,
     propagator,
 )
-from .qcore.operators import PAULIS, PROJ_E, SIGMA_P, boson_annihilation
+from .qcore.operators import PAULIS
 
 MAX_SPINS = 12
 
@@ -238,18 +238,14 @@ def _xy_drive_schedule(space: HilbertSpace, strength: float, delta_mode: float,
     so ``evolve`` takes the static route.  ``matrix_at`` is still the
     lab-frame H(t).
     """
-    *spins, mode = space.factors
-    n_spins = len(spins)
-    a = boson_annihilation(mode.dim)
-    sp_total = sum(kron_all([SIGMA_P if k == q else np.eye(2, dtype=complex)
-                             for k in range(n_spins)]) for q in range(n_spins))
-    half = np.kron(sp_total, a + a.conj().T)
-    excited = np.diag(PROJ_E).real
-    n_exc = sum(kron_all([excited if k == q else np.ones(2) for k in range(n_spins)])
-                for q in range(n_spins))
-    frame = -delta_spin * np.kron(n_exc, np.ones(mode.dim)) \
-        - delta_mode * np.kron(np.ones(2 ** n_spins), np.arange(mode.dim, dtype=float))
-    return Schedule.from_terms(space, [(strength, half + half.conj().T)], frame=frame)
+    spins = range(space.n_factors - 1)
+    coupling = OperatorSum(space, [(1.0, on_factors(space, {q: s, -1: "x"}))
+                                   for s in ("S+", "S-") for q in spins])
+    n_exc = OperatorSum(space, [(1.0, on_factors(space, {q: "Pe"})) for q in spins])
+    n_mode = OperatorSum.single(space, -1, "n")
+    frame = -delta_spin * n_exc.matrix().diagonal().real \
+        - delta_mode * n_mode.matrix().diagonal().real
+    return Schedule.from_terms(space, [(strength, coupling.matrix())], frame=frame)
 
 
 def xy_block_physical(j_coupling: float, delta_mode: float, delta_spin: float,
@@ -272,7 +268,7 @@ def xy_block_physical(j_coupling: float, delta_mode: float, delta_spin: float,
         warnings.warn("|delta_spin/delta_mode| > 0.2: the second rotating-wave "
                       "step behind the XY block is getting shaky", stacklevel=2)
     eta_eff = math.sqrt(j_coupling * delta_mode / 2.0) / omega
-    space = HilbertSpace(tuple(Qubit() for _ in range(n_spins)) + (Boson(n_max),))
+    space = HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_spins)
     db = n_max + 1
     d_spin = 2 ** n_spins
     sched = _xy_drive_schedule(space, omega * eta_eff, delta_mode, delta_spin)
@@ -323,34 +319,25 @@ class CqedRun:
 
 def _tavis_cummings(n_qubits: int, db: int, omega_r_half: float, dq: float,
                     g: float) -> np.ndarray:
-    a = boson_annihilation(db)
-    d_spin = 2 ** n_qubits
-    h = omega_r_half * kron_all([np.eye(d_spin), np.diag(np.arange(db, dtype=complex))])
-    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    """``omega_r_half n + sum_q [dq Z_q + g (S+_q a + S-_q a^dag)]`` on qubits (x) one mode."""
+    space = HilbertSpace.qubit_boson(n_max=db - 1, n_qubits=n_qubits)
+    terms = [(omega_r_half, on_factors(space, {-1: "n"}))]
     for q in range(n_qubits):
-        ops_z = [np.eye(2, dtype=complex)] * n_qubits
-        ops_z[q] = PAULIS["Z"]
-        h += dq * kron_all([*ops_z, np.eye(db)])
-        ops_p = [np.eye(2, dtype=complex)] * n_qubits
-        ops_p[q] = sp
-        pq = kron_all(ops_p)
-        h += g * (kron_all([pq, a]) + kron_all([pq.conj().T, a.conj().T]))
-    return h
+        terms += [(dq, on_factors(space, {q: "Z"})),
+                  (g, on_factors(space, {q: "S+", -1: "a"})),
+                  (g, on_factors(space, {q: "S-", -1: "adag"}))]
+    return OperatorSum(space, terms).matrix()
 
 
 def rabi_hamiltonian_dense(n_qubits: int, db: int, omega_r: float, omega_q: float,
                            g: float) -> np.ndarray:
-    a = boson_annihilation(db)
-    d_spin = 2 ** n_qubits
-    h = omega_r * kron_all([np.eye(d_spin), np.diag(np.arange(db, dtype=complex))])
+    """``omega_r n + sum_q [(omega_q/2) Z_q + g X_q (a + a^dag)]`` on qubits (x) one mode."""
+    space = HilbertSpace.qubit_boson(n_max=db - 1, n_qubits=n_qubits)
+    terms = [(omega_r, on_factors(space, {-1: "n"}))]
     for q in range(n_qubits):
-        ops_z = [np.eye(2, dtype=complex)] * n_qubits
-        ops_z[q] = PAULIS["Z"]
-        h += 0.5 * omega_q * kron_all([*ops_z, np.eye(db)])
-        ops_x = [np.eye(2, dtype=complex)] * n_qubits
-        ops_x[q] = PAULIS["X"]
-        h += g * kron_all([*ops_x, a + a.conj().T])
-    return h
+        terms += [(0.5 * omega_q, on_factors(space, {q: "Z"})),
+                  (g, on_factors(space, {q: "X", -1: "x"}))]
+    return OperatorSum(space, terms).matrix()
 
 
 def _collective_flip(n_qubits: int, db: int) -> np.ndarray:
@@ -385,7 +372,7 @@ def cqed_rabi_digitize(omega_r: float, omega_q: float, g: float, t: float,
     if abs((dq1 - dq2) - 0.5 * omega_q) > 1e-12 * max(1.0, abs(omega_q)):
         raise ValueError("split must satisfy dq1 - dq2 = omega_q/2")
     db = n_max + 1
-    space = HilbertSpace(tuple(Qubit() for _ in range(n_qubits)) + (Boson(db - 1),))
+    space = HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_qubits)
     d = space.dim
     if initial is None:
         amps = np.zeros(d, dtype=complex)
@@ -414,11 +401,8 @@ def cqed_rabi_digitize(omega_r: float, omega_q: float, g: float, t: float,
         fid = float(np.real(np.vdot(reference.amplitudes,
                                     final.matrix @ reference.amplitudes)))
 
-    n_op = kron_all([np.eye(2 ** n_qubits), np.diag(np.arange(db, dtype=complex))])
-    z_total = sum(
-        kron_all([PAULIS["Z"] if k == q else np.eye(2, dtype=complex)
-                  for k in range(n_qubits)] + [np.eye(db)])
-        for q in range(n_qubits))
+    n_op = OperatorSum.single(space, -1, "n")
+    z_total = OperatorSum(space, [(1.0, on_factors(space, {q: "Z"})) for q in range(n_qubits)])
     obs = {"n": expectation(final, n_op).real, "z": expectation(final, z_total).real}
     return CqedRun(fidelity=fid, state=final, reference=reference, plan=plan,
                    observables=obs)
@@ -427,23 +411,12 @@ def cqed_rabi_digitize(omega_r: float, omega_q: float, g: float, t: float,
 def _cqed_noisy_run(space, initial, h1, h2_tilde, n_qubits, db, tau, steps,
                     noise: CqedNoise, tol: float) -> DensityMatrix:
     d = space.dim
-    a_full = np.kron(np.eye(2 ** n_qubits), boson_annihilation(db))
-    sz_ops, sm_ops, sx_ops = [], [], []
-    for q in range(n_qubits):
-        opz = [np.eye(2, dtype=complex)] * n_qubits
-        opz[q] = PAULIS["Z"]
-        sz_ops.append(np.kron(kron_all(opz), np.eye(db)))
-        opm = [np.eye(2, dtype=complex)] * n_qubits
-        opm[q] = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-        sm_ops.append(np.kron(kron_all(opm), np.eye(db)))
-        opx = [np.eye(2, dtype=complex)] * n_qubits
-        opx[q] = PAULIS["X"]
-        sx_ops.append(np.kron(kron_all(opx), np.eye(db)))
-    collapse = [(noise.kappa, a_full)] + \
-        [(noise.gamma_phi, sz) for sz in sz_ops] + \
-        [(noise.gamma_minus, sm) for sm in sm_ops]
+    qubits = range(n_qubits)
+    collapse = [(noise.kappa, OperatorSum.single(space, -1, "a").matrix())] + \
+        [(noise.gamma_phi, OperatorSum.single(space, q, "Z").matrix()) for q in qubits] + \
+        [(noise.gamma_minus, OperatorSum.single(space, q, "S-").matrix()) for q in qubits]
     collapse = [(r, op) for r, op in collapse if r > 0.0]
-    sx_total = sum(sx_ops)
+    sx_total = OperatorSum(space, [(1.0, on_factors(space, {q: "X"})) for q in qubits]).matrix()
 
     def dissipator(rho):
         acc = np.zeros_like(rho)

@@ -30,6 +30,7 @@ from .qcore import (
     dense_pauli,
     expm,
     kron_all,
+    on_factors,
 )
 from .qcore.operators import PAULI_LABELS, PAULIS, SIGMA_Y, boson_annihilation
 
@@ -154,16 +155,15 @@ def _conj_values(psi: np.ndarray, labels: Sequence[str]) -> list:
     return [complex(np.vdot(psi, dense_pauli(lbl) @ conj)) for lbl in labels]
 
 
-def monotone(state: PureState, spec: MonotoneSpec, embedded: bool | None = None) -> MonotoneResult:
+def monotone(state: PureState, spec: MonotoneSpec) -> MonotoneResult:
     """Evaluate the monotone, reporting how many enlarged-space observables
     the embedding protocol would have measured (two per antilinear term).
 
     ``state`` may be the simulated register state or its embedded image;
-    by default the register size disambiguates.
+    the register size tells them apart (one extra qubit: embedded).
     """
     n = spec.n_qubits
-    if embedded is None:
-        embedded = state.space.n_factors == n + 1
+    embedded = state.space.n_factors == n + 1
     psi = decode_state(state) if embedded else state.amplitudes
     if psi.size != 2 ** n:
         raise ValueError("state does not match the monotone's register size")
@@ -232,21 +232,16 @@ def monotone_mixed(decomposition, spec: MonotoneSpec) -> MonotoneResult:
 # ---------------------------------------------------------------------------
 
 def _cz(i: int, j: int, n: int) -> np.ndarray:
-    """|0><0|_i (x) 1 + |1><1|_i (x) sigma_z_j on n qubits."""
-    p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    term0 = [np.eye(2, dtype=complex)] * n
-    term1 = [np.eye(2, dtype=complex)] * n
-    term0[i] = p0
-    term1[i] = p1
-    term1[j] = PAULIS["Z"]
-    return kron_all(term0) + kron_all(term1)
+    """|0><0|_i (x) 1 + |1><1|_i (x) sigma_z_j on n qubits (|0> = |e>: ``Pe``)."""
+    space = HilbertSpace.qubits(n)
+    return OperatorSum(space, [(1.0, on_factors(space, {i: "Pe"})),
+                               (1.0, on_factors(space, {i: "Pg", j: "Z"}))]).matrix()
 
 
 def reduced_circuit_unitary(phi: float) -> np.ndarray:
     """CZ_02 CZ_01 Ry0(phi) CZ_01 CZ_02 on three qubits,
     with Ry(phi) = exp(-i phi sigma_y); equals exp(-i phi Y (x) Z (x) Z)."""
-    ry = expm(-1j * phi * np.kron(np.kron(PAULIS["Y"], np.eye(2)), np.eye(2)))
+    ry = expm(-1j * phi * dense_pauli("YII"))
     cz01, cz02 = _cz(0, 1, 3), _cz(0, 2, 3)
     return cz02 @ cz01 @ ry @ cz01 @ cz02
 
@@ -257,7 +252,7 @@ def reduced_circuit_target(phi: float) -> np.ndarray:
 
 def reduced_circuit_two_gate(phi: float) -> np.ndarray:
     """Two-gate variant CZ_02 CZ_01 Ry0(phi): equivalent on the |0>-ancilla subspace."""
-    ry = expm(-1j * phi * np.kron(np.kron(PAULIS["Y"], np.eye(2)), np.eye(2)))
+    ry = expm(-1j * phi * dense_pauli("YII"))
     return _cz(0, 2, 3) @ _cz(0, 1, 3) @ ry
 
 
@@ -272,22 +267,17 @@ class Gate:
     description: str
 
 
-def collective_spin_gate(theta: float, phi: float, k: int,
-                         boson_dim: int | None = None) -> np.ndarray:
+def collective_spin_gate(theta: float, phi: float, k: int) -> np.ndarray:
     """exp(-i theta (cos(phi) Sx + sin(phi) Sy)^2 / 4) on k qubits."""
-    sx = sum(_single_site(PAULIS["X"], q, k) for q in range(k))
-    sy = sum(_single_site(PAULIS["Y"], q, k) for q in range(k))
+    sx = sum(_single_site("X", q, k) for q in range(k))
+    sy = sum(_single_site("Y", q, k) for q in range(k))
     s = math.cos(phi) * sx + math.sin(phi) * sy
-    gate = expm(-1j * theta * (s @ s) / 4.0)
-    if boson_dim:
-        gate = np.kron(gate, np.eye(boson_dim, dtype=complex))
-    return gate
+    return expm(-1j * theta * (s @ s) / 4.0)
 
 
-def _single_site(mat: np.ndarray, site: int, n: int) -> np.ndarray:
-    ops = [np.eye(2, dtype=complex)] * n
-    ops[site] = mat
-    return kron_all(ops)
+def _single_site(letter: str, site: int, n: int) -> np.ndarray:
+    """The Pauli ``letter`` on qubit ``site`` of ``n``, identity elsewhere."""
+    return dense_pauli("I" * site + letter + "I" * (n - site - 1))
 
 
 _AXIS_TO_BASE = {
@@ -323,7 +313,7 @@ def ms_compile(label: str, phi: float, boson_quadrature: bool = False,
     central_letter = "Z" if k % 2 == 1 else "Y"
     ms_plus = collective_spin_gate(math.pi / 2.0, 0.0, k)
     ms_minus = ms_plus.conj().T
-    central = _single_site(PAULIS[central_letter], 0, k)
+    central = _single_site(central_letter, 0, k)
     conj = ms_minus @ central @ ms_plus
     base = dense_pauli("Z" + "X" * (k - 1))
     sign = None
@@ -341,7 +331,7 @@ def ms_compile(label: str, phi: float, boson_quadrature: bool = False,
     if boson_quadrature:
         a = boson_annihilation(boson_dim)
         x = a + a.conj().T
-        rot = expm(1j * phi_central * np.kron(_single_site(PAULIS[central_letter], 0, k), x))
+        rot = expm(1j * phi_central * np.kron(_single_site(central_letter, 0, k), x))
         eye_b = np.eye(boson_dim, dtype=complex)
         gates = [
             Gate("local", np.kron(local_change.conj().T, eye_b), "basis change in"),
@@ -548,7 +538,7 @@ def crosstalk_z_rotation(theta: float, qubit: int, n: int, delta0: float) -> np.
     single-qubit z rotation onto nearest neighbors."""
     model = NoiseModel(crosstalk=delta0)
     delta = model.crosstalk_matrix(n)
-    gen = sum(delta[k, qubit] * _single_site(PAULIS["Z"], k, n) for k in range(n))
+    gen = sum(delta[k, qubit] * _single_site("Z", k, n) for k in range(n))
     return expm(-1j * 0.5 * theta * gen)
 
 
@@ -610,7 +600,7 @@ def trotter_embedded_circuit(terms: Sequence, t: float, steps: int,
             else:
                 gen = "Y" if axis == "X" else "X"
                 sgn = -1.0 if axis == "X" else +1.0
-                u = expm(sgn * 1j * math.pi / 4.0 * _single_site(PAULIS[gen], q, n))
+                u = expm(sgn * 1j * math.pi / 4.0 * _single_site(gen, q, n))
                 gates.extend([u.conj().T, rz, u])
         else:
             gates.append(expm(-1j * coeff * dt * dense_pauli(label)))

@@ -328,15 +328,14 @@ def _run_twophoton_spectrum(params, seed, threads) -> RunArtifact:
             lam = point.parities[level]
             label = {1.0 + 0j: "+1", -1.0 + 0j: "-1", 1j: "+i", -1j: "-i"}[lam]
             rows.append((g, level, float(point.energies[level]), label,
-                         float(point.parity_weights[level]),
                          float(point.truncation_shifts[level])))
         return rows
 
     rows = [row for rows in parallel_map(one, [float(g) for g in params["g_values"]],
                                          threads) for row in rows]
     table = Table("spectrum", ("g_over_omega", "level", "energy_over_omega",
-                               "parity", "parity_weight", "truncation_shift"),
-                  ("1", "index", "1", "label", "1", "1"), rows)
+                               "parity", "truncation_shift"),
+                  ("1", "index", "1", "label", "1"), rows)
     return RunArtifact("twophoton-spectrum", params, seed, threads, [table])
 
 

@@ -42,11 +42,11 @@ from .qcore import (
     expectation,
     expm,
     integrate,
+    kron_all,
+    on_factors,
     propagator,
 )
-from .qcore.operators import (
-    PAULIS, PROJ_E, SIGMA_M, SIGMA_P, SIGMA_X, SIGMA_Y, SIGMA_Z, kron_all,
-)
+from .qcore.operators import PAULIS, PROJ_E, SIGMA_M, SIGMA_P, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 class TruncationError(RuntimeError):
@@ -217,39 +217,18 @@ def two_photon_hamiltonian(tp: TwoPhotonParams, n_qubits: int, n_max: int,
     + (g/N) sum_n sigma_x^n (a^2 + a^dag^2).
 
     ``simulation_frame`` flips the coupling sign, matching the Hamiltonian
-    realized by the second-sideband drive in its simulation picture.
+    realized by the second-sideband drive in its simulation picture.  The
+    operator is not flagged Hermitian (every caller takes ``.matrix()``,
+    and the flag would cost a dense check), and its ``.matrix()`` is the
+    cached buffer of the ``OperatorSum``: never write to it.
     """
-    space = HilbertSpace(tuple(Qubit() for _ in range(n_qubits)) + (Boson(n_max),))
-    db = n_max + 1
-    a = boson_annihilation(db)
-    sq = a @ a + (a @ a).conj().T
-    # a^2 + a^dag^2 is not a single primitive: assemble densely
-    mat = np.kron(np.eye(2 ** n_qubits, dtype=complex),
-                  tp.omega * np.diag(np.arange(db, dtype=complex)))
+    space = HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_qubits)
+    sign = -1.0 if simulation_frame else 1.0
+    terms = [(tp.omega, on_factors(space, {-1: "n"}))]
     for q in range(n_qubits):
-        zq = [np.eye(2, dtype=complex)] * n_qubits
-        zq[q] = PAULIS["Z"]
-        mat += 0.5 * tp.omega_q * np.kron(kron_all(zq), np.eye(db))
-        xq = [np.eye(2, dtype=complex)] * n_qubits
-        xq[q] = PAULIS["X"]
-        sign = -1.0 if simulation_frame else 1.0
-        mat += sign * (tp.g / n_qubits) * np.kron(kron_all(xq), sq)
-    return _DenseOperator(space, mat)
-
-
-class _DenseOperator:
-    """Minimal OperatorSum-compatible wrapper for assembled dense matrices."""
-
-    def __init__(self, space: HilbertSpace, mat: np.ndarray, hermitian: bool = True):
-        self.space = space
-        self._mat = mat
-        self.hermitian = hermitian
-
-    def matrix(self) -> np.ndarray:
-        return self._mat
-
-    def norm_inf(self) -> float:
-        return float(np.linalg.norm(self._mat, ord=2))
+        terms += [(0.5 * tp.omega_q, on_factors(space, {q: "Z"})),
+                  (sign * (tp.g / n_qubits), on_factors(space, {q: "X", -1: "sq"}))]
+    return OperatorSum(space, terms)
 
 
 def qrm_frame_rotation(n_max: int) -> np.ndarray:
@@ -334,14 +313,14 @@ class AdiabaticResult:
 
 def adiabatic_ground_state(h_of_g: Callable[[float], np.ndarray], g_final: float,
                            duration: float, space: HilbertSpace,
-                           n_checkpoints: int = 33, tol: float = 1e-9,
-                           gap_resolution: float = 1e-10) -> AdiabaticResult:
+                           n_checkpoints: int = 33, tol: float = 1e-9) -> AdiabaticResult:
     """Linear ramp g(t) = g_final * t / duration from the g=0+ ground state.
 
     The instantaneous ground state at each checkpoint comes from full
     diagonalization, with its phase fixed by positive overlap with the
-    previous checkpoint.  Degenerate ground spaces are flagged, not
-    resolved (the fidelity there refers to an arbitrary member).
+    previous checkpoint.  Degenerate ground spaces (a gap below 1e-10 of
+    ``max(1, |E_0|)``) are flagged, not resolved (the fidelity there refers
+    to an arbitrary member).
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
@@ -374,7 +353,7 @@ def adiabatic_ground_state(h_of_g: Callable[[float], np.ndarray], g_final: float
         reference = ground
         gap = float(evals[1] - evals[0])
         gaps[i] = gap
-        degenerate[i] = gap < gap_resolution * max(1.0, abs(evals[0]))
+        degenerate[i] = gap < 1e-10 * max(1.0, abs(evals[0]))
         fids[i] = abs(np.vdot(ground, current.amplitudes)) ** 2
     return AdiabaticResult(final_fidelity=float(fids[-1]), times=times,
                            fidelities=fids, gaps=gaps, degenerate=degenerate)
@@ -396,12 +375,8 @@ def qrm_parity_diagonal(space: HilbertSpace) -> np.ndarray:
     on the product basis (a Z2 symmetry; the two-photon model refines it to
     the Z4 generalized parity below)."""
     *qubit_factors, boson = space.factors
-    n_q = len(qubit_factors)
-    qubit_diag = np.array([1.0])
-    for _ in range(n_q):
-        qubit_diag = np.kron(qubit_diag, np.array([1.0, -1.0]))
-    fock_sign = (-1.0) ** np.arange(boson.dim)
-    return np.kron(qubit_diag, fock_sign)
+    return kron_all([np.array([1.0, -1.0])] * len(qubit_factors)
+                    + [(-1.0) ** np.arange(boson.dim)])
 
 
 def generalized_parity_diagonal(space: HilbertSpace) -> np.ndarray:
@@ -411,11 +386,8 @@ def generalized_parity_diagonal(space: HilbertSpace) -> np.ndarray:
     if not isinstance(boson, Boson) or not all(isinstance(f, Qubit) for f in qubit_factors):
         raise ValueError("expected qubits (x) one trailing boson factor")
     n_q = len(qubit_factors)
-    qubit_diag = np.array([1.0])
-    for _ in range(n_q):
-        qubit_diag = np.kron(qubit_diag, np.array([1.0, -1.0]))
-    fock_phase = 1j ** np.arange(boson.dim)
-    return ((-1.0) ** n_q) * np.kron(qubit_diag, fock_phase)
+    return ((-1.0) ** n_q) * kron_all([np.array([1.0, -1.0])] * n_q
+                                      + [1j ** np.arange(boson.dim)])
 
 
 PARITY_SECTORS = (1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j)
@@ -426,26 +398,23 @@ class SpectrumPoint:
     g: float
     energies: np.ndarray
     parities: np.ndarray          # one of +-1, +-i per level
-    parity_weights: np.ndarray    # dominant-sector weight per level
-    mixing_flags: np.ndarray      # weight < 0.999: truncation trouble
     truncation_shifts: np.ndarray  # |E(n_max) - E(n_max + 10)| per level
 
 
 def two_photon_spectrum(omega: float, omega_q: float, n_qubits: int,
                         g_values: Sequence[float], n_levels: int, n_max: int,
-                        check_convergence: bool = True,
-                        convergence_tol: float | None = None) -> list:
+                        check_convergence: bool = True) -> list:
     """Lowest eigenvalues with generalized-parity labels over a coupling grid.
 
     Each point is also solved at n_max+10, and ``truncation_shifts`` holds
     how far each retained level moved.  With ``check_convergence`` a
     :class:`TruncationError` is raised when any of them exceeds
-    ``convergence_tol`` (default 1e-4 * omega) -- near the collapse point
-    that failure is the physical signature, so callers wanting the trend
-    pass False and read the shifts instead.
+    ``1e-4 * |omega|`` -- near the collapse point that failure is the
+    physical signature, so callers wanting the trend pass False and read
+    the shifts instead.  Every level lies wholly in its labelled parity
+    sector (see :func:`_two_photon_levels`).
     """
-    if convergence_tol is None:
-        convergence_tol = 1e-4 * abs(omega)
+    convergence_tol = 1e-4 * abs(omega)
     out = []
     for g in g_values:
         point = _two_photon_point(omega, omega_q, n_qubits, g, n_levels, n_max)
@@ -489,9 +458,7 @@ def _two_photon_point(omega, omega_q, n_qubits, g, n_levels, n_max) -> SpectrumP
     with their shifts against the same levels at n_max+10."""
     energies, parities = _two_photon_levels(omega, omega_q, n_qubits, g, n_levels, n_max)
     again, _ = _two_photon_levels(omega, omega_q, n_qubits, g, n_levels, n_max + 10)
-    weights = np.ones(n_levels)
     return SpectrumPoint(g=float(g), energies=energies, parities=parities,
-                         parity_weights=weights, mixing_flags=weights < 0.999,
                          truncation_shifts=np.abs(energies - again))
 
 
@@ -500,7 +467,7 @@ def _two_photon_levels(omega, omega_q, n_qubits, g, n_levels, n_max) -> tuple:
 
     The Hamiltonian is real by construction and conserves the generalized
     parity, so it is solved sector by sector (:func:`_parity_sector_eigh`):
-    every level lies wholly in its labelled sector, with weight 1.
+    every level lies wholly in its labelled sector.
     """
     tp = TwoPhotonParams(omega=omega, omega_q=omega_q, g=g, n_qubits=n_qubits)
     h = two_photon_hamiltonian(tp, n_qubits, n_max).matrix()
@@ -509,7 +476,7 @@ def _two_photon_levels(omega, omega_q, n_qubits, g, n_levels, n_max) -> tuple:
         raise ValueError(f"n_levels must lie in [1, {dim // 4}] (a quarter of the "
                          f"dimension), got {n_levels}")
     diag = generalized_parity_diagonal(
-        HilbertSpace(tuple(Qubit() for _ in range(n_qubits)) + (Boson(n_max),)))
+        HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_qubits))
     evals, parities, _ = _parity_sector_eigh(h.real, diag, n_levels)
     return evals, parities
 
@@ -800,14 +767,15 @@ class ModeGuardReport:
     flagged: bool
 
 
-def dicke_mode_guard(n_ions: int, nu: float, omega_drive: float = 0.0,
-                     warn_ratio: float = 0.1) -> ModeGuardReport:
+def dicke_mode_guard(n_ions: int, nu: float, omega_drive: float = 0.0) -> ModeGuardReport:
     """Detuning of a second-sideband drive from the breathing mode.
 
     The drive sits 2*nu from the carrier; the breathing mode at sqrt(3)*nu
     has sidebands at sqrt(3)*nu and 2*sqrt(3)*nu, leaving margins
     Delta_1 = (2 - sqrt(3)) nu ~ 0.27 nu and Delta_2 = (2 sqrt(3) - 2) nu
-    ~ 1.46 nu.  Single ions have no spectator mode: the guard is inert.
+    ~ 1.46 nu.  The report is flagged when ``omega_drive`` exceeds 0.1 of
+    the nearer margin.  Single ions have no spectator mode: the guard is
+    inert.
     """
     if n_ions < 2:
         return ModeGuardReport(math.inf, math.inf, 0.0, False)
@@ -816,7 +784,7 @@ def dicke_mode_guard(n_ions: int, nu: float, omega_drive: float = 0.0,
     nearest = min(d1, d2)
     ratio = omega_drive / nearest if nearest > 0 else math.inf
     return ModeGuardReport(delta_first=d1, delta_second=d2,
-                           nearest_ratio=ratio, flagged=ratio > warn_ratio)
+                           nearest_ratio=ratio, flagged=ratio > 0.1)
 
 
 # ---------------------------------------------------------------------------

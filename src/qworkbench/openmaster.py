@@ -155,11 +155,12 @@ def liouvillian_matrix(model: LindbladModel, t: float) -> np.ndarray:
     return l_h + l_d
 
 
-def _rates_constant(model: LindbladModel, t: float, probes: int = 7) -> bool:
+def _rates_constant(model: LindbladModel, t: float) -> bool:
+    """True when H is constant and every rate takes one value at 7 times in [0, t]."""
     if model.h.is_constant is False:
         return False
     for ch in model.channels:
-        vals = [ch.rate(s) for s in np.linspace(0.0, t, probes)]
+        vals = [ch.rate(s) for s in np.linspace(0.0, t, 7)]
         if max(vals) - min(vals) > 1e-14 * max(1.0, abs(vals[0])):
             return False
     return True
@@ -170,8 +171,11 @@ def _propagate(generator: Callable[[float], np.ndarray], v0: np.ndarray, t: floa
     """v(t) for dv/ds = generator(s) v, v(0) = v0.
 
     A constant generator gets one matrix exponential; otherwise the
-    adaptive stepper runs at ``rtol=tol``, ``atol=tol*1e-2``.
+    adaptive stepper runs at ``rtol=tol``, ``atol=tol*1e-2``.  A negative
+    ``t`` raises ``ValueError``: the master equation is not run backwards.
     """
+    if t < 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
     if constant:
         return expm(generator(0.0) * t) @ v0
     return integrate(lambda s, y: generator(s) @ y, v0, 0.0, t, tol)
@@ -182,7 +186,7 @@ def lindblad_exact(model: LindbladModel, rho0: DensityMatrix, t: float,
     """Integrate the master equation on the vectorized superoperator.
 
     Time-independent generators get one matrix exponential; otherwise the
-    adaptive stepper runs on vec(rho).
+    adaptive stepper runs on vec(rho).  A negative ``t`` raises ``ValueError``.
     """
     if rho0.space != model.space:
         raise ValueError("initial state does not live on the model's space")
@@ -587,7 +591,8 @@ def nonhermitian_evolve(h: OperatorSum, gamma_op: OperatorSum, rho0: DensityMatr
     (trace decays for positive semidefinite Gamma).  An integer order
     treats -{Gamma, .} as the perturbation of -i[H, .] and sums the exact
     Dyson terms 0..order of the block-generator propagation (Van Loan
-    1978; see the module docstring).
+    1978; see the module docstring).  A negative ``t`` raises ``ValueError``
+    on both routes.
     """
     hm, gm = h.matrix(), gamma_op.matrix()
     for name, m in (("H", hm), ("Gamma", gm)):
@@ -597,6 +602,8 @@ def nonhermitian_evolve(h: OperatorSum, gamma_op: OperatorSum, rho0: DensityMatr
     space = h.space
 
     if order is None:
+        if t < 0.0:
+            raise ValueError(f"t must be >= 0, got {t}")
         j = hm - 1j * gm
         u = expm(-1j * j * t)
         rho = u @ rho0.matrix @ u.conj().T

@@ -31,6 +31,7 @@ from .operators import (
     boson_number,
     dense_pauli,
     kron_all,
+    on_factors,
 )
 from .states import (
     DensityMatrix,

@@ -206,8 +206,7 @@ class Schedule:
         self.apply = apply
         self.constant_matrix = None
         if constant is not None:
-            # any object exposing .matrix() (OperatorSum or a dense wrapper) works
-            mat = constant.matrix() if hasattr(constant, "matrix") else \
+            mat = constant.matrix() if isinstance(constant, OperatorSum) else \
                 np.asarray(constant, dtype=complex)
             if mat.shape != (space.dim, space.dim):
                 raise DimensionMismatchError("constant Hamiltonian does not match the space")
@@ -219,9 +218,9 @@ class Schedule:
     @staticmethod
     def constant(op, space: HilbertSpace | None = None) -> "Schedule":
         if space is None:
-            space = getattr(op, "space", None)
-            if space is None:
+            if not isinstance(op, OperatorSum):
                 raise ValueError("space required when passing a raw matrix")
+            space = op.space
         return Schedule(space, constant=op)
 
     @staticmethod

@@ -16,11 +16,11 @@ def expectation(state: PureState | DensityMatrix, op: OperatorSum | np.ndarray) 
     When ``op`` is an OperatorSum flagged Hermitian the imaginary part must
     be numerical dust (< 1e-10) and is returned as exactly zero.
     """
-    if hasattr(op, "matrix"):
-        if getattr(op, "space", state.space) != state.space:
+    if isinstance(op, OperatorSum):
+        if op.space != state.space:
             raise DimensionMismatchError("state and operator live on different spaces")
         mat = op.matrix()
-        hermitian = bool(getattr(op, "hermitian", False))
+        hermitian = bool(op.hermitian)
     else:
         mat = np.asarray(op, dtype=complex)
         if mat.shape != (state.space.dim,) * 2:

@@ -1,5 +1,14 @@
 """Operators as weighted sums of tensor-product primitives, plus dense Pauli helpers.
 
+Every dense operator of the package is built here: ``OperatorSum`` turns
+primitive codes into matrices in the factor order of ``qcore.spaces``,
+``on_factors`` places codes on chosen factors with ``"I"`` on the rest,
+and ``dense_pauli`` and ``kron_all`` cover Pauli labels and explicit
+factor lists.  No module outside ``qcore`` pads with identities by hand.
+
+Primitive codes: on a qubit ``I X Y Z S+ S- Pe Pg``; on a mode ``I a adag
+n x p sq`` (``sq = a^2 + a^dag^2``) and ``("disp", eta)``.
+
 Global matrix conventions (fixed for the whole package):
 
 * computational basis index 0 is the excited level |e>, index 1 the ground
@@ -14,6 +23,7 @@ Global matrix conventions (fixed for the whole package):
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,37 +82,62 @@ def boson_displacement_generator(dim: int, eta: float) -> np.ndarray:
 
 
 def _boson_matrix(code, dim: int) -> np.ndarray:
-    if isinstance(code, tuple) and code[0] == "disp":
+    if isinstance(code, tuple):
         return boson_displacement_generator(dim, float(code[1]))
-    a = boson_annihilation(dim)
     if code == "I":
         return np.eye(dim, dtype=complex)
+    if code == "n":
+        return boson_number(dim)
+    a = boson_annihilation(dim)
     if code == "a":
         return a
     if code == "adag":
         return a.conj().T
-    if code == "n":
-        return boson_number(dim)
     if code == "x":
         return a + a.conj().T
     if code == "p":
         return 1j * (a.conj().T - a)
-    raise ValueError(f"unknown bosonic primitive {code!r}")
+    a2 = a @ a
+    return a2 + a2.conj().T  # "sq"
+
+
+_BOSON_DAGGER = {"I": "I", "a": "adag", "adag": "a", "n": "n", "x": "x", "p": "p", "sq": "sq"}
 
 
 def _boson_dagger(code):
-    if isinstance(code, tuple) and code[0] == "disp":
+    if isinstance(code, tuple):
         return ("disp", -float(code[1]))
-    return {"I": "I", "a": "adag", "adag": "a", "n": "n", "x": "x", "p": "p"}[code]
+    return _BOSON_DAGGER[code]
 
 
-def factor_matrix(factor, code) -> np.ndarray:
+def _check_code(factor, code) -> None:
+    """Raise ``ValueError`` unless ``code`` names a primitive of ``factor``."""
     if isinstance(factor, Qubit):
-        try:
-            return _QUBIT_MATS[code]
-        except KeyError:
-            raise ValueError(f"unknown qubit primitive {code!r}") from None
+        if not (isinstance(code, str) and code in _QUBIT_MATS):
+            raise ValueError(f"unknown qubit primitive {code!r}")
+    elif isinstance(code, tuple):
+        if len(code) != 2 or code[0] != "disp" or not isinstance(code[1], numbers.Real):
+            raise ValueError(f"unknown bosonic primitive {code!r}")
+    elif not (isinstance(code, str) and code in _BOSON_DAGGER):
+        raise ValueError(f"unknown bosonic primitive {code!r}")
+
+
+def _factor_matrix(factor, code) -> np.ndarray:
+    if isinstance(factor, Qubit):
+        return _QUBIT_MATS[code]
     return _boson_matrix(code, factor.dim)
+
+
+def on_factors(space: HilbertSpace, codes: dict) -> tuple:
+    """Factor codes of one term: ``codes[k]`` on factor ``k``, ``"I"`` elsewhere.
+
+    Keys index ``space.factors`` and may be negative, so ``{0: "X", -1: "a"}``
+    is sigma_x on the first qubit times ``a`` on a trailing mode.
+    """
+    factors = ["I"] * space.n_factors
+    for index, code in codes.items():
+        factors[index] = code
+    return tuple(factors)
 
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -112,12 +147,15 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     ``out[:, None, :, None] * m[None, :, None, :]`` (``np.multiply.outer``
     for vectors).  These are the elementwise products ``np.kron`` forms, so
     the result is byte-identical to a chained ``np.kron``, signed zeros
-    included, without its per-call shape handling.
+    included, without its per-call shape handling.  The result is always a
+    new array, also for a single factor, so a caller may write to it.
     """
     out = mats[0]
     ndim = out.ndim
     if ndim not in (1, 2) or any(m.ndim != ndim for m in mats[1:]):
         raise ValueError("kron_all factors must be all 2-D matrices or all 1-D vectors")
+    if len(mats) == 1:
+        return out.copy()
     for m in mats[1:]:
         if ndim == 1:
             out = np.multiply.outer(out, m).reshape(-1)
@@ -153,7 +191,7 @@ class OperatorSum:
                     f"{space.n_factors} subsystems"
                 )
             for f, code in zip(space.factors, factors):
-                factor_matrix(f, code)  # validates the primitive
+                _check_code(f, code)
             cleaned.append((complex(coeff), factors))
         self.terms = tuple(cleaned)
         self.hermitian = hermitian
@@ -173,9 +211,8 @@ class OperatorSum:
     def single(space: HilbertSpace, index: int, code, coeff: complex = 1.0,
                hermitian: bool | None = None) -> "OperatorSum":
         """``coeff`` times the primitive ``code`` on subsystem ``index``."""
-        factors = ["I"] * space.n_factors
-        factors[index] = code
-        return OperatorSum(space, [(coeff, tuple(factors))], hermitian=hermitian)
+        return OperatorSum(space, [(coeff, on_factors(space, {index: code}))],
+                           hermitian=hermitian)
 
     @staticmethod
     def pauli_string(space: HilbertSpace, label: str, coeff: complex = 1.0) -> "OperatorSum":
@@ -230,8 +267,10 @@ class OperatorSum:
             d = self.space.dim
             acc = np.zeros((d, d), dtype=complex)
             for coeff, factors in self.terms:
-                mats = [factor_matrix(f, code) for f, code in zip(self.space.factors, factors)]
-                acc += coeff * kron_all(mats)
+                term = kron_all([_factor_matrix(f, code)
+                                 for f, code in zip(self.space.factors, factors)])
+                # in place, scalar first: the bytes of ``coeff * term``
+                acc += np.multiply(coeff, term, out=term)
             if self.hermitian:
                 herm_defect = np.max(np.abs(acc - acc.conj().T)) if d else 0.0
                 if herm_defect > 1e-10:

@@ -1,8 +1,12 @@
 """Composite Hilbert spaces built from qubit and truncated-boson factors.
 
 Factor order is fixed and significant: tensor index 0 is the leftmost
-factor, and all dense matrices produced elsewhere in the package follow
-this ordering (numpy ``kron`` over the factor list, left to right).
+factor, and every dense matrix of the package follows this ordering
+(numpy ``kron`` over the factor list, left to right).  Only ``qcore``
+turns factors into dense matrices: ``qcore.operators`` builds every
+operator from primitive codes (``OperatorSum``, ``on_factors``,
+``dense_pauli``, ``kron_all``), including the mode primitive
+``"sq" = a^2 + a^dag^2``.
 """
 from __future__ import annotations
 

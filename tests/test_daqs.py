@@ -158,6 +158,58 @@ def closed_form_xy_drive_matrix(n_spins, db, strength, delta_mode, delta_spin, t
     return half + half.conj().T
 
 
+def _on_qubit(op, q, n):
+    """``op`` on qubit ``q`` of ``n``, identities elsewhere, by ``np.kron``."""
+    out = np.ones((1, 1))
+    for k in range(n):
+        out = np.kron(out, op if k == q else np.eye(2))
+    return out
+
+
+_SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |e><g|
+_Z = np.diag([1.0, -1.0]).astype(complex)
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def _mode_ops(db):
+    a = np.diag(np.sqrt(np.arange(1.0, db)), k=1).astype(complex)
+    return a, np.diag(np.arange(db, dtype=complex))
+
+
+@pytest.mark.parametrize("n_spins", [2, 3])
+def test_xy_drive_factor_order(n_spins):
+    # spins first, the mode last: the coupling sum_j (S+_j + S-_j) (x) (a + a^dag)
+    # and the frame -delta_spin N_e - delta_mode n
+    db, strength, delta_mode, delta_spin = 4, 0.7, 13.1, -2.3
+    space = qc.HilbertSpace.qubit_boson(n_max=db - 1, n_qubits=n_spins)
+    h = daqs._xy_drive_schedule(space, strength, delta_mode, delta_spin)
+    a, _ = _mode_ops(db)
+    sp_total = sum(_on_qubit(_SP, q, n_spins) for q in range(n_spins))
+    half = np.kron(sp_total, a + a.conj().T)
+    assert np.array_equal(h.matrix_at(0.0), strength * (half + half.conj().T))
+    n_exc = sum(_on_qubit(np.diag([1.0, 0.0]), q, n_spins) for q in range(n_spins))
+    frame = -delta_spin * np.kron(np.diag(n_exc), np.ones(db)) \
+        - delta_mode * np.kron(np.ones(2 ** n_spins), np.arange(db, dtype=float))
+    assert np.array_equal(h.exact_frame.frame, frame)
+
+
+def test_cqed_builders_factor_order():
+    n, db, g = 2, 5, 0.29
+    a, num = _mode_ops(db)
+    eye_s, eye_b = np.eye(2 ** n), np.eye(db)
+    ref = 1.3 * np.kron(eye_s, num)
+    for q in range(n):
+        ref = ref + 0.5 * -0.7 * np.kron(_on_qubit(_Z, q, n), eye_b)
+        ref = ref + g * np.kron(_on_qubit(_X, q, n), a + a.conj().T)
+    assert np.array_equal(daqs.rabi_hamiltonian_dense(n, db, 1.3, -0.7, g), ref)
+    ref = 0.37 * np.kron(eye_s, num)
+    for q in range(n):
+        ref = ref + -0.81 * np.kron(_on_qubit(_Z, q, n), eye_b)
+        ref = ref + g * np.kron(_on_qubit(_SP, q, n), a)
+        ref = ref + g * np.kron(_on_qubit(_SP.T, q, n), a.conj().T)
+    assert np.array_equal(daqs._tavis_cummings(n, db, 0.37, -0.81, g), ref)
+
+
 @pytest.mark.parametrize("n_spins", [2, 3])
 def test_xy_drive_terms_match_closed_form(n_spins):
     two_pi = 2 * math.pi

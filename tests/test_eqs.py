@@ -219,6 +219,19 @@ def test_reduced_circuit_identity():
         assert dist < 1e-12
 
 
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(3) for j in range(3) if i != j])
+def test_cz_factor_order(i, j):
+    # |0><0|_i + |1><1|_i sigma_z_j, qubit 0 leftmost
+    def on(ops):
+        out = np.ones((1, 1))
+        for k in range(3):
+            out = np.kron(out, ops.get(k, np.eye(2)))
+        return out
+
+    p0, p1, z = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.diag([1.0, -1.0])
+    assert np.array_equal(eqs._cz(i, j, 3), on({i: p0}) + on({i: p1, j: z}))
+
+
 def test_reduced_circuit_two_gate_variant():
     # the two-gate circuit agrees on the |0>-ancilla input subspace
     for phi in (0.2, 0.9, 2.1):

@@ -617,3 +617,32 @@ def test_nonhermitian_flags_trace_growth():
                                 qc.OperatorSum.single(space, 0, "Pe", 0.4),
                                 rho0, 0.5)
     assert np.trace(ok.matrix).real <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_negative_time_raises_on_every_exact_route(time_dependent):
+    # a constant model would otherwise run backwards: populations (1.35, -0.35)
+    space = one_qubit_space()
+    if time_dependent:
+        h = qc.Schedule.time_dependent(
+            space, lambda s: math.cos(s) * qc.OperatorSum.single(space, 0, "Z").matrix())
+    else:
+        h = sigma(space, "Z", 0.4)
+    model = om.LindbladModel(h, [(sigma(space, "S-"), 0.5)])
+    rho0 = qc.basis_state(space, [0]).to_density_matrix()
+    obs = sigma(space, "Z")
+    for call in (lambda: om.lindblad_exact(model, rho0, -0.5),
+                 lambda: om.truncated_states(model, rho0, -0.5, 2),
+                 lambda: om.truncated_state(model, rho0, -0.5, 2),
+                 lambda: om.reconstruct(model, obs, rho0, -0.5, 2)):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            call()
+
+
+@pytest.mark.parametrize("order", [None, 0, 2])
+def test_nonhermitian_evolve_rejects_negative_time(order):
+    space = one_qubit_space()
+    rho0 = qc.basis_state(space, [0]).to_density_matrix()
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        om.nonhermitian_evolve(sigma(space, "Z", 0.4), sigma(space, "Pe", 0.3), rho0, -0.5,
+                               order=order)

@@ -719,6 +719,50 @@ def test_operator_algebra_dagger():
     assert np.max(np.abs(dag.matrix() - op.matrix().conj().T)) < 1e-12
 
 
+def test_operator_codes_are_checked_at_construction(monkeypatch):
+    space = qc.HilbertSpace.qubit_boson(n_max=3)
+    with pytest.raises(ValueError, match="unknown qubit primitive"):
+        qc.OperatorSum(space, [(1.0, ("a", "I"))])
+    with pytest.raises(ValueError, match="unknown bosonic primitive"):
+        qc.OperatorSum(space, [(1.0, ("Z", "b"))])
+    with pytest.raises(ValueError, match="unknown bosonic primitive"):
+        qc.OperatorSum(space, [(1.0, ("Z", ("shift", 0.3)))])
+    # codes are checked by name: no factor matrix (here an expm) is built
+    # before .matrix() is asked for
+    def no_expm(m):
+        raise AssertionError("factor matrix built at construction")
+
+    monkeypatch.setattr(qc.operators, "expm", no_expm)
+    op = qc.OperatorSum(space, [(1.0, ("Z", ("disp", 0.3)))])
+    with pytest.raises(AssertionError, match="at construction"):
+        op.matrix()
+
+
+def test_squeeze_primitive_is_self_adjoint():
+    space = qc.HilbertSpace.qubit_boson(n_max=5)
+    a = qc.boson_annihilation(6)
+    op = qc.OperatorSum(space, [(0.3j, ("X", "sq"))])
+    assert op.dagger().terms == (((-0.3j), ("X", "sq")),)
+    assert np.array_equal(op.matrix(), 0.3j * np.kron(qc.SIGMA_X, a @ a + (a @ a).conj().T))
+    assert np.array_equal(op.dagger().matrix(), op.matrix().conj().T)
+
+
+def test_matrices_never_alias_the_primitive_constants():
+    # matrix() scales each term in place, so no term may be a module constant
+    space = qc.HilbertSpace.qubits(1)
+    m = qc.OperatorSum.single(space, 0, "Z", 0.65).matrix()
+    assert np.array_equal(m, np.diag([0.65, -0.65]))
+    assert np.array_equal(qc.SIGMA_Z, np.diag([1.0, -1.0]))
+    assert not np.shares_memory(m, qc.SIGMA_Z)
+    assert not np.shares_memory(qc.dense_pauli("X"), qc.SIGMA_X)
+
+
+def test_on_factors_pads_with_identities():
+    space = qc.HilbertSpace.qubit_boson(n_max=2, n_qubits=3)
+    assert qc.on_factors(space, {1: "X", -1: "sq"}) == ("I", "X", "I", "sq")
+    assert qc.on_factors(space, {}) == ("I",) * 4
+
+
 # ---------------------------------------------------------------------------
 # dense Kronecker products and Pauli strings
 # ---------------------------------------------------------------------------
