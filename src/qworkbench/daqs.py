@@ -24,7 +24,9 @@ from .qcore import (
     OperatorSum,
     PureState,
     Schedule,
+    basis_state,
     dense_pauli,
+    evolve,
     evolve_trace,
     expectation,
     expm,
@@ -116,10 +118,11 @@ def heisenberg(coupling: SpinCouplingMatrix) -> np.ndarray:
         analog_block(kind="ZZ", coupling=coupling)
 
 
-def collective_y_rotation(n: int, theta: float = math.pi / 4.0) -> np.ndarray:
+def collective_y_rotation(n: int) -> np.ndarray:
+    """R_y(pi/4) = exp(-i (pi/4) sum_i sigma_y^i) on ``n`` spins."""
     gen = sum(dense_pauli("".join("Y" if k == q else "I" for k in range(n)))
               for q in range(n))
-    return expm(-1j * theta * gen)
+    return expm(-1j * math.pi / 4.0 * gen)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +144,12 @@ class HeisenbergRun:
     unitary: np.ndarray
     trotter_defect: float
     fidelities: dict
+
+
+def _heisenberg_unitary(coupling: SpinCouplingMatrix, t: float) -> np.ndarray:
+    """The exact reference exp(-i H t), H = ``heisenberg(coupling)``, t >= 0."""
+    space = HilbertSpace.qubits(coupling.n_spins)
+    return propagator(Schedule.constant(heisenberg(coupling), space), 0.0, t)
 
 
 def _state_fidelities(u_approx: np.ndarray, u_exact: np.ndarray, states: dict) -> dict:
@@ -169,7 +178,7 @@ def daqs_heisenberg(coupling: SpinCouplingMatrix, t: float, steps: int,
     tau = t / steps
     step = expm(-1j * h_xy * tau) @ r_y @ expm(-1j * h_xx * tau) @ r_y.conj().T
     u = np.linalg.matrix_power(step, steps)
-    exact = expm(-1j * heisenberg(coupling) * t)
+    exact = _heisenberg_unitary(coupling, t)
     defect = float(np.linalg.norm(u - exact, ord=2))
     plan = TrotterPlan(steps=steps,
                        blocks=(("XY", tau), ("Ry", math.pi / 4), ("XX", tau),
@@ -199,7 +208,7 @@ def digital_heisenberg(coupling: SpinCouplingMatrix, t: float, steps: int,
                        for letter in "XYZ")
             step = expm(-1j * bond * tau) @ step
     u = np.linalg.matrix_power(step, steps)
-    exact = expm(-1j * heisenberg(coupling) * t)
+    exact = _heisenberg_unitary(coupling, t)
     plan = TrotterPlan(steps=steps, blocks=(("pairwise", tau),),
                        gate_count=3 * n_pairs * steps)
     return HeisenbergRun(plan=plan, unitary=u,
@@ -269,28 +278,23 @@ def xy_block_physical(j_coupling: float, delta_mode: float, delta_spin: float,
                       "step behind the XY block is getting shaky", stacklevel=2)
     eta_eff = math.sqrt(j_coupling * delta_mode / 2.0) / omega
     space = HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_spins)
-    db = n_max + 1
-    d_spin = 2 ** n_spins
     sched = _xy_drive_schedule(space, omega * eta_eff, delta_mode, delta_spin)
 
     coupling = SpinCouplingMatrix.uniform(n_spins, j_coupling)
     ideal_sched = Schedule.constant(0.5 * analog_block("XY", coupling),
                                     HilbertSpace.qubits(n_spins))
 
-    # benchmark state: all spins down except the middle one
-    flipped = ["1"] * n_spins
-    flipped[n_spins // 2] = "0"
-    spin0 = np.zeros(d_spin, dtype=complex)
-    spin0[int("".join(flipped), 2)] = 1.0
-    vac = np.zeros(db, dtype=complex)
-    vac[0] = 1.0
-    psi0 = PureState(space, np.kron(spin0, vac))
+    # benchmark state: all spins down except the middle one, phonon vacuum
+    flipped = [1] * n_spins
+    flipped[n_spins // 2] = 0
+    spin0 = basis_state(ideal_sched.space, flipped)
+    psi0 = basis_state(space, flipped + [0])
 
     times = np.asarray(list(times), dtype=float)
     trace = evolve_trace(psi0, sched, times, tol=tol)
     fids = np.empty(times.size)
     for k, (t, st) in enumerate(zip(times, trace)):
-        ideal = propagator(ideal_sched, 0.0, t) @ spin0
+        ideal = evolve(spin0, ideal_sched, 0.0, t).amplitudes
         rho_spin = partial_trace(st.to_density_matrix(), list(range(n_spins)))
         fids[k] = float(np.real(np.vdot(ideal, rho_spin.matrix @ ideal)))
     return XYBlockResult(times=times, fidelities=fids, eta_eff=eta_eff)
@@ -348,7 +352,6 @@ def _collective_flip(n_qubits: int, db: int) -> np.ndarray:
 def cqed_rabi_digitize(omega_r: float, omega_q: float, g: float, t: float,
                        steps: int, n_qubits: int = 1, n_max: int = 20,
                        split: tuple | None = None,
-                       initial: PureState | None = None,
                        noise: CqedNoise | None = None,
                        tol: float = 1e-9) -> CqedRun:
     """Interleaved Jaynes-Cummings steps and pi flips approximating the
@@ -360,9 +363,11 @@ def cqed_rabi_digitize(omega_r: float, omega_q: float, g: float, t: float,
     satisfying ``dq1 - dq2 = omega_q/2`` (default ``(omega_q/2, 0)``).
     Both orderings are first-order; the counter-rotating-first one tracks
     the long-time revivals measurably better and is fixed here.
-    ``noise`` switches to a density-matrix integration with resonator
-    loss, qubit dephasing/relaxation, and finite raised-cosine flip pulses.
-    The reference is the exact Rabi evolution at the simulated time.
+    The run starts with every qubit excited and the resonator in its
+    vacuum.  ``noise`` switches to a density-matrix integration with
+    resonator loss, qubit dephasing/relaxation, and finite raised-cosine
+    flip pulses.  The reference is the exact Rabi evolution at the
+    simulated time.
     """
     if steps < 1:
         raise ValueError("need at least one Trotter step")
@@ -373,18 +378,14 @@ def cqed_rabi_digitize(omega_r: float, omega_q: float, g: float, t: float,
         raise ValueError("split must satisfy dq1 - dq2 = omega_q/2")
     db = n_max + 1
     space = HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_qubits)
-    d = space.dim
-    if initial is None:
-        amps = np.zeros(d, dtype=complex)
-        amps[0] = 1.0  # all qubits excited, vacuum mode
-        initial = PureState(space, amps)
+    initial = basis_state(space, [0] * space.n_factors)
 
     tau = t / steps
     h1 = _tavis_cummings(n_qubits, db, 0.5 * omega_r, dq1, g)
     h2_tilde = _tavis_cummings(n_qubits, db, 0.5 * omega_r, dq2, g)
     flip = _collective_flip(n_qubits, db)
     h_exact = rabi_hamiltonian_dense(n_qubits, db, omega_r, omega_q, g)
-    reference = PureState(space, expm(-1j * h_exact * t) @ initial.amplitudes,)
+    reference = evolve(initial, Schedule.constant(h_exact, space), 0.0, t)
 
     blocks = (("Flip", math.pi), ("JC-rot", tau), ("Flip", math.pi), ("JC", tau))
     gate_count = 4 * steps

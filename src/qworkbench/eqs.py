@@ -32,7 +32,7 @@ from .qcore import (
     kron_all,
     on_factors,
 )
-from .qcore.operators import PAULI_LABELS, PAULIS, SIGMA_Y, boson_annihilation
+from .qcore.operators import PAULI_LABELS, PAULIS, SIGMA_Y
 
 #: metric weights over (I, X, Y, Z) used by the antilinear monotone family
 METRIC_DIAGONAL = (-1.0, 1.0, 0.0, 1.0)
@@ -75,7 +75,7 @@ def decode_matrix(n_qubits: int) -> np.ndarray:
 
 def conjugation_gate(n_qubits: int) -> np.ndarray:
     """K~ = sigma_z (x) I on the enlarged register."""
-    return np.kron(PAULIS["Z"], np.eye(2 ** n_qubits, dtype=complex))
+    return kron_all([PAULIS["Z"], np.eye(2 ** n_qubits, dtype=complex)])
 
 
 def embed_hamiltonian(h: np.ndarray | OperatorSum) -> np.ndarray:
@@ -91,14 +91,14 @@ def embed_hamiltonian(h: np.ndarray | OperatorSum) -> np.ndarray:
     a, b = hm.real, hm.imag
     if np.max(np.abs(a - a.T)) > 1e-12 or np.max(np.abs(b + b.T)) > 1e-12:
         raise ValueError("Re H must be symmetric and Im H antisymmetric")
-    return 1j * np.kron(np.eye(2), b) - np.kron(SIGMA_Y, a)
+    return 1j * kron_all([np.eye(2), b]) - kron_all([SIGMA_Y, a])
 
 
 def conj_expectation(psi_tilde: PureState, observable: np.ndarray | OperatorSum) -> complex:
     """<psi|O K|psi> = <psi~|(sigma_z - i sigma_x) (x) O|psi~>."""
     omat = observable.matrix() if isinstance(observable, OperatorSum) else \
         np.asarray(observable, dtype=complex)
-    big = np.kron(PAULIS["Z"] - 1j * PAULIS["X"], omat)
+    big = kron_all([PAULIS["Z"] - 1j * PAULIS["X"], omat])
     v = psi_tilde.amplitudes
     return complex(np.vdot(v, big @ v))
 
@@ -307,7 +307,6 @@ def ms_compile(label: str, phi: float, boson_quadrature: bool = False,
     if any(ch not in "XYZ" for ch in label):
         raise ValueError("identity letters are not compiled here; dress the "
                          "readout instead (see measure_via_anticommutation)")
-    boson_dim = (n_max + 1) if boson_quadrature else None
 
     # conjugated central operator: V sigma_c^{(0)} V^dag = sign * Z X...X
     central_letter = "Z" if k % 2 == 1 else "Y"
@@ -329,17 +328,17 @@ def ms_compile(label: str, phi: float, boson_quadrature: bool = False,
 
     phi_central = sign * phi
     if boson_quadrature:
-        a = boson_annihilation(boson_dim)
-        x = a + a.conj().T
-        rot = expm(1j * phi_central * np.kron(_single_site(central_letter, 0, k), x))
-        eye_b = np.eye(boson_dim, dtype=complex)
+        space = HilbertSpace.qubit_boson(n_max, n_qubits=k)
+        codes = on_factors(space, {0: central_letter, -1: "x"})
+        rot = expm(1j * phi_central * OperatorSum(space, [(1.0, codes)]).matrix())
+        eye_b = np.eye(n_max + 1, dtype=complex)
         gates = [
-            Gate("local", np.kron(local_change.conj().T, eye_b), "basis change in"),
-            Gate("ms", np.kron(ms_plus, eye_b), "collective gate (+pi/2)"),
+            Gate("local", kron_all([local_change.conj().T, eye_b]), "basis change in"),
+            Gate("ms", kron_all([ms_plus, eye_b]), "collective gate (+pi/2)"),
             Gate("rotation", rot,
                  f"exp(i {phi_central:+.6f} {central_letter}0 (a+adag))"),
-            Gate("ms", np.kron(ms_minus, eye_b), "collective gate (-pi/2)"),
-            Gate("local", np.kron(local_change, eye_b), "basis change out"),
+            Gate("ms", kron_all([ms_minus, eye_b]), "collective gate (-pi/2)"),
+            Gate("local", kron_all([local_change, eye_b]), "basis change out"),
         ]
     else:
         rot = expm(1j * phi_central * central)
@@ -355,11 +354,10 @@ def ms_compile(label: str, phi: float, boson_quadrature: bool = False,
 
 def ms_target(label: str, phi: float, boson_quadrature: bool = False,
               n_max: int = 30) -> np.ndarray:
-    p = dense_pauli(label)
-    if boson_quadrature:
-        a = boson_annihilation(n_max + 1)
-        p = np.kron(p, a + a.conj().T)
-    return expm(1j * phi * p)
+    if not boson_quadrature:
+        return expm(1j * phi * dense_pauli(label))
+    space = HilbertSpace.qubit_boson(n_max, n_qubits=len(label))
+    return expm(1j * phi * OperatorSum(space, [(1.0, tuple(label) + ("x",))]).matrix())
 
 
 def ms_verify(gates: Sequence[Gate], target: np.ndarray) -> float:
@@ -542,15 +540,14 @@ def crosstalk_z_rotation(theta: float, qubit: int, n: int, delta0: float) -> np.
     return expm(-1j * 0.5 * theta * gen)
 
 
-def cost_ratio(n_qubits: int, n_observables: int, epsilon: float, delta: float,
-               n_gates: int | None = None) -> float:
+def cost_ratio(n_qubits: int, n_observables: int, epsilon: float, delta: float) -> float:
     """Measurement-cost ratio of the embedding route versus full tomography,
-    ``l (delta / (sqrt(3) eps))^{2 N}`` when the gate count grows like the
-    register size (n_gates defaults to n_qubits)."""
+    ``l (delta / (sqrt(3) eps))^{2 N}``, with a gate count that grows like
+    the register size N."""
     if not (0.0 < epsilon <= 1.0) or not (0.0 < delta <= 1.0):
         raise ValueError("fidelities must sit in (0, 1]")
-    n = n_qubits if n_gates is None else n_gates
-    return n_observables * (delta ** (2 * n)) / (3 ** n_qubits * epsilon ** (2 * n))
+    return n_observables * (delta ** (2 * n_qubits)) \
+        / (3 ** n_qubits * epsilon ** (2 * n_qubits))
 
 
 # ---------------------------------------------------------------------------

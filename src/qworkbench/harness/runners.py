@@ -167,8 +167,8 @@ def _run_lindblad_bounds(params, seed, threads) -> RunArtifact:
         states = openmaster.truncated_states(model, rho0, t, params["max_order"])
         rows = []
         for n, tilde in enumerate(states):
-            d1 = 0.5 * float(np.sum(np.linalg.svd(exact.matrix - tilde,
-                                                  compute_uv=False)))
+            d1 = qc.trace_distance(exact, qc.DensityMatrix(model.space, tilde,
+                                                            check_trace=False))
             bound = openmaster.truncation_bound(n, t, gb, model.n_channels)
             rows.append((model_idx, n_qubits, model.n_channels, t, gb, n, d1,
                          bound, bound - d1))
@@ -192,12 +192,11 @@ def _run_lindblad_bounds(params, seed, threads) -> RunArtifact:
 def _run_eqs_concurrence(params, seed, threads) -> RunArtifact:
     grid = np.linspace(0.0, math.pi, params["n_points"])
     # embedded image of H = -g ZZ; the dynamics depends only on gt
-    h_tilde = qc.dense_pauli("YZZ")
     psi0 = eqs.embed_state(qc.all_plus_state(2))
+    h_tilde = qc.Schedule.constant(qc.OperatorSum.pauli_string(psi0.space, "YZZ"))
 
     def one(gt):
-        tilde = qc.expm(-1j * h_tilde * gt) @ psi0.amplitudes
-        state = qc.PureState(qc.HilbertSpace.qubits(3), tilde)
+        state = qc.evolve(psi0, h_tilde, 0.0, gt)
         c_eqs = eqs.monotone(state, eqs.MonotoneSpec("Concurrence2", 2)).value
         direct = abs(math.sin(2.0 * gt))
         return (float(gt), c_eqs, direct, abs(c_eqs - direct))
@@ -245,10 +244,11 @@ def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
     steps = params["trotter_steps"]
     eps_list = list(params["gate_fidelities"])
     xtalk_list = list(params["crosstalk"])
-    h = sum(c * qc.dense_pauli(lbl) for c, lbl in terms)
+    h = qc.Schedule.constant(qc.OperatorSum(psi0.space,
+                                            [(c, tuple(lbl)) for c, lbl in terms]))
 
     def one(t):
-        ideal = qc.PureState(qc.HilbertSpace.qubits(4), qc.expm(-1j * h * t) @ psi0.amplitudes)
+        ideal = qc.evolve(psi0, h, 0.0, t)
         row = [float(t), _tangle_from_embedded(ideal)]
         for eps in eps_list:
             noisy, n_gates = eqs.trotter_embedded_circuit(
@@ -294,12 +294,10 @@ def _run_qrm_regimes(params, seed, threads) -> RunArtifact:
 def _run_qrm_adiabatic(params, seed, threads) -> RunArtifact:
     n_max = params["n_max"]
     fam_base = ionrabi.RabiParams(omega0_r=1.0, omega_r=1.0, g=0.0)
-    h0 = ionrabi.qrm_hamiltonian(fam_base, n_max).matrix()
-    db = n_max + 1
-    a = qc.boson_annihilation(db)
-    coupling = -np.kron(qc.SIGMA_Y, a + a.conj().T)
-    fam = lambda g: h0 + g * coupling
     space = qc.HilbertSpace.qubit_boson(n_max=n_max)
+    h0 = ionrabi.qrm_hamiltonian(fam_base, n_max).matrix()
+    coupling = qc.OperatorSum(space, [(-1.0, ("Y", "x"))]).matrix()
+    fam = lambda g: h0 + g * coupling
 
     def one(duration):
         out = ionrabi.adiabatic_ground_state(fam, params["g_final"], float(duration),
@@ -346,17 +344,14 @@ def _run_twophoton_dynamics(params, seed, threads) -> RunArtifact:
     grid = np.linspace(0.0, params["t_max"], params["n_points"])
 
     def trace_for(n_max: int):
-        h = ionrabi.two_photon_hamiltonian(tp, 1, n_max).matrix()
-        space = qc.HilbertSpace.qubit_boson(n_max=n_max)
+        h = qc.Schedule.constant(ionrabi.two_photon_hamiltonian(tp, 1, n_max))
+        space = h.space
         psi0 = qc.basis_state(space, [1, 2])
-        evals, evecs = np.linalg.eigh(h)
-        coeff = evecs.conj().T @ psi0.amplitudes
-        n_diag = np.kron(np.ones(2), np.arange(n_max + 1))
-        z_diag = np.kron(np.array([1.0, -1.0]), np.ones(n_max + 1))
+        n_diag = qc.OperatorSum.single(space, -1, "n").matrix().diagonal().real
+        z_diag = qc.OperatorSum.single(space, 0, "Z").matrix().diagonal().real
         out = []
         for t in grid:
-            psi = evecs @ (np.exp(-1j * evals * t) * coeff)
-            prob = np.abs(psi) ** 2
+            prob = np.abs(qc.evolve(psi0, h, 0.0, float(t)).amplitudes) ** 2
             out.append((float(t), float(np.sum(n_diag * prob)),
                         float(np.sum(z_diag * prob))))
         return out

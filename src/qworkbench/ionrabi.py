@@ -37,7 +37,6 @@ from .qcore import (
     PureState,
     Qubit,
     Schedule,
-    boson_annihilation,
     evolve,
     expectation,
     expm,
@@ -46,7 +45,7 @@ from .qcore import (
     on_factors,
     propagator,
 )
-from .qcore.operators import PAULIS, PROJ_E, SIGMA_M, SIGMA_P, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .qcore.operators import SIGMA_Y, SIGMA_Z
 
 
 class TruncationError(RuntimeError):
@@ -160,9 +159,6 @@ def ion_hamiltonian(p: IonDriveParams, n_max: int) -> Schedule:
     if n_max < 10:
         raise ValueError("n_max >= 10 required for the full drive")
     space = HilbertSpace.qubit_boson(n_max=n_max)
-    db = n_max + 1
-    a = boson_annihilation(db)
-    disp = expm(1j * p.eta * (a + a.conj().T))
     s = p.sideband_order
     # omega_0 - omega_r = s*nu - delta_r ; omega_0 - omega_b = -s*nu - delta_b
     freq_r = s * p.nu - p.delta_r
@@ -175,13 +171,13 @@ def ion_hamiltonian(p: IonDriveParams, n_max: int) -> Schedule:
     def c(t: float) -> complex:
         return amp_r * cmath.exp(1j * tone * t) + amp_b * cmath.exp(-1j * tone * t)
 
-    # sigma^+ raises into the level PROJ_E selects, so beta rotates that level
-    frame = np.tile(p.nu * np.arange(db, dtype=float), 2) \
-        + beta * np.kron(np.diag(PROJ_E).real, np.ones(db))
+    # sigma^+ raises into the level Pe selects, so beta rotates that level
+    frame = OperatorSum(space, [(p.nu, ("I", "n")), (beta, ("Pe", "I"))]).matrix()
+    up = OperatorSum(space, [(1.0, ("S+", ("disp", p.eta)))]).matrix()
     return Schedule.from_terms(space, [
-        (c, np.kron(SIGMA_P, disp)),
-        (lambda t: c(t).conjugate(), np.kron(SIGMA_M, disp.conj().T)),
-    ], frame=frame, period=2.0 * math.pi / abs(tone) if tone else None)
+        (c, up),
+        (lambda t: c(t).conjugate(), up.conj().T),
+    ], frame=frame.diagonal().real, period=2.0 * math.pi / abs(tone) if tone else None)
 
 
 def lamb_dicke_monitor(p: IonDriveParams, states: Sequence[PureState]) -> float:
@@ -235,30 +231,22 @@ def qrm_frame_rotation(n_max: int) -> np.ndarray:
     """Local z rotation mapping the -g sigma_y (a+a^dag) coupling form onto
     the +g sigma_x (a+a^dag) form: R H_y R^dag = H_x."""
     r = expm(-1j * math.pi / 4.0 * SIGMA_Z)
-    return np.kron(r, np.eye(n_max + 1, dtype=complex))
+    return kron_all([r, np.eye(n_max + 1, dtype=complex)])
 
 
-def jc_analytic_state(g: float, t: float, n_max: int,
-                      initial: str = "e0") -> PureState:
-    """Closed-form resonant Jaynes-Cummings evolution in the drive's
-    interaction frame: coupling i g (sigma^+ a - sigma^- a^dag).
+def jc_analytic_state(g: float, t: float, n_max: int) -> PureState:
+    """Closed-form resonant Jaynes-Cummings evolution of |e,0> in the
+    drive's interaction frame: coupling i g (sigma^+ a - sigma^- a^dag).
 
     On each pair {|e,n>, |g,n+1>} the block is -g sqrt(n+1) sigma_y, so
-    |e,n> -> cos(theta)|e,n> - sin(theta)|g,n+1> with theta = g sqrt(n+1) t.
+    |e,n> -> cos(theta)|e,n> - sin(theta)|g,n+1> with theta = g sqrt(n+1) t;
+    from |e,0> that is cos(g t)|e,0> - sin(g t)|g,1>.
     """
     space = HilbertSpace.qubit_boson(n_max=n_max)
     db = n_max + 1
     amps = np.zeros(2 * db, dtype=complex)
-    if initial == "e0":
-        theta = g * t
-        amps[0] = math.cos(theta)            # |e,0>
-        amps[db + 1] = -math.sin(theta)      # |g,1>
-    elif initial == "g1":
-        theta = g * t
-        amps[0] = math.sin(theta)
-        amps[db + 1] = math.cos(theta)
-    else:
-        raise ValueError("initial must be 'e0' or 'g1'")
+    amps[0] = math.cos(g * t)            # |e,0>
+    amps[db + 1] = -math.sin(g * t)      # |g,1>
     return PureState(space, amps)
 
 
@@ -270,14 +258,15 @@ REGIME_LABELS = ("Dirac", "JC", "AJC", "Decoupling", "TwoFoldDispersive",
                  "DSC", "USC", "Intermediate")
 
 
-def classify_regime(r: RabiParams, small: float = 0.1) -> str:
+def classify_regime(r: RabiParams) -> str:
     """One label per parameter point, under a fixed precedence.
 
     Order: Dirac -> JC -> AJC -> Decoupling -> TwoFoldDispersive -> DSC ->
     USC -> Intermediate.  "Much smaller" is operationalized as a ratio
-    below ``small``; near/anti-resonance compares |w -+ w0| against
-    |w +- w0| with the same threshold.
+    below 0.1; near/anti-resonance compares |w -+ w0| against |w +- w0|
+    with the same threshold.
     """
+    small = 0.1
     w, w0, g = r.omega_r, r.omega0_r, abs(r.g)
     scale = max(abs(w), abs(w0), g, 1e-300)
     if abs(w) <= 1e-12 * scale:
@@ -501,8 +490,9 @@ def collapse_diagnostics(omega: float, omega_q: float, g_values: Sequence[float]
     if not 2 <= n_levels <= dim:
         raise ValueError(f"n_levels must lie in [2, {dim}], got {n_levels}")
     spacings, occupations = [], []
-    n_diag = np.kron(np.ones(2), np.arange(n_max + 1))
-    parity = generalized_parity_diagonal(HilbertSpace.qubit_boson(n_max=n_max))
+    space = HilbertSpace.qubit_boson(n_max=n_max)
+    n_diag = OperatorSum.single(space, -1, "n").matrix().diagonal().real
+    parity = generalized_parity_diagonal(space)
     for g in g_values:
         tp = TwoPhotonParams(omega=omega, omega_q=omega_q, g=float(g))
         h = two_photon_hamiltonian(tp, 1, n_max).matrix()
@@ -554,11 +544,6 @@ def characteristic_exponents(omega_bar: float) -> ExponentClassification:
 # generalized-parity measurement protocol
 # ---------------------------------------------------------------------------
 
-def _n_sigma_generator(space: HilbertSpace, axis: str) -> np.ndarray:
-    db = space.factors[1].dim
-    return np.kron(PAULIS[axis], np.diag(np.arange(db, dtype=complex)))
-
-
 def _require_qubit_boson(space: HilbertSpace):
     if (space.n_factors != 2 or not isinstance(space.factors[0], Qubit)
             or not isinstance(space.factors[1], Boson)):
@@ -578,13 +563,10 @@ def parity_measurement(state: PureState, shots: int | None = None,
     """
     space = state.space
     _require_qubit_boson(space)
-    gen = _n_sigma_generator(space, "X")
-    t_star = math.pi / 4.0
-    psi_plus = expm(-1j * gen * t_star) @ state.amplitudes   # for the e^{+...} bracket
-    psi_minus = expm(1j * gen * t_star) @ state.amplitudes
-    db = space.factors[1].dim
-    sz = np.kron(SIGMA_Z, np.eye(db))
-    sy = np.kron(SIGMA_Y, np.eye(db))
+    n_sigma_x = Schedule.constant(OperatorSum(space, [(1.0, ("X", "n"))]))
+    u = propagator(n_sigma_x, 0.0, math.pi / 4.0)
+    psi_plus = u @ state.amplitudes               # for the e^{+...} bracket
+    psi_minus = u.conj().T @ state.amplitudes
 
     def ev(vec, op, stream):
         mean = float(np.real(np.vdot(vec, op @ vec)))
@@ -595,6 +577,16 @@ def parity_measurement(state: PureState, shots: int | None = None,
         outcomes = np.where(gen_rng.random(shots) < 0.5 * (1.0 + mean), 1.0, -1.0)
         return float(np.mean(outcomes))
 
+    return _parity_readout(space, psi_plus, psi_minus, ev)
+
+
+def _parity_readout(space: HilbertSpace, psi_plus: np.ndarray, psi_minus: np.ndarray,
+                    ev: Callable) -> complex:
+    """Re Pi = -(<sz>_+ + <sz>_-)/2 and Im Pi = (<sy>_+ - <sy>_-)/2 from the
+    two rotated states; ``ev(vec, op, stream)`` estimates <vec|op|vec>, and
+    the four readouts take streams 0-3 in that order."""
+    sz = OperatorSum.single(space, 0, "Z").matrix()
+    sy = OperatorSum.single(space, 0, "Y").matrix()
     re_part = -0.5 * (ev(psi_plus, sz, 0) + ev(psi_minus, sz, 1))
     im_part = 0.5 * (ev(psi_plus, sy, 2) - ev(psi_minus, sy, 3))
     return complex(re_part, im_part)
@@ -633,12 +625,10 @@ def _dispersive_pulse_schedule(space: HilbertSpace, sign: float, delta: float,
     ``H(t) = F(t) [w(t) V] F(t)^dag`` with ``V = coupling sigma_x (x) (a + a^dag)``
     and ``F(t) = exp(i t diag(h0))``, ``h0`` from ``_dispersive_frame``.  So
     ``K(t) = diag(h0) + w(t) V`` is real, and ``K(duration - t) = K(t)``."""
-    db = space.factors[1].dim
-    a = boson_annihilation(db)
     return Schedule.from_terms(
         space, [(lambda t: math.sin(math.pi * t / duration) ** 2,
-                 coupling * np.kron(SIGMA_X, a + a.conj().T))],
-        frame=_dispersive_frame(db, sign, delta, eps))
+                 OperatorSum(space, [(coupling, ("X", "x"))]).matrix())],
+        frame=_dispersive_frame(space.factors[1].dim, sign, delta, eps))
 
 
 def _dispersive_calibration(db: int, delta_ratio: float, eps_frac: float,
@@ -697,7 +687,7 @@ def _dispersive_calibration(db: int, delta_ratio: float, eps_frac: float,
     off_e, off_g = float(np.angle(u_plus[0, 0])), float(np.angle(u_plus[db, db]))
     flip = np.r_[db:2 * db, 0:db]             # X = sigma_x (x) 1 as an index swap
     u_minus = u_plus[np.ix_(flip, flip)]
-    axis_rot = np.kron(expm(-1j * t_star * SIGMA_Y), np.eye(db))  # u sz u^dag = sx
+    axis_rot = kron_all([expm(-1j * t_star * SIGMA_Y), np.eye(db)])  # u sz u^dag = sx
     readout = []
     for sign, u in ((1.0, u_plus), (-1.0, u_minus)):
         comp = np.repeat([cmath.exp(-1j * sign * off_e), cmath.exp(-1j * sign * off_g)], db)
@@ -744,15 +734,8 @@ def parity_measurement_dispersive(state: PureState, delta_ratio: float = 20.0,
     cal = _dispersive_calibration(db, delta_ratio, eps_frac, tol)
     psi_plus = cal.m_plus @ state.amplitudes     # ~ exp(-i n sigma_x t*)|psi>
     psi_minus = cal.m_minus @ state.amplitudes   # ~ exp(+i n sigma_x t*)|psi>
-    sz = np.kron(SIGMA_Z, np.eye(db))
-    sy = np.kron(SIGMA_Y, np.eye(db))
-
-    def ev(vec, op):
-        return float(np.real(np.vdot(vec, op @ vec)))
-
-    re_part = -0.5 * (ev(psi_plus, sz) + ev(psi_minus, sz))
-    im_part = 0.5 * (ev(psi_plus, sy) - ev(psi_minus, sy))
-    return complex(re_part, im_part)
+    return _parity_readout(space, psi_plus, psi_minus,
+                           lambda vec, op, stream: float(np.real(np.vdot(vec, op @ vec))))
 
 
 # ---------------------------------------------------------------------------

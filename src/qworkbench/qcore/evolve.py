@@ -30,7 +30,10 @@ carried by one of three routes:
 
 * static: the schedule is constant (K = H, no frame), or every coefficient
   of a term form is a number, so K is constant.  One ``eigh`` of K, cached
-  on the schedule, gives U_K at every time.
+  on the schedule, serves every time: a ket or a column block is carried
+  as ``V (exp(-i w dt) * (V^dag y))``, two products with the
+  eigenvectors, and the d x d ``U_K`` is formed only where ``propagator``
+  and ``propagator_stack`` of a constant schedule return it.
 * periodic: the term form declares the common period T of its
   coefficients, so ``K(t + T) = K(t)`` and a window splits into whole
   periods and at most one partial period at each end.  ``U_K(T, 0)`` is
@@ -148,14 +151,23 @@ class _ExactFrame:
         return np.exp(1j * t * self.frame)
 
     def eig(self):
+        """(w, V, V^dag) of a static K, computed on first use."""
         if self._eig is None:
-            self._eig = np.linalg.eigh(self.static)
+            w, v = np.linalg.eigh(self.static)
+            self._eig = (w, v, v.conj().T)
         return self._eig
 
     def unitary(self, dt: float) -> np.ndarray:
         """U_K(dt) = V diag(exp(-i w dt)) V^dag of a static K."""
-        w, v = self.eig()
-        return (v * np.exp(-1j * dt * w)) @ v.conj().T
+        w, v, vh = self.eig()
+        return (v * np.exp(-1j * dt * w)) @ vh
+
+    def carry(self, dt: float, y: np.ndarray) -> np.ndarray:
+        """U_K(dt) @ y = V (exp(-i w dt) * (V^dag y)) for a ket or a column
+        block, without forming U_K."""
+        w, v, vh = self.eig()
+        phase = np.exp(-1j * dt * w).reshape((-1,) + (1,) * (y.ndim - 1))
+        return v @ (phase * (vh @ y))
 
     def one_period(self, tol: float) -> np.ndarray:
         """U_K(T, 0) = F(T)^dag U(T, 0), integrated once per tolerance."""
@@ -370,7 +382,7 @@ def _exact_route(ef: _ExactFrame, y: np.ndarray, t0: float, t1: float,
 
     y = diag(ef.phase(-t0), y)  # into the frame
     if ef.static is not None:
-        return diag(ef.phase(t1), ef.unitary(t1 - t0) @ y)
+        return diag(ef.phase(t1), ef.carry(t1 - t0, y))
 
     period = ef.period
 
@@ -401,7 +413,7 @@ def _exact_route(ef: _ExactFrame, y: np.ndarray, t0: float, t1: float,
 def _carry(h: Schedule, y: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
     """U(t1, t0) @ y for a ket or a column block ``y``, with t1 > t0."""
     if h.is_constant:
-        return h.exact_frame.unitary(t1 - t0) @ y
+        return h.exact_frame.carry(t1 - t0, y)
     if h.exact_frame is not None:
         return _exact_route(h.exact_frame, y, t0, t1, tol)
     return _integrate_ket(h.apply, y, t0, t1, tol)
@@ -478,7 +490,7 @@ def propagator_stack(h: Schedule, times, tol: float = DEFAULT_TOL) -> np.ndarray
     if np.any(times < 0):
         raise ValueError("times must be >= 0: the stack starts at t = 0")
     if h.is_constant:
-        w, v = h.exact_frame.eig()
+        w, v, _ = h.exact_frame.eig()
         phases = np.exp(-1j * np.multiply.outer(times, w))
         return np.einsum("ij,mj,kj->mik", v, phases, v.conj())
     return np.stack([propagator(h, 0.0, t, tol) for t in times])

@@ -1,6 +1,8 @@
 """Substrate tests: spaces, states, operators, evolution, metrics."""
+import ast
 import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +296,70 @@ def test_propagator_stack_matches_propagator_on_every_route():
     for sched in (constant, builder, static):
         with pytest.raises(ValueError):
             qc.propagator_stack(sched, [0.5, -0.1])
+
+
+def _ket_route_schedules(rng):
+    """A constant schedule at d = 82 (the twophoton-dynamics size) and a
+    static term form with a frame, each with a random ket."""
+    big = qc.HilbertSpace.qubit_boson(n_max=40)
+    constant = qc.Schedule.constant(random_hermitian(rng, 82), big)
+    space = qc.HilbertSpace.qubits(3)
+    h0, h1 = random_hermitian(rng, 8), random_hermitian(rng, 8)
+    frame = 3.0 * rng.standard_normal(8)
+    static = qc.Schedule.from_terms(space, [(1.3, h0), (0.4, h1)], frame=frame)
+    k = np.diag(frame) + 1.3 * h0 + 0.4 * h1
+    return [(constant, qc.random_pure_state(big, rng)),
+            (static, qc.random_pure_state(space, rng))], frame, k
+
+
+def test_evolve_carries_a_ket_as_the_propagator_does():
+    rng = np.random.default_rng(64)
+    cases, frame, k = _ket_route_schedules(rng)
+    t0, t1 = 0.37, 1.9
+    for sched, psi in cases:
+        u = qc.propagator(sched, t0, t1)
+        assert np.max(np.abs(qc.evolve(psi, sched, t0, t1).amplitudes
+                             - u @ psi.amplitudes)) < 1e-13
+    # the static propagator carries the identity block: F(t1) U_K(t1 - t0) F(t0)^dag
+    w, v = np.linalg.eigh(k)
+    u_k = (v * np.exp(-1j * (t1 - t0) * w)) @ v.conj().T
+    expected = np.exp(1j * t1 * frame)[:, None] * u_k * np.exp(-1j * t0 * frame)
+    assert np.max(np.abs(qc.propagator(cases[1][0], t0, t1) - expected)) < 1e-13
+
+
+def test_evolve_never_forms_the_unitary_of_a_ket(monkeypatch):
+    # a constant or static schedule carries a ket by two products with the
+    # eigenvectors; the d x d U is only built for propagator
+    rng = np.random.default_rng(65)
+    cases, _, _ = _ket_route_schedules(rng)
+    kets = [qc.evolve(psi, sched, 0.2, 1.4).amplitudes for sched, psi in cases]
+    evolve_module = importlib.import_module("qworkbench.qcore.evolve")
+
+    def refuse(self, dt):
+        raise AssertionError("a ket was carried through the full unitary")
+
+    monkeypatch.setattr(evolve_module._ExactFrame, "unitary", refuse)
+    for (sched, psi), ket in zip(cases, kets):
+        assert np.array_equal(qc.evolve(psi, sched, 0.2, 1.4).amplitudes, ket)
+        trace = qc.evolve_trace(psi, sched, [0.5, 1.0])
+        assert np.max(np.abs(trace[-1].amplitudes
+                             - qc.evolve(psi, sched, 0.0, 1.0).amplitudes)) < 1e-13
+
+
+def test_no_module_outside_qcore_calls_np_kron():
+    # only qcore turns factors into dense matrices (OperatorSum, on_factors,
+    # dense_pauli, kron_all); any other np.kron writes the factor order again
+    package = Path(qc.__file__).parent.parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        if "qcore" in path.relative_to(package).parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "kron"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")):
+                sites.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert not sites, sites
 
 
 def test_from_terms_period_validation():
