@@ -509,11 +509,6 @@ def apply_depolarizing(rho: DensityMatrix, epsilon: float, n_gates: int) -> Dens
     return DensityMatrix(rho.space, out)
 
 
-def apply_noise(rho: DensityMatrix, model: "NoiseModel", n_gates: int) -> DensityMatrix:
-    """Depolarizing part of a noise model applied over ``n_gates`` gates."""
-    return apply_depolarizing(rho, model.gate_fidelity, n_gates)
-
-
 def rescale_expectation(measured: float, epsilon: float, n_gates: int,
                         observable: np.ndarray | OperatorSum) -> float:
     """Exact inversion of the depolarizing channel on an expectation value.

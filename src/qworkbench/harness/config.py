@@ -42,16 +42,8 @@ class ScenarioConfig:
 
 
 def _coerce_like(reference, value, key: str):
-    """Cast an override to the default's type (bool/int/float/str/list)."""
-    if isinstance(reference, bool):
-        if isinstance(value, bool):
-            return value
-        if str(value).lower() in ("true", "1", "yes"):
-            return True
-        if str(value).lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"cannot read {value!r} as a boolean for {key!r}")
-    if isinstance(reference, int) and not isinstance(reference, bool):
+    """Cast an override to the default's type (int/float/str/list)."""
+    if isinstance(reference, int):
         try:
             as_float = float(value)
         except (TypeError, ValueError):

@@ -44,6 +44,8 @@ from .qcore import (
     kron_all,
     on_factors,
     propagator,
+    shot_means,
+    shot_uniforms,
 )
 from .qcore.operators import SIGMA_Y, SIGMA_Z
 
@@ -572,10 +574,7 @@ def parity_measurement(state: PureState, shots: int | None = None,
         mean = float(np.real(np.vdot(vec, op @ vec)))
         if shots is None:
             return mean
-        gen_rng = np.random.Generator(np.random.Philox(
-            key=np.asarray((master_seed, stream), dtype=np.uint64)))
-        outcomes = np.where(gen_rng.random(shots) < 0.5 * (1.0 + mean), 1.0, -1.0)
-        return float(np.mean(outcomes))
+        return float(shot_means(mean, shot_uniforms(master_seed, stream, shots)))
 
     return _parity_readout(space, psi_plus, psi_minus, ev)
 

@@ -11,8 +11,9 @@ S kron LP(s)`` (S the sub-diagonal shift), and block k of the result is
 the order-k simplex integral (Van Loan, IEEE TAC 23 (1978) 395).
 
 The Monte-Carlo estimator samples the simplex instead.  Order n draws one
-block of uniforms from ``Philox(key=(master_seed, n))``, one row per
-sample (channel indices, times, shot uniforms; see ``MonteCarloPlan``).
+block of uniforms from stream ``(master_seed, n)`` of ``qcore.shot_uniforms``,
+one row per sample (channel indices, times, shot uniforms; see
+``MonteCarloPlan``).
 The nested dissipators are expanded into Pauli-string chains once per
 channel combination, and the chain means of all samples sharing that
 combination are evaluated together on the stacked propagators U(0, tau)
@@ -41,9 +42,10 @@ from .qcore import (
     pauli_decompose,
     propagator,
     propagator_stack,
+    shot_means,
+    shot_uniforms,
 )
 from .qcore.metrics import operator_infinity_norm
-from .timecorr import heisenberg_chain_expectation
 
 _GAMMA_SUP_SAMPLES = 1024
 
@@ -59,7 +61,6 @@ def _as_rate(gamma) -> Callable[[float], float]:
 class Channel:
     operator: OperatorSum
     rate: Callable[[float], float]
-    norm_scale: float  # infinity norm absorbed from the raw operator
 
 
 class LindbladModel:
@@ -67,17 +68,22 @@ class LindbladModel:
 
     Each Lindblad operator is rescaled at construction to infinity norm 1,
     the factor being absorbed into the rate (the master equation is
-    invariant under ``L -> L/s, gamma -> s^2 gamma``).  Rates may be
-    time-dependent and transiently negative; ``has_negative_rates`` records
-    the sign pattern seen on a dense sampling grid.
+    invariant under ``L -> L/s, gamma -> s^2 gamma``).  Each rate is a
+    number or a callable of time, and may be transiently negative.
+
+    ``is_constant`` is True when H is a constant schedule and every rate
+    was given as a number; then the generator is one matrix for all times
+    and the exact routes exponentiate it once.  A callable rate is never
+    taken for constant, whatever values it returns: it always takes the
+    adaptive stepper.
     """
 
-    def __init__(self, h: Schedule | OperatorSum, channels: Sequence,
-                 horizon: float = 1.0):
+    def __init__(self, h: Schedule | OperatorSum, channels: Sequence):
         if isinstance(h, OperatorSum):
             h = Schedule.constant(h)
         self.h = h
         self.space: HilbertSpace = h.space
+        self.is_constant = h.is_constant and not any(callable(g) for _, g in channels)
         built = []
         for op, gamma in channels:
             scale = op.norm_inf()
@@ -85,22 +91,14 @@ class LindbladModel:
                 raise ValueError("Lindblad operator must be nonzero")
             rate = _as_rate(gamma)
             built.append(Channel(operator=(1.0 / scale) * op,
-                                 rate=(lambda t, r=rate, s=scale: (s ** 2) * r(t)),
-                                 norm_scale=scale))
+                                 rate=(lambda t, r=rate, s=scale: (s ** 2) * r(t))))
         self.channels = tuple(built)
-        self.horizon = float(horizon)
-        self.has_negative_rates = bool(
-            (self._rate_samples(self.horizon) < 0.0).any()) if built else False
 
     @property
     def n_channels(self) -> int:
         return len(self.channels)
 
-    def _rate_samples(self, t: float) -> np.ndarray:
-        grid = np.linspace(0.0, t, _GAMMA_SUP_SAMPLES + 1)
-        return np.array([[ch.rate(s) for s in grid] for ch in self.channels])
-
-    def gamma_bar(self, t: float | None = None) -> float:
+    def gamma_bar(self, t: float) -> float:
         """max_i sup_{s in [0,t]} |gamma_i(s)|.
 
         Approximated by dense sampling (1024 intervals, endpoints included);
@@ -108,7 +106,8 @@ class LindbladModel:
         """
         if not self.channels:
             return 0.0
-        return float(np.max(np.abs(self._rate_samples(self.horizon if t is None else t))))
+        grid = np.linspace(0.0, t, _GAMMA_SUP_SAMPLES + 1)
+        return float(np.max(np.abs([[ch.rate(s) for s in grid] for ch in self.channels])))
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +154,6 @@ def liouvillian_matrix(model: LindbladModel, t: float) -> np.ndarray:
     return l_h + l_d
 
 
-def _rates_constant(model: LindbladModel, t: float) -> bool:
-    """True when H is constant and every rate takes one value at 7 times in [0, t]."""
-    if model.h.is_constant is False:
-        return False
-    for ch in model.channels:
-        vals = [ch.rate(s) for s in np.linspace(0.0, t, 7)]
-        if max(vals) - min(vals) > 1e-14 * max(1.0, abs(vals[0])):
-            return False
-    return True
-
-
 def _propagate(generator: Callable[[float], np.ndarray], v0: np.ndarray, t: float,
                tol: float, constant: bool) -> np.ndarray:
     """v(t) for dv/ds = generator(s) v, v(0) = v0.
@@ -185,15 +173,16 @@ def lindblad_exact(model: LindbladModel, rho0: DensityMatrix, t: float,
                    tol: float = 1e-10) -> DensityMatrix:
     """Integrate the master equation on the vectorized superoperator.
 
-    Time-independent generators get one matrix exponential; otherwise the
-    adaptive stepper runs on vec(rho).  A negative ``t`` raises ``ValueError``.
+    A constant model (``LindbladModel.is_constant``) gets one matrix
+    exponential; otherwise the adaptive stepper runs on vec(rho).  A
+    negative ``t`` raises ``ValueError``.
     """
     if rho0.space != model.space:
         raise ValueError("initial state does not live on the model's space")
     if t == 0.0:
         return rho0
     v = _propagate(lambda s: liouvillian_matrix(model, s), _vec(rho0.matrix), t, tol,
-                   _rates_constant(model, t))
+                   model.is_constant)
     rho = _unvec(v, model.space.dim)
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(model.space, rho)
@@ -228,7 +217,7 @@ def _lindblad_terms(model: LindbladModel, rho0: DensityMatrix, t: float, order: 
                     tol: float) -> list:
     """Dyson terms of the master equation with L0 = L_H and LP = L_D."""
     return _dyson_blocks(lambda s: _generator_parts(model, s), rho0.matrix, t, order,
-                         tol, _rates_constant(model, t))
+                         tol, model.is_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +225,19 @@ def _lindblad_terms(model: LindbladModel, rho0: DensityMatrix, t: float, order: 
 # ---------------------------------------------------------------------------
 
 def _dissipator_apply(l: np.ndarray, ldl: np.ndarray, g: float, xi: np.ndarray) -> np.ndarray:
+    """g (L xi L^dag - {ldl, xi}/2).  With ldl = L^dag L this is the dissipator;
+    with L^dag in place of L (ldl kept) it is the dissipator's adjoint."""
     return g * (l @ xi @ l.conj().T - 0.5 * (ldl @ xi + xi @ ldl))
 
 
 def dyson_term(model: LindbladModel, observable: OperatorSum | np.ndarray,
                rho0: DensityMatrix, channel_indices: Sequence[int],
-               times: Sequence[float], t: float, tol: float = 1e-10,
-               debug_expand: bool = False) -> float:
+               times: Sequence[float], t: float, tol: float = 1e-10) -> float:
     """Integrand <A_{[i_1..i_n]}(s_1..s_n)> of the order-n Volterra term.
 
     ``times`` must be sorted descending (t >= s_1 >= ... >= s_n >= 0); the
     chain applies the channel dissipators at those instants between unitary
-    segments and closes with Tr[O ...].  With ``debug_expand`` the same
-    quantity is recomputed through Pauli-expanded multi-time correlators
-    and the two paths are asserted to agree.
+    segments and closes with Tr[O ...].
     """
     times = [float(s) for s in times]
     n = len(times)
@@ -272,14 +260,7 @@ def dyson_term(model: LindbladModel, observable: OperatorSum | np.ndarray,
         l = ch.operator.matrix()
         xi = _dissipator_apply(l, l.conj().T @ l, ch.rate(s_k), xi)
         current = s_k
-    value = _expectation(omat, conjugate(xi, current, t))
-
-    if debug_expand:
-        alt = _dyson_term_by_correlators(model, omat, rho0, channel_indices, times, t, tol)
-        if abs(alt - value) > 1e-8 * max(1.0, abs(value)):
-            raise AssertionError(
-                f"dual-path mismatch: superoperator {value:.3e} vs expansion {alt:.3e}")
-    return value
+    return _expectation(omat, conjugate(xi, current, t))
 
 
 def _pauli_chains(o_terms: list, slot_terms: Sequence[list]) -> list:
@@ -309,25 +290,6 @@ def _pauli_chains(o_terms: list, slot_terms: Sequence[list]) -> list:
     return [(coeff, left + right) for coeff, left, right in chains]
 
 
-def _dyson_term_by_correlators(model, omat, rho0, channel_indices, times, t, tol) -> float:
-    """Same quantity as a sum of Pauli-string multi-time correlators.
-
-    Every chain from ``_pauli_chains`` is evaluated by the generic
-    Heisenberg-chain oracle.
-    """
-    chains = _pauli_chains(pauli_decompose(omat, model.space),
-                           [pauli_decompose(model.channels[i].operator)
-                            for i in channel_indices])
-    slot_times = [t] + list(times)
-    weight = math.prod(model.channels[i].rate(s) for i, s in zip(channel_indices, times))
-    total = 0.0 + 0.0j
-    for coeff, ops in chains:
-        total += coeff * heisenberg_chain_expectation(
-            model.h, [(dense_pauli(lbl), slot_times[slot]) for lbl, slot in ops], rho0,
-            t_ref=0.0, tol=tol)
-    return float(np.real(weight * total))
-
-
 # ---------------------------------------------------------------------------
 # reconstruction
 # ---------------------------------------------------------------------------
@@ -337,12 +299,12 @@ class MonteCarloPlan:
     """Uniform simplex sampling, ``samples_per_order`` samples per order n >= 1.
 
     Order n draws all its uniforms at once, one ``(samples_per_order, w)``
-    block from ``Philox(key=(master_seed, n))``.  Row j belongs to sample j:
-    n channel indices ``floor(u * N)``, then n times ``u * t`` sorted
-    descending, then (with k shots) 2k uniforms per Pauli chain, real parts
-    first.  The width w is fixed by the model and k, not by what was drawn,
-    so sample j is a pure function of (master_seed, n, j) and a plan with
-    fewer samples sees a prefix of the same rows.
+    block from stream ``(master_seed, n)`` of ``qcore.shot_uniforms``.  Row
+    j belongs to sample j: n channel indices ``floor(u * N)``, then n times
+    ``u * t`` sorted descending, then (with k shots) 2k uniforms per Pauli
+    chain, real parts first.  The width w is fixed by the model and k, not
+    by what was drawn, so sample j is a pure function of (master_seed, n, j)
+    and a plan with fewer samples sees a prefix of the same rows.
     """
     samples_per_order: int
     master_seed: int = 0
@@ -387,9 +349,7 @@ def _chain_sums(chains, paulis, rho0, times, t, h, tol, shots, uniforms) -> np.n
         means[:, c] = np.einsum("mii->m", acc)
     if shots is not None:
         u = uniforms[:, :2 * shots * len(chains)].reshape(len(times), len(chains), 2, shots)
-        p = np.clip(0.5 * (1.0 + np.clip(np.stack([means.real, means.imag], axis=-1),
-                                          -1.0, 1.0)), 0.0, 1.0)
-        outcomes = np.where(u < p[..., None], 1.0, -1.0).mean(axis=-1)
+        outcomes = shot_means(np.stack([means.real, means.imag], axis=-1), u)
         means = outcomes[..., 0] + 1j * outcomes[..., 1]
     coeffs = np.array([coeff for coeff, _ in chains])
     return np.real(np.sum(means * coeffs, axis=1))
@@ -410,8 +370,7 @@ def _sample_values(model, omat, rho0, order, t, plan, tol) -> np.ndarray:
     if shots is not None:
         max_chains = len(o_terms) * max(3 * len(terms) ** 2 for terms in l_terms) ** order
         width += 2 * shots * max_chains
-    rng = np.random.Generator(np.random.Philox(key=(plan.master_seed, order)))
-    rows = rng.random((plan.samples_per_order, width))
+    rows = shot_uniforms(plan.master_seed, order, (plan.samples_per_order, width))
     indices = (rows[:, :order] * model.n_channels).astype(np.int64)
     times = np.sort(rows[:, order:2 * order] * t, axis=1)[:, ::-1]
     values = np.ones(plan.samples_per_order)
@@ -447,8 +406,8 @@ def reconstruct(model: LindbladModel, observable: OperatorSum | np.ndarray,
     module docstring); with a plan each order n >= 1 uses uniform simplex
     sampling with the ``(N t)^n / (n! |Omega_n|) sum`` estimator, optionally
     replacing each sampled value by a k-shot coherence estimate.  Sample j
-    of order n is row j of the uniform block drawn from
-    ``Philox(key=(master_seed, n))``, so it depends only on
+    of order n is row j of the uniform block drawn from stream
+    ``(master_seed, n)`` of ``qcore.shot_uniforms``, so it depends only on
     (master_seed, n, j) (see ``MonteCarloPlan``).  Sampled values come from
     Pauli-string chains, so a plan needs a qubit-only space (at most 6
     qubits, the ``pauli_decompose`` cap).
@@ -553,8 +512,7 @@ def dissipator_adjoint(model: LindbladModel, omat: np.ndarray, t: float) -> np.n
     acc = np.zeros_like(omat)
     for ch in model.channels:
         l = ch.operator.matrix()
-        ldl = l.conj().T @ l
-        acc += ch.rate(t) * (l.conj().T @ omat @ l - 0.5 * (ldl @ omat + omat @ ldl))
+        acc += _dissipator_apply(l.conj().T, l.conj().T @ l, ch.rate(t), omat)
     return acc
 
 

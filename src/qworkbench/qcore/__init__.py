@@ -61,6 +61,7 @@ from .evolve import (
     propagator,
     propagator_stack,
 )
+from .shots import shot_means, shot_uniforms
 from .metrics import (
     expectation,
     fidelity,

@@ -23,10 +23,9 @@ Conventions fixed here:
   relative to the first time in the list (the state is prepared at
   ``t = times[0]``).
 
-Shot sampling derives the j-th outcome of a run from a counter-based
-generator keyed by the plan's master seed, so outcome streams are a pure
-function of ``(master_seed, shot_index)`` and results are bit-identical
-under any parallel evaluation order.
+Shot sampling draws chain j's outcomes from stream ``(master_seed, j)`` of
+``qcore.shot_uniforms``, so results are bit-identical under any parallel
+evaluation order.
 """
 from __future__ import annotations
 
@@ -49,6 +48,8 @@ from .qcore import (
     expm,
     pauli_decompose,
     propagator,
+    shot_means,
+    shot_uniforms,
 )
 from .qcore.operators import PAULI_LABELS, dense_pauli
 from .qcore.spaces import DimensionMismatchError
@@ -193,21 +194,6 @@ def _branch_coherence(initial, gates: Sequence[np.ndarray],
     return complex(np.vdot(e, g))
 
 
-def _shot_uniforms(master_seed, count: int) -> np.ndarray:
-    key = np.asarray(master_seed, dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(count)
-
-
-def _sample_coherence(x_mean: float, y_mean: float, plan: ShotPlan, stream_key) -> complex:
-    half = -(-plan.shots // 2)  # ceil
-    u = _shot_uniforms(stream_key, 2 * half)
-    px, py = 0.5 * (1.0 + x_mean), 0.5 * (1.0 + y_mean)
-    x_shots = np.where(u[:half] < px, 1.0, -1.0)
-    y_shots = np.where(u[half:] < py, 1.0, -1.0)
-    return complex(np.mean(x_shots), np.mean(y_shots))
-
-
 def _chain_sum(spec: CorrelationSpec, per_op: Sequence[Sequence],
                plan: ShotPlan | None) -> complex:
     """Sum the protocol over every chain of ``(coeff, Pauli matrix)`` terms.
@@ -225,9 +211,9 @@ def _chain_sum(spec: CorrelationSpec, per_op: Sequence[Sequence],
             coeff *= c
             gates.append(-1j * pauli_mat)  # exp(-i (pi/2) P) = -i P
         coherence = _branch_coherence(spec.initial, gates, segments)
-        if plan is not None:
-            coherence = _sample_coherence(coherence.real, coherence.imag, plan,
-                                          (plan.master_seed, chain_idx))
+        if plan is not None:  # ceil(shots/2) sigma_x, then as many sigma_y outcomes
+            u = shot_uniforms(plan.master_seed, chain_idx, (2, -(-plan.shots // 2)))
+            coherence = complex(*shot_means([coherence.real, coherence.imag], u))
         total += coeff * phase * coherence
     return total
 

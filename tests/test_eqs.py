@@ -363,15 +363,6 @@ def test_mixed_state_inner_evaluation():
         eqs.monotone_mixed([(0.7, qc.bell_state())], spec)  # weights must sum to 1
 
 
-def test_apply_noise_model_wrapper():
-    rng = np.random.default_rng(53)
-    rho = qc.random_pure_state(qc.HilbertSpace.qubits(2), rng).to_density_matrix()
-    model = eqs.NoiseModel(gate_fidelity=0.97)
-    via_model = eqs.apply_noise(rho, model, 7)
-    direct = eqs.apply_depolarizing(rho, 0.97, 7)
-    assert np.max(np.abs(via_model.matrix - direct.matrix)) < 1e-15
-
-
 def test_cost_ratio_small_for_realistic_fidelities():
     ratio = eqs.cost_ratio(n_qubits=10, n_observables=2, epsilon=0.97, delta=0.98)
     assert ratio < 1e-2

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from qworkbench import openmaster as om
 from qworkbench import qcore as qc
+from qworkbench import timecorr as tc
 
 
 def one_qubit_space():
@@ -110,14 +112,35 @@ def test_non_markovian_rates_stay_positive():
     tt = np.linspace(1e-4, 2.0, 2000)
     integrals = 0.5 * tt + np.sin(20.0 * tt) / 20.0  # closed-form primitive
     assert min(rate(t) for t in tt) < 0.0 and np.all(integrals > 0.0)
-    model = om.LindbladModel(sigma(space, "Z", 0.7), [(sigma(space, "S-"), rate)],
-                             horizon=2.0)
-    assert model.has_negative_rates
+    model = om.LindbladModel(sigma(space, "Z", 0.7), [(sigma(space, "S-"), rate)])
     rho0 = qc.DensityMatrix(space, np.array([[0.7, 0.3], [0.3, 0.3]], dtype=complex))
     for t in (0.5, 1.0, 2.0):
         out = om.lindblad_exact(model, rho0, t, tol=1e-11)
         assert out.min_eigenvalue() >= -1e-8
         assert out.trace_error < 1e-9
+
+
+def test_route_is_declared_not_sampled():
+    # gamma(k t / 6) = 0.5 to rounding for k = 0..6 at t = 0.5 and 1.0, so a
+    # route guessed from those samples would exponentiate gamma(0); a
+    # callable rate always takes the stepper and follows gamma between them
+    space = one_qubit_space()
+    h = sigma(space, "X", 2.0)
+    rate = lambda s: 0.5 + 0.45 * math.sin(12.0 * math.pi * s)
+    model = om.LindbladModel(h, [(sigma(space, "S-"), rate)])
+    rho0 = qc.basis_state(space, [0]).to_density_matrix()
+    for t in (0.5, 1.0):
+        ref = solve_ivp(lambda s, y: om.liouvillian_matrix(model, s) @ y, (0.0, t),
+                        rho0.matrix.reshape(-1, order="F"), method="DOP853",
+                        rtol=1e-12, atol=1e-14, max_step=2e-3).y[:, -1]
+        ref = ref.reshape(2, 2, order="F")
+        assert np.max(np.abs(om.lindblad_exact(model, rho0, t).matrix - ref)) < 1e-8
+        assert np.max(np.abs(om.truncated_states(model, rho0, t, 8)[-1] - ref)) < 1e-8
+    damping = (sigma(space, "S-"), 0.5)
+    assert om.LindbladModel(h, [damping, (sigma(space, "Z"), 0.2)]).is_constant
+    assert not om.LindbladModel(h, [damping, (sigma(space, "Z"), lambda s: 0.2)]).is_constant
+    driven = qc.Schedule.time_dependent(space, lambda s: math.cos(s) * h.matrix())
+    assert not om.LindbladModel(driven, [damping]).is_constant
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +168,27 @@ def test_dyson_term_zero_rates():
 
 
 def test_dyson_term_dual_path():
-    # superoperator evaluation vs Pauli-expanded multi-time correlators
+    # superoperator evaluation vs the same integrand as a sum of Pauli-string
+    # multi-time correlators, each from the generic Heisenberg-chain oracle
     rng = np.random.default_rng(17)
+    t = 1.0
     for _ in range(4):
         model = random_model(rng, n_qubits=2, n_channels=2)
         rho0 = random_density_matrix(model.space, rng)
         obs = qc.OperatorSum.pauli_string(model.space, "ZI")
-        times = np.sort(rng.uniform(0.0, 0.8, size=2))[::-1]
+        times = [float(s) for s in np.sort(rng.uniform(0.0, 0.8, size=2))[::-1]]
         idx = list(rng.integers(0, model.n_channels, size=2))
-        om.dyson_term(model, obs, rho0, idx, list(times), t=1.0, debug_expand=True)
+        value = om.dyson_term(model, obs, rho0, idx, times, t=t)
+        chains = om._pauli_chains(qc.pauli_decompose(obs.matrix(), model.space),
+                                  [qc.pauli_decompose(model.channels[i].operator)
+                                   for i in idx])
+        slot_times = [t] + times
+        weight = math.prod(model.channels[i].rate(s) for i, s in zip(idx, times))
+        alt = sum(coeff * tc.heisenberg_chain_expectation(
+            model.h, [(qc.dense_pauli(lbl), slot_times[slot]) for lbl, slot in ops], rho0)
+            for coeff, ops in chains)
+        alt = float(np.real(weight * alt))
+        assert abs(alt - value) <= 1e-8 * max(1.0, abs(value))
 
 
 def test_dyson_term_rejects_unsorted_times():

@@ -362,6 +362,21 @@ def test_no_module_outside_qcore_calls_np_kron():
     assert not sites, sites
 
 
+def test_no_module_outside_qcore_names_philox():
+    # only qcore.shot_uniforms turns a seed into a random stream; any other
+    # Philox site keys its own stream and can drift from the contract
+    package = Path(qc.__file__).parent.parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        if "qcore" in path.relative_to(package).parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if ((isinstance(node, ast.Attribute) and node.attr == "Philox")
+                    or (isinstance(node, ast.alias) and node.name == "Philox")):
+                sites.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert not sites, sites
+
+
 def test_from_terms_period_validation():
     space = qc.HilbertSpace.qubits(1)
     omega = 3.0

@@ -438,13 +438,13 @@ def test_fermionic_chains_draw_distinct_streams(monkeypatch):
     state = qc.random_pure_state(space, rng)
     entries = ((2, False, 0.0), (0, True, 0.8))
     keys = []
-    real = tc._shot_uniforms
+    real = tc.shot_uniforms
 
-    def spy(key, count):
-        keys.append(key)
-        return real(key, count)
+    def spy(seed, stream, shape):
+        keys.append((seed, stream))
+        return real(seed, stream, shape)
 
-    monkeypatch.setattr(tc, "_shot_uniforms", spy)
+    monkeypatch.setattr(tc, "shot_uniforms", spy)
     tc.correlation_fermionic(h, entries, state, plan=tc.ShotPlan(shots=64, master_seed=5))
     assert keys == [(5, 0), (5, 1), (5, 2), (5, 3)]
     b2 = tc.fermion_operator_dense(space, 2, dagger=False)
