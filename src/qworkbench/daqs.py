@@ -36,6 +36,7 @@ from .qcore import (
     partial_trace,
     propagator,
 )
+from .openmaster import apply_dissipator
 from .qcore.operators import PAULIS
 
 MAX_SPINS = 12
@@ -146,18 +147,21 @@ class HeisenbergRun:
     fidelities: dict
 
 
-def _heisenberg_unitary(coupling: SpinCouplingMatrix, t: float) -> np.ndarray:
-    """The exact reference exp(-i H t), H = ``heisenberg(coupling)``, t >= 0."""
+def _heisenberg_run(coupling: SpinCouplingMatrix, t: float, step: np.ndarray,
+                    plan: TrotterPlan, states: dict | None) -> HeisenbergRun:
+    """``plan.steps`` repetitions of one Trotter ``step`` against the exact
+    exp(-i H t), H = ``heisenberg(coupling)``: the operator-norm defect and
+    the fidelity of each named state."""
+    u = np.linalg.matrix_power(step, plan.steps)
     space = HilbertSpace.qubits(coupling.n_spins)
-    return propagator(Schedule.constant(heisenberg(coupling), space), 0.0, t)
-
-
-def _state_fidelities(u_approx: np.ndarray, u_exact: np.ndarray, states: dict) -> dict:
-    out = {}
-    for name, psi in states.items():
+    exact = propagator(Schedule.constant(heisenberg(coupling), space), 0.0, t)
+    fids = {}
+    for name, psi in (states or {}).items():
         amps = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi)
-        out[name] = float(abs(np.vdot(u_exact @ amps, u_approx @ amps)) ** 2)
-    return out
+        fids[name] = float(abs(np.vdot(exact @ amps, u @ amps)) ** 2)
+    return HeisenbergRun(plan=plan, unitary=u,
+                         trotter_defect=float(np.linalg.norm(u - exact, ord=2)),
+                         fidelities=fids)
 
 
 def daqs_heisenberg(coupling: SpinCouplingMatrix, t: float, steps: int,
@@ -177,15 +181,11 @@ def daqs_heisenberg(coupling: SpinCouplingMatrix, t: float, steps: int,
     r_y = collective_y_rotation(n)
     tau = t / steps
     step = expm(-1j * h_xy * tau) @ r_y @ expm(-1j * h_xx * tau) @ r_y.conj().T
-    u = np.linalg.matrix_power(step, steps)
-    exact = _heisenberg_unitary(coupling, t)
-    defect = float(np.linalg.norm(u - exact, ord=2))
     plan = TrotterPlan(steps=steps,
                        blocks=(("XY", tau), ("Ry", math.pi / 4), ("XX", tau),
                                ("Ry", -math.pi / 4)),
                        gate_count=4 * steps)
-    fids = _state_fidelities(u, exact, states or {})
-    return HeisenbergRun(plan=plan, unitary=u, trotter_defect=defect, fidelities=fids)
+    return _heisenberg_run(coupling, t, step, plan, states)
 
 
 def digital_heisenberg(coupling: SpinCouplingMatrix, t: float, steps: int,
@@ -207,13 +207,9 @@ def digital_heisenberg(coupling: SpinCouplingMatrix, t: float, steps: int,
             bond = sum(coupling.matrix[i, j] * _pair_string(n, i, j, letter)
                        for letter in "XYZ")
             step = expm(-1j * bond * tau) @ step
-    u = np.linalg.matrix_power(step, steps)
-    exact = _heisenberg_unitary(coupling, t)
     plan = TrotterPlan(steps=steps, blocks=(("pairwise", tau),),
                        gate_count=3 * n_pairs * steps)
-    return HeisenbergRun(plan=plan, unitary=u,
-                         trotter_defect=float(np.linalg.norm(u - exact, ord=2)),
-                         fidelities=_state_fidelities(u, exact, states or {}))
+    return _heisenberg_run(coupling, t, step, plan, states)
 
 
 def commutator_defect_estimate(coupling: SpinCouplingMatrix, t: float, steps: int) -> float:
@@ -416,14 +412,13 @@ def _cqed_noisy_run(space, initial, h1, h2_tilde, n_qubits, db, tau, steps,
     collapse = [(noise.kappa, OperatorSum.single(space, -1, "a").matrix())] + \
         [(noise.gamma_phi, OperatorSum.single(space, q, "Z").matrix()) for q in qubits] + \
         [(noise.gamma_minus, OperatorSum.single(space, q, "S-").matrix()) for q in qubits]
-    collapse = [(r, op) for r, op in collapse if r > 0.0]
+    collapse = [(op, op.conj().T @ op, r) for r, op in collapse if r > 0.0]
     sx_total = OperatorSum(space, [(1.0, on_factors(space, {q: "X"})) for q in qubits]).matrix()
 
     def dissipator(rho):
         acc = np.zeros_like(rho)
-        for rate, op in collapse:
-            od = op.conj().T
-            acc += rate * 0.5 * (2.0 * op @ rho @ od - od @ op @ rho - rho @ od @ op)
+        for op, ldl, rate in collapse:
+            acc += apply_dissipator(op, ldl, rate, rho)
         return acc
 
     def run_segment(rho, h_of_t, duration):

@@ -142,11 +142,7 @@ class MonotoneResult:
 
 def _enlarged_observables(labels) -> tuple:
     """Each antilinear term <psi|P K|psi> costs the pair Z+P and X+P."""
-    out = []
-    for lbl in labels:
-        out.append("Z" + lbl)
-        out.append("X" + lbl)
-    return tuple(out)
+    return tuple(axis + lbl for lbl in labels for axis in "ZX")
 
 
 def _conj_values(psi: np.ndarray, labels: Sequence[str]) -> list:
@@ -170,11 +166,7 @@ def monotone(state: PureState, spec: MonotoneSpec) -> MonotoneResult:
     nrm = np.linalg.norm(psi)
     psi = psi / nrm
 
-    if spec.kind == "Concurrence2":
-        val = abs(_conj_values(psi, ["YY"])[0])
-        return MonotoneResult(float(val), _enlarged_observables(["YY"]))
-
-    if spec.kind == "EvenN":
+    if spec.kind in ("Concurrence2", "EvenN"):  # the concurrence is EvenN at n = 2
         val = abs(_conj_values(psi, ["Y" * n])[0])
         return MonotoneResult(float(val), _enlarged_observables(["Y" * n]))
 
@@ -332,24 +324,17 @@ def ms_compile(label: str, phi: float, boson_quadrature: bool = False,
         codes = on_factors(space, {0: central_letter, -1: "x"})
         rot = expm(1j * phi_central * OperatorSum(space, [(1.0, codes)]).matrix())
         eye_b = np.eye(n_max + 1, dtype=complex)
-        gates = [
-            Gate("local", kron_all([local_change.conj().T, eye_b]), "basis change in"),
-            Gate("ms", kron_all([ms_plus, eye_b]), "collective gate (+pi/2)"),
-            Gate("rotation", rot,
-                 f"exp(i {phi_central:+.6f} {central_letter}0 (a+adag))"),
-            Gate("ms", kron_all([ms_minus, eye_b]), "collective gate (-pi/2)"),
-            Gate("local", kron_all([local_change, eye_b]), "basis change out"),
-        ]
+        pad, mode = (lambda m: kron_all([m, eye_b])), " (a+adag)"
     else:
         rot = expm(1j * phi_central * central)
-        gates = [
-            Gate("local", local_change.conj().T, "basis change in"),
-            Gate("ms", ms_plus, "collective gate (+pi/2)"),
-            Gate("rotation", rot, f"exp(i {phi_central:+.6f} {central_letter}0)"),
-            Gate("ms", ms_minus, "collective gate (-pi/2)"),
-            Gate("local", local_change, "basis change out"),
-        ]
-    return gates
+        pad, mode = (lambda m: m), ""
+    return [
+        Gate("local", pad(local_change.conj().T), "basis change in"),
+        Gate("ms", pad(ms_plus), "collective gate (+pi/2)"),
+        Gate("rotation", rot, f"exp(i {phi_central:+.6f} {central_letter}0{mode})"),
+        Gate("ms", pad(ms_minus), "collective gate (-pi/2)"),
+        Gate("local", pad(local_change), "basis change out"),
+    ]
 
 
 def ms_target(label: str, phi: float, boson_quadrature: bool = False,
@@ -499,14 +484,17 @@ class NoiseModel:
         return delta
 
 
+def _depolarize(rho: np.ndarray, weight: float) -> np.ndarray:
+    """weight rho + (1 - weight) I/d for a d x d matrix ``rho``."""
+    d = rho.shape[0]
+    return weight * rho + (1.0 - weight) * np.eye(d) / d
+
+
 def apply_depolarizing(rho: DensityMatrix, epsilon: float, n_gates: int) -> DensityMatrix:
     """n_gates-fold per-gate depolarizing: eps^n rho + (1 - eps^n) I/d."""
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must sit in (0, 1]")
-    d = rho.space.dim
-    weight = epsilon ** n_gates
-    out = weight * rho.matrix + (1.0 - weight) * np.eye(d) / d
-    return DensityMatrix(rho.space, out)
+    return DensityMatrix(rho.space, _depolarize(rho.matrix, epsilon ** n_gates))
 
 
 def rescale_expectation(measured: float, epsilon: float, n_gates: int,
@@ -559,9 +547,9 @@ def trotter_embedded_circuit(terms: Sequence, t: float, steps: int,
     are compiled through z rotations so the crosstalk model (which affects
     only z rotations) acts on them; multi-qubit exponentials are applied
     exactly.  Every gate is built once, before the step loop, and each step
-    applies the same list.  With depolarizing noise the state is carried as
-    a density matrix and every gate contributes one depolarizing
-    application.
+    applies the same list.  With depolarizing noise a density matrix is
+    carried instead, and every gate contributes one depolarizing
+    application; the array is wrapped in a state once, at the end.
 
     Returns ``(state_or_rho, n_gates)``.
     """
@@ -597,15 +585,12 @@ def trotter_embedded_circuit(terms: Sequence, t: float, steps: int,
         else:
             gates.append(expm(-1j * coeff * dt * dense_pauli(label)))
 
-    use_dm = eps < 1.0
-    state = initial.to_density_matrix() if use_dm else initial
-    d = initial.space.dim
-    for _ in range(steps):
-        for u in gates:
-            if use_dm:
-                out = u @ state.matrix @ u.conj().T
-                out = eps * out + (1.0 - eps) * np.eye(d) / d
-                state = DensityMatrix(initial.space, out)
-            else:
-                state = PureState(initial.space, u @ state.amplitudes)
-    return state, steps * len(gates)
+    if eps < 1.0:
+        rho = initial.to_density_matrix().matrix
+        for u in gates * steps:
+            rho = _depolarize(u @ rho @ u.conj().T, eps)
+        return DensityMatrix(initial.space, rho), steps * len(gates)
+    psi = initial.amplitudes
+    for u in gates * steps:
+        psi = u @ psi
+    return PureState(initial.space, psi), steps * len(gates)

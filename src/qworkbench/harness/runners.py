@@ -194,10 +194,12 @@ def _run_eqs_concurrence(params, seed, threads) -> RunArtifact:
     # embedded image of H = -g ZZ; the dynamics depends only on gt
     psi0 = eqs.embed_state(qc.all_plus_state(2))
     h_tilde = qc.Schedule.constant(qc.OperatorSum.pauli_string(psi0.space, "YZZ"))
+    yy = qc.dense_pauli("YY")
 
     def one(gt):
         state = qc.evolve(psi0, h_tilde, 0.0, gt)
-        c_eqs = eqs.monotone(state, eqs.MonotoneSpec("Concurrence2", 2)).value
+        # |<psi|YY K|psi>| from the enlarged-space observables ZYY and XYY
+        c_eqs = abs(eqs.conj_expectation(state, yy))
         direct = abs(math.sin(2.0 * gt))
         return (float(gt), c_eqs, direct, abs(c_eqs - direct))
 

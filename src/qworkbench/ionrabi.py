@@ -37,10 +37,10 @@ from .qcore import (
     PureState,
     Qubit,
     Schedule,
+    carry,
     evolve,
     expectation,
     expm,
-    integrate,
     kron_all,
     on_factors,
     propagator,
@@ -217,8 +217,8 @@ def two_photon_hamiltonian(tp: TwoPhotonParams, n_qubits: int, n_max: int,
     ``simulation_frame`` flips the coupling sign, matching the Hamiltonian
     realized by the second-sideband drive in its simulation picture.  The
     operator is not flagged Hermitian (every caller takes ``.matrix()``,
-    and the flag would cost a dense check), and its ``.matrix()`` is the
-    cached buffer of the ``OperatorSum``: never write to it.
+    and the flag would cost a dense check); its ``.matrix()`` is the
+    read-only cached buffer of the ``OperatorSum``.
     """
     space = HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_qubits)
     sign = -1.0 if simulation_frame else 1.0
@@ -636,11 +636,12 @@ def _dispersive_calibration(db: int, delta_ratio: float, eps_frac: float,
     ``(db, delta_ratio, eps_frac, tol)``.
 
     This mirrors an experimental Ramsey calibration on the n = 0, 1
-    manifold.  A first pulse of the sin^4-area length carries only the four
-    columns |q, n>, q, n in {0, 1}, and one Newton step on their phases
-    sets the duration so the phase advances by pi/4 per phonon.  The pulse
-    of that duration gives the full propagator U_+ of the +delta detuning;
-    the offsets are the phases of its |e,0> and |g,0> diagonal entries.
+    manifold.  ``qcore.carry`` takes only the four columns |q, n>, q, n in
+    {0, 1}, through a first pulse of the sin^4-area length, and one Newton
+    step on their phases sets the duration so the phase advances by pi/4
+    per phonon.  The pulse of that duration gives the full propagator U_+
+    of the +delta detuning; the offsets are the phases of its |e,0> and
+    |g,0> diagonal entries.
 
     Both runs integrate only the first half of the pulse.  In its carrier
     frame the pulse is ``K(t) = diag(h0) + w(t) V``, real, with
@@ -670,10 +671,7 @@ def _dispersive_calibration(db: int, delta_ratio: float, eps_frac: float,
     frame = _dispersive_frame(db, +1.0, delta, eps)
 
     pulse = _dispersive_pulse_schedule(space, +1.0, delta, eps, duration, coupling)
-    shape = (2 * db, len(low))
-    block = np.eye(2 * db, dtype=complex)[:, low].reshape(-1)
-    block = integrate(lambda t, y: -1j * pulse.apply(t, y.reshape(shape)).reshape(-1),
-                      block, 0.0, duration / 2, tol).reshape(shape)
+    block = carry(pulse, np.eye(2 * db, dtype=complex)[:, low], 0.0, duration / 2, tol)
     p = np.exp(1j * duration * frame)         # F(T)
     ph = np.angle(p[low] * (p.conj() @ block ** 2))   # U_+[j, j], by the reflection
     slope = 0.5 * (abs(ph[1] - ph[0]) + abs(ph[3] - ph[2]))

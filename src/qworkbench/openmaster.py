@@ -83,7 +83,8 @@ class LindbladModel:
             h = Schedule.constant(h)
         self.h = h
         self.space: HilbertSpace = h.space
-        self.is_constant = h.is_constant and not any(callable(g) for _, g in channels)
+        self._number_rates = not any(callable(g) for _, g in channels)
+        self.is_constant = h.is_constant and self._number_rates
         built = []
         for op, gamma in channels:
             scale = op.norm_inf()
@@ -101,12 +102,13 @@ class LindbladModel:
     def gamma_bar(self, t: float) -> float:
         """max_i sup_{s in [0,t]} |gamma_i(s)|.
 
-        Approximated by dense sampling (1024 intervals, endpoints included);
-        an exact supremum is not available for arbitrary rate callables.
+        Read once when every rate is a number, else approximated by dense
+        sampling (1024 intervals, endpoints included): an exact supremum is
+        not available for arbitrary rate callables.
         """
         if not self.channels:
             return 0.0
-        grid = np.linspace(0.0, t, _GAMMA_SUP_SAMPLES + 1)
+        grid = [0.0] if self._number_rates else np.linspace(0.0, t, _GAMMA_SUP_SAMPLES + 1)
         return float(np.max(np.abs([[ch.rate(s) for s in grid] for ch in self.channels])))
 
 
@@ -224,9 +226,9 @@ def _lindblad_terms(model: LindbladModel, rho0: DensityMatrix, t: float, order: 
 # Dyson terms
 # ---------------------------------------------------------------------------
 
-def _dissipator_apply(l: np.ndarray, ldl: np.ndarray, g: float, xi: np.ndarray) -> np.ndarray:
-    """g (L xi L^dag - {ldl, xi}/2).  With ldl = L^dag L this is the dissipator;
-    with L^dag in place of L (ldl kept) it is the dissipator's adjoint."""
+def apply_dissipator(l: np.ndarray, ldl: np.ndarray, g: float, xi: np.ndarray) -> np.ndarray:
+    """g (L xi L^dag - {ldl, xi}/2), the package's one dissipator formula.  With
+    ldl = L^dag L it is the dissipator; with L^dag in place of L it is its adjoint."""
     return g * (l @ xi @ l.conj().T - 0.5 * (ldl @ xi + xi @ ldl))
 
 
@@ -258,7 +260,7 @@ def dyson_term(model: LindbladModel, observable: OperatorSum | np.ndarray,
         xi = conjugate(xi, current, s_k)
         ch = model.channels[channel_indices[k]]
         l = ch.operator.matrix()
-        xi = _dissipator_apply(l, l.conj().T @ l, ch.rate(s_k), xi)
+        xi = apply_dissipator(l, l.conj().T @ l, ch.rate(s_k), xi)
         current = s_k
     return _expectation(omat, conjugate(xi, current, t))
 
@@ -488,14 +490,12 @@ def truncation_order(eps_prime: float, t: float, gamma_bar: float, n_channels: i
 
 
 def total_measurements(eps: float, t: float, gamma_bar: float, n_channels: int,
-                       m_lindblad: int, m_observable: int, beta: float,
-                       c: float = 0.5) -> int:
-    """Σ_{n=0}^K 3^n |Omega_n| with the error split eps' = c*eps and
-    delta_n = (1-c) eps / (K+1)."""
+                       m_lindblad: int, m_observable: int, beta: float) -> int:
+    """Σ_{n=0}^K 3^n |Omega_n| with the error split evenly, c = 1/2:
+    eps' = c*eps to truncation and delta_n = (1-c) eps / (K+1) to sampling."""
     if not (0.0 < eps < 1.0):
         raise ValueError("total error budget must satisfy 0 < eps < 1")
-    if not (0.0 < c < 1.0):
-        raise ValueError("c must sit strictly between 0 and 1")
+    c = 0.5
     k = truncation_order(c * eps, t, gamma_bar, n_channels)
     delta_n = (1.0 - c) * eps / (k + 1)
     total = 0
@@ -512,7 +512,7 @@ def dissipator_adjoint(model: LindbladModel, omat: np.ndarray, t: float) -> np.n
     acc = np.zeros_like(omat)
     for ch in model.channels:
         l = ch.operator.matrix()
-        acc += _dissipator_apply(l.conj().T, l.conj().T @ l, ch.rate(t), omat)
+        acc += apply_dissipator(l.conj().T, l.conj().T @ l, ch.rate(t), omat)
     return acc
 
 
@@ -520,8 +520,8 @@ def observable_bound(model: LindbladModel, observable: OperatorSum | np.ndarray,
                      n: int, t: float) -> float:
     """(||L_D^dag O||_inf / ||O||_inf) (2 gamma_bar N)^n t^(n+1) / (2(n+1)!).
 
-    ``||L_D^dag O||_inf`` is evaluated densely and maximized over the
-    rate-sampling grid when rates are time-dependent.
+    ``||L_D^dag O||_inf`` is evaluated densely, once when every rate is a
+    number, else maximized over 32 equal intervals of [0, t].
     """
     omat = observable.matrix() if isinstance(observable, OperatorSum) else np.asarray(observable)
     o_norm = operator_infinity_norm(omat)
@@ -529,7 +529,7 @@ def observable_bound(model: LindbladModel, observable: OperatorSum | np.ndarray,
         raise ValueError("observable must be nonzero")
     if np.max(np.abs(omat - omat.conj().T)) > 1e-10:
         raise ValueError("observable must be Hermitian")
-    grid = np.linspace(0.0, t, 33)
+    grid = [0.0] if model._number_rates else np.linspace(0.0, t, 33)
     ld_norm = max(operator_infinity_norm(dissipator_adjoint(model, omat, s)) for s in grid)
     gb = model.gamma_bar(t)
     return (ld_norm / o_norm) * (2.0 * gb * model.n_channels) ** n \

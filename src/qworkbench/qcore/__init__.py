@@ -55,6 +55,7 @@ from .evolve import (
     DEFAULT_TOL,
     Schedule,
     ToleranceError,
+    carry,
     evolve,
     evolve_trace,
     integrate,

@@ -25,8 +25,8 @@ between evaluations.
 
 In the frame of ``F`` a term-form Hamiltonian reads
 ``K(t) = diag(frame) + sum_k f_k(t) H_k``, and
-``U(t1, t0) = F(t1) U_K(t1, t0) F(t0)^dag``.  A ket or a column block is
-carried by one of three routes:
+``U(t1, t0) = F(t1) U_K(t1, t0) F(t0)^dag``.  ``carry`` takes a ket or a
+column block by one of three routes:
 
 * static: the schedule is constant (K = H, no frame), or every coefficient
   of a term form is a number, so K is constant.  One ``eigh`` of K, cached
@@ -110,6 +110,12 @@ def _term_action(d: int, terms, frame) -> Callable[[float, np.ndarray], np.ndarr
     return apply
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, flagged read-only: a schedule's caches are shared by every caller."""
+    a.setflags(write=False)
+    return a
+
+
 def _is_hermitian(k: np.ndarray) -> bool:
     """k = k^dag to 1e-12 of its largest element (or absolutely, below 1)."""
     return np.max(np.abs(k - k.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(k)))
@@ -151,10 +157,10 @@ class _ExactFrame:
         return np.exp(1j * t * self.frame)
 
     def eig(self):
-        """(w, V, V^dag) of a static K, computed on first use."""
+        """(w, V, V^dag) of a static K, computed on first use, read-only."""
         if self._eig is None:
             w, v = np.linalg.eigh(self.static)
-            self._eig = (w, v, v.conj().T)
+            self._eig = (_frozen(w), _frozen(v), _frozen(v.conj().T))
         return self._eig
 
     def unitary(self, dt: float) -> np.ndarray:
@@ -175,7 +181,7 @@ class _ExactFrame:
         if w is None:
             u = _integrate_ket(self.apply, np.eye(self.frame.size, dtype=complex),
                                0.0, self.period, tol)
-            w = self._one_period[tol] = self.phase(-self.period)[:, None] * u
+            w = self._one_period[tol] = _frozen(self.phase(-self.period)[:, None] * u)
         return w
 
 
@@ -218,8 +224,9 @@ class Schedule:
         self.apply = apply
         self.constant_matrix = None
         if constant is not None:
-            mat = constant.matrix() if isinstance(constant, OperatorSum) else \
-                np.asarray(constant, dtype=complex)
+            # a raw matrix is copied: the caller's array is never frozen
+            mat = _frozen(constant.matrix() if isinstance(constant, OperatorSum) else
+                           np.array(constant, dtype=complex))
             if mat.shape != (space.dim, space.dim):
                 raise DimensionMismatchError("constant Hamiltonian does not match the space")
             if not _is_hermitian(mat):
@@ -281,7 +288,7 @@ class Schedule:
         sched = Schedule(space, apply=apply)
         diag = np.zeros(d) if frame is None else frame
         if not any(callable(f) for f, _ in terms):
-            k = np.diag(diag).astype(complex) + sum(c * m for c, m in terms)
+            k = _frozen(np.diag(diag).astype(complex) + sum(c * m for c, m in terms))
             if not _is_hermitian(k):
                 raise ValueError("constant terms must sum to a Hermitian matrix")
             sched.exact_frame = _ExactFrame(diag, apply, k, None)
@@ -410,8 +417,18 @@ def _exact_route(ef: _ExactFrame, y: np.ndarray, t0: float, t1: float,
     return diag(ef.phase(t1), y)
 
 
-def _carry(h: Schedule, y: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
-    """U(t1, t0) @ y for a ket or a column block ``y``, with t1 > t0."""
+def carry(h: Schedule, y: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
+    """U(t1, t0) @ y for a ket or a ``d x k`` column block ``y``, by the route
+    of ``h`` (module docstring), without forming the d x d propagator.
+    Raises ``ValueError`` for t1 < t0 and ``DimensionMismatchError`` unless
+    ``y`` has ``d`` rows."""
+    if t1 < t0:
+        raise ValueError("t1 must be >= t0")
+    y = np.asarray(y)
+    if y.ndim not in (1, 2) or y.shape[0] != h.space.dim:
+        raise DimensionMismatchError("vector or column block does not match the schedule")
+    if t1 == t0:
+        return y.copy()
     if h.is_constant:
         return h.exact_frame.carry(t1 - t0, y)
     if h.exact_frame is not None:
@@ -428,10 +445,8 @@ def evolve(state: PureState | DensityMatrix, h: Schedule, t0: float, t1: float,
     Norm/trace drift is monitored through the returned object's
     ``norm_error`` / ``trace_error``.  A static or periodic term form takes
     its exact route (module docstring); on the periodic one ``tol`` governs
-    U(T) and the partial periods.
+    U(T) and the partial periods.  Raises ``ValueError`` for t1 < t0.
     """
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
     if state.space != h.space:
         raise DimensionMismatchError("state and schedule live on different spaces")
     if t1 == t0:
@@ -439,7 +454,7 @@ def evolve(state: PureState | DensityMatrix, h: Schedule, t0: float, t1: float,
     if isinstance(state, DensityMatrix):
         u = propagator(h, t0, t1, tol)
         return DensityMatrix(state.space, u @ state.matrix @ u.conj().T)
-    return PureState(state.space, _carry(h, state.amplitudes, t0, t1, tol))
+    return PureState(state.space, carry(h, state.amplitudes, t0, t1, tol))
 
 
 def evolve_trace(state: PureState, h: Schedule, times: Sequence[float],
@@ -469,14 +484,9 @@ def propagator(h: Schedule, t0: float, t1: float, tol: float = DEFAULT_TOL) -> n
     term forms their exact route, and other time-dependent ones integrate
     the full matrix column block through the adaptive stepper.
     """
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
-    u = np.eye(h.space.dim, dtype=complex)
-    if t1 == t0:
-        return u
-    if h.is_constant:  # the unitary itself, with no product with the identity
+    if h.is_constant and t1 > t0:  # the unitary itself, with no product with the identity
         return h.exact_frame.unitary(t1 - t0)
-    return _carry(h, u, t0, t1, tol)
+    return carry(h, np.eye(h.space.dim, dtype=complex), t0, t1, tol)
 
 
 def propagator_stack(h: Schedule, times, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -58,17 +58,17 @@ def _pauli_basis(n: int):
     if n not in _PAULI_BASIS_CACHE:
         labels = all_pauli_labels(n)
         stack = np.stack([dense_pauli(lbl).conj().reshape(-1) for lbl in labels])
+        stack.setflags(write=False)
         _PAULI_BASIS_CACHE[n] = (labels, stack)
     return _PAULI_BASIS_CACHE[n]
 
 
-def pauli_decompose(op: OperatorSum | np.ndarray, space: HilbertSpace | None = None,
-                    tol: float = 1e-12) -> list:
+def pauli_decompose(op: OperatorSum | np.ndarray, space: HilbertSpace | None = None) -> list:
     """Expansion coefficients over orthogonal Pauli strings.
 
-    Returns ``[(q_k, label_k), ...]`` with only nonzero coefficients, such
-    that ``op = sum_k q_k * P(label_k)``.  Qubit-only spaces only; callers
-    with bosonic factors must embed into 2^l dimensions first.
+    Returns ``[(q_k, label_k), ...]`` with |q_k| > 1e-12 only, such that
+    ``op = sum_k q_k * P(label_k)``.  Qubit-only spaces only; callers with
+    bosonic factors must embed into 2^l dimensions first.
     """
     if isinstance(op, OperatorSum):
         space = op.space
@@ -84,7 +84,7 @@ def pauli_decompose(op: OperatorSum | np.ndarray, space: HilbertSpace | None = N
         raise ValueError("Pauli decomposition capped at 6 qubits (4^n strings)")
     labels, stack = _pauli_basis(n)
     coeffs = (stack @ mat.reshape(-1)) / (2 ** n)
-    return [(complex(q), lbl) for q, lbl in zip(coeffs, labels) if abs(q) > tol]
+    return [(complex(q), lbl) for q, lbl in zip(coeffs, labels) if abs(q) > 1e-12]
 
 
 def pauli_recompose(terms, n: int) -> np.ndarray:

@@ -174,7 +174,8 @@ class OperatorSum:
 
     Each term is ``(coeff, factors)`` with exactly one primitive per
     subsystem.  The object is immutable; the dense matrix is materialized
-    lazily and cached.  Products of operators are done at the dense level
+    lazily and cached read-only, so every caller shares one buffer that none
+    can write to.  Products of operators are done at the dense level
     (this is the dense substrate, not a symbolic algebra).
     """
 
@@ -277,6 +278,7 @@ class OperatorSum:
                     raise ValueError(
                         f"operator flagged Hermitian has Hermiticity defect {herm_defect:.3e}"
                     )
+            acc.setflags(write=False)
             self._matrix = acc
         return self._matrix
 

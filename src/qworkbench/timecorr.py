@@ -147,8 +147,10 @@ def _protocol_terms(op: OperatorSum) -> list:
     """Expand an operator into ``(coeff, unitary-Hermitian matrix)`` terms.
 
     A scalar multiple of a Pauli string (identity on any bosonic factors)
-    passes through as a single term; anything else on a qubit-only space is
-    expanded over orthogonal Pauli strings.
+    passes through as a single term.  On a qubit-only space a sum of
+    distinct Pauli strings (a Jordan-Wigner ladder operator, say) passes
+    through term by term, in the label order of ``pauli_decompose``, so each
+    chain keeps its shot stream; anything else is expanded by it.
     """
     space = op.space
     if len(op.terms) == 1:
@@ -165,6 +167,10 @@ def _protocol_terms(op: OperatorSum) -> list:
             "operator is not a scalar multiple of a Pauli string and the "
             "space has bosonic factors; cannot expand for the ancilla protocol"
         )
+    terms = sorted((("".join(factors), c) for c, factors in op.terms), key=lambda lc: lc[0])
+    labels = [lbl for lbl, _ in terms]
+    if len(set(labels)) == len(labels) and all(set(lbl) <= set(PAULI_LABELS) for lbl in labels):
+        return [(c, dense_pauli(lbl)) for lbl, c in terms]
     return [(q, dense_pauli(lbl)) for q, lbl in pauli_decompose(op)]
 
 
@@ -194,16 +200,23 @@ def _branch_coherence(initial, gates: Sequence[np.ndarray],
     return complex(np.vdot(e, g))
 
 
-def _chain_sum(spec: CorrelationSpec, per_op: Sequence[Sequence],
-               plan: ShotPlan | None) -> complex:
-    """Sum the protocol over every chain of ``(coeff, Pauli matrix)`` terms.
+def correlation_ancilla(spec: CorrelationSpec, plan: ShotPlan | None = None) -> complex:
+    """Correlator via the probe-qubit protocol.
 
-    Chain j (in ``itertools.product`` order) draws its shots from the
-    stream ``(master_seed, j)``; the segment propagators are shared.
+    Each operator must be (a scalar multiple of) a Pauli string or
+    Pauli-decomposable; products of expansions are summed.  The protocol
+    runs as two system-space branches (see the module docstring) over
+    segment propagators computed once for all chains.  With ``plan`` the
+    ancilla coherence of each expanded chain is estimated from
+    ``ceil(shots/2)`` sigma_x outcomes and as many sigma_y outcomes
+    (physically one cannot measure both in the same shot); chain j, in
+    ``itertools.product`` order over the expansions, draws from the stream
+    ``(master_seed, j)``.
     """
     phase = 1j ** spec.order
     segments = _segment_propagators(spec)
     total = 0.0 + 0.0j
+    per_op = [_protocol_terms(op) for op in spec.operators]
     for chain_idx, combo in enumerate(itertools.product(*per_op)):
         coeff = 1.0 + 0.0j
         gates = []
@@ -216,20 +229,6 @@ def _chain_sum(spec: CorrelationSpec, per_op: Sequence[Sequence],
             coherence = complex(*shot_means([coherence.real, coherence.imag], u))
         total += coeff * phase * coherence
     return total
-
-
-def correlation_ancilla(spec: CorrelationSpec, plan: ShotPlan | None = None) -> complex:
-    """Correlator via the probe-qubit protocol.
-
-    Each operator must be (a scalar multiple of) a Pauli string or
-    Pauli-decomposable; products of expansions are summed.  The protocol
-    runs as two system-space branches (see the module docstring) over
-    segment propagators computed once for all chains.  With ``plan`` the
-    ancilla coherence of each expanded chain is estimated from
-    ``ceil(shots/2)`` sigma_x outcomes and as many sigma_y outcomes
-    (physically one cannot measure both in the same shot).
-    """
-    return _chain_sum(spec, [_protocol_terms(op) for op in spec.operators], plan)
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +363,17 @@ def correlation_fermionic(evolution: Schedule, entries: Sequence, state,
 
     ``entries`` is a sequence of ``(mode, dagger, time)`` with nondecreasing
     times, ordered like the operator list of :class:`CorrelationSpec`
-    (entry 0 = earliest = rightmost in the correlator).  The Jordan-Wigner
-    chains run through the same chain loop as :func:`correlation_ancilla`,
-    so with ``plan`` chain j draws from the stream ``(master_seed, j)``.
+    (entry 0 = earliest = rightmost in the correlator).  Each Jordan-Wigner
+    operator becomes an ``OperatorSum`` of its two Pauli strings, and the
+    correlator is :func:`correlation_ancilla` of them, so with ``plan``
+    chain j draws from the stream ``(master_seed, j)``.
     """
     space = evolution.space
-    expansions = [jordan_wigner_terms(space, p, dg) for p, dg, _ in entries]
-    ops = tuple(OperatorSum(space, [(c, tuple(lbl)) for c, lbl in terms])
-                for terms in expansions)
+    ops = tuple(OperatorSum(space, [(c, tuple(lbl)) for c, lbl in
+                                    jordan_wigner_terms(space, p, dg)])
+                for p, dg, _ in entries)
     spec = CorrelationSpec(evolution, tuple(t for _, _, t in entries), ops, state, tol=tol)
-    per_op = [[(c, dense_pauli(lbl)) for c, lbl in terms] for terms in expansions]
-    return _chain_sum(spec, per_op, plan)
+    return correlation_ancilla(spec, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +450,10 @@ def linear_response_check(h0: Schedule, a: OperatorSum, b: OperatorSum, state,
 # cost accounting
 # ---------------------------------------------------------------------------
 
-def gate_count(n: int, q: int, m: int = 4) -> int:
-    """Total gates for an order-n correlation: n controlled gates at m
+def gate_count(n: int, q: int) -> int:
+    """Total gates for an order-n correlation: n controlled gates at m = 4
     entangling gates each plus n-1 evolution segments at q gates each,
     i.e. (m+q)*n - q."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    return (m + q) * n - q
+    return (4 + q) * n - q

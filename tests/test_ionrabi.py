@@ -595,9 +595,8 @@ def test_dispersive_pulse_integrated_once_per_calibration(monkeypatch):
         runs.append((t0, t1))
         return real(rhs, y0, t0, t1, tol)
 
-    # the Newton pulse is integrated through ionrabi's own binding
+    # the Newton pulse is carried by qcore too, so one patch counts both runs
     monkeypatch.setattr(evolve_module, "integrate", counting)
-    monkeypatch.setattr(ir, "integrate", counting)
     monkeypatch.setattr(ir, "_DISPERSIVE_CAL_CACHE", {})
     space = qc.HilbertSpace.qubit_boson(n_max=6)
     ir.parity_measurement_dispersive(qc.basis_state(space, [1, 0]), delta_ratio=6.0)
@@ -675,7 +674,6 @@ def test_dispersive_calibration_matches_full_window(monkeypatch):
         return real(rhs, y0, t0, t1, tol)
 
     monkeypatch.setattr(evolve_module, "integrate", counting)
-    monkeypatch.setattr(ir, "integrate", counting)
     monkeypatch.setattr(ir, "_DISPERSIVE_CAL_CACHE", {})
     cal = ir._dispersive_calibration(db, delta_ratio, eps_frac, tol)
     assert abs(cal.duration - duration) < 1e-9

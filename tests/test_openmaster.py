@@ -475,7 +475,7 @@ def test_series_recursion():
         ld = np.zeros_like(prev)
         for ch in model.channels:
             l = ch.operator.matrix()
-            ld += om._dissipator_apply(l, l.conj().T @ l, ch.rate(s), prev)
+            ld += om.apply_dissipator(l, l.conj().T @ l, ch.rate(s), prev)
         acc += w * conjugate(ld, s, t)
     assert np.max(np.abs(direct - acc)) < 1e-8
 
@@ -595,6 +595,40 @@ def test_observable_bound_covers_measured_error():
             tilde = om.truncated_state(model, rho0, t, n)
             measured = abs(np.trace(obs.matrix() @ (exact.matrix - tilde))) / 2.0
             assert measured <= om.observable_bound(model, obs, n, t) + 1e-9
+
+
+def test_number_rates_are_sampled_once(monkeypatch):
+    # every sample of a number rate is the same, so observable_bound
+    # evaluates L_D^dag O once and gamma_bar reads the rate once; a callable
+    # rate keeps both grids (33 and 1025 times) and, held constant, gives
+    # the same bytes
+    space = one_qubit_space()
+    obs = sigma(space, "Z")
+    real = om.dissipator_adjoint
+    evaluations = []
+
+    def counting(model, omat, t):
+        evaluations.append(t)
+        return real(model, omat, t)
+
+    monkeypatch.setattr(om, "dissipator_adjoint", counting)
+    reads = []
+
+    def rate(s):
+        reads.append(s)
+        return 0.35
+
+    h = sigma(space, "X", 0.8)
+    number = om.LindbladModel(h, [(sigma(space, "S-"), 0.35)])
+    callable_ = om.LindbladModel(h, [(sigma(space, "S-"), rate)])
+    t = 0.9
+    bound = om.observable_bound(number, obs, 2, t)
+    assert len(evaluations) == 1
+    assert om.observable_bound(callable_, obs, 2, t) == bound
+    assert len(evaluations) == 1 + 33
+    reads.clear()
+    assert callable_.gamma_bar(t) == number.gamma_bar(t)
+    assert len(reads) == 1025
 
 
 # ---------------------------------------------------------------------------

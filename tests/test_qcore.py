@@ -362,6 +362,62 @@ def test_no_module_outside_qcore_calls_np_kron():
     assert not sites, sites
 
 
+def test_carry_takes_a_column_block_and_checks_its_inputs():
+    # carry moves a few columns by the schedule's route, as the propagator's
+    # columns; a time-dependent schedule steps the block through RK45
+    rng = np.random.default_rng(66)
+    cases, _, _ = _ket_route_schedules(rng)
+    static = cases[1][0]
+    drive = qc.Schedule.from_terms(static.space, [
+        (lambda t: math.cos(1.3 * t), static.matrix_at(0.0)), (0.2, np.eye(8))])
+    for sched in (cases[0][0], static, drive):
+        d = sched.space.dim
+        cols = [0, 3, d - 1]
+        block = np.eye(d, dtype=complex)[:, cols]
+        u = qc.propagator(sched, 0.37, 1.9, 1e-11)
+        assert np.max(np.abs(qc.carry(sched, block, 0.37, 1.9, 1e-11) - u[:, cols])) < 1e-9
+        assert np.array_equal(qc.carry(sched, block, 0.5, 0.5, 1e-11), block)
+        with pytest.raises(ValueError):
+            qc.carry(sched, block, 1.0, 0.5, 1e-11)
+        with pytest.raises(qc.DimensionMismatchError):
+            qc.carry(sched, block[:-1], 0.0, 0.5, 1e-11)
+
+
+def test_no_module_outside_qcore_reads_apply():
+    # only qcore carries a state through a schedule's action (carry, evolve,
+    # propagator); a module that reads Schedule.apply steps its own copy
+    package = Path(qc.__file__).parent.parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        if "qcore" in path.relative_to(package).parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "apply":
+                sites.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert not sites, sites
+
+
+def test_cached_matrices_are_read_only():
+    # what qcore caches is shared by every caller: writing into it raises,
+    # and a caller's own raw matrix is copied, never frozen
+    space = qc.HilbertSpace.qubit_boson(n_max=3)
+    op = qc.OperatorSum(space, [(0.5, ("Z", "I")), (1.0, ("X", "x"))])
+    with pytest.raises(ValueError):
+        op.matrix()[0, 0] = 1.0
+    sched = qc.Schedule.constant(op)
+    assert sched.constant_matrix is op.matrix()
+    qc.propagator(sched, 0.0, 1.0)
+    for a in sched.exact_frame.eig() + (sched.matrix_at(0.3),):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    raw = np.array(op.matrix())
+    qc.Schedule.constant(raw, space)
+    raw[0, 0] = 2.0
+    qc.pauli_decompose(qc.OperatorSum.pauli_string(qc.HilbertSpace.qubits(1), "X"))
+    with pytest.raises(ValueError):
+        qc.metrics._pauli_basis(1)[1][0, 0] = 1.0
+
+
 def test_no_module_outside_qcore_names_philox():
     # only qcore.shot_uniforms turns a seed into a random stream; any other
     # Philox site keys its own stream and can drift from the contract

@@ -453,6 +453,31 @@ def test_fermionic_chains_draw_distinct_streams(monkeypatch):
     assert abs(tc.correlation_fermionic(h, entries, state) - expected) < 1e-10
 
 
+def test_fermionic_correlator_on_seven_modes_builds_no_pauli_basis(monkeypatch):
+    # a ladder operator is a sum of two Pauli strings: it reaches the
+    # protocol term by term, in pauli_decompose's label order, so a register
+    # beyond pauli_decompose's 6-qubit cap works and no 4^n basis is built
+    space = qc.HilbertSpace.qubits(7)
+    rng = np.random.default_rng(18)
+    h = random_hermitian_schedule(space, rng)
+    state = qc.random_pure_state(space, rng)
+
+    def refuse(*args):
+        raise AssertionError("a sum of Pauli strings was decomposed")
+
+    monkeypatch.setattr(tc, "pauli_decompose", refuse)
+    b6 = tc.fermion_operator_dense(space, 6, dagger=False)
+    b1d = tc.fermion_operator_dense(space, 1, dagger=True)
+    expected = tc.heisenberg_chain_expectation(h, [(b1d, 0.7), (b6, 0.0)], state)
+    got = tc.correlation_fermionic(h, ((6, False, 0.0), (1, True, 0.7)), state)
+    assert abs(got - expected) < 1e-10
+    op = qc.OperatorSum(space, [(0.4, "ZIIIIIX"), (-0.2j, "IIIIIIY"), (0.3, "XIIIIII")])
+    terms = tc._protocol_terms(op)
+    assert [c for c, _ in terms] == [-0.2j, 0.3, 0.4]
+    for (_, m), lbl in zip(terms, ("IIIIIIY", "XIIIIII", "ZIIIIIX")):
+        assert np.array_equal(m, qc.dense_pauli(lbl))
+
+
 # ---------------------------------------------------------------------------
 # linear response
 # ---------------------------------------------------------------------------
