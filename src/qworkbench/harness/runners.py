@@ -225,11 +225,7 @@ def _tangle_from_embedded(rho_or_state, rescale=None) -> float:
         vals = []
         for label in (z_label, x_label):
             op = qc.dense_pauli(label)
-            if isinstance(rho_or_state, qc.PureState):
-                v = float(np.real(np.vdot(rho_or_state.amplitudes,
-                                          op @ rho_or_state.amplitudes)))
-            else:
-                v = float(np.real(np.trace(op @ rho_or_state.matrix)))
+            v = qc.expectation(rho_or_state, op).real
             if rescale is not None:
                 v = eqs.rescale_expectation(v, *rescale, op)
             vals.append(v)

@@ -4,11 +4,16 @@ correlators, single-shot Monte-Carlo integration over the time simplex,
 and the rigorous error-bound calculators (trace-distance, observable,
 sample-size, measurement totals, and the non-Hermitian variant).
 
-The series terms themselves are computed exactly: for a generator
-L0(s) + LP(s) truncated at order n, [vec rho0, 0, ..., 0] is propagated
-under the block-bidiagonal generator ``B(s) = I_(n+1) kron L0(s) +
-S kron LP(s)`` (S the sub-diagonal shift), and block k of the result is
-the order-k simplex integral (Van Loan, IEEE TAC 23 (1978) 395).
+The master equation is written once, as actions on a d x d matrix or a
+stack of them: L_H x = -i[H(t), x], and L_D x, the sum of ``apply_dissipator``
+over the channels.  The series terms are exact: for a generator L0(s) + LP(s)
+truncated at order n, the block stack [rho0, 0, ..., 0] obeys
+d xi_k/ds = L0 xi_k + LP xi_(k-1), so block k is the order-k simplex integral
+(Van Loan, IEEE TAC 23 (1978) 395).  A time-dependent generator is stepped on
+the stack; a constant one is exponentiated once as ``I_(n+1) kron L0 +
+S kron LP`` (S the sub-diagonal shift).  That and ``liouvillian_matrix`` are
+the only superoperator matrices, in column stacking: ``vec(A X B) =
+(B^T kron A) vec(X)``.
 
 The Monte-Carlo estimator samples the simplex instead.  Order n draws one
 block of uniforms from stream ``(master_seed, n)`` of ``qcore.shot_uniforms``,
@@ -18,9 +23,6 @@ The nested dissipators are expanded into Pauli-string chains once per
 channel combination, and the chain means of all samples sharing that
 combination are evaluated together on the stacked propagators U(0, tau)
 of ``qcore.propagator_stack``.
-
-Vectorization is column-stacking throughout: ``vec(A X B) = (B^T kron A)
-vec(X)``, so superoperator matrices are reproducible.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qcore import (
+    DEFAULT_TOL,
     DensityMatrix,
     HilbertSpace,
     OperatorSum,
@@ -113,41 +116,53 @@ class LindbladModel:
 
 
 # ---------------------------------------------------------------------------
-# exact oracle
+# the generator and the exact oracle
 # ---------------------------------------------------------------------------
-
-def _vec(rho: np.ndarray) -> np.ndarray:
-    return rho.reshape(-1, order="F")
-
-
-def _unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape(d, d, order="F")
-
 
 def _expectation(omat: np.ndarray, xi: np.ndarray) -> float:
     return float(np.real(np.trace(omat @ xi)))
 
 
-def _commutator_generator(h: np.ndarray) -> np.ndarray:
-    """Superoperator of -i[h, .] (column stacking)."""
-    eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (kron_all([eye, h]) - kron_all([h.T, eye]))
+def apply_dissipator(l: np.ndarray, ldl: np.ndarray, g: float, xi: np.ndarray) -> np.ndarray:
+    """g (L xi L^dag - {ldl, xi}/2) on a matrix or a stack, the package's one dissipator
+    formula.  With ldl = L^dag L it is the dissipator; with L^dag for L, its adjoint."""
+    return g * (l @ xi @ l.conj().T - 0.5 * (ldl @ xi + xi @ ldl))
+
+
+def _commutator(h: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The action x -> -i[h, x] on a d x d matrix or a stack of them."""
+    return lambda x: -1j * (h @ x - x @ h)
+
+
+def _generator_actions(model: LindbladModel) -> Callable[[float], tuple]:
+    """s -> (L_H(s), L_D(s)) as actions on a d x d matrix or a stack of them;
+    each channel's L^dag L is formed once, and a time s reads H(s) and the rates."""
+    channels = [(l, l.conj().T @ l, ch.rate)
+                for ch in model.channels for l in [ch.operator.matrix()]]
+
+    def parts(s):
+        def l_d(x):
+            acc = np.zeros_like(x)
+            for l, ldl, rate in channels:
+                acc += apply_dissipator(l, ldl, rate(s), x)
+            return acc
+
+        return _commutator(model.h.matrix_at(s)), l_d
+
+    return parts
+
+
+def _superoperator(action: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
+    """Matrix of a linear map on d x d matrices, column stacking: column
+    i + d j is vec(action(E_ij)), the map applied to the d^2 unit matrices."""
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d).transpose(0, 2, 1)
+    return action(units).transpose(2, 1, 0).reshape(d * d, d * d)
 
 
 def _generator_parts(model: LindbladModel, t: float) -> tuple:
     """(L_H, L_D): the Hamiltonian and dissipator superoperators at time ``t``."""
     d = model.space.dim
-    eye = np.eye(d, dtype=complex)
-    l_h = _commutator_generator(model.h.matrix_at(t))
-    l_d = np.zeros_like(l_h)
-    for ch in model.channels:
-        l = ch.operator.matrix()
-        g = ch.rate(t)
-        ldl = l.conj().T @ l
-        l_d += g * (kron_all([l.conj(), l])
-                    - 0.5 * kron_all([eye, ldl])
-                    - 0.5 * kron_all([ldl.T, eye]))
-    return l_h, l_d
+    return tuple(_superoperator(action, d) for action in _generator_actions(model)(t))
 
 
 def liouvillian_matrix(model: LindbladModel, t: float) -> np.ndarray:
@@ -156,85 +171,74 @@ def liouvillian_matrix(model: LindbladModel, t: float) -> np.ndarray:
     return l_h + l_d
 
 
-def _propagate(generator: Callable[[float], np.ndarray], v0: np.ndarray, t: float,
-               tol: float, constant: bool) -> np.ndarray:
-    """v(t) for dv/ds = generator(s) v, v(0) = v0.
+def _dyson_blocks(parts: Callable[[float], tuple], rho0: np.ndarray, t: float,
+                  order: int, tol: float, constant: bool) -> np.ndarray:
+    """Dyson terms [xi_0(t), ..., xi_order(t)] of dx/ds = (L0(s) + LP(s)) x, x(0) = rho0.
 
-    A constant generator gets one matrix exponential; otherwise the
-    adaptive stepper runs at ``rtol=tol``, ``atol=tol*1e-2``.  A negative
-    ``t`` raises ``ValueError``: the master equation is not run backwards.
+    ``parts(s)`` returns the actions (L0(s), LP(s)); LP is not read at order
+    0.  A constant generator gets one matrix exponential, else the stepper
+    runs on the block stack at ``rtol=tol``, ``atol=tol*1e-2`` (see the
+    module docstring).  A negative ``t`` raises ``ValueError``.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
+    d = rho0.shape[0]
+    x0 = np.zeros((order + 1, d, d), dtype=complex)
+    x0[0] = rho0
     if constant:
-        return expm(generator(0.0) * t) @ v0
-    return integrate(lambda s, y: generator(s) @ y, v0, 0.0, t, tol)
+        l0, lp = parts(0.0)
+        b = kron_all([np.eye(order + 1), _superoperator(l0, d)])
+        if order:
+            b += kron_all([np.eye(order + 1, k=-1), _superoperator(lp, d)])
+        v = expm(b * t) @ x0.transpose(0, 2, 1).reshape(-1)
+        return v.reshape(order + 1, d, d).transpose(0, 2, 1)
+
+    def rhs(s, y):
+        l0, lp = parts(s)
+        x = y.reshape(order + 1, d, d)
+        dx = l0(x)
+        if order:
+            dx[1:] += lp(x[:-1])
+        return dx.reshape(-1)
+
+    return integrate(rhs, x0.reshape(-1), 0.0, t, tol).reshape(order + 1, d, d)
 
 
 def lindblad_exact(model: LindbladModel, rho0: DensityMatrix, t: float,
                    tol: float = 1e-10) -> DensityMatrix:
-    """Integrate the master equation on the vectorized superoperator.
-
-    A constant model (``LindbladModel.is_constant``) gets one matrix
-    exponential; otherwise the adaptive stepper runs on vec(rho).  A
-    negative ``t`` raises ``ValueError``.
-    """
+    """rho(t): order 0 of ``_dyson_blocks`` with L0 = L_H + L_D.  A constant model
+    (``LindbladModel.is_constant``) gets one matrix exponential, else the
+    adaptive stepper runs on rho.  A negative ``t`` raises ``ValueError``."""
     if rho0.space != model.space:
         raise ValueError("initial state does not live on the model's space")
     if t == 0.0:
         return rho0
-    v = _propagate(lambda s: liouvillian_matrix(model, s), _vec(rho0.matrix), t, tol,
-                   model.is_constant)
-    rho = _unvec(v, model.space.dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(model.space, rho)
-
-
-def _dyson_blocks(parts: Callable[[float], tuple], rho0: np.ndarray, t: float,
-                  order: int, tol: float, constant: bool) -> list:
-    """Dyson terms [xi_0(t), ..., xi_order(t)] of dx/ds = (L0(s) + LP(s)) x, x(0) = rho0.
-
-    ``parts(s)`` returns (L0(s), LP(s)); xi_k holds k insertions of LP.
-    [vec rho0, 0, ..., 0] is propagated under B(s) = I kron L0(s) +
-    S kron LP(s), S the sub-diagonal shift, so block k obeys
-    d xi_k/ds = L0 xi_k + LP xi_(k-1): exactly the order-k simplex integral
-    (Van Loan, IEEE TAC 23 (1978) 395).
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    d = rho0.shape[0]
-    eye, shift = np.eye(order + 1), np.eye(order + 1, k=-1)
+    parts = _generator_actions(model)
 
     def generator(s):
-        l0, lp = parts(s)
-        return kron_all([eye, l0]) + kron_all([shift, lp])
+        l_h, l_d = parts(s)
+        return (lambda x: l_h(x) + l_d(x)), None
 
-    v0 = np.zeros((order + 1) * d * d, dtype=complex)
-    v0[:d * d] = _vec(rho0)
-    v = _propagate(generator, v0, t, tol, constant)
-    return [_unvec(block, d) for block in v.reshape(order + 1, d * d)]
+    rho = _dyson_blocks(generator, rho0.matrix, t, 0, tol, model.is_constant)[0]
+    return DensityMatrix(model.space, 0.5 * (rho + rho.conj().T))
 
 
 def _lindblad_terms(model: LindbladModel, rho0: DensityMatrix, t: float, order: int,
-                    tol: float) -> list:
+                    tol: float) -> np.ndarray:
     """Dyson terms of the master equation with L0 = L_H and LP = L_D."""
-    return _dyson_blocks(lambda s: _generator_parts(model, s), rho0.matrix, t, order,
-                         tol, model.is_constant)
+    return _dyson_blocks(_generator_actions(model), rho0.matrix, t, order, tol,
+                         model.is_constant)
 
 
 # ---------------------------------------------------------------------------
 # Dyson terms
 # ---------------------------------------------------------------------------
 
-def apply_dissipator(l: np.ndarray, ldl: np.ndarray, g: float, xi: np.ndarray) -> np.ndarray:
-    """g (L xi L^dag - {ldl, xi}/2), the package's one dissipator formula.  With
-    ldl = L^dag L it is the dissipator; with L^dag in place of L it is its adjoint."""
-    return g * (l @ xi @ l.conj().T - 0.5 * (ldl @ xi + xi @ ldl))
-
-
 def dyson_term(model: LindbladModel, observable: OperatorSum | np.ndarray,
                rho0: DensityMatrix, channel_indices: Sequence[int],
-               times: Sequence[float], t: float, tol: float = 1e-10) -> float:
+               times: Sequence[float], t: float) -> float:
     """Integrand <A_{[i_1..i_n]}(s_1..s_n)> of the order-n Volterra term.
 
     ``times`` must be sorted descending (t >= s_1 >= ... >= s_n >= 0); the
@@ -250,7 +254,7 @@ def dyson_term(model: LindbladModel, observable: OperatorSum | np.ndarray,
     omat = observable.matrix() if isinstance(observable, OperatorSum) else np.asarray(observable)
 
     def conjugate(mat, a, b):
-        u = propagator(model.h, a, b, tol)
+        u = propagator(model.h, a, b)
         return u @ mat @ u.conj().T
 
     xi = rho0.matrix
@@ -400,7 +404,7 @@ def _order_contribution_monte_carlo(model, omat, rho0, order, t, plan, tol) -> f
 
 def reconstruct(model: LindbladModel, observable: OperatorSum | np.ndarray,
                 rho0: DensityMatrix, t: float, order: int,
-                plan: MonteCarloPlan | None = None, tol: float = 1e-10) -> Reconstruction:
+                plan: MonteCarloPlan | None = None) -> Reconstruction:
     """Estimate <O>_rho(t) from the Volterra series truncated at ``order``.
 
     Without a plan ``per_order[n]`` is Re Tr[O xi_n(t)] with xi_n the exact
@@ -421,16 +425,17 @@ def reconstruct(model: LindbladModel, observable: OperatorSum | np.ndarray,
     omat = observable.matrix() if isinstance(observable, OperatorSum) else np.asarray(observable)
     if plan is None:
         per_order = [_expectation(omat, xi)
-                     for xi in _lindblad_terms(model, rho0, t, order, tol)]
+                     for xi in _lindblad_terms(model, rho0, t, order, DEFAULT_TOL)]
     else:
-        per_order = [_order_contribution_monte_carlo(model, omat, rho0, n, t, plan, tol)
+        per_order = [_order_contribution_monte_carlo(model, omat, rho0, n, t, plan,
+                                                     DEFAULT_TOL)
                      for n in range(order + 1)]
     return Reconstruction(value=float(sum(per_order)), per_order=per_order,
                           mode="exact" if plan is None else "monte-carlo")
 
 
 def truncated_states(model: LindbladModel, rho0: DensityMatrix, t: float,
-                     max_order: int, tol: float = 1e-10) -> list:
+                     max_order: int) -> list:
     """Dense series states [rho~_0(t), rho~_1(t), ..., rho~_max_order(t)].
 
     Entry n is the cumulative sum of the exact Dyson terms 0..n, all taken
@@ -438,13 +443,13 @@ def truncated_states(model: LindbladModel, rho0: DensityMatrix, t: float,
     docstring).  The truncated states are not exactly trace one or
     positive; that is the point of the bounds.
     """
-    return list(np.cumsum(_lindblad_terms(model, rho0, t, max_order, tol), axis=0))
+    return list(np.cumsum(_lindblad_terms(model, rho0, t, max_order, DEFAULT_TOL), axis=0))
 
 
 def truncated_state(model: LindbladModel, rho0: DensityMatrix, t: float,
-                    order: int, tol: float = 1e-10) -> np.ndarray:
+                    order: int) -> np.ndarray:
     """Dense matrix of the series state truncated at ``order``."""
-    return truncated_states(model, rho0, t, order, tol)[-1]
+    return truncated_states(model, rho0, t, order)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +546,7 @@ def observable_bound(model: LindbladModel, observable: OperatorSum | np.ndarray,
 # ---------------------------------------------------------------------------
 
 def nonhermitian_evolve(h: OperatorSum, gamma_op: OperatorSum, rho0: DensityMatrix,
-                        t: float, order: int | None = None,
-                        tol: float = 1e-10) -> DensityMatrix | np.ndarray:
+                        t: float, order: int | None = None) -> DensityMatrix | np.ndarray:
     """d rho/dt = -i[H, rho] - {Gamma, rho} with J = H - i Gamma.
 
     ``order=None`` propagates exactly: rho(t) = e^{-iJt} rho0 e^{+iJ^dag t}
@@ -557,7 +561,6 @@ def nonhermitian_evolve(h: OperatorSum, gamma_op: OperatorSum, rho0: DensityMatr
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError(f"{name} must be Hermitian")
     gamma_psd = bool(np.linalg.eigvalsh(gm)[0] >= -1e-12)
-    space = h.space
 
     if order is None:
         if t < 0.0:
@@ -570,12 +573,11 @@ def nonhermitian_evolve(h: OperatorSum, gamma_op: OperatorSum, rho0: DensityMatr
             raise ValueError(
                 f"trace grew to {tr:.8f} although Gamma is positive semidefinite; "
                 "check the inputs")
-        return DensityMatrix(space, 0.5 * (rho + rho.conj().T), check_trace=False)
+        return DensityMatrix(h.space, 0.5 * (rho + rho.conj().T), check_trace=False)
 
-    eye = np.eye(space.dim, dtype=complex)
-    parts = (_commutator_generator(hm), -(kron_all([eye, gm]) + kron_all([gm.T, eye])))
-    return np.asarray(sum(_dyson_blocks(lambda s: parts, rho0.matrix, t, order, tol,
-                                        constant=True)))
+    parts = (_commutator(hm), lambda x: -(gm @ x + x @ gm))
+    return sum(_dyson_blocks(lambda s: parts, rho0.matrix, t, order, DEFAULT_TOL,
+                             constant=True))
 
 
 def nonhermitian_bound(gamma_op: OperatorSum, n: int, t: float) -> float:

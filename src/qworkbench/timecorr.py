@@ -358,7 +358,7 @@ def fermion_operator_dense(space: HilbertSpace, mode: int, dagger: bool) -> np.n
 
 
 def correlation_fermionic(evolution: Schedule, entries: Sequence, state,
-                          plan: ShotPlan | None = None, tol: float = 1e-10) -> complex:
+                          plan: ShotPlan | None = None) -> complex:
     """``<b(dag)_{p_{n-1}}(t_{n-1}) ... b(dag)_{p_0}(t_0)>`` via the ancilla protocol.
 
     ``entries`` is a sequence of ``(mode, dagger, time)`` with nondecreasing
@@ -372,7 +372,7 @@ def correlation_fermionic(evolution: Schedule, entries: Sequence, state,
     ops = tuple(OperatorSum(space, [(c, tuple(lbl)) for c, lbl in
                                     jordan_wigner_terms(space, p, dg)])
                 for p, dg, _ in entries)
-    spec = CorrelationSpec(evolution, tuple(t for _, _, t in entries), ops, state, tol=tol)
+    spec = CorrelationSpec(evolution, tuple(t for _, _, t in entries), ops, state)
     return correlation_ancilla(spec, plan)
 
 

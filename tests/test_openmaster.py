@@ -52,6 +52,30 @@ def random_density_matrix(space, rng):
     return qc.DensityMatrix(space, r / np.trace(r).real)
 
 
+def kron_commutator(h):
+    """-i[h, .] written as a column-stacking kron superoperator."""
+    eye = np.eye(h.shape[0])
+    return -1j * (qc.kron_all([eye, h]) - qc.kron_all([h.T, eye]))
+
+
+def kron_dissipator(model, t):
+    """sum_i gamma_i(t) (L_i . L_i^dag - {L_i^dag L_i, .}/2) in kron form."""
+    d = model.space.dim
+    eye = np.eye(d)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for ch in model.channels:
+        l = ch.operator.matrix()
+        ldl = l.conj().T @ l
+        out += ch.rate(t) * (qc.kron_all([l.conj(), l]) - 0.5 * qc.kron_all([eye, ldl])
+                             - 0.5 * qc.kron_all([ldl.T, eye]))
+    return out
+
+
+def kron_block_generator(l0, lp, order):
+    """Van Loan's I kron L0 + S kron LP, S the sub-diagonal shift."""
+    return qc.kron_all([np.eye(order + 1), l0]) + qc.kron_all([np.eye(order + 1, k=-1), lp])
+
+
 # ---------------------------------------------------------------------------
 # exact Lindblad solver
 # ---------------------------------------------------------------------------
@@ -118,6 +142,24 @@ def test_non_markovian_rates_stay_positive():
         out = om.lindblad_exact(model, rho0, t, tol=1e-11)
         assert out.min_eigenvalue() >= -1e-8
         assert out.trace_error < 1e-9
+
+
+def test_liouvillian_matrix_matches_kron_formula():
+    # the superoperator is the two actions applied to the unit matrices; the
+    # kron formula it replaced is the oracle
+    rng = np.random.default_rng(211)
+    for n_qubits in (1, 2):
+        for _ in range(4):
+            model = random_model(rng, n_qubits=n_qubits, n_channels=2)
+            ref = kron_commutator(model.h.matrix_at(0.0)) + kron_dissipator(model, 0.0)
+            assert np.max(np.abs(om.liouvillian_matrix(model, 0.0) - ref)) < 1e-15
+    base = random_model(rng, n_qubits=2, n_channels=2)
+    model = om.LindbladModel(base.h, [(ch.operator, lambda s, k=k: 0.4 + k * math.sin(3.0 * s))
+                                      for k, ch in enumerate(base.channels)])
+    assert not model.is_constant
+    t = 0.37
+    ref = kron_commutator(model.h.matrix_at(t)) + kron_dissipator(model, t)
+    assert np.max(np.abs(om.liouvillian_matrix(model, t) - ref)) < 1e-15
 
 
 def test_route_is_declared_not_sampled():
@@ -494,6 +536,39 @@ def test_time_dependent_series_closed_form():
         assert abs(state[0, 1] - 0.3 * np.exp(-1.4j * t) * series) < 1e-9
 
 
+def test_time_dependent_series_forms_no_superoperator(monkeypatch):
+    # a driven two-qubit model with two callable rates: the stepper runs on
+    # the (order + 1, d, d) block stack, and each block matches a stiff
+    # reference run on the kron block generator
+    rng = np.random.default_rng(223)
+    base = random_model(rng, n_qubits=2, n_channels=2)
+    h0 = base.h.matrix_at(0.0)
+    zx = qc.dense_pauli("ZX")
+    h = qc.Schedule.time_dependent(base.h.space, lambda s: h0 + math.cos(2.0 * s) * zx)
+    rates = (lambda s: 0.3 + 0.2 * math.cos(5.0 * s), lambda s: 0.1 + 0.3 * s)
+    model = om.LindbladModel(h, [(ch.operator, rate)
+                                 for ch, rate in zip(base.channels, rates)])
+    rho0 = random_density_matrix(model.space, rng)
+    t, order, d = 0.6, 4, model.space.dim
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the time-dependent route formed a superoperator")
+
+    with monkeypatch.context() as m:
+        m.setattr(om, "_superoperator", forbidden)
+        m.setattr(om, "kron_all", forbidden)
+        states = om.truncated_states(model, rho0, t, order)
+    blocks = [states[0]] + [b - a for a, b in zip(states, states[1:])]
+
+    v0 = np.zeros((order + 1) * d * d, dtype=complex)
+    v0[:d * d] = rho0.matrix.reshape(-1, order="F")
+    ref = solve_ivp(lambda s, y: kron_block_generator(kron_commutator(h.matrix_at(s)),
+                                                      kron_dissipator(model, s), order) @ y,
+                    (0.0, t), v0, method="DOP853", rtol=1e-12, atol=1e-14).y[:, -1]
+    for k, block in enumerate(ref.reshape(order + 1, d * d)):
+        assert np.max(np.abs(blocks[k] - block.reshape(d, d, order="F"))) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -674,6 +749,33 @@ def test_nonhermitian_perturbative_bound():
             approx = om.nonhermitian_evolve(h, gamma_op, rho0, t, order=order)
             d1 = 0.5 * np.sum(np.linalg.svd(exact.matrix - approx, compute_uv=False))
             assert d1 <= om.nonhermitian_bound(gamma_op, order, t) + 1e-9
+
+
+def test_nonhermitian_series_matches_kron_van_loan_block():
+    # the oracle is the block generator the actions replaced: -i[H, .] and
+    # -{Gamma, .} in kron form, exponentiated by scipy
+    from scipy.linalg import expm as scipy_expm
+
+    rng = np.random.default_rng(227)
+    space = qc.HilbertSpace.qubits(2)
+    d = space.dim
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = qc.OperatorSum(space, [(q, tuple(lbl)) for q, lbl in
+                               qc.pauli_decompose(0.5 * (m + m.conj().T), space)])
+    g_raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    gamma_op = qc.OperatorSum(space, [(q, tuple(lbl)) for q, lbl in
+                                      qc.pauli_decompose(0.1 * (g_raw @ g_raw.conj().T), space)])
+    rho0 = random_density_matrix(space, rng)
+    eye, gm = np.eye(d), gamma_op.matrix()
+    anticommutator = -(qc.kron_all([eye, gm]) + qc.kron_all([gm.T, eye]))
+    t = 0.6
+    for order in range(4):
+        block = kron_block_generator(kron_commutator(h.matrix()), anticommutator, order)
+        v0 = np.zeros((order + 1) * d * d, dtype=complex)
+        v0[:d * d] = rho0.matrix.reshape(-1, order="F")
+        v = (scipy_expm(block * t) @ v0).reshape(order + 1, d * d).sum(axis=0)
+        got = om.nonhermitian_evolve(h, gamma_op, rho0, t, order=order)
+        assert np.max(np.abs(got - v.reshape(d, d, order="F"))) < 1e-13
 
 
 def test_nonhermitian_flags_trace_growth():
