@@ -22,7 +22,10 @@ one row per sample (channel indices, times, shot uniforms; see
 The nested dissipators are expanded into Pauli-string chains once per
 channel combination, and the chain means of all samples sharing that
 combination are evaluated together on the stacked propagators U(0, tau)
-of ``qcore.propagator_stack``.
+of ``qcore.propagator_stack``.  Before any product is formed, adjacent
+factors of a chain at one time slot multiply symbolically into one Pauli
+string and a phase (X X = I drops out), so a chain forms one stacked
+product per remaining factor.
 """
 from __future__ import annotations
 
@@ -38,6 +41,7 @@ from .qcore import (
     HilbertSpace,
     OperatorSum,
     Schedule,
+    check_stream_key,
     dense_pauli,
     expm,
     integrate,
@@ -321,6 +325,7 @@ class MonteCarloPlan:
             raise ValueError("samples_per_order must be >= 1")
         if self.shots_per_value is not None and self.shots_per_value < 1:
             raise ValueError("shots_per_value must be None or >= 1")
+        check_stream_key(self.master_seed, "master_seed")
 
 
 @dataclass
@@ -330,29 +335,78 @@ class Reconstruction:
     mode: str
 
 
-def _chain_sums(chains, paulis, rho0, times, t, h, tol, shots, uniforms) -> np.ndarray:
+def _pauli_product(a: str, b: str) -> tuple:
+    """(phase, label) with P(a) P(b) = phase * P(label), letter by letter:
+    PP = I, IP = PI = P, and XY = iZ, YX = -iZ and cyclically."""
+    phase, letters = 1, []
+    for x, y in zip(a, b):
+        if x == y:
+            letters.append("I")
+        elif "I" in (x, y):
+            letters.append(x if y == "I" else y)
+        else:
+            letters.append(({"X", "Y", "Z"} - {x, y}).pop())
+            phase *= 1j if x + y in ("XY", "YZ", "ZX") else -1j
+    return phase, "".join(letters)
+
+
+def _merged_chain(ops) -> tuple:
+    """(phase, ops) with adjacent factors at one slot multiplied symbolically
+    (U^dag P_a U U^dag P_b U = U^dag P_a P_b U) and identity strings dropped."""
+    phase, merged = 1, []
+    for lbl, slot in ops:
+        if merged and merged[-1][1] == slot:
+            p, lbl = _pauli_product(merged.pop()[0], lbl)
+            phase *= p
+        if lbl.strip("I"):
+            merged.append((lbl, slot))
+    return phase, tuple(merged)
+
+
+def _stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over (broadcast) stacks of d x d matrices, each matrix of the
+    stack multiplied on its own.  At d = 2 it is the broadcast sum of two
+    outer products, several times faster than numpy's stacked 2 x 2 matmul
+    loop; from d = 4 up ``@`` is as fast or faster."""
+    if a.shape[-1] != 2:
+        return a @ b
+    return a[..., :1] * b[..., :1, :] + a[..., 1:] * b[..., 1:, :]
+
+
+def _chain_sums(chains, rho0, times, t, h, shots, uniforms) -> np.ndarray:
     """Re sum_c coeff_c * mean_c for samples sharing one channel combination.
 
-    ``times`` is (M, n), sorted descending per row.  Each distinct Pauli is
-    conjugated once per time slot over the stacked U(0, tau); every chain is
-    multiplied against rho0 for all M samples at once.  With ``shots`` the
-    chain means' real and imaginary parts become means of k +-1 coherence
-    outcomes drawn from ``uniforms`` (M, 2k * chains).
+    ``times`` is (M, n), sorted descending per row.  Each chain is first
+    merged (``_merged_chain``): its adjacent same-slot factors, such as the
+    two halves of L^dag L, multiply out to one Pauli string and a phase, and
+    identities drop.  Each distinct merged string is conjugated once per
+    time slot over the stacked U(0, tau) (one stack of M d x d matrices per
+    string and slot), and every chain is multiplied against rho0 for all M
+    samples at once.  The merged phase stays inside the chain's mean.
+    With ``shots`` the chain means' real and imaginary parts become means
+    of k +-1 coherence outcomes drawn from ``uniforms`` (M, 2k * chains),
+    one block per chain of ``chains`` in its given order.
     """
-    us = [propagator_stack(h, [t], tol)] + [propagator_stack(h, times[:, k], tol)
-                                            for k in range(times.shape[1])]
+    us = [propagator_stack(h, [t])] + [propagator_stack(h, times[:, k])
+                                       for k in range(times.shape[1])]
     heis = {}
+
+    def heisenberg(key):
+        if key not in heis:
+            lbl, slot = key
+            heis[key] = _stack_product(_stack_product(us[slot].conj().transpose(0, 2, 1),
+                                                      dense_pauli(lbl)), us[slot])
+        return heis[key]
+
     # sample-major, so every reduction below runs along one sample's row and
     # a sample's value does not depend on how many samples share its batch
     means = np.empty((len(times), len(chains)), dtype=complex)
     for c, (_, ops) in enumerate(chains):
+        phase, ops = _merged_chain(ops)
         acc = rho0.matrix
         for key in reversed(ops):
-            if key not in heis:
-                lbl, slot = key
-                heis[key] = us[slot].conj().transpose(0, 2, 1) @ paulis[lbl] @ us[slot]
-            acc = heis[key] @ acc
-        means[:, c] = np.einsum("mii->m", acc)
+            acc = _stack_product(heisenberg(key), acc)
+        means[:, c] = phase * np.einsum("...ii->...", acc)
     if shots is not None:
         u = uniforms[:, :2 * shots * len(chains)].reshape(len(times), len(chains), 2, shots)
         outcomes = shot_means(np.stack([means.real, means.imag], axis=-1), u)
@@ -361,16 +415,16 @@ def _chain_sums(chains, paulis, rho0, times, t, h, tol, shots, uniforms) -> np.n
     return np.real(np.sum(means * coeffs, axis=1))
 
 
-def _sample_values(model, omat, rho0, order, t, plan, tol) -> np.ndarray:
+def _sample_values(model, omat, rho0, order, t, plan) -> np.ndarray:
     """Per-sample Dyson integrands of order ``order >= 1`` under ``plan``.
 
     Draws the ``MonteCarloPlan`` row block, expands the Pauli chains once per
     channel combination and evaluates all samples of a combination together;
-    each sample's rates prod_k gamma_(i_k)(s_k) are evaluated at its own times.
+    each sample's rates prod_k gamma_(i_k)(s_k) are evaluated at its own
+    times, or read once from an array when every rate is a number.
     """
     o_terms = pauli_decompose(omat, model.space)
     l_terms = [pauli_decompose(ch.operator) for ch in model.channels]
-    paulis = {lbl: dense_pauli(lbl) for _, lbl in o_terms + sum(l_terms, [])}
     shots = plan.shots_per_value
     width = 2 * order
     if shots is not None:
@@ -380,25 +434,30 @@ def _sample_values(model, omat, rho0, order, t, plan, tol) -> np.ndarray:
     indices = (rows[:, :order] * model.n_channels).astype(np.int64)
     times = np.sort(rows[:, order:2 * order] * t, axis=1)[:, ::-1]
     values = np.ones(plan.samples_per_order)
-    for k in range(order):
-        values *= [model.channels[i].rate(s) for i, s in zip(indices[:, k], times[:, k])]
-    combos, which = np.unique(indices, axis=0, return_inverse=True)
-    for c, combo in enumerate(combos):
-        sel = np.flatnonzero(which.reshape(-1) == c)
-        chains = _pauli_chains(o_terms, [l_terms[i] for i in combo])
-        values[sel] *= _chain_sums(chains, paulis, rho0, times[sel], t, model.h, tol,
-                                   shots, rows[sel, 2 * order:])
+    if model._number_rates:
+        rates = np.array([ch.rate(0.0) for ch in model.channels])
+        for k in range(order):
+            values *= rates[indices[:, k]]
+    else:
+        for k in range(order):
+            values *= [model.channels[i].rate(s) for i, s in zip(indices[:, k], times[:, k])]
+    keys = np.ravel_multi_index(tuple(indices.T), (model.n_channels,) * order)
+    for key in np.unique(keys):
+        sel = np.flatnonzero(keys == key)
+        chains = _pauli_chains(o_terms, [l_terms[i] for i in indices[sel[0]]])
+        values[sel] *= _chain_sums(chains, rho0, times[sel], t, model.h, shots,
+                                   rows[sel, 2 * order:])
     return values
 
 
-def _order_contribution_monte_carlo(model, omat, rho0, order, t, plan, tol) -> float:
+def _order_contribution_monte_carlo(model, omat, rho0, order, t, plan) -> float:
     if order == 0:
-        return _expectation(omat, _lindblad_terms(model, rho0, t, 0, tol)[0])
+        return _expectation(omat, _lindblad_terms(model, rho0, t, 0, DEFAULT_TOL)[0])
     n_ch = model.n_channels
     if n_ch == 0:
         return 0.0
     volume_factor = (n_ch * t) ** order / math.factorial(order)
-    values = _sample_values(model, omat, rho0, order, t, plan, tol)
+    values = _sample_values(model, omat, rho0, order, t, plan)
     return volume_factor * float(np.mean(values))
 
 
@@ -427,8 +486,7 @@ def reconstruct(model: LindbladModel, observable: OperatorSum | np.ndarray,
         per_order = [_expectation(omat, xi)
                      for xi in _lindblad_terms(model, rho0, t, order, DEFAULT_TOL)]
     else:
-        per_order = [_order_contribution_monte_carlo(model, omat, rho0, n, t, plan,
-                                                     DEFAULT_TOL)
+        per_order = [_order_contribution_monte_carlo(model, omat, rho0, n, t, plan)
                      for n in range(order + 1)]
     return Reconstruction(value=float(sum(per_order)), per_order=per_order,
                           mode="exact" if plan is None else "monte-carlo")

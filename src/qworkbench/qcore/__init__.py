@@ -62,7 +62,7 @@ from .evolve import (
     propagator,
     propagator_stack,
 )
-from .shots import shot_means, shot_uniforms
+from .shots import check_stream_key, shot_means, shot_uniforms
 from .metrics import (
     expectation,
     fidelity,

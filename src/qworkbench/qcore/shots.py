@@ -10,12 +10,24 @@ from __future__ import annotations
 import numpy as np
 
 
+def check_stream_key(key, name: str) -> int:
+    """``key`` as a Python int, if it can key a stream: an integer (Python or
+    numpy, not a bool) with 0 <= key < 2**64.  Anything else raises
+    ``ValueError``, so no float or bool is cast onto another seed's stream."""
+    if isinstance(key, (bool, np.bool_)) or not isinstance(key, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {key!r}")
+    if not 0 <= int(key) < 2 ** 64:
+        raise ValueError(f"{name} must satisfy 0 <= {name} < 2**64, got {key}")
+    return int(key)
+
+
 def shot_uniforms(seed: int, stream: int, shape) -> np.ndarray:
     """Uniforms in [0, 1) of stream ``(seed, stream)``, filled in C order.
 
-    Both keys must fit in an unsigned 64-bit integer; a negative one raises.
+    Both keys must pass ``check_stream_key``; any other raises ``ValueError``.
     """
-    key = np.asarray((seed, stream), dtype=np.uint64)
+    key = np.array([check_stream_key(seed, "seed"), check_stream_key(stream, "stream")],
+                   dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).random(shape)
 
 

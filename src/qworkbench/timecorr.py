@@ -43,6 +43,7 @@ from .qcore import (
     PureState,
     Qubit,
     Schedule,
+    check_stream_key,
     evolve,
     expectation,
     expm,
@@ -65,6 +66,7 @@ class ShotPlan:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        check_stream_key(self.master_seed, "master_seed")
 
 
 @dataclass(frozen=True)

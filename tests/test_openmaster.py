@@ -345,7 +345,7 @@ def test_monte_carlo_bernstein_against_exact_series():
 
         def draw(seed):
             plan = om.MonteCarloPlan(samples, master_seed=seed)
-            return scale * om._sample_values(model, obs, rho0, order, t, plan, 1e-10)
+            return scale * om._sample_values(model, obs, rho0, order, t, plan)
 
         sd = np.std(draw(1), ddof=1) + r * math.sqrt(2.0 * math.log(1.0 / d) / (samples - 1))
         # the positive root of M eps^2 = log(2/d) (2 sd^2 + 2 r eps / 3)
@@ -391,7 +391,7 @@ def test_batched_samples_match_dyson_term():
                                            (0.3, tuple("X" + "I" * (n_qubits - 1)))]).matrix()
         for order in (1, 2, 3):
             plan = om.MonteCarloPlan(12, master_seed=order + 10 * n_qubits)
-            values = om._sample_values(model, obs, rho0, order, t, plan, 1e-10)
+            values = om._sample_values(model, obs, rho0, order, t, plan)
             rows = plan_rows(plan, order, 2 * order)
             idx = (rows[:, :order] * n_channels).astype(int)
             times = np.sort(rows[:, order:] * t, axis=1)[:, ::-1]
@@ -409,7 +409,7 @@ def test_batched_samples_time_dependent_hamiltonian():
     model = om.LindbladModel(h, [(sigma(space, "S-"), 0.4)])
     rho0 = qc.DensityMatrix(space, np.array([[0.6, 0.2j], [-0.2j, 0.4]]))
     plan = om.MonteCarloPlan(5, master_seed=3)
-    values = om._sample_values(model, z, rho0, 2, 0.9, plan, 1e-10)
+    values = om._sample_values(model, z, rho0, 2, 0.9, plan)
     rows = plan_rows(plan, 2, 4)
     times = np.sort(rows[:, 2:] * 0.9, axis=1)[:, ::-1]
     ref = [om.dyson_term(model, z, rho0, [0, 0], list(s), 0.9) for s in times]
@@ -426,13 +426,108 @@ def test_monte_carlo_samples_prefix_stable_and_replayable():
     for shots in (None, 1, 3):
         for order in (1, 2):
             big = om._sample_values(model, obs, rho0, order, 0.6,
-                                    om.MonteCarloPlan(40, 5, shots), 1e-10)
+                                    om.MonteCarloPlan(40, 5, shots))
             small = om._sample_values(model, obs, rho0, order, 0.6,
-                                      om.MonteCarloPlan(7, 5, shots), 1e-10)
+                                      om.MonteCarloPlan(7, 5, shots))
             assert np.array_equal(big[:7], small)
         plan = om.MonteCarloPlan(40, 9, shots)
         first = om.reconstruct(model, obs, rho0, 0.6, 2, plan=plan).value
         assert om.reconstruct(model, obs, rho0, 0.6, 2, plan=plan).value == first
+
+
+def test_merged_samples_match_dyson_term_three_qubits():
+    # d = 8 takes the `@` side of the stack product; two-term Lindblad
+    # operators make merged same-slot products such as X Y = iZ carry +-i
+    rng = np.random.default_rng(229)
+    t = 0.8
+    model = pauli_channel_model(rng, 3, 2)
+    rho0 = random_density_matrix(model.space, rng)
+    obs = qc.OperatorSum(model.space, [(0.8, tuple("ZZZ")), (0.3, tuple("XIY")),
+                                       (0.2, tuple("III"))]).matrix()
+    for order in (1, 2, 3):
+        plan = om.MonteCarloPlan(4, master_seed=40 + order)
+        values = om._sample_values(model, obs, rho0, order, t, plan)
+        rows = plan_rows(plan, order, 2 * order)
+        idx = (rows[:, :order] * model.n_channels).astype(int)
+        times = np.sort(rows[:, order:] * t, axis=1)[:, ::-1]
+        ref = np.array([om.dyson_term(model, obs, rho0, list(i), list(s), t)
+                        for i, s in zip(idx, times)])
+        np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
+
+
+def unmerged_sample_values(model, omat, rho0, order, t, plan):
+    """Sample values as documented by ``MonteCarloPlan``, one sample at a
+    time: every chain of ``_pauli_chains`` is a dense product of its U^dag P U
+    factors, with no merging of same-slot factors and no cached factor."""
+    o_terms = qc.pauli_decompose(omat, model.space)
+    l_terms = [qc.pauli_decompose(ch.operator) for ch in model.channels]
+    shots = plan.shots_per_value
+    max_chains = len(o_terms) * max(3 * len(terms) ** 2 for terms in l_terms) ** order
+    rows = plan_rows(plan, order, 2 * order + 2 * shots * max_chains)
+    idx = (rows[:, :order] * model.n_channels).astype(int)
+    times = np.sort(rows[:, order:2 * order] * t, axis=1)[:, ::-1]
+    paulis = {lbl: qc.dense_pauli(lbl) for lbl in qc.all_pauli_labels(model.space.n_factors)}
+    values = np.ones(plan.samples_per_order)
+    for k in range(order):
+        values *= [model.channels[i].rate(s) for i, s in zip(idx[:, k], times[:, k])]
+    for j in range(plan.samples_per_order):
+        chains = om._pauli_chains(o_terms, [l_terms[i] for i in idx[j]])
+        us = [qc.propagator(model.h, 0.0, s) for s in [t] + list(times[j])]
+        means = np.empty(len(chains), dtype=complex)
+        for c, (_, ops) in enumerate(chains):
+            acc = rho0.matrix
+            for lbl, slot in reversed(ops):
+                acc = us[slot].conj().T @ paulis[lbl] @ us[slot] @ acc
+            means[c] = np.trace(acc)
+        u = rows[j, 2 * order:2 * order + 2 * shots * len(chains)].reshape(len(chains), 2, shots)
+        outcomes = qc.shot_means(np.stack([means.real, means.imag], axis=-1), u)
+        coeffs = np.array([coeff for coeff, _ in chains])
+        values[j] *= np.real(np.sum((outcomes[:, 0] + 1j * outcomes[:, 1]) * coeffs))
+    return values
+
+
+def test_single_shot_samples_match_unmerged_oracle():
+    # merged chains and the stacked product change no outcome: shot-mode values and
+    # estimates equal the one-sample-at-a-time dense oracle bit for bit, on
+    # the broadcast (d = 2) and `@` (d = 4) sides of the stack product
+    rng = np.random.default_rng(227)
+    rate = lambda s: 0.3 + 0.4 * math.cos(7.0 * s)
+    t = 0.7
+    for n_qubits, n_channels, with_rate in ((1, 1, False), (1, 2, True), (2, 2, False)):
+        model = pauli_channel_model(rng, n_qubits, n_channels, rate if with_rate else None)
+        rho0 = random_density_matrix(model.space, rng)
+        obs = qc.OperatorSum(model.space, [(0.8, tuple("Z" * n_qubits)),
+                                           (0.3, tuple("X" + "I" * (n_qubits - 1)))]).matrix()
+        for order in (1, 2):
+            for shots in (1, 3):
+                plan = om.MonteCarloPlan(5, 60 + 7 * order + shots, shots)
+                oracle = unmerged_sample_values(model, obs, rho0, order, t, plan)
+                assert np.array_equal(om._sample_values(model, obs, rho0, order, t, plan), oracle)
+                volume = (n_channels * t) ** order / math.factorial(order)
+                assert (om._order_contribution_monte_carlo(model, obs, rho0, order, t, plan)
+                        == volume * float(np.mean(oracle)))
+
+
+def test_stack_product_matches_matmul():
+    # the d = 2 broadcast sum against `@`, on stacks and broadcast stacks;
+    # from d = 4 up the helper is `@` itself
+    rng = np.random.default_rng(233)
+    for d in (2, 4, 8):
+        a, b = (rng.standard_normal((2, 50, d, d)) + 1j * rng.standard_normal((2, 50, d, d)))
+        for x, y in ((a, b), (a, b[0]), (a[:1], b)):
+            got = om._stack_product(x, y)
+            if d == 2:
+                np.testing.assert_allclose(got, x @ y, rtol=0.0, atol=1e-14)
+            else:
+                assert np.array_equal(got, x @ y)
+
+
+def test_pauli_product_matches_dense():
+    labels = qc.all_pauli_labels(2)
+    for a in labels:
+        for b in labels:
+            phase, c = om._pauli_product(a, b)
+            assert np.array_equal(phase * qc.dense_pauli(c), qc.dense_pauli(a) @ qc.dense_pauli(b))
 
 
 def test_single_shot_success_rate_can_fail():
@@ -451,7 +546,7 @@ def test_single_shot_success_rate_can_fail():
 
     def estimates(samples):
         return np.array([om._order_contribution_monte_carlo(
-            model, obs, rho0, 1, t, om.MonteCarloPlan(samples, seed, 1), 1e-10)
+            model, obs, rho0, 1, t, om.MonteCarloPlan(samples, seed, 1))
             for seed in range(200)])
 
     full = estimates(omega_1)
@@ -474,6 +569,19 @@ def test_monte_carlo_plan_validation():
         om.MonteCarloPlan(samples_per_order=10, shots_per_value=0)
     om.MonteCarloPlan(samples_per_order=1, shots_per_value=1)
     om.MonteCarloPlan(samples_per_order=1, shots_per_value=None)
+
+
+def test_plans_reject_seeds_that_are_not_stream_keys():
+    # a float or bool seed would be cast onto an integer seed's stream, and a
+    # negative one would fail only at the first draw
+    for seed in (1.5, True, np.bool_(True), -1, 2 ** 64, "1"):
+        with pytest.raises(ValueError):
+            om.MonteCarloPlan(5, master_seed=seed)
+        with pytest.raises(ValueError):
+            tc.ShotPlan(shots=10, master_seed=seed)
+    for seed in (0, np.int32(3), np.uint64(2 ** 64 - 1)):
+        om.MonteCarloPlan(5, master_seed=seed)
+        tc.ShotPlan(shots=10, master_seed=seed)
 
 
 def test_reconstruct_guards():

@@ -418,6 +418,18 @@ def test_cached_matrices_are_read_only():
         qc.metrics._pauli_basis(1)[1][0, 0] = 1.0
 
 
+def test_shot_uniforms_keys_must_be_integers():
+    # np.asarray(..., uint64) would cast 1.5 and True onto seed 1's stream
+    for bad in (1.5, True, np.bool_(False), -1, 2 ** 64, None):
+        with pytest.raises(ValueError):
+            qc.shot_uniforms(bad, 0, 3)
+        with pytest.raises(ValueError):
+            qc.shot_uniforms(0, bad, 3)
+    ref = qc.shot_uniforms(1, 2, 3)
+    assert np.array_equal(qc.shot_uniforms(np.int64(1), np.uint8(2), 3), ref)
+    qc.shot_uniforms(2 ** 64 - 1, np.uint64(2 ** 64 - 1), 3)
+
+
 def test_no_module_outside_qcore_names_philox():
     # only qcore.shot_uniforms turns a seed into a random stream; any other
     # Philox site keys its own stream and can drift from the contract
