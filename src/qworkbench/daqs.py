@@ -7,13 +7,24 @@ The Heisenberg split is ``H = H_XY + H_ZZ`` with ``H_ZZ`` generated by
 conjugating the XX block with the collective rotation ``R_y(pi/4) =
 exp(-i (pi/4) sum_i sigma_y^i)``; a Trotter step reads
 ``exp(-i H_XY t/l) R_y exp(-i H_XX t/l) R_y^dag``.  For uniform couplings
-the two halves commute and a single step is exact.
+the two halves commute and a single step is exact.  Since
+``R_y H_XX R_y^dag = H_ZZ`` exactly, the rotated half is computed as
+``exp(-i H_ZZ t/l)``, a diagonal: one column scaling of
+``exp(-i H_XY t/l)``.  The fully digital baseline exponentiates each bond
+in closed form: ``XX + YY + ZZ = 2 SWAP - I`` and ``SWAP^2 = I`` give
+``exp(-i theta (2 SWAP - I)) = e^{i theta} (cos 2theta - i sin 2theta SWAP)``
+with ``theta = J_ij t/l``, where ``SWAP`` permutes rows.
+
+Each coupling builds what these loops reuse (the constant schedules of
+``H_XY`` and ``H``, the ``H_ZZ`` diagonal and one SWAP permutation per
+bond) on first use and keeps it, read-only, for the coupling's lifetime.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -48,9 +59,15 @@ MAX_SPINS = 12
 
 @dataclass(frozen=True)
 class SpinCouplingMatrix:
-    """Symmetric spin-spin couplings J_ij (zero diagonal)."""
+    """Symmetric spin-spin couplings J_ij (zero diagonal), finite.
+
+    The Trotter generators of the coupling are built on first use and
+    kept (``_generators``), as ``OperatorSum`` keeps its matrix.
+    """
 
     matrix: np.ndarray
+    _cache: "_Generators | None" = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -58,6 +75,8 @@ class SpinCouplingMatrix:
             raise ValueError("coupling matrix must be square")
         if m.shape[0] > MAX_SPINS:
             raise ValueError(f"at most {MAX_SPINS} spins are supported densely")
+        if not np.isfinite(m).all():
+            raise ValueError("coupling matrix entries must be finite")
         if np.max(np.abs(m - m.T)) > 1e-12:
             raise ValueError("coupling matrix must be symmetric")
         if np.max(np.abs(np.diag(m))) > 0.0:
@@ -68,6 +87,14 @@ class SpinCouplingMatrix:
     def n_spins(self) -> int:
         return self.matrix.shape[0]
 
+    def _generators(self) -> "_Generators":
+        """The coupling's Trotter generators, built once.  The cache is
+        assigned only when fully built, and every array in it is read-only,
+        so concurrent callers share it safely."""
+        if self._cache is None:
+            object.__setattr__(self, "_cache", _Generators.build(self))
+        return self._cache
+
     @staticmethod
     def explicit(matrix) -> "SpinCouplingMatrix":
         return SpinCouplingMatrix(np.asarray(matrix, dtype=float))
@@ -75,7 +102,7 @@ class SpinCouplingMatrix:
     @staticmethod
     def power_law(n_spins: int, j: float, alpha: float) -> "SpinCouplingMatrix":
         """J_ij = j / |i-j|^alpha with 0 < alpha < 3 and j > 0."""
-        if j <= 0.0:
+        if not j > 0.0:
             raise ValueError("power-law strength must be positive")
         if not (0.0 < alpha < 3.0):
             raise ValueError("power-law exponent must sit in (0, 3)")
@@ -119,6 +146,38 @@ def heisenberg(coupling: SpinCouplingMatrix) -> np.ndarray:
         analog_block(kind="ZZ", coupling=coupling)
 
 
+@dataclass(frozen=True)
+class _Generators:
+    """What the Heisenberg Trotter loops of one coupling reuse."""
+
+    xy: Schedule      # constant schedule of H_XY
+    full: Schedule    # constant schedule of H = H_XY + H_ZZ
+    zz: np.ndarray    # diagonal of H_ZZ
+    bonds: tuple      # (J_ij, SWAP_ij row permutation) per nonzero bond, i < j
+
+    @staticmethod
+    def build(coupling: SpinCouplingMatrix) -> "_Generators":
+        n = coupling.n_spins
+        space = HilbertSpace.qubits(n)
+        h_xy = analog_block("XY", coupling)
+        h_zz = analog_block("ZZ", coupling)
+        zz = h_zz.diagonal().real.copy()
+        zz.setflags(write=False)
+        # axis k of the reshaped index array is qubit k, the k-th tensor factor
+        index = np.arange(space.dim).reshape((2,) * n)
+        bonds = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if coupling.matrix[i, j] == 0.0:
+                    continue
+                perm = np.swapaxes(index, i, j).reshape(-1)
+                perm.setflags(write=False)
+                bonds.append((float(coupling.matrix[i, j]), perm))
+        return _Generators(xy=Schedule.constant(h_xy, space),
+                           full=Schedule.constant(h_xy + h_zz, space),
+                           zz=zz, bonds=tuple(bonds))
+
+
 def collective_y_rotation(n: int) -> np.ndarray:
     """R_y(pi/4) = exp(-i (pi/4) sum_i sigma_y^i) on ``n`` spins."""
     gen = sum(dense_pauli("".join("Y" if k == q else "I" for k in range(n)))
@@ -153,8 +212,7 @@ def _heisenberg_run(coupling: SpinCouplingMatrix, t: float, step: np.ndarray,
     exp(-i H t), H = ``heisenberg(coupling)``: the operator-norm defect and
     the fidelity of each named state."""
     u = np.linalg.matrix_power(step, plan.steps)
-    space = HilbertSpace.qubits(coupling.n_spins)
-    exact = propagator(Schedule.constant(heisenberg(coupling), space), 0.0, t)
+    exact = propagator(coupling._generators().full, 0.0, t)
     fids = {}
     for name, psi in (states or {}).items():
         amps = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi)
@@ -171,16 +229,15 @@ def daqs_heisenberg(coupling: SpinCouplingMatrix, t: float, steps: int,
 
     Returns the composed unitary, the operator-norm Trotter defect against
     ``exp(-i H t)``, and per-state fidelities.  The gate count treats
-    each analog block and each collective rotation as one gate.
+    each analog block and each collective rotation as one gate.  The
+    rotated XX block is applied as the diagonal ``exp(-i H_ZZ t/l)``
+    (module docstring).
     """
     if steps < 1:
         raise ValueError("need at least one Trotter step")
-    n = coupling.n_spins
-    h_xx = analog_block("XX", coupling)
-    h_xy = analog_block("XY", coupling)
-    r_y = collective_y_rotation(n)
+    gens = coupling._generators()
     tau = t / steps
-    step = expm(-1j * h_xy * tau) @ r_y @ expm(-1j * h_xx * tau) @ r_y.conj().T
+    step = propagator(gens.xy, 0.0, tau) * np.exp(-1j * tau * gens.zz)
     plan = TrotterPlan(steps=steps,
                        blocks=(("XY", tau), ("Ry", math.pi / 4), ("XX", tau),
                                ("Ry", -math.pi / 4)),
@@ -191,24 +248,19 @@ def daqs_heisenberg(coupling: SpinCouplingMatrix, t: float, steps: int,
 def digital_heisenberg(coupling: SpinCouplingMatrix, t: float, steps: int,
                        states: dict | None = None) -> HeisenbergRun:
     """Fully digital baseline: per step, exponentials of every pairwise
-    Heisenberg bond in lexicographic order (three two-qubit gates each)."""
+    Heisenberg bond in lexicographic order (three two-qubit gates each),
+    each in the closed SWAP form of the module docstring."""
     if steps < 1:
         raise ValueError("need at least one Trotter step")
-    n = coupling.n_spins
-    d = 2 ** n
+    gens = coupling._generators()
     tau = t / steps
-    step = np.eye(d, dtype=complex)
-    n_pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coupling.matrix[i, j] == 0.0:
-                continue
-            n_pairs += 1
-            bond = sum(coupling.matrix[i, j] * _pair_string(n, i, j, letter)
-                       for letter in "XYZ")
-            step = expm(-1j * bond * tau) @ step
+    step = np.eye(2 ** coupling.n_spins, dtype=complex)
+    for j_ij, perm in gens.bonds:
+        theta = j_ij * tau
+        step = cmath.exp(1j * theta) * (math.cos(2.0 * theta) * step
+                                        - 1j * math.sin(2.0 * theta) * step[perm])
     plan = TrotterPlan(steps=steps, blocks=(("pairwise", tau),),
-                       gate_count=3 * n_pairs * steps)
+                       gate_count=3 * len(gens.bonds) * steps)
     return _heisenberg_run(coupling, t, step, plan, states)
 
 

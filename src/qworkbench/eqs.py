@@ -31,6 +31,7 @@ from .qcore import (
     expm,
     kron_all,
     on_factors,
+    pauli_rotation,
 )
 from .qcore.operators import PAULI_LABELS, PAULIS, SIGMA_Y
 
@@ -233,18 +234,18 @@ def _cz(i: int, j: int, n: int) -> np.ndarray:
 def reduced_circuit_unitary(phi: float) -> np.ndarray:
     """CZ_02 CZ_01 Ry0(phi) CZ_01 CZ_02 on three qubits,
     with Ry(phi) = exp(-i phi sigma_y); equals exp(-i phi Y (x) Z (x) Z)."""
-    ry = expm(-1j * phi * dense_pauli("YII"))
+    ry = pauli_rotation("YII", phi)
     cz01, cz02 = _cz(0, 1, 3), _cz(0, 2, 3)
     return cz02 @ cz01 @ ry @ cz01 @ cz02
 
 
 def reduced_circuit_target(phi: float) -> np.ndarray:
-    return expm(-1j * phi * dense_pauli("YZZ"))
+    return pauli_rotation("YZZ", phi)
 
 
 def reduced_circuit_two_gate(phi: float) -> np.ndarray:
     """Two-gate variant CZ_02 CZ_01 Ry0(phi): equivalent on the |0>-ancilla subspace."""
-    ry = expm(-1j * phi * dense_pauli("YII"))
+    ry = pauli_rotation("YII", phi)
     return _cz(0, 2, 3) @ _cz(0, 1, 3) @ ry
 
 
@@ -274,12 +275,12 @@ def _single_site(letter: str, site: int, n: int) -> np.ndarray:
 
 _AXIS_TO_BASE = {
     # unitary u with u BASE u^dag = target axis; BASE is Z for site 0, X elsewhere
-    ("Z", "X"): expm(-1j * math.pi / 4.0 * PAULIS["Y"]),
-    ("Z", "Y"): expm(+1j * math.pi / 4.0 * PAULIS["X"]),
+    ("Z", "X"): pauli_rotation("Y", math.pi / 4.0),
+    ("Z", "Y"): pauli_rotation("X", -math.pi / 4.0),
     ("Z", "Z"): np.eye(2, dtype=complex),
     ("X", "X"): np.eye(2, dtype=complex),
-    ("X", "Y"): expm(-1j * math.pi / 4.0 * PAULIS["Z"]),
-    ("X", "Z"): expm(+1j * math.pi / 4.0 * PAULIS["Y"]),
+    ("X", "Y"): pauli_rotation("Z", math.pi / 4.0),
+    ("X", "Z"): pauli_rotation("Y", -math.pi / 4.0),
 }
 
 
@@ -326,7 +327,7 @@ def ms_compile(label: str, phi: float, boson_quadrature: bool = False,
         eye_b = np.eye(n_max + 1, dtype=complex)
         pad, mode = (lambda m: kron_all([m, eye_b])), " (a+adag)"
     else:
-        rot = expm(1j * phi_central * central)
+        rot = pauli_rotation(central_letter + "I" * (k - 1), -phi_central)
         pad, mode = (lambda m: m), ""
     return [
         Gate("local", pad(local_change.conj().T), "basis change in"),
@@ -340,7 +341,7 @@ def ms_compile(label: str, phi: float, boson_quadrature: bool = False,
 def ms_target(label: str, phi: float, boson_quadrature: bool = False,
               n_max: int = 30) -> np.ndarray:
     if not boson_quadrature:
-        return expm(1j * phi * dense_pauli(label))
+        return pauli_rotation(label, -phi)
     space = HilbertSpace.qubit_boson(n_max, n_qubits=len(label))
     return expm(1j * phi * OperatorSum(space, [(1.0, tuple(label) + ("x",))]).matrix())
 
@@ -408,7 +409,7 @@ def measure_via_anticommutation(theta_label: str, state: PureState) -> DressedRe
             target, eps = _EPS_LEVI[(beta, gamma)]
         p1 = theta_label[:a] + gamma + theta_label[a + 1:]
         readout = "I" * a + beta + "I" * (n - a - 1)
-        u1 = expm(-1j * math.pi / 4.0 * dense_pauli(p1))
+        u1 = pauli_rotation(p1, math.pi / 4.0)
         evolved = u1 @ psi
         raw = float(np.real(np.vdot(evolved, dense_pauli(readout) @ evolved)))
         # <U1^dag S U1> = <S (-i P1)> = -i <S P1>;  S P1 = i eps Theta
@@ -455,7 +456,7 @@ def measure_via_anticommutation(theta_label: str, state: PureState) -> DressedRe
     c = complex(np.trace(theta_mat @ prod)) / theta_mat.shape[0]
     if abs(abs(c) - 1.0) > 1e-12 or abs(c.imag) > 1e-12:
         raise ValueError("no valid dressing found: product does not reproduce the target")
-    u = expm(-1j * math.pi / 4.0 * p1_mat) @ expm(-1j * math.pi / 4.0 * p2_mat)
+    u = pauli_rotation(p1, math.pi / 4.0) @ pauli_rotation(p2, math.pi / 4.0)
     evolved = u @ psi
     raw = float(np.real(np.vdot(evolved, s_mat @ evolved)))
     return DressedReadout(-float(c.real) * raw, 2, readout, (p1, p2))
@@ -475,6 +476,8 @@ class NoiseModel:
     def __post_init__(self):
         if not (0.0 < self.gate_fidelity <= 1.0):
             raise ValueError("gate fidelity must sit in (0, 1]")
+        if not math.isfinite(self.crosstalk):
+            raise ValueError("crosstalk strength must be finite")
 
     def crosstalk_matrix(self, n: int) -> np.ndarray:
         delta = np.eye(n)
@@ -516,11 +519,16 @@ def rescale_expectation(measured: float, epsilon: float, n_gates: int,
 
 def crosstalk_z_rotation(theta: float, qubit: int, n: int, delta0: float) -> np.ndarray:
     """exp(-i theta/2 sum_k Delta_{k,qubit} sigma_z^k): leakage of a
-    single-qubit z rotation onto nearest neighbors."""
+    single-qubit z rotation onto nearest neighbors.
+
+    The generator is a sum of z's, so the rotation is the diagonal matrix
+    of its phases; no exponential is computed."""
     model = NoiseModel(crosstalk=delta0)
     delta = model.crosstalk_matrix(n)
-    gen = sum(delta[k, qubit] * _single_site("Z", k, n) for k in range(n))
-    return expm(-1j * 0.5 * theta * gen)
+    z, one = PAULIS["Z"].diagonal(), PAULIS["I"].diagonal()
+    gen = sum(delta[k, qubit] * kron_all([z if j == k else one for j in range(n)])
+              for k in range(n) if delta[k, qubit] != 0.0)
+    return np.diag(np.exp(-1j * 0.5 * theta * gen))
 
 
 def cost_ratio(n_qubits: int, n_observables: int, epsilon: float, delta: float) -> float:
@@ -546,10 +554,16 @@ def trotter_embedded_circuit(terms: Sequence, t: float, steps: int,
     ``exp(-i coeff label t/steps)`` for every term.  Single-qubit rotations
     are compiled through z rotations so the crosstalk model (which affects
     only z rotations) acts on them; multi-qubit exponentials are applied
-    exactly.  Every gate is built once, before the step loop, and each step
-    applies the same list.  With depolarizing noise a density matrix is
-    carried instead, and every gate contributes one depolarizing
-    application; the array is wrapped in a state once, at the end.
+    exactly.  Every gate is built once, in closed form, before the step
+    loop (``pauli_rotation`` for Pauli exponentials, a diagonal for the z
+    rotations), and each step applies the same list to the ket.
+
+    With depolarizing noise each gate is followed by the channel
+    ``D(rho) = eps rho + (1 - eps) I/d``.  ``D`` maps ``I/d`` to itself and
+    commutes with every unitary conjugation, so the ``n_gates`` channels
+    compose to one: the result is
+    ``eps^n_gates |psi><psi| + (1 - eps^n_gates) I/d`` for the noiseless
+    output ket ``psi``, the same identity ``rescale_expectation`` inverts.
 
     Returns ``(state_or_rho, n_gates)``.
     """
@@ -579,18 +593,17 @@ def trotter_embedded_circuit(terms: Sequence, t: float, steps: int,
                 gates.append(rz)
             else:
                 gen = "Y" if axis == "X" else "X"
-                sgn = -1.0 if axis == "X" else +1.0
-                u = expm(sgn * 1j * math.pi / 4.0 * _single_site(gen, q, n))
+                angle = math.pi / 4.0 if axis == "X" else -math.pi / 4.0
+                u = pauli_rotation("I" * q + gen + "I" * (n - q - 1), angle)
                 gates.extend([u.conj().T, rz, u])
         else:
-            gates.append(expm(-1j * coeff * dt * dense_pauli(label)))
+            gates.append(pauli_rotation(label, coeff * dt))
 
-    if eps < 1.0:
-        rho = initial.to_density_matrix().matrix
-        for u in gates * steps:
-            rho = _depolarize(u @ rho @ u.conj().T, eps)
-        return DensityMatrix(initial.space, rho), steps * len(gates)
     psi = initial.amplitudes
     for u in gates * steps:
         psi = u @ psi
-    return PureState(initial.space, psi), steps * len(gates)
+    n_gates = steps * len(gates)
+    if eps < 1.0:
+        rho = np.outer(psi, psi.conj())
+        return DensityMatrix(initial.space, _depolarize(rho, eps ** n_gates)), n_gates
+    return PureState(initial.space, psi), n_gates

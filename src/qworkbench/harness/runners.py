@@ -218,13 +218,12 @@ def _run_eqs_concurrence(params, seed, threads) -> RunArtifact:
                               "circuit_identity_deviation": circuit_dev})
 
 
-def _tangle_from_embedded(rho_or_state, rescale=None) -> float:
+def _tangle_from_embedded(rho_or_state, readout, rescale=None) -> float:
+    """The 3-tangle from the readout pairs (Z mu YY, X mu YY), mu = I, X, Z."""
     values = []
-    for mu in ("I", "X", "Z"):
-        z_label, x_label = "Z" + mu + "YY", "X" + mu + "YY"
+    for pair in readout:
         vals = []
-        for label in (z_label, x_label):
-            op = qc.dense_pauli(label)
+        for op in pair:
             v = qc.expectation(rho_or_state, op).real
             if rescale is not None:
                 v = eqs.rescale_expectation(v, *rescale, op)
@@ -244,19 +243,20 @@ def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
     xtalk_list = list(params["crosstalk"])
     h = qc.Schedule.constant(qc.OperatorSum(psi0.space,
                                             [(c, tuple(lbl)) for c, lbl in terms]))
+    readout = [tuple(qc.dense_pauli(axis + mu + "YY") for axis in "ZX") for mu in "IXZ"]
 
     def one(t):
         ideal = qc.evolve(psi0, h, 0.0, t)
-        row = [float(t), _tangle_from_embedded(ideal)]
+        row = [float(t), _tangle_from_embedded(ideal, readout)]
         for eps in eps_list:
             noisy, n_gates = eqs.trotter_embedded_circuit(
                 terms, t, steps, psi0, noise=eqs.NoiseModel(gate_fidelity=eps))
-            row.append(_tangle_from_embedded(noisy))
-            row.append(_tangle_from_embedded(noisy, rescale=(eps, n_gates)))
+            row.append(_tangle_from_embedded(noisy, readout))
+            row.append(_tangle_from_embedded(noisy, readout, rescale=(eps, n_gates)))
         for delta0 in xtalk_list:
             skew, _ = eqs.trotter_embedded_circuit(
                 terms, t, steps, psi0, noise=eqs.NoiseModel(crosstalk=delta0))
-            row.append(_tangle_from_embedded(skew))
+            row.append(_tangle_from_embedded(skew, readout))
         return tuple(row)
 
     rows = parallel_map(one, [float(t) for t in grid], threads)

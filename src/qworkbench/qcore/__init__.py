@@ -32,6 +32,7 @@ from .operators import (
     dense_pauli,
     kron_all,
     on_factors,
+    pauli_rotation,
 )
 from .states import (
     DensityMatrix,

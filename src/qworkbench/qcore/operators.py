@@ -4,7 +4,8 @@ Every dense operator of the package is built here: ``OperatorSum`` turns
 primitive codes into matrices in the factor order of ``qcore.spaces``,
 ``on_factors`` places codes on chosen factors with ``"I"`` on the rest,
 and ``dense_pauli`` and ``kron_all`` cover Pauli labels and explicit
-factor lists.  No module outside ``qcore`` pads with identities by hand.
+factor lists; ``pauli_rotation`` exponentiates a Pauli label in closed
+form.  No module outside ``qcore`` pads with identities by hand.
 
 Primitive codes: on a qubit ``I X Y Z S+ S- Pe Pg``; on a mode ``I a adag
 n x p sq`` (``sq = a^2 + a^dag^2``) and ``("disp", eta)``.
@@ -301,6 +302,15 @@ def dense_pauli(label: str) -> np.ndarray:
     except KeyError as exc:
         raise ValueError(f"bad Pauli letter {exc.args[0]!r} in {label!r}") from None
     return kron_all(mats)
+
+
+def pauli_rotation(label: str, theta: float) -> np.ndarray:
+    """exp(-i theta P) = cos(theta) I - i sin(theta) P for the Pauli string
+    ``label``, in closed form: P squares to the identity, so no ``eigh``."""
+    u = dense_pauli(label)
+    u *= -1j * math.sin(theta)
+    u.flat[::u.shape[0] + 1] += math.cos(theta)  # the diagonal
+    return u
 
 
 def all_pauli_labels(n: int) -> list:

@@ -1,11 +1,13 @@
 """Digital-analog Heisenberg and circuit-QED Rabi digitization."""
 import importlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from qworkbench import daqs, eqs
+from qworkbench import daqs, eqs, harness
 from qworkbench import qcore as qc
 
 
@@ -24,6 +26,19 @@ def test_coupling_validation():
         daqs.SpinCouplingMatrix.power_law(4, -1.0, 0.6)
     with pytest.raises(ValueError):
         daqs.SpinCouplingMatrix.explicit(np.zeros((13, 13)))
+
+
+def test_non_finite_couplings_rejected():
+    # NaN passes every comparison-based check, so finiteness is checked first
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            daqs.SpinCouplingMatrix.explicit([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError):
+            daqs.SpinCouplingMatrix.power_law(3, bad, 1.0)
+        with pytest.raises(ValueError):
+            daqs.SpinCouplingMatrix.power_law(3, 1.0, bad)
+    with pytest.raises(ValueError):
+        daqs.SpinCouplingMatrix.uniform(3, math.nan)
 
 
 def test_two_spin_heisenberg_eigenvalues():
@@ -115,6 +130,101 @@ def test_gate_counts():
     dg = daqs.digital_heisenberg(coupling, 1.0, 3)
     assert da.plan.gate_count == 4 * 3
     assert dg.plan.gate_count == 3 * 10 * 3  # N(N-1)/2 = 10 pairs
+
+
+def _oracle_couplings():
+    """Power-law chains of 2-5 spins and a 4-spin coupling with a zero bond."""
+    out = [daqs.SpinCouplingMatrix.power_law(n, 1.0, 0.6) for n in (2, 3, 4, 5)]
+    m = np.array(daqs.SpinCouplingMatrix.power_law(4, 0.9, 1.3).matrix)
+    m[0, 2] = m[2, 0] = 0.0
+    return out + [daqs.SpinCouplingMatrix.explicit(m)]
+
+
+def test_daqs_step_matches_literal_rotated_product():
+    # the step is exp(-i H_XY tau) times the diagonal exp(-i H_ZZ tau); the
+    # literal protocol rotates the XX block with the collective R_y
+    for coupling in _oracle_couplings():
+        r_y = daqs.collective_y_rotation(coupling.n_spins)
+        h_xx = daqs.analog_block("XX", coupling)
+        h_xy = daqs.analog_block("XY", coupling)
+        for tau in (0.15, 0.7, 2.1):
+            literal = qc.expm(-1j * h_xy * tau) @ r_y @ qc.expm(-1j * h_xx * tau) \
+                @ r_y.conj().T
+            run = daqs.daqs_heisenberg(coupling, tau, 1)
+            assert np.max(np.abs(run.unitary - literal)) < 1e-13
+
+
+def test_bond_closed_form_matches_dense_bond():
+    # XX + YY + ZZ = 2 SWAP - I: each bond is a phase times cos/sin of a
+    # row permutation; the oracle exponentiates the dense bond
+    for coupling in _oracle_couplings():
+        n = coupling.n_spins
+        for tau in (0.15, 0.7, 2.1):
+            literal = np.eye(2 ** n, dtype=complex)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if coupling.matrix[i, j] == 0.0:
+                        continue
+                    bond = sum(qc.dense_pauli("".join(ch if k in (i, j) else "I"
+                                                      for k in range(n)))
+                               for ch in "XYZ")
+                    literal = qc.expm(-1j * coupling.matrix[i, j] * tau * bond) @ literal
+            run = daqs.digital_heisenberg(coupling, tau, 1)
+            assert np.max(np.abs(run.unitary - literal)) < 1e-14
+    zero_bond = _oracle_couplings()[-1]
+    assert daqs.digital_heisenberg(zero_bond, 1.0, 2).plan.gate_count == 3 * 5 * 2
+
+
+def test_heisenberg_scenario_diagonalizes_twice(monkeypatch):
+    # one default run reuses one coupling: the eigh of H_XY serves every
+    # digital-analog step and the eigh of H every exact propagator
+    eighs = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m.shape) or real_eigh(m))
+    harness.run_scenario(harness.ScenarioConfig("daqs-heisenberg"))
+    assert len(eighs) <= 2
+
+
+def test_coupling_generators_built_once_and_read_only():
+    coupling = daqs.SpinCouplingMatrix.power_law(3, 1.0, 0.6)
+    gens = coupling._generators()
+    assert coupling._generators() is gens
+    # each bond's row permutation is the dense SWAP = (I + XX + YY + ZZ) / 2
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    assert [j for j, _ in gens.bonds] == [coupling.matrix[p] for p in pairs]
+    for (i, j), (_, perm) in zip(pairs, gens.bonds):
+        swap = np.eye(8) + sum(qc.dense_pauli("".join(ch if k in (i, j) else "I"
+                                                       for k in range(3)))
+                               for ch in "XYZ")
+        assert np.array_equal(swap / 2, np.eye(8)[perm])
+    for a in (gens.zz,) + tuple(perm for _, perm in gens.bonds):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert np.array_equal(np.diag(gens.zz), daqs.analog_block("ZZ", coupling))
+    assert np.array_equal(gens.full.matrix_at(0.0), daqs.heisenberg(coupling))
+
+
+def test_generator_cache_shared_by_racing_threads():
+    # parallel_map workers fill one coupling's cache concurrently: each must
+    # see a fully built cache and give the serial result, bit for bit
+    def run(coupling, jt, steps):
+        return (daqs.daqs_heisenberg(coupling, jt, steps).unitary,
+                daqs.digital_heisenberg(coupling, jt, steps).unitary)
+
+    jobs = [(jt, steps) for jt in (0.3, 1.7) for steps in (1, 2, 3, 4)]
+    serial = [run(daqs.SpinCouplingMatrix.power_law(4, 1.0, 0.6), *job) for job in jobs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            coupling = daqs.SpinCouplingMatrix.power_law(4, 1.0, 0.6)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, coupling, *job) for job in jobs]
+                results = [f.result(timeout=60) for f in futures]
+            for got, want in zip(results, serial):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    finally:
+        sys.setswitchinterval(old)
 
 
 # ---------------------------------------------------------------------------

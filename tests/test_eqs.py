@@ -428,6 +428,71 @@ def test_trotter_circuit_builds_each_rotation_once(monkeypatch):
         assert n_gates == steps * (3 + 3 + 1 + 1)
 
 
+def _per_gate_density_loop(terms, t, steps, initial, noise):
+    """The circuit as a per-gate density-matrix loop: every gate is
+    exponentiated densely and followed by its own depolarizing channel."""
+    n = initial.space.n_factors
+    dt = t / steps
+    gates = []
+    for coeff, label in terms:
+        support = [i for i, ch in enumerate(label) if ch != "I"]
+        if len(support) == 1:
+            q, axis = support[0], label[support[0]]
+            delta = noise.crosstalk_matrix(n)
+            gen = sum(delta[k, q] * qc.dense_pauli("I" * k + "Z" + "I" * (n - k - 1))
+                      for k in range(n))
+            rz = qc.expm(-1j * coeff * dt * gen)
+            if axis == "Z":
+                gates.append(rz)
+            else:
+                sgn = -1.0 if axis == "X" else +1.0
+                gen = "Y" if axis == "X" else "X"
+                u = qc.expm(sgn * 1j * math.pi / 4.0
+                            * qc.dense_pauli("I" * q + gen + "I" * (n - q - 1)))
+                gates.extend([u.conj().T, rz, u])
+        else:
+            gates.append(qc.expm(-1j * coeff * dt * qc.dense_pauli(label)))
+    rho = initial.to_density_matrix().matrix
+    eps = noise.gate_fidelity
+    for u in gates * steps:
+        rho = eps * (u @ rho @ u.conj().T) + (1.0 - eps) * np.eye(2 ** n) / 2 ** n
+    return rho, steps * len(gates)
+
+
+@pytest.mark.parametrize("crosstalk", [0.0, 0.05])
+def test_folded_depolarizing_matches_per_gate_loop(crosstalk):
+    # one eps^n channel on the final ket equals n per-gate channels, because
+    # each channel fixes I/d and commutes with unitary conjugation
+    terms = [(1.0, "IYII"), (1.0, "IIYI"), (0.6, "IIIX"), (0.3, "ZIII"), (-2.0, "YXXX")]
+    psi0 = qc.basis_state(qc.HilbertSpace.qubits(4), [0, 0, 0, 0])
+    for eps in (0.99, 0.9):
+        noise = eqs.NoiseModel(eps, crosstalk=crosstalk)
+        for t in (0.25, 3.0):
+            noisy, n_gates = eqs.trotter_embedded_circuit(terms, t, 6, psi0, noise=noise)
+            rho, n_ref = _per_gate_density_loop(terms, t, 6, psi0, noise)
+            assert n_gates == n_ref
+            assert np.max(np.abs(noisy.matrix - rho)) < 1e-14
+
+
+def test_trotter_circuit_calls_no_eigh(monkeypatch):
+    # every gate is in closed form: Pauli rotations and diagonal z rotations
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape))
+    terms = [(1.0, "IYI"), (1.0, "IIX"), (-2.0, "YXX"), (0.4, "ZII")]
+    psi0 = qc.basis_state(qc.HilbertSpace.qubits(3), [0, 0, 0])
+    for noise in (None, eqs.NoiseModel(0.98, crosstalk=0.05)):
+        eqs.trotter_embedded_circuit(terms, 0.6, steps=4, initial=psi0, noise=noise)
+    assert calls == []
+
+
+def test_noise_model_rejects_non_finite_values():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            eqs.NoiseModel(crosstalk=bad)
+        with pytest.raises(ValueError):
+            eqs.NoiseModel(gate_fidelity=bad)
+
+
 @pytest.mark.parametrize("steps", [0, -2])
 def test_trotter_circuit_rejects_bad_steps(steps):
     psi0 = qc.basis_state(qc.HilbertSpace.qubits(2), [0, 0])

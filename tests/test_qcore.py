@@ -362,6 +362,37 @@ def test_no_module_outside_qcore_calls_np_kron():
     assert not sites, sites
 
 
+def test_pauli_rotation_matches_expm():
+    # cos(theta) I - i sin(theta) P against the eigh route of qcore.expm
+    for n in (1, 2, 3):
+        for label in qc.all_pauli_labels(n):
+            p = qc.dense_pauli(label)
+            for theta in (0.0, 0.37, -1.2, math.pi / 4, 2.9):
+                u = qc.pauli_rotation(label, theta)
+                assert np.max(np.abs(u - qc.expm(-1j * theta * p))) < 1e-15
+
+
+def test_no_module_outside_qcore_exponentiates_dense_pauli():
+    # qcore.pauli_rotation is the one way to exponentiate a Pauli string;
+    # an expm of a dense_pauli(...) expression writes it out again
+    package = Path(qc.__file__).parent.parent
+
+    def name_of(func):
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        if "qcore" in path.relative_to(package).parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and name_of(node.func) == "expm"):
+                continue
+            if any(isinstance(inner, ast.Call) and name_of(inner.func) == "dense_pauli"
+                   for arg in node.args for inner in ast.walk(arg)):
+                sites.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert not sites, sites
+
+
 def test_carry_takes_a_column_block_and_checks_its_inputs():
     # carry moves a few columns by the schedule's route, as the propagator's
     # columns; a time-dependent schedule steps the block through RK45
