@@ -20,11 +20,12 @@ omega, omega_q = 1.0, 1.9
 
 print("lowest levels and parity labels vs coupling (cutoff 120 phonons):")
 label_of = {1 + 0j: "+1", -1 + 0j: "-1", 1j: "+i", -1j: "-i"}
-for g in (0.1, 0.3, 0.45, 0.49):
-    pt = ir._two_photon_point(omega, omega_q, 1, g, 6, 120)
+# near the collapse point the levels move with the cutoff: that is the signal
+for pt in ir.two_photon_spectrum(omega, omega_q, 1, [0.1, 0.3, 0.45, 0.49], 6, 120,
+                                 check_convergence=False):
     levels = " ".join(f"{e:+.3f}({label_of[p]})"
                       for e, p in zip(pt.energies, pt.parities))
-    print(f"  g/omega = {g:4.2f}: {levels}")
+    print(f"  g/omega = {pt.g:4.2f}: {levels}")
 
 diag = ir.collapse_diagnostics(omega, omega_q, [0.1, 0.2, 0.3, 0.4, 0.45, 0.49],
                                n_levels=8, n_max=120)

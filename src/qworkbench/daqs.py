@@ -57,12 +57,15 @@ MAX_SPINS = 12
 # couplings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinCouplingMatrix:
     """Symmetric spin-spin couplings J_ij (zero diagonal), finite.
 
-    The Trotter generators of the coupling are built on first use and
-    kept (``_generators``), as ``OperatorSum`` keeps its matrix.
+    The matrix is the coupling's own read-only copy, so the Trotter
+    generators, built on first use and kept (``_generators``) as
+    ``OperatorSum`` keeps its matrix, cannot go stale.  Two couplings are
+    equal, and hash alike, when their matrices have the same shape and
+    bytes.
     """
 
     matrix: np.ndarray
@@ -70,7 +73,9 @@ class SpinCouplingMatrix:
                                          compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        # a new array; adding 0.0 also turns -0.0 into 0.0, so equal
+        # couplings have equal bytes
+        m = np.asarray(self.matrix, dtype=float) + 0.0
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("coupling matrix must be square")
         if m.shape[0] > MAX_SPINS:
@@ -81,7 +86,17 @@ class SpinCouplingMatrix:
             raise ValueError("coupling matrix must be symmetric")
         if np.max(np.abs(np.diag(m))) > 0.0:
             raise ValueError("coupling matrix must have zero diagonal")
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    def __eq__(self, other):
+        if not isinstance(other, SpinCouplingMatrix):
+            return NotImplemented
+        return (self.matrix.shape == other.matrix.shape
+                and self.matrix.tobytes() == other.matrix.tobytes())
+
+    def __hash__(self):
+        return hash((self.matrix.shape, self.matrix.tobytes()))
 
     @property
     def n_spins(self) -> int:
@@ -415,49 +430,71 @@ def cqed_rabi_digitize(omega_r: float, omega_q: float, g: float, t: float,
     vacuum.  ``noise`` switches to a density-matrix integration with
     resonator loss, qubit dephasing/relaxation, and finite raised-cosine
     flip pulses.  The reference is the exact Rabi evolution at the
-    simulated time.
+    simulated time.  This is :func:`cqed_rabi_step_sweep` at one step
+    count.
     """
-    if steps < 1:
+    run, = cqed_rabi_step_sweep(omega_r, omega_q, g, t, [steps], n_qubits=n_qubits,
+                                n_max=n_max, split=split, noise=noise, tol=tol)
+    return run
+
+
+def cqed_rabi_step_sweep(omega_r: float, omega_q: float, g: float, t: float,
+                         step_counts: Sequence[int], n_qubits: int = 1,
+                         n_max: int = 20, split: tuple | None = None,
+                         noise: CqedNoise | None = None,
+                         tol: float = 1e-9) -> list:
+    """:func:`cqed_rabi_digitize` at each of ``step_counts``, one
+    :class:`CqedRun` per count in order.
+
+    What does not depend on the step count is built once: the two
+    Jaynes-Cummings generators, the collective flip, the exact reference
+    and the observables.  Each count exponentiates its own ``-i H tau``,
+    so every run equals the one-count call bit for bit.
+    """
+    step_counts = list(step_counts)
+    if any(steps < 1 for steps in step_counts):
         raise ValueError("need at least one Trotter step")
     if split is None:
         split = (0.5 * omega_q, 0.0)
     dq1, dq2 = split
+    if not np.isfinite([omega_r, omega_q, g, t, dq1, dq2]).all():
+        raise ValueError("frequencies, coupling, time and split must be finite")
     if abs((dq1 - dq2) - 0.5 * omega_q) > 1e-12 * max(1.0, abs(omega_q)):
         raise ValueError("split must satisfy dq1 - dq2 = omega_q/2")
     db = n_max + 1
     space = HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_qubits)
     initial = basis_state(space, [0] * space.n_factors)
 
-    tau = t / steps
     h1 = _tavis_cummings(n_qubits, db, 0.5 * omega_r, dq1, g)
     h2_tilde = _tavis_cummings(n_qubits, db, 0.5 * omega_r, dq2, g)
     flip = _collective_flip(n_qubits, db)
     h_exact = rabi_hamiltonian_dense(n_qubits, db, omega_r, omega_q, g)
     reference = evolve(initial, Schedule.constant(h_exact, space), 0.0, t)
-
-    blocks = (("Flip", math.pi), ("JC-rot", tau), ("Flip", math.pi), ("JC", tau))
-    gate_count = 4 * steps
-    plan = TrotterPlan(steps=steps, blocks=blocks, gate_count=gate_count)
-
-    if noise is None:
-        u_step = expm(-1j * h1 * tau) @ flip @ expm(-1j * h2_tilde * tau) @ flip.conj().T
-        u = np.linalg.matrix_power(u_step, steps)
-        final = PureState(space, u @ initial.amplitudes)
-        fid = float(abs(np.vdot(reference.amplitudes, final.amplitudes)) ** 2)
-    else:
-        final = _cqed_noisy_run(space, initial, h1, h2_tilde, n_qubits, db,
-                                tau, steps, noise, tol)
-        fid = float(np.real(np.vdot(reference.amplitudes,
-                                    final.matrix @ reference.amplitudes)))
-
     n_op = OperatorSum.single(space, -1, "n")
     z_total = OperatorSum(space, [(1.0, on_factors(space, {q: "Z"})) for q in range(n_qubits)])
-    obs = {"n": expectation(final, n_op).real, "z": expectation(final, z_total).real}
-    return CqedRun(fidelity=fid, state=final, reference=reference, plan=plan,
-                   observables=obs)
+
+    runs = []
+    for steps in step_counts:
+        tau = t / steps
+        blocks = (("Flip", math.pi), ("JC-rot", tau), ("Flip", math.pi), ("JC", tau))
+        plan = TrotterPlan(steps=steps, blocks=blocks, gate_count=4 * steps)
+        if noise is None:
+            u_step = expm(-1j * h1 * tau) @ flip @ expm(-1j * h2_tilde * tau) @ flip.conj().T
+            u = np.linalg.matrix_power(u_step, steps)
+            final = PureState(space, u @ initial.amplitudes)
+            fid = float(abs(np.vdot(reference.amplitudes, final.amplitudes)) ** 2)
+        else:
+            final = _cqed_noisy_run(space, initial, h1, h2_tilde, flip, n_qubits,
+                                    tau, steps, noise, tol)
+            fid = float(np.real(np.vdot(reference.amplitudes,
+                                        final.matrix @ reference.amplitudes)))
+        obs = {"n": expectation(final, n_op).real, "z": expectation(final, z_total).real}
+        runs.append(CqedRun(fidelity=fid, state=final, reference=reference, plan=plan,
+                            observables=obs))
+    return runs
 
 
-def _cqed_noisy_run(space, initial, h1, h2_tilde, n_qubits, db, tau, steps,
+def _cqed_noisy_run(space, initial, h1, h2_tilde, flip, n_qubits, tau, steps,
                     noise: CqedNoise, tol: float) -> DensityMatrix:
     d = space.dim
     qubits = range(n_qubits)
@@ -490,12 +527,11 @@ def _cqed_noisy_run(space, initial, h1, h2_tilde, n_qubits, db, tau, steps,
         return (math.pi / (2.0 * t_f)) * (1.0 - math.cos(2.0 * math.pi * s / t_f))
 
     rho = initial.to_density_matrix().matrix
-    flip_exact = _collective_flip(n_qubits, db)
 
     def apply_flip(rho):
         if t_f > 0.0:
             return run_segment(rho, lambda s: flip_envelope(s) * sx_total, t_f)
-        return flip_exact @ rho @ flip_exact.conj().T
+        return flip @ rho @ flip.conj().T
 
     for _ in range(steps):
         # counter-rotating step first, matching the noiseless ordering

@@ -313,22 +313,22 @@ def _run_qrm_adiabatic(params, seed, threads) -> RunArtifact:
 
 
 def _run_twophoton_spectrum(params, seed, threads) -> RunArtifact:
-    omega, omega_q = 1.0, params["omega_q"]
-    n_levels, n_max = params["n_levels"], params["n_max"]
+    n_levels = params["n_levels"]
+    g_values = [float(g) for g in params["g_values"]]
 
-    def one(g):
-        point, = ionrabi.two_photon_spectrum(omega, omega_q, 1, [g], n_levels, n_max,
-                                             check_convergence=False)
-        rows = []
-        for level in range(n_levels):
-            lam = point.parities[level]
-            label = {1.0 + 0j: "+1", -1.0 + 0j: "-1", 1j: "+i", -1j: "-i"}[lam]
-            rows.append((g, level, float(point.energies[level]), label,
-                         float(point.truncation_shifts[level])))
-        return rows
+    def spectrum(chunk):
+        return ionrabi.two_photon_spectrum(1.0, params["omega_q"], 1, chunk, n_levels,
+                                           params["n_max"], check_convergence=False)
 
-    rows = [row for rows in parallel_map(one, [float(g) for g in params["g_values"]],
-                                         threads) for row in rows]
+    # each call builds its two cutoffs' sector blocks once, so the grid goes
+    # out as one contiguous chunk per thread: one call at --threads 1
+    size = max(1, math.ceil(len(g_values) / threads))
+    chunks = [g_values[i:i + size] for i in range(0, len(g_values), size)]
+    points = [point for chunk in parallel_map(spectrum, chunks, threads) for point in chunk]
+    label = {1.0 + 0j: "+1", -1.0 + 0j: "-1", 1j: "+i", -1j: "-i"}
+    rows = [(point.g, level, float(point.energies[level]),
+             label[point.parities[level]], float(point.truncation_shifts[level]))
+            for point in points for level in range(n_levels)]
     table = Table("spectrum", ("g_over_omega", "level", "energy_over_omega",
                                "parity", "truncation_shift"),
                   ("1", "index", "1", "label", "1"), rows)
@@ -404,16 +404,15 @@ def _run_cqed_rabi(params, seed, threads) -> RunArtifact:
         "g=2wr=1.5wq": dict(omega_r=0.5, omega_q=2.0 / 3.0, g=1.0),
     }
 
-    def one(args):
-        name, steps = args
+    def one(name):
         pr = presets[name]
-        t = params["g_t"] / pr["g"]
-        run = daqs.cqed_rabi_digitize(**pr, t=t, steps=steps, n_max=params["n_max"])
-        return (name, steps, 1.0 - run.fidelity, run.observables["n"],
-                run.observables["z"])
+        runs = daqs.cqed_rabi_step_sweep(**pr, t=params["g_t"] / pr["g"],
+                                         step_counts=params["step_counts"],
+                                         n_max=params["n_max"])
+        return [(name, run.plan.steps, 1.0 - run.fidelity, run.observables["n"],
+                 run.observables["z"]) for run in runs]
 
-    jobs = [(name, steps) for name in presets for steps in params["step_counts"]]
-    rows = parallel_map(one, jobs, threads)
+    rows = [row for rows in parallel_map(one, list(presets), threads) for row in rows]
     table = Table("digitization", ("preset", "steps", "infidelity",
                                    "mean_photons", "qubit_z"),
                   ("label", "1", "1", "1", "1"), rows)

@@ -403,12 +403,26 @@ def two_photon_spectrum(omega: float, omega_q: float, n_qubits: int,
     ``1e-4 * |omega|`` -- near the collapse point that failure is the
     physical signature, so callers wanting the trend pass False and read
     the shifts instead.  Every level lies wholly in its labelled parity
-    sector (see :func:`_two_photon_levels`).
+    sector.  The sector blocks of each term are built once per cutoff
+    (:class:`_ParitySectors`); each coupling only sums and solves them.
     """
+    g_values = [float(g) for g in g_values]
+    if not np.isfinite([omega, omega_q, *g_values]).all():
+        raise ValueError("omega, omega_q and every coupling must be finite")
+    dim = 2 ** n_qubits * (n_max + 1)
+    if not 1 <= n_levels <= dim // 4:
+        raise ValueError(f"n_levels must lie in [1, {dim // 4}] (a quarter of the "
+                         f"dimension), got {n_levels}")
+    base = _ParitySectors.build(n_qubits, n_max)
+    wider = _ParitySectors.build(n_qubits, n_max + 10)
     convergence_tol = 1e-4 * abs(omega)
     out = []
     for g in g_values:
-        point = _two_photon_point(omega, omega_q, n_qubits, g, n_levels, n_max)
+        tp = TwoPhotonParams(omega=omega, omega_q=omega_q, g=g, n_qubits=n_qubits)
+        energies, parities, _ = base.lowest(tp, n_levels)
+        again, _, _ = wider.lowest(tp, n_levels)
+        point = SpectrumPoint(g=g, energies=energies, parities=parities,
+                              truncation_shifts=np.abs(energies - again))
         if check_convergence:
             shift = float(np.max(point.truncation_shifts))
             if shift > convergence_tol:
@@ -419,57 +433,81 @@ def two_photon_spectrum(omega: float, omega_q: float, n_qubits: int,
     return out
 
 
-def _parity_sector_eigh(h: np.ndarray, diag: np.ndarray, n_levels: int) -> tuple:
-    """Lowest ``n_levels`` eigenpairs of a real symmetric ``h`` that commutes
-    with the generalized parity, whose eigenvalues on the product basis are
-    ``diag``, with the parity of each level.
-
-    ``h`` has no element between two parity sectors, so each sector block
-    is solved by one ``eigh`` and the lowest levels of all sectors are
-    merged by energy.  Returns (energies, parities, eigenvectors); each
-    eigenvector is zero outside its sector, so its label is exact.
-    """
-    energies, parities, vectors = [], [], []
-    for lam in PARITY_SECTORS:
-        idx = np.flatnonzero(np.abs(diag - lam) < 1e-9)
-        w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
-        keep = min(n_levels, idx.size)
-        energies.append(w[:keep])
-        parities += [lam] * keep
-        full = np.zeros((h.shape[0], keep))
-        full[idx] = v[:, :keep]
-        vectors.append(full)
-    order = np.argsort(np.concatenate(energies), kind="stable")[:n_levels]
-    return (np.concatenate(energies)[order], np.array(parities)[order],
-            np.concatenate(vectors, axis=1)[:, order])
-
-
 def _two_photon_point(omega, omega_q, n_qubits, g, n_levels, n_max) -> SpectrumPoint:
     """Lowest ``n_levels`` levels of the two-photon model at coupling ``g``,
     with their shifts against the same levels at n_max+10."""
-    energies, parities = _two_photon_levels(omega, omega_q, n_qubits, g, n_levels, n_max)
-    again, _ = _two_photon_levels(omega, omega_q, n_qubits, g, n_levels, n_max + 10)
-    return SpectrumPoint(g=float(g), energies=energies, parities=parities,
-                         truncation_shifts=np.abs(energies - again))
+    point, = two_photon_spectrum(omega, omega_q, n_qubits, [g], n_levels, n_max,
+                                 check_convergence=False)
+    return point
 
 
-def _two_photon_levels(omega, omega_q, n_qubits, g, n_levels, n_max) -> tuple:
-    """(energies, parities) of the lowest ``n_levels`` levels at cutoff ``n_max``.
+@dataclass(frozen=True)
+class _ParitySectors:
+    """The terms of :func:`two_photon_hamiltonian` at one cutoff, cut into
+    generalized-parity sectors once and kept read-only.
 
-    The Hamiltonian is real by construction and conserves the generalized
-    parity, so it is solved sector by sector (:func:`_parity_sector_eigh`):
-    every level lies wholly in its labelled sector.
+    The Hamiltonian is real and has no element between two sectors, so
+    each sector block is solved by one ``eigh``.  ``blocks[s][k]`` is the
+    real block of term ``k`` on sector ``PARITY_SECTORS[s]``, whose
+    product-basis indices are ``index[s]``.  The coefficients and term
+    matrices are real, so summing ``c_k * blocks[s][k]`` in term order from
+    zero repeats, bit for bit, the real part of ``OperatorSum.matrix``'s
+    sum gathered onto the sector.
     """
-    tp = TwoPhotonParams(omega=omega, omega_q=omega_q, g=g, n_qubits=n_qubits)
-    h = two_photon_hamiltonian(tp, n_qubits, n_max).matrix()
-    dim = h.shape[0]
-    if not 1 <= n_levels <= dim // 4:
-        raise ValueError(f"n_levels must lie in [1, {dim // 4}] (a quarter of the "
-                         f"dimension), got {n_levels}")
-    diag = generalized_parity_diagonal(
-        HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_qubits))
-    evals, parities, _ = _parity_sector_eigh(h.real, diag, n_levels)
-    return evals, parities
+
+    n_qubits: int
+    n_max: int
+    index: tuple     # per sector, its product-basis indices
+    blocks: tuple    # per sector, per term, the real block
+
+    @staticmethod
+    def build(n_qubits: int, n_max: int) -> "_ParitySectors":
+        template = two_photon_hamiltonian(TwoPhotonParams(1.0, 1.0, 1.0, n_qubits),
+                                          n_qubits, n_max)
+        space = template.space
+        diag = generalized_parity_diagonal(space)
+        index = tuple(np.flatnonzero(np.abs(diag - lam) < 1e-9) for lam in PARITY_SECTORS)
+
+        def gather(factors) -> list:
+            # one dense term alive at a time
+            term = OperatorSum(space, [(1.0, factors)]).matrix().real
+            return [term[np.ix_(idx, idx)] for idx in index]
+
+        blocks = tuple(zip(*(gather(factors) for _, factors in template.terms)))
+        for a in (*index, *(b for sector in blocks for b in sector)):
+            a.setflags(write=False)
+        return _ParitySectors(n_qubits=n_qubits, n_max=n_max, index=index, blocks=blocks)
+
+    def hamiltonian_blocks(self, tp: TwoPhotonParams) -> list:
+        """The real sector blocks of the two-photon Hamiltonian at ``tp``,
+        one per sector in ``PARITY_SECTORS`` order."""
+        h = two_photon_hamiltonian(tp, self.n_qubits, self.n_max)
+        coeffs = [c.real for c, _ in h.terms]
+        out = []
+        for idx, sector in zip(self.index, self.blocks):
+            acc = np.zeros((idx.size, idx.size))
+            for c, b in zip(coeffs, sector):
+                acc += c * b
+            out.append(acc)
+        return out
+
+    def lowest(self, tp: TwoPhotonParams, n_levels: int) -> tuple:
+        """Lowest ``n_levels`` eigenpairs at ``tp``, one ``eigh`` per sector
+        merged by energy: (energies, parities, eigenvectors).  Each
+        eigenvector is zero outside its sector, so its label is exact."""
+        dim = sum(idx.size for idx in self.index)
+        energies, parities, vectors = [], [], []
+        for lam, idx, block in zip(PARITY_SECTORS, self.index, self.hamiltonian_blocks(tp)):
+            w, v = np.linalg.eigh(block)
+            keep = min(n_levels, idx.size)
+            energies.append(w[:keep])
+            parities += [lam] * keep
+            full = np.zeros((dim, keep))
+            full[idx] = v[:, :keep]
+            vectors.append(full)
+        order = np.argsort(np.concatenate(energies), kind="stable")[:n_levels]
+        return (np.concatenate(energies)[order], np.array(parities)[order],
+                np.concatenate(vectors, axis=1)[:, order])
 
 
 @dataclass
@@ -486,23 +524,26 @@ def collapse_diagnostics(omega: float, omega_q: float, g_values: Sequence[float]
 
     No convergence gate here: the non-convergence near g = omega/2 is the
     signal being reported.  The (real) Hamiltonian is solved by
-    generalized-parity sector (:func:`_parity_sector_eigh`).
+    generalized-parity sector, from sector blocks built once
+    (:class:`_ParitySectors`).
     """
+    g_values = [float(g) for g in g_values]
+    if not np.isfinite([omega, omega_q, *g_values]).all():
+        raise ValueError("omega, omega_q and every coupling must be finite")
     dim = 2 * (n_max + 1)
     if not 2 <= n_levels <= dim:
         raise ValueError(f"n_levels must lie in [2, {dim}], got {n_levels}")
     spacings, occupations = [], []
     space = HilbertSpace.qubit_boson(n_max=n_max)
     n_diag = OperatorSum.single(space, -1, "n").matrix().diagonal().real
-    parity = generalized_parity_diagonal(space)
+    sectors = _ParitySectors.build(1, n_max)
     for g in g_values:
-        tp = TwoPhotonParams(omega=omega, omega_q=omega_q, g=float(g))
-        h = two_photon_hamiltonian(tp, 1, n_max).matrix()
-        evals, _, evecs = _parity_sector_eigh(h.real, parity, n_levels)
+        tp = TwoPhotonParams(omega=omega, omega_q=omega_q, g=g)
+        evals, _, evecs = sectors.lowest(tp, n_levels)
         spacings.append(float(np.min(np.diff(evals))))
         occupations.append([float(np.sum(n_diag * np.abs(evecs[:, k]) ** 2))
                             for k in range(n_levels)])
-    g_arr = np.asarray(list(g_values), dtype=float)
+    g_arr = np.asarray(g_values, dtype=float)
     coeffs = np.stack([omega - 2.0 * g_arr, omega + 2.0 * g_arr], axis=1)
     return CollapseDiagnostics(g_values=g_arr,
                                min_spacings=np.asarray(spacings),

@@ -41,6 +41,38 @@ def test_non_finite_couplings_rejected():
         daqs.SpinCouplingMatrix.uniform(3, math.nan)
 
 
+def test_coupling_copies_and_freezes_its_matrix():
+    # a later write to the caller's array cannot reach the coupling or the
+    # generators it has cached
+    m = np.array([[0.0, 0.5, 0.2], [0.5, 0.0, 0.9], [0.2, 0.9, 0.0]])
+    kept = m.copy()
+    for coupling in (daqs.SpinCouplingMatrix(m), daqs.SpinCouplingMatrix.explicit(m)):
+        gens = coupling._generators()
+        assert coupling.matrix is not m
+        assert not coupling.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            coupling.matrix[0, 1] = 7.0
+        m[0, 1] = m[1, 0] = 7.0
+        assert np.array_equal(coupling.matrix, kept)
+        fresh = daqs.SpinCouplingMatrix(kept)._generators()
+        assert np.array_equal(gens.xy.matrix_at(0.0), fresh.xy.matrix_at(0.0))
+        m[:] = kept
+
+
+def test_couplings_compare_and_hash_by_bytes():
+    a = daqs.SpinCouplingMatrix.uniform(3, 0.7)
+    b = daqs.SpinCouplingMatrix.explicit(0.7 * (np.ones((3, 3)) - np.eye(3)))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, daqs.SpinCouplingMatrix.power_law(3, 0.7, 1.0)}) == 2
+    assert a != daqs.SpinCouplingMatrix.uniform(3, 0.8)
+    assert a != daqs.SpinCouplingMatrix.uniform(2, 0.7)
+    assert a.__eq__(a.matrix) is NotImplemented
+    # a negative uniform coupling has -0.0 on its diagonal; it is stored as 0.0
+    neg = daqs.SpinCouplingMatrix.uniform(2, -1.0)
+    assert neg == daqs.SpinCouplingMatrix.explicit([[0.0, -1.0], [-1.0, 0.0]])
+    assert {a: 1}[b] == 1
+
+
 def test_two_spin_heisenberg_eigenvalues():
     # H = J (XX + YY + ZZ): eigenvalues {-3J, J, J, J}
     j = 0.8
@@ -507,3 +539,97 @@ def test_gate_count_bound_regression_anchor():
     assert norm == pytest.approx(expected_norm, rel=1e-12)
     expected = 2.0 * 25.0 * (2.0 * expected_norm) ** 1.5 / 0.1 ** 0.5
     assert n_eps == math.ceil(expected)
+
+
+def _forbid_eigh(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("eigh called before the inputs were validated")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+
+
+def test_cqed_rejects_non_finite_inputs(monkeypatch):
+    # NaN slips through the split check and inf through the step size, so
+    # both are rejected before any generator is exponentiated
+    _forbid_eigh(monkeypatch)
+    base = dict(omega_r=1.0, omega_q=1.0, g=1.0, t=2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in base:
+            args = dict(base, **{name: bad})
+            with pytest.raises(ValueError):
+                daqs.cqed_rabi_digitize(**args, steps=4, n_max=6)
+            with pytest.raises(ValueError):
+                daqs.cqed_rabi_step_sweep(**args, step_counts=[2, 4], n_max=6)
+        with pytest.raises(ValueError):
+            daqs.cqed_rabi_digitize(**base, steps=4, n_max=6, split=(bad, bad))
+    with pytest.raises(ValueError):
+        daqs.cqed_rabi_step_sweep(**base, step_counts=[4, 0], n_max=6)
+
+
+def _per_count_cqed(omega_r, omega_q, g, t, steps, n_qubits, n_max, split, noise, tol):
+    """Test-local copy of the one-count digitization that rebuilt every
+    generator, the flip, the reference and the observables per call."""
+    if split is None:
+        split = (0.5 * omega_q, 0.0)
+    dq1, dq2 = split
+    db = n_max + 1
+    space = qc.HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_qubits)
+    initial = qc.basis_state(space, [0] * space.n_factors)
+    tau = t / steps
+    h1 = daqs._tavis_cummings(n_qubits, db, 0.5 * omega_r, dq1, g)
+    h2_tilde = daqs._tavis_cummings(n_qubits, db, 0.5 * omega_r, dq2, g)
+    flip = daqs._collective_flip(n_qubits, db)
+    h_exact = daqs.rabi_hamiltonian_dense(n_qubits, db, omega_r, omega_q, g)
+    reference = qc.evolve(initial, qc.Schedule.constant(h_exact, space), 0.0, t)
+    if noise is None:
+        u_step = qc.expm(-1j * h1 * tau) @ flip @ qc.expm(-1j * h2_tilde * tau) @ flip.conj().T
+        final = qc.PureState(space, np.linalg.matrix_power(u_step, steps) @ initial.amplitudes)
+        fid = float(abs(np.vdot(reference.amplitudes, final.amplitudes)) ** 2)
+    else:
+        final = daqs._cqed_noisy_run(space, initial, h1, h2_tilde,
+                                     daqs._collective_flip(n_qubits, db), n_qubits,
+                                     tau, steps, noise, tol)
+        fid = float(np.real(np.vdot(reference.amplitudes,
+                                    final.matrix @ reference.amplitudes)))
+    n_op = qc.OperatorSum.single(space, -1, "n")
+    z_total = qc.OperatorSum(space, [(1.0, qc.on_factors(space, {q: "Z"}))
+                                     for q in range(n_qubits)])
+    obs = {"n": qc.expectation(final, n_op).real, "z": qc.expectation(final, z_total).real}
+    return fid, final, reference, obs
+
+
+@pytest.mark.parametrize("n_qubits, split, noise, counts", [
+    (1, None, None, [1, 2, 5, 16]),
+    (2, None, None, [3, 8]),
+    (1, (0.9, 0.4), None, [2, 7]),
+    (2, (0.7, 0.2), daqs.CqedNoise(kappa=0.05, gamma_phi=0.02, gamma_minus=0.01), [1, 2]),
+    (1, None, daqs.CqedNoise(kappa=0.05, gamma_minus=0.02, flip_duration=0.05), [1, 3]),
+])
+def test_cqed_step_sweep_equals_per_count_runs(n_qubits, split, noise, counts):
+    # sharing the step-independent pieces changes no bit of any run
+    args = dict(omega_r=1.0, omega_q=1.0, g=0.8, t=1.5, n_qubits=n_qubits,
+                n_max=4, split=split, noise=noise, tol=1e-6)
+    runs = daqs.cqed_rabi_step_sweep(**args, step_counts=counts)
+    assert [run.plan.steps for run in runs] == counts
+    for steps, run in zip(counts, runs):
+        fid, final, reference, obs = _per_count_cqed(steps=steps, **args)
+        assert run.fidelity == fid
+        assert run.observables == obs
+        assert np.array_equal(run.reference.amplitudes, reference.amplitudes)
+        got = run.state.amplitudes if noise is None else run.state.matrix
+        want = final.amplitudes if noise is None else final.matrix
+        assert np.array_equal(got, want)
+        assert run.plan.gate_count == 4 * steps
+        one = daqs.cqed_rabi_digitize(steps=steps, **args)
+        assert one.fidelity == fid and one.observables == obs
+
+
+def test_cqed_scenario_exponentiates_per_count_only(monkeypatch):
+    # per preset: one eigh for the flip, one for the exact reference and two
+    # per step count (5 counts), 48 in all; 80 when every count rebuilt them
+    importlib.import_module("qworkbench.harness.runners")
+    eighs = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m.shape) or real_eigh(m))
+    harness.run_scenario(harness.ScenarioConfig("cqed-rabi"))
+    assert 0 < len(eighs) <= 48

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qworkbench import harness
 from qworkbench import ionrabi as ir
 from qworkbench import qcore as qc
 from qworkbench.harness.scenarios import SCENARIOS
@@ -853,7 +854,7 @@ def test_two_photon_sector_solve_matches_dense_eigvalsh(n_qubits):
 
 def _forbid_eigh(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("eigh called before n_levels was validated")
+        raise AssertionError("eigh called before the inputs were validated")
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
 
@@ -870,3 +871,91 @@ def test_collapse_diagnostics_rejects_bad_n_levels(monkeypatch):
     for n_levels in (0, 1, 43, 100):  # d = 42 at n_max = 20
         with pytest.raises(ValueError):
             ir.collapse_diagnostics(1.0, 1.9, [0.2], n_levels=n_levels, n_max=20)
+
+
+def test_two_photon_rejects_non_finite_inputs(monkeypatch):
+    # NaN slips through every comparison, so finiteness is checked before
+    # any sector is solved, also for a grid whose first point is fine
+    _forbid_eigh(monkeypatch)
+    for bad in (math.nan, math.inf, -math.inf):
+        for omega, omega_q, grid in ((1.0, 1.9, [bad]), (1.0, 1.9, [0.2, bad]),
+                                     (bad, 1.9, [0.2]), (1.0, bad, [0.2])):
+            with pytest.raises(ValueError):
+                ir.two_photon_spectrum(omega, omega_q, 1, grid, n_levels=4, n_max=20)
+            with pytest.raises(ValueError):
+                ir.collapse_diagnostics(omega, omega_q, grid, n_levels=4, n_max=20)
+        with pytest.raises(ValueError):
+            ir._two_photon_point(1.0, 1.9, 2, bad, 4, 20)
+
+
+def _dense_sectors(tp, n_qubits, n_max):
+    """Test-local gather: the real part of the dense Hamiltonian on each
+    generalized-parity sector, with the sector's product-basis indices."""
+    h = ir.two_photon_hamiltonian(tp, n_qubits, n_max).matrix()
+    diag = ir.generalized_parity_diagonal(
+        qc.HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_qubits))
+    index = [np.flatnonzero(np.abs(diag - lam) < 1e-9) for lam in ir.PARITY_SECTORS]
+    return index, [h.real[np.ix_(idx, idx)] for idx in index]
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_parity_sector_blocks_equal_dense_gather(n_qubits):
+    # the term blocks, built once and summed per coupling, are the dense
+    # Hamiltonian's sectors bit for bit, signed zeros included
+    n_max = 24
+    sectors = ir._ParitySectors.build(n_qubits, n_max)
+    for a in (*sectors.index, *(b for blocks in sectors.blocks for b in blocks)):
+        assert not a.flags.writeable
+    for g in (0.0, 0.1, 0.3, 0.45, 0.49, 0.7):
+        for omega, omega_q in ((1.0, 1.9), (1.3, -0.4)):
+            tp = ir.TwoPhotonParams(omega=omega, omega_q=omega_q, g=g, n_qubits=n_qubits)
+            index, dense = _dense_sectors(tp, n_qubits, n_max)
+            assert all(np.array_equal(a, b) for a, b in zip(sectors.index, index))
+            for block, gathered in zip(sectors.hamiltonian_blocks(tp), dense):
+                assert np.array_equal(block, gathered)
+                assert block.tobytes() == gathered.tobytes()
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_two_photon_spectrum_equals_dense_sector_solve(n_qubits):
+    # a test-local copy of the per-coupling solve that gathered each sector
+    # out of the dense H: the same eigh inputs give the same bits
+    n_max, n_levels, grid = 30, 6, [0.0, 0.2, 0.45, 0.49]
+
+    def lowest(g, cutoff):
+        tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=g, n_qubits=n_qubits)
+        energies, parities = [], []
+        for lam, block in zip(ir.PARITY_SECTORS, _dense_sectors(tp, n_qubits, cutoff)[1]):
+            keep = min(n_levels, block.shape[0])
+            energies.append(np.linalg.eigh(block)[0][:keep])
+            parities += [lam] * keep
+        order = np.argsort(np.concatenate(energies), kind="stable")[:n_levels]
+        return np.concatenate(energies)[order], np.array(parities)[order]
+
+    points = ir.two_photon_spectrum(1.0, 1.9, n_qubits, grid, n_levels, n_max,
+                                    check_convergence=False)
+    for g, point in zip(grid, points):
+        energies, parities = lowest(g, n_max)
+        again, _ = lowest(g, n_max + 10)
+        assert point.g == g
+        assert np.array_equal(point.energies, energies)
+        assert np.array_equal(point.parities, parities)
+        assert np.array_equal(point.truncation_shifts, np.abs(energies - again))
+
+
+def test_two_photon_scenario_builds_each_cutoff_once(monkeypatch):
+    # a default run builds the three terms and the parity diagonal once per
+    # cutoff: 8 Kronecker products, where a dense H per coupling and cutoff
+    # took 48 (the runners are imported first: eqs builds gates at import)
+    importlib.import_module("qworkbench.harness.runners")
+    real = qc.kron_all
+    calls = []
+
+    def counting(mats):
+        calls.append(len(mats))
+        return real(mats)
+
+    for module in (qc, qc.operators, ir):
+        monkeypatch.setattr(module, "kron_all", counting)
+    harness.run_scenario(harness.ScenarioConfig("twophoton-spectrum"))
+    assert 0 < len(calls) <= 8
