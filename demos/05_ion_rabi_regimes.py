@@ -55,10 +55,9 @@ base = ir.RabiParams(omega0_r=1.0, omega_r=1.0, g=0.0)
 h0 = ir.qrm_hamiltonian(base, 16).matrix()
 a = qc.boson_annihilation(17)
 coupling = -np.kron(qc.SIGMA_Y, a + a.conj().T)
-fam = lambda g: h0 + g * coupling
 space = qc.HilbertSpace.qubit_boson(n_max=16)
 for duration in (5.0, 20.0, 60.0):
-    out = ir.adiabatic_ground_state(fam, 1.0, duration, space, n_checkpoints=7)
+    out = ir.adiabatic_ground_state(h0, coupling, 1.0, duration, space, n_checkpoints=7)
     print(f"  ramp over {duration:5.1f}/omega: final fidelity {out.final_fidelity:.5f}")
 
 print("\ngeneralized parity of qubit-boson states, protocol vs direct:")

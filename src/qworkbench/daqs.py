@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -78,6 +79,8 @@ class SpinCouplingMatrix:
         m = np.asarray(self.matrix, dtype=float) + 0.0
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("coupling matrix must be square")
+        if m.shape[0] < 1:
+            raise ValueError("a coupling matrix needs at least one spin; this one has 0 spins")
         if m.shape[0] > MAX_SPINS:
             raise ValueError(f"at most {MAX_SPINS} spins are supported densely")
         if not np.isfinite(m).all():
@@ -452,6 +455,9 @@ def cqed_rabi_step_sweep(omega_r: float, omega_q: float, g: float, t: float,
     so every run equals the one-count call bit for bit.
     """
     step_counts = list(step_counts)
+    if any(isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
+           for steps in step_counts):
+        raise ValueError(f"step counts must be integers, got {step_counts}")
     if any(steps < 1 for steps in step_counts):
         raise ValueError("need at least one Trotter step")
     if split is None:

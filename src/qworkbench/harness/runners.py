@@ -19,6 +19,7 @@ import numpy as np
 from .. import daqs, eqs, ionrabi, openmaster, timecorr
 from .. import qcore as qc
 from .artifact import RunArtifact, Table
+from .config import ConfigError
 from .scenarios import InvariantBreach
 
 
@@ -291,14 +292,20 @@ def _run_qrm_regimes(params, seed, threads) -> RunArtifact:
 
 def _run_qrm_adiabatic(params, seed, threads) -> RunArtifact:
     n_max = params["n_max"]
+    if params["checkpoints"] < 2:
+        raise ConfigError(f"'checkpoints' must be at least 2 (the start and the end "
+                          f"of the ramp), got {params['checkpoints']}")
+    if not math.isfinite(params["g_final"]):
+        raise ConfigError(f"'g_final' must be finite, got {params['g_final']}")
+    if not all(math.isfinite(d) and d > 0.0 for d in params["durations"]):
+        raise ConfigError(f"'durations' must be finite and positive, got {params['durations']}")
     fam_base = ionrabi.RabiParams(omega0_r=1.0, omega_r=1.0, g=0.0)
     space = qc.HilbertSpace.qubit_boson(n_max=n_max)
     h0 = ionrabi.qrm_hamiltonian(fam_base, n_max).matrix()
     coupling = qc.OperatorSum(space, [(-1.0, ("Y", "x"))]).matrix()
-    fam = lambda g: h0 + g * coupling
 
     def one(duration):
-        out = ionrabi.adiabatic_ground_state(fam, params["g_final"], float(duration),
+        out = ionrabi.adiabatic_ground_state(h0, coupling, params["g_final"], float(duration),
                                              space, n_checkpoints=params["checkpoints"],
                                              tol=1e-8)
         return (float(duration), out.final_fidelity, float(np.min(out.gaps)))

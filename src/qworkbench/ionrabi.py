@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -302,45 +303,54 @@ class AdiabaticResult:
     degenerate: np.ndarray  # bool per checkpoint (gap below resolution)
 
 
-def adiabatic_ground_state(h_of_g: Callable[[float], np.ndarray], g_final: float,
+def adiabatic_ground_state(h0: np.ndarray, coupling: np.ndarray, g_final: float,
                            duration: float, space: HilbertSpace,
                            n_checkpoints: int = 33, tol: float = 1e-9) -> AdiabaticResult:
-    """Linear ramp g(t) = g_final * t / duration from the g=0+ ground state.
+    """Ramp ``H(g) = h0 + g * coupling`` linearly, g(t) = g_final * t / duration,
+    from the g = 0 ground state, checking at ``n_checkpoints`` equally spaced
+    times from 0 to ``duration``.
 
-    The instantaneous ground state at each checkpoint comes from full
-    diagonalization, with its phase fixed by positive overlap with the
-    previous checkpoint.  Degenerate ground spaces (a gap below 1e-10 of
-    ``max(1, |E_0|)``) are flagged, not resolved (the fidelity there refers
-    to an arbitrary member).
+    The ramp is a term-form schedule, ``h0`` with coefficient 1 and
+    ``coupling`` with coefficient g(t), so no Hamiltonian is formed while it
+    is integrated, and ``qcore`` steps only the blocks the two matrices
+    leave invariant (the parity sectors of the quantum Rabi ramp).  The
+    instantaneous ground state at each checkpoint comes from full
+    diagonalization of ``h0 + g * coupling``, with its phase fixed by
+    positive overlap with the previous checkpoint.  Degenerate ground
+    spaces (a gap below 1e-10 of ``max(1, |E_0|)``) are flagged, not
+    resolved (the fidelity there refers to an arbitrary member).  Raises
+    ``ValueError`` unless ``n_checkpoints`` is an integer of at least 2,
+    ``g_final`` is finite and ``duration`` is finite and positive.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
+    if isinstance(n_checkpoints, bool) or not isinstance(n_checkpoints, numbers.Integral) \
+            or n_checkpoints < 2:
+        raise ValueError("n_checkpoints must be an integer of at least 2: the ramp "
+                         "is checked at its start and its end")
+    if not math.isfinite(g_final):
+        raise ValueError("g_final must be finite")
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ValueError("duration must be finite and positive")
+    h0 = np.asarray(h0, dtype=complex)
+    coupling = np.asarray(coupling, dtype=complex)
 
     def g_of_t(t: float) -> float:
         return g_final * t / duration
 
-    h0 = np.asarray(h_of_g(0.0), dtype=complex)
-    evals, evecs = np.linalg.eigh(h0)
-    psi = PureState(space, evecs[:, 0])
-    reference = evecs[:, 0]
-
+    schedule = Schedule.from_terms(space, [(1.0, h0), (g_of_t, coupling)])
     times = np.linspace(0.0, duration, n_checkpoints)
-    builder = lambda t: np.asarray(h_of_g(g_of_t(t)), dtype=complex)
-    schedule = Schedule.time_dependent(space, builder)
-
     fids = np.empty(n_checkpoints)
     gaps = np.empty(n_checkpoints)
     degenerate = np.zeros(n_checkpoints, dtype=bool)
-    current = psi
-    prev_t = 0.0
+    current = reference = None
     for i, t in enumerate(times):
-        if t > prev_t:
-            current = evolve(current, schedule, prev_t, t, tol)
-            prev_t = t
-        evals, evecs = np.linalg.eigh(builder(t))
+        evals, evecs = np.linalg.eigh(h0 + g_of_t(t) * coupling)
         ground = evecs[:, 0]
-        if np.vdot(reference, ground).real < 0.0:
-            ground = -ground
+        if i == 0:  # times[0] = 0: the ramp starts in this ground state
+            current = PureState(space, ground)
+        else:
+            if np.vdot(reference, ground).real < 0.0:
+                ground = -ground
+            current = evolve(current, schedule, times[i - 1], t, tol)
         reference = ground
         gap = float(evals[1] - evals[0])
         gaps[i] = gap

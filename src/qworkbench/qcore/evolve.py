@@ -49,6 +49,26 @@ terms, while in the frame of K they are large diagonal phases that the
 stepper has to resolve: on the ion drive that costs about twenty times the
 steps per period.
 
+The terms of a term form may leave blocks of basis states invariant: the
+connected components of the union of their nonzero patterns, which
+``from_terms`` finds once (the frame is diagonal and joins none).  The
+parity sectors of the dispersive pulse ``sigma_x (x) (a + a^dag)`` and of
+the quantum Rabi ramp are two such blocks.  With more than one block,
+every RK45 run of the schedule (the whole window, the partial periods and
+``U_K(T, 0)``) steps only the parts of the columns inside the blocks: the
+part of each column in each block where it has support goes into one
+zero-padded ``(n_blocks, size, cols)`` array, each term acts on it by one
+batched product with its blocks, and the parts are put back in place at
+the end.  What is left out is exactly zero and stays zero.  The step
+control still measures the full d x m state: its error norm is an RMS,
+and the entries left out and the padding are zero in every stage and in
+the error, so at the tolerance ``tol * sqrt(d m / packed size)`` the
+packed state's RMS norm is the full state's at ``tol``, initial step
+included.  The packed run therefore takes the steps of the unpacked one,
+and its numbers differ from it only by rounding.  A schedule with one
+block, like the ion drive with its dense displacement operator, is
+stepped whole.
+
 A density matrix is never integrated itself: ``evolve`` conjugates it by
 the propagator, ``rho -> U rho U^dag``, for every kind of schedule.
 """
@@ -86,34 +106,141 @@ _DP_A = np.array([
 _DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 _DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
 
+# the tables as the stepper reads them: _DP_ONE + h * _DP_ROWS holds, in row
+# s = 1..5, the coefficients (1, h a_s) of stage s over [y; k_0; ...], and in
+# row 6 those of the fifth-order solution, (1, h b); row 0 is unused
+_DP_ROWS = np.zeros((7, 7))
+_DP_ROWS[1:6, 1:6] = _DP_A[1:]
+_DP_ROWS[6, 1:] = _DP_B
+_DP_ONE = np.zeros((7, 7))
+_DP_ONE[:, 0] = 1.0
+_DP_TIMES = tuple(float(c) for c in _DP_C)
+
 
 class ToleranceError(RuntimeError):
     """The adaptive integrator failed to meet the requested tolerance."""
-
-
-def _term_action(d: int, terms, frame) -> Callable[[float, np.ndarray], np.ndarray]:
-    """``apply`` for H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag, F = exp(i t diag(frame))."""
-    coeffs = tuple(f if callable(f) else (lambda t, c=f: c) for f, _ in terms)
-    # rows k*d .. (k+1)*d - 1 hold H_k: one product serves every term
-    stack = np.concatenate([m for _, m in terms], axis=0)
-    n_terms = len(coeffs)
-    i_frame = None if frame is None else 1j * frame
-
-    def apply(t: float, y: np.ndarray) -> np.ndarray:
-        c = np.array([f(t) for f in coeffs], dtype=complex)
-        if i_frame is None:
-            return (c @ (stack @ y).reshape(n_terms, -1)).reshape(y.shape)
-        phase = np.exp(t * i_frame).reshape((d,) + (1,) * (y.ndim - 1))
-        y = phase.conj() * y
-        return phase * (c @ (stack @ y).reshape(n_terms, -1)).reshape(y.shape)
-
-    return apply
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a``, flagged read-only: a schedule's caches are shared by every caller."""
     a.setflags(write=False)
     return a
+
+
+def _invariant_blocks(d: int, mats) -> list:
+    """Sorted index arrays of the connected components of the union of the
+    matrices' nonzero patterns, in order of their first index.  No nonzero
+    entry of any matrix links two blocks, so every block is invariant."""
+    linked = np.eye(d, dtype=bool)
+    for m in mats:
+        linked |= m != 0
+    linked |= linked.T
+    # each index takes the smallest label among its neighbours, then the
+    # label of that label, until nothing changes: a block ends up labelled
+    # by its smallest index
+    index = np.arange(d)
+    labels = index
+    while True:
+        new = np.where(linked, labels, d).min(axis=1)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return [np.flatnonzero(labels == b) for b in np.flatnonzero(labels == index)]
+        labels = new
+
+
+class _TermForm:
+    """H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag, F = exp(i t diag(frame)):
+    the lab-frame action ``apply`` and the RK45 carrier ``step``.
+
+    Rows k*d .. (k+1)*d - 1 of ``stack`` hold H_k, so one product serves
+    every term.  When some coefficient depends on time and the terms leave
+    more than one block invariant (``_invariant_blocks``), ``step``
+    integrates only the parts of the columns inside the blocks, packed as
+    in the module docstring; the zero-padded ``(n_blocks, n_terms * size,
+    size)`` ``block_stack`` holds each term's block of the generator
+    -i H_k, and ``index`` the rows of each block.  The blocks are used only
+    if padding them to the largest adds no entries to the term stack.
+    """
+
+    __slots__ = ("d", "coeffs", "stack", "i_frame", "index", "block_stack", "block_frame")
+
+    def __init__(self, d: int, terms, frame):
+        self.d = d
+        self.coeffs = tuple(f if callable(f) else (lambda t, c=f: c) for f, _ in terms)
+        mats = [m for _, m in terms]
+        self.stack = np.concatenate(mats, axis=0)
+        self.i_frame = None if frame is None else 1j * frame
+        self.index = self.block_stack = self.block_frame = None
+        if not any(callable(f) for f, _ in terms):
+            return  # a static K takes the eigenbasis route and never steps
+        blocks = _invariant_blocks(d, mats)
+        size = max(b.size for b in blocks)
+        if len(blocks) < 2 or len(blocks) * size * size > d * d:
+            return
+        stack = np.zeros((len(blocks), len(mats), size, size), dtype=complex)
+        for b, idx in enumerate(blocks):
+            for k, m in enumerate(mats):
+                stack[b, k, :idx.size, :idx.size] = m[np.ix_(idx, idx)]
+        self.index = [_frozen(idx) for idx in blocks]
+        self.block_stack = _frozen(-1j * stack.reshape(len(blocks), len(mats) * size, size))
+        if frame is not None:
+            packed = np.zeros((len(blocks), size, 1), dtype=complex)
+            for b, idx in enumerate(blocks):
+                packed[b, :idx.size, 0] = 1j * frame[idx]
+            self.block_frame = _frozen(packed)
+
+    def apply(self, t: float, y: np.ndarray) -> np.ndarray:
+        n_terms = len(self.coeffs)
+        c = np.array([f(t) for f in self.coeffs], dtype=complex)
+        if self.i_frame is None:
+            return (c @ (self.stack @ y).reshape(n_terms, -1)).reshape(y.shape)
+        phase = np.exp(t * self.i_frame).reshape((self.d,) + (1,) * (y.ndim - 1))
+        y = phase.conj() * y
+        return phase * (c @ (self.stack @ y).reshape(n_terms, -1)).reshape(y.shape)
+
+    def step(self, y: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
+        """U(t1, t0) @ y by RK45, for a ket or a column block ``y``."""
+        if self.index is None:
+            return _integrate_ket(self.apply, y, t0, t1, tol)
+        cols = y.reshape(self.d, -1)
+        live, parts = [], []  # the blocks stepped: their rows, and the columns with support
+        for b, rows in enumerate(self.index):
+            support = np.flatnonzero((cols[rows] != 0).any(axis=0))
+            if support.size:
+                live.append(b)
+                parts.append((rows, support))
+        out = np.zeros(cols.shape, dtype=complex)
+        if not parts:
+            return out.reshape(y.shape)
+        stack, frame = self.block_stack, self.block_frame
+        if len(live) < len(self.index):
+            stack = stack[live]
+            frame = None if frame is None else frame[live]
+        size = stack.shape[2]
+        packed = np.zeros((len(live), size, max(s.size for _, s in parts)), dtype=complex)
+        for i, (rows, support) in enumerate(parts):
+            packed[i, :rows.size, :support.size] = cols[np.ix_(rows, support)]
+        shape, n_terms, coeffs = packed.shape, len(self.coeffs), self.coeffs
+
+        def rhs(t, v):
+            x = v.reshape(shape)
+            if frame is not None:
+                phase = np.exp(t * frame)
+                x = phase.conj() * x
+            hx = stack @ x  # -i H_k x for every term k, stacked along the rows
+            if n_terms == 1:
+                hx *= coeffs[0](t)
+            else:
+                c = np.array([f(t) for f in coeffs], dtype=complex)
+                hx = (c @ hx.reshape(len(live), n_terms, -1)).reshape(shape)
+            return (hx if frame is None else phase * hx).reshape(-1)
+
+        # the RMS error norm of the full d x m state at tol, over the packed one
+        packed = integrate(rhs, packed.reshape(-1), t0, t1,
+                           tol * math.sqrt(cols.size / packed.size)).reshape(shape)
+        for i, (rows, support) in enumerate(parts):
+            out[np.ix_(rows, support)] = packed[i, :rows.size, :support.size]
+        return out.reshape(y.shape)
 
 
 def _is_hermitian(k: np.ndarray) -> bool:
@@ -132,21 +259,22 @@ def _is_periodic(f: Callable[[float], complex], period: float) -> bool:
 class _ExactFrame:
     """What the static and periodic routes need of a schedule.
 
-    ``frame`` is the diagonal of the frame generator and ``apply`` the
-    lab-frame action; both are None for a constant schedule, whose K is
-    its Hamiltonian.  ``static`` is the constant ``K = diag(frame) +
+    ``frame`` is the diagonal of the frame generator and ``step`` the
+    schedule's RK45 carrier ``(y, t0, t1, tol) -> U(t1, t0) y`` in the lab
+    frame; both are None for a constant schedule, whose K is its
+    Hamiltonian.  ``static`` is the constant ``K = diag(frame) +
     sum_k c_k H_k`` when every coefficient is a number (else None);
     ``period`` is the common period T of the coefficients otherwise.  The
     ``eigh`` of a static K, and ``U_K(T, 0)`` per tolerance, are computed
     on first use and kept here.
     """
 
-    __slots__ = ("frame", "apply", "static", "period", "_eig", "_one_period")
+    __slots__ = ("frame", "step", "static", "period", "_eig", "_one_period")
 
-    def __init__(self, frame: np.ndarray | None, apply, static: np.ndarray | None,
+    def __init__(self, frame: np.ndarray | None, step, static: np.ndarray | None,
                  period: float | None):
         self.frame = frame
-        self.apply = apply
+        self.step = step
         self.static = static
         self.period = period
         self._eig = None
@@ -179,8 +307,7 @@ class _ExactFrame:
         """U_K(T, 0) = F(T)^dag U(T, 0), integrated once per tolerance."""
         w = self._one_period.get(tol)
         if w is None:
-            u = _integrate_ket(self.apply, np.eye(self.frame.size, dtype=complex),
-                               0.0, self.period, tol)
+            u = self.step(np.eye(self.frame.size, dtype=complex), 0.0, self.period, tol)
             w = self._one_period[tol] = _frozen(self.phase(-self.period)[:, None] * u)
         return w
 
@@ -222,6 +349,7 @@ class Schedule:
         self.space = space
         self.exact_frame: _ExactFrame | None = None
         self.apply = apply
+        self._terms: _TermForm | None = None  # set by from_terms
         self.constant_matrix = None
         if constant is not None:
             # a raw matrix is copied: the caller's array is never frozen
@@ -263,7 +391,10 @@ class Schedule:
         checked as ``f_k(t + T) = f_k(t)`` at a few times, to 1e-9 of the
         coefficient's scale.  Neither constancy nor the period is an
         option: both describe the Hamiltonian, and they select the static
-        or the periodic route of ``evolve`` and ``propagator``.
+        or the periodic route of ``evolve`` and ``propagator``.  If a
+        coefficient depends on time, the blocks of basis states that the
+        terms leave invariant are found here, once, and the RK45 runs step
+        only them (module docstring).
         """
         d = space.dim
         terms = [(f if callable(f) else complex(f), np.asarray(m, dtype=complex))
@@ -284,16 +415,17 @@ class Schedule:
                 raise ValueError("period must be finite and positive")
             if not all(_is_periodic(f, period) for f, _ in terms if callable(f)):
                 raise ValueError("a coefficient does not repeat with the given period")
-        apply = _term_action(d, terms, frame)
-        sched = Schedule(space, apply=apply)
+        form = _TermForm(d, terms, frame)
+        sched = Schedule(space, apply=form.apply)
+        sched._terms = form
         diag = np.zeros(d) if frame is None else frame
         if not any(callable(f) for f, _ in terms):
             k = _frozen(np.diag(diag).astype(complex) + sum(c * m for c, m in terms))
             if not _is_hermitian(k):
                 raise ValueError("constant terms must sum to a Hermitian matrix")
-            sched.exact_frame = _ExactFrame(diag, apply, k, None)
+            sched.exact_frame = _ExactFrame(diag, form.step, k, None)
         elif period is not None:
-            sched.exact_frame = _ExactFrame(diag, apply, None, period)
+            sched.exact_frame = _ExactFrame(diag, form.step, None, period)
         return sched
 
     @property
@@ -333,16 +465,26 @@ def integrate(rhs, y0: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarr
     rtol, atol = tol, tol * 1e-2
     f = rhs(t, y)
     # initial step (Hairer, Norsett & Wanner II.4)
-    scale = atol + np.abs(y) * rtol
+    abs_y = np.abs(y)
+    scale = atol + abs_y * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
     d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else \
         (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1, t1 - t)
-    k = np.empty((7, y.size), dtype=y.dtype)
+    # w = [y; k_0; ...; k_6].  Stage s evaluates f at (1, h a_s) . w[:s+1] and
+    # the step's fifth-order solution is (1, h b) . w[:7]: one product of a
+    # real coefficient row with real rows, which is a complex state's
+    # float view
+    n = y.size
+    w = np.empty((8, n), dtype=y.dtype)
+    w[0], w[1] = y, f
+    rows = w.view(float)
+    heads = [rows[:s + 1] for s in range(7)]
+    ks = rows[1:]
     while t < t1:
-        min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -350,13 +492,14 @@ def integrate(rhs, y0: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarr
                 raise ToleranceError(f"step size fell below {min_step:.3g} at t = {t!r}")
             t_new = min(t + h_abs, t1)
             h = t_new - t
-            k[0] = f
+            coef = _DP_ONE + h * _DP_ROWS
             for s in range(1, 6):
-                k[s] = rhs(t + _DP_C[s] * h, y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
-            y_new = y + h * np.dot(k[:6].T, _DP_B)
-            f_new = k[6] = rhs(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(k.T, _DP_E) * h / scale)
+                w[s + 1] = rhs(t + _DP_TIMES[s] * h, (coef[s, :s + 1] @ heads[s]).view(y.dtype))
+            y_new = (coef[6] @ heads[6]).view(y.dtype)
+            w[7] = rhs(t + h, y_new)
+            abs_new = np.abs(y_new)
+            e = ((h * _DP_E) @ ks).view(y.dtype) / (atol + np.maximum(abs_y, abs_new) * rtol)
+            err = math.sqrt(np.vdot(e, e).real / n)
             # the embedded error is O(h^5): a step scales by err^(-1/5)
             if err < 1:
                 factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
@@ -365,7 +508,8 @@ def integrate(rhs, y0: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarr
             # max() keeps 0.2 when err is NaN
             h_abs = h * max(0.2, 0.9 * err ** -0.2)
             rejected = True
-        t, y, f = t_new, y_new, f_new
+        t, y, abs_y = t_new, y_new, abs_new
+        w[0], w[1] = y, w[7]
     return y
 
 
@@ -397,7 +541,7 @@ def _exact_route(ef: _ExactFrame, y: np.ndarray, t0: float, t1: float,
         """U_K(b, a) on a window shifted into one period, stepped in the lab frame."""
         if b <= a:
             return y
-        y = _integrate_ket(ef.apply, diag(ef.phase(a), y), a, b, tol)
+        y = ef.step(diag(ef.phase(a), y), a, b, tol)
         return diag(ef.phase(-b), y)
 
     first, last = math.ceil(t0 / period), math.floor(t1 / period)
@@ -433,6 +577,8 @@ def carry(h: Schedule, y: np.ndarray, t0: float, t1: float, tol: float) -> np.nd
         return h.exact_frame.carry(t1 - t0, y)
     if h.exact_frame is not None:
         return _exact_route(h.exact_frame, y, t0, t1, tol)
+    if h._terms is not None:
+        return h._terms.step(y, t0, t1, tol)
     return _integrate_ket(h.apply, y, t0, t1, tol)
 
 

@@ -566,6 +566,28 @@ def test_cqed_rejects_non_finite_inputs(monkeypatch):
         daqs.cqed_rabi_step_sweep(**base, step_counts=[4, 0], n_max=6)
 
 
+def test_cqed_rejects_non_integer_step_counts(monkeypatch):
+    # 2.5 used to build every generator and then fail in matrix_power, and
+    # True ran as one step: both are rejected before anything is built
+    def fail(*args, **kwargs):
+        raise AssertionError("a generator was built before the step counts were checked")
+
+    monkeypatch.setattr(daqs, "_tavis_cummings", fail)
+    base = dict(omega_r=1.0, omega_q=1.0, g=1.0, t=2.0, n_max=6)
+    for bad in (2.5, 3.0, True, False, "4", None):
+        with pytest.raises(ValueError):
+            daqs.cqed_rabi_digitize(**base, steps=bad)
+        with pytest.raises(ValueError):
+            daqs.cqed_rabi_step_sweep(**base, step_counts=[2, bad])
+
+
+def test_empty_coupling_names_its_spin_count():
+    with pytest.raises(ValueError, match="0 spins"):
+        daqs.SpinCouplingMatrix(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="0 spins"):
+        daqs.SpinCouplingMatrix.explicit(np.zeros((0, 0)))
+
+
 def _per_count_cqed(omega_r, omega_q, g, t, steps, n_qubits, n_max, split, noise, tol):
     """Test-local copy of the one-count digitization that rebuilt every
     generator, the flip, the reference and the observables per call."""

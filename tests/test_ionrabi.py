@@ -311,24 +311,24 @@ def qrm_family(omega, omega0, n_max):
     db = n_max + 1
     coupling = -np.kron(qc.SIGMA_Y, qc.boson_annihilation(db)
                         + qc.boson_annihilation(db).conj().T)
-    return lambda g: h0 + g * coupling
+    return h0, coupling
 
 
 def test_adiabatic_zero_ramp():
     n_max = 10
-    fam = qrm_family(1.0, 1.0, n_max)
+    h0, coupling = qrm_family(1.0, 1.0, n_max)
     space = qc.HilbertSpace.qubit_boson(n_max=n_max)
-    out = ir.adiabatic_ground_state(fam, 0.0, 5.0, space, n_checkpoints=9)
+    out = ir.adiabatic_ground_state(h0, coupling, 0.0, 5.0, space, n_checkpoints=9)
     assert np.all(out.fidelities > 1.0 - 1e-7)
 
 
 def test_adiabatic_duration_ladder():
     n_max = 16
-    fam = qrm_family(1.0, 1.0, n_max)
+    h0, coupling = qrm_family(1.0, 1.0, n_max)
     space = qc.HilbertSpace.qubit_boson(n_max=n_max)
     finals = []
     for duration in (3.0, 6.0, 12.0, 24.0, 48.0):
-        out = ir.adiabatic_ground_state(fam, 1.0, duration, space,
+        out = ir.adiabatic_ground_state(h0, coupling, 1.0, duration, space,
                                         n_checkpoints=7, tol=1e-8)
         finals.append(out.final_fidelity)
     assert all(b >= a - 1e-6 for a, b in zip(finals, finals[1:]))
@@ -339,17 +339,93 @@ def test_adiabatic_dsc_parity_chain_support():
     # ramping into g/omega = 2 keeps the state exactly on the parity chain
     # of the initial ground state |g,0>
     n_max = 30
-    fam = qrm_family(1.0, 1.0, n_max)
+    h0, coupling = qrm_family(1.0, 1.0, n_max)
     space = qc.HilbertSpace.qubit_boson(n_max=n_max)
-    out = ir.adiabatic_ground_state(fam, 2.0, 60.0, space, n_checkpoints=5, tol=1e-9)
-    schedule = qc.Schedule.time_dependent(space, lambda t: fam(2.0 * t / 60.0))
-    evals, evecs = np.linalg.eigh(fam(0.0))
+    out = ir.adiabatic_ground_state(h0, coupling, 2.0, 60.0, space, n_checkpoints=5, tol=1e-9)
+    schedule = qc.Schedule.time_dependent(space, lambda t: h0 + (2.0 * t / 60.0) * coupling)
+    evals, evecs = np.linalg.eigh(h0)
     final = qc.evolve(qc.PureState(space, evecs[:, 0]), schedule, 0.0, 60.0, tol=1e-9)
     diag = ir.qrm_parity_diagonal(space)
     ground_sector = diag[int(np.argmax(np.abs(evecs[:, 0])))]
     mask = np.abs(diag - ground_sector) < 1e-9
     off_chain = float(np.sum(np.abs(final.amplitudes[~mask]) ** 2))
     assert off_chain < 1e-6
+
+
+def parity_sectors(space):
+    """The two sectors of the Rabi parity sigma_z (x) exp(i pi a^dag a)."""
+    diag = ir.qrm_parity_diagonal(space)
+    return sorted((np.flatnonzero(diag == p) for p in (1.0, -1.0)), key=lambda b: b[0])
+
+
+def term_blocks(sched):
+    evolve_module = importlib.import_module("qworkbench.qcore.evolve")
+    d = sched.space.dim
+    return evolve_module._invariant_blocks(d, sched._terms.stack.reshape(-1, d, d))
+
+
+def test_block_detection_finds_the_parity_sectors():
+    # two sectors for the QRM ramp and the dispersive pulse, one block for
+    # the full drive, whose displacement operator is dense
+    n_max = 16
+    space = qc.HilbertSpace.qubit_boson(n_max=n_max)
+    h0, coupling = qrm_family(1.0, 1.0, n_max)
+    ramp = qc.Schedule.from_terms(space, [(1.0, h0), (lambda t: 0.1 * t, coupling)])
+    pulse = ir._dispersive_pulse_schedule(space, 1.0, 6.0, 1.5, 19.0, 1.0)
+    for sched in (ramp, pulse):
+        blocks = term_blocks(sched)
+        assert len(blocks) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, parity_sectors(space)))
+        assert all(np.array_equal(a, b) for a, b in zip(sched._terms.index, blocks))
+    drive = ir.ion_hamiltonian(jc_drive(), n_max=12)
+    assert len(term_blocks(drive)) == 1 and drive._terms.index is None
+
+
+def test_adiabatic_ramp_steps_one_parity_sector(monkeypatch):
+    # the ground state of h0 is |g, 0>: every RK45 run of the ramp steps its
+    # parity sector alone, half of the 2 (n_max + 1) amplitudes
+    evolve_module = importlib.import_module("qworkbench.qcore.evolve")
+    sizes = []
+    real = evolve_module.integrate
+
+    def recording(rhs, y0, t0, t1, tol):
+        sizes.append(y0.size)
+        return real(rhs, y0, t0, t1, tol)
+
+    monkeypatch.setattr(evolve_module, "integrate", recording)
+    n_max = 16
+    h0, coupling = qrm_family(1.0, 1.0, n_max)
+    space = qc.HilbertSpace.qubit_boson(n_max=n_max)
+    out = ir.adiabatic_ground_state(h0, coupling, 1.0, 6.0, space, n_checkpoints=4, tol=1e-8)
+    assert sizes == [n_max + 1] * 3
+    assert out.final_fidelity > 0.9
+
+
+BAD_RAMPS = [dict(n_checkpoints=1), dict(n_checkpoints=0), dict(n_checkpoints=True),
+             dict(n_checkpoints=4.0), dict(duration=math.nan), dict(duration=math.inf),
+             dict(duration=0.0), dict(g_final=math.nan), dict(g_final=-math.inf)]
+
+
+@pytest.mark.parametrize("kwargs", BAD_RAMPS, ids=[
+    ",".join(f"{k}={v}" for k, v in kw.items()) for kw in BAD_RAMPS])
+def test_adiabatic_rejects_bad_inputs(kwargs, monkeypatch):
+    # a ramp needs a start and an end checkpoint, and finite parameters
+    n_max = 6
+    h0, coupling = qrm_family(1.0, 1.0, n_max)
+    args = dict(g_final=1.0, duration=5.0, n_checkpoints=5) | kwargs
+    _forbid_eigh(monkeypatch)
+    with pytest.raises(ValueError):
+        ir.adiabatic_ground_state(h0, coupling, args["g_final"], args["duration"],
+                                  qc.HilbertSpace.qubit_boson(n_max=n_max),
+                                  n_checkpoints=args["n_checkpoints"])
+
+
+@pytest.mark.parametrize("override", ["checkpoints=1", "checkpoints=0", "g_final=nan",
+                                      "durations=3,nan", "durations=0"])
+def test_qrm_adiabatic_bad_parameters_are_config_errors(override, tmp_path):
+    from qworkbench.harness.cli import main as cli_main
+    assert cli_main(["run", "qrm-adiabatic", "--set", override, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "qrm-adiabatic").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -683,6 +759,41 @@ def test_dispersive_calibration_matches_full_window(monkeypatch):
     assert np.max(np.abs(cal.m_plus - m_plus)) < 1e-9
     assert np.max(np.abs(cal.m_minus - m_minus)) < 1e-9
     assert runs == [(0.0, first / 2), (0.0, cal.duration / 2)]
+
+
+@pytest.mark.parametrize("columns", ["low", "all", "both sectors"])
+def test_dispersive_block_route_takes_the_dense_steps(columns, monkeypatch):
+    # the packed carry over the first half-pulse against qc.integrate over
+    # the dense pulse.apply, the oracle of the full-window test above: the
+    # same right-hand-side evaluations and agreement to 1e-13
+    db, delta, eps, tol = 7, 6.0, 1.5, 1e-9
+    space = qc.HilbertSpace.qubit_boson(n_max=db - 1)
+    duration = (8.0 / 3.0) * (math.pi / 4.0) / (1.0 / (delta - eps) + 1.0 / (delta + eps))
+    pulse = ir._dispersive_pulse_schedule(space, 1.0, delta, eps, duration, 1.0)
+    eye = np.eye(2 * db, dtype=complex)
+    rng = np.random.default_rng(5)
+    y = {"low": eye[:, [0, 1, db, db + 1]], "all": eye,
+         "both sectors": np.stack([(eye[:, 0] + eye[:, db]) / math.sqrt(2.0),
+                                   rng.standard_normal(2 * db)
+                                   + 1j * rng.standard_normal(2 * db)], axis=1)}[columns]
+    evolve_module = importlib.import_module("qworkbench.qcore.evolve")
+    real, counts = evolve_module.integrate, []
+
+    def counting(rhs, y0, t0, t1, tol):
+        def counted(t, v):
+            counts.append(t)
+            return rhs(t, v)
+        return real(counted, y0, t0, t1, tol)
+
+    monkeypatch.setattr(evolve_module, "integrate", counting)
+    block = qc.carry(pulse, y, 0.0, duration / 2, tol)
+    packed_evals = len(counts)
+    counts.clear()
+    shape = y.shape
+    oracle = counting(lambda t, v: -1j * pulse.apply(t, v.reshape(shape)).reshape(-1),
+                      y.reshape(-1), 0.0, duration / 2, tol).reshape(shape)
+    assert packed_evals == len(counts) > 0
+    assert np.max(np.abs(block - oracle)) < 1e-13
 
 
 def test_dispersive_readout_operators_read_only(monkeypatch):

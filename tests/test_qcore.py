@@ -250,6 +250,124 @@ def test_periodic_route_matches_rk45():
         assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-8
 
 
+# ---------------------------------------------------------------------------
+# the block route: RK45 on the blocks a term form leaves invariant
+# ---------------------------------------------------------------------------
+
+def block_terms(rng, sizes, omega):
+    """``periodic_terms`` cut to blocks of ``sizes`` on a shuffled basis, and
+    the blocks as sorted index arrays in order of their first index."""
+    d = sum(sizes)
+    order = rng.permutation(d)
+    mask = np.zeros((d, d), dtype=bool)
+    blocks = []
+    for start, n in zip(np.cumsum((0,) + tuple(sizes)), sizes):
+        idx = np.sort(order[start:start + n])
+        mask[np.ix_(idx, idx)] = True
+        blocks.append(idx)
+    blocks.sort(key=lambda idx: idx[0])
+    return [(f, np.where(mask, m, 0.0)) for f, m in periodic_terms(rng, d, omega)], blocks
+
+
+def _counting_integrate(monkeypatch):
+    """Wrap ``qcore.evolve.integrate``; each run appends its number of
+    right-hand-side evaluations to the returned list."""
+    evolve_module = importlib.import_module("qworkbench.qcore.evolve")
+    real, counts = evolve_module.integrate, []
+
+    def counting(rhs, y0, t0, t1, tol):
+        counts.append(0)
+
+        def counted(t, y):
+            counts[-1] += 1
+            return rhs(t, y)
+        return real(counted, y0, t0, t1, tol)
+
+    monkeypatch.setattr(evolve_module, "integrate", counting)
+    return counts
+
+
+def dense_rk45(sched, y, t0, t1, tol):
+    """The oracle: ``qc.integrate`` over the schedule's dense ``apply``, and
+    its number of right-hand-side evaluations."""
+    shape, count = y.shape, [0]
+
+    def rhs(t, v):
+        count[0] += 1
+        return -1j * sched.apply(t, v.reshape(shape)).reshape(-1)
+    return qc.integrate(rhs, y.reshape(-1), t0, t1, tol).reshape(shape), count[0]
+
+
+def test_term_form_finds_its_invariant_blocks():
+    rng = np.random.default_rng(71)
+    space = qc.HilbertSpace((qc.Qubit(), qc.Boson(3), qc.Qubit()))
+    terms, blocks = block_terms(rng, (7, 5, 4), 3.0)
+    sched = qc.Schedule.from_terms(space, terms, frame=rng.standard_normal(16))
+    assert len(sched._terms.index) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(sched._terms.index, blocks))
+    # number coefficients: a static K, never stepped, so no blocks are kept
+    static = qc.Schedule.from_terms(space, [(1.0, m) for _, m in terms[:2]])
+    assert static.exact_frame.static is not None and static._terms.index is None
+    # padding a 6-block and a 1-block to 6 x 6 would grow the term stack
+    terms, _ = block_terms(rng, (6, 1), 3.0)
+    lopsided = qc.Schedule.from_terms(qc.HilbertSpace((qc.Boson(6),)), terms)
+    assert lopsided._terms.index is None
+
+
+def test_block_route_takes_the_dense_steps(monkeypatch):
+    # the packed carry against RK45 over the full d x m state: the same
+    # right-hand-side evaluations, agreement to rounding, and exact zeros
+    # outside the blocks a column starts in
+    rng = np.random.default_rng(72)
+    space = qc.HilbertSpace((qc.Qubit(), qc.Boson(3), qc.Qubit()))
+    terms, blocks = block_terms(rng, (7, 5, 4), 3.0)
+    sched = qc.Schedule.from_terms(space, terms, frame=3.0 * rng.standard_normal(16))
+    counts = _counting_integrate(monkeypatch)
+    eye = np.eye(16, dtype=complex)
+    ket = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    inside = np.zeros(16, dtype=complex)
+    inside[blocks[1]] = ket[blocks[1]]
+    cases = [eye,                              # every column in one block
+             eye[:, [blocks[2][0], blocks[0][1], blocks[0][3]]],  # two blocks live
+             inside,                           # a ket in one block
+             ket,                              # a ket with support in all three
+             np.stack([ket, inside, np.zeros(16)], axis=1)]
+    for y in cases:
+        for tol in (1e-6, 1e-10):
+            out = qc.carry(sched, y, 0.2, 1.9, tol)
+            oracle, n_eval = dense_rk45(sched, y, 0.2, 1.9, tol)
+            assert counts[-1] == n_eval
+            assert np.max(np.abs(out - oracle)) < 1e-13
+            cols = y.reshape(16, -1)
+            outside = np.ones(out.reshape(16, -1).shape, dtype=bool)
+            for rows in blocks:
+                live = (cols[rows] != 0).any(axis=0)
+                outside[np.ix_(rows, np.flatnonzero(live))] = False
+            assert np.all(out.reshape(16, -1)[outside] == 0)
+    assert len(counts) == 2 * len(cases)
+
+
+def test_block_route_on_the_periodic_route():
+    # U_K(T, 0) and the partial periods on the blocks, against RK45 over
+    # the whole window, as test_periodic_route_matches_rk45 does it densely
+    rng = np.random.default_rng(73)
+    space = qc.HilbertSpace((qc.Qubit(), qc.Boson(3), qc.Qubit()))
+    omega = 9.0
+    period = 2.0 * math.pi / omega
+    terms, _ = block_terms(rng, (6, 6, 4), omega)
+    frame = 5.0 * rng.standard_normal(16)
+    strobe = qc.Schedule.from_terms(space, terms, frame=frame, period=period)
+    rk45 = qc.Schedule.from_terms(space, terms, frame=frame)
+    assert len(strobe._terms.index) == 3
+    psi = qc.random_pure_state(space, rng)
+    for t0, t1 in [(0.37 * period, 4.81 * period), (1.2 * period, 1.7 * period)]:
+        a, b = qc.evolve(psi, strobe, t0, t1), qc.evolve(psi, rk45, t0, t1)
+        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-8
+        u, v = qc.propagator(strobe, t0, t1), qc.propagator(rk45, t0, t1)
+        assert np.max(np.abs(u - v)) < 1e-8
+        assert np.max(np.abs(u @ u.conj().T - np.eye(16))) < 1e-8
+
+
 def test_static_route_matches_rk45():
     # number coefficients: one eigh of K = diag(frame) + sum c_k H_k against
     # RK45 on the same terms with constant callables, both at tol 1e-10
