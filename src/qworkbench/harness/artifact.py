@@ -3,14 +3,13 @@
 Identical (config, seed) runs must reproduce every table byte for byte, so
 floats are rendered with a fixed shortest-round-trip format and no
 timestamps enter the tables; wall time lives only in the metadata file.
+PyYAML loads only when :meth:`RunArtifact.write` writes that file.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import yaml
 
 from .. import __version__
 
@@ -55,6 +54,8 @@ class RunArtifact:
     wall_time: float = 0.0
 
     def write(self, out_dir: str | Path) -> Path:
+        import yaml
+
         root = Path(out_dir) / self.scenario
         root.mkdir(parents=True, exist_ok=True)
         meta_lines = [f"scenario: {self.scenario}", f"seed: {self.master_seed}"]

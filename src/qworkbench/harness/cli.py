@@ -7,13 +7,16 @@
 
 Exit codes: 0 success, 2 configuration error, 3 invariant breach during a
 run, 4 unexpected truncation-guard trip.
+
+``list`` and ``describe`` load argparse and the registry alone; ``run``
+loads the configuration module, the runners and its scenario's physics
+module(s), and PyYAML only to read ``--config`` or write ``metadata.yaml``.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .config import ConfigError, ScenarioConfig, load_config, parse_set_overrides
 from .scenarios import InvariantBreach, describe_scenario, list_scenarios, run_scenario
 
 EXIT_OK = 0
@@ -65,8 +68,7 @@ def main(argv=None) -> int:
             print(f"  {key} = {value}")
         return EXIT_OK
 
-    # run; the physics modules load only here
-    from ..ionrabi import TruncationError
+    from .config import ConfigError, ScenarioConfig, load_config, parse_set_overrides
 
     try:
         if args.config:
@@ -88,6 +90,9 @@ def main(argv=None) -> int:
     except (ConfigError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+
+    # the run loads qcore in any case
+    from ..qcore import TruncationError
 
     try:
         artifact = run_scenario(config)

@@ -2,15 +2,14 @@
 
 A config names one scenario and overrides a subset of its published
 parameters; unknown keys are rejected against the scenario's parameter
-schema so typos fail loudly instead of silently running defaults.
+schema so typos fail loudly instead of silently running defaults.  PyYAML
+loads only when a config file is read.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import yaml
 
 
 class ConfigError(ValueError):
@@ -68,6 +67,8 @@ def _coerce_like(reference, value, key: str):
 
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read a YAML config file: {scenario, seed, out_dir, threads, params}."""
+    import yaml
+
     raw = yaml.safe_load(Path(path).read_text())
     if not isinstance(raw, dict) or "scenario" not in raw:
         raise ConfigError(f"config file {path} must be a mapping with a 'scenario' key")

@@ -4,9 +4,12 @@ Each ``_run_<name>`` takes the resolved parameters, the master seed and the
 thread count, and returns a :class:`RunArtifact`.  The registry in
 :mod:`.scenarios` names its runner as a string, and ``run_scenario`` imports
 this module on its first call, so that listing and describing scenarios
-loads neither numpy nor the physics modules.  Grid sweeps run through
-:func:`parallel_map`, which preserves input order so results are identical
-for any thread count.
+loads neither numpy nor the physics modules.  This module loads numpy and
+``qcore`` only: each runner imports the physics module(s) it calls, so a
+run loads its own scenario's modules and no other.  Each runner checks
+its count and size parameters first and raises :class:`ConfigError` before
+it does any work.  Grid sweeps run through :func:`parallel_map`, which
+preserves input order so results are identical for any thread count.
 """
 from __future__ import annotations
 
@@ -16,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .. import daqs, eqs, ionrabi, openmaster, timecorr
 from .. import qcore as qc
 from .artifact import RunArtifact, Table
 from .config import ConfigError
@@ -30,11 +32,30 @@ def parallel_map(fn: Callable, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _require_at_least(params, **lows) -> None:
+    """ConfigError unless each named integer parameter is at least its
+    bound; a named list must be non-empty, with every element at least the
+    bound (``None`` for a list whose elements carry no bound)."""
+    for key, low in lows.items():
+        value = params[key]
+        if isinstance(value, list):
+            if not value:
+                raise ConfigError(f"{key!r} must not be empty")
+            if low is not None and min(value) < low:
+                raise ConfigError(f"every element of {key!r} must be at least {low}, "
+                                  f"got {value}")
+        elif value < low:
+            raise ConfigError(f"{key!r} must be at least {low}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # time-correlation scenarios
 # ---------------------------------------------------------------------------
 
 def _run_timecorr_2pt(params, seed, threads) -> RunArtifact:
+    _require_at_least(params, n_points=1)
+    from .. import timecorr
+
     omega0 = params["omega0"]
     space = qc.HilbertSpace.qubits(1)
     h = qc.Schedule.constant(qc.OperatorSum.single(space, 0, "Z", omega0 / 2,
@@ -64,6 +85,9 @@ def _run_timecorr_2pt(params, seed, threads) -> RunArtifact:
 
 
 def _run_timecorr_3pt(params, seed, threads) -> RunArtifact:
+    _require_at_least(params, grid_points=1)
+    from .. import timecorr
+
     space = qc.HilbertSpace.qubits(1)
     h = qc.Schedule.constant(qc.OperatorSum.single(space, 0, "Z", -100.0 * math.pi,
                                                    hermitian=True))
@@ -95,7 +119,9 @@ def _run_timecorr_3pt(params, seed, threads) -> RunArtifact:
 # open-system scenarios
 # ---------------------------------------------------------------------------
 
-def _damping_model(gamma: float) -> openmaster.LindbladModel:
+def _damping_model(gamma: float):
+    from .. import openmaster
+
     space = qc.HilbertSpace.qubits(1)
     return openmaster.LindbladModel(
         qc.OperatorSum.zero(space),
@@ -103,6 +129,10 @@ def _damping_model(gamma: float) -> openmaster.LindbladModel:
 
 
 def _run_lindblad_reconstruction(params, seed, threads) -> RunArtifact:
+    # the grid drops t = 0, so one point would leave an empty table
+    _require_at_least(params, order=0, n_points=2)
+    from .. import openmaster
+
     gamma = params["gamma"]
     order = params["order"]
     model = _damping_model(gamma)
@@ -131,6 +161,8 @@ def _run_lindblad_reconstruction(params, seed, threads) -> RunArtifact:
 
 def _random_lindblad_model(rng):
     """(n_qubits, model, rho0, t) for one random 1-2 qubit dissipative model."""
+    from .. import openmaster
+
     n_qubits = int(rng.integers(1, 3))
     space = qc.HilbertSpace.qubits(n_qubits)
     d = space.dim
@@ -155,6 +187,9 @@ def _random_lindblad_model(rng):
 
 
 def _run_lindblad_bounds(params, seed, threads) -> RunArtifact:
+    _require_at_least(params, n_models=1, max_order=0)
+    from .. import openmaster
+
     # every model is drawn before any is evaluated, so the rng stream and
     # the table do not depend on the thread count
     rng = np.random.default_rng(seed)
@@ -191,6 +226,9 @@ def _run_lindblad_bounds(params, seed, threads) -> RunArtifact:
 # ---------------------------------------------------------------------------
 
 def _run_eqs_concurrence(params, seed, threads) -> RunArtifact:
+    _require_at_least(params, n_points=1)
+    from .. import eqs
+
     grid = np.linspace(0.0, math.pi, params["n_points"])
     # embedded image of H = -g ZZ; the dynamics depends only on gt
     psi0 = eqs.embed_state(qc.all_plus_state(2))
@@ -221,6 +259,8 @@ def _run_eqs_concurrence(params, seed, threads) -> RunArtifact:
 
 def _tangle_from_embedded(rho_or_state, readout, rescale=None) -> float:
     """The 3-tangle from the readout pairs (Z mu YY, X mu YY), mu = I, X, Z."""
+    from .. import eqs
+
     values = []
     for pair in readout:
         vals = []
@@ -235,6 +275,10 @@ def _tangle_from_embedded(rho_or_state, readout, rescale=None) -> float:
 
 
 def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
+    # the grid drops t = 0, so one point would leave an empty table
+    _require_at_least(params, n_points=2, trotter_steps=1)
+    from .. import eqs
+
     omega, g = params["omega"], params["g"]
     terms = [(omega, "IYII"), (omega, "IIYI"), (omega, "IIIY"), (-g, "YXXX")]
     psi0 = qc.basis_state(qc.HilbertSpace.qubits(4), [0, 0, 0, 0])
@@ -274,6 +318,9 @@ def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
 # ---------------------------------------------------------------------------
 
 def _run_qrm_regimes(params, seed, threads) -> RunArtifact:
+    _require_at_least(params, n_omega0=1, n_g=1)
+    from .. import ionrabi
+
     omega = 1.0
     ratios0 = np.linspace(params["omega0_min"], params["omega0_max"], params["n_omega0"])
     ratios_g = np.geomspace(params["g_min"], params["g_max"], params["n_g"])
@@ -291,14 +338,15 @@ def _run_qrm_regimes(params, seed, threads) -> RunArtifact:
 
 
 def _run_qrm_adiabatic(params, seed, threads) -> RunArtifact:
+    # two checkpoints are the start and the end of the ramp
+    _require_at_least(params, n_max=1, durations=None, checkpoints=2)
     n_max = params["n_max"]
-    if params["checkpoints"] < 2:
-        raise ConfigError(f"'checkpoints' must be at least 2 (the start and the end "
-                          f"of the ramp), got {params['checkpoints']}")
     if not math.isfinite(params["g_final"]):
         raise ConfigError(f"'g_final' must be finite, got {params['g_final']}")
     if not all(math.isfinite(d) and d > 0.0 for d in params["durations"]):
         raise ConfigError(f"'durations' must be finite and positive, got {params['durations']}")
+    from .. import ionrabi
+
     fam_base = ionrabi.RabiParams(omega0_r=1.0, omega_r=1.0, g=0.0)
     space = qc.HilbertSpace.qubit_boson(n_max=n_max)
     h0 = ionrabi.qrm_hamiltonian(fam_base, n_max).matrix()
@@ -320,7 +368,14 @@ def _run_qrm_adiabatic(params, seed, threads) -> RunArtifact:
 
 
 def _run_twophoton_spectrum(params, seed, threads) -> RunArtifact:
+    _require_at_least(params, n_max=1, n_levels=1, g_values=None)
     n_levels = params["n_levels"]
+    # the spectrum keeps at most a quarter of the 2 (n_max + 1) levels
+    if n_levels > (params["n_max"] + 1) // 2:
+        raise ConfigError(f"'n_levels' must be at most (n_max + 1) // 2 = "
+                          f"{(params['n_max'] + 1) // 2}, got {n_levels}")
+    from .. import ionrabi
+
     g_values = [float(g) for g in params["g_values"]]
 
     def spectrum(chunk):
@@ -343,6 +398,9 @@ def _run_twophoton_spectrum(params, seed, threads) -> RunArtifact:
 
 
 def _run_twophoton_dynamics(params, seed, threads) -> RunArtifact:
+    _require_at_least(params, n_points=1, n_max=1)
+    from .. import ionrabi
+
     omega = 1.0
     tp = ionrabi.TwoPhotonParams(omega=omega, omega_q=params["omega_q"],
                                  g=params["g_over_omega"])
@@ -365,7 +423,7 @@ def _run_twophoton_dynamics(params, seed, threads) -> RunArtifact:
     base, again = parallel_map(trace_for, [n_max, n_max + 10], threads)
     drift = max(abs(a[1] - b[1]) for a, b in zip(base, again))
     if drift > 1e-6:
-        raise ionrabi.TruncationError(
+        raise qc.TruncationError(
             f"two-photon dynamics drifted {drift:.2e} between n_max={n_max} and +10")
     table = Table("dynamics", ("t", "mean_phonons", "qubit_z"),
                   ("1/omega", "1", "1"), base)
@@ -378,6 +436,12 @@ def _run_twophoton_dynamics(params, seed, threads) -> RunArtifact:
 # ---------------------------------------------------------------------------
 
 def _run_daqs_heisenberg(params, seed, threads) -> RunArtifact:
+    _require_at_least(params, n_spins=1, step_counts=1, n_points=1)
+    if len(params["benchmark_state"]) != params["n_spins"]:
+        raise ConfigError(f"'benchmark_state' needs one entry per spin ({params['n_spins']}), "
+                          f"got {params['benchmark_state']}")
+    from .. import daqs
+
     coupling = daqs.SpinCouplingMatrix.power_law(params["n_spins"], 1.0,
                                                  params["alpha"])
     state = qc.qubit_register_state(params["benchmark_state"])
@@ -404,6 +468,9 @@ def _run_daqs_heisenberg(params, seed, threads) -> RunArtifact:
 
 
 def _run_cqed_rabi(params, seed, threads) -> RunArtifact:
+    _require_at_least(params, step_counts=1, n_max=1)
+    from .. import daqs
+
     presets = {
         "g=wr2=wq2": dict(omega_r=2.0, omega_q=2.0, g=1.0),
         "g=wr=wq": dict(omega_r=1.0, omega_q=1.0, g=1.0),

@@ -2,28 +2,24 @@
 
 Each scenario exposes typed default parameters (the override schema), a
 description, and the name of its runner in :mod:`.runners`.  The registry is
-plain data, so listing and describing scenarios imports no numerical module;
-:func:`run_scenario` loads the runners on its first call.
+plain data and this module imports nothing beyond the standard library's
+``math`` and ``collections``, so listing and describing scenarios loads no
+numerical module, no configuration or artifact module and no YAML;
+:func:`run_scenario` loads the runners and the artifact module on its first
+call, and each runner loads only its own physics module(s).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .artifact import RunArtifact, Stopwatch
+from collections import namedtuple
 
 
 class InvariantBreach(RuntimeError):
     """A scenario-level correctness guarantee failed during the run."""
 
 
-@dataclass(frozen=True)
-class Scenario:
-    scenario_id: str
-    description: str
-    details: str
-    defaults: dict
-    runner: str             # name of a function in .runners
+# runner: the name of a function in .runners
+Scenario = namedtuple("Scenario", "scenario_id description details defaults runner")
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +151,10 @@ def describe_scenario(scenario_id: str) -> Scenario:
     return SCENARIOS[scenario_id]
 
 
-def run_scenario(config) -> RunArtifact:
+def run_scenario(config):
+    """Run ``config``'s scenario and return its :class:`.artifact.RunArtifact`."""
     from . import runners
+    from .artifact import Stopwatch
 
     scenario = describe_scenario(config.scenario)
     params = config.resolved(scenario.defaults)

@@ -38,6 +38,7 @@ from .qcore import (
     PureState,
     Qubit,
     Schedule,
+    TruncationError,
     carry,
     evolve,
     expectation,
@@ -49,10 +50,6 @@ from .qcore import (
     shot_uniforms,
 )
 from .qcore.operators import SIGMA_Y, SIGMA_Z
-
-
-class TruncationError(RuntimeError):
-    """Observable shifted beyond tolerance when the Fock cutoff increased."""
 
 
 # ---------------------------------------------------------------------------

@@ -442,7 +442,8 @@ def _sample_values(model, omat, rho0, order, t, plan) -> np.ndarray:
         for k in range(order):
             values *= [model.channels[i].rate(s) for i, s in zip(indices[:, k], times[:, k])]
     keys = np.ravel_multi_index(tuple(indices.T), (model.n_channels,) * order)
-    for key in np.unique(keys):
+    # the keys that occur, in ascending order (np.unique would load numpy.ma)
+    for key in np.flatnonzero(np.bincount(keys)):
         sel = np.flatnonzero(keys == key)
         chains = _pauli_chains(o_terms, [l_terms[i] for i in indices[sel[0]]])
         values[sel] *= _chain_sums(chains, rho0, times[sel], t, model.h, shots,

@@ -15,6 +15,7 @@ from .spaces import (
     DimensionMismatchError,
     HilbertSpace,
     Qubit,
+    TruncationError,
 )
 from .operators import (
     OperatorSum,

@@ -22,6 +22,10 @@ DIMENSION_CAP = 16384
 DEFAULT_N_MAX = 40
 
 
+class TruncationError(RuntimeError):
+    """Observable shifted beyond tolerance when the Fock cutoff increased."""
+
+
 class DimensionCapError(ValueError):
     """Total Hilbert-space dimension exceeds :data:`DIMENSION_CAP`."""
 

@@ -137,35 +137,90 @@ def test_truncation_guard_exit_code(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the registry is plain data; the runners load only on a run
+# each command loads only what it uses: the registry is plain data, a run
+# loads its own physics module(s), and YAML loads only to read or write
 # ---------------------------------------------------------------------------
 
-NUMERICAL_MODULES = ("numpy", "scipy", "qworkbench.qcore", "qworkbench.timecorr",
-                     "qworkbench.openmaster", "qworkbench.eqs", "qworkbench.ionrabi",
-                     "qworkbench.daqs")
+PHYSICS_MODULES = ("qworkbench.timecorr", "qworkbench.openmaster", "qworkbench.eqs",
+                   "qworkbench.ionrabi", "qworkbench.daqs")
+NUMERICAL_MODULES = ("numpy", "scipy", "qworkbench.qcore") + PHYSICS_MODULES
+# list and describe need neither the configuration nor the artifact module,
+# nor what those load: PyYAML and the dataclass machinery
+UNUSED_BY_LIST = NUMERICAL_MODULES + ("yaml", "dataclasses", "qworkbench.harness.config",
+                                      "qworkbench.harness.artifact")
+
+
+def _loaded(names, modules) -> list:
+    return [name for name in names
+            if any(name == mod or name.startswith(mod + ".") for mod in modules)]
+
+
+def _cli_imports(argv, timeout=60) -> tuple:
+    """(stdout, modules imported) of ``python -X importtime -m
+    qworkbench.harness.cli *argv``, which must exit 0."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qworkbench.harness.cli", *argv],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and line.count("|") == 2]
+    return proc.stdout, imported
 
 
 @pytest.mark.parametrize("argv", [["list"], ["describe", "eqs-3tangle"]])
 def test_list_and_describe_import_no_numerical_module(argv):
-    import os
+    stdout, imported = _cli_imports(argv)
+    assert "eqs-3tangle" in stdout
+    assert "qworkbench.harness.scenarios" in imported
+    assert _loaded(imported, UNUSED_BY_LIST) == []
+    assert set(_loaded(imported, ("qworkbench",))) <= {
+        "qworkbench", "qworkbench.harness", "qworkbench.harness.cli",
+        "qworkbench.harness.scenarios"}
+
+
+@pytest.mark.parametrize("scenario_id, physics", [
+    ("qrm-regimes", ["qworkbench.ionrabi"]),
+    ("timecorr-2pt", ["qworkbench.timecorr"]),
+    ("daqs-heisenberg", ["qworkbench.daqs", "qworkbench.openmaster"]),
+])
+def test_run_loads_only_its_own_physics_modules(scenario_id, physics, tmp_path):
+    _, imported = _cli_imports(["run", scenario_id, "--out", str(tmp_path)], timeout=120)
+    assert sorted(_loaded(imported, PHYSICS_MODULES)) == sorted(physics)
+    assert (tmp_path / scenario_id / "metadata.yaml").exists()
+
+
+def test_importing_the_harness_loads_no_yaml():
+    import json
     import subprocess
     import sys
-    from pathlib import Path
 
-    import qworkbench
-
-    env = dict(os.environ, PYTHONPATH=str(Path(qworkbench.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "qworkbench.harness.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60)
+    code = ("import json, sys\n"
+            "import qworkbench.harness\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert "eqs-3tangle" in proc.stdout
-    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:") and line.count("|") == 2]
-    assert "qworkbench.harness.scenarios" in imported
-    loaded = [name for name in imported
-              if any(name == mod or name.startswith(mod + ".") for mod in NUMERICAL_MODULES)]
-    assert loaded == []
+    loaded = json.loads(proc.stdout)
+    assert "qworkbench.harness.scenarios" in loaded
+    assert _loaded(loaded, UNUSED_BY_LIST) == []
+
+
+def test_deferred_public_names_still_resolve():
+    from qworkbench import ionrabi, qcore
+    from qworkbench.harness import artifact, config
+
+    assert harness.ScenarioConfig is config.ScenarioConfig
+    assert harness.load_config is config.load_config
+    assert harness.ConfigError is config.ConfigError
+    assert harness.Table is artifact.Table
+    assert harness.RunArtifact is artifact.RunArtifact
+    assert ionrabi.TruncationError is qcore.TruncationError
+    assert all(getattr(harness, name) is not None for name in harness.__all__)
+    with pytest.raises(AttributeError):
+        harness.no_such_name
 
 
 def test_every_runner_is_registered_and_every_registered_runner_exists():
@@ -285,6 +340,28 @@ def test_negative_seed_is_config_error(tmp_path):
     assert not (tmp_path / "lindblad-bounds").exists()
 
 
+@pytest.mark.parametrize("scenario_id, override", [
+    ("qrm-adiabatic", "n_max=0"),
+    ("twophoton-dynamics", "n_max=0"),
+    ("cqed-rabi", "n_max=0"),
+    ("twophoton-spectrum", "n_max=0"),
+    ("twophoton-spectrum", "n_levels=61"),
+    ("twophoton-dynamics", "n_points=0"),
+    ("qrm-adiabatic", "durations="),
+    ("cqed-rabi", "step_counts="),
+    ("cqed-rabi", "step_counts=0,2"),
+    ("timecorr-2pt", "n_points=0"),
+    ("eqs-3tangle", "n_points=1"),
+    ("daqs-heisenberg", "n_spins=3"),
+])
+def test_bad_scenario_parameter_is_config_error(scenario_id, override, tmp_path):
+    # each runner checks its counts and sizes before it does any work: no
+    # traceback, and no scenario directory with an empty table
+    assert cli_main(["run", scenario_id, "--set", override,
+                     "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / scenario_id).exists()
+
+
 # ---------------------------------------------------------------------------
 # the physics runs on numpy alone: a run loads no scipy module
 # ---------------------------------------------------------------------------
@@ -307,17 +384,9 @@ def _subprocess_env() -> dict:
 
 
 def test_run_with_the_stepper_imports_no_scipy_integrate(tmp_path):
-    import subprocess
-    import sys
-
     # qrm-adiabatic drives its ramp through qcore's adaptive stepper
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "qworkbench.harness.cli", "run",
-         "qrm-adiabatic", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=_subprocess_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:") and line.count("|") == 2]
+    _, imported = _cli_imports(["run", "qrm-adiabatic", "--out", str(tmp_path)],
+                               timeout=120)
     assert "qworkbench.qcore.evolve" in imported
     assert [name for name in imported if _is_unused_scipy(name)] == []
 

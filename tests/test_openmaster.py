@@ -925,3 +925,32 @@ def test_nonhermitian_evolve_rejects_negative_time(order):
     with pytest.raises(ValueError, match="t must be >= 0"):
         om.nonhermitian_evolve(sigma(space, "Z", 0.4), sigma(space, "Pe", 0.3), rho0, -0.5,
                                order=order)
+
+
+def test_monte_carlo_reconstruction_loads_no_numpy_ma():
+    # the sampled channel combinations are found by np.bincount; np.unique
+    # would import numpy.ma (a few ms) on the first reconstruction
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qworkbench
+
+    code = ("import sys\n"
+            "from qworkbench import openmaster as om, qcore as qc\n"
+            "space = qc.HilbertSpace.qubits(2)\n"
+            "model = om.LindbladModel(qc.OperatorSum.pauli_string(space, 'ZZ'),\n"
+            "    [(qc.OperatorSum.single(space, 0, 'S-'), 0.3),\n"
+            "     (qc.OperatorSum.pauli_string(space, 'XY'), 0.2)])\n"
+            "rho0 = qc.basis_state(space, [0, 1]).to_density_matrix()\n"
+            "obs = qc.OperatorSum.pauli_string(space, 'ZI')\n"
+            "for shots in (None, 2):\n"
+            "    om.reconstruct(model, obs, rho0, 0.4, 2, plan=om.MonteCarloPlan(50, 3, shots))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qworkbench.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
