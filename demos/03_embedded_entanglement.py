@@ -19,14 +19,14 @@ from qworkbench import eqs
 from qworkbench import qcore as qc
 
 g = 1.0
-h_tilde = g * qc.dense_pauli("YZZ")          # embedded image of H = -g ZZ
+h = qc.OperatorSum.pauli_string(qc.HilbertSpace.qubits(2), "ZZ", -g)
+h_tilde = qc.Schedule.constant(eqs.embed_hamiltonian(h))   # g YZZ
 psi0 = eqs.embed_state(qc.all_plus_state(2))
 
 print("embedded concurrence of exp(+i g t ZZ)|++>  (closed form |sin 2gt|)")
 print(f"{'gt':>6s} {'embedded':>10s} {'direct':>10s} {'|sin2gt|':>10s}")
 for gt in np.linspace(0.0, math.pi / 2.0, 7):
-    tilde = qc.PureState(qc.HilbertSpace.qubits(3),
-                         qc.expm(-1j * h_tilde * gt) @ psi0.amplitudes)
+    tilde = qc.evolve(psi0, h_tilde, 0.0, gt)
     c = eqs.monotone(tilde, eqs.MonotoneSpec("Concurrence2", 2))
     direct = eqs.concurrence_direct(eqs.decode_state(tilde))
     print(f"{gt:6.3f} {c.value:10.6f} {direct:10.6f} {abs(math.sin(2 * gt)):10.6f}")
@@ -34,11 +34,12 @@ print(f"(the protocol measures only {c.observables_measured} observables; "
       "tomography would need 15)")
 
 print("\nthree-tangle along GHZ-generating dynamics:")
-terms = [(1.0, "IYII"), (1.0, "IIYI"), (1.0, "IIIY"), (-2.0, "YXXX")]
-h4 = sum(c_ * qc.dense_pauli(lbl) for c_, lbl in terms)
-psi4 = qc.basis_state(qc.HilbertSpace.qubits(4), [0, 0, 0, 0])
+h3 = qc.OperatorSum(qc.HilbertSpace.qubits(3),
+                    [(1.0, "YII"), (1.0, "IYI"), (1.0, "IIY"), (2.0, "XXX")])
+h4 = qc.Schedule.constant(eqs.embed_hamiltonian(h3))   # IYII + IIYI + IIIY - 2 YXXX
+psi4 = qc.basis_state(h4.space, [0, 0, 0, 0])
 for t in np.linspace(0.0, 1.2, 5):
-    state = qc.PureState(qc.HilbertSpace.qubits(4), qc.expm(-1j * h4 * t) @ psi4.amplitudes)
+    state = qc.evolve(psi4, h4, 0.0, t)
     tau = eqs.monotone(state, eqs.MonotoneSpec("Tangle3", 3))
     print(f"  t = {t:4.2f}: tangle = {tau.value:.6f} "
           f"({tau.observables_measured} observables)")

@@ -13,8 +13,6 @@ state adiabatically.
 """
 import math
 
-import numpy as np
-
 from qworkbench import ionrabi as ir
 from qworkbench import qcore as qc
 
@@ -53,9 +51,8 @@ for frac in (0.25, 0.5):
 print("\nadiabatic preparation of the g/omega = 1 ground state:")
 base = ir.RabiParams(omega0_r=1.0, omega_r=1.0, g=0.0)
 h0 = ir.qrm_hamiltonian(base, 16).matrix()
-a = qc.boson_annihilation(17)
-coupling = -np.kron(qc.SIGMA_Y, a + a.conj().T)
 space = qc.HilbertSpace.qubit_boson(n_max=16)
+coupling = qc.OperatorSum(space, [(-1.0, ("Y", "x"))]).matrix()
 for duration in (5.0, 20.0, 60.0):
     out = ir.adiabatic_ground_state(h0, coupling, 1.0, duration, space, n_checkpoints=7)
     print(f"  ramp over {duration:5.1f}/omega: final fidelity {out.final_fidelity:.5f}")

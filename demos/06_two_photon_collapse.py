@@ -36,9 +36,9 @@ print("  omega - 2g:   " + "  ".join(f"{c:5.3f}" for c in diag.potential_coeffic
 
 print("\nfirst-excited-state occupation vs Fock cutoff at g/omega = 0.49:")
 for nm in (20, 40, 80, 120):
-    h = ir.two_photon_hamiltonian(ir.TwoPhotonParams(omega, omega_q, 0.49), 1, nm).matrix()
-    evals, evecs = np.linalg.eigh(h)
-    nd = np.kron(np.ones(2), np.arange(nm + 1))
+    h = ir.two_photon_hamiltonian(ir.TwoPhotonParams(omega, omega_q, 0.49), 1, nm)
+    evals, evecs = np.linalg.eigh(h.matrix())
+    nd = qc.OperatorSum.single(h.space, -1, "n").matrix().diagonal().real
     print(f"  cutoff {nm:3d}: <n> = {float(np.sum(nd * np.abs(evecs[:, 1]) ** 2)):.4f}")
 
 print("\ncharacteristic exponents gamma = +-w/2 +- sqrt(w^2/4 - 1), w = omega/g:")
@@ -52,8 +52,6 @@ space = qc.HilbertSpace.qubit_boson(n_max=40)
 h = ir.two_photon_hamiltonian(ir.TwoPhotonParams(omega, omega_q, 0.3), 1, 40).matrix()
 psi0 = qc.basis_state(space, [1, 1])
 sched = qc.Schedule.constant(h, space)
-diag_pi = ir.generalized_parity_diagonal(space)
 for t in (0.0, 1.5, 4.0):
     st = qc.evolve(psi0, sched, 0.0, t) if t else psi0
-    val = complex(np.sum(diag_pi * np.abs(st.amplitudes) ** 2))
-    print(f"  t = {t:3.1f}: <parity> = {val:+.6f}")
+    print(f"  t = {t:3.1f}: <parity> = {ir.parity_direct(st):+.6f}")

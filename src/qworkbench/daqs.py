@@ -158,12 +158,6 @@ def analog_block(kind: str, coupling: SpinCouplingMatrix) -> np.ndarray:
     return acc
 
 
-def heisenberg(coupling: SpinCouplingMatrix) -> np.ndarray:
-    """sum_{i<j} J_ij (XX + YY + ZZ)."""
-    return analog_block(kind="XY", coupling=coupling) + \
-        analog_block(kind="ZZ", coupling=coupling)
-
-
 @dataclass(frozen=True)
 class _Generators:
     """What the Heisenberg Trotter loops of one coupling reuse."""
@@ -227,7 +221,7 @@ class HeisenbergRun:
 def _heisenberg_run(coupling: SpinCouplingMatrix, t: float, step: np.ndarray,
                     plan: TrotterPlan, states: dict | None) -> HeisenbergRun:
     """``plan.steps`` repetitions of one Trotter ``step`` against the exact
-    exp(-i H t), H = ``heisenberg(coupling)``: the operator-norm defect and
+    exp(-i H t), H = H_XY + H_ZZ: the operator-norm defect and
     the fidelity of each named state."""
     u = np.linalg.matrix_power(step, plan.steps)
     exact = propagator(coupling._generators().full, 0.0, t)

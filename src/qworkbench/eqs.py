@@ -33,7 +33,7 @@ from .qcore import (
     on_factors,
     pauli_rotation,
 )
-from .qcore.operators import PAULI_LABELS, PAULIS, SIGMA_Y
+from .qcore.operators import PAULI_LABELS, PAULIS
 
 #: metric weights over (I, X, Y, Z) used by the antilinear monotone family
 METRIC_DIAGONAL = (-1.0, 1.0, 0.0, 1.0)
@@ -79,20 +79,31 @@ def conjugation_gate(n_qubits: int) -> np.ndarray:
     return kron_all([PAULIS["Z"], np.eye(2 ** n_qubits, dtype=complex)])
 
 
-def embed_hamiltonian(h: np.ndarray | OperatorSum) -> np.ndarray:
-    """H~ = i I (x) B - sigma_y (x) A for H = A + iB (A = Re H, B = Im H).
+def embed_hamiltonian(h: OperatorSum) -> OperatorSum:
+    """H~ = i I (x) B - sigma_y (x) A for H = A + iB, term by term.
 
-    Hermiticity of H guarantees A symmetric and B antisymmetric; both are
-    asserted.  The result is Hermitian with purely imaginary entries and
-    satisfies the intertwining relation M H~ = H M.
+    ``h`` is a sum of Pauli strings with real coefficients on a qubit
+    register.  A string with an even number of Y's is a real matrix, so
+    ``c P -> -c Y (x) P``; one with an odd number is imaginary, so
+    ``c P -> c I (x) P``.  The result lives on one more qubit (index 0),
+    keeps the term order, is purely imaginary and satisfies the
+    intertwining relation M H~ = H M.  Raises ``ValueError`` for a complex
+    coefficient, a code other than ``I X Y Z`` or a space with a mode.
     """
-    hm = h.matrix() if isinstance(h, OperatorSum) else np.asarray(h, dtype=complex)
-    if np.max(np.abs(hm - hm.conj().T)) > 1e-10:
-        raise ValueError("H must be Hermitian")
-    a, b = hm.real, hm.imag
-    if np.max(np.abs(a - a.T)) > 1e-12 or np.max(np.abs(b + b.T)) > 1e-12:
-        raise ValueError("Re H must be symmetric and Im H antisymmetric")
-    return 1j * kron_all([np.eye(2), b]) - kron_all([SIGMA_Y, a])
+    if not h.space.is_qubit_only:
+        raise ValueError("the embedding is defined for qubit registers")
+    terms = []
+    for coeff, factors in h.terms:
+        if coeff.imag != 0.0:
+            raise ValueError(f"coefficient {coeff} of {factors} is not real")
+        if any(code not in PAULI_LABELS for code in factors):
+            raise ValueError(f"{factors} is not a Pauli string")
+        if factors.count("Y") % 2:
+            terms.append((coeff, ("I",) + factors))
+        else:
+            terms.append((-coeff, ("Y",) + factors))
+    return OperatorSum(HilbertSpace.qubits(h.space.n_factors + 1), terms,
+                       hermitian=h.hermitian)
 
 
 def conj_expectation(psi_tilde: PureState, observable: np.ndarray | OperatorSum) -> complex:
@@ -198,28 +209,6 @@ def concurrence_direct(psi: PureState | np.ndarray) -> float:
     return float(abs(np.vdot(amps, dense_pauli("YY") @ amps.conj())))
 
 
-def monotone_mixed(decomposition, spec: MonotoneSpec) -> MonotoneResult:
-    """sum_i p_i E(psi_i) for one GIVEN pure-state decomposition.
-
-    This is only the inner evaluation of the convex-roof construction;
-    the minimization over decompositions is out of scope here, so the
-    value is an upper bound on the mixed-state monotone.
-    """
-    total = 0.0
-    observables: tuple = ()
-    weight = 0.0
-    for p, psi in decomposition:
-        if p < 0.0:
-            raise ValueError("decomposition weights must be nonnegative")
-        out = monotone(psi, spec)
-        total += p * out.value
-        observables += out.observables
-        weight += p
-    if abs(weight - 1.0) > 1e-9:
-        raise ValueError("decomposition weights must sum to one")
-    return MonotoneResult(float(total), observables)
-
-
 # ---------------------------------------------------------------------------
 # controlled-Z circuit identity
 # ---------------------------------------------------------------------------
@@ -241,12 +230,6 @@ def reduced_circuit_unitary(phi: float) -> np.ndarray:
 
 def reduced_circuit_target(phi: float) -> np.ndarray:
     return pauli_rotation("YZZ", phi)
-
-
-def reduced_circuit_two_gate(phi: float) -> np.ndarray:
-    """Two-gate variant CZ_02 CZ_01 Ry0(phi): equivalent on the |0>-ancilla subspace."""
-    ry = pauli_rotation("YII", phi)
-    return _cz(0, 2, 3) @ _cz(0, 1, 3) @ ry
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ class ScenarioConfig:
 
 
 def _coerce_like(reference, value, key: str):
-    """Cast an override to the default's type (int/float/str/list)."""
+    """Cast an override to the default's type (int/float/str/list); a
+    number, or a list element, must be finite."""
     if isinstance(reference, int):
         try:
             as_float = float(value)
@@ -52,9 +53,12 @@ def _coerce_like(reference, value, key: str):
         return int(as_float)
     if isinstance(reference, float):
         try:
-            return float(value)
+            as_float = float(value)
         except (TypeError, ValueError):
             raise ConfigError(f"cannot read {value!r} as a number for {key!r}") from None
+        if not math.isfinite(as_float):
+            raise ConfigError(f"{key!r} expects a finite number, got {value!r}")
+        return as_float
     if isinstance(reference, (list, tuple)):
         if isinstance(value, str):
             value = [p for p in value.split(",") if p != ""]

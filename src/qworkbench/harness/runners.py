@@ -33,7 +33,7 @@ def parallel_map(fn: Callable, items, threads: int) -> list:
 
 
 def _require_at_least(params, **lows) -> None:
-    """ConfigError unless each named integer parameter is at least its
+    """ConfigError unless each named number parameter is at least its
     bound; a named list must be non-empty, with every element at least the
     bound (``None`` for a list whose elements carry no bound)."""
     for key, low in lows.items():
@@ -53,7 +53,7 @@ def _require_at_least(params, **lows) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_timecorr_2pt(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, n_points=1)
+    _require_at_least(params, n_points=1, t_max=0.0)
     from .. import timecorr
 
     omega0 = params["omega0"]
@@ -85,7 +85,7 @@ def _run_timecorr_2pt(params, seed, threads) -> RunArtifact:
 
 
 def _run_timecorr_3pt(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, grid_points=1)
+    _require_at_least(params, grid_points=1, t_min=0.0, t_max=0.0)
     from .. import timecorr
 
     space = qc.HilbertSpace.qubits(1)
@@ -130,9 +130,12 @@ def _damping_model(gamma: float):
 
 def _run_lindblad_reconstruction(params, seed, threads) -> RunArtifact:
     # the grid drops t = 0, so one point would leave an empty table
-    _require_at_least(params, order=0, n_points=2)
+    _require_at_least(params, order=0, n_points=2, t_max=0.0)
     from .. import openmaster
 
+    if params["order"] > openmaster.MAX_ORDER:
+        raise ConfigError(f"'order' must be at most {openmaster.MAX_ORDER}, "
+                          f"got {params['order']}")
     gamma = params["gamma"]
     order = params["order"]
     model = _damping_model(gamma)
@@ -230,9 +233,10 @@ def _run_eqs_concurrence(params, seed, threads) -> RunArtifact:
     from .. import eqs
 
     grid = np.linspace(0.0, math.pi, params["n_points"])
-    # embedded image of H = -g ZZ; the dynamics depends only on gt
+    # H = -g ZZ embeds as g YZZ; the dynamics depends only on gt
+    h = qc.OperatorSum.pauli_string(qc.HilbertSpace.qubits(2), "ZZ", -1.0)
+    h_tilde = qc.Schedule.constant(eqs.embed_hamiltonian(h))
     psi0 = eqs.embed_state(qc.all_plus_state(2))
-    h_tilde = qc.Schedule.constant(qc.OperatorSum.pauli_string(psi0.space, "YZZ"))
     yy = qc.dense_pauli("YY")
 
     def one(gt):
@@ -276,18 +280,23 @@ def _tangle_from_embedded(rho_or_state, readout, rescale=None) -> float:
 
 def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
     # the grid drops t = 0, so one point would leave an empty table
-    _require_at_least(params, n_points=2, trotter_steps=1)
+    _require_at_least(params, n_points=2, trotter_steps=1, t_max=0.0)
+    if not all(0.0 < eps <= 1.0 for eps in params["gate_fidelities"]):
+        raise ConfigError(f"every element of 'gate_fidelities' must lie in (0, 1], "
+                          f"got {params['gate_fidelities']}")
     from .. import eqs
 
     omega, g = params["omega"], params["g"]
-    terms = [(omega, "IYII"), (omega, "IIYI"), (omega, "IIIY"), (-g, "YXXX")]
-    psi0 = qc.basis_state(qc.HilbertSpace.qubits(4), [0, 0, 0, 0])
+    # H = omega (YII + IYI + IIY) + g XXX on the register, embedded
+    h_tilde = eqs.embed_hamiltonian(qc.OperatorSum(qc.HilbertSpace.qubits(3), [
+        (omega, "YII"), (omega, "IYI"), (omega, "IIY"), (g, "XXX")]))
+    terms = [(c.real, "".join(factors)) for c, factors in h_tilde.terms]
+    psi0 = qc.basis_state(h_tilde.space, [0, 0, 0, 0])
     grid = np.linspace(0.0, params["t_max"], params["n_points"])[1:]
     steps = params["trotter_steps"]
     eps_list = list(params["gate_fidelities"])
     xtalk_list = list(params["crosstalk"])
-    h = qc.Schedule.constant(qc.OperatorSum(psi0.space,
-                                            [(c, tuple(lbl)) for c, lbl in terms]))
+    h = qc.Schedule.constant(h_tilde)
     readout = [tuple(qc.dense_pauli(axis + mu + "YY") for axis in "ZX") for mu in "IXZ"]
 
     def one(t):
@@ -341,10 +350,9 @@ def _run_qrm_adiabatic(params, seed, threads) -> RunArtifact:
     # two checkpoints are the start and the end of the ramp
     _require_at_least(params, n_max=1, durations=None, checkpoints=2)
     n_max = params["n_max"]
-    if not math.isfinite(params["g_final"]):
-        raise ConfigError(f"'g_final' must be finite, got {params['g_final']}")
-    if not all(math.isfinite(d) and d > 0.0 for d in params["durations"]):
-        raise ConfigError(f"'durations' must be finite and positive, got {params['durations']}")
+    if not all(d > 0.0 for d in params["durations"]):
+        raise ConfigError(f"every element of 'durations' must be positive, "
+                          f"got {params['durations']}")
     from .. import ionrabi
 
     fam_base = ionrabi.RabiParams(omega0_r=1.0, omega_r=1.0, g=0.0)
@@ -398,7 +406,7 @@ def _run_twophoton_spectrum(params, seed, threads) -> RunArtifact:
 
 
 def _run_twophoton_dynamics(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, n_points=1, n_max=1)
+    _require_at_least(params, n_points=1, n_max=1, t_max=0.0)
     from .. import ionrabi
 
     omega = 1.0
@@ -436,9 +444,11 @@ def _run_twophoton_dynamics(params, seed, threads) -> RunArtifact:
 # ---------------------------------------------------------------------------
 
 def _run_daqs_heisenberg(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, n_spins=1, step_counts=1, n_points=1)
-    if len(params["benchmark_state"]) != params["n_spins"]:
-        raise ConfigError(f"'benchmark_state' needs one entry per spin ({params['n_spins']}), "
+    _require_at_least(params, n_spins=1, step_counts=1, n_points=1, jt_min=0.0,
+                      jt_max=0.0)
+    if len(params["benchmark_state"]) != params["n_spins"] \
+            or any(bit not in (0, 1) for bit in params["benchmark_state"]):
+        raise ConfigError(f"'benchmark_state' needs one 0 or 1 per spin ({params['n_spins']}), "
                           f"got {params['benchmark_state']}")
     from .. import daqs
 
@@ -468,7 +478,7 @@ def _run_daqs_heisenberg(params, seed, threads) -> RunArtifact:
 
 
 def _run_cqed_rabi(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, step_counts=1, n_max=1)
+    _require_at_least(params, step_counts=1, n_max=1, g_t=0.0)
     from .. import daqs
 
     presets = {

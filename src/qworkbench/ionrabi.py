@@ -41,7 +41,6 @@ from .qcore import (
     TruncationError,
     carry,
     evolve,
-    expectation,
     expm,
     kron_all,
     on_factors,
@@ -49,7 +48,7 @@ from .qcore import (
     shot_means,
     shot_uniforms,
 )
-from .qcore.operators import SIGMA_Y, SIGMA_Z
+from .qcore.operators import SIGMA_Y
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +179,6 @@ def ion_hamiltonian(p: IonDriveParams, n_max: int) -> Schedule:
     ], frame=frame.diagonal().real, period=2.0 * math.pi / abs(tone) if tone else None)
 
 
-def lamb_dicke_monitor(p: IonDriveParams, states: Sequence[PureState]) -> float:
-    """max over states of eta * sqrt(<a^dag a>), the regime-validity figure."""
-    worst = 0.0
-    for st in states:
-        space = st.space
-        n_op = OperatorSum.single(space, space.n_factors - 1, "n", hermitian=True)
-        worst = max(worst, p.eta * math.sqrt(max(expectation(st, n_op).real, 0.0)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # effective-model Hamiltonians
 # ---------------------------------------------------------------------------
@@ -225,13 +214,6 @@ def two_photon_hamiltonian(tp: TwoPhotonParams, n_qubits: int, n_max: int,
         terms += [(0.5 * tp.omega_q, on_factors(space, {q: "Z"})),
                   (sign * (tp.g / n_qubits), on_factors(space, {q: "X", -1: "sq"}))]
     return OperatorSum(space, terms)
-
-
-def qrm_frame_rotation(n_max: int) -> np.ndarray:
-    """Local z rotation mapping the -g sigma_y (a+a^dag) coupling form onto
-    the +g sigma_x (a+a^dag) form: R H_y R^dag = H_x."""
-    r = expm(-1j * math.pi / 4.0 * SIGMA_Z)
-    return kron_all([r, np.eye(n_max + 1, dtype=complex)])
 
 
 def jc_analytic_state(g: float, t: float, n_max: int) -> PureState:
@@ -357,25 +339,9 @@ def adiabatic_ground_state(h0: np.ndarray, coupling: np.ndarray, g_final: float,
                            fidelities=fids, gaps=gaps, degenerate=degenerate)
 
 
-def parity_chain_weight(state: PureState, parity: complex) -> float:
-    """Population inside one generalized-parity chain (diagonal projector)."""
-    eigs = generalized_parity_diagonal(state.space)
-    mask = np.abs(eigs - parity) < 1e-9
-    return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # spectra and collapse diagnostics
 # ---------------------------------------------------------------------------
-
-def qrm_parity_diagonal(space: HilbertSpace) -> np.ndarray:
-    """Eigenvalues of the standard Rabi parity sigma_z (x) exp(i pi a^dag a)
-    on the product basis (a Z2 symmetry; the two-photon model refines it to
-    the Z4 generalized parity below)."""
-    *qubit_factors, boson = space.factors
-    return kron_all([np.array([1.0, -1.0])] * len(qubit_factors)
-                    + [(-1.0) ** np.arange(boson.dim)])
-
 
 def generalized_parity_diagonal(space: HilbertSpace) -> np.ndarray:
     """Eigenvalues of Pi = (-1)^N (x)_n sigma_z^n exp(i pi/2 a^dag a) on the
@@ -438,14 +404,6 @@ def two_photon_spectrum(omega: float, omega_q: float, n_qubits: int,
                     f"{n_max + 10} at g={g}")
         out.append(point)
     return out
-
-
-def _two_photon_point(omega, omega_q, n_qubits, g, n_levels, n_max) -> SpectrumPoint:
-    """Lowest ``n_levels`` levels of the two-photon model at coupling ``g``,
-    with their shifts against the same levels at n_max+10."""
-    point, = two_photon_spectrum(omega, omega_q, n_qubits, [g], n_levels, n_max,
-                                 check_convergence=False)
-    return point
 
 
 @dataclass(frozen=True)
@@ -781,47 +739,3 @@ def parity_measurement_dispersive(state: PureState, delta_ratio: float = 20.0,
     psi_minus = cal.m_minus @ state.amplitudes   # ~ exp(+i n sigma_x t*)|psi>
     return _parity_readout(space, psi_plus, psi_minus,
                            lambda vec, op, stream: float(np.real(np.vdot(vec, op @ vec))))
-
-
-# ---------------------------------------------------------------------------
-# collective-mode guard for multi-ion chains
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModeGuardReport:
-    delta_first: float     # distance of the drive from the breathing mode's 1st sideband
-    delta_second: float    # ... from its 2nd sideband
-    nearest_ratio: float   # Omega / min(detunings)
-    flagged: bool
-
-
-def dicke_mode_guard(n_ions: int, nu: float, omega_drive: float = 0.0) -> ModeGuardReport:
-    """Detuning of a second-sideband drive from the breathing mode.
-
-    The drive sits 2*nu from the carrier; the breathing mode at sqrt(3)*nu
-    has sidebands at sqrt(3)*nu and 2*sqrt(3)*nu, leaving margins
-    Delta_1 = (2 - sqrt(3)) nu ~ 0.27 nu and Delta_2 = (2 sqrt(3) - 2) nu
-    ~ 1.46 nu.  The report is flagged when ``omega_drive`` exceeds 0.1 of
-    the nearer margin.  Single ions have no spectator mode: the guard is
-    inert.
-    """
-    if n_ions < 2:
-        return ModeGuardReport(math.inf, math.inf, 0.0, False)
-    d1 = (2.0 - math.sqrt(3.0)) * nu
-    d2 = abs(2.0 - 2.0 * math.sqrt(3.0)) * nu
-    nearest = min(d1, d2)
-    ratio = omega_drive / nearest if nearest > 0 else math.inf
-    return ModeGuardReport(delta_first=d1, delta_second=d2,
-                           nearest_ratio=ratio, flagged=ratio > 0.1)
-
-
-# ---------------------------------------------------------------------------
-# quadratures for relativistic-limit traces
-# ---------------------------------------------------------------------------
-
-def position_quadrature(space: HilbertSpace) -> OperatorSum:
-    return OperatorSum.single(space, space.n_factors - 1, "x", hermitian=True)
-
-
-def momentum_quadrature(space: HilbertSpace) -> OperatorSum:
-    return OperatorSum.single(space, space.n_factors - 1, "p", hermitian=True)

@@ -56,6 +56,9 @@ from .qcore.metrics import operator_infinity_norm
 
 _GAMMA_SUP_SAMPLES = 1024
 
+#: highest series order ``reconstruct`` evaluates (a cost guard)
+MAX_ORDER = 6
+
 
 def _as_rate(gamma) -> Callable[[float], float]:
     if callable(gamma):
@@ -480,8 +483,8 @@ def reconstruct(model: LindbladModel, observable: OperatorSum | np.ndarray,
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order > 6:
-        raise ValueError("order capped at 6 (cost guard)")
+    if order > MAX_ORDER:
+        raise ValueError(f"order capped at {MAX_ORDER} (cost guard)")
     omat = observable.matrix() if isinstance(observable, OperatorSum) else np.asarray(observable)
     if plan is None:
         per_order = [_expectation(omat, xi)
@@ -503,12 +506,6 @@ def truncated_states(model: LindbladModel, rho0: DensityMatrix, t: float,
     positive; that is the point of the bounds.
     """
     return list(np.cumsum(_lindblad_terms(model, rho0, t, max_order, DEFAULT_TOL), axis=0))
-
-
-def truncated_state(model: LindbladModel, rho0: DensityMatrix, t: float,
-                    order: int) -> np.ndarray:
-    """Dense matrix of the series state truncated at ``order``."""
-    return truncated_states(model, rho0, t, order)[-1]
 
 
 # ---------------------------------------------------------------------------

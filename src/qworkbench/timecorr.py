@@ -446,16 +446,3 @@ def linear_response_check(h0: Schedule, a: OperatorSum, b: OperatorSum, state,
     exact_state = evolve(state, perturbed, 0.0, t, tol)
     exact = expectation(exact_state, b).real
     return float(predicted), float(exact)
-
-
-# ---------------------------------------------------------------------------
-# cost accounting
-# ---------------------------------------------------------------------------
-
-def gate_count(n: int, q: int) -> int:
-    """Total gates for an order-n correlation: n controlled gates at m = 4
-    entangling gates each plus n-1 evolution segments at q gates each,
-    i.e. (m+q)*n - q."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return (4 + q) * n - q

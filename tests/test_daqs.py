@@ -77,13 +77,15 @@ def test_two_spin_heisenberg_eigenvalues():
     # H = J (XX + YY + ZZ): eigenvalues {-3J, J, J, J}
     j = 0.8
     coupling = daqs.SpinCouplingMatrix.uniform(2, j)
-    evals = np.sort(np.linalg.eigvalsh(daqs.heisenberg(coupling)))
+    h = daqs.analog_block("XY", coupling) + daqs.analog_block("ZZ", coupling)
+    evals = np.sort(np.linalg.eigvalsh(h))
     assert np.allclose(evals, [-3 * j, j, j, j], atol=1e-12)
 
 
 def test_zero_coupling_zero_operator():
     coupling = daqs.SpinCouplingMatrix.explicit(np.zeros((3, 3)))
-    assert np.max(np.abs(daqs.heisenberg(coupling))) == 0.0
+    for kind in ("XX", "XY", "ZZ"):
+        assert np.max(np.abs(daqs.analog_block(kind, coupling))) == 0.0
 
 
 def test_zz_from_conjugated_xx():
@@ -233,7 +235,8 @@ def test_coupling_generators_built_once_and_read_only():
         with pytest.raises(ValueError):
             a[0] = 0
     assert np.array_equal(np.diag(gens.zz), daqs.analog_block("ZZ", coupling))
-    assert np.array_equal(gens.full.matrix_at(0.0), daqs.heisenberg(coupling))
+    assert np.array_equal(gens.full.matrix_at(0.0), daqs.analog_block("XY", coupling)
+                          + daqs.analog_block("ZZ", coupling))
 
 
 def test_generator_cache_shared_by_racing_threads():

@@ -47,46 +47,82 @@ def test_decode_matrix_and_conjugation_gate():
 # embedded Hamiltonian
 # ---------------------------------------------------------------------------
 
+def dense_embedding(h: np.ndarray) -> np.ndarray:
+    """H~ = i I (x) B - sigma_y (x) A for the dense H = A + iB: the oracle
+    of the term-form embedding."""
+    return 1j * np.kron(np.eye(2), h.imag) - np.kron(qc.SIGMA_Y, h.real)
+
+
+def random_pauli_sum(rng, n: int) -> qc.OperatorSum:
+    """A real combination of a few random Pauli strings on ``n`` qubits."""
+    labels = qc.all_pauli_labels(n)
+    terms = [(rng.standard_normal(), labels[rng.integers(len(labels))])
+             for _ in range(int(rng.integers(1, 7)))]
+    return qc.OperatorSum(qc.HilbertSpace.qubits(n), terms)
+
+
 def test_embed_hamiltonian_worked_example():
     # sigma_x (x) sigma_y + sigma_x (x) sigma_z maps to
     # 1 (x) sigma_x (x) sigma_y - sigma_y (x) sigma_x (x) sigma_z
-    h = qc.dense_pauli("XY") + qc.dense_pauli("XZ")
-    expected = qc.dense_pauli("IXY") - qc.dense_pauli("YXZ")
+    h = qc.OperatorSum(qc.HilbertSpace.qubits(2), [(1.0, "XY"), (1.0, "XZ")])
     got = eqs.embed_hamiltonian(h)
-    assert np.max(np.abs(got - expected)) < 1e-14
+    assert got.space == qc.HilbertSpace.qubits(3)
+    assert got.terms == ((1.0, ("I", "X", "Y")), (-1.0, ("Y", "X", "Z")))
+    expected = qc.dense_pauli("IXY") - qc.dense_pauli("YXZ")
+    assert np.max(np.abs(got.matrix() - expected)) < 1e-14
 
 
 def test_embed_real_hamiltonian_specialization():
     # real H (B = 0): H~ = -sigma_y (x) H
-    h = 0.7 * qc.dense_pauli("XX") + 0.2 * qc.dense_pauli("ZI")
-    got = eqs.embed_hamiltonian(h)
-    assert np.max(np.abs(got - (-np.kron(qc.SIGMA_Y, h)))) < 1e-14
+    h = qc.OperatorSum(qc.HilbertSpace.qubits(2), [(0.7, "XX"), (0.2, "ZI")])
+    got = eqs.embed_hamiltonian(h).matrix()
+    assert np.max(np.abs(got - (-np.kron(qc.SIGMA_Y, h.matrix())))) < 1e-14
+
+
+def test_embed_hamiltonian_matches_dense_formula():
+    # the term form against the dense H~ = i I (x) B - sigma_y (x) A
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3):
+        for _ in range(200):
+            h = random_pauli_sum(rng, n)
+            got = eqs.embed_hamiltonian(h).matrix()
+            assert np.max(np.abs(got - dense_embedding(h.matrix()))) < 1e-15
 
 
 def test_embedded_hamiltonian_properties_and_intertwining():
+    # every Hermitian H is a real combination of the 4^n Pauli strings
     rng = np.random.default_rng(5)
     for n in (1, 2, 3):
+        space = qc.HilbertSpace.qubits(n)
         for _ in range(70):
-            d = 2 ** n
-            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            h = 0.5 * (m + m.conj().T)
-            ht = eqs.embed_hamiltonian(h)
+            h = qc.OperatorSum(space, zip(rng.standard_normal(4 ** n),
+                                          qc.all_pauli_labels(n)))
+            ht = eqs.embed_hamiltonian(h).matrix()
             assert np.max(np.abs(ht - ht.conj().T)) < 1e-12      # Hermitian
             assert np.max(np.abs(ht.real)) < 1e-12               # purely imaginary
             mdec = eqs.decode_matrix(n)
-            assert np.max(np.abs(mdec @ ht - h @ mdec)) < 1e-12  # M H~ = H M
+            assert np.max(np.abs(mdec @ ht - h.matrix() @ mdec)) < 1e-12  # M H~ = H M
+
+
+def test_embed_hamiltonian_rejects_non_pauli_input():
+    space = qc.HilbertSpace.qubits(2)
+    with pytest.raises(ValueError, match="not real"):
+        eqs.embed_hamiltonian(qc.OperatorSum(space, [(1.0, "XY"), (0.5j, "ZZ")]))
+    with pytest.raises(ValueError, match="not a Pauli string"):
+        eqs.embed_hamiltonian(qc.OperatorSum(space, [(1.0, ("S+", "I"))]))
+    with pytest.raises(ValueError, match="qubit registers"):
+        eqs.embed_hamiltonian(qc.OperatorSum.single(qc.HilbertSpace.qubit_boson(4), 0, "X"))
 
 
 def test_embedded_dynamics_equivalence():
     rng = np.random.default_rng(8)
     n = 2
-    d = 2 ** n
-    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = 0.5 * (m + m.conj().T)
+    h = qc.OperatorSum(qc.HilbertSpace.qubits(n),
+                       zip(rng.standard_normal(4 ** n), qc.all_pauli_labels(n)))
     psi = qc.random_pure_state(qc.HilbertSpace.qubits(n), rng)
     t = 0.9
-    direct = expm(-1j * h * t) @ psi.amplitudes
-    ht = eqs.embed_hamiltonian(h)
+    direct = expm(-1j * h.matrix() * t) @ psi.amplitudes
+    ht = eqs.embed_hamiltonian(h).matrix()
     tilde_t = expm(-1j * ht * t) @ eqs.embed_state(psi).amplitudes
     assert np.max(np.abs(eqs.decode_state(tilde_t) - direct)) < 1e-9
     # reality preservation along the way
@@ -192,8 +228,8 @@ def test_concurrence_protocol_through_embedded_evolution():
     # full pipeline: embed |++>, evolve under H~ = +g YZZ, measure the two
     # enlarged-space observables, compare against |sin 2gt|
     g = 1.0
-    h = -g * qc.dense_pauli("ZZ")
-    ht = eqs.embed_hamiltonian(h)
+    h = qc.OperatorSum.pauli_string(qc.HilbertSpace.qubits(2), "ZZ", -g)
+    ht = eqs.embed_hamiltonian(h).matrix()
     assert np.max(np.abs(ht - g * qc.dense_pauli("YZZ"))) < 1e-14
     psi0 = eqs.embed_state(qc.all_plus_state(2))
     for gt in (0.0, 0.31, 0.82, 1.44):
@@ -230,14 +266,6 @@ def test_cz_factor_order(i, j):
 
     p0, p1, z = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.diag([1.0, -1.0])
     assert np.array_equal(eqs._cz(i, j, 3), on({i: p0}) + on({i: p1, j: z}))
-
-
-def test_reduced_circuit_two_gate_variant():
-    # the two-gate circuit agrees on the |0>-ancilla input subspace
-    for phi in (0.2, 0.9, 2.1):
-        full = eqs.reduced_circuit_unitary(phi)
-        short = eqs.reduced_circuit_two_gate(phi)
-        assert np.max(np.abs(full[:, :4] - short[:, :4])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +377,6 @@ def test_noise_inversion_traceless_and_general():
             ideal = float(np.real(np.trace(o @ rho.matrix)))
             measured = float(np.real(np.trace(o @ noisy.matrix)))
             assert abs(eqs.rescale_expectation(measured, eps, n, o) - ideal) < 1e-12
-
-
-def test_mixed_state_inner_evaluation():
-    # fixed decomposition: p E(bell) + (1-p) E(product) = p * 1
-    rng = np.random.default_rng(47)
-    spec = eqs.MonotoneSpec("Concurrence2", 2)
-    prod = qc.random_product_state(2, rng)
-    for p in (0.0, 0.3, 1.0):
-        out = eqs.monotone_mixed([(p, qc.bell_state()), (1.0 - p, prod)], spec)
-        assert abs(out.value - p) < 1e-10
-    with pytest.raises(ValueError):
-        eqs.monotone_mixed([(0.7, qc.bell_state())], spec)  # weights must sum to 1
 
 
 def test_cost_ratio_small_for_realistic_fidelities():

@@ -353,10 +353,24 @@ def test_negative_seed_is_config_error(tmp_path):
     ("timecorr-2pt", "n_points=0"),
     ("eqs-3tangle", "n_points=1"),
     ("daqs-heisenberg", "n_spins=3"),
+    ("lindblad-reconstruction", "order=7"),
+    ("daqs-heisenberg", "benchmark_state=2,0,0,0,0"),
+    ("eqs-3tangle", "gate_fidelities=1.5"),
+    ("eqs-3tangle", "gate_fidelities=0"),
+    ("cqed-rabi", "g_t=-1"),
+    ("timecorr-3pt-grid", "t_min=-1"),
+    ("timecorr-2pt", "t_max=-1"),
+    ("twophoton-dynamics", "t_max=-1"),
+    ("daqs-heisenberg", "jt_min=-1"),
+    ("timecorr-2pt", "t_max=nan"),
+    ("twophoton-spectrum", "g_values=nan"),
+    ("eqs-3tangle", "t_max=inf"),
+    ("eqs-3tangle", "crosstalk=0.1,-inf"),
 ])
 def test_bad_scenario_parameter_is_config_error(scenario_id, override, tmp_path):
-    # each runner checks its counts and sizes before it does any work: no
-    # traceback, and no scenario directory with an empty table
+    # each runner checks its counts, sizes and ranges before it does any
+    # work, and no number may be NaN or infinite: no traceback, and no
+    # scenario directory with an empty table
     assert cli_main(["run", scenario_id, "--set", override,
                      "--out", str(tmp_path)]) == 2
     assert not (tmp_path / scenario_id).exists()

@@ -216,7 +216,9 @@ def test_jc_regime_short_run():
     for t, st in zip(checkpoints, states):
         ana = ir.jc_analytic_state(r.g, t, n_max)
         assert qc.fidelity(ana, st) > 0.99
-    assert ir.lamb_dicke_monitor(p, states) < 0.12
+    # Lamb-Dicke regime along the run: eta sqrt(<n>) < 0.12
+    n_op = qc.OperatorSum.single(h.space, 1, "n", hermitian=True)
+    assert max(p.eta ** 2 * qc.expectation(st, n_op).real for st in states) < 0.12 ** 2
 
 
 def test_interaction_frame_equivalence_observables():
@@ -236,19 +238,6 @@ def test_interaction_frame_equivalence_observables():
         for op in (z_op, n_op):
             assert abs(qc.expectation(full, op).real
                        - qc.expectation(eff, op).real) < 1e-2
-
-
-def test_qrm_frame_rotation_equivalence():
-    r = ir.RabiParams(omega0_r=0.8, omega_r=1.0, g=0.35)
-    n_max = 12
-    hy = ir.qrm_hamiltonian(r, n_max).matrix()
-    rot = ir.qrm_frame_rotation(n_max)
-    db = n_max + 1
-    a = qc.boson_annihilation(db)
-    hx = 0.5 * r.omega0_r * np.kron(qc.SIGMA_Z, np.eye(db)) \
-        + r.omega_r * np.kron(np.eye(2), np.diag(np.arange(db, dtype=complex))) \
-        + r.g * np.kron(qc.SIGMA_X, a + a.conj().T)
-    assert np.max(np.abs(rot @ hy @ rot.conj().T - hx)) < 1e-12
 
 
 def test_two_photon_full_drive_vs_effective():
@@ -335,6 +324,13 @@ def test_adiabatic_duration_ladder():
     assert finals[-1] > 0.99
 
 
+def parity_sectors(space):
+    """The two sectors of the Rabi parity sigma_z (x) exp(i pi a^dag a),
+    whose eigenvalue on the product state |q, n> is (-1)^(q + n)."""
+    q, n = np.divmod(np.arange(space.dim), space.factors[1].dim)
+    return [np.flatnonzero((q + n) % 2 == k) for k in (0, 1)]
+
+
 def test_adiabatic_dsc_parity_chain_support():
     # ramping into g/omega = 2 keeps the state exactly on the parity chain
     # of the initial ground state |g,0>
@@ -345,17 +341,10 @@ def test_adiabatic_dsc_parity_chain_support():
     schedule = qc.Schedule.time_dependent(space, lambda t: h0 + (2.0 * t / 60.0) * coupling)
     evals, evecs = np.linalg.eigh(h0)
     final = qc.evolve(qc.PureState(space, evecs[:, 0]), schedule, 0.0, 60.0, tol=1e-9)
-    diag = ir.qrm_parity_diagonal(space)
-    ground_sector = diag[int(np.argmax(np.abs(evecs[:, 0])))]
-    mask = np.abs(diag - ground_sector) < 1e-9
-    off_chain = float(np.sum(np.abs(final.amplitudes[~mask]) ** 2))
+    start = int(np.argmax(np.abs(evecs[:, 0])))
+    off_chain = sum(float(np.sum(np.abs(final.amplitudes[sector]) ** 2))
+                    for sector in parity_sectors(space) if start not in sector)
     assert off_chain < 1e-6
-
-
-def parity_sectors(space):
-    """The two sectors of the Rabi parity sigma_z (x) exp(i pi a^dag a)."""
-    diag = ir.qrm_parity_diagonal(space)
-    return sorted((np.flatnonzero(diag == p) for p in (1.0, -1.0)), key=lambda b: b[0])
 
 
 def term_blocks(sched):
@@ -431,18 +420,6 @@ def test_qrm_adiabatic_bad_parameters_are_config_errors(override, tmp_path):
 # ---------------------------------------------------------------------------
 # spectra and collapse diagnostics
 # ---------------------------------------------------------------------------
-
-def test_parity_chain_weight():
-    space = qc.HilbertSpace.qubit_boson(n_max=6)
-    # |e,1> sits in the -i sector of the generalized parity
-    st = qc.basis_state(space, [0, 1])
-    assert ir.parity_chain_weight(st, -1.0j) == pytest.approx(1.0)
-    assert ir.parity_chain_weight(st, 1.0 + 0.0j) == pytest.approx(0.0)
-    mix = qc.PureState(space, (st.amplitudes
-                               + qc.basis_state(space, [1, 0]).amplitudes)
-                       / math.sqrt(2.0))
-    assert ir.parity_chain_weight(mix, -1.0j) == pytest.approx(0.5)
-
 
 def test_two_photon_decoupled_spectrum():
     pts = ir.two_photon_spectrum(1.0, 1.9, 1, [0.0], n_levels=8, n_max=40)
@@ -833,34 +810,6 @@ def test_pulse_propagator_keeps_no_step_history():
     assert peak < 10e6, peak
 
 
-# ---------------------------------------------------------------------------
-# mode guard
-# ---------------------------------------------------------------------------
-
-def test_mode_guard_values():
-    nu = TWO_PI * 1e6
-    report = ir.dicke_mode_guard(3, nu, omega_drive=TWO_PI * 10e3)
-    assert report.delta_first / nu == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-12)
-    assert report.delta_second / nu == pytest.approx(2.0 * math.sqrt(3.0) - 2.0, abs=1e-12)
-    assert report.delta_first / nu == pytest.approx(0.2679, abs=1e-4)
-    assert report.delta_second / nu == pytest.approx(1.4641, abs=1e-4)
-    assert not report.flagged
-    assert ir.dicke_mode_guard(1, nu).nearest_ratio == 0.0
-
-
-def test_quadrature_operators():
-    n_max = 8
-    space = qc.HilbertSpace.qubit_boson(n_max=n_max)
-    x = ir.position_quadrature(space).matrix()
-    p = ir.momentum_quadrature(space).matrix()
-    assert np.max(np.abs(x - x.conj().T)) < 1e-14
-    assert np.max(np.abs(p - p.conj().T)) < 1e-14
-    # canonical commutator away from the truncation boundary of each block
-    comm = np.real(np.diag((x @ p - p @ x) / 2j))
-    fock = np.kron(np.ones(2), np.arange(n_max + 1))
-    assert np.max(np.abs(comm[fock < n_max] - 1.0)) < 1e-12
-
-
 def _full_eigh_spectrum_point(omega, omega_q, g, n_levels, n_max, n_qubits=1):
     """Reference labelling of the lowest levels from a full complex eigh."""
     tp = ir.TwoPhotonParams(omega=omega, omega_q=omega_q, g=g, n_qubits=n_qubits)
@@ -916,7 +865,8 @@ def test_two_photon_subset_eigh_matches_full_at_scenario_defaults():
     n_levels = params["n_levels"]
     for n_max in (params["n_max"], params["n_max"] + 10):
         for g in params["g_values"]:
-            point = ir._two_photon_point(1.0, params["omega_q"], 1, g, n_levels, n_max)
+            point, = ir.two_photon_spectrum(1.0, params["omega_q"], 1, [g], n_levels, n_max,
+                                            check_convergence=False)
             energies, parities, weights = _full_eigh_spectrum_point(
                 1.0, params["omega_q"], g, n_levels, n_max)
             assert np.max(np.abs(point.energies - energies)) < 1e-12
@@ -955,7 +905,8 @@ def test_two_photon_hamiltonian_has_no_element_between_parity_sectors(n_qubits):
 def test_two_photon_sector_solve_matches_dense_eigvalsh(n_qubits):
     n_max, n_levels = 40, 10
     for g in (0.0, 0.1, 0.3, 0.45):
-        point = ir._two_photon_point(1.0, 1.9, n_qubits, g, n_levels, n_max)
+        point, = ir.two_photon_spectrum(1.0, 1.9, n_qubits, [g], n_levels, n_max,
+                                        check_convergence=False)
         tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=g, n_qubits=n_qubits)
         dense = np.linalg.eigvalsh(ir.two_photon_hamiltonian(tp, n_qubits, n_max).matrix())
         assert np.max(np.abs(point.energies - dense[:n_levels])) < 1e-12
@@ -996,7 +947,7 @@ def test_two_photon_rejects_non_finite_inputs(monkeypatch):
             with pytest.raises(ValueError):
                 ir.collapse_diagnostics(omega, omega_q, grid, n_levels=4, n_max=20)
         with pytest.raises(ValueError):
-            ir._two_photon_point(1.0, 1.9, 2, bad, 4, 20)
+            ir.two_photon_spectrum(1.0, 1.9, 2, [bad], 4, 20, check_convergence=False)
 
 
 def _dense_sectors(tp, n_qubits, n_max):

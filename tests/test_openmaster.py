@@ -610,7 +610,7 @@ def test_series_recursion():
     rho0 = random_density_matrix(model.space, rng)
     t = 0.8
     n = 2
-    direct = om.truncated_state(model, rho0, t, n)
+    direct = om.truncated_states(model, rho0, t, n)[n]
 
     def conjugate(mat, a, b):
         u = qc.propagator(model.h, a, b, 1e-10)
@@ -621,7 +621,7 @@ def test_series_recursion():
     s_weights = 0.5 * t * weights
     acc = conjugate(rho0.matrix, 0.0, t)
     for s, w in zip(s_nodes, s_weights):
-        prev = om.truncated_state(model, rho0, s, n - 1)
+        prev = om.truncated_states(model, rho0, s, n - 1)[n - 1]
         ld = np.zeros_like(prev)
         for ch in model.channels:
             l = ch.operator.matrix()
@@ -775,7 +775,7 @@ def test_observable_bound_covers_measured_error():
         t = float(rng.uniform(0.3, 0.7))
         exact = om.lindblad_exact(model, rho0, t)
         for n in (0, 1, 2):
-            tilde = om.truncated_state(model, rho0, t, n)
+            tilde = om.truncated_states(model, rho0, t, n)[n]
             measured = abs(np.trace(obs.matrix() @ (exact.matrix - tilde))) / 2.0
             assert measured <= om.observable_bound(model, obs, n, t) + 1e-9
 
@@ -912,7 +912,6 @@ def test_negative_time_raises_on_every_exact_route(time_dependent):
     obs = sigma(space, "Z")
     for call in (lambda: om.lindblad_exact(model, rho0, -0.5),
                  lambda: om.truncated_states(model, rho0, -0.5, 2),
-                 lambda: om.truncated_state(model, rho0, -0.5, 2),
                  lambda: om.reconstruct(model, obs, rho0, -0.5, 2)):
         with pytest.raises(ValueError, match="t must be >= 0"):
             call()

@@ -466,18 +466,35 @@ def test_evolve_never_forms_the_unitary_of_a_ket(monkeypatch):
 
 def test_no_module_outside_qcore_calls_np_kron():
     # only qcore turns factors into dense matrices (OperatorSum, on_factors,
-    # dense_pauli, kron_all); any other np.kron writes the factor order again
+    # dense_pauli, kron_all); any other np.kron, in the package or in a
+    # demo, writes the factor order again
     package = Path(qc.__file__).parent.parent
+    demos = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+    assert demos
+    modules = [path for path in sorted(package.rglob("*.py"))
+               if "qcore" not in path.relative_to(package).parts]
     sites = []
-    for path in sorted(package.rglob("*.py")):
-        if "qcore" in path.relative_to(package).parts:
-            continue
+    for path in modules + demos:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (isinstance(node, ast.Attribute) and node.attr == "kron"
                     and isinstance(node.value, ast.Name)
                     and node.value.id in ("np", "numpy")):
-                sites.append(f"{path.relative_to(package)}:{node.lineno}")
+                sites.append(f"{path.name}:{node.lineno}")
     assert not sites, sites
+
+
+def test_quadrature_operators():
+    # x = a + a^dag and p = i (a^dag - a) on a trailing mode: Hermitian,
+    # with [x, p] = 2i away from the truncation edge of each qubit block
+    n_max = 8
+    space = qc.HilbertSpace.qubit_boson(n_max=n_max)
+    x = qc.OperatorSum.single(space, -1, "x", hermitian=True).matrix()
+    p = qc.OperatorSum.single(space, -1, "p", hermitian=True).matrix()
+    assert np.max(np.abs(x - x.conj().T)) < 1e-14
+    assert np.max(np.abs(p - p.conj().T)) < 1e-14
+    comm = np.real(np.diag((x @ p - p @ x) / 2j))
+    fock = qc.OperatorSum.single(space, -1, "n").matrix().diagonal().real
+    assert np.max(np.abs(comm[fock < n_max] - 1.0)) < 1e-12
 
 
 def test_pauli_rotation_matches_expm():

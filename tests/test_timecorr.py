@@ -554,8 +554,3 @@ def test_linear_response_first_order_scaling():
         gaps.append(abs(exact - predicted))
     assert 2.5 < gaps[0] / gaps[1] < 6.0
 
-
-def test_gate_count_affine():
-    assert tc.gate_count(1, q=5) == 4  # (m+q)*1 - q = m
-    for n in range(1, 8):
-        assert tc.gate_count(n, q=3) == (4 + 3) * n - 3
