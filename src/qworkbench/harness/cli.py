@@ -63,9 +63,9 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         print(f"{scenario.scenario_id}: {scenario.description}\n")
         print(scenario.details + "\n")
-        print("parameters (defaults):")
+        print("parameters (defaults and ranges):")
         for key, value in scenario.defaults.items():
-            print(f"  {key} = {value}")
+            print(f"  {key} = {value}  in {scenario.ranges[key]}")
         return EXIT_OK
 
     from .config import ConfigError, ScenarioConfig, load_config, parse_set_overrides

@@ -2,12 +2,14 @@
 
 A config names one scenario and overrides a subset of its published
 parameters; unknown keys are rejected against the scenario's parameter
-schema so typos fail loudly instead of silently running defaults.  PyYAML
-loads only when a config file is read.
+schema so typos fail loudly instead of silently running defaults.  Every
+parameter is then checked once against the range the registry declares for
+it, before the runner starts.  PyYAML loads only when a config file is read.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,11 +26,9 @@ class ScenarioConfig:
     out_dir: str = "runs"
     threads: int = 1
 
-    def resolved(self, defaults: dict) -> dict:
-        if self.threads < 1:
-            raise ConfigError(f"threads must be at least 1, got {self.threads}")
-        if self.master_seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.master_seed}")
+    def resolved(self, defaults: dict, ranges: dict | None = None) -> dict:
+        check_ranges({"threads": self.threads, "seed": self.master_seed},
+                     {"threads": "[1, inf)", "seed": "[0, inf)"})
         params = dict(defaults)
         unknown = set(self.overrides) - set(defaults)
         if unknown:
@@ -37,12 +37,38 @@ class ScenarioConfig:
                 f"{sorted(unknown)}; known keys: {sorted(defaults)}")
         for key, value in self.overrides.items():
             params[key] = _coerce_like(defaults[key], value, key)
+        check_ranges(params, ranges or {})
         return params
 
 
+_RANGE = re.compile(r"([\[(])([^,]+),(.+)([\])])(?:\s*\*\s*(\w+))?")
+
+
+def check_ranges(params: dict, ranges: dict) -> None:
+    """ConfigError unless every list is non-empty and each number, or list
+    element, lies in its range: an interval string such as ``"(0, 1]"``,
+    whose ends may be arithmetic over the number parameters, then optionally
+    ``* name`` for a list of one element per unit of ``name``.  A parameter
+    with no declared range must be finite.  The ends are evaluated with no
+    builtins; the strings are the registry's constants."""
+    names = {k: v for k, v in params.items() if not isinstance(v, list)} | {"inf": math.inf}
+    for key, value in params.items():
+        values = value if isinstance(value, list) else [value]
+        if not values:
+            raise ConfigError(f"{key!r} must not be empty")
+        match = _RANGE.fullmatch(ranges.get(key, "(-inf, inf)"))
+        left, low, high, right, count = match.groups()
+        low, high = (eval(end, {"__builtins__": {}}, names) for end in (low, high))
+        if count is not None and len(values) != params[count]:
+            raise ConfigError(f"{key!r} needs one element per {count}, got {value}")
+        if not all((low < x or left == "[" and x == low)
+                   and (x < high or right == "]" and x == high) for x in values):
+            raise ConfigError(f"{key!r} = {value} lies outside {left}{low:g}, {high:g}{right}")
+
+
 def _coerce_like(reference, value, key: str):
-    """Cast an override to the default's type (int/float/str/list); a
-    number, or a list element, must be finite."""
+    """Cast an override to the default's type (int/float/str/list); an
+    integer must be finite, and a float's range is checked afterwards."""
     if isinstance(reference, int):
         try:
             as_float = float(value)
@@ -53,12 +79,9 @@ def _coerce_like(reference, value, key: str):
         return int(as_float)
     if isinstance(reference, float):
         try:
-            as_float = float(value)
+            return float(value)
         except (TypeError, ValueError):
             raise ConfigError(f"cannot read {value!r} as a number for {key!r}") from None
-        if not math.isfinite(as_float):
-            raise ConfigError(f"{key!r} expects a finite number, got {value!r}")
-        return as_float
     if isinstance(reference, (list, tuple)):
         if isinstance(value, str):
             value = [p for p in value.split(",") if p != ""]

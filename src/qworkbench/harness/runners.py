@@ -6,10 +6,11 @@ thread count, and returns a :class:`RunArtifact`.  The registry in
 this module on its first call, so that listing and describing scenarios
 loads neither numpy nor the physics modules.  This module loads numpy and
 ``qcore`` only: each runner imports the physics module(s) it calls, so a
-run loads its own scenario's modules and no other.  Each runner checks
-its count and size parameters first and raises :class:`ConfigError` before
-it does any work.  Grid sweeps run through :func:`parallel_map`, which
-preserves input order so results are identical for any thread count.
+run loads its own scenario's modules and no other.  A runner checks none
+of its parameters: the registry declares each one's range, and the
+configuration has checked them all before the runner starts.  Grid sweeps
+run through :func:`parallel_map`, which preserves input order so results
+are identical for any thread count.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from .. import qcore as qc
 from .artifact import RunArtifact, Table
-from .config import ConfigError
 from .scenarios import InvariantBreach
 
 
@@ -32,28 +32,11 @@ def parallel_map(fn: Callable, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _require_at_least(params, **lows) -> None:
-    """ConfigError unless each named number parameter is at least its
-    bound; a named list must be non-empty, with every element at least the
-    bound (``None`` for a list whose elements carry no bound)."""
-    for key, low in lows.items():
-        value = params[key]
-        if isinstance(value, list):
-            if not value:
-                raise ConfigError(f"{key!r} must not be empty")
-            if low is not None and min(value) < low:
-                raise ConfigError(f"every element of {key!r} must be at least {low}, "
-                                  f"got {value}")
-        elif value < low:
-            raise ConfigError(f"{key!r} must be at least {low}, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # time-correlation scenarios
 # ---------------------------------------------------------------------------
 
 def _run_timecorr_2pt(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, n_points=1, t_max=0.0)
     from .. import timecorr
 
     omega0 = params["omega0"]
@@ -85,7 +68,6 @@ def _run_timecorr_2pt(params, seed, threads) -> RunArtifact:
 
 
 def _run_timecorr_3pt(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, grid_points=1, t_min=0.0, t_max=0.0)
     from .. import timecorr
 
     space = qc.HilbertSpace.qubits(1)
@@ -129,13 +111,8 @@ def _damping_model(gamma: float):
 
 
 def _run_lindblad_reconstruction(params, seed, threads) -> RunArtifact:
-    # the grid drops t = 0, so one point would leave an empty table
-    _require_at_least(params, order=0, n_points=2, t_max=0.0)
     from .. import openmaster
 
-    if params["order"] > openmaster.MAX_ORDER:
-        raise ConfigError(f"'order' must be at most {openmaster.MAX_ORDER}, "
-                          f"got {params['order']}")
     gamma = params["gamma"]
     order = params["order"]
     model = _damping_model(gamma)
@@ -190,7 +167,6 @@ def _random_lindblad_model(rng):
 
 
 def _run_lindblad_bounds(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, n_models=1, max_order=0)
     from .. import openmaster
 
     # every model is drawn before any is evaluated, so the rng stream and
@@ -229,7 +205,6 @@ def _run_lindblad_bounds(params, seed, threads) -> RunArtifact:
 # ---------------------------------------------------------------------------
 
 def _run_eqs_concurrence(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, n_points=1)
     from .. import eqs
 
     grid = np.linspace(0.0, math.pi, params["n_points"])
@@ -279,11 +254,6 @@ def _tangle_from_embedded(rho_or_state, readout, rescale=None) -> float:
 
 
 def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
-    # the grid drops t = 0, so one point would leave an empty table
-    _require_at_least(params, n_points=2, trotter_steps=1, t_max=0.0)
-    if not all(0.0 < eps <= 1.0 for eps in params["gate_fidelities"]):
-        raise ConfigError(f"every element of 'gate_fidelities' must lie in (0, 1], "
-                          f"got {params['gate_fidelities']}")
     from .. import eqs
 
     omega, g = params["omega"], params["g"]
@@ -327,7 +297,6 @@ def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
 # ---------------------------------------------------------------------------
 
 def _run_qrm_regimes(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, n_omega0=1, n_g=1)
     from .. import ionrabi
 
     omega = 1.0
@@ -347,17 +316,11 @@ def _run_qrm_regimes(params, seed, threads) -> RunArtifact:
 
 
 def _run_qrm_adiabatic(params, seed, threads) -> RunArtifact:
-    # two checkpoints are the start and the end of the ramp
-    _require_at_least(params, n_max=1, durations=None, checkpoints=2)
-    n_max = params["n_max"]
-    if not all(d > 0.0 for d in params["durations"]):
-        raise ConfigError(f"every element of 'durations' must be positive, "
-                          f"got {params['durations']}")
     from .. import ionrabi
 
     fam_base = ionrabi.RabiParams(omega0_r=1.0, omega_r=1.0, g=0.0)
-    space = qc.HilbertSpace.qubit_boson(n_max=n_max)
-    h0 = ionrabi.qrm_hamiltonian(fam_base, n_max).matrix()
+    space = qc.HilbertSpace.qubit_boson(n_max=params["n_max"])
+    h0 = ionrabi.qrm_hamiltonian(fam_base, params["n_max"]).matrix()
     coupling = qc.OperatorSum(space, [(-1.0, ("Y", "x"))]).matrix()
 
     def one(duration):
@@ -376,15 +339,9 @@ def _run_qrm_adiabatic(params, seed, threads) -> RunArtifact:
 
 
 def _run_twophoton_spectrum(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, n_max=1, n_levels=1, g_values=None)
-    n_levels = params["n_levels"]
-    # the spectrum keeps at most a quarter of the 2 (n_max + 1) levels
-    if n_levels > (params["n_max"] + 1) // 2:
-        raise ConfigError(f"'n_levels' must be at most (n_max + 1) // 2 = "
-                          f"{(params['n_max'] + 1) // 2}, got {n_levels}")
     from .. import ionrabi
 
-    g_values = [float(g) for g in params["g_values"]]
+    n_levels, g_values = params["n_levels"], params["g_values"]
 
     def spectrum(chunk):
         return ionrabi.two_photon_spectrum(1.0, params["omega_q"], 1, chunk, n_levels,
@@ -392,7 +349,7 @@ def _run_twophoton_spectrum(params, seed, threads) -> RunArtifact:
 
     # each call builds its two cutoffs' sector blocks once, so the grid goes
     # out as one contiguous chunk per thread: one call at --threads 1
-    size = max(1, math.ceil(len(g_values) / threads))
+    size = math.ceil(len(g_values) / threads)
     chunks = [g_values[i:i + size] for i in range(0, len(g_values), size)]
     points = [point for chunk in parallel_map(spectrum, chunks, threads) for point in chunk]
     label = {1.0 + 0j: "+1", -1.0 + 0j: "-1", 1j: "+i", -1j: "-i"}
@@ -406,7 +363,6 @@ def _run_twophoton_spectrum(params, seed, threads) -> RunArtifact:
 
 
 def _run_twophoton_dynamics(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, n_points=1, n_max=1, t_max=0.0)
     from .. import ionrabi
 
     omega = 1.0
@@ -444,12 +400,6 @@ def _run_twophoton_dynamics(params, seed, threads) -> RunArtifact:
 # ---------------------------------------------------------------------------
 
 def _run_daqs_heisenberg(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, n_spins=1, step_counts=1, n_points=1, jt_min=0.0,
-                      jt_max=0.0)
-    if len(params["benchmark_state"]) != params["n_spins"] \
-            or any(bit not in (0, 1) for bit in params["benchmark_state"]):
-        raise ConfigError(f"'benchmark_state' needs one 0 or 1 per spin ({params['n_spins']}), "
-                          f"got {params['benchmark_state']}")
     from .. import daqs
 
     coupling = daqs.SpinCouplingMatrix.power_law(params["n_spins"], 1.0,
@@ -478,7 +428,6 @@ def _run_daqs_heisenberg(params, seed, threads) -> RunArtifact:
 
 
 def _run_cqed_rabi(params, seed, threads) -> RunArtifact:
-    _require_at_least(params, step_counts=1, n_max=1, g_t=0.0)
     from .. import daqs
 
     presets = {

@@ -1,4 +1,6 @@
 """Registry, config validation, determinism, and CLI exit codes."""
+import math
+
 import pytest
 
 from qworkbench import harness
@@ -366,6 +368,15 @@ def test_negative_seed_is_config_error(tmp_path):
     ("twophoton-spectrum", "g_values=nan"),
     ("eqs-3tangle", "t_max=inf"),
     ("eqs-3tangle", "crosstalk=0.1,-inf"),
+    ("qrm-regimes", "g_min=-1"),
+    ("qrm-regimes", "g_min=0"),
+    ("qrm-regimes", "g_max=0"),
+    ("daqs-heisenberg", "alpha=0"),
+    ("daqs-heisenberg", "alpha=-1"),
+    ("daqs-heisenberg", "alpha=3"),
+    ("twophoton-spectrum", "g_values=0.5"),
+    ("lindblad-bounds", "max_order=7"),
+    ("eqs-3tangle", "crosstalk="),
 ])
 def test_bad_scenario_parameter_is_config_error(scenario_id, override, tmp_path):
     # each runner checks its counts, sizes and ranges before it does any
@@ -374,6 +385,130 @@ def test_bad_scenario_parameter_is_config_error(scenario_id, override, tmp_path)
     assert cli_main(["run", scenario_id, "--set", override,
                      "--out", str(tmp_path)]) == 2
     assert not (tmp_path / scenario_id).exists()
+
+
+def test_digital_beating_digital_analog_is_an_invariant_breach(tmp_path):
+    # at l = 1 and Jt = 3 the digital route wins: the run's claim fails and
+    # says so (exit 3); the input itself is in range
+    assert cli_main(["run", "daqs-heisenberg", "--set", "jt_min=3", "--set", "n_points=1",
+                     "--set", "step_counts=1", "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "daqs-heisenberg").exists()
+
+
+# ---------------------------------------------------------------------------
+# every parameter's range is declared once, in the registry
+# ---------------------------------------------------------------------------
+
+def _interval(spec, params) -> tuple:
+    """(low, high, closed_low, closed_high, count) of a registry range, its
+    ends evaluated over the number parameters: the tests' own reading."""
+    body, _, count = spec.partition(" * ")
+    names = {k: v for k, v in params.items() if not isinstance(v, list)}
+    low, high = (eval(end, {"inf": math.inf}, names) for end in body[1:-1].split(","))
+    return low, high, body[0] == "[", body[-1] == "]", count or None
+
+
+def _in_ranges(params, ranges) -> bool:
+    for key, spec in ranges.items():
+        low, high, closed_low, closed_high, count = _interval(spec, params)
+        values = params[key] if isinstance(params[key], list) else [params[key]]
+        if not values or (count and len(values) != params[count]):
+            return False
+        if not all(low < x < high or (closed_low and x == low) or (closed_high and x == high)
+                   for x in values):
+            return False
+    return True
+
+
+def test_every_parameter_declares_a_range_that_holds_its_default():
+    for scenario in harness.SCENARIOS.values():
+        assert set(scenario.ranges) == set(scenario.defaults), scenario.scenario_id
+        assert _in_ranges(scenario.defaults, scenario.ranges), scenario.scenario_id
+        start = dict(scenario.defaults, **SMOKE_OVERRIDES[scenario.scenario_id])
+        assert _in_ranges(start, scenario.ranges), scenario.scenario_id
+
+
+def test_registry_caps_are_the_physics_modules_caps():
+    # the registry imports no physics module, so it writes the caps out
+    from qworkbench import daqs, openmaster
+
+    ranges = {sid: s.ranges for sid, s in harness.SCENARIOS.items()}
+    for sid, key in (("lindblad-reconstruction", "order"), ("lindblad-bounds", "max_order")):
+        assert _interval(ranges[sid][key], {})[:4] == (0, openmaster.MAX_ORDER, True, True)
+    assert _interval(ranges["daqs-heisenberg"]["n_spins"], {})[1] == daqs.MAX_SPINS
+
+
+def test_cli_describe_prints_each_range(capsys):
+    assert cli_main(["describe", "twophoton-spectrum"]) == 0
+    out = capsys.readouterr().out
+    assert "n_levels = 8  in [1, (n_max + 1) / 2]" in out
+    assert "g_values = [0.1, 0.2, 0.3, 0.4, 0.45, 0.49]  in (-0.5, 0.5)" in out
+
+
+def _sweep_cases(scenario) -> list:
+    """(key, value) overrides: 0, -1, each finite end and just past it, and
+    nan, for every parameter (for a list, every element of the start list),
+    and an empty list."""
+    start = dict(scenario.defaults, **SMOKE_OVERRIDES[scenario.scenario_id])
+    cases = []
+    for key, default in scenario.defaults.items():
+        is_list = isinstance(default, list)
+        is_int = isinstance(default[0] if is_list else default, int)
+        low, high, *_ = _interval(scenario.ranges[key], start)
+        values = [0, -1, math.nan]
+        for end, away in ((low, -1), (high, 1)):
+            if math.isfinite(end):
+                if is_int:
+                    end = math.ceil(end) if away < 0 else math.floor(end)
+                    values += [end, end + away]
+                else:
+                    values += [float(end), math.nextafter(end, away * math.inf)]
+        for value in values:
+            cases.append((key, [value] * len(start[key]) if is_list else value))
+        if is_list:
+            cases.append((key, []))
+    return cases
+
+
+def _as_text(value) -> str:
+    return ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
+
+
+@pytest.mark.parametrize("scenario_id", sorted(SMOKE_OVERRIDES))
+def test_override_sweep_never_crashes_or_writes_non_finite_cells(scenario_id, tmp_path):
+    # each case starts from the smoke overrides; a case outside the declared
+    # ranges exits 2 before any work, and one inside them exits 0, 3 or 4,
+    # and never writes a NaN or infinite cell
+    scenario = harness.describe_scenario(scenario_id)
+    start = dict(scenario.defaults, **SMOKE_OVERRIDES[scenario_id])
+    failures = []
+    for i, (key, value) in enumerate(_sweep_cases(scenario)):
+        out = tmp_path / str(i)
+        argv = ["run", scenario_id, "--out", str(out)]
+        for k, v in dict(SMOKE_OVERRIDES[scenario_id], **{key: value}).items():
+            argv += ["--set", f"{k}={_as_text(v)}"]
+        try:
+            code = cli_main(argv)
+        except Exception as exc:  # the CLI would exit 1 with a traceback
+            failures.append(f"{key}={_as_text(value)}: {exc!r}")
+            continue
+        inside = _in_ranges(dict(start, **{key: value}), scenario.ranges)
+        if code not in ((0, 3, 4) if inside else (2,)):
+            failures.append(f"{key}={_as_text(value)}: exit {code}")
+        elif code != 0:
+            if (out / scenario_id).exists():
+                failures.append(f"{key}={_as_text(value)}: exit {code} left a directory")
+            continue
+        for csv in (out / scenario_id).glob("*.csv"):
+            for line in csv.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    try:
+                        number = float(cell)
+                    except ValueError:
+                        continue
+                    if not math.isfinite(number):
+                        failures.append(f"{key}={_as_text(value)}: {cell} in {csv.name}")
+    assert failures == []
 
 
 # ---------------------------------------------------------------------------
