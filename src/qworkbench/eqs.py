@@ -17,6 +17,7 @@ crosstalk error models with their exact inversion.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -489,13 +490,18 @@ def rescale_expectation(measured: float, epsilon: float, n_gates: int,
 
     For traceless observables this is measured / eps^n; in general the
     identity's contribution ``(1 - eps^n) Tr(O)/d`` is subtracted first.
+    A weight eps^n that underflows to zero or to a subnormal number has
+    lost its digits, and raises ``ValueError``.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
+    weight = epsilon ** n_gates
+    if weight < sys.float_info.min:
+        raise ValueError(f"the depolarizing weight epsilon^n_gates = {epsilon}^{n_gates} "
+                         f"underflows to {weight}; the noise cannot be inverted")
     omat = observable.matrix() if isinstance(observable, OperatorSum) else \
         np.asarray(observable, dtype=complex)
     d = omat.shape[0]
-    weight = epsilon ** n_gates
     tr = complex(np.trace(omat)).real
     return (measured - (1.0 - weight) * tr / d) / weight
 

@@ -276,7 +276,10 @@ def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
             noisy, n_gates = eqs.trotter_embedded_circuit(
                 terms, t, steps, psi0, noise=eqs.NoiseModel(gate_fidelity=eps))
             row.append(_tangle_from_embedded(noisy, readout))
-            row.append(_tangle_from_embedded(noisy, readout, rescale=(eps, n_gates)))
+            try:
+                row.append(_tangle_from_embedded(noisy, readout, rescale=(eps, n_gates)))
+            except ValueError as exc:  # the weight eps^n_gates underflowed
+                raise InvariantBreach(f"t = {t}: {exc}") from exc
         for delta0 in xtalk_list:
             skew, _ = eqs.trotter_embedded_circuit(
                 terms, t, steps, psi0, noise=eqs.NoiseModel(crosstalk=delta0))

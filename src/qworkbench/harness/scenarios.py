@@ -5,9 +5,11 @@ range of each parameter (see :func:`.config.check_ranges`), a description,
 and the name of its runner in :mod:`.runners`.  The registry is plain data
 and this module imports nothing beyond the standard library's ``math`` and
 ``collections``, so listing and describing scenarios loads no numerical
-module, no configuration or artifact module and no YAML; :func:`run_scenario`
-loads the runners and the artifact module on its first call, and each
-runner loads only its own physics module(s).
+module, no configuration or artifact module and no YAML;
+:func:`run_scenario` loads the runners and the artifact module on its first
+call, and each runner loads only its own physics module(s).  A run that
+returns a NaN or infinite table cell is an invariant breach: no table is
+written.
 """
 from __future__ import annotations
 
@@ -175,8 +177,23 @@ def describe_scenario(scenario_id: str) -> Scenario:
     return SCENARIOS[scenario_id]
 
 
+def _check_finite(artifact) -> None:
+    """Raise :class:`InvariantBreach` at the first NaN or infinite float or
+    complex cell, naming its table, column and row (0 is the first data row)."""
+    for table in artifact.tables:
+        for i, row in enumerate(table.rows):
+            for column, value in zip(table.columns, row):
+                if isinstance(value, (float, complex)) and not (
+                        math.isfinite(value.real) and math.isfinite(value.imag)):
+                    raise InvariantBreach(f"table {table.name!r}, column {column!r}, "
+                                          f"row {i}: non-finite value {value}")
+
+
 def run_scenario(config):
-    """Run ``config``'s scenario and return its :class:`.artifact.RunArtifact`."""
+    """Run ``config``'s scenario and return its :class:`.artifact.RunArtifact`.
+
+    A table cell that is NaN or infinite is an :class:`InvariantBreach`.
+    """
     from . import runners
     from .artifact import Stopwatch
 
@@ -185,6 +202,7 @@ def run_scenario(config):
     runner = getattr(runners, scenario.runner)
     with Stopwatch() as clock:
         artifact = runner(params, config.master_seed, config.threads)
+    _check_finite(artifact)
     artifact.wall_time = clock.elapsed
     artifact.threads = config.threads
     artifact.notes.setdefault(

@@ -10,9 +10,12 @@ over the channels.  The series terms are exact: for a generator L0(s) + LP(s)
 truncated at order n, the block stack [rho0, 0, ..., 0] obeys
 d xi_k/ds = L0 xi_k + LP xi_(k-1), so block k is the order-k simplex integral
 (Van Loan, IEEE TAC 23 (1978) 395).  A time-dependent generator is stepped on
-the stack; a constant one is exponentiated once as ``I_(n+1) kron L0 +
-S kron LP`` (S the sub-diagonal shift).  That and ``liouvillian_matrix`` are
-the only superoperator matrices, in column stacking: ``vec(A X B) =
+the stack.  A constant one generates the lower block-triangular Toeplitz
+matrix ``I_(n+1) kron L0 + S kron LP`` (S the sub-diagonal shift), which is
+never assembled: ``qcore.expm_block_toeplitz`` exponentiates its first block
+column, the stack [L0 t, LP t, 0, ..., 0], and block k of the result applied
+to vec(rho0) is xi_k(t).  L0 and LP there and ``liouvillian_matrix`` are the
+only superoperator matrices, in column stacking: ``vec(A X B) =
 (B^T kron A) vec(X)``.
 
 The Monte-Carlo estimator samples the simplex instead.  Order n draws one
@@ -44,8 +47,8 @@ from .qcore import (
     check_stream_key,
     dense_pauli,
     expm,
+    expm_block_toeplitz,
     integrate,
-    kron_all,
     pauli_decompose,
     propagator,
     propagator_stack,
@@ -183,8 +186,8 @@ def _dyson_blocks(parts: Callable[[float], tuple], rho0: np.ndarray, t: float,
     """Dyson terms [xi_0(t), ..., xi_order(t)] of dx/ds = (L0(s) + LP(s)) x, x(0) = rho0.
 
     ``parts(s)`` returns the actions (L0(s), LP(s)); LP is not read at order
-    0.  A constant generator gets one matrix exponential, else the stepper
-    runs on the block stack at ``rtol=tol``, ``atol=tol*1e-2`` (see the
+    0.  A constant generator gets one block-Toeplitz exponential, else the
+    stepper runs on the block stack at ``rtol=tol``, ``atol=tol*1e-2`` (see the
     module docstring).  A negative ``t`` raises ``ValueError``.
     """
     if order < 0:
@@ -192,15 +195,18 @@ def _dyson_blocks(parts: Callable[[float], tuple], rho0: np.ndarray, t: float,
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     d = rho0.shape[0]
-    x0 = np.zeros((order + 1, d, d), dtype=complex)
-    x0[0] = rho0
     if constant:
         l0, lp = parts(0.0)
-        b = kron_all([np.eye(order + 1), _superoperator(l0, d)])
+        blocks = np.zeros((order + 1, d * d, d * d), dtype=complex)
+        blocks[0] = _superoperator(l0, d) * t
         if order:
-            b += kron_all([np.eye(order + 1, k=-1), _superoperator(lp, d)])
-        v = expm(b * t) @ x0.transpose(0, 2, 1).reshape(-1)
+            blocks[1] = _superoperator(lp, d) * t
+        e = expm_block_toeplitz(blocks)
+        v = e.reshape(-1, d * d) @ rho0.T.reshape(-1)
         return v.reshape(order + 1, d, d).transpose(0, 2, 1)
+
+    x0 = np.zeros((order + 1, d, d), dtype=complex)
+    x0[0] = rho0
 
     def rhs(s, y):
         l0, lp = parts(s)

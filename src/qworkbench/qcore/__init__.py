@@ -52,7 +52,7 @@ from .states import (
     random_pure_state,
     thermal_qubit,
 )
-from .linalg import expm
+from .linalg import expm, expm_block_toeplitz
 from .evolve import (
     DEFAULT_TOL,
     Schedule,

@@ -395,6 +395,30 @@ def test_digital_beating_digital_analog_is_an_invariant_breach(tmp_path):
     assert not (tmp_path / "daqs-heisenberg").exists()
 
 
+def test_underflowing_depolarizing_weight_is_an_invariant_breach(tmp_path, capsys):
+    # 1e-8 ** n_gates underflows to 0, so the rescaled column cannot be
+    # formed: exit 3, no directory, and the message names eps and n_gates;
+    # 1e-5 ** n_gates is still a normal number, and that run completes
+    argv = ["run", "eqs-3tangle", "--set", "n_points=3", "--set", "crosstalk=0.03",
+            "--out", str(tmp_path)]
+    assert cli_main(argv + ["--set", "gate_fidelities=1e-8"]) == 3
+    assert not (tmp_path / "eqs-3tangle").exists()
+    assert "epsilon^n_gates = 1e-08^60 underflows" in capsys.readouterr().err
+    assert cli_main(argv + ["--set", "gate_fidelities=1e-5"]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_table_cell_is_an_invariant_breach(tmp_path, capsys):
+    # omega0 = 1e308 is in its range, but the propagator's phases overflow;
+    # the run names the first NaN cell and writes no table
+    assert cli_main(["run", "timecorr-2pt", "--set", "omega0=1e308", "--set", "n_points=5",
+                     "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "timecorr-2pt").exists()
+    err = capsys.readouterr().err
+    assert "table 'two_point', column 're_direct', row 3: non-finite value nan" in err
+
+
 # ---------------------------------------------------------------------------
 # every parameter's range is declared once, in the registry
 # ---------------------------------------------------------------------------

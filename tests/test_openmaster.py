@@ -1,5 +1,7 @@
 """Lindblad oracle, Dyson terms, Monte-Carlo reconstruction, and bounds."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -664,7 +666,7 @@ def test_time_dependent_series_forms_no_superoperator(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(om, "_superoperator", forbidden)
-        m.setattr(om, "kron_all", forbidden)
+        m.setattr(om, "expm_block_toeplitz", forbidden)
         states = om.truncated_states(model, rho0, t, order)
     blocks = [states[0]] + [b - a for a, b in zip(states, states[1:])]
 
@@ -675,6 +677,33 @@ def test_time_dependent_series_forms_no_superoperator(monkeypatch):
                     (0.0, t), v0, method="DOP853", rtol=1e-12, atol=1e-14).y[:, -1]
     for k, block in enumerate(ref.reshape(order + 1, d * d)):
         assert np.max(np.abs(blocks[k] - block.reshape(d, d, order="F"))) < 1e-8
+
+
+def test_constant_series_matches_the_stepped_block_route():
+    # one three-qubit model at order 3, with number rates (the block-Toeplitz
+    # exponential) and with callable constant rates (the stepper on the
+    # block stack)
+    rng = np.random.default_rng(229)
+    base = random_model(rng, n_qubits=3, n_channels=2)
+    channels = [(ch.operator, ch.rate(0.0)) for ch in base.channels]
+    exact = om.LindbladModel(base.h, channels)
+    stepped = om.LindbladModel(base.h, [(op, lambda s, g=g: g) for op, g in channels])
+    assert exact.is_constant and not stepped.is_constant
+    rho0 = random_density_matrix(exact.space, rng)
+    for a, b in zip(om.truncated_states(exact, rho0, 0.6, 3),
+                    om.truncated_states(stepped, rho0, 0.6, 3), strict=True):
+        assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_openmaster_never_references_kron_all():
+    # the constant route exponentiates the block-Toeplitz stack; no module
+    # line assembles the dense Van Loan matrix
+    path = Path(om.__file__)
+    sites = [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Name) and node.id == "kron_all")
+             or (isinstance(node, ast.Attribute) and node.attr == "kron_all")
+             or (isinstance(node, ast.alias) and node.name == "kron_all")]
+    assert not sites, sites
 
 
 # ---------------------------------------------------------------------------

@@ -850,6 +850,69 @@ def test_expm_van_loan_block_matches_scipy(n_qubits):
         assert _expm_rel_error((l0 + lp) * t) < 1e-13
 
 
+def _random_lindblad_parts(rng, n_qubits) -> tuple:
+    """(L_H, L_D) superoperators of a random model of the lindblad-bounds kind."""
+    from qworkbench import openmaster as om
+
+    space = qc.HilbertSpace.qubits(n_qubits)
+    d = space.dim
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    channels = [(qc.OperatorSum.pauli_string(space, label, complex(*rng.standard_normal(2))),
+                 float(rng.uniform(0.05, 0.4))) for label in ("X" * n_qubits, "Z" * n_qubits)]
+    model = om.LindbladModel(qc.Schedule.constant(0.5 * (m + m.conj().T), space), channels)
+    return om._generator_parts(model, 0.0)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_expm_block_toeplitz_is_the_first_block_column_of_expm(n_qubits):
+    # the stack [L0 t, LP t, 0, ...] against qc.expm of the kron_all-assembled
+    # Van Loan matrix, at 1-norms below each Pade degree's threshold, and
+    # past the last one without and with scaling; the stack's 1-norm is the
+    # dense matrix's, so both pick the same degree and scaling
+    from qworkbench.qcore.linalg import _THETA, _THETA_13
+
+    rng = np.random.default_rng(40 + n_qubits)
+    l0, lp = _random_lindblad_parts(rng, n_qubits)
+    dim = l0.shape[0]
+    targets = [0.9 * theta for _, theta in _THETA] + [0.9 * _THETA_13, 3.0 * _THETA_13]
+    for order in range(6):
+        blocks = np.zeros((order + 1, dim, dim), dtype=complex)
+        blocks[0] = l0
+        if order:
+            blocks[1] = lp
+        dense = qc.kron_all([np.eye(order + 1), l0]) \
+            + qc.kron_all([np.eye(order + 1, k=-1), lp])
+        norm = np.linalg.norm(dense, 1)
+        assert np.linalg.norm(blocks.reshape(-1, dim), 1) == norm
+        for target in targets:
+            t = target / norm
+            got = qc.expm_block_toeplitz(blocks * t)
+            want = qc.expm(dense * t)[:, :dim].reshape(order + 1, dim, dim)
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_expm_block_toeplitz_of_one_block_is_expm():
+    # a dense matrix is the one-block stack: the same Pade, the same bits
+    from qworkbench.qcore.linalg import _THETA, _THETA_13, _toeplitz_index
+
+    rng = np.random.default_rng(13)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    m /= np.linalg.norm(m, 1)
+    real = rng.standard_normal((5, 5))
+    for scale in [0.9 * theta for _, theta in _THETA] + [0.9 * _THETA_13, 50.0]:
+        for a in (scale * m, scale * real, np.asfortranarray(scale * m)):
+            got = qc.expm_block_toeplitz(a[None])
+            assert got.shape == (1,) + a.shape and got.dtype == a.dtype
+            assert np.array_equal(got[0], qc.expm(a))
+    qc.expm_block_toeplitz(np.zeros((3, 4, 4)))
+    for index in _toeplitz_index(3, 4):  # shared by every caller
+        with pytest.raises(ValueError):
+            index[0] = 0
+    for shape in ((4, 4), (2, 3, 4)):
+        with pytest.raises(ValueError):
+            qc.expm_block_toeplitz(np.zeros(shape))
+
+
 def test_expm_rejects_non_square():
     with pytest.raises(ValueError):
         qc.expm(np.zeros((2, 3)))
