@@ -110,6 +110,26 @@ def _damping_model(gamma: float):
         [(qc.OperatorSum.single(space, 0, "S-"), gamma)])
 
 
+def _exact_state(model, rho0, t):
+    """(``openmaster.lindblad_exact``'s state, its trace drift |Tr rho - 1|).
+
+    The exponential's squarings amplify rounding as rate times time grows,
+    and the trace shows it: a drift above ``qc.DEFAULT_TOL``, or a trace so
+    far off 1 that no density matrix is formed, is an invariant breach.
+    """
+    from .. import openmaster
+
+    try:
+        exact = openmaster.lindblad_exact(model, rho0, t)
+    except ValueError as exc:  # the trace is grossly off 1
+        raise InvariantBreach(f"t = {t}: exact state: {exc}") from exc
+    drift = exact.trace_error
+    if not drift <= qc.DEFAULT_TOL:
+        raise InvariantBreach(f"t = {t}: the exact state's trace drifts by {drift:.3g}, "
+                              f"above {qc.DEFAULT_TOL:g}")
+    return exact, drift
+
+
 def _run_lindblad_reconstruction(params, seed, threads) -> RunArtifact:
     from .. import openmaster
 
@@ -122,7 +142,8 @@ def _run_lindblad_reconstruction(params, seed, threads) -> RunArtifact:
     grid = np.linspace(0.0, params["t_max"], params["n_points"])[1:]
 
     def one(t):
-        exact = qc.expectation(openmaster.lindblad_exact(model, rho0, t), obs).real
+        state, drift = _exact_state(model, rho0, t)
+        exact = qc.expectation(state, obs).real
         rec = openmaster.reconstruct(model, obs, rho0, t, order)
         bound = openmaster.truncation_bound(order, t, model.gamma_bar(t),
                                             model.n_channels)
@@ -130,13 +151,14 @@ def _run_lindblad_reconstruction(params, seed, threads) -> RunArtifact:
             + [bound, abs(rec.value - exact)]
         if abs(rec.value - exact) > 2.0 * bound + 1e-12:
             raise InvariantBreach("series error escaped the trace-distance bound")
-        return tuple(row)
+        return tuple(row), drift
 
-    rows = parallel_map(one, list(grid), threads)
+    rows, drifts = zip(*parallel_map(one, list(grid), threads))
     cols = ("t", "exact") + tuple(f"series_order_{k}" for k in range(order + 1)) \
         + ("bound", "abs_error")
-    table = Table("reconstruction", cols, ("s",) + ("1",) * (len(cols) - 1), rows)
-    return RunArtifact("lindblad-reconstruction", params, seed, threads, [table])
+    table = Table("reconstruction", cols, ("s",) + ("1",) * (len(cols) - 1), list(rows))
+    return RunArtifact("lindblad-reconstruction", params, seed, threads, [table],
+                       notes={"worst_trace_drift": max(drifts)})
 
 
 def _random_lindblad_model(rng):
@@ -177,7 +199,7 @@ def _run_lindblad_bounds(params, seed, threads) -> RunArtifact:
 
     def one(args):
         model_idx, n_qubits, model, rho0, t = args
-        exact = openmaster.lindblad_exact(model, rho0, t)
+        exact, drift = _exact_state(model, rho0, t)
         gb = model.gamma_bar(t)
         states = openmaster.truncated_states(model, rho0, t, params["max_order"])
         rows = []
@@ -187,9 +209,10 @@ def _run_lindblad_bounds(params, seed, threads) -> RunArtifact:
             bound = openmaster.truncation_bound(n, t, gb, model.n_channels)
             rows.append((model_idx, n_qubits, model.n_channels, t, gb, n, d1,
                          bound, bound - d1))
-        return rows
+        return rows, drift
 
-    rows = [row for rows in parallel_map(one, models, threads) for row in rows]
+    results = parallel_map(one, models, threads)
+    rows = [row for model_rows, _ in results for row in model_rows]
     violations = sum(1 for *_, d1, bound, _ in rows if d1 > bound + 1e-9)
     if violations:
         raise InvariantBreach(f"{violations} trace-distance bound violations")
@@ -197,7 +220,8 @@ def _run_lindblad_bounds(params, seed, threads) -> RunArtifact:
                              "order", "d1", "bound", "margin"),
                   ("index", "1", "1", "s", "1/s", "1", "1", "1", "1"), rows)
     return RunArtifact("lindblad-bounds", params, seed, threads, [table],
-                       notes={"violations": violations})
+                       notes={"violations": violations,
+                              "worst_trace_drift": max(drift for _, drift in results)})
 
 
 # ---------------------------------------------------------------------------

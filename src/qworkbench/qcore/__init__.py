@@ -42,15 +42,9 @@ from .states import (
     PureState,
     all_plus_state,
     basis_state,
-    bell_state,
-    coherent_state,
-    ghz_state,
-    maximally_mixed,
     plus_state,
     qubit_register_state,
-    random_product_state,
     random_pure_state,
-    thermal_qubit,
 )
 from .linalg import expm, expm_block_toeplitz
 from .evolve import (
@@ -71,7 +65,6 @@ from .metrics import (
     operator_infinity_norm,
     partial_trace,
     pauli_decompose,
-    pauli_recompose,
     trace_distance,
 )
 

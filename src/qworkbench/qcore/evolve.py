@@ -1,11 +1,18 @@
 """Exact time evolution: eigenbasis propagators, exact frames and adaptive integration.
 
-A constant Hamiltonian is diagonalized once: one ``eigh``, cached on the
-schedule, gives U(t) at every time, and ``propagator_stack`` gives a whole
-stack of them in one ``einsum``.  Time-dependent generators are
-integrated by ``integrate``, an
-adaptive embedded 4(5) Runge-Kutta stepper written here: the Dormand-Prince
-5(4) pair (RK45) under the step control of Hairer, Norsett & Wanner, at a
+Every schedule is one term form,
+``H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag``: scalar coefficients over
+fixed matrices, with an optional diagonal frame
+``F(t) = exp(i t diag(frame))``.  A constant Hamiltonian is its one-term
+case, with coefficient 1 and no frame.  The schedule acts as one lab-frame
+action ``apply(t, y) = H(t) @ y`` for a vector or a column block, valid at
+every time: one product of the stacked ``H_k`` with ``F(t)^dag y`` and one
+contraction with the coefficient vector, so no Hamiltonian is rebuilt at a
+Runge-Kutta stage and nothing is shared between evaluations.
+
+Time-dependent generators are integrated by ``integrate``, an adaptive
+embedded 4(5) Runge-Kutta stepper written here: the Dormand-Prince 5(4)
+pair (RK45) under the step control of Hairer, Norsett & Wanner, at a
 caller-chosen local tolerance, default 1e-10.  The perturbative error
 bounds checked elsewhere in the package are meaningless if this oracle
 layer is loose.  ``integrate`` is the one place that runs the stepper; the
@@ -13,28 +20,19 @@ master-equation integrators of other modules call it too.  It keeps no step
 history and returns the stepped state at the end of the window.  This
 module imports nothing but numpy.
 
-A time-dependent schedule is one lab-frame action ``apply(t, y) = H(t) @ y``
-for a vector or a column block, valid at every time.  Two forms build it.
-A builder ``t -> dense H(t)`` acts as ``builder(t) @ y``.  The term form
-``H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag`` (scalar coefficients over
-fixed matrices, with an optional diagonal frame
-``F(t) = exp(i t diag(frame))``) acts as one product of the stacked ``H_k``
-with ``F(t)^dag y`` and one contraction with the coefficient vector, so no
-Hamiltonian is rebuilt at a Runge-Kutta stage and nothing is shared
-between evaluations.
-
-In the frame of ``F`` a term-form Hamiltonian reads
+In the frame of ``F`` the Hamiltonian reads
 ``K(t) = diag(frame) + sum_k f_k(t) H_k``, and
 ``U(t1, t0) = F(t1) U_K(t1, t0) F(t0)^dag``.  ``carry`` takes a ket or a
-column block by one of three routes:
+column block by the schedule's exact frame, if it has one, or by RK45:
 
-* static: the schedule is constant (K = H, no frame), or every coefficient
-  of a term form is a number, so K is constant.  One ``eigh`` of K, cached
-  on the schedule, serves every time: a ket or a column block is carried
-  as ``V (exp(-i w dt) * (V^dag y))``, two products with the
-  eigenvectors, and the d x d ``U_K`` is formed only where ``propagator``
-  and ``propagator_stack`` of a constant schedule return it.
-* periodic: the term form declares the common period T of its
+* static: every coefficient is a number, so K is constant; with no frame
+  the schedule is constant and K = H.  One ``eigh`` of K, cached on the
+  schedule, serves every time: a ket or a column block is carried as
+  ``V (exp(-i w dt) * (V^dag y))``, two products with the eigenvectors,
+  and the d x d ``U_K`` is formed only where ``propagator`` and
+  ``propagator_stack`` of a constant schedule return it, the latter for
+  a whole stack of times in one ``einsum``.
+* periodic: the schedule declares the common period T of its
   coefficients, so ``K(t + T) = K(t)`` and a window splits into whole
   periods and at most one partial period at each end.  ``U_K(T, 0)`` is
   integrated once per tolerance and cached on the schedule; whole periods
@@ -49,7 +47,7 @@ terms, while in the frame of K they are large diagonal phases that the
 stepper has to resolve: on the ion drive that costs about twenty times the
 steps per period.
 
-The terms of a term form may leave blocks of basis states invariant: the
+The terms of a schedule may leave blocks of basis states invariant: the
 connected components of the union of their nonzero patterns, which
 ``from_terms`` finds once (the frame is diagonal and joins none).  The
 parity sectors of the dispersive pulse ``sigma_x (x) (a + a^dag)`` and of
@@ -164,15 +162,15 @@ class _TermForm:
 
     __slots__ = ("d", "coeffs", "stack", "i_frame", "index", "block_stack", "block_frame")
 
-    def __init__(self, d: int, terms, frame):
+    def __init__(self, d: int, coeffs, stack: np.ndarray, frame):
         self.d = d
-        self.coeffs = tuple(f if callable(f) else (lambda t, c=f: c) for f, _ in terms)
-        mats = [m for _, m in terms]
-        self.stack = np.concatenate(mats, axis=0)
+        self.coeffs = tuple(f if callable(f) else (lambda t, c=f: c) for f in coeffs)
+        self.stack = stack
         self.i_frame = None if frame is None else 1j * frame
         self.index = self.block_stack = self.block_frame = None
-        if not any(callable(f) for f, _ in terms):
+        if not any(callable(f) for f in coeffs):
             return  # a static K takes the eigenbasis route and never steps
+        mats = stack.reshape(-1, d, d)
         blocks = _invariant_blocks(d, mats)
         size = max(b.size for b in blocks)
         if len(blocks) < 2 or len(blocks) * size * size > d * d:
@@ -261,12 +259,12 @@ class _ExactFrame:
 
     ``frame`` is the diagonal of the frame generator and ``step`` the
     schedule's RK45 carrier ``(y, t0, t1, tol) -> U(t1, t0) y`` in the lab
-    frame; both are None for a constant schedule, whose K is its
-    Hamiltonian.  ``static`` is the constant ``K = diag(frame) +
-    sum_k c_k H_k`` when every coefficient is a number (else None);
-    ``period`` is the common period T of the coefficients otherwise.  The
-    ``eigh`` of a static K, and ``U_K(T, 0)`` per tolerance, are computed
-    on first use and kept here.
+    frame.  ``static`` is the constant ``K = diag(frame) + sum_k c_k H_k``
+    when every coefficient is a number (else None); ``period`` is the
+    common period T of the coefficients otherwise.  ``frame`` is None only
+    for a static K with no frame: a constant schedule, whose K is its
+    Hamiltonian.  The ``eigh`` of a static K, and ``U_K(T, 0)`` per
+    tolerance, are computed on first use and kept here.
     """
 
     __slots__ = ("frame", "step", "static", "period", "_eig", "_one_period")
@@ -313,68 +311,58 @@ class _ExactFrame:
 
 
 class Schedule:
-    """Hamiltonian over time: a constant operator or one lab-frame action.
+    """Hamiltonian over time, in one form: H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag.
 
-    A time-dependent schedule acts through ``apply(t, y) = H(t) @ y`` on a
-    vector or a column block, at every time; ``evolve`` carries kets with
-    it and conjugates a density matrix by the propagator.  Two forms build
+    The ``f_k`` are scalar coefficients, numbers or functions of time, over
+    fixed matrices ``H_k`` (QuTiP's list format), and
+    ``F(t) = exp(i t diag(frame))`` is an optional diagonal frame.  In the
+    frame the Hamiltonian is ``K(t) = diag(frame) + sum_k f_k(t) H_k``.  A
+    schedule acts through ``apply(t, y) = H(t) @ y`` on a vector or a
+    column block, at every time: one stacked product of the fixed matrices
+    with ``F(t)^dag y`` contracted with the coefficient vector, so no
+    matrix is rebuilt per evaluation.  ``evolve`` carries kets with it and
+    conjugates a density matrix by the propagator.  Two constructors build
     it:
 
-    * ``Schedule.constant(op, space)`` holds one Hermitian matrix; its
-      ``exact_frame`` has no frame, and the cached ``eigh`` of the matrix
-      gives the propagator at every time.
-    * ``Schedule.time_dependent(space, builder)`` wraps a callable
-      ``t -> dense H(t)``; its action is ``builder(t) @ y``.
-    * ``Schedule.from_terms(space, terms, frame, period)`` stands for
-      ``H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag`` with scalar coefficients
-      ``f_k`` over fixed matrices ``H_k`` (QuTiP's list format) and an
-      optional diagonal frame ``F(t) = exp(i t diag(frame))``.  Its action
-      is one stacked product of the fixed matrices with ``F(t)^dag y``
-      contracted with the coefficient vector, so no matrix is rebuilt per
-      evaluation.  In the frame the Hamiltonian is
-      ``K(t) = diag(frame) + sum_k f_k(t) H_k``; if every coefficient is a
-      number K is static, and with a ``period`` it is periodic.  Either
-      way ``exact_frame`` holds what the exact routes of ``evolve`` and
-      ``propagator`` need, and their cached ``eigh`` or one-period
-      propagator; it is None for every other time-dependent schedule.
+    * ``Schedule.from_terms(space, terms, frame, period)``, the general
+      form.
+    * ``Schedule.constant(op, space)``, one Hermitian matrix as the one
+      term, with coefficient 1 and no frame: K is that matrix itself, held
+      in one read-only copy.
 
-    ``matrix_at`` returns the stored matrix of a constant schedule and, on
-    a time-dependent one, the lab-frame H(t) as a new array on every call.
+    ``exact_frame`` holds what the exact routes of ``evolve`` and
+    ``propagator`` need, with their cached ``eigh`` or one-period
+    propagator: K is static when every coefficient is a number, and
+    periodic when the coefficients declare a common ``period``.  It is None
+    for every other schedule, which RK45 steps.  ``is_constant`` holds when
+    K is static with no frame, so H(t) = K at every time.  ``matrix_at``
+    returns that stored K of a constant schedule and, on any other, the
+    lab-frame H(t) as a new array on every call.
     """
 
-    def __init__(self, space: HilbertSpace, constant: OperatorSum | np.ndarray | None = None,
-                 apply: Callable[[float, np.ndarray], np.ndarray] | None = None):
-        if (constant is None) == (apply is None):
-            raise ValueError("give either a constant operator or an action")
+    def __init__(self, space: HilbertSpace, terms: _TermForm, exact_frame: _ExactFrame | None):
         self.space = space
-        self.exact_frame: _ExactFrame | None = None
-        self.apply = apply
-        self._terms: _TermForm | None = None  # set by from_terms
-        self.constant_matrix = None
-        if constant is not None:
-            # a raw matrix is copied: the caller's array is never frozen
-            mat = _frozen(constant.matrix() if isinstance(constant, OperatorSum) else
-                           np.array(constant, dtype=complex))
-            if mat.shape != (space.dim, space.dim):
-                raise DimensionMismatchError("constant Hamiltonian does not match the space")
-            if not _is_hermitian(mat):
-                raise ValueError("a constant Hamiltonian must be Hermitian")
-            self.constant_matrix = mat
-            self.exact_frame = _ExactFrame(None, None, mat, None)
+        self._terms = terms
+        self.apply = terms.apply
+        self.exact_frame = exact_frame
 
     @staticmethod
     def constant(op, space: HilbertSpace | None = None) -> "Schedule":
+        """H(t) = ``op`` at every time: an ``OperatorSum``, or a raw Hermitian
+        matrix on ``space``, which is copied, so a caller's array is never
+        frozen."""
         if space is None:
             if not isinstance(op, OperatorSum):
                 raise ValueError("space required when passing a raw matrix")
             space = op.space
-        return Schedule(space, constant=op)
-
-    @staticmethod
-    def time_dependent(space: HilbertSpace,
-                       builder: Callable[[float], np.ndarray]) -> "Schedule":
-        """H(t) = ``builder(t)``, a dense matrix, at every time."""
-        return Schedule(space, apply=lambda t, y: builder(t) @ y)
+        mat = _frozen(op.matrix() if isinstance(op, OperatorSum) else
+                      np.array(op, dtype=complex))
+        if mat.shape != (space.dim, space.dim):
+            raise DimensionMismatchError("constant Hamiltonian does not match the space")
+        if not _is_hermitian(mat):
+            raise ValueError("a constant Hamiltonian must be Hermitian")
+        form = _TermForm(space.dim, (1.0,), mat, None)
+        return Schedule(space, form, _ExactFrame(None, form.step, mat, None))
 
     @staticmethod
     def from_terms(space: HilbertSpace, terms: Sequence[tuple], frame=None,
@@ -415,26 +403,27 @@ class Schedule:
                 raise ValueError("period must be finite and positive")
             if not all(_is_periodic(f, period) for f, _ in terms if callable(f)):
                 raise ValueError("a coefficient does not repeat with the given period")
-        form = _TermForm(d, terms, frame)
-        sched = Schedule(space, apply=form.apply)
-        sched._terms = form
-        diag = np.zeros(d) if frame is None else frame
+        form = _TermForm(d, [f for f, _ in terms],
+                         np.concatenate([m for _, m in terms], axis=0), frame)
+        exact = None
         if not any(callable(f) for f, _ in terms):
-            k = _frozen(np.diag(diag).astype(complex) + sum(c * m for c, m in terms))
+            k = sum(c * m for c, m in terms)
+            if frame is not None:
+                k = np.diag(frame).astype(complex) + k
             if not _is_hermitian(k):
                 raise ValueError("constant terms must sum to a Hermitian matrix")
-            sched.exact_frame = _ExactFrame(diag, form.step, k, None)
+            exact = _ExactFrame(frame, form.step, _frozen(k), None)
         elif period is not None:
-            sched.exact_frame = _ExactFrame(diag, form.step, None, period)
-        return sched
+            exact = _ExactFrame(np.zeros(d) if frame is None else frame, form.step, None, period)
+        return Schedule(space, form, exact)
 
     @property
     def is_constant(self) -> bool:
-        return self.constant_matrix is not None
+        return self.exact_frame is not None and self.exact_frame.frame is None
 
     def matrix_at(self, t: float) -> np.ndarray:
         if self.is_constant:
-            return self.constant_matrix
+            return self.exact_frame.static
         return self.apply(t, np.eye(self.space.dim, dtype=complex))
 
 
@@ -528,6 +517,9 @@ def _exact_route(ef: _ExactFrame, y: np.ndarray, t0: float, t1: float,
                  tol: float) -> np.ndarray:
     """Carry a lab-frame ket or column block ``y`` from t0 to t1 by the
     static or the periodic route."""
+    if ef.frame is None:  # a constant schedule: K = H
+        return ef.carry(t1 - t0, y)
+
     def diag(p, y):
         return p.reshape((-1,) + (1,) * (y.ndim - 1)) * y
 
@@ -573,13 +565,9 @@ def carry(h: Schedule, y: np.ndarray, t0: float, t1: float, tol: float) -> np.nd
         raise DimensionMismatchError("vector or column block does not match the schedule")
     if t1 == t0:
         return y.copy()
-    if h.is_constant:
-        return h.exact_frame.carry(t1 - t0, y)
     if h.exact_frame is not None:
         return _exact_route(h.exact_frame, y, t0, t1, tol)
-    if h._terms is not None:
-        return h._terms.step(y, t0, t1, tol)
-    return _integrate_ket(h.apply, y, t0, t1, tol)
+    return h._terms.step(y, t0, t1, tol)
 
 
 def evolve(state: PureState | DensityMatrix, h: Schedule, t0: float, t1: float,
@@ -589,7 +577,7 @@ def evolve(state: PureState | DensityMatrix, h: Schedule, t0: float, t1: float,
     Returns the same kind of state: a pure state is carried directly, a
     density matrix is conjugated by ``propagator``, ``U rho U^dag``.
     Norm/trace drift is monitored through the returned object's
-    ``norm_error`` / ``trace_error``.  A static or periodic term form takes
+    ``norm_error`` / ``trace_error``.  A static or periodic schedule takes
     its exact route (module docstring); on the periodic one ``tol`` governs
     U(T) and the partial periods.  Raises ``ValueError`` for t1 < t0.
     """
@@ -627,8 +615,8 @@ def propagator(h: Schedule, t0: float, t1: float, tol: float = DEFAULT_TOL) -> n
     """Dense unitary U(t1; t0) of the schedule.
 
     Constant schedules get their cached eigenbasis, static and periodic
-    term forms their exact route, and other time-dependent ones integrate
-    the full matrix column block through the adaptive stepper.
+    ones their exact route, and every other schedule integrates the full
+    matrix column block through the adaptive stepper.
     """
     if h.is_constant and t1 > t0:  # the unitary itself, with no product with the identity
         return h.exact_frame.unitary(t1 - t0)

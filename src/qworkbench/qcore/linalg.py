@@ -125,9 +125,9 @@ def _pade_expm(a: np.ndarray) -> np.ndarray:
     # the first block column holds every block, so its largest absolute
     # column sum is the 1-norm of the dense matrix
     norm = np.linalg.norm(a.reshape(n * d, d), 1)
-    a2 = _product(a, a)
     for m, theta in _THETA:
         if norm <= theta:
+            a2 = _product(a, a)
             b = _PADE[m]
             powers = [eye, a2]
             while len(powers) <= m // 2:
@@ -135,11 +135,13 @@ def _pade_expm(a: np.ndarray) -> np.ndarray:
             u = _product(a, sum(b[2 * k + 1] * p for k, p in enumerate(powers)))
             v = sum(b[2 * k] * p for k, p in enumerate(powers))
             return _solve(v - u, v + u)
-    # degree 13 on a / 2^s, then s squarings
+    # degree 13 on a / 2^s, then s squarings.  2^-s is a normal float for
+    # every finite norm (s <= 1022), so the scaling is exact, and a2 is
+    # formed from the scaled a, so no product overflows
     s = max(0, math.ceil(math.log2(norm / _THETA_13)))
     if s:
-        a = a / 2.0 ** s
-        a2 = a2 / 4.0 ** s
+        a = a * np.ldexp(1.0, -s)
+    a2 = _product(a, a)
     a4 = _product(a2, a2)
     a6 = _product(a4, a2)
     b = _PADE[13]

@@ -87,14 +87,6 @@ def pauli_decompose(op: OperatorSum | np.ndarray, space: HilbertSpace | None = N
     return [(complex(q), lbl) for q, lbl in zip(coeffs, labels) if abs(q) > 1e-12]
 
 
-def pauli_recompose(terms, n: int) -> np.ndarray:
-    """Dense matrix from ``[(q_k, label_k), ...]`` (inverse of decompose)."""
-    acc = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for q, lbl in terms:
-        acc += q * dense_pauli(lbl)
-    return acc
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state over the ``keep`` subsystem indices (order preserved)."""
     keep = sorted(set(keep))

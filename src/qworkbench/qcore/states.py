@@ -86,7 +86,7 @@ class DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# constructors used throughout tests and scenarios
+# constructors the runs use (tests/qcore_helpers.py holds those only tests build)
 # ---------------------------------------------------------------------------
 
 def basis_state(space: HilbertSpace, occupations) -> PureState:
@@ -123,55 +123,6 @@ def all_plus_state(n: int) -> PureState:
     return PureState(space, np.full(2 ** n, 2.0 ** (-n / 2.0), dtype=complex))
 
 
-def bell_state() -> PureState:
-    space = HilbertSpace.qubits(2)
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = amps[3] = 1.0 / math.sqrt(2.0)
-    return PureState(space, amps)
-
-
-def ghz_state(n: int = 3) -> PureState:
-    space = HilbertSpace.qubits(n)
-    amps = np.zeros(2 ** n, dtype=complex)
-    amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    return PureState(space, amps)
-
-
-def coherent_state(n_max: int, alpha: complex) -> PureState:
-    """Coherent state on a single truncated mode (renormalized in truncation)."""
-    if abs(alpha) ** 2 > 0.5 * n_max:
-        raise ValueError(f"|alpha|^2 = {abs(alpha)**2:.2f} too large for n_max = {n_max}")
-    space = HilbertSpace.single_boson(n_max)
-    if alpha == 0:
-        amps = np.concatenate(([1.0], np.zeros(n_max))).astype(complex)
-    else:
-        n = np.arange(n_max + 1)
-        log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n_max + 1)))))
-        amps = np.exp(n * np.log(complex(alpha)) - 0.5 * log_fact)
-    amps = np.asarray(amps, dtype=complex)
-    amps /= np.linalg.norm(amps)
-    return PureState(space, amps)
-
-
 def random_pure_state(space: HilbertSpace, rng: np.random.Generator) -> PureState:
     amps = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     return PureState(space, amps / np.linalg.norm(amps))
-
-
-def random_product_state(n_qubits: int, rng: np.random.Generator) -> PureState:
-    amps = np.array([1.0], dtype=complex)
-    for _ in range(n_qubits):
-        q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        amps = np.kron(amps, q / np.linalg.norm(q))
-    return PureState(HilbertSpace.qubits(n_qubits), amps)
-
-
-def maximally_mixed(space: HilbertSpace) -> DensityMatrix:
-    d = space.dim
-    return DensityMatrix(space, np.eye(d, dtype=complex) / d)
-
-
-def thermal_qubit(p_ground: float) -> DensityMatrix:
-    """Diagonal qubit state with ground-level population ``p_ground``."""
-    space = HilbertSpace.qubits(1)
-    return DensityMatrix(space, np.diag([1.0 - p_ground, p_ground]).astype(complex))

@@ -431,8 +431,13 @@ def linear_response_check(h0: Schedule, a: OperatorSum, b: OperatorSum, state,
 
     ``predicted`` combines the unperturbed value with the first-order
     susceptibility integral; ``exact`` integrates the perturbed Schroedinger
-    equation.  Their gap is the quadratic remainder, O(f^2).
+    equation.  Their gap is the quadratic remainder, O(f^2).  ``h0`` must
+    be constant (``ValueError`` otherwise): the susceptibility integral is
+    a convolution, which holds only under time-translation invariance.
     """
+    if not h0.is_constant:
+        raise ValueError("linear response needs a constant h0: the Kubo "
+                         "convolution assumes time-translation invariance")
     grid = np.linspace(0.0, t, n_grid)
     phi = response_function(h0, a, b, state, grid, tol=tol)
     chi = susceptibility(phi, grid, omega)
@@ -440,9 +445,8 @@ def linear_response_check(h0: Schedule, a: OperatorSum, b: OperatorSum, state,
     base = expectation(evolved, b).real
     predicted = base - 2.0 * f * (np.exp(1j * omega * t) * chi).real
 
-    a_mat = a.matrix()
-    builder = lambda s: h0.matrix_at(s) + (2.0 * f * math.cos(omega * s)) * a_mat
-    perturbed = Schedule.time_dependent(h0.space, builder)
+    perturbed = Schedule.from_terms(h0.space, [
+        (1.0, h0.matrix_at(0.0)), (lambda s: 2.0 * f * math.cos(omega * s), a.matrix())])
     exact_state = evolve(state, perturbed, 0.0, t, tol)
     exact = expectation(exact_state, b).real
     return float(predicted), float(exact)

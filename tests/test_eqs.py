@@ -8,6 +8,8 @@ from scipy.linalg import expm
 from qworkbench import eqs
 from qworkbench import qcore as qc
 
+from qcore_helpers import bell_state, ghz_state, random_product_state
+
 
 # ---------------------------------------------------------------------------
 # embedding map
@@ -147,7 +149,7 @@ def test_conj_expectation_identity_on_real_state():
 
 
 def test_conj_expectation_bell_concurrence():
-    tilde = eqs.embed_state(qc.bell_state())
+    tilde = eqs.embed_state(bell_state())
     val = eqs.conj_expectation(tilde, qc.dense_pauli("YY"))
     assert abs(abs(val) - 1.0) < 1e-12
 
@@ -170,12 +172,12 @@ def test_conj_expectation_matches_direct():
 def test_monotone_zero_on_product_states():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        psi2 = qc.random_product_state(2, rng)
+        psi2 = random_product_state(2, rng)
         assert eqs.monotone(psi2, eqs.MonotoneSpec("Concurrence2", 2)).value < 1e-10
         assert eqs.monotone(psi2, eqs.MonotoneSpec("SecondOrder2", 2)).value < 1e-10
-        psi3 = qc.random_product_state(3, rng)
+        psi3 = random_product_state(3, rng)
         assert eqs.monotone(psi3, eqs.MonotoneSpec("Tangle3", 3)).value < 1e-10
-        psi4 = qc.random_product_state(4, rng)
+        psi4 = random_product_state(4, rng)
         assert eqs.monotone(psi4, eqs.MonotoneSpec("EvenN", 4)).value < 1e-10
 
 
@@ -194,7 +196,7 @@ def test_concurrence_dynamics_sine_law():
 
 
 def test_tangle_ghz_and_dual_path():
-    ghz = qc.ghz_state(3)
+    ghz = ghz_state(3)
     spec = eqs.MonotoneSpec("Tangle3", 3)
     from_plain = eqs.monotone(ghz, spec)
     from_embedded = eqs.monotone(eqs.embed_state(ghz), spec)
@@ -205,7 +207,7 @@ def test_tangle_ghz_and_dual_path():
 
 
 def test_monotone_observable_lists():
-    c = eqs.monotone(qc.bell_state(), eqs.MonotoneSpec("Concurrence2", 2))
+    c = eqs.monotone(bell_state(), eqs.MonotoneSpec("Concurrence2", 2))
     assert c.observables == ("ZYY", "XYY")
     rng = np.random.default_rng(61)
     so = eqs.monotone(qc.random_pure_state(qc.HilbertSpace.qubits(2), rng),

@@ -419,6 +419,31 @@ def test_non_finite_table_cell_is_an_invariant_breach(tmp_path, capsys):
     assert "table 'two_point', column 're_direct', row 3: non-finite value nan" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma", ["1e10", "1e14", "1e200"])
+def test_exact_lindblad_trace_drift_is_an_invariant_breach(gamma, tmp_path, capsys):
+    # the exponential's squarings amplify rounding as gamma * t grows, and
+    # the exact state's trace shows it: a drift above qc.DEFAULT_TOL (1e10),
+    # a trace grossly off 1 (1e14) and the scaling of 1e200, which
+    # overflowed, all exit 3 with no directory and no numpy warning
+    assert cli_main(["run", "lindblad-reconstruction", "--set", f"gamma={gamma}",
+                     "--set", "n_points=3", "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "lindblad-reconstruction").exists()
+    assert "exact state" in capsys.readouterr().err
+
+
+def test_exact_lindblad_trace_drift_is_recorded(tmp_path):
+    import yaml
+
+    from qworkbench import qcore as qc
+
+    for argv in (["lindblad-reconstruction", "--set", "gamma=1e6", "--set", "n_points=3"],
+                 ["lindblad-bounds", "--set", "n_models=2"]):
+        assert cli_main(["run", *argv, "--out", str(tmp_path)]) == 0
+        meta = yaml.safe_load((tmp_path / argv[0] / "metadata.yaml").read_text())
+        assert 0.0 <= meta["notes"]["worst_trace_drift"] <= qc.DEFAULT_TOL
+
+
 # ---------------------------------------------------------------------------
 # every parameter's range is declared once, in the registry
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from qworkbench import openmaster as om
 from qworkbench import qcore as qc
 from qworkbench import timecorr as tc
 
+from qcore_helpers import maximally_mixed
+
 
 def one_qubit_space():
     return qc.HilbertSpace.qubits(1)
@@ -183,7 +185,7 @@ def test_route_is_declared_not_sampled():
     damping = (sigma(space, "S-"), 0.5)
     assert om.LindbladModel(h, [damping, (sigma(space, "Z"), 0.2)]).is_constant
     assert not om.LindbladModel(h, [damping, (sigma(space, "Z"), lambda s: 0.2)]).is_constant
-    driven = qc.Schedule.time_dependent(space, lambda s: math.cos(s) * h.matrix())
+    driven = qc.Schedule.from_terms(space, [(math.cos, h.matrix())])
     assert not om.LindbladModel(driven, [damping]).is_constant
 
 
@@ -207,7 +209,7 @@ def test_dyson_term_hand_value():
 def test_dyson_term_zero_rates():
     space = one_qubit_space()
     model = om.LindbladModel(sigma(space, "Z"), [(sigma(space, "X"), 0.0)])
-    rho0 = qc.maximally_mixed(space)
+    rho0 = maximally_mixed(space)
     assert om.dyson_term(model, sigma(space, "Z"), rho0, [0], [0.3], t=1.0) == 0.0
 
 
@@ -238,7 +240,7 @@ def test_dyson_term_dual_path():
 def test_dyson_term_rejects_unsorted_times():
     space = one_qubit_space()
     model = amplitude_damping_model(0.3)
-    rho0 = qc.maximally_mixed(space)
+    rho0 = maximally_mixed(space)
     with pytest.raises(ValueError):
         om.dyson_term(model, sigma(space, "Z"), rho0, [0, 0], [0.2, 0.5], t=1.0)
 
@@ -407,7 +409,7 @@ def test_batched_samples_time_dependent_hamiltonian():
     # is then limited by the adaptive stepper's tolerance
     space = one_qubit_space()
     z, x = sigma(space, "Z").matrix(), sigma(space, "X").matrix()
-    h = qc.Schedule.time_dependent(space, lambda s: 0.6 * z + math.cos(3.0 * s) * x)
+    h = qc.Schedule.from_terms(space, [(0.6, z), (lambda s: math.cos(3.0 * s), x)])
     model = om.LindbladModel(h, [(sigma(space, "S-"), 0.4)])
     rho0 = qc.DensityMatrix(space, np.array([[0.6, 0.2j], [-0.2j, 0.4]]))
     plan = om.MonteCarloPlan(5, master_seed=3)
@@ -589,7 +591,7 @@ def test_plans_reject_seeds_that_are_not_stream_keys():
 def test_reconstruct_guards():
     space = one_qubit_space()
     model = amplitude_damping_model(0.2)
-    rho0 = qc.maximally_mixed(space)
+    rho0 = maximally_mixed(space)
     with pytest.raises(ValueError):
         om.reconstruct(model, sigma(space, "Z"), rho0, 0.5, order=7)
     # below the cap no Monte-Carlo plan is needed: the exact series stays
@@ -654,7 +656,8 @@ def test_time_dependent_series_forms_no_superoperator(monkeypatch):
     base = random_model(rng, n_qubits=2, n_channels=2)
     h0 = base.h.matrix_at(0.0)
     zx = qc.dense_pauli("ZX")
-    h = qc.Schedule.time_dependent(base.h.space, lambda s: h0 + math.cos(2.0 * s) * zx)
+    h_of = lambda s: h0 + math.cos(2.0 * s) * zx
+    h = qc.Schedule.from_terms(base.h.space, [(1.0, h0), (lambda s: math.cos(2.0 * s), zx)])
     rates = (lambda s: 0.3 + 0.2 * math.cos(5.0 * s), lambda s: 0.1 + 0.3 * s)
     model = om.LindbladModel(h, [(ch.operator, rate)
                                  for ch, rate in zip(base.channels, rates)])
@@ -672,7 +675,7 @@ def test_time_dependent_series_forms_no_superoperator(monkeypatch):
 
     v0 = np.zeros((order + 1) * d * d, dtype=complex)
     v0[:d * d] = rho0.matrix.reshape(-1, order="F")
-    ref = solve_ivp(lambda s, y: kron_block_generator(kron_commutator(h.matrix_at(s)),
+    ref = solve_ivp(lambda s, y: kron_block_generator(kron_commutator(h_of(s)),
                                                       kron_dissipator(model, s), order) @ y,
                     (0.0, t), v0, method="DOP853", rtol=1e-12, atol=1e-14).y[:, -1]
     for k, block in enumerate(ref.reshape(order + 1, d * d)):
@@ -920,7 +923,7 @@ def test_nonhermitian_flags_trace_growth():
     # here we hand a PSD Gamma and corrupted sign via H to ensure no flag,
     # then verify the flag fires for an explicit inconsistency.
     space = one_qubit_space()
-    rho0 = qc.maximally_mixed(space)
+    rho0 = maximally_mixed(space)
     ok = om.nonhermitian_evolve(qc.OperatorSum.zero(space),
                                 qc.OperatorSum.single(space, 0, "Pe", 0.4),
                                 rho0, 0.5)
@@ -932,8 +935,8 @@ def test_negative_time_raises_on_every_exact_route(time_dependent):
     # a constant model would otherwise run backwards: populations (1.35, -0.35)
     space = one_qubit_space()
     if time_dependent:
-        h = qc.Schedule.time_dependent(
-            space, lambda s: math.cos(s) * qc.OperatorSum.single(space, 0, "Z").matrix())
+        h = qc.Schedule.from_terms(
+            space, [(math.cos, qc.OperatorSum.single(space, 0, "Z").matrix())])
     else:
         h = sigma(space, "Z", 0.4)
     model = om.LindbladModel(h, [(sigma(space, "S-"), 0.5)])

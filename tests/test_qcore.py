@@ -2,6 +2,7 @@
 import ast
 import importlib
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,9 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.linalg import expm
 
 from qworkbench import qcore as qc
+
+from qcore_helpers import (bell_state, dense_carry, ghz_state, maximally_mixed,
+                           pauli_recompose, thermal_qubit)
 
 
 def dense(op):
@@ -48,7 +52,7 @@ def test_density_matrix_invariants():
     space = qc.HilbertSpace.qubits(1)
     with pytest.raises(ValueError):
         qc.DensityMatrix(space, [[0.5, 0.3j], [0.3j, 0.5]])  # not Hermitian
-    rho = qc.thermal_qubit(0.3)
+    rho = thermal_qubit(0.3)
     assert rho.trace_error < 1e-15
     assert rho.min_eigenvalue() >= 0.0
 
@@ -97,14 +101,17 @@ def test_evolve_matches_closed_form_jc():
 
 
 def test_time_dependent_evolution_against_constant():
-    # A builder that happens to be constant must agree with the expm path.
+    # A callable coefficient that happens to be constant (so RK45 steps the
+    # schedule) must agree with the eigenbasis path.
     space = qc.HilbertSpace.qubits(2)
     rng = np.random.default_rng(7)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     hmat = 0.5 * (m + m.conj().T)
     psi = qc.random_pure_state(space, rng)
     exact = qc.evolve(psi, qc.Schedule.constant(hmat, space), 0.0, 0.8)
-    via_ivp = qc.evolve(psi, qc.Schedule.time_dependent(space, lambda t: hmat), 0.0, 0.8)
+    stepped = qc.Schedule.from_terms(space, [(lambda t: 1.0, hmat)])
+    assert stepped.exact_frame is None
+    via_ivp = qc.evolve(psi, stepped, 0.0, 0.8)
     assert np.linalg.norm(exact.amplitudes - via_ivp.amplitudes) < 1e-8
 
 
@@ -123,9 +130,9 @@ def test_norm_preservation_time_dependent():
     space = qc.HilbertSpace.qubit_boson(n_max=8)
     zmat = qc.OperatorSum.single(space, 0, "Z").matrix()
     xmat = qc.OperatorSum.single(space, 1, "x").matrix()
-    builder = lambda t: math.cos(3.0 * t) * zmat + math.sin(t) * xmat
+    h = qc.Schedule.from_terms(space, [(lambda t: math.cos(3.0 * t), zmat), (math.sin, xmat)])
     psi = qc.basis_state(space, [0, 1])
-    out = qc.evolve(psi, qc.Schedule.time_dependent(space, builder), 0.0, 2.0)
+    out = qc.evolve(psi, h, 0.0, 2.0)
     assert out.norm_error < 1e-8
 
 
@@ -140,7 +147,8 @@ def random_hermitian(rng, d):
 @pytest.mark.parametrize("with_frame", [False, True])
 def test_term_form_matches_builder(dims, with_frame):
     # H(t) = F(t) [cos(3t) H_0 + sin(2t) H_1 + exp(-t/2) H_2] F(t)^dag in term
-    # form against the same Hamiltonian assembled densely by a builder
+    # form against the same Hamiltonian assembled densely by a builder and
+    # stepped by qc.integrate
     space = qc.HilbertSpace(dims)
     d = space.dim
     rng = np.random.default_rng(40 + d + 10 * with_frame)
@@ -156,22 +164,22 @@ def test_term_form_matches_builder(dims, with_frame):
 
     terms = qc.Schedule.from_terms(space, list(zip(coeffs, mats)),
                                    frame=frame if with_frame else None)
-    dense_form = qc.Schedule.time_dependent(space, builder)
     for t in (0.0, 0.37, 1.9):
         assert np.max(np.abs(terms.matrix_at(t) - builder(t))) < 1e-10
     psi = qc.random_pure_state(space, rng)
     a = qc.evolve(psi, terms, 0.1, 1.4)
-    b = qc.evolve(psi, dense_form, 0.1, 1.4)
-    assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-10
+    b = dense_carry(builder, psi.amplitudes, 0.1, 1.4)
+    assert np.max(np.abs(a.amplitudes - b)) < 1e-10
     rho = qc.DensityMatrix(space, 0.6 * psi.to_density_matrix().matrix
                            + 0.4 * np.eye(d) / d)
+    u_dense = dense_carry(builder, np.eye(d), 0.1, 1.4)
     a = qc.evolve(rho, terms, 0.1, 1.4)
-    b = qc.evolve(rho, dense_form, 0.1, 1.4)
-    assert np.max(np.abs(a.matrix - b.matrix)) < 1e-10
+    b = u_dense @ rho.matrix @ u_dense.conj().T
+    assert np.max(np.abs(a.matrix - b)) < 1e-10
     u = qc.propagator(terms, 0.1, 1.4)
     assert np.max(np.abs(u @ u.conj().T - np.eye(d))) < 1e-8
     assert np.max(np.abs(a.matrix - u @ rho.matrix @ u.conj().T)) < 1e-8
-    assert np.max(np.abs(u - qc.propagator(dense_form, 0.1, 1.4))) < 1e-10
+    assert np.max(np.abs(u - u_dense)) < 1e-10
 
 
 def test_term_form_apply_shapes_and_fresh_results():
@@ -399,19 +407,19 @@ def test_propagator_stack_matches_propagator_on_every_route():
     h0, h1 = random_hermitian(rng, 4), random_hermitian(rng, 4)
     frame = 3.0 * rng.standard_normal(4)
     constant = qc.Schedule.constant(h0, space)
-    builder = qc.Schedule.time_dependent(space, lambda t: h0 + math.cos(2.0 * t) * h1)
+    driven = qc.Schedule.from_terms(space, [(1.0, h0), (lambda t: math.cos(2.0 * t), h1)])
     static = qc.Schedule.from_terms(space, [(1.3, h0), (0.4, h1)], frame=frame)
     times = np.array([0.0, 0.3, 1.1, 2.6])
     stack = qc.propagator_stack(constant, times)
     assert stack.shape == (4, 4, 4)
     for u, t in zip(stack, times):
         assert np.max(np.abs(u - qc.propagator(constant, 0.0, t))) < 1e-13
-    for sched in (builder, static):
+    for sched in (driven, static):
         stack = qc.propagator_stack(sched, times)
         assert np.array_equal(stack, np.stack([qc.propagator(sched, 0.0, t) for t in times]))
         assert np.array_equal(stack[0], np.eye(4))
     assert np.max(np.abs(qc.propagator_stack(constant, [0.0])[0] - np.eye(4))) < 1e-14
-    for sched in (constant, builder, static):
+    for sched in (constant, driven, static):
         with pytest.raises(ValueError):
             qc.propagator_stack(sched, [0.5, -0.1])
 
@@ -563,6 +571,25 @@ def test_no_module_outside_qcore_reads_apply():
     assert not sites, sites
 
 
+def test_constant_schedule_is_the_one_term_form():
+    # Schedule.constant(H) and the one-term form from_terms(space, [(1, H)])
+    # are the same static schedule with no frame: both carry a ket and a
+    # column block alike
+    space = qc.HilbertSpace.qubit_boson(n_max=4)
+    rng = np.random.default_rng(19)
+    hmat = random_hermitian(rng, space.dim)
+    constant = qc.Schedule.constant(hmat, space)
+    terms = qc.Schedule.from_terms(space, [(1.0, hmat)])
+    assert constant.is_constant and terms.is_constant
+    ket = qc.random_pure_state(space, rng).amplitudes
+    block = rng.standard_normal((space.dim, 3)) + 1j * rng.standard_normal((space.dim, 3))
+    for y in (ket, block):
+        for t0, t1 in ((0.0, 0.7), (0.3, 2.9)):
+            a = qc.carry(constant, y, t0, t1, qc.DEFAULT_TOL)
+            b = qc.carry(terms, y, t0, t1, qc.DEFAULT_TOL)
+            assert np.max(np.abs(a - b)) < 1e-13
+
+
 def test_cached_matrices_are_read_only():
     # what qcore caches is shared by every caller: writing into it raises,
     # and a caller's own raw matrix is copied, never frozen
@@ -571,7 +598,8 @@ def test_cached_matrices_are_read_only():
     with pytest.raises(ValueError):
         op.matrix()[0, 0] = 1.0
     sched = qc.Schedule.constant(op)
-    assert sched.constant_matrix is op.matrix()
+    # the one term is the operator's own matrix: no copy is made
+    assert sched.matrix_at(0.3) is op.matrix() and sched._terms.stack is op.matrix()
     qc.propagator(sched, 0.0, 1.0)
     for a in sched.exact_frame.eig() + (sched.matrix_at(0.3),):
         with pytest.raises(ValueError):
@@ -641,9 +669,10 @@ def test_term_form_covers_negative_times():
     constant = qc.Schedule.constant(qc.SIGMA_X, space)
     schedules = [qc.Schedule.from_terms(space, [(coeff, qc.SIGMA_X)])
                  for coeff in (1.0, lambda t: 1.0)]
-    schedules.append(qc.Schedule.time_dependent(space, lambda t: qc.SIGMA_X))
     for t0, t1 in ((-1.0, 0.5), (-2.0, -1.0)):
         exact = qc.evolve(psi, constant, t0, t1)
+        dense = dense_carry(lambda t: qc.SIGMA_X, psi.amplitudes, t0, t1)
+        assert np.max(np.abs(dense - exact.amplitudes)) < 1e-8
         for h in schedules:
             assert np.max(np.abs(qc.evolve(psi, h, t0, t1).amplitudes - exact.amplitudes)) < 1e-8
 
@@ -653,7 +682,7 @@ def test_evolve_trace_rejects_bad_grids():
     # come back unchanged and shift every later one; an empty grid used to
     # raise IndexError
     space = qc.HilbertSpace.qubits(1)
-    h = qc.Schedule.time_dependent(space, lambda t: math.cos(t) * qc.SIGMA_X)
+    h = qc.Schedule.from_terms(space, [(math.cos, qc.SIGMA_X)])
     psi = qc.basis_state(space, [0])
     with pytest.raises(ValueError):
         qc.evolve_trace(psi, h, [-1.0, 0.5])
@@ -913,6 +942,21 @@ def test_expm_block_toeplitz_of_one_block_is_expm():
             qc.expm_block_toeplitz(np.zeros(shape))
 
 
+def test_expm_of_a_huge_generator_is_finite_and_warns_nothing():
+    # a damped non-Hermitian generator -i (H - i G) t of 1-norm 1e200: the
+    # scaling exponent s is about 660, and 4.0 ** s overflowed, as did a2
+    # formed before the scaling; exp of it underflows to zero
+    rng = np.random.default_rng(17)
+    h = random_hermitian(rng, 3)
+    a = -1j * h - np.diag([1.0, 2.0, 3.0])
+    a *= 1e200 / np.linalg.norm(a, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (a, a.real):
+            e = qc.expm(m)
+            assert np.all(np.isfinite(e)) and np.max(np.abs(e)) < 1e-300
+
+
 def test_expm_rejects_non_square():
     with pytest.raises(ValueError):
         qc.expm(np.zeros((2, 3)))
@@ -948,7 +992,7 @@ def test_expectation_basics():
     assert qc.expectation(qc.basis_state(space, [0]), z) == 1.0
     assert abs(qc.expectation(qc.plus_state(), x) - 1.0) < 1e-15
     # thermal qubit with ground population 0.3: <sigma_z> = 0.7 - 0.3
-    assert abs(qc.expectation(qc.thermal_qubit(0.3), z) - 0.4) < 1e-15
+    assert abs(qc.expectation(thermal_qubit(0.3), z) - 0.4) < 1e-15
 
 
 def test_hermitian_flagged_expectation_is_real():
@@ -976,7 +1020,7 @@ def test_trace_distance_pure_vs_maximally_mixed():
     # difference diag(1/2, -1/2): singular values (1/2, 1/2) -> D1 = 1/2
     space = qc.HilbertSpace.qubits(1)
     rho = qc.basis_state(space, [0]).to_density_matrix()
-    assert abs(qc.trace_distance(rho, qc.maximally_mixed(space)) - 0.5) < 1e-14
+    assert abs(qc.trace_distance(rho, maximally_mixed(space)) - 0.5) < 1e-14
 
 
 def test_trace_distance_triangle_inequality():
@@ -1021,7 +1065,7 @@ def test_pauli_decompose_round_trip_and_norm_bounds():
         m = 0.5 * (m + m.conj().T)
         m /= np.linalg.norm(m, ord=2)  # spectral norm 1
         terms = qc.pauli_decompose(m, space)
-        rebuilt = qc.pauli_recompose(terms, 2)
+        rebuilt = pauli_recompose(terms, 2)
         assert np.max(np.abs(rebuilt - m)) < 1e-12
         coeffs = np.array([q for q, _ in terms])
         assert np.sum(np.abs(coeffs) ** 2) <= 1.0 + 1e-12
@@ -1039,8 +1083,8 @@ def test_pauli_decompose_rejects_bosons():
 # ---------------------------------------------------------------------------
 
 def test_partial_trace_product_state():
-    a = qc.thermal_qubit(0.2)
-    b = qc.thermal_qubit(0.7)
+    a = thermal_qubit(0.2)
+    b = thermal_qubit(0.7)
     joint = a.tensor(b)
     ra = qc.partial_trace(joint, [0])
     rb = qc.partial_trace(joint, [1])
@@ -1049,14 +1093,14 @@ def test_partial_trace_product_state():
 
 
 def test_partial_trace_bell():
-    rho = qc.bell_state().to_density_matrix()
+    rho = bell_state().to_density_matrix()
     reduced = qc.partial_trace(rho, [0])
     assert np.max(np.abs(reduced.matrix - 0.5 * np.eye(2))) < 1e-14
 
 
 def test_partial_trace_ghz_two_qubits():
     # keep qubits {0,1} of GHZ_3: (|00><00| + |11><11|)/2
-    rho = qc.ghz_state(3).to_density_matrix()
+    rho = ghz_state(3).to_density_matrix()
     reduced = qc.partial_trace(rho, [0, 1])
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = expected[3, 3] = 0.5

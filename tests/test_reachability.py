@@ -1,7 +1,7 @@
 """The library is what the runs reach.
 
-Every public top-level function or class of ``src/qworkbench`` outside
-``qcore`` must be reached by a scenario runner (named in the registry), a
+Every public top-level function or class of ``src/qworkbench``, ``qcore``
+included, must be reached by a scenario runner (named in the registry), a
 demo script or the benchmark, through the call graph of the package; or
 it must be an oracle: an independent formula that a test compares shipped
 output against, listed below with the test that uses it.  References are
@@ -105,7 +105,7 @@ def _references(node, own: dict, aliases: dict) -> set:
 
 
 def _scan():
-    """(every public library key outside qcore, the keys the runs reach)."""
+    """(every public library key, the keys the runs reach)."""
     edges, roots, public = {}, set(), set()
     for path in sorted(PACKAGE.rglob("*.py")):
         module = _module_name(path)
@@ -121,7 +121,7 @@ def _scan():
                 edges[key] = _references(node, own, aliases)
                 if node.name.startswith("__"):      # module __getattr__ and kin
                     roots.add(key)
-                elif not node.name.startswith("_") and ".qcore" not in module:
+                elif not node.name.startswith("_"):
                     public.add(key)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 roots |= _references(node, own, aliases)   # runs at import

@@ -8,6 +8,8 @@ from scipy.linalg import expm
 from qworkbench import qcore as qc
 from qworkbench import timecorr as tc
 
+from qcore_helpers import coherent_state, thermal_qubit
+
 
 def qubit_schedule(coeff_z: float) -> qc.Schedule:
     space = qc.HilbertSpace.qubits(1)
@@ -107,7 +109,7 @@ def test_ancilla_mixed_state():
     rng = np.random.default_rng(7)
     space = qc.HilbertSpace.qubits(1)
     h = qubit_schedule(1.1)
-    rho = qc.thermal_qubit(0.35)
+    rho = thermal_qubit(0.35)
     spec = tc.CorrelationSpec(h, (0.0, 0.4, 0.9),
                               (pauli_op(space, "X"), pauli_op(space, "Y"),
                                pauli_op(space, "X")), rho)
@@ -327,7 +329,7 @@ def jc_schedule(space, g):
 def test_bosonic_coherent_mean():
     # <(a+a^dag)(0)> on |alpha>, real alpha -> 2 alpha
     alpha = 0.8
-    state = qc.coherent_state(20, alpha)
+    state = coherent_state(20, alpha)
     space = state.space
     h = qc.Schedule.constant(qc.OperatorSum.single(space, 0, "n", 1.0, hermitian=True))
     op = qc.OperatorSum.single(space, 0, "x")
@@ -501,7 +503,7 @@ def test_response_matches_analytic_sine():
     grid = np.linspace(0.0, 3.0, 31)
     phi = tc.response_function(h, x, x, qc.basis_state(space, [0]), grid)
     assert np.max(np.abs(phi - (-2.0 * np.sin(w0 * grid)))) < 1e-10
-    thermal = qc.thermal_qubit(0.3)   # <sigma_z> = 0.4
+    thermal = thermal_qubit(0.3)   # <sigma_z> = 0.4
     phi_th = tc.response_function(h, x, x, thermal, grid)
     assert np.max(np.abs(phi_th - (-0.8 * np.sin(w0 * grid)))) < 1e-10
 
@@ -534,6 +536,17 @@ def test_susceptibility_static_limit_and_nyquist():
 def test_susceptibility_zero_response():
     grid = np.linspace(0.0, 1.0, 11)
     assert tc.susceptibility(np.zeros(11), grid, 0.7) == 0.0
+
+
+def test_linear_response_rejects_a_time_dependent_h0():
+    # the susceptibility integral is a convolution: it needs time-translation
+    # invariance, so a driven h0 is refused before any work
+    space = qc.HilbertSpace.qubits(1)
+    x = qc.OperatorSum.single(space, 0, "X", hermitian=True)
+    z = qc.OperatorSum.single(space, 0, "Z", hermitian=True).matrix()
+    driven = qc.Schedule.from_terms(space, [(1.0, z), (math.cos, x.matrix())])
+    with pytest.raises(ValueError, match="constant h0"):
+        tc.linear_response_check(driven, x, x, qc.basis_state(space, [0]), 0.05, 0.9, 1.0)
 
 
 def test_linear_response_first_order_scaling():
