@@ -28,7 +28,9 @@ combination are evaluated together on the stacked propagators U(0, tau)
 of ``qcore.propagator_stack``.  Before any product is formed, adjacent
 factors of a chain at one time slot multiply symbolically into one Pauli
 string and a phase (X X = I drops out), so a chain forms one stacked
-product per remaining factor.
+product per remaining factor but the last, which enters the trace as an
+elementwise sum.  Order 0 is not sampled: xi_0(t) = U(t) rho0 U(t)^dag,
+with U from ``qcore.propagator``.
 """
 from __future__ import annotations
 
@@ -382,7 +384,12 @@ def _stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :1] * b[..., :1, :] + a[..., 1:] * b[..., 1:, :]
 
 
-def _chain_sums(chains, rho0, times, t, h, shots, uniforms) -> np.ndarray:
+def _heisenberg(u: np.ndarray, lbl: str) -> np.ndarray:
+    """U^dag P U over a stack of unitaries, for the Pauli string ``lbl``."""
+    return _stack_product(_stack_product(u.conj().transpose(0, 2, 1), dense_pauli(lbl)), u)
+
+
+def _chain_sums(chains, rho0, times, h, slot0, shots, uniforms) -> np.ndarray:
     """Re sum_c coeff_c * mean_c for samples sharing one channel combination.
 
     ``times`` is (M, n), sorted descending per row.  Each chain is first
@@ -390,21 +397,20 @@ def _chain_sums(chains, rho0, times, t, h, shots, uniforms) -> np.ndarray:
     two halves of L^dag L, multiply out to one Pauli string and a phase, and
     identities drop.  Each distinct merged string is conjugated once per
     time slot over the stacked U(0, tau) (one stack of M d x d matrices per
-    string and slot), and every chain is multiplied against rho0 for all M
-    samples at once.  The merged phase stays inside the chain's mean.
+    string and slot; ``slot0`` holds O's strings at time t, formed once per
+    order).  Every chain is multiplied against rho0 for all M samples at once
+    up to its last factor F, and Tr(F acc) is an elementwise sum, so that
+    last product is never formed.  The merged phase stays inside the mean.
     With ``shots`` the chain means' real and imaginary parts become means
     of k +-1 coherence outcomes drawn from ``uniforms`` (M, 2k * chains),
     one block per chain of ``chains`` in its given order.
     """
-    us = [propagator_stack(h, [t])] + [propagator_stack(h, times[:, k])
-                                       for k in range(times.shape[1])]
-    heis = {}
+    us = [propagator_stack(h, times[:, k]) for k in range(times.shape[1])]
+    heis = dict(slot0)
 
     def heisenberg(key):
         if key not in heis:
-            lbl, slot = key
-            heis[key] = _stack_product(_stack_product(us[slot].conj().transpose(0, 2, 1),
-                                                      dense_pauli(lbl)), us[slot])
+            heis[key] = _heisenberg(us[key[1] - 1], key[0])
         return heis[key]
 
     # sample-major, so every reduction below runs along one sample's row and
@@ -413,9 +419,10 @@ def _chain_sums(chains, rho0, times, t, h, shots, uniforms) -> np.ndarray:
     for c, (_, ops) in enumerate(chains):
         phase, ops = _merged_chain(ops)
         acc = rho0.matrix
-        for key in reversed(ops):
+        for key in reversed(ops[1:]):
             acc = _stack_product(heisenberg(key), acc)
-        means[:, c] = phase * np.einsum("...ii->...", acc)
+        means[:, c] = phase * (np.sum(heisenberg(ops[0]) * np.swapaxes(acc, -1, -2),
+                                      axis=(-2, -1)) if ops else np.trace(acc))
     if shots is not None:
         u = uniforms[:, :2 * shots * len(chains)].reshape(len(times), len(chains), 2, shots)
         outcomes = shot_means(np.stack([means.real, means.imag], axis=-1), u)
@@ -450,19 +457,25 @@ def _sample_values(model, omat, rho0, order, t, plan) -> np.ndarray:
     else:
         for k in range(order):
             values *= [model.channels[i].rate(s) for i, s in zip(indices[:, k], times[:, k])]
+    # slot 0 of every chain is one of O's strings at time t: conjugated once per order
+    u_t = propagator_stack(model.h, [t])
+    slot0 = {(lbl, 0): _heisenberg(u_t, lbl) for _, lbl in o_terms if lbl.strip("I")}
     keys = np.ravel_multi_index(tuple(indices.T), (model.n_channels,) * order)
     # the keys that occur, in ascending order (np.unique would load numpy.ma)
     for key in np.flatnonzero(np.bincount(keys)):
         sel = np.flatnonzero(keys == key)
         chains = _pauli_chains(o_terms, [l_terms[i] for i in indices[sel[0]]])
-        values[sel] *= _chain_sums(chains, rho0, times[sel], t, model.h, shots,
+        values[sel] *= _chain_sums(chains, rho0, times[sel], model.h, slot0, shots,
                                    rows[sel, 2 * order:])
     return values
 
 
 def _order_contribution_monte_carlo(model, omat, rho0, order, t, plan) -> float:
-    if order == 0:
-        return _expectation(omat, _lindblad_terms(model, rho0, t, 0, DEFAULT_TOL)[0])
+    if order == 0:  # the closed form xi_0(t) = U(t) rho0 U(t)^dag
+        if t < 0.0:
+            raise ValueError(f"t must be >= 0, got {t}")
+        u = propagator(model.h, 0.0, t)
+        return _expectation(omat, u @ rho0.matrix @ u.conj().T)
     n_ch = model.n_channels
     if n_ch == 0:
         return 0.0

@@ -31,7 +31,7 @@ column block by the schedule's exact frame, if it has one, or by RK45:
   ``V (exp(-i w dt) * (V^dag y))``, two products with the eigenvectors,
   and the d x d ``U_K`` is formed only where ``propagator`` and
   ``propagator_stack`` of a constant schedule return it, the latter for
-  a whole stack of times in one ``einsum``.
+  a whole stack of times in one gemm against ``V^dag``.
 * periodic: the schedule declares the common period T of its
   coefficients, so ``K(t + T) = K(t)`` and a window splits into whole
   periods and at most one partial period at each end.  ``U_K(T, 0)`` is
@@ -628,13 +628,15 @@ def propagator_stack(h: Schedule, times, tol: float = DEFAULT_TOL) -> np.ndarray
     shape ``(len(times), d, d)``.
 
     A constant schedule gives every unitary from its cached eigenbasis in
-    one ``einsum``; any other schedule gets one ``propagator`` per time.
+    one gemm, the rows of ``V diag(exp(-i w t))`` of all times against
+    ``V^dag``, so a unitary keeps its bits whatever times share its stack;
+    any other schedule gets one ``propagator`` per time.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be >= 0: the stack starts at t = 0")
     if h.is_constant:
-        w, v, _ = h.exact_frame.eig()
-        phases = np.exp(-1j * np.multiply.outer(times, w))
-        return np.einsum("ij,mj,kj->mik", v, phases, v.conj())
+        w, v, vh = h.exact_frame.eig()
+        phases = np.exp(-1j * np.multiply.outer(times, w))[:, None, :]
+        return ((v * phases).reshape(-1, w.size) @ vh).reshape(-1, w.size, w.size)
     return np.stack([propagator(h, 0.0, t, tol) for t in times])

@@ -439,6 +439,41 @@ def test_monte_carlo_samples_prefix_stable_and_replayable():
         assert om.reconstruct(model, obs, rho0, 0.6, 2, plan=plan).value == first
 
 
+def test_plan_order_zero_is_the_exact_term():
+    # order 0 of a plan is U(t) rho0 U(t)^dag, not sampled: it equals the
+    # exact series' order-0 term on a constant H to rounding, and on a driven
+    # H to the stepper's tolerance, since there the series steps the block
+    # stack and the plan steps U, two RK45 runs at DEFAULT_TOL (8e-12 apart)
+    rng = np.random.default_rng(239)
+    constant = pauli_channel_model(rng, 2, 2)
+    h = qc.Schedule.from_terms(constant.space, [(1.0, constant.h.matrix_at(0.0)),
+                                                (lambda s: math.cos(2.0 * s), qc.dense_pauli("XY"))])
+    driven = om.LindbladModel(h, [(ch.operator, ch.rate(0.0)) for ch in constant.channels])
+    rho0 = random_density_matrix(constant.space, rng)
+    obs = qc.OperatorSum(constant.space, [(0.8, tuple("ZX")), (0.3, tuple("YI"))]).matrix()
+    plan = om.MonteCarloPlan(3, master_seed=5)
+    for model, atol in ((constant, 1e-13), (driven, qc.DEFAULT_TOL)):
+        exact = om.reconstruct(model, obs, rho0, 0.7, 2).per_order[0]
+        assert abs(om.reconstruct(model, obs, rho0, 0.7, 2, plan=plan).per_order[0]
+                   - exact) < atol
+
+
+def test_plan_forms_no_block_exponential(monkeypatch):
+    # a constant model's plan takes order 0 from the eigenbasis propagator
+    rng = np.random.default_rng(241)
+    model = pauli_channel_model(rng, 2, 2)
+    assert model.is_constant
+    rho0 = random_density_matrix(model.space, rng)
+    obs = qc.OperatorSum.pauli_string(model.space, "ZI").matrix()
+    expected = om.reconstruct(model, obs, rho0, 0.6, 2, plan=om.MonteCarloPlan(4, 3)).value
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a plan formed the block exponential")
+
+    monkeypatch.setattr(om, "expm_block_toeplitz", forbidden)
+    assert om.reconstruct(model, obs, rho0, 0.6, 2, plan=om.MonteCarloPlan(4, 3)).value == expected
+
+
 def test_merged_samples_match_dyson_term_three_qubits():
     # d = 8 takes the `@` side of the stack product; two-term Lindblad
     # operators make merged same-slot products such as X Y = iZ carry +-i
@@ -944,7 +979,8 @@ def test_negative_time_raises_on_every_exact_route(time_dependent):
     obs = sigma(space, "Z")
     for call in (lambda: om.lindblad_exact(model, rho0, -0.5),
                  lambda: om.truncated_states(model, rho0, -0.5, 2),
-                 lambda: om.reconstruct(model, obs, rho0, -0.5, 2)):
+                 lambda: om.reconstruct(model, obs, rho0, -0.5, 2),
+                 lambda: om.reconstruct(model, obs, rho0, -0.5, 2, plan=om.MonteCarloPlan(4))):
         with pytest.raises(ValueError, match="t must be >= 0"):
             call()
 

@@ -424,6 +424,23 @@ def test_propagator_stack_matches_propagator_on_every_route():
             qc.propagator_stack(sched, [0.5, -0.1])
 
 
+@pytest.mark.parametrize("n_qubits", [1, 3, 6])
+def test_propagator_stack_of_a_constant_schedule_is_batch_independent(n_qubits):
+    # d = 2, 8 and 64: the one gemm agrees with the per-time propagator, and
+    # a unitary keeps its bits whatever times share its stack
+    space = qc.HilbertSpace.qubits(n_qubits)
+    rng = np.random.default_rng(71 + n_qubits)
+    h = qc.Schedule.constant(random_hermitian(rng, space.dim), space)
+    times = np.sort(rng.uniform(0.0, 3.0, size=9))
+    for ts in (times[4:5], times):
+        for u, t in zip(qc.propagator_stack(h, ts), ts, strict=True):
+            assert np.max(np.abs(u - qc.propagator(h, 0.0, t))) < 1e-13
+    stack = qc.propagator_stack(h, times)
+    for k in (1, 2, 3):
+        for i in range(len(times) - k + 1):
+            assert np.array_equal(stack[i:i + k], qc.propagator_stack(h, times[i:i + k]))
+
+
 def _ket_route_schedules(rng):
     """A constant schedule at d = 82 (the twophoton-dynamics size) and a
     static term form with a frame, each with a random ket."""
