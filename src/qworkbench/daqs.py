@@ -114,10 +114,6 @@ class SpinCouplingMatrix:
         return self._cache
 
     @staticmethod
-    def explicit(matrix) -> "SpinCouplingMatrix":
-        return SpinCouplingMatrix(np.asarray(matrix, dtype=float))
-
-    @staticmethod
     def power_law(n_spins: int, j: float, alpha: float) -> "SpinCouplingMatrix":
         """J_ij = j / |i-j|^alpha with 0 < alpha < 3 and j > 0."""
         if not j > 0.0:

@@ -9,6 +9,12 @@ the purely imaginary Hermitian ``H~ = i I (x) B - sigma_y (x) A`` which
 intertwines ``M H~ = H M`` and keeps real vectors real.  The embedding
 qubit is subsystem 0 of the enlarged register.
 
+An antilinear term ``<psi|P K|psi>`` is ``<psi~|(sigma_z - i sigma_x) (x) P|psi~>``,
+so it is read from the pair of plain observables ``Z+P`` and ``X+P``
+(Di Candia et al., PRL 111, 240502 (2013)); ``monotone`` is the one place
+that forms a concurrence-type monotone from those pairs, with the metric
+diag(-1, 1, 0, 1) of Osterloh & Siewert, PRA 72, 012337 (2005).
+
 Also here: the entangling-gate compiler from collective-spin interactions,
 the controlled-Z circuit identity for the three-qubit embedded evolution,
 single-site readout of dressed Pauli observables, and the depolarizing /
@@ -19,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +36,7 @@ from .qcore import (
     OperatorSum,
     PureState,
     dense_pauli,
+    expectation,
     expm,
     kron_all,
     on_factors,
@@ -107,15 +115,6 @@ def embed_hamiltonian(h: OperatorSum) -> OperatorSum:
                        hermitian=h.hermitian)
 
 
-def conj_expectation(psi_tilde: PureState, observable: np.ndarray | OperatorSum) -> complex:
-    """<psi|O K|psi> = <psi~|(sigma_z - i sigma_x) (x) O|psi~>."""
-    omat = observable.matrix() if isinstance(observable, OperatorSum) else \
-        np.asarray(observable, dtype=complex)
-    big = kron_all([PAULIS["Z"] - 1j * PAULIS["X"], omat])
-    v = psi_tilde.amplitudes
-    return complex(np.vdot(v, big @ v))
-
-
 # ---------------------------------------------------------------------------
 # entanglement monotones
 # ---------------------------------------------------------------------------
@@ -153,55 +152,63 @@ class MonotoneResult:
         return len(self.observables)
 
 
-def _enlarged_observables(labels) -> tuple:
-    """Each antilinear term <psi|P K|psi> costs the pair Z+P and X+P."""
-    return tuple(axis + lbl for lbl in labels for axis in "ZX")
+@lru_cache(maxsize=None)
+def _readout(kind: str, n: int) -> tuple:
+    """Weights, enlarged-space labels and read-only matrices of the readout.
+
+    Each antilinear term w <psi|P K|psi> of the monotone is read as the pair
+    Z+P, X+P; the terms with a zero metric weight are not measured.
+    """
+    if kind in ("Concurrence2", "EvenN"):  # the concurrence is EvenN at n = 2
+        terms = [(1.0, "Y" * n)]
+    elif kind in ("Tangle3", "OddN"):
+        terms = [(g, mu + "Y" * (n - 1)) for g, mu in zip(METRIC_DIAGONAL, PAULI_LABELS)]
+    else:  # SecondOrder2: double metric contraction of squared terms
+        terms = [(gi * gj, mi + mj) for gi, mi in zip(METRIC_DIAGONAL, PAULI_LABELS)
+                 for gj, mj in zip(METRIC_DIAGONAL, PAULI_LABELS)]
+    terms = [(w, lbl) for w, lbl in terms if w != 0.0]
+    observables = tuple(axis + lbl for _, lbl in terms for axis in "ZX")
+    matrices = tuple(dense_pauli(lbl) for lbl in observables)
+    for m in matrices:
+        m.setflags(write=False)
+    return tuple(w for w, _ in terms), observables, matrices
 
 
-def _conj_values(psi: np.ndarray, labels: Sequence[str]) -> list:
-    """<psi|P|psi*> for each Pauli-string label, via direct conjugation."""
-    conj = psi.conj()
-    return [complex(np.vdot(psi, dense_pauli(lbl) @ conj)) for lbl in labels]
+def monotone(state: PureState | DensityMatrix, spec: MonotoneSpec,
+             rescale: tuple | None = None) -> MonotoneResult:
+    """Evaluate the monotone from the embedding protocol's readout pairs.
 
+    Each antilinear term <psi|P K|psi> is <Z+P> - i <X+P> on the enlarged
+    register (two plain expectation values); the monotone is |c| for
+    ``Concurrence2``/``EvenN`` and |sum w c^2| over the metric weights w
+    otherwise.  ``state`` is the embedded image (one extra qubit, a
+    ``PureState`` or a ``DensityMatrix``) or a register ``PureState``, which
+    is embedded first; the register size tells them apart.  With
+    ``rescale=(epsilon, n_gates)`` every readout is first passed through
+    ``rescale_expectation``, which inverts the circuit's depolarizing noise.
 
-def monotone(state: PureState, spec: MonotoneSpec) -> MonotoneResult:
-    """Evaluate the monotone, reporting how many enlarged-space observables
-    the embedding protocol would have measured (two per antilinear term).
-
-    ``state`` may be the simulated register state or its embedded image;
-    the register size tells them apart (one extra qubit: embedded).
+    For a density matrix the value is this readout formula's value, what
+    the protocol measures on a mixed state, and not a convex-roof monotone.
     """
     n = spec.n_qubits
-    embedded = state.space.n_factors == n + 1
-    psi = decode_state(state) if embedded else state.amplitudes
-    if psi.size != 2 ** n:
-        raise ValueError("state does not match the monotone's register size")
-    nrm = np.linalg.norm(psi)
-    psi = psi / nrm
-
-    if spec.kind in ("Concurrence2", "EvenN"):  # the concurrence is EvenN at n = 2
-        val = abs(_conj_values(psi, ["Y" * n])[0])
-        return MonotoneResult(float(val), _enlarged_observables(["Y" * n]))
-
-    if spec.kind in ("Tangle3", "OddN"):
-        labels = [mu + "Y" * (n - 1) for mu in "IXYZ"]
-        vals = _conj_values(psi, labels)
-        acc = sum(g * v * v for g, v in zip(METRIC_DIAGONAL, vals))
-        metered = [lbl for lbl, g in zip(labels, METRIC_DIAGONAL) if g != 0.0]
-        return MonotoneResult(float(abs(acc)), _enlarged_observables(metered))
-
-    # SecondOrder2: double metric contraction of squared conjugation values
-    labels, weights = [], []
-    letters = "IXYZ"
-    for i, gi in enumerate(METRIC_DIAGONAL):
-        for j, gj in enumerate(METRIC_DIAGONAL):
-            if gi == 0.0 or gj == 0.0:
-                continue
-            labels.append(letters[i] + letters[j])
-            weights.append(gi * gj)
-    vals = _conj_values(psi, labels)
-    acc = sum(w * v * v for w, v in zip(weights, vals))
-    return MonotoneResult(float(abs(acc)), _enlarged_observables(labels))
+    if isinstance(state, PureState) and state.space.n_factors == n:
+        state = embed_state(state)
+    if state.space.n_factors != n + 1 or not state.space.is_qubit_only:
+        raise ValueError(f"the {spec.kind} readout needs the {n + 1}-qubit embedded "
+                         f"state or a {n}-qubit register ket")
+    weights, observables, matrices = _readout(spec.kind, n)
+    vals = []
+    for m in matrices:
+        v = expectation(state, m).real
+        if rescale is not None:
+            v = rescale_expectation(v, *rescale, m)
+        vals.append(v)
+    terms = [complex(vz, -vx) for vz, vx in zip(vals[::2], vals[1::2])]
+    if spec.kind in ("Concurrence2", "EvenN"):
+        value = abs(terms[0])
+    else:
+        value = abs(sum(w * c * c for w, c in zip(weights, terms)))
+    return MonotoneResult(float(value), observables)
 
 
 def concurrence_direct(psi: PureState | np.ndarray) -> float:

@@ -236,12 +236,12 @@ def _run_eqs_concurrence(params, seed, threads) -> RunArtifact:
     h = qc.OperatorSum.pauli_string(qc.HilbertSpace.qubits(2), "ZZ", -1.0)
     h_tilde = qc.Schedule.constant(eqs.embed_hamiltonian(h))
     psi0 = eqs.embed_state(qc.all_plus_state(2))
-    yy = qc.dense_pauli("YY")
+    spec = eqs.MonotoneSpec("Concurrence2", 2)
 
     def one(gt):
         state = qc.evolve(psi0, h_tilde, 0.0, gt)
         # |<psi|YY K|psi>| from the enlarged-space observables ZYY and XYY
-        c_eqs = abs(eqs.conj_expectation(state, yy))
+        c_eqs = eqs.monotone(state, spec).value
         direct = abs(math.sin(2.0 * gt))
         return (float(gt), c_eqs, direct, abs(c_eqs - direct))
 
@@ -260,23 +260,6 @@ def _run_eqs_concurrence(params, seed, threads) -> RunArtifact:
                               "circuit_identity_deviation": circuit_dev})
 
 
-def _tangle_from_embedded(rho_or_state, readout, rescale=None) -> float:
-    """The 3-tangle from the readout pairs (Z mu YY, X mu YY), mu = I, X, Z."""
-    from .. import eqs
-
-    values = []
-    for pair in readout:
-        vals = []
-        for op in pair:
-            v = qc.expectation(rho_or_state, op).real
-            if rescale is not None:
-                v = eqs.rescale_expectation(v, *rescale, op)
-            vals.append(v)
-        values.append(complex(vals[0], -vals[1]))
-    acc = -values[0] ** 2 + values[1] ** 2 + values[2] ** 2
-    return float(abs(acc))
-
-
 def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
     from .. import eqs
 
@@ -291,23 +274,24 @@ def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
     eps_list = list(params["gate_fidelities"])
     xtalk_list = list(params["crosstalk"])
     h = qc.Schedule.constant(h_tilde)
-    readout = [tuple(qc.dense_pauli(axis + mu + "YY") for axis in "ZX") for mu in "IXZ"]
+    # read from the pairs (Z mu YY, X mu YY), mu = I, X, Z
+    spec = eqs.MonotoneSpec("Tangle3", 3)
 
     def one(t):
         ideal = qc.evolve(psi0, h, 0.0, t)
-        row = [float(t), _tangle_from_embedded(ideal, readout)]
+        row = [float(t), eqs.monotone(ideal, spec).value]
         for eps in eps_list:
             noisy, n_gates = eqs.trotter_embedded_circuit(
                 terms, t, steps, psi0, noise=eqs.NoiseModel(gate_fidelity=eps))
-            row.append(_tangle_from_embedded(noisy, readout))
+            row.append(eqs.monotone(noisy, spec).value)
             try:
-                row.append(_tangle_from_embedded(noisy, readout, rescale=(eps, n_gates)))
+                row.append(eqs.monotone(noisy, spec, rescale=(eps, n_gates)).value)
             except ValueError as exc:  # the weight eps^n_gates underflowed
                 raise InvariantBreach(f"t = {t}: {exc}") from exc
         for delta0 in xtalk_list:
             skew, _ = eqs.trotter_embedded_circuit(
                 terms, t, steps, psi0, noise=eqs.NoiseModel(crosstalk=delta0))
-            row.append(_tangle_from_embedded(skew, readout))
+            row.append(eqs.monotone(skew, spec).value)
         return tuple(row)
 
     rows = parallel_map(one, [float(t) for t in grid], threads)

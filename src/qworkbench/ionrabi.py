@@ -101,11 +101,6 @@ class TwoPhotonParams:
     n_qubits: int = 1
     source: IonDriveParams | None = None
 
-    @property
-    def collapse_flag(self) -> bool:
-        """True at or beyond g = omega/2, where the spectrum is unbounded below."""
-        return self.g >= 0.5 * self.omega
-
 
 def effective_qrm(p: IonDriveParams) -> RabiParams:
     """First-sideband mapping to the quantum Rabi model."""

@@ -431,16 +431,27 @@ def _chain_sums(chains, rho0, times, h, slot0, shots, uniforms) -> np.ndarray:
     return np.real(np.sum(means * coeffs, axis=1))
 
 
-def _sample_values(model, omat, rho0, order, t, plan) -> np.ndarray:
-    """Per-sample Dyson integrands of order ``order >= 1`` under ``plan``.
-
-    Draws the ``MonteCarloPlan`` row block, expands the Pauli chains once per
-    channel combination and evaluates all samples of a combination together;
-    each sample's rates prod_k gamma_(i_k)(s_k) are evaluated at its own
-    times, or read once from an array when every rate is a number.
-    """
+def _chain_terms(model, omat, t) -> tuple:
+    """What every sampled order of one estimate shares: the Pauli strings of
+    O and of each channel operator, and slot 0 of every chain (O's strings
+    conjugated to time t)."""
     o_terms = pauli_decompose(omat, model.space)
     l_terms = [pauli_decompose(ch.operator) for ch in model.channels]
+    u_t = propagator_stack(model.h, [t])
+    slot0 = {(lbl, 0): _heisenberg(u_t, lbl) for _, lbl in o_terms if lbl.strip("I")}
+    return o_terms, l_terms, slot0
+
+
+def _sample_values(model, terms, rho0, order, t, plan) -> np.ndarray:
+    """Per-sample Dyson integrands of order ``order >= 1`` under ``plan``.
+
+    ``terms`` is ``_chain_terms(model, omat, t)``.  Draws the
+    ``MonteCarloPlan`` row block, expands the Pauli chains once per channel
+    combination and evaluates all samples of a combination together; each
+    sample's rates prod_k gamma_(i_k)(s_k) are evaluated at its own times,
+    or read once from an array when every rate is a number.
+    """
+    o_terms, l_terms, slot0 = terms
     shots = plan.shots_per_value
     width = 2 * order
     if shots is not None:
@@ -457,9 +468,6 @@ def _sample_values(model, omat, rho0, order, t, plan) -> np.ndarray:
     else:
         for k in range(order):
             values *= [model.channels[i].rate(s) for i, s in zip(indices[:, k], times[:, k])]
-    # slot 0 of every chain is one of O's strings at time t: conjugated once per order
-    u_t = propagator_stack(model.h, [t])
-    slot0 = {(lbl, 0): _heisenberg(u_t, lbl) for _, lbl in o_terms if lbl.strip("I")}
     keys = np.ravel_multi_index(tuple(indices.T), (model.n_channels,) * order)
     # the keys that occur, in ascending order (np.unique would load numpy.ma)
     for key in np.flatnonzero(np.bincount(keys)):
@@ -470,18 +478,35 @@ def _sample_values(model, omat, rho0, order, t, plan) -> np.ndarray:
     return values
 
 
+def _monte_carlo_orders(model, omat, rho0, orders, t, plan) -> list:
+    """The plan's estimate of each order in ``orders``.
+
+    Order 0 is the closed form xi_0(t) = U(t) rho0 U(t)^dag; order n >= 1 is
+    (N t)^n / n! times the mean of its sampled values, all orders sharing
+    one ``_chain_terms``.
+    """
+    terms = None
+    out = []
+    for n in orders:
+        if n == 0:
+            if t < 0.0:
+                raise ValueError(f"t must be >= 0, got {t}")
+            u = propagator(model.h, 0.0, t)
+            out.append(_expectation(omat, u @ rho0.matrix @ u.conj().T))
+        elif model.n_channels == 0:
+            out.append(0.0)
+        else:
+            if terms is None:
+                terms = _chain_terms(model, omat, t)
+            volume_factor = (model.n_channels * t) ** n / math.factorial(n)
+            values = _sample_values(model, terms, rho0, n, t, plan)
+            out.append(volume_factor * float(np.mean(values)))
+    return out
+
+
 def _order_contribution_monte_carlo(model, omat, rho0, order, t, plan) -> float:
-    if order == 0:  # the closed form xi_0(t) = U(t) rho0 U(t)^dag
-        if t < 0.0:
-            raise ValueError(f"t must be >= 0, got {t}")
-        u = propagator(model.h, 0.0, t)
-        return _expectation(omat, u @ rho0.matrix @ u.conj().T)
-    n_ch = model.n_channels
-    if n_ch == 0:
-        return 0.0
-    volume_factor = (n_ch * t) ** order / math.factorial(order)
-    values = _sample_values(model, omat, rho0, order, t, plan)
-    return volume_factor * float(np.mean(values))
+    """The plan's estimate of one order on its own."""
+    return _monte_carlo_orders(model, omat, rho0, [order], t, plan)[0]
 
 
 def reconstruct(model: LindbladModel, observable: OperatorSum | np.ndarray,
@@ -509,8 +534,7 @@ def reconstruct(model: LindbladModel, observable: OperatorSum | np.ndarray,
         per_order = [_expectation(omat, xi)
                      for xi in _lindblad_terms(model, rho0, t, order, DEFAULT_TOL)]
     else:
-        per_order = [_order_contribution_monte_carlo(model, omat, rho0, n, t, plan)
-                     for n in range(order + 1)]
+        per_order = _monte_carlo_orders(model, omat, rho0, range(order + 1), t, plan)
     return Reconstruction(value=float(sum(per_order)), per_order=per_order,
                           mode="exact" if plan is None else "monte-carlo")
 

@@ -59,11 +59,6 @@ _QUBIT_MATS = {
     "Pg": PROJ_G,
 }
 
-_QUBIT_DAGGER = {
-    "I": "I", "X": "X", "Y": "Y", "Z": "Z",
-    "S+": "S-", "S-": "S+", "Pe": "Pe", "Pg": "Pg",
-}
-
 
 def boson_annihilation(dim: int) -> np.ndarray:
     a = np.zeros((dim, dim), dtype=complex)
@@ -102,13 +97,7 @@ def _boson_matrix(code, dim: int) -> np.ndarray:
     return a2 + a2.conj().T  # "sq"
 
 
-_BOSON_DAGGER = {"I": "I", "a": "adag", "adag": "a", "n": "n", "x": "x", "p": "p", "sq": "sq"}
-
-
-def _boson_dagger(code):
-    if isinstance(code, tuple):
-        return ("disp", -float(code[1]))
-    return _BOSON_DAGGER[code]
+_BOSON_CODES = {"I", "a", "adag", "n", "x", "p", "sq"}
 
 
 def _check_code(factor, code) -> None:
@@ -119,7 +108,7 @@ def _check_code(factor, code) -> None:
     elif isinstance(code, tuple):
         if len(code) != 2 or code[0] != "disp" or not isinstance(code[1], numbers.Real):
             raise ValueError(f"unknown bosonic primitive {code!r}")
-    elif not (isinstance(code, str) and code in _BOSON_DAGGER):
+    elif not (isinstance(code, str) and code in _BOSON_CODES):
         raise ValueError(f"unknown bosonic primitive {code!r}")
 
 
@@ -202,10 +191,6 @@ class OperatorSum:
     # -- construction helpers -----------------------------------------------------
 
     @staticmethod
-    def identity(space: HilbertSpace) -> "OperatorSum":
-        return OperatorSum(space, [(1.0, ("I",) * space.n_factors)], hermitian=True)
-
-    @staticmethod
     def zero(space: HilbertSpace) -> "OperatorSum":
         return OperatorSum(space, [], hermitian=True)
 
@@ -251,16 +236,6 @@ class OperatorSum:
                            hermitian=herm)
 
     __rmul__ = __mul__
-
-    def dagger(self) -> "OperatorSum":
-        out = []
-        for coeff, factors in self.terms:
-            new_factors = tuple(
-                _QUBIT_DAGGER[code] if isinstance(f, Qubit) else _boson_dagger(code)
-                for f, code in zip(self.space.factors, factors)
-            )
-            out.append((np.conj(coeff), new_factors))
-        return OperatorSum(self.space, out, hermitian=self.hermitian)
 
     # -- materialization ------------------------------------------------------------
 

@@ -98,10 +98,6 @@ class HilbertSpace:
         return HilbertSpace(tuple(Qubit() for _ in range(n)))
 
     @staticmethod
-    def single_boson(n_max: int = DEFAULT_N_MAX) -> "HilbertSpace":
-        return HilbertSpace((Boson(n_max),))
-
-    @staticmethod
     def qubit_boson(n_max: int = DEFAULT_N_MAX, n_qubits: int = 1) -> "HilbertSpace":
         return HilbertSpace(tuple(Qubit() for _ in range(n_qubits)) + (Boson(n_max),))
 

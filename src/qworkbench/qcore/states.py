@@ -46,10 +46,6 @@ class PureState:
     def to_density_matrix(self) -> "DensityMatrix":
         return DensityMatrix(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def tensor(self, other: "PureState") -> "PureState":
-        space = HilbertSpace(self.space.factors + other.space.factors)
-        return PureState(space, np.kron(self.amplitudes, other.amplitudes))
-
     def __repr__(self) -> str:
         return f"PureState(dim={self.space.dim})"
 
@@ -72,14 +68,6 @@ class DensityMatrix:
     @property
     def trace_error(self) -> float:
         return abs(complex(np.trace(self.matrix)) - 1.0)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
-        space = HilbertSpace(self.space.factors + other.space.factors)
-        return DensityMatrix(space, np.kron(self.matrix, other.matrix),
-                             check_trace=False)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.space.dim})"

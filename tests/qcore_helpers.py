@@ -1,4 +1,5 @@
-"""States, a Pauli recomposition and a dense evolution that only the tests use.
+"""States, the identity operator, a Pauli recomposition and a dense evolution
+that only the tests use.
 
 No scenario, demo or benchmark needs them, so they are not part of
 ``qworkbench.qcore`` (``test_reachability.py``); the tests import them
@@ -36,7 +37,7 @@ def coherent_state(n_max: int, alpha: complex) -> qc.PureState:
         amps = np.exp(n * np.log(complex(alpha)) - 0.5 * log_fact)
     amps = np.asarray(amps, dtype=complex)
     amps /= np.linalg.norm(amps)
-    return qc.PureState(qc.HilbertSpace.single_boson(n_max), amps)
+    return qc.PureState(qc.HilbertSpace((qc.Boson(n_max),)), amps)
 
 
 def random_product_state(n_qubits: int, rng: np.random.Generator) -> qc.PureState:
@@ -45,6 +46,11 @@ def random_product_state(n_qubits: int, rng: np.random.Generator) -> qc.PureStat
         q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         amps = np.kron(amps, q / np.linalg.norm(q))
     return qc.PureState(qc.HilbertSpace.qubits(n_qubits), amps)
+
+
+def identity_operator(space: qc.HilbertSpace) -> qc.OperatorSum:
+    """The identity as a one-term Hermitian ``OperatorSum`` on ``space``."""
+    return qc.OperatorSum(space, [(1.0, ("I",) * space.n_factors)], hermitian=True)
 
 
 def maximally_mixed(space: qc.HilbertSpace) -> qc.DensityMatrix:

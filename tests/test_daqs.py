@@ -27,14 +27,14 @@ def test_coupling_validation():
     with pytest.raises(ValueError):
         daqs.SpinCouplingMatrix.power_law(4, -1.0, 0.6)
     with pytest.raises(ValueError):
-        daqs.SpinCouplingMatrix.explicit(np.zeros((13, 13)))
+        daqs.SpinCouplingMatrix(np.zeros((13, 13)))
 
 
 def test_non_finite_couplings_rejected():
     # NaN passes every comparison-based check, so finiteness is checked first
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
-            daqs.SpinCouplingMatrix.explicit([[0.0, bad], [bad, 0.0]])
+            daqs.SpinCouplingMatrix([[0.0, bad], [bad, 0.0]])
         with pytest.raises(ValueError):
             daqs.SpinCouplingMatrix.power_law(3, bad, 1.0)
         with pytest.raises(ValueError):
@@ -48,22 +48,21 @@ def test_coupling_copies_and_freezes_its_matrix():
     # generators it has cached
     m = np.array([[0.0, 0.5, 0.2], [0.5, 0.0, 0.9], [0.2, 0.9, 0.0]])
     kept = m.copy()
-    for coupling in (daqs.SpinCouplingMatrix(m), daqs.SpinCouplingMatrix.explicit(m)):
-        gens = coupling._generators()
-        assert coupling.matrix is not m
-        assert not coupling.matrix.flags.writeable
-        with pytest.raises(ValueError):
-            coupling.matrix[0, 1] = 7.0
-        m[0, 1] = m[1, 0] = 7.0
-        assert np.array_equal(coupling.matrix, kept)
-        fresh = daqs.SpinCouplingMatrix(kept)._generators()
-        assert np.array_equal(gens.xy.matrix_at(0.0), fresh.xy.matrix_at(0.0))
-        m[:] = kept
+    coupling = daqs.SpinCouplingMatrix(m)
+    gens = coupling._generators()
+    assert coupling.matrix is not m
+    assert not coupling.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        coupling.matrix[0, 1] = 7.0
+    m[0, 1] = m[1, 0] = 7.0
+    assert np.array_equal(coupling.matrix, kept)
+    fresh = daqs.SpinCouplingMatrix(kept)._generators()
+    assert np.array_equal(gens.xy.matrix_at(0.0), fresh.xy.matrix_at(0.0))
 
 
 def test_couplings_compare_and_hash_by_bytes():
     a = daqs.SpinCouplingMatrix.uniform(3, 0.7)
-    b = daqs.SpinCouplingMatrix.explicit(0.7 * (np.ones((3, 3)) - np.eye(3)))
+    b = daqs.SpinCouplingMatrix(0.7 * (np.ones((3, 3)) - np.eye(3)))
     assert a == b and hash(a) == hash(b)
     assert len({a, b, daqs.SpinCouplingMatrix.power_law(3, 0.7, 1.0)}) == 2
     assert a != daqs.SpinCouplingMatrix.uniform(3, 0.8)
@@ -71,7 +70,7 @@ def test_couplings_compare_and_hash_by_bytes():
     assert a.__eq__(a.matrix) is NotImplemented
     # a negative uniform coupling has -0.0 on its diagonal; it is stored as 0.0
     neg = daqs.SpinCouplingMatrix.uniform(2, -1.0)
-    assert neg == daqs.SpinCouplingMatrix.explicit([[0.0, -1.0], [-1.0, 0.0]])
+    assert neg == daqs.SpinCouplingMatrix([[0.0, -1.0], [-1.0, 0.0]])
     assert {a: 1}[b] == 1
 
 
@@ -85,7 +84,7 @@ def test_two_spin_heisenberg_eigenvalues():
 
 
 def test_zero_coupling_zero_operator():
-    coupling = daqs.SpinCouplingMatrix.explicit(np.zeros((3, 3)))
+    coupling = daqs.SpinCouplingMatrix(np.zeros((3, 3)))
     for kind in ("XX", "XY", "ZZ"):
         assert np.max(np.abs(daqs.analog_block(kind, coupling))) == 0.0
 
@@ -173,7 +172,7 @@ def _oracle_couplings():
     out = [daqs.SpinCouplingMatrix.power_law(n, 1.0, 0.6) for n in (2, 3, 4, 5)]
     m = np.array(daqs.SpinCouplingMatrix.power_law(4, 0.9, 1.3).matrix)
     m[0, 2] = m[2, 0] = 0.0
-    return out + [daqs.SpinCouplingMatrix.explicit(m)]
+    return out + [daqs.SpinCouplingMatrix(m)]
 
 
 def test_daqs_step_matches_literal_rotated_product():
@@ -590,8 +589,6 @@ def test_cqed_rejects_non_integer_step_counts(monkeypatch):
 def test_empty_coupling_names_its_spin_count():
     with pytest.raises(ValueError, match="0 spins"):
         daqs.SpinCouplingMatrix(np.zeros((0, 0)))
-    with pytest.raises(ValueError, match="0 spins"):
-        daqs.SpinCouplingMatrix.explicit(np.zeros((0, 0)))
 
 
 def _per_count_cqed(omega_r, omega_q, g, t, steps, n_qubits, n_max, split, noise, tol):

@@ -138,34 +138,6 @@ def test_embedded_dynamics_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# conjugated expectation values
-# ---------------------------------------------------------------------------
-
-def test_conj_expectation_identity_on_real_state():
-    psi = qc.all_plus_state(2)
-    tilde = eqs.embed_state(psi)
-    val = eqs.conj_expectation(tilde, np.eye(4, dtype=complex))
-    assert abs(val - 1.0) < 1e-12
-
-
-def test_conj_expectation_bell_concurrence():
-    tilde = eqs.embed_state(bell_state())
-    val = eqs.conj_expectation(tilde, qc.dense_pauli("YY"))
-    assert abs(abs(val) - 1.0) < 1e-12
-
-
-def test_conj_expectation_matches_direct():
-    rng = np.random.default_rng(13)
-    for _ in range(30):
-        psi = qc.random_pure_state(qc.HilbertSpace.qubits(2), rng)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        o = 0.5 * (m + m.conj().T)
-        got = eqs.conj_expectation(eqs.embed_state(psi), o)
-        direct = complex(np.vdot(psi.amplitudes, o @ psi.amplitudes.conj()))
-        assert abs(got - direct) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # monotones
 # ---------------------------------------------------------------------------
 
@@ -204,6 +176,52 @@ def test_tangle_ghz_and_dual_path():
     assert abs(from_plain.value - from_embedded.value) < 1e-12
     assert from_plain.observables_measured == 6
     assert from_plain.observables == ("ZIYY", "XIYY", "ZXYY", "XXYY", "ZZYY", "XZYY")
+
+
+def direct_monotone(psi: np.ndarray, kind: str, n: int) -> float:
+    """The monotone by direct conjugation of the register ket: the oracle
+    of the readout-pair protocol."""
+    metric = dict(zip("IXYZ", (-1.0, 1.0, 0.0, 1.0)))
+
+    def conj(label):
+        return complex(np.vdot(psi, qc.dense_pauli(label) @ psi.conj()))
+
+    if kind in ("Concurrence2", "EvenN"):
+        return abs(conj("Y" * n))
+    if kind in ("Tangle3", "OddN"):
+        return abs(sum(metric[mu] * conj(mu + "Y" * (n - 1)) ** 2 for mu in "IXYZ"))
+    return abs(sum(metric[a] * metric[b] * conj(a + b) ** 2 for a in "IXYZ" for b in "IXYZ"))
+
+
+@pytest.mark.parametrize("kind, n", [("Concurrence2", 2), ("SecondOrder2", 2),
+                                     ("Tangle3", 3), ("EvenN", 4), ("OddN", 3), ("OddN", 5)])
+def test_monotone_readout_matches_direct_conjugation(kind, n):
+    rng = np.random.default_rng(71 + n)
+    spec = eqs.MonotoneSpec(kind, n)
+    space = qc.HilbertSpace.qubits(n)
+    for _ in range(5):
+        psi = qc.random_pure_state(space, rng)
+        expected = direct_monotone(psi.amplitudes, kind, n)
+        tilde = eqs.embed_state(psi)
+        for state in (psi, tilde, tilde.to_density_matrix()):
+            assert abs(eqs.monotone(state, spec).value - expected) < 1e-12
+        # the embedded circuit with depolarizing noise, rescaled readouts:
+        # the noiseless circuit's value
+        h = qc.OperatorSum(space, zip(rng.standard_normal(4), rng.choice(
+            qc.all_pauli_labels(n), size=4)))
+        terms = [(c.real, "".join(f)) for c, f in eqs.embed_hamiltonian(h).terms]
+        clean, _ = eqs.trotter_embedded_circuit(terms, 0.4, 3, tilde)
+        noisy, n_gates = eqs.trotter_embedded_circuit(
+            terms, 0.4, 3, tilde, noise=eqs.NoiseModel(gate_fidelity=0.98))
+        expected = direct_monotone(eqs.decode_state(clean), kind, n)
+        assert abs(eqs.monotone(noisy, spec, rescale=(0.98, n_gates)).value
+                   - expected) < 1e-12
+    with pytest.raises(ValueError, match="embedded"):
+        eqs.monotone(psi.to_density_matrix(), spec)
+    weights, observables, matrices = eqs._readout(kind, n)
+    assert eqs._readout(kind, n)[2] is matrices
+    assert len(matrices) == len(observables) == 2 * len(weights)
+    assert not any(m.flags.writeable for m in matrices)
 
 
 def test_monotone_observable_lists():

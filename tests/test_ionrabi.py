@@ -46,11 +46,6 @@ def test_effective_two_photon_symmetric_detunings():
     assert abs(tp.g - 0.04 ** 2 * TWO_PI * 50e3 / 4.0) < 1e-6
 
 
-def test_collapse_flag():
-    assert not ir.TwoPhotonParams(1.0, 1.9, 0.49).collapse_flag
-    assert ir.TwoPhotonParams(1.0, 1.9, 0.5).collapse_flag
-
-
 def test_drive_validation():
     with pytest.raises(ValueError):
         ir.IonDriveParams(nu=1.0, omega0=1.0, omega_r=1.0, omega_b=1.0, eta=0.0)
