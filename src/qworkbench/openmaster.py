@@ -22,15 +22,16 @@ The Monte-Carlo estimator samples the simplex instead.  Order n draws one
 block of uniforms from stream ``(master_seed, n)`` of ``qcore.shot_uniforms``,
 one row per sample (channel indices, times, shot uniforms; see
 ``MonteCarloPlan``).
-The nested dissipators are expanded into Pauli-string chains once per
-channel combination, and the chain means of all samples sharing that
-combination are evaluated together on the stacked propagators U(0, tau)
-of ``qcore.propagator_stack``.  Before any product is formed, adjacent
-factors of a chain at one time slot multiply symbolically into one Pauli
-string and a phase (X X = I drops out), so a chain forms one stacked
-product per remaining factor but the last, which enters the trace as an
-elementwise sum.  Order 0 is not sampled: xi_0(t) = U(t) rho0 U(t)^dag,
-with U from ``qcore.propagator``.
+O and every channel operator are read as Pauli strings from their own
+terms (``qcore.pauli_terms``), the nested dissipators are expanded into
+Pauli-string chains once per channel combination, and the chain means of
+all samples sharing that combination are evaluated together on the
+stacked propagators U(0, tau) of ``qcore.propagator_stack``.  Before any
+product is formed, adjacent factors of a chain at one time slot multiply
+symbolically into one Pauli string and a phase (X X = I drops out), so a
+chain forms one stacked product per remaining factor but the last, which
+enters the trace as an elementwise sum.  Order 0 is not sampled:
+xi_0(t) = U(t) rho0 U(t)^dag, with U from ``qcore.propagator``.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ from .qcore import (
     expm,
     expm_block_toeplitz,
     integrate,
-    pauli_decompose,
+    pauli_terms,
     propagator,
     propagator_stack,
     shot_means,
@@ -431,12 +432,12 @@ def _chain_sums(chains, rho0, times, h, slot0, shots, uniforms) -> np.ndarray:
     return np.real(np.sum(means * coeffs, axis=1))
 
 
-def _chain_terms(model, omat, t) -> tuple:
+def _chain_terms(model, observable, t) -> tuple:
     """What every sampled order of one estimate shares: the Pauli strings of
-    O and of each channel operator, and slot 0 of every chain (O's strings
-    conjugated to time t)."""
-    o_terms = pauli_decompose(omat, model.space)
-    l_terms = [pauli_decompose(ch.operator) for ch in model.channels]
+    O and of each channel operator (``qcore.pauli_terms``), and slot 0 of
+    every chain (O's strings conjugated to time t)."""
+    o_terms = pauli_terms(observable)
+    l_terms = [pauli_terms(ch.operator) for ch in model.channels]
     u_t = propagator_stack(model.h, [t])
     slot0 = {(lbl, 0): _heisenberg(u_t, lbl) for _, lbl in o_terms if lbl.strip("I")}
     return o_terms, l_terms, slot0
@@ -445,7 +446,7 @@ def _chain_terms(model, omat, t) -> tuple:
 def _sample_values(model, terms, rho0, order, t, plan) -> np.ndarray:
     """Per-sample Dyson integrands of order ``order >= 1`` under ``plan``.
 
-    ``terms`` is ``_chain_terms(model, omat, t)``.  Draws the
+    ``terms`` is ``_chain_terms(model, observable, t)``.  Draws the
     ``MonteCarloPlan`` row block, expands the Pauli chains once per channel
     combination and evaluates all samples of a combination together; each
     sample's rates prod_k gamma_(i_k)(s_k) are evaluated at its own times,
@@ -478,7 +479,7 @@ def _sample_values(model, terms, rho0, order, t, plan) -> np.ndarray:
     return values
 
 
-def _monte_carlo_orders(model, omat, rho0, orders, t, plan) -> list:
+def _monte_carlo_orders(model, observable, rho0, orders, t, plan) -> list:
     """The plan's estimate of each order in ``orders``.
 
     Order 0 is the closed form xi_0(t) = U(t) rho0 U(t)^dag; order n >= 1 is
@@ -492,24 +493,24 @@ def _monte_carlo_orders(model, omat, rho0, orders, t, plan) -> list:
             if t < 0.0:
                 raise ValueError(f"t must be >= 0, got {t}")
             u = propagator(model.h, 0.0, t)
-            out.append(_expectation(omat, u @ rho0.matrix @ u.conj().T))
+            out.append(_expectation(observable.matrix(), u @ rho0.matrix @ u.conj().T))
         elif model.n_channels == 0:
             out.append(0.0)
         else:
             if terms is None:
-                terms = _chain_terms(model, omat, t)
+                terms = _chain_terms(model, observable, t)
             volume_factor = (model.n_channels * t) ** n / math.factorial(n)
             values = _sample_values(model, terms, rho0, n, t, plan)
             out.append(volume_factor * float(np.mean(values)))
     return out
 
 
-def _order_contribution_monte_carlo(model, omat, rho0, order, t, plan) -> float:
+def _order_contribution_monte_carlo(model, observable, rho0, order, t, plan) -> float:
     """The plan's estimate of one order on its own."""
-    return _monte_carlo_orders(model, omat, rho0, [order], t, plan)[0]
+    return _monte_carlo_orders(model, observable, rho0, [order], t, plan)[0]
 
 
-def reconstruct(model: LindbladModel, observable: OperatorSum | np.ndarray,
+def reconstruct(model: LindbladModel, observable: OperatorSum,
                 rho0: DensityMatrix, t: float, order: int,
                 plan: MonteCarloPlan | None = None) -> Reconstruction:
     """Estimate <O>_rho(t) from the Volterra series truncated at ``order``.
@@ -522,19 +523,18 @@ def reconstruct(model: LindbladModel, observable: OperatorSum | np.ndarray,
     of order n is row j of the uniform block drawn from stream
     ``(master_seed, n)`` of ``qcore.shot_uniforms``, so it depends only on
     (master_seed, n, j) (see ``MonteCarloPlan``).  Sampled values come from
-    Pauli-string chains, so a plan needs a qubit-only space (at most 6
-    qubits, the ``pauli_decompose`` cap).
+    Pauli-string chains, read from the terms of O and of each Lindblad
+    operator by ``qcore.pauli_terms``, so a plan needs a qubit-only space.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if order > MAX_ORDER:
         raise ValueError(f"order capped at {MAX_ORDER} (cost guard)")
-    omat = observable.matrix() if isinstance(observable, OperatorSum) else np.asarray(observable)
     if plan is None:
-        per_order = [_expectation(omat, xi)
+        per_order = [_expectation(observable.matrix(), xi)
                      for xi in _lindblad_terms(model, rho0, t, order, DEFAULT_TOL)]
     else:
-        per_order = _monte_carlo_orders(model, omat, rho0, range(order + 1), t, plan)
+        per_order = _monte_carlo_orders(model, observable, rho0, range(order + 1), t, plan)
     return Reconstruction(value=float(sum(per_order)), per_order=per_order,
                           mode="exact" if plan is None else "monte-carlo")
 

@@ -26,7 +26,6 @@ from .operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    all_pauli_labels,
     boson_annihilation,
     boson_displacement_generator,
     boson_number,
@@ -34,6 +33,7 @@ from .operators import (
     kron_all,
     on_factors,
     pauli_rotation,
+    pauli_terms,
 )
 from .states import (
     DensityMatrix,
@@ -64,7 +64,6 @@ from .metrics import (
     fidelity,
     operator_infinity_norm,
     partial_trace,
-    pauli_decompose,
     trace_distance,
 )
 

@@ -1,13 +1,11 @@
-"""Expectation values, state metrics, Pauli decomposition, partial trace."""
+"""Expectation values, state metrics, partial trace."""
 from __future__ import annotations
 
 import numpy as np
 
-from .operators import OperatorSum, all_pauli_labels, dense_pauli
-from .spaces import DimensionMismatchError, HilbertSpace, Qubit, check_same_space
+from .operators import OperatorSum
+from .spaces import DimensionMismatchError, HilbertSpace, check_same_space
 from .states import DensityMatrix, PureState
-
-_PAULI_BASIS_CACHE: dict = {}
 
 
 def expectation(state: PureState | DensityMatrix, op: OperatorSum | np.ndarray) -> complex:
@@ -51,40 +49,6 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """D1 = ||rho1 - rho2||_1 / 2 via singular values."""
     check_same_space(rho1, rho2)
     return float(0.5 * np.sum(np.linalg.svd(rho1.matrix - rho2.matrix, compute_uv=False)))
-
-
-def _pauli_basis(n: int):
-    """Stacked conjugated Pauli strings as a (4^n, d^2) matrix (cached, n <= 6)."""
-    if n not in _PAULI_BASIS_CACHE:
-        labels = all_pauli_labels(n)
-        stack = np.stack([dense_pauli(lbl).conj().reshape(-1) for lbl in labels])
-        stack.setflags(write=False)
-        _PAULI_BASIS_CACHE[n] = (labels, stack)
-    return _PAULI_BASIS_CACHE[n]
-
-
-def pauli_decompose(op: OperatorSum | np.ndarray, space: HilbertSpace | None = None) -> list:
-    """Expansion coefficients over orthogonal Pauli strings.
-
-    Returns ``[(q_k, label_k), ...]`` with |q_k| > 1e-12 only, such that
-    ``op = sum_k q_k * P(label_k)``.  Qubit-only spaces only; callers with
-    bosonic factors must embed into 2^l dimensions first.
-    """
-    if isinstance(op, OperatorSum):
-        space = op.space
-        mat = op.matrix()
-    else:
-        if space is None:
-            raise ValueError("space required when passing a raw matrix")
-        mat = np.asarray(op, dtype=complex)
-    if not space.is_qubit_only:
-        raise ValueError("pauli_decompose requires a qubit-only space")
-    n = space.n_factors
-    if n > 6:
-        raise ValueError("Pauli decomposition capped at 6 qubits (4^n strings)")
-    labels, stack = _pauli_basis(n)
-    coeffs = (stack @ mat.reshape(-1)) / (2 ** n)
-    return [(complex(q), lbl) for q, lbl in zip(coeffs, labels) if abs(q) > 1e-12]
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

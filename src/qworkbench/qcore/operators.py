@@ -1,4 +1,4 @@
-"""Operators as weighted sums of tensor-product primitives, plus dense Pauli helpers.
+"""Operators as weighted sums of tensor-product primitives, plus Pauli strings.
 
 Every dense operator of the package is built here: ``OperatorSum`` turns
 primitive codes into matrices in the factor order of ``qcore.spaces``,
@@ -6,6 +6,8 @@ primitive codes into matrices in the factor order of ``qcore.spaces``,
 and ``dense_pauli`` and ``kron_all`` cover Pauli labels and explicit
 factor lists; ``pauli_rotation`` exponentiates a Pauli label in closed
 form.  No module outside ``qcore`` pads with identities by hand.
+``pauli_terms`` reads a qubit operator as a sum of Pauli strings from its
+own terms, symbolically.
 
 Primitive codes: on a qubit ``I X Y Z S+ S- Pe Pg``; on a mode ``I a adag
 n x p sq`` (``sq = a^2 + a^dag^2``) and ``("disp", eta)``.
@@ -267,7 +269,7 @@ class OperatorSum:
 
 
 # ---------------------------------------------------------------------------
-# dense Pauli-string helpers (used by decompositions and oracles)
+# Pauli strings
 # ---------------------------------------------------------------------------
 
 def dense_pauli(label: str) -> np.ndarray:
@@ -288,8 +290,32 @@ def pauli_rotation(label: str, theta: float) -> np.ndarray:
     return u
 
 
-def all_pauli_labels(n: int) -> list:
-    labels = [""]
-    for _ in range(n):
-        labels = [s + ch for s in labels for ch in PAULI_LABELS]
-    return labels
+#: each qubit code as Pauli letters: S+- = (X +- iY)/2, Pe/Pg = (I +- Z)/2
+_QUBIT_PAULIS = {
+    "I": ((1, "I"),), "X": ((1, "X"),), "Y": ((1, "Y"),), "Z": ((1, "Z"),),
+    "S+": ((0.5, "X"), (0.5j, "Y")), "S-": ((0.5, "X"), (-0.5j, "Y")),
+    "Pe": ((0.5, "I"), (0.5, "Z")), "Pg": ((0.5, "I"), (-0.5, "Z")),
+}
+
+
+def pauli_terms(op: OperatorSum) -> list:
+    """``[(q_k, label_k), ...]`` with ``op = sum_k q_k * P(label_k)``, read
+    from the operator's own terms.
+
+    Each term is expanded factor by factor through ``_QUBIT_PAULIS`` (the
+    table's weights are powers of two, so a product of a term's coefficient
+    with them is exact), equal labels are summed in term order, |q_k| <=
+    1e-12 is dropped, and labels come in sorted order (I < X < Y < Z per
+    letter).  No d x d matrix is formed.  Qubit-only spaces only.
+    """
+    if not op.space.is_qubit_only:
+        raise ValueError("pauli_terms requires a qubit-only space")
+    merged: dict = {}
+    for coeff, factors in op.terms:
+        strings = [(coeff, "")]
+        for code in factors:
+            strings = [(c if w == 1 else c * w, lbl + ch)
+                       for c, lbl in strings for w, ch in _QUBIT_PAULIS[code]]
+        for c, lbl in strings:
+            merged[lbl] = merged[lbl] + c if lbl in merged else c
+    return [(merged[lbl], lbl) for lbl in sorted(merged) if abs(merged[lbl]) > 1e-12]

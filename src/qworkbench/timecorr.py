@@ -47,7 +47,7 @@ from .qcore import (
     evolve,
     expectation,
     expm,
-    pauli_decompose,
+    pauli_terms,
     propagator,
     shot_means,
     shot_uniforms,
@@ -148,32 +148,24 @@ def correlation_exact(spec: CorrelationSpec) -> complex:
 def _protocol_terms(op: OperatorSum) -> list:
     """Expand an operator into ``(coeff, unitary-Hermitian matrix)`` terms.
 
-    A scalar multiple of a Pauli string (identity on any bosonic factors)
-    passes through as a single term.  On a qubit-only space a sum of
-    distinct Pauli strings (a Jordan-Wigner ladder operator, say) passes
-    through term by term, in the label order of ``pauli_decompose``, so each
-    chain keeps its shot stream; anything else is expanded by it.
+    On a qubit-only space these are the Pauli strings of
+    ``qcore.pauli_terms``, in its sorted label order, so chain j of a
+    correlator keeps its shot stream.  With bosonic factors only a scalar
+    multiple of a Pauli string (identity on every mode) is accepted, as one
+    term.
     """
     space = op.space
+    if space.is_qubit_only:
+        return [(q, dense_pauli(lbl)) for q, lbl in pauli_terms(op)]
     if len(op.terms) == 1:
         coeff, factors = op.terms[0]
-        plain = all(
-            (code in PAULI_LABELS) if isinstance(f, Qubit) else (code == "I")
-            for f, code in zip(space.factors, factors)
-        )
-        if plain:
-            gen = op.matrix() / coeff if coeff != 1.0 else op.matrix()
-            return [(complex(coeff), np.asarray(gen))]
-    if not space.is_qubit_only:
-        raise ValueError(
-            "operator is not a scalar multiple of a Pauli string and the "
-            "space has bosonic factors; cannot expand for the ancilla protocol"
-        )
-    terms = sorted((("".join(factors), c) for c, factors in op.terms), key=lambda lc: lc[0])
-    labels = [lbl for lbl, _ in terms]
-    if len(set(labels)) == len(labels) and all(set(lbl) <= set(PAULI_LABELS) for lbl in labels):
-        return [(c, dense_pauli(lbl)) for lbl, c in terms]
-    return [(q, dense_pauli(lbl)) for q, lbl in pauli_decompose(op)]
+        if all((code in PAULI_LABELS) if isinstance(f, Qubit) else (code == "I")
+               for f, code in zip(space.factors, factors)):
+            return [(coeff, OperatorSum(space, [(1.0, factors)]).matrix())]
+    raise ValueError(
+        "operator is not a scalar multiple of a Pauli string and the "
+        "space has bosonic factors; cannot expand for the ancilla protocol"
+    )
 
 
 def _segment_propagators(spec: CorrelationSpec) -> list:
@@ -205,10 +197,12 @@ def _branch_coherence(initial, gates: Sequence[np.ndarray],
 def correlation_ancilla(spec: CorrelationSpec, plan: ShotPlan | None = None) -> complex:
     """Correlator via the probe-qubit protocol.
 
-    Each operator must be (a scalar multiple of) a Pauli string or
-    Pauli-decomposable; products of expansions are summed.  The protocol
-    runs as two system-space branches (see the module docstring) over
-    segment propagators computed once for all chains.  With ``plan`` the
+    On a qubit-only space each operator is read as its Pauli strings
+    (``qcore.pauli_terms``; a zero-weight string drops out); with bosonic
+    factors it must be a scalar multiple of one Pauli string.  Products of
+    the expansions are summed.  The protocol runs as two system-space
+    branches (see the module docstring) over segment propagators computed
+    once for all chains.  With ``plan`` the
     ancilla coherence of each expanded chain is estimated from
     ``ceil(shots/2)`` sigma_x outcomes and as many sigma_y outcomes
     (physically one cannot measure both in the same shot); chain j, in

@@ -1,10 +1,13 @@
-"""States, the identity operator, a Pauli recomposition and a dense evolution
-that only the tests use.
+"""States, the identity operator, the dense Pauli decomposition and
+recomposition and a dense evolution that only the tests use.
 
 No scenario, demo or benchmark needs them, so they are not part of
 ``qworkbench.qcore`` (``test_reachability.py``); the tests import them
-from here.  ``dense_carry`` is the oracle of a driven ``qc.Schedule``: the
-Hamiltonian assembled densely by the test, stepped by ``qc.integrate``.
+from here.  ``pauli_decompose`` projects a dense matrix onto all 4^n
+Pauli strings: it is the oracle of ``qc.pauli_terms``, which reads the
+same sum from an operator's own terms.  ``dense_carry`` is the oracle of
+a driven ``qc.Schedule``: the Hamiltonian assembled densely by the test,
+stepped by ``qc.integrate``.
 """
 import math
 
@@ -64,8 +67,54 @@ def thermal_qubit(p_ground: float) -> qc.DensityMatrix:
                             np.diag([1.0 - p_ground, p_ground]).astype(complex))
 
 
+def all_pauli_labels(n: int) -> list:
+    """The 4^n Pauli labels on n qubits, in sorted order (I < X < Y < Z)."""
+    labels = [""]
+    for _ in range(n):
+        labels = [s + ch for s in labels for ch in "IXYZ"]
+    return labels
+
+
+_PAULI_BASIS_CACHE: dict = {}
+
+
+def _pauli_basis(n: int):
+    """Stacked conjugated Pauli strings as a (4^n, d^2) matrix (cached, n <= 6)."""
+    if n not in _PAULI_BASIS_CACHE:
+        labels = all_pauli_labels(n)
+        stack = np.stack([qc.dense_pauli(lbl).conj().reshape(-1) for lbl in labels])
+        stack.setflags(write=False)
+        _PAULI_BASIS_CACHE[n] = (labels, stack)
+    return _PAULI_BASIS_CACHE[n]
+
+
+def pauli_decompose(op, space: qc.HilbertSpace | None = None) -> list:
+    """Expansion coefficients over orthogonal Pauli strings, by projection.
+
+    ``op`` is an ``OperatorSum`` or a raw matrix on ``space``.  Returns
+    ``[(q_k, label_k), ...]`` with |q_k| > 1e-12 only, such that
+    ``op = sum_k q_k * P(label_k)``.  Qubit-only spaces of at most 6
+    qubits (the 4^n x d^2 basis).
+    """
+    if isinstance(op, qc.OperatorSum):
+        space = op.space
+        mat = op.matrix()
+    else:
+        if space is None:
+            raise ValueError("space required when passing a raw matrix")
+        mat = np.asarray(op, dtype=complex)
+    if not space.is_qubit_only:
+        raise ValueError("pauli_decompose requires a qubit-only space")
+    n = space.n_factors
+    if n > 6:
+        raise ValueError("Pauli decomposition capped at 6 qubits (4^n strings)")
+    labels, stack = _pauli_basis(n)
+    coeffs = (stack @ mat.reshape(-1)) / (2 ** n)
+    return [(complex(q), lbl) for q, lbl in zip(coeffs, labels) if abs(q) > 1e-12]
+
+
 def pauli_recompose(terms, n: int) -> np.ndarray:
-    """Dense matrix from ``[(q_k, label_k), ...]`` (inverse of ``qc.pauli_decompose``)."""
+    """Dense matrix from ``[(q_k, label_k), ...]`` (inverse of ``pauli_decompose``)."""
     acc = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for q, lbl in terms:
         acc += q * qc.dense_pauli(lbl)

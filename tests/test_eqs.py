@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from qworkbench import eqs
 from qworkbench import qcore as qc
 
-from qcore_helpers import bell_state, ghz_state, random_product_state
+from qcore_helpers import all_pauli_labels, bell_state, ghz_state, random_product_state
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,7 @@ def dense_embedding(h: np.ndarray) -> np.ndarray:
 
 def random_pauli_sum(rng, n: int) -> qc.OperatorSum:
     """A real combination of a few random Pauli strings on ``n`` qubits."""
-    labels = qc.all_pauli_labels(n)
+    labels = all_pauli_labels(n)
     terms = [(rng.standard_normal(), labels[rng.integers(len(labels))])
              for _ in range(int(rng.integers(1, 7)))]
     return qc.OperatorSum(qc.HilbertSpace.qubits(n), terms)
@@ -98,7 +98,7 @@ def test_embedded_hamiltonian_properties_and_intertwining():
         space = qc.HilbertSpace.qubits(n)
         for _ in range(70):
             h = qc.OperatorSum(space, zip(rng.standard_normal(4 ** n),
-                                          qc.all_pauli_labels(n)))
+                                          all_pauli_labels(n)))
             ht = eqs.embed_hamiltonian(h).matrix()
             assert np.max(np.abs(ht - ht.conj().T)) < 1e-12      # Hermitian
             assert np.max(np.abs(ht.real)) < 1e-12               # purely imaginary
@@ -120,7 +120,7 @@ def test_embedded_dynamics_equivalence():
     rng = np.random.default_rng(8)
     n = 2
     h = qc.OperatorSum(qc.HilbertSpace.qubits(n),
-                       zip(rng.standard_normal(4 ** n), qc.all_pauli_labels(n)))
+                       zip(rng.standard_normal(4 ** n), all_pauli_labels(n)))
     psi = qc.random_pure_state(qc.HilbertSpace.qubits(n), rng)
     t = 0.9
     direct = expm(-1j * h.matrix() * t) @ psi.amplitudes
@@ -208,7 +208,7 @@ def test_monotone_readout_matches_direct_conjugation(kind, n):
         # the embedded circuit with depolarizing noise, rescaled readouts:
         # the noiseless circuit's value
         h = qc.OperatorSum(space, zip(rng.standard_normal(4), rng.choice(
-            qc.all_pauli_labels(n), size=4)))
+            all_pauli_labels(n), size=4)))
         terms = [(c.real, "".join(f)) for c, f in eqs.embed_hamiltonian(h).terms]
         clean, _ = eqs.trotter_embedded_circuit(terms, 0.4, 3, tilde)
         noisy, n_gates = eqs.trotter_embedded_circuit(

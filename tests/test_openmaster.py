@@ -11,7 +11,7 @@ from qworkbench import openmaster as om
 from qworkbench import qcore as qc
 from qworkbench import timecorr as tc
 
-from qcore_helpers import identity_operator, maximally_mixed
+from qcore_helpers import all_pauli_labels, identity_operator, maximally_mixed, pauli_decompose
 
 
 def one_qubit_space():
@@ -225,8 +225,8 @@ def test_dyson_term_dual_path():
         times = [float(s) for s in np.sort(rng.uniform(0.0, 0.8, size=2))[::-1]]
         idx = list(rng.integers(0, model.n_channels, size=2))
         value = om.dyson_term(model, obs, rho0, idx, times, t=t)
-        chains = om._pauli_chains(qc.pauli_decompose(obs.matrix(), model.space),
-                                  [qc.pauli_decompose(model.channels[i].operator)
+        chains = om._pauli_chains(pauli_decompose(obs),
+                                  [pauli_decompose(model.channels[i].operator)
                                    for i in idx])
         slot_times = [t] + times
         weight = math.prod(model.channels[i].rate(s) for i, s in zip(idx, times))
@@ -340,7 +340,7 @@ def test_monte_carlo_bernstein_against_exact_series():
     model = om.LindbladModel(qc.OperatorSum(space, [(0.65, ("Z",)), (3.0, ("X",))]),
                              [(qc.OperatorSum.pauli_string(space, "X"), gamma)])
     rho0 = qc.basis_state(space, [0]).to_density_matrix()
-    obs = sigma(space, "Z").matrix()
+    obs = sigma(space, "Z")
     truth = om.reconstruct(model, obs, rho0, t, 2).per_order
     log_2_d = math.log(2.0 / d)
     for order in (1, 2):
@@ -365,7 +365,7 @@ def pauli_channel_model(rng, n_qubits, n_channels, rate=None):
     d = space.dim
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = qc.Schedule.constant(0.5 * (m + m.conj().T), space)
-    labels = [lbl for lbl in qc.all_pauli_labels(n_qubits) if set(lbl) != {"I"}]
+    labels = [lbl for lbl in all_pauli_labels(n_qubits) if set(lbl) != {"I"}]
     channels = []
     for _ in range(n_channels):
         terms = [(complex(*rng.standard_normal(2)), tuple(lbl))
@@ -393,7 +393,7 @@ def test_batched_samples_match_dyson_term():
         model = pauli_channel_model(rng, n_qubits, n_channels, rate if with_rate else None)
         rho0 = random_density_matrix(model.space, rng)
         obs = qc.OperatorSum(model.space, [(0.8, tuple("Z" * n_qubits)),
-                                           (0.3, tuple("X" + "I" * (n_qubits - 1)))]).matrix()
+                                           (0.3, tuple("X" + "I" * (n_qubits - 1)))])
         for order in (1, 2, 3):
             plan = om.MonteCarloPlan(12, master_seed=order + 10 * n_qubits)
             terms = om._chain_terms(model, obs, t)
@@ -410,8 +410,8 @@ def test_batched_samples_time_dependent_hamiltonian():
     # a non-constant H fills the propagator stack step by step; agreement
     # is then limited by the adaptive stepper's tolerance
     space = one_qubit_space()
-    z, x = sigma(space, "Z").matrix(), sigma(space, "X").matrix()
-    h = qc.Schedule.from_terms(space, [(0.6, z), (lambda s: math.cos(3.0 * s), x)])
+    z, x = sigma(space, "Z"), sigma(space, "X").matrix()
+    h = qc.Schedule.from_terms(space, [(0.6, z.matrix()), (lambda s: math.cos(3.0 * s), x)])
     model = om.LindbladModel(h, [(sigma(space, "S-"), 0.4)])
     rho0 = qc.DensityMatrix(space, np.array([[0.6, 0.2j], [-0.2j, 0.4]]))
     plan = om.MonteCarloPlan(5, master_seed=3)
@@ -428,7 +428,7 @@ def test_monte_carlo_samples_prefix_stable_and_replayable():
     rng = np.random.default_rng(223)
     model = pauli_channel_model(rng, 2, 2)
     rho0 = random_density_matrix(model.space, rng)
-    obs = qc.OperatorSum.pauli_string(model.space, "ZI").matrix()
+    obs = qc.OperatorSum.pauli_string(model.space, "ZI")
     for shots in (None, 1, 3):
         for order in (1, 2):
             terms = om._chain_terms(model, obs, 0.6)
@@ -442,6 +442,26 @@ def test_monte_carlo_samples_prefix_stable_and_replayable():
         assert om.reconstruct(model, obs, rho0, 0.6, 2, plan=plan).value == first
 
 
+def test_plan_reconstructs_seven_qubits():
+    # past the 4^n projection's 6-qubit reach: the chains read the Pauli
+    # strings of O and of each channel from their terms, and the exact-mode
+    # samples equal the superoperator integrand at d = 128
+    rng = np.random.default_rng(257)
+    t = 0.6
+    model = pauli_channel_model(rng, 7, 2)
+    rho0 = random_density_matrix(model.space, rng)
+    obs = qc.OperatorSum(model.space, [(0.8, tuple("Z" * 7)), (0.3, tuple("X" + "I" * 6))])
+    plan = om.MonteCarloPlan(3, master_seed=7)
+    values = om._sample_values(model, om._chain_terms(model, obs, t), rho0, 1, t, plan)
+    rows = plan_rows(plan, 1, 2)
+    idx = (rows[:, :1] * model.n_channels).astype(int)
+    ref = np.array([om.dyson_term(model, obs, rho0, list(i), [s * t], t)
+                    for i, s in zip(idx, rows[:, 1])])
+    np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
+    rec = om.reconstruct(model, obs, rho0, t, 1, plan=plan)
+    assert rec.per_order[1] == model.n_channels * t * float(np.mean(values))
+
+
 def test_plan_order_zero_is_the_exact_term():
     # order 0 of a plan is U(t) rho0 U(t)^dag, not sampled: it equals the
     # exact series' order-0 term on a constant H to rounding, and on a driven
@@ -453,7 +473,7 @@ def test_plan_order_zero_is_the_exact_term():
                                                 (lambda s: math.cos(2.0 * s), qc.dense_pauli("XY"))])
     driven = om.LindbladModel(h, [(ch.operator, ch.rate(0.0)) for ch in constant.channels])
     rho0 = random_density_matrix(constant.space, rng)
-    obs = qc.OperatorSum(constant.space, [(0.8, tuple("ZX")), (0.3, tuple("YI"))]).matrix()
+    obs = qc.OperatorSum(constant.space, [(0.8, tuple("ZX")), (0.3, tuple("YI"))])
     plan = om.MonteCarloPlan(3, master_seed=5)
     for model, atol in ((constant, 1e-13), (driven, qc.DEFAULT_TOL)):
         exact = om.reconstruct(model, obs, rho0, 0.7, 2).per_order[0]
@@ -467,7 +487,7 @@ def test_plan_forms_no_block_exponential(monkeypatch):
     model = pauli_channel_model(rng, 2, 2)
     assert model.is_constant
     rho0 = random_density_matrix(model.space, rng)
-    obs = qc.OperatorSum.pauli_string(model.space, "ZI").matrix()
+    obs = qc.OperatorSum.pauli_string(model.space, "ZI")
     expected = om.reconstruct(model, obs, rho0, 0.6, 2, plan=om.MonteCarloPlan(4, 3)).value
 
     def forbidden(*args, **kwargs):
@@ -485,7 +505,7 @@ def test_merged_samples_match_dyson_term_three_qubits():
     model = pauli_channel_model(rng, 3, 2)
     rho0 = random_density_matrix(model.space, rng)
     obs = qc.OperatorSum(model.space, [(0.8, tuple("ZZZ")), (0.3, tuple("XIY")),
-                                       (0.2, tuple("III"))]).matrix()
+                                       (0.2, tuple("III"))])
     for order in (1, 2, 3):
         plan = om.MonteCarloPlan(4, master_seed=40 + order)
         terms = om._chain_terms(model, obs, t)
@@ -498,18 +518,20 @@ def test_merged_samples_match_dyson_term_three_qubits():
         np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
 
 
-def unmerged_sample_values(model, omat, rho0, order, t, plan):
+def unmerged_sample_values(model, observable, rho0, order, t, plan):
     """Sample values as documented by ``MonteCarloPlan``, one sample at a
     time: every chain of ``_pauli_chains`` is a dense product of its U^dag P U
-    factors, with no merging of same-slot factors and no cached factor."""
-    o_terms = qc.pauli_decompose(omat, model.space)
-    l_terms = [qc.pauli_decompose(ch.operator) for ch in model.channels]
+    factors, with no merging of same-slot factors and no cached factor.  The
+    Pauli terms are ``qc.pauli_terms``'s; ``test_qcore.py`` checks them
+    against the dense projection ``pauli_decompose``."""
+    o_terms = qc.pauli_terms(observable)
+    l_terms = [qc.pauli_terms(ch.operator) for ch in model.channels]
     shots = plan.shots_per_value
     max_chains = len(o_terms) * max(3 * len(terms) ** 2 for terms in l_terms) ** order
     rows = plan_rows(plan, order, 2 * order + 2 * shots * max_chains)
     idx = (rows[:, :order] * model.n_channels).astype(int)
     times = np.sort(rows[:, order:2 * order] * t, axis=1)[:, ::-1]
-    paulis = {lbl: qc.dense_pauli(lbl) for lbl in qc.all_pauli_labels(model.space.n_factors)}
+    paulis = {lbl: qc.dense_pauli(lbl) for lbl in all_pauli_labels(model.space.n_factors)}
     values = np.ones(plan.samples_per_order)
     for k in range(order):
         values *= [model.channels[i].rate(s) for i, s in zip(idx[:, k], times[:, k])]
@@ -540,7 +562,7 @@ def test_single_shot_samples_match_unmerged_oracle():
         model = pauli_channel_model(rng, n_qubits, n_channels, rate if with_rate else None)
         rho0 = random_density_matrix(model.space, rng)
         obs = qc.OperatorSum(model.space, [(0.8, tuple("Z" * n_qubits)),
-                                           (0.3, tuple("X" + "I" * (n_qubits - 1)))]).matrix()
+                                           (0.3, tuple("X" + "I" * (n_qubits - 1)))])
         for order in (1, 2):
             for shots in (1, 3):
                 plan = om.MonteCarloPlan(5, 60 + 7 * order + shots, shots)
@@ -568,7 +590,7 @@ def test_stack_product_matches_matmul():
 
 
 def test_pauli_product_matches_dense():
-    labels = qc.all_pauli_labels(2)
+    labels = all_pauli_labels(2)
     for a in labels:
         for b in labels:
             phase, c = om._pauli_product(a, b)
@@ -583,7 +605,7 @@ def test_single_shot_success_rate_can_fail():
     model = om.LindbladModel(qc.OperatorSum(space, [(0.65, ("Z",)), (3.0, ("X",))]),
                              [(qc.OperatorSum.pauli_string(space, "X"), 0.25)])
     rho0 = qc.basis_state(space, [0]).to_density_matrix()
-    obs = sigma(space, "Z").matrix()
+    obs = sigma(space, "Z")
     t, beta, delta = 0.3, 2.0, 0.05
     omega_1 = om.sample_size_bound(delta, beta, 1, t, 1, 1, 1, model.gamma_bar(t))
     truth = om.reconstruct(model, obs, rho0, t, 1).per_order[1]
@@ -921,7 +943,7 @@ def test_nonhermitian_perturbative_bound():
         h = sigma(space, "Z", float(rng.uniform(0.2, 1.0)))
         g_raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         g_psd = 0.1 * (g_raw @ g_raw.conj().T)
-        terms = [(q, tuple(lbl)) for q, lbl in qc.pauli_decompose(g_psd, space)]
+        terms = [(q, tuple(lbl)) for q, lbl in pauli_decompose(g_psd, space)]
         gamma_op = qc.OperatorSum(space, terms)
         rho0 = random_density_matrix(space, rng)
         t = 0.5
@@ -942,10 +964,10 @@ def test_nonhermitian_series_matches_kron_van_loan_block():
     d = space.dim
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = qc.OperatorSum(space, [(q, tuple(lbl)) for q, lbl in
-                               qc.pauli_decompose(0.5 * (m + m.conj().T), space)])
+                               pauli_decompose(0.5 * (m + m.conj().T), space)])
     g_raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     gamma_op = qc.OperatorSum(space, [(q, tuple(lbl)) for q, lbl in
-                                      qc.pauli_decompose(0.1 * (g_raw @ g_raw.conj().T), space)])
+                                      pauli_decompose(0.1 * (g_raw @ g_raw.conj().T), space)])
     rho0 = random_density_matrix(space, rng)
     eye, gm = np.eye(d), gamma_op.matrix()
     anticommutator = -(qc.kron_all([eye, gm]) + qc.kron_all([gm.T, eye]))

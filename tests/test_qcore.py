@@ -12,8 +12,9 @@ from scipy.linalg import expm
 
 from qworkbench import qcore as qc
 
-from qcore_helpers import (bell_state, dense_carry, ghz_state, identity_operator,
-                           maximally_mixed, pauli_recompose, thermal_qubit)
+from qcore_helpers import (all_pauli_labels, bell_state, dense_carry, ghz_state,
+                           identity_operator, maximally_mixed, pauli_decompose,
+                           pauli_recompose, thermal_qubit)
 
 
 def dense(op):
@@ -525,7 +526,7 @@ def test_quadrature_operators():
 def test_pauli_rotation_matches_expm():
     # cos(theta) I - i sin(theta) P against the eigh route of qcore.expm
     for n in (1, 2, 3):
-        for label in qc.all_pauli_labels(n):
+        for label in all_pauli_labels(n):
             p = qc.dense_pauli(label)
             for theta in (0.0, 0.37, -1.2, math.pi / 4, 2.9):
                 u = qc.pauli_rotation(label, theta)
@@ -624,9 +625,6 @@ def test_cached_matrices_are_read_only():
     raw = np.array(op.matrix())
     qc.Schedule.constant(raw, space)
     raw[0, 0] = 2.0
-    qc.pauli_decompose(qc.OperatorSum.pauli_string(qc.HilbertSpace.qubits(1), "X"))
-    with pytest.raises(ValueError):
-        qc.metrics._pauli_basis(1)[1][0, 0] = 1.0
 
 
 def test_shot_uniforms_keys_must_be_integers():
@@ -1062,7 +1060,7 @@ def test_pauli_decompose_sigma_minus():
     # sigma- = (X - iY)/2 with sigma_y = [[0,-i],[i,0]]
     space = qc.HilbertSpace.qubits(1)
     terms = dict((lbl, q) for q, lbl in
-                 qc.pauli_decompose(qc.OperatorSum.single(space, 0, "S-")))
+                 pauli_decompose(qc.OperatorSum.single(space, 0, "S-")))
     assert set(terms) == {"X", "Y"}
     assert abs(terms["X"] - 0.5) < 1e-14
     assert abs(terms["Y"] - (-0.5j)) < 1e-14
@@ -1070,7 +1068,7 @@ def test_pauli_decompose_sigma_minus():
 
 def test_pauli_decompose_identity():
     space = qc.HilbertSpace.qubits(3)
-    terms = qc.pauli_decompose(identity_operator(space))
+    terms = pauli_decompose(identity_operator(space))
     assert terms == [(1.0 + 0.0j, "III")]
 
 
@@ -1081,7 +1079,7 @@ def test_pauli_decompose_round_trip_and_norm_bounds():
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = 0.5 * (m + m.conj().T)
         m /= np.linalg.norm(m, ord=2)  # spectral norm 1
-        terms = qc.pauli_decompose(m, space)
+        terms = pauli_decompose(m, space)
         rebuilt = pauli_recompose(terms, 2)
         assert np.max(np.abs(rebuilt - m)) < 1e-12
         coeffs = np.array([q for q, _ in terms])
@@ -1092,7 +1090,73 @@ def test_pauli_decompose_round_trip_and_norm_bounds():
 def test_pauli_decompose_rejects_bosons():
     space = qc.HilbertSpace.qubit_boson(n_max=2)
     with pytest.raises(ValueError):
-        qc.pauli_decompose(identity_operator(space))
+        pauli_decompose(identity_operator(space))
+
+
+def assert_pauli_terms_match_oracle(op):
+    """Same labels in the same order as the dense projection, and the same
+    coefficients to 1e-15 of the largest."""
+    got, oracle = qc.pauli_terms(op), pauli_decompose(op)
+    assert [lbl for _, lbl in got] == [lbl for _, lbl in oracle]
+    q_got, q_oracle = np.array([q for q, _ in got]), np.array([q for q, _ in oracle])
+    assert np.max(np.abs(q_got - q_oracle)) <= 1e-15 * np.max(np.abs(q_oracle))
+
+
+def test_pauli_terms_match_the_projection_oracle():
+    from qworkbench import openmaster as om
+
+    one, two = qc.HilbertSpace.qubits(1), qc.HilbertSpace.qubits(2)
+    z = qc.OperatorSum.single(one, 0, "Z", hermitian=True)
+    single_shot = om.LindbladModel(0.65 * z, [(qc.OperatorSum.pauli_string(one, "X"), 0.25)])
+    damping = om.LindbladModel(qc.OperatorSum.zero(one),
+                               [(qc.OperatorSum.single(one, 0, "S-"), 0.3)])
+    sampled = om.LindbladModel(qc.OperatorSum.pauli_string(two, "ZI"), [
+        (qc.OperatorSum(two, [(1.0, tuple("XI")), (0.5j, tuple("YZ"))]), 0.3),
+        (qc.OperatorSum(two, [(0.8, tuple("IZ")), (-0.4, tuple("ZY"))]), 0.2),
+        (qc.OperatorSum(two, [(1.0, ("S-", "I")), (0.5, ("I", "Pg"))]), 0.25)])
+    ops = [z, qc.OperatorSum.single(one, 0, "Pg")]
+    ops += [ch.operator for m in (single_shot, damping, sampled) for ch in m.channels]
+    for op in ops:
+        assert_pauli_terms_match_oracle(op)
+    # random sums over all eight qubit codes, each label written once or twice
+    rng = np.random.default_rng(251)
+    codes = ["I", "X", "Y", "Z", "S+", "S-", "Pe", "Pg"]
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        terms = []
+        for _ in range(int(rng.integers(1, 6))):
+            factors = tuple(rng.choice(codes, size=n))
+            terms += [(complex(*rng.standard_normal(2)), factors)
+                      for _ in range(int(rng.integers(1, 3)))]
+        assert_pauli_terms_match_oracle(qc.OperatorSum(qc.HilbertSpace.qubits(n), terms))
+
+
+def test_pauli_terms_drop_what_cancels():
+    one = qc.HilbertSpace.qubits(1)
+    # S+ + S- = X: the Y weights cancel exactly; X - (1 - 1e-13) X merges below 1e-12
+    op = qc.OperatorSum(one, [(1.0, ("S+",)), (1.0, ("S-",))])
+    assert qc.pauli_terms(op) == [(1.0, "X")]
+    op = qc.OperatorSum(one, [(1.0, ("X",)), (0.5, ("Z",)), (-(1.0 - 1e-13), ("X",))])
+    assert qc.pauli_terms(op) == [(0.5, "Z")] == pauli_decompose(op)
+    assert qc.pauli_terms(qc.OperatorSum.pauli_string(one, "X", 0.0)) == []
+
+
+def test_pauli_terms_form_no_dense_matrix(monkeypatch):
+    # ten qubits: sigma- on the first times Pg on the last, plus a ZZ string
+    space = qc.HilbertSpace.qubits(10)
+    op = qc.OperatorSum(space, [(2.0, ("S-",) + ("I",) * 8 + ("Pg",)),
+                                (0.3, ("Z", "Z") + ("I",) * 8)])
+
+    def refuse(self):
+        raise AssertionError("pauli_terms formed a dense matrix")
+
+    monkeypatch.setattr(qc.OperatorSum, "matrix", refuse)
+    mid = "I" * 8
+    assert qc.pauli_terms(op) == [(0.5, "X" + mid + "I"), (-0.5, "X" + mid + "Z"),
+                                  (-0.5j, "Y" + mid + "I"), (0.5j, "Y" + mid + "Z"),
+                                  (0.3, "ZZ" + mid)]
+    with pytest.raises(ValueError):
+        qc.pauli_terms(identity_operator(qc.HilbertSpace.qubit_boson(n_max=2)))
 
 
 # ---------------------------------------------------------------------------

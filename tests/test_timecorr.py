@@ -1,5 +1,6 @@
 """Ancilla-protocol correlators: oracle equivalence, sampling, linear response."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ def test_ancilla_scalar_multiple_of_pauli():
                                pauli_op(space, "Y", coeff=0.5j)),
                               qc.basis_state(space, [0]))
     assert abs(tc.correlation_ancilla(spec) - tc.correlation_exact(spec)) < 1e-10
+
+
+def test_ancilla_zero_weight_pauli_string_is_zero():
+    # a zero-coefficient string drops out of the expansion: the protocol
+    # returns 0, as the exact oracle does, and divides by nothing
+    space = qc.HilbertSpace.qubits(1)
+    spec = tc.CorrelationSpec(qubit_schedule(0.9), (0.0, 0.5),
+                              (pauli_op(space, "X", coeff=0.0), pauli_op(space, "X")),
+                              qc.plus_state())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tc.correlation_ancilla(spec) == 0.0 == tc.correlation_exact(spec)
+        assert tc.correlation_ancilla(spec, tc.ShotPlan(shots=8)) == 0.0
 
 
 def test_equal_times_match_single_time_product():
@@ -457,17 +471,17 @@ def test_fermionic_chains_draw_distinct_streams(monkeypatch):
 
 def test_fermionic_correlator_on_seven_modes_builds_no_pauli_basis(monkeypatch):
     # a ladder operator is a sum of two Pauli strings: it reaches the
-    # protocol term by term, in pauli_decompose's label order, so a register
-    # beyond pauli_decompose's 6-qubit cap works and no 4^n basis is built
+    # protocol term by term, in sorted label order, read from its own terms
+    # by qc.pauli_terms, so no dense operator and no 4^n basis is built
     space = qc.HilbertSpace.qubits(7)
     rng = np.random.default_rng(18)
     h = random_hermitian_schedule(space, rng)
     state = qc.random_pure_state(space, rng)
 
     def refuse(*args):
-        raise AssertionError("a sum of Pauli strings was decomposed")
+        raise AssertionError("a sum of Pauli strings was made dense")
 
-    monkeypatch.setattr(tc, "pauli_decompose", refuse)
+    monkeypatch.setattr(qc.OperatorSum, "matrix", refuse)
     b6 = tc.fermion_operator_dense(space, 6, dagger=False)
     b1d = tc.fermion_operator_dense(space, 1, dagger=True)
     expected = tc.heisenberg_chain_expectation(h, [(b1d, 0.7), (b6, 0.0)], state)
