@@ -6,9 +6,14 @@ fixed matrices, with an optional diagonal frame
 ``F(t) = exp(i t diag(frame))``.  A constant Hamiltonian is its one-term
 case, with coefficient 1 and no frame.  The schedule acts as one lab-frame
 action ``apply(t, y) = H(t) @ y`` for a vector or a column block, valid at
-every time: one product of the stacked ``H_k`` with ``F(t)^dag y`` and one
-contraction with the coefficient vector, so no Hamiltonian is rebuilt at a
-Runge-Kutta stage and nothing is shared between evaluations.
+every time: each term adds ``f_k(t) H_k @ (F(t)^dag y)`` into ``F(t)^dag
+H(t) y``, so no Hamiltonian is rebuilt at a Runge-Kutta stage and nothing
+is shared between evaluations.  When a coefficient depends on time, each
+``H_k`` is kept on its support, the smallest row range x column range
+that holds its nonzero entries, found once by ``from_terms``: the product
+reads only the columns of ``y`` in that range and writes only the rows,
+so a term in one qubit quadrant, like the ion drive's
+``sigma^+ (x) D``, costs a quarter of a dense product.
 
 Time-dependent generators are integrated by ``integrate``, an adaptive
 embedded 4(5) Runge-Kutta stepper written here: the Dormand-Prince 5(4)
@@ -65,7 +70,7 @@ packed state's RMS norm is the full state's at ``tol``, initial step
 included.  The packed run therefore takes the steps of the unpacked one,
 and its numbers differ from it only by rounding.  A schedule with one
 block, like the ion drive with its dense displacement operator, is
-stepped whole.
+stepped whole, each term on its support.
 
 A density matrix is never integrated itself: ``evolve`` conjugates it by
 the propagator, ``rho -> U rho U^dag``, for every kind of schedule.
@@ -146,31 +151,52 @@ def _invariant_blocks(d: int, mats) -> list:
         labels = new
 
 
+def _span(index: np.ndarray) -> slice:
+    """The smallest range that holds the sorted ``index``; empty if it is."""
+    return slice(int(index[0]), int(index[-1]) + 1) if index.size else slice(0, 0)
+
+
+def _support(m: np.ndarray) -> tuple:
+    """(rows, cols, block): the smallest row range x column range that holds
+    the nonzero entries of ``m``, and ``m`` on it, copied and read-only."""
+    nonzero = m != 0
+    rows = _span(np.flatnonzero(nonzero.any(axis=1)))
+    cols = _span(np.flatnonzero(nonzero.any(axis=0)))
+    return rows, cols, _frozen(m[rows, cols].copy())
+
+
 class _TermForm:
     """H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag, F = exp(i t diag(frame)):
     the lab-frame action ``apply`` and the RK45 carrier ``step``.
 
-    Rows k*d .. (k+1)*d - 1 of ``stack`` hold H_k, so one product serves
-    every term.  When some coefficient depends on time and the terms leave
-    more than one block invariant (``_invariant_blocks``), ``step``
-    integrates only the parts of the columns inside the blocks, packed as
-    in the module docstring; the zero-padded ``(n_blocks, n_terms * size,
-    size)`` ``block_stack`` holds each term's block of the generator
-    -i H_k, and ``index`` the rows of each block.  The blocks are used only
-    if padding them to the largest adds no entries to the term stack.
+    ``terms`` holds each H_k once, as ``(rows, cols, block)``: when some
+    coefficient depends on time, the smallest row range x column range
+    that holds the term's nonzero entries and H_k on it (``_support``), so
+    ``apply`` adds ``f_k(t) block @ y[cols]`` into ``rows`` and multiplies
+    no entry outside the support; a static K never steps, and its terms
+    are kept whole.  When the terms also leave more than one block
+    invariant (``_invariant_blocks``), ``step`` integrates only the parts
+    of the columns inside the blocks, packed as in the module docstring;
+    the zero-padded ``(n_blocks, n_terms * size, size)`` ``block_stack``
+    holds each term's block of the generator -i H_k, and ``index`` the rows
+    of each block.  The blocks are used only if, padded to the largest,
+    they hold no more entries than a d x d term.  ``mats`` are the
+    schedule's own copies of the H_k.
     """
 
-    __slots__ = ("d", "coeffs", "stack", "i_frame", "index", "block_stack", "block_frame")
+    __slots__ = ("d", "coeffs", "terms", "i_frame", "index", "block_stack", "block_frame")
 
-    def __init__(self, d: int, coeffs, stack: np.ndarray, frame):
+    def __init__(self, d: int, coeffs, mats, frame):
         self.d = d
         self.coeffs = tuple(f if callable(f) else (lambda t, c=f: c) for f in coeffs)
-        self.stack = stack
         self.i_frame = None if frame is None else 1j * frame
         self.index = self.block_stack = self.block_frame = None
         if not any(callable(f) for f in coeffs):
-            return  # a static K takes the eigenbasis route and never steps
-        mats = stack.reshape(-1, d, d)
+            # a static K takes the eigenbasis route and never steps
+            whole = slice(0, d)
+            self.terms = tuple((whole, whole, _frozen(m)) for m in mats)
+            return
+        self.terms = tuple(_support(m) for m in mats)
         blocks = _invariant_blocks(d, mats)
         size = max(b.size for b in blocks)
         if len(blocks) < 2 or len(blocks) * size * size > d * d:
@@ -188,13 +214,13 @@ class _TermForm:
             self.block_frame = _frozen(packed)
 
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
-        n_terms = len(self.coeffs)
-        c = np.array([f(t) for f in self.coeffs], dtype=complex)
-        if self.i_frame is None:
-            return (c @ (self.stack @ y).reshape(n_terms, -1)).reshape(y.shape)
-        phase = np.exp(t * self.i_frame).reshape((self.d,) + (1,) * (y.ndim - 1))
-        y = phase.conj() * y
-        return phase * (c @ (self.stack @ y).reshape(n_terms, -1)).reshape(y.shape)
+        if self.i_frame is not None:
+            phase = np.exp(t * self.i_frame).reshape((self.d,) + (1,) * (y.ndim - 1))
+            y = phase.conj() * y
+        out = np.zeros(y.shape, dtype=complex)
+        for f, (rows, cols, block) in zip(self.coeffs, self.terms):
+            out[rows] += f(t) * (block @ y[cols])
+        return out if self.i_frame is None else phase * out
 
     def step(self, y: np.ndarray, t0: float, t1: float, tol: float) -> np.ndarray:
         """U(t1, t0) @ y by RK45, for a ket or a column block ``y``."""
@@ -318,11 +344,11 @@ class Schedule:
     ``F(t) = exp(i t diag(frame))`` is an optional diagonal frame.  In the
     frame the Hamiltonian is ``K(t) = diag(frame) + sum_k f_k(t) H_k``.  A
     schedule acts through ``apply(t, y) = H(t) @ y`` on a vector or a
-    column block, at every time: one stacked product of the fixed matrices
-    with ``F(t)^dag y`` contracted with the coefficient vector, so no
-    matrix is rebuilt per evaluation.  ``evolve`` carries kets with it and
-    conjugates a density matrix by the propagator.  Two constructors build
-    it:
+    column block, at every time: one product of each fixed matrix, on its
+    support when a coefficient depends on time, with ``F(t)^dag y``, scaled
+    by its coefficient, so no matrix is rebuilt per evaluation.  ``evolve``
+    carries kets with it and conjugates a density matrix by the
+    propagator.  Two constructors build it:
 
     * ``Schedule.from_terms(space, terms, frame, period)``, the general
       form.
@@ -361,7 +387,7 @@ class Schedule:
             raise DimensionMismatchError("constant Hamiltonian does not match the space")
         if not _is_hermitian(mat):
             raise ValueError("a constant Hamiltonian must be Hermitian")
-        form = _TermForm(space.dim, (1.0,), mat, None)
+        form = _TermForm(space.dim, (1.0,), [mat], None)
         return Schedule(space, form, _ExactFrame(None, form.step, mat, None))
 
     @staticmethod
@@ -380,12 +406,13 @@ class Schedule:
         coefficient's scale.  Neither constancy nor the period is an
         option: both describe the Hamiltonian, and they select the static
         or the periodic route of ``evolve`` and ``propagator``.  If a
-        coefficient depends on time, the blocks of basis states that the
-        terms leave invariant are found here, once, and the RK45 runs step
-        only them (module docstring).
+        coefficient depends on time, the support of each term and the
+        blocks of basis states that the terms leave invariant are found
+        here, once: ``apply`` multiplies each term on its support, and the
+        RK45 runs step only the blocks (module docstring).
         """
         d = space.dim
-        terms = [(f if callable(f) else complex(f), np.asarray(m, dtype=complex))
+        terms = [(f if callable(f) else complex(f), np.array(m, dtype=complex))
                  for f, m in terms]
         if not terms:
             raise ValueError("give at least one term")
@@ -403,8 +430,7 @@ class Schedule:
                 raise ValueError("period must be finite and positive")
             if not all(_is_periodic(f, period) for f, _ in terms if callable(f)):
                 raise ValueError("a coefficient does not repeat with the given period")
-        form = _TermForm(d, [f for f, _ in terms],
-                         np.concatenate([m for _, m in terms], axis=0), frame)
+        form = _TermForm(d, [f for f, _ in terms], [m for _, m in terms], frame)
         exact = None
         if not any(callable(f) for f, _ in terms):
             k = sum(c * m for c, m in terms)

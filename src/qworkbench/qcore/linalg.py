@@ -62,10 +62,13 @@ def expm(a) -> np.ndarray:
     A complex, exactly anti-Hermitian ``a`` takes one ``eigh``; every other
     input takes Pade approximation with scaling and squaring (the one-block
     case of ``expm_block_toeplitz``), and a real input gives a real result.
+    A matrix with a NaN or infinite entry raises ``ValueError``.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expm needs a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("expm needs a finite matrix: an entry is NaN or infinite")
     if np.iscomplexobj(a) and (a == -a.conj().T).all():
         w, v = np.linalg.eigh(1j * a)
         return (v * np.exp(-1j * w)) @ v.conj().T

@@ -256,7 +256,8 @@ def correlation_bosonic(spec: CorrelationSpec, h: float = 1e-3,
     Flagged operators contribute through central finite differences of the
     ancilla signal with respect to their gate angle at zero (step ``h``,
     one Richardson extrapolation level by default); plain spin operators
-    keep their pi/2 gates.
+    keep their pi/2 gates.  An operator of weight 0 gives 0j, as in
+    ``correlation_exact``.
     """
     if h < 1e-8:
         raise ValueError("derivative step too small: roundoff would dominate")
@@ -268,7 +269,8 @@ def correlation_bosonic(spec: CorrelationSpec, h: float = 1e-3,
         if k in flagged:
             coeff, _ = op.terms[0]
             scale *= coeff
-            bare[k] = op.matrix() / coeff
+            if coeff:
+                bare[k] = op.matrix() / coeff
         else:
             terms = _protocol_terms(op)
             if len(terms) != 1:
@@ -276,6 +278,8 @@ def correlation_bosonic(spec: CorrelationSpec, h: float = 1e-3,
             coeff, pauli = terms[0]
             scale *= coeff
             bare[k] = pauli
+    if scale == 0:  # an operator of weight 0: the correlator is 0
+        return 0j
     segments = _segment_propagators(spec)
 
     def signal(angles: dict) -> complex:

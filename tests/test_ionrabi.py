@@ -201,6 +201,26 @@ def test_one_period_propagator_built_once(monkeypatch):
     assert sum(block_runs) == 2
 
 
+@pytest.mark.parametrize("n_max", [12, 25])
+def test_one_period_propagator_matches_the_dense_drive(n_max):
+    # U_K(T, 0) of the second-sideband drive (the perfbench driven-rk45
+    # drive), each term applied on its qubit quadrant, against RK45 on the
+    # closed-form drive matrix over one period, at the same tolerance
+    drive = TWO_PI * 100e3
+    p = ir.IonDriveParams(nu=TWO_PI * 1e6, omega0=TWO_PI * 12e6, omega_r=drive,
+                          omega_b=drive, eta=0.04, delta_r=0.0,
+                          delta_b=-TWO_PI * 400.0, sideband_order=2)
+    h = ir.ion_hamiltonian(p, n_max)
+    db, d = n_max + 1, h.space.dim
+    up, down = slice(0, db), slice(db, d)
+    assert [t[:2] for t in h._terms.terms] == [(up, down), (down, up)]
+    ef = h.exact_frame
+    for tol in (2e-7, 1e-10):
+        u = dense_carry(lambda t: closed_form_drive_matrix(p, n_max, t), np.eye(d),
+                        0.0, ef.period, tol)
+        assert np.max(np.abs(ef.one_period(tol) - ef.phase(-ef.period)[:, None] * u)) < 1e-12
+
+
 def test_jc_regime_short_run():
     # half a Rabi oscillation of the full drive against the closed-form
     # resonant JC solution
@@ -349,7 +369,11 @@ def test_adiabatic_dsc_parity_chain_support():
 def term_blocks(sched):
     evolve_module = importlib.import_module("qworkbench.qcore.evolve")
     d = sched.space.dim
-    return evolve_module._invariant_blocks(d, sched._terms.stack.reshape(-1, d, d))
+    mats = []
+    for rows, cols, block in sched._terms.terms:
+        mats.append(np.zeros((d, d), dtype=complex))
+        mats[-1][rows, cols] = block
+    return evolve_module._invariant_blocks(d, mats)
 
 
 def test_block_detection_finds_the_parity_sectors():

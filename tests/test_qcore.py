@@ -260,6 +260,81 @@ def test_periodic_route_matches_rk45():
 
 
 # ---------------------------------------------------------------------------
+# the term form: each term applied on its support
+# ---------------------------------------------------------------------------
+
+def support_terms(rng, d):
+    """Random terms on a d = 16 basis with time-dependent coefficients, and
+    the row and column range of each: one quadrant, a rectangle with zeros
+    inside, the whole matrix, nothing, and a square that overlaps the first
+    two."""
+    def on(rows, cols, sparse=False):
+        m = np.zeros((d, d), dtype=complex)
+        block = rng.standard_normal((rows.stop - rows.start, cols.stop - cols.start)) \
+            + 1j * rng.standard_normal((rows.stop - rows.start, cols.stop - cols.start))
+        if sparse:  # zeros inside, but the corners fix the ranges
+            block[1:-1, 1:-1] *= rng.random(block[1:-1, 1:-1].shape) < 0.4
+        m[rows, cols] = block
+        return m
+
+    supports = [(slice(0, 8), slice(8, 16)), (slice(3, 7), slice(1, 14)),
+                (slice(0, 16), slice(0, 16)), (slice(0, 0), slice(0, 0)),
+                (slice(5, 13), slice(5, 13))]
+    mats = [on(r, c, sparse=(k == 1)) for k, (r, c) in enumerate(supports)]
+    coeffs = [lambda t: np.exp(1.3j * t), lambda t: math.cos(2.0 * t), lambda t: 0.7 - 0.2j * t,
+              lambda t: 5.0, lambda t: t * t]
+    return list(zip(coeffs, mats)), supports
+
+
+@pytest.mark.parametrize("framed", [False, True])
+def test_term_form_applies_each_term_on_its_support(framed):
+    # apply and matrix_at against the dense sum sum_k f_k(t) F H_k F^dag y,
+    # on a ket and on a column block
+    rng = np.random.default_rng(81)
+    space = qc.HilbertSpace((qc.Qubit(), qc.Boson(3), qc.Qubit()))
+    d = space.dim
+    terms, supports = support_terms(rng, d)
+    frame = 4.0 * rng.standard_normal(d) if framed else None
+    sched = qc.Schedule.from_terms(space, terms, frame=frame)
+    for (rows, cols, block), (r, c), (_, m) in zip(sched._terms.terms, supports, terms):
+        assert (rows, cols) == (r, c)
+        assert np.array_equal(block, m[r, c]) and not block.flags.writeable
+    ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    cols = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+    for t in (0.0, 0.37, 2.9):
+        f = np.ones(d) if frame is None else np.exp(1j * t * frame)
+        h = sum(c(t) * (f[:, None] * m * f.conj()) for c, m in terms)
+        for y in (ket, cols):
+            want = h @ y
+            assert np.max(np.abs(sched.apply(t, y) - want)) <= 1e-15 * np.max(np.abs(want))
+        got = sched.matrix_at(t)
+        assert np.max(np.abs(got - h)) <= 1e-15 * np.max(np.abs(h))
+
+
+def test_static_terms_are_kept_whole(monkeypatch):
+    # a static K takes the eigenbasis route and never steps: building it
+    # finds no support, and its terms are the schedule's own whole copies
+    evolve_module = importlib.import_module("qworkbench.qcore.evolve")
+
+    def refuse(m):
+        raise AssertionError("a static schedule looked for a support")
+
+    monkeypatch.setattr(evolve_module, "_support", refuse)
+    rng = np.random.default_rng(82)
+    space = qc.HilbertSpace((qc.Qubit(), qc.Boson(3), qc.Qubit()))
+    terms, _ = support_terms(rng, space.dim)
+    mats = [m + m.conj().T for _, m in terms]
+    sched = qc.Schedule.from_terms(space, [(0.5, m) for m in mats], frame=np.arange(16.0))
+    assert sched.exact_frame.static is not None
+    for (rows, cols, block), m in zip(sched._terms.terms, mats):
+        assert rows == cols == slice(0, 16) and np.array_equal(block, m)
+        assert block is not m and not block.flags.writeable
+    daqs = importlib.import_module("qworkbench.daqs")
+    daqs.xy_block_physical(j_coupling=1.0, delta_mode=60.0, delta_spin=3.0, omega=62.0,
+                           n_spins=2, times=[0.5], n_max=4, tol=3e-7)
+
+
+# ---------------------------------------------------------------------------
 # the block route: RK45 on the blocks a term form leaves invariant
 # ---------------------------------------------------------------------------
 
@@ -617,7 +692,7 @@ def test_cached_matrices_are_read_only():
         op.matrix()[0, 0] = 1.0
     sched = qc.Schedule.constant(op)
     # the one term is the operator's own matrix: no copy is made
-    assert sched.matrix_at(0.3) is op.matrix() and sched._terms.stack is op.matrix()
+    assert sched.matrix_at(0.3) is op.matrix() and sched._terms.terms[0][2] is op.matrix()
     qc.propagator(sched, 0.0, 1.0)
     for a in sched.exact_frame.eig() + (sched.matrix_at(0.3),):
         with pytest.raises(ValueError):
@@ -975,6 +1050,20 @@ def test_expm_of_a_huge_generator_is_finite_and_warns_nothing():
 def test_expm_rejects_non_square():
     with pytest.raises(ValueError):
         qc.expm(np.zeros((2, 3)))
+
+
+def test_expm_rejects_non_finite_entries():
+    # refused up front, on the eigh route and the Pade route alike; a
+    # finite matrix still goes through
+    a = -1j * np.diag([1.0, 2.0]) + np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)):
+        for m in (a.copy(), np.ones((2, 2)) * (1 + 0j)):
+            m[1, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                qc.expm(m)
+    with pytest.raises(ValueError, match="finite"):
+        qc.expm(np.array([[np.nan]]))
+    assert np.max(np.abs(qc.expm(a) - expm(a))) < 1e-14
 
 
 def test_constant_schedule_diagonalizes_once(monkeypatch):

@@ -374,6 +374,20 @@ def test_bosonic_flagged_pauli_factor():
     assert abs(tc.correlation_bosonic(spec) - tc.correlation_exact(spec)) < 1e-6
 
 
+def test_bosonic_zero_weight_flagged_operator_is_zero():
+    # a flagged operator of weight 0 gives 0j, as the exact correlator
+    # does; dividing by its weight made a NaN gate that expm refused
+    space = qc.HilbertSpace.qubit_boson(n_max=12)
+    zero = qc.OperatorSum(space, [(0.0, ("I", "x"))])
+    sx = qc.OperatorSum.single(space, 0, "X")
+    spec = tc.CorrelationSpec(jc_schedule(space, 1.0), (0.0, 0.9), (sx, zero),
+                              qc.basis_state(space, [0, 0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tc.correlation_bosonic(spec) == 0j
+    assert tc.correlation_exact(spec) == 0j
+
+
 def test_bosonic_second_order_step_scaling():
     # raw central difference (no Richardson): halving h shrinks the
     # mismatch by ~4x
