@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from .qcore import (
     expm,
     kron_all,
     on_factors,
+    pauli_product,
     pauli_rotation,
 )
 from .qcore.operators import PAULI_LABELS, PAULIS
@@ -288,29 +289,26 @@ def ms_compile(label: str, phi: float, boson_quadrature: bool = False,
     k = len(label)
     if k < 2:
         raise ValueError("need at least two qubits")
-    if any(ch not in "XYZ" for ch in label):
-        raise ValueError("identity letters are not compiled here; dress the "
-                         "readout instead (see measure_via_anticommutation)")
+    for ch in label:
+        if ch == "I":
+            raise ValueError("identity letters are not compiled here; dress the "
+                             "readout instead (see measure_via_anticommutation)")
+        if ch not in "XYZ":
+            raise ValueError(f"bad Pauli letter {ch!r} in {label!r}")
 
-    # conjugated central operator: V sigma_c^{(0)} V^dag = sign * Z X...X
+    # MS = e^{-i pi k/8} prod_{i<j} exp(-i pi/4 X_i X_j), so the conjugated
+    # central operator MS^dag sigma_c^{(0)} MS is sign * Z X...X
     central_letter = "Z" if k % 2 == 1 else "Y"
     ms_plus = collective_spin_gate(math.pi / 2.0, 0.0, k)
     ms_minus = ms_plus.conj().T
-    central = _single_site(central_letter, 0, k)
-    conj = ms_minus @ central @ ms_plus
-    base = dense_pauli("Z" + "X" * (k - 1))
-    sign = None
-    for s in (1.0, -1.0):
-        if np.max(np.abs(conj - s * base)) < 1e-10:
-            sign = s
-            break
-    if sign is None:
-        raise AssertionError("collective-gate conjugation did not produce the base string")
+    pairs = ["I" * i + "X" + "I" * (j - i - 1) + "X" + "I" * (k - j - 1)
+             for i in range(k) for j in range(i + 1, k)]
+    sign, _ = _conjugated(central_letter + "I" * (k - 1), pairs)
 
     locals_per_site = [_AXIS_TO_BASE[("Z" if q == 0 else "X", label[q])] for q in range(k)]
     local_change = kron_all(locals_per_site)
 
-    phi_central = sign * phi
+    phi_central = sign.real * phi
     if boson_quadrature:
         space = HilbertSpace.qubit_boson(n_max, n_qubits=k)
         codes = on_factors(space, {0: central_letter, -1: "x"})
@@ -349,12 +347,21 @@ def ms_verify(gates: Sequence[Gate], target: np.ndarray) -> float:
 # dressed single-site readout of Pauli observables
 # ---------------------------------------------------------------------------
 
-_EPS_LEVI = {("X", "Y"): ("Z", 1.0), ("Y", "Z"): ("X", 1.0), ("Z", "X"): ("Y", 1.0),
-             ("Y", "X"): ("Z", -1.0), ("Z", "Y"): ("X", -1.0), ("X", "Z"): ("Y", -1.0)}
-
-
 def _other_two(letter: str) -> tuple:
     return tuple(ch for ch in "XYZ" if ch != letter)
+
+
+def _conjugated(label: str, rotations: Sequence[str]) -> tuple:
+    """(phase, label') with U^dag P(label) U = phase * P(label') for
+    U = prod_j exp(-i pi/4 P_j), read from the labels alone: a P_j that
+    anticommutes with the current string S maps it to -i S P_j, one that
+    commutes leaves it."""
+    phase = 1
+    for p in rotations:
+        q, product = pauli_product(label, p)
+        if q.imag:  # an imaginary phase: S and P_j anticommute
+            phase, label = phase * -1j * q, product
+    return phase, label
 
 
 @dataclass(frozen=True)
@@ -371,86 +378,62 @@ def measure_via_anticommutation(theta_label: str, state: PureState) -> DressedRe
     anticommuting with the readout.
 
     Identity-free strings need a single evolution; strings with identity
-    slots take two.  Single-site observables pass straight through.
+    slots take two.  Single-site observables pass straight through.  The
+    readout's sign is read from the labels; ``state`` must be a register of
+    ``len(theta_label)`` qubits.
     """
     n = len(theta_label)
-    if state.space.dim != 2 ** n:
-        raise ValueError("state register does not match the observable")
+    for ch in theta_label:
+        if ch not in PAULI_LABELS:
+            raise ValueError(f"bad Pauli letter {ch!r} in {theta_label!r}")
+    if state.space.n_factors != n or not state.space.is_qubit_only:
+        raise ValueError(f"the observable {theta_label!r} needs a {n}-qubit register")
     support = [i for i, ch in enumerate(theta_label) if ch != "I"]
     if not support:
         raise ValueError("nothing to measure")
-    psi = state.amplitudes
-
-    def expect(label: str) -> float:
-        return float(np.real(np.vdot(psi, dense_pauli(label) @ psi)))
 
     if len(support) == 1:
-        return DressedReadout(expect(theta_label), 0, theta_label, ())
-
-    full_support = len(support) == n
-    if full_support:
+        readout, dressings = theta_label, ()
+    elif len(support) == n:
         # single dressing: measure sigma_beta at site a after exp(-i pi/4 P1)
         a = support[0]
-        alpha = theta_label[a]
-        beta, gamma = _other_two(alpha)
-        # choose (beta, gamma) so that sigma_beta sigma_gamma = i eps sigma_alpha
-        target, eps = _EPS_LEVI[(beta, gamma)]
-        if target != alpha:
-            beta, gamma = gamma, beta
-            target, eps = _EPS_LEVI[(beta, gamma)]
-        p1 = theta_label[:a] + gamma + theta_label[a + 1:]
+        beta, gamma = _other_two(theta_label[a])
         readout = "I" * a + beta + "I" * (n - a - 1)
-        u1 = pauli_rotation(p1, math.pi / 4.0)
-        evolved = u1 @ psi
-        raw = float(np.real(np.vdot(evolved, dense_pauli(readout) @ evolved)))
-        # <U1^dag S U1> = <S (-i P1)> = -i <S P1>;  S P1 = i eps Theta
-        value = eps * raw
-        return DressedReadout(value, 1, readout, (p1,))
-
-    # identity slots: two commuting dressings, one- or two-site readout
-    odd_weight = len(support) % 2 == 1
-    a = support[0]
-    if odd_weight:
-        read_sites = [a]
+        dressings = (theta_label[:a] + gamma + theta_label[a + 1:],)
     else:
-        read_sites = [a, support[1]]
-    p1, p2 = [], []
-    for i, ch in enumerate(theta_label):
-        if i == a:
-            # anticommuting site: both dressings share a letter != Theta_a
-            beta = _other_two(ch)[0]
-            p1.append(beta)
-            p2.append(beta)
-        elif i in read_sites:
-            p1.append(ch)   # commuting at the second readout site
-            p2.append(ch)
-        elif ch == "I":
-            p1.append("Y")
-            p2.append("Y")
-        else:
-            b, g = _other_two(ch)
-            p1.append(b)
-            p2.append(g)
-    p1, p2 = "".join(p1), "".join(p2)
-    readout = "".join(theta_label[i] if i in read_sites else "I" for i in range(n))
+        # identity slots: two commuting dressings, one- or two-site readout
+        a = support[0]
+        read_sites = [a] if len(support) % 2 == 1 else [a, support[1]]
+        p1, p2 = [], []
+        for i, ch in enumerate(theta_label):
+            if i == a:
+                # anticommuting site: both dressings share a letter != Theta_a
+                beta = _other_two(ch)[0]
+                p1.append(beta)
+                p2.append(beta)
+            elif i in read_sites:
+                p1.append(ch)   # commuting at the second readout site
+                p2.append(ch)
+            elif ch == "I":
+                p1.append("Y")
+                p2.append("Y")
+            else:
+                b, g = _other_two(ch)
+                p1.append(b)
+                p2.append(g)
+        readout = "".join(theta_label[i] if i in read_sites else "I" for i in range(n))
+        dressings = ("".join(p1), "".join(p2))
 
-    s_mat = dense_pauli(readout)
-    p1_mat, p2_mat = dense_pauli(p1), dense_pauli(p2)
-    if np.max(np.abs(p1_mat @ p2_mat - p2_mat @ p1_mat)) > 1e-12:
-        raise ValueError("no valid dressing found: evolutions do not commute")
-    for pm in (p1_mat, p2_mat):
-        if np.max(np.abs(s_mat @ pm + pm @ s_mat)) > 1e-12:
-            raise ValueError("no valid dressing found: readout fails to anticommute")
-    # measured = <S (-iP1)(-iP2)> = -<S P1 P2>; S P1 P2 = c * Theta with c = +-1
-    prod = s_mat @ p1_mat @ p2_mat
-    theta_mat = dense_pauli(theta_label)
-    c = complex(np.trace(theta_mat @ prod)) / theta_mat.shape[0]
-    if abs(abs(c) - 1.0) > 1e-12 or abs(c.imag) > 1e-12:
-        raise ValueError("no valid dressing found: product does not reproduce the target")
-    u = pauli_rotation(p1, math.pi / 4.0) @ pauli_rotation(p2, math.pi / 4.0)
-    evolved = u @ psi
-    raw = float(np.real(np.vdot(evolved, s_mat @ evolved)))
-    return DressedReadout(-float(c.real) * raw, 2, readout, (p1, p2))
+    # <U^dag S U> = sign <Theta> with sign = +-1
+    sign, label = _conjugated(readout, dressings)
+    if label != theta_label or sign.imag:
+        raise ValueError(f"no valid dressing found for {theta_label!r}")
+    evolved = state.amplitudes
+    if dressings:
+        u = reduce(np.matmul, [pauli_rotation(p, math.pi / 4.0) for p in dressings])
+        evolved = u @ evolved
+    raw = float(np.real(np.vdot(evolved, dense_pauli(readout) @ evolved)))
+    return DressedReadout(sign.real * raw, len(dressings), readout, dressings)
 
 
 # ---------------------------------------------------------------------------

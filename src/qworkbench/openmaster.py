@@ -52,6 +52,7 @@ from .qcore import (
     expm,
     expm_block_toeplitz,
     integrate,
+    pauli_product,
     pauli_terms,
     propagator,
     propagator_stack,
@@ -347,28 +348,13 @@ class Reconstruction:
     mode: str
 
 
-def _pauli_product(a: str, b: str) -> tuple:
-    """(phase, label) with P(a) P(b) = phase * P(label), letter by letter:
-    PP = I, IP = PI = P, and XY = iZ, YX = -iZ and cyclically."""
-    phase, letters = 1, []
-    for x, y in zip(a, b):
-        if x == y:
-            letters.append("I")
-        elif "I" in (x, y):
-            letters.append(x if y == "I" else y)
-        else:
-            letters.append(({"X", "Y", "Z"} - {x, y}).pop())
-            phase *= 1j if x + y in ("XY", "YZ", "ZX") else -1j
-    return phase, "".join(letters)
-
-
 def _merged_chain(ops) -> tuple:
     """(phase, ops) with adjacent factors at one slot multiplied symbolically
     (U^dag P_a U U^dag P_b U = U^dag P_a P_b U) and identity strings dropped."""
     phase, merged = 1, []
     for lbl, slot in ops:
         if merged and merged[-1][1] == slot:
-            p, lbl = _pauli_product(merged.pop()[0], lbl)
+            p, lbl = pauli_product(merged.pop()[0], lbl)
             phase *= p
         if lbl.strip("I"):
             merged.append((lbl, slot))

@@ -7,7 +7,8 @@ and ``dense_pauli`` and ``kron_all`` cover Pauli labels and explicit
 factor lists; ``pauli_rotation`` exponentiates a Pauli label in closed
 form.  No module outside ``qcore`` pads with identities by hand.
 ``pauli_terms`` reads a qubit operator as a sum of Pauli strings from its
-own terms, symbolically.
+own terms, and ``pauli_product`` multiplies two Pauli strings, both
+symbolically.
 
 Primitive codes: on a qubit ``I X Y Z S+ S- Pe Pg``; on a mode ``I a adag
 n x p sq`` (``sq = a^2 + a^dag^2``) and ``("disp", eta)``.
@@ -49,6 +50,7 @@ PROJ_G = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 PAULIS = {"I": SIGMA_I, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 PAULI_LABELS = ("I", "X", "Y", "Z")
+_PAULI_LETTERS = frozenset(PAULI_LABELS)
 
 _QUBIT_MATS = {
     "I": SIGMA_I,
@@ -288,6 +290,25 @@ def pauli_rotation(label: str, theta: float) -> np.ndarray:
     u *= -1j * math.sin(theta)
     u.flat[::u.shape[0] + 1] += math.cos(theta)  # the diagonal
     return u
+
+
+def pauli_product(a: str, b: str) -> tuple:
+    """(phase, label) with P(a) P(b) = phase * P(label), letter by letter:
+    PP = I, IP = PI = P, and XY = iZ, YX = -iZ and cyclically.  The phase
+    is real exactly when the two strings commute.  Raises ``ValueError``
+    for strings of unequal length or a letter other than ``I X Y Z``."""
+    if len(a) != len(b) or not _PAULI_LETTERS.issuperset(a + b):
+        raise ValueError(f"{a!r} and {b!r} are not Pauli strings of one length")
+    phase, letters = 1, []
+    for x, y in zip(a, b):
+        if x == y:
+            letters.append("I")
+        elif "I" in (x, y):
+            letters.append(x if y == "I" else y)
+        else:
+            letters.append(({"X", "Y", "Z"} - {x, y}).pop())
+            phase *= 1j if x + y in ("XY", "YZ", "ZX") else -1j
+    return phase, "".join(letters)
 
 
 #: each qubit code as Pauli letters: S+- = (X +- iY)/2, Pe/Pg = (I +- Z)/2

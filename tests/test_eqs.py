@@ -1,5 +1,6 @@
 """Embedding simulator, monotones, gate compilation, and noise inversion."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -303,7 +304,7 @@ def test_ms_compile_three_qubit_example():
 
 def test_ms_compile_random_sweep():
     rng = np.random.default_rng(19)
-    for k in (2, 3, 4, 5):
+    for k in range(2, 8):
         for _ in range(6):
             label = "".join(rng.choice(list("XYZ"), size=k))
             phi = float(rng.uniform(-math.pi, math.pi))
@@ -318,8 +319,10 @@ def test_ms_compile_spin_boson():
 
 
 def test_ms_compile_rejects_identity_letters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="identity letters"):
         eqs.ms_compile("XIZ", 0.3)
+    with pytest.raises(ValueError, match="bad Pauli letter 'x' in 'xz'"):
+        eqs.ms_compile("xz", 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +370,87 @@ def test_dressed_readout_random_labels():
         direct = float(np.real(np.vdot(psi.amplitudes,
                                        qc.dense_pauli(label) @ psi.amplitudes)))
         assert abs(out.value - direct) < 1e-12, label
+
+
+def test_conjugated_matches_dense():
+    # U^dag P U for U = prod_j exp(-i pi/4 P_j), with P_j drawn so that some
+    # commute with the current string and some anticommute
+    rng = np.random.default_rng(43)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        label, *rotations = ["".join(rng.choice(list("IXYZ"), size=n))
+                             for _ in range(int(rng.integers(1, 5)))]
+        u = np.eye(2 ** n, dtype=complex)
+        current = label
+        for p in rotations:
+            u = u @ qc.pauli_rotation(p, math.pi / 4.0)
+            q, product = qc.pauli_product(current, p)
+            seen.add(q.imag == 0)
+            current = product if q.imag else current
+        phase, got = eqs._conjugated(label, rotations)
+        assert phase in (1, -1)
+        np.testing.assert_allclose(phase * qc.dense_pauli(got),
+                                   u.conj().T @ qc.dense_pauli(label) @ u, atol=1e-13)
+    assert seen == {True, False}
+
+
+def test_dressing_rule_gives_theta_up_to_seven_qubits(monkeypatch):
+    # symbolic: the rotations and the readout matrix are 1 x 1 stand-ins, so
+    # the value is the sign the labels give; each dressing anticommutes with
+    # the readout, the dressings commute, and S P_1 ... P_k = c Theta with
+    # (-i)^k c = +-1
+    monkeypatch.setattr(eqs, "pauli_rotation", lambda label, theta: np.eye(1))
+    monkeypatch.setattr(eqs, "dense_pauli", lambda label: np.eye(1))
+    for n in range(1, 8):
+        state = SimpleNamespace(space=qc.HilbertSpace.qubits(n), amplitudes=np.ones(1))
+        for label in all_pauli_labels(n)[1:]:
+            out = eqs.measure_via_anticommutation(label, state)
+            weight = sum(ch != "I" for ch in label)
+            assert out.n_evolutions == (0 if weight == 1 else 1 if weight == n else 2)
+            assert 1 <= sum(ch != "I" for ch in out.readout) <= 2
+            phase, product = 1, out.readout
+            for p in out.evolutions:
+                assert qc.pauli_product(out.readout, p)[0].imag != 0
+                q, product = qc.pauli_product(product, p)
+                phase *= -1j * q
+            for p, r in zip(out.evolutions, out.evolutions[1:]):
+                assert qc.pauli_product(p, r)[0].imag == 0
+            assert product == label
+            assert out.value == phase.real and phase.imag == 0 and abs(phase) == 1
+
+
+def test_dressed_readout_forms_one_dense_pauli(monkeypatch):
+    # only the readout string becomes a matrix; the signs come from the labels
+    rng = np.random.default_rng(47)
+    psi = qc.random_pure_state(qc.HilbertSpace.qubits(5), rng)
+    calls = []
+
+    def counting(label):
+        calls.append(label)
+        return qc.dense_pauli(label)
+
+    monkeypatch.setattr(eqs, "dense_pauli", counting)
+    for label, n_evolutions in (("IIZII", 0), ("YXXZX", 1), ("XIYIZ", 2), ("IZZII", 2)):
+        calls.clear()
+        out = eqs.measure_via_anticommutation(label, psi)
+        assert out.n_evolutions == n_evolutions
+        assert calls == [out.readout]
+
+
+def test_dressed_readout_rejects_bad_input():
+    psi = qc.random_pure_state(qc.HilbertSpace.qubits(2), np.random.default_rng(53))
+    for label, letter in (("xz", "x"), ("QZ", "Q"), ("Z ", " ")):
+        with pytest.raises(ValueError, match=f"bad Pauli letter '{letter}'"):
+            eqs.measure_via_anticommutation(label, psi)
+    # a qubit (x) mode at n_max = 1 has dimension 4 but is not two qubits
+    hybrid = qc.random_pure_state(qc.HilbertSpace.qubit_boson(n_max=1), np.random.default_rng(59))
+    with pytest.raises(ValueError, match="2-qubit register"):
+        eqs.measure_via_anticommutation("XZ", hybrid)
+    with pytest.raises(ValueError, match="3-qubit register"):
+        eqs.measure_via_anticommutation("XZI", psi)
+    with pytest.raises(ValueError, match="nothing to measure"):
+        eqs.measure_via_anticommutation("II", psi)
 
 
 # ---------------------------------------------------------------------------

@@ -589,14 +589,6 @@ def test_stack_product_matches_matmul():
                 assert np.array_equal(got, x @ y)
 
 
-def test_pauli_product_matches_dense():
-    labels = all_pauli_labels(2)
-    for a in labels:
-        for b in labels:
-            phase, c = om._pauli_product(a, b)
-            assert np.array_equal(phase * qc.dense_pauli(c), qc.dense_pauli(a) @ qc.dense_pauli(b))
-
-
 def test_single_shot_success_rate_can_fail():
     # Unlike criterion 06 (every chain mean is +-1 there, so every estimate
     # is exact), H contains X: the integrand varies over the simplex and the

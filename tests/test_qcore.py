@@ -1248,6 +1248,27 @@ def test_pauli_terms_form_no_dense_matrix(monkeypatch):
         qc.pauli_terms(identity_operator(qc.HilbertSpace.qubit_boson(n_max=2)))
 
 
+def test_pauli_product_matches_dense():
+    # every pair of 2-qubit labels, then random 4-qubit pairs
+    rng = np.random.default_rng(257)
+    pairs = [(a, b) for a in all_pauli_labels(2) for b in all_pauli_labels(2)]
+    pairs += [tuple("".join(rng.choice(list("IXYZ"), size=4)) for _ in range(2))
+              for _ in range(200)]
+    for a, b in pairs:
+        phase, c = qc.pauli_product(a, b)
+        assert np.array_equal(phase * qc.dense_pauli(c), qc.dense_pauli(a) @ qc.dense_pauli(b))
+        # a real phase exactly when the strings commute
+        pa, pb = qc.dense_pauli(a), qc.dense_pauli(b)
+        assert (phase.imag == 0) == np.array_equal(pa @ pb, pb @ pa)
+
+
+@pytest.mark.parametrize("a, b", [("XY", "X"), ("X", "XY"), ("XQ", "XZ"), ("XZ", "xZ"),
+                                  ("Z ", "ZI")])
+def test_pauli_product_rejects_bad_strings(a, b):
+    with pytest.raises(ValueError, match="not Pauli strings of one length"):
+        qc.pauli_product(a, b)
+
+
 # ---------------------------------------------------------------------------
 # partial trace
 # ---------------------------------------------------------------------------
