@@ -89,7 +89,6 @@ class RabiParams:
     omega0_r: float
     omega_r: float
     g: float
-    n_qubits: int = 1
     source: IonDriveParams | None = None
 
 
@@ -98,7 +97,6 @@ class TwoPhotonParams:
     omega: float
     omega_q: float
     g: float
-    n_qubits: int = 1
     source: IonDriveParams | None = None
 
 
@@ -386,7 +384,7 @@ def two_photon_spectrum(omega: float, omega_q: float, n_qubits: int,
     convergence_tol = 1e-4 * abs(omega)
     out = []
     for g in g_values:
-        tp = TwoPhotonParams(omega=omega, omega_q=omega_q, g=g, n_qubits=n_qubits)
+        tp = TwoPhotonParams(omega=omega, omega_q=omega_q, g=g)
         energies, parities, _ = base.lowest(tp, n_levels)
         again, _, _ = wider.lowest(tp, n_levels)
         point = SpectrumPoint(g=g, energies=energies, parities=parities,
@@ -422,8 +420,7 @@ class _ParitySectors:
 
     @staticmethod
     def build(n_qubits: int, n_max: int) -> "_ParitySectors":
-        template = two_photon_hamiltonian(TwoPhotonParams(1.0, 1.0, 1.0, n_qubits),
-                                          n_qubits, n_max)
+        template = two_photon_hamiltonian(TwoPhotonParams(1.0, 1.0, 1.0), n_qubits, n_max)
         space = template.space
         diag = generalized_parity_diagonal(space)
         index = tuple(np.flatnonzero(np.abs(diag - lam) < 1e-9) for lam in PARITY_SECTORS)

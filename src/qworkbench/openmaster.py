@@ -47,6 +47,7 @@ from .qcore import (
     HilbertSpace,
     OperatorSum,
     Schedule,
+    check_count,
     check_stream_key,
     dense_pauli,
     expm,
@@ -334,10 +335,9 @@ class MonteCarloPlan:
     shots_per_value: int | None = None  # None: exact single-sample values
 
     def __post_init__(self):
-        if self.samples_per_order < 1:
-            raise ValueError("samples_per_order must be >= 1")
-        if self.shots_per_value is not None and self.shots_per_value < 1:
-            raise ValueError("shots_per_value must be None or >= 1")
+        check_count(self.samples_per_order, "samples_per_order")
+        if self.shots_per_value is not None:
+            check_count(self.shots_per_value, "shots_per_value")
         check_stream_key(self.master_seed, "master_seed")
 
 

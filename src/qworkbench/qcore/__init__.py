@@ -59,7 +59,7 @@ from .evolve import (
     propagator,
     propagator_stack,
 )
-from .shots import check_stream_key, shot_means, shot_uniforms
+from .shots import check_count, check_stream_key, shot_means, shot_uniforms
 from .metrics import (
     expectation,
     fidelity,

@@ -21,6 +21,14 @@ def check_stream_key(key, name: str) -> int:
     return int(key)
 
 
+def check_count(count, name: str) -> int:
+    """``count`` as a Python int, if it is an integer (Python or numpy, not a
+    bool) >= 1; anything else raises ``ValueError``."""
+    if isinstance(count, (bool, np.bool_)) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    return int(count)
+
+
 def shot_uniforms(seed: int, stream: int, shape) -> np.ndarray:
     """Uniforms in [0, 1) of stream ``(seed, stream)``, filled in C order.
 

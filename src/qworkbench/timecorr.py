@@ -12,8 +12,9 @@ sees only the segment propagators, the |g> branch sees the gates
 interleaved with them, and the coherence ``<sigma_x> + i <sigma_y> =
 2 rho_ge`` is the branch overlap ``<psi_e|psi_g>`` (``Tr(U_e^dag W rho)``
 for a mixed state).  The segment propagators depend only on the evolution
-and the times, so each correlator computes them once and every Pauli
-chain or finite-difference signal reuses them.
+and the times, so each correlator computes them once and every chain of
+gates reuses them.  One loop, ``_protocol_sum``, runs every chain; the
+bosonic variant puts its finite-difference stencil into the gate.
 
 Conventions fixed here:
 
@@ -43,6 +44,7 @@ from .qcore import (
     PureState,
     Qubit,
     Schedule,
+    check_count,
     check_stream_key,
     evolve,
     expectation,
@@ -64,8 +66,7 @@ class ShotPlan:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        check_count(self.shots, "shots")
         check_stream_key(self.master_seed, "master_seed")
 
 
@@ -194,37 +195,48 @@ def _branch_coherence(initial, gates: Sequence[np.ndarray],
     return complex(np.vdot(e, g))
 
 
-def correlation_ancilla(spec: CorrelationSpec, plan: ShotPlan | None = None) -> complex:
-    """Correlator via the probe-qubit protocol.
+def _protocol_sum(spec: CorrelationSpec, per_op: Sequence,
+                  plan: ShotPlan | None = None) -> complex:
+    """Sum over chains of ``i^n`` x coefficient product x ancilla coherence.
 
-    On a qubit-only space each operator is read as its Pauli strings
-    (``qcore.pauli_terms``; a zero-weight string drops out); with bosonic
-    factors it must be a scalar multiple of one Pauli string.  Products of
-    the expansions are summed.  The protocol runs as two system-space
-    branches (see the module docstring) over segment propagators computed
-    once for all chains.  With ``plan`` the
-    ancilla coherence of each expanded chain is estimated from
+    ``per_op[k]`` lists operator k's ``(coeff, gate)`` terms; a chain takes
+    one term per operator, in ``itertools.product`` order, and runs the
+    protocol once over segment propagators computed once for all chains.
+    With ``plan`` the coherence of chain j is estimated from
     ``ceil(shots/2)`` sigma_x outcomes and as many sigma_y outcomes
-    (physically one cannot measure both in the same shot); chain j, in
-    ``itertools.product`` order over the expansions, draws from the stream
-    ``(master_seed, j)``.
+    (physically one cannot measure both in the same shot), drawn from the
+    stream ``(master_seed, j)``.
     """
     phase = 1j ** spec.order
     segments = _segment_propagators(spec)
     total = 0.0 + 0.0j
-    per_op = [_protocol_terms(op) for op in spec.operators]
     for chain_idx, combo in enumerate(itertools.product(*per_op)):
         coeff = 1.0 + 0.0j
         gates = []
-        for c, pauli_mat in combo:
+        for c, gate in combo:
             coeff *= c
-            gates.append(-1j * pauli_mat)  # exp(-i (pi/2) P) = -i P
+            gates.append(gate)
         coherence = _branch_coherence(spec.initial, gates, segments)
         if plan is not None:  # ceil(shots/2) sigma_x, then as many sigma_y outcomes
             u = shot_uniforms(plan.master_seed, chain_idx, (2, -(-plan.shots // 2)))
             coherence = complex(*shot_means([coherence.real, coherence.imag], u))
         total += coeff * phase * coherence
     return total
+
+
+def correlation_ancilla(spec: CorrelationSpec, plan: ShotPlan | None = None) -> complex:
+    """Correlator via the probe-qubit protocol.
+
+    On a qubit-only space each operator is read as its Pauli strings
+    (``qcore.pauli_terms``; a zero-weight string drops out); with bosonic
+    factors it must be a scalar multiple of one Pauli string.  Each string
+    P is the gate ``exp(-i (pi/2) P) = -i P``, and :func:`_protocol_sum`
+    sums the products of the expansions, so with ``plan`` chain j draws
+    from the stream ``(master_seed, j)``.
+    """
+    per_op = [[(c, -1j * pauli) for c, pauli in _protocol_terms(op)]
+              for op in spec.operators]
+    return _protocol_sum(spec, per_op, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -253,61 +265,41 @@ def correlation_bosonic(spec: CorrelationSpec, h: float = 1e-3,
                         richardson: int = 1) -> complex:
     """Correlator with spin-boson factors ``P (x) (a + a^dag)``.
 
-    Flagged operators contribute through central finite differences of the
-    ancilla signal with respect to their gate angle at zero (step ``h``,
-    one Richardson extrapolation level by default); plain spin operators
-    keep their pi/2 gates.  An operator of weight 0 gives 0j, as in
-    ``correlation_exact``.
+    A flagged operator ``c B``, ``B = P (x) (a + a^dag)``, is the derivative
+    of the ancilla signal with respect to the angle theta of its gate
+    ``exp(-i theta B)`` at zero: a central difference with step ``h``
+    (finite, >= 1e-8), extrapolated by one Richardson level if
+    ``richardson`` is 1 and not if it is 0.  The coherence is linear in
+    each gate and the signals here are exact, so the stencil may act on
+    the gate: the operator becomes one term ``(c, G)``, G the stencil of
+    gates, and the protocol runs once per chain.  Were shots sampled, each
+    stencil point would be its own experiment with its own stream.  Other
+    operators must be plain Pauli strings, with pi/2 gates.  A flagged
+    operator of weight 0 gives 0j, as in ``correlation_exact``.
     """
-    if h < 1e-8:
-        raise ValueError("derivative step too small: roundoff would dominate")
-    n = spec.order
-    flagged = [k for k, op in enumerate(spec.operators) if _is_flagged_bosonic(op)]
-    scale = 1.0 + 0.0j
-    bare = {}
-    for k, op in enumerate(spec.operators):
-        if k in flagged:
-            coeff, _ = op.terms[0]
-            scale *= coeff
-            if coeff:
-                bare[k] = op.matrix() / coeff
+    if richardson not in (0, 1):
+        raise ValueError(f"richardson must be 0 or 1, got {richardson!r}")
+    if not (math.isfinite(h) and h >= 1e-8):
+        raise ValueError(f"h must be a finite derivative step >= 1e-8, got {h!r}")
+
+    def central(b: np.ndarray, s: float) -> np.ndarray:
+        return (expm(-1j * s * b) - expm(1j * s * b)) / (2.0 * s)
+
+    per_op = []
+    for op in spec.operators:
+        if _is_flagged_bosonic(op):
+            coeff, factors = op.terms[0]
+            b = OperatorSum(spec.system, [(1.0, factors)]).matrix()
+            gate = central(b, h)
+            if richardson:
+                gate = (4.0 * central(b, h / 2.0) - gate) / 3.0
+            per_op.append([(coeff, gate)] if coeff else [])
         else:
             terms = _protocol_terms(op)
             if len(terms) != 1:
                 raise ValueError("non-flagged operators must be plain Pauli strings here")
-            coeff, pauli = terms[0]
-            scale *= coeff
-            bare[k] = pauli
-    if scale == 0:  # an operator of weight 0: the correlator is 0
-        return 0j
-    segments = _segment_propagators(spec)
-
-    def signal(angles: dict) -> complex:
-        gates = []
-        for k in range(n):
-            if k in flagged:
-                gates.append(expm(-1j * angles[k] * bare[k]))
-            else:
-                gates.append(-1j * bare[k])
-        return _branch_coherence(spec.initial, gates, segments)
-
-    def derivative(axes: list, angles: dict, step: float) -> complex:
-        if not axes:
-            return signal(angles)
-        k, rest = axes[0], axes[1:]
-
-        def central(s: float) -> complex:
-            up = dict(angles); up[k] = angles.get(k, 0.0) + s
-            dn = dict(angles); dn[k] = angles.get(k, 0.0) - s
-            return (derivative(rest, up, step) - derivative(rest, dn, step)) / (2.0 * s)
-
-        if richardson:
-            return (4.0 * central(step / 2.0) - central(step)) / 3.0
-        return central(step)
-
-    base = {k: 0.0 for k in flagged}
-    value = derivative(flagged, base, h)
-    return scale * (1j ** n) * value
+            per_op.append([(c, -1j * pauli) for c, pauli in terms])
+    return _protocol_sum(spec, per_op)
 
 
 # ---------------------------------------------------------------------------

@@ -834,7 +834,7 @@ def test_pulse_propagator_keeps_no_step_history():
 
 def _full_eigh_spectrum_point(omega, omega_q, g, n_levels, n_max, n_qubits=1):
     """Reference labelling of the lowest levels from a full complex eigh."""
-    tp = ir.TwoPhotonParams(omega=omega, omega_q=omega_q, g=g, n_qubits=n_qubits)
+    tp = ir.TwoPhotonParams(omega=omega, omega_q=omega_q, g=g)
     evals, evecs = np.linalg.eigh(ir.two_photon_hamiltonian(tp, n_qubits, n_max).matrix())
     diag = ir.generalized_parity_diagonal(
         qc.HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_qubits))
@@ -853,7 +853,7 @@ def _full_eigh_spectrum_point(omega, omega_q, g, n_levels, n_max, n_qubits=1):
 @pytest.mark.parametrize("simulation_frame", [False, True])
 def test_two_photon_hamiltonian_factor_order(n_qubits, simulation_frame):
     # qubits first, the mode last, summed in the builder's term order
-    tp = ir.TwoPhotonParams(omega=1.1, omega_q=-1.9, g=0.37, n_qubits=n_qubits)
+    tp = ir.TwoPhotonParams(omega=1.1, omega_q=-1.9, g=0.37)
     db = 9
     a = np.diag(np.sqrt(np.arange(1.0, db)), k=1).astype(complex)
     sq = a @ a + (a @ a).conj().T
@@ -877,7 +877,7 @@ def test_two_photon_hamiltonian_factor_order(n_qubits, simulation_frame):
 @pytest.mark.parametrize("n_qubits", [1, 2])
 @pytest.mark.parametrize("simulation_frame", [False, True])
 def test_two_photon_hamiltonian_is_real(n_qubits, simulation_frame):
-    tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=0.3, n_qubits=n_qubits)
+    tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=0.3)
     h = ir.two_photon_hamiltonian(tp, n_qubits, 12, simulation_frame=simulation_frame)
     assert np.all(h.matrix().imag == 0.0)
 
@@ -911,7 +911,7 @@ def test_collapse_diagnostics_subset_matches_full_eigh():
 @pytest.mark.parametrize("n_qubits", [1, 2])
 def test_two_photon_hamiltonian_has_no_element_between_parity_sectors(n_qubits):
     n_max = 30
-    tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=0.45, n_qubits=n_qubits)
+    tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=0.45)
     h = ir.two_photon_hamiltonian(tp, n_qubits, n_max).matrix()
     diag = ir.generalized_parity_diagonal(
         qc.HilbertSpace.qubit_boson(n_max=n_max, n_qubits=n_qubits))
@@ -929,7 +929,7 @@ def test_two_photon_sector_solve_matches_dense_eigvalsh(n_qubits):
     for g in (0.0, 0.1, 0.3, 0.45):
         point, = ir.two_photon_spectrum(1.0, 1.9, n_qubits, [g], n_levels, n_max,
                                         check_convergence=False)
-        tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=g, n_qubits=n_qubits)
+        tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=g)
         dense = np.linalg.eigvalsh(ir.two_photon_hamiltonian(tp, n_qubits, n_max).matrix())
         assert np.max(np.abs(point.energies - dense[:n_levels])) < 1e-12
         _, parities, _ = _full_eigh_spectrum_point(1.0, 1.9, g, n_levels, n_max, n_qubits)
@@ -992,7 +992,7 @@ def test_parity_sector_blocks_equal_dense_gather(n_qubits):
         assert not a.flags.writeable
     for g in (0.0, 0.1, 0.3, 0.45, 0.49, 0.7):
         for omega, omega_q in ((1.0, 1.9), (1.3, -0.4)):
-            tp = ir.TwoPhotonParams(omega=omega, omega_q=omega_q, g=g, n_qubits=n_qubits)
+            tp = ir.TwoPhotonParams(omega=omega, omega_q=omega_q, g=g)
             index, dense = _dense_sectors(tp, n_qubits, n_max)
             assert all(np.array_equal(a, b) for a, b in zip(sectors.index, index))
             for block, gathered in zip(sectors.hamiltonian_blocks(tp), dense):
@@ -1007,7 +1007,7 @@ def test_two_photon_spectrum_equals_dense_sector_solve(n_qubits):
     n_max, n_levels, grid = 30, 6, [0.0, 0.2, 0.45, 0.49]
 
     def lowest(g, cutoff):
-        tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=g, n_qubits=n_qubits)
+        tp = ir.TwoPhotonParams(omega=1.0, omega_q=1.9, g=g)
         energies, parities = [], []
         for lam, block in zip(ir.PARITY_SECTORS, _dense_sectors(tp, n_qubits, cutoff)[1]):
             keep = min(n_levels, block.shape[0])

@@ -643,6 +643,21 @@ def test_plans_reject_seeds_that_are_not_stream_keys():
         tc.ShotPlan(shots=10, master_seed=seed)
 
 
+def test_plans_reject_counts_that_are_not_integers():
+    # a count is an integer >= 1 (Python or numpy, not a bool), checked at
+    # construction: 2.5 would fail deep in numpy or run 2, True would run 1
+    for bad in (2.5, True, np.bool_(True), 0, -3, "4"):
+        with pytest.raises(ValueError, match="shots must"):
+            tc.ShotPlan(shots=bad)
+        with pytest.raises(ValueError, match="samples_per_order must"):
+            om.MonteCarloPlan(samples_per_order=bad)
+        with pytest.raises(ValueError, match="shots_per_value must"):
+            om.MonteCarloPlan(5, shots_per_value=bad)
+    for good in (1, 7, np.int64(3), np.uint8(2)):
+        tc.ShotPlan(shots=good)
+        om.MonteCarloPlan(good, shots_per_value=good)
+
+
 def test_reconstruct_guards():
     space = one_qubit_space()
     model = amplitude_damping_model(0.2)

@@ -1,5 +1,6 @@
 """Ancilla-protocol correlators: oracle equivalence, sampling, linear response."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -261,7 +262,7 @@ def test_segment_propagators_computed_once(monkeypatch):
     tc.correlation_ancilla(tc.CorrelationSpec(qubit_schedule(0.9), (0.0, 0.7),
                                               (sm, pauli_op(space, "X")), qc.plus_state()))
     assert len(calls) == 1
-    # Richardson extrapolation evaluates four finite-difference signals
+    # the Richardson stencil acts on the gate, so the protocol runs once
     calls.clear()
     jc_space = qc.HilbertSpace.qubit_boson(n_max=8)
     sx = qc.OperatorSum.single(jc_space, 0, "X")
@@ -386,6 +387,71 @@ def test_bosonic_zero_weight_flagged_operator_is_zero():
         warnings.simplefilter("error")
         assert tc.correlation_bosonic(spec) == 0j
     assert tc.correlation_exact(spec) == 0j
+
+
+def seeded_low_photon_state(space, n_low=3, seed=7):
+    # random amplitudes on photon numbers 0..n_low of every qubit level
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    v[np.arange(space.dim) % space.factors[-1].dim > n_low] = 0
+    return qc.PureState(space, v / np.linalg.norm(v))
+
+
+def test_bosonic_three_flagged_operators_match_exact():
+    # the stencil acts on each gate, so the error is the stencil's own
+    # O(h^4), not roundoff amplified as eps/h^3 by nested differences of
+    # O(1) signals, which leaves 1.6e-6 here
+    space = qc.HilbertSpace.qubit_boson(n_max=6)
+    ops = tuple(qc.OperatorSum(space, [(1.0, (p, "x"))]) for p in "IZX")
+    spec = tc.CorrelationSpec(jc_schedule(space, 0.8), (0.0, 0.4, 0.9), ops,
+                              seeded_low_photon_state(space))
+    assert abs(tc.correlation_bosonic(spec) - tc.correlation_exact(spec)) < 1e-10
+
+
+def test_bosonic_complex_weight_flagged_operator():
+    space = qc.HilbertSpace.qubit_boson(n_max=8)
+    ops = (qc.OperatorSum.single(space, 0, "X"), qc.OperatorSum(space, [(0.3 + 0.4j, ("Y", "x"))]))
+    spec = tc.CorrelationSpec(jc_schedule(space, 0.8), (0.0, 0.7), ops,
+                              seeded_low_photon_state(space))
+    assert abs(tc.correlation_bosonic(spec) - tc.correlation_exact(spec)) < 1e-10
+
+
+def test_bosonic_protocol_runs_once_per_chain(monkeypatch):
+    # one chain of single-term operators runs the protocol once; a signal
+    # per Richardson stencil point would take 4^2 = 16 runs
+    calls = []
+    real = tc._branch_coherence
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tc, "_branch_coherence", counting)
+    space = qc.HilbertSpace.qubit_boson(n_max=6)
+    ops = (qc.OperatorSum(space, [(1.0, ("I", "x"))]), qc.OperatorSum.single(space, 0, "X"),
+           qc.OperatorSum(space, [(1.0, ("Z", "x"))]))
+    spec = tc.CorrelationSpec(jc_schedule(space, 0.8), (0.0, 0.4, 0.9), ops,
+                              seeded_low_photon_state(space))
+    tc.correlation_bosonic(spec)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, value", [
+    ("h", float("nan")), ("h", float("inf")), ("h", -1.0), ("h", 1e-9),
+    ("richardson", 2), ("richardson", 5),
+])
+def test_bosonic_rejects_bad_step_and_richardson(name, value):
+    # richardson is a level count, not a truth value, so 2 or 5 is refused
+    # rather than run as 1; every bad value is named, and none reaches expm
+    space = qc.HilbertSpace.qubit_boson(n_max=6)
+    spec = tc.CorrelationSpec(jc_schedule(space, 1.0), (0.0, 0.9),
+                              (qc.OperatorSum.single(space, 0, "X"),
+                               qc.OperatorSum(space, [(1.0, ("I", "x"))])),
+                              qc.basis_state(space, [0, 0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} .* got {re.escape(repr(value))}$"):
+            tc.correlation_bosonic(spec, **{name: value})
 
 
 def test_bosonic_second_order_step_scaling():
