@@ -45,6 +45,20 @@ def one_period():
     print(hashlib.sha256(w.tobytes()).hexdigest())
 
 
+def calibration():
+    # the stepper's largest packed-block run, with 13-row stage products:
+    # the dispersive parity calibration of perfbench's driven-rk45 readout
+    # (n_max = 14, tol 1e-9), its pulse duration and the sha256 of its two
+    # readout operators, must print the same with BLAS threads pinned (the
+    # job's setting) and unpinned
+    import hashlib
+    from qworkbench import ionrabi
+    cal = ionrabi._dispersive_calibration(15, 20.0, 0.25, 1e-9)
+    print(repr(cal.duration))
+    for m in (cal.m_plus, cal.m_minus):
+        print(hashlib.sha256(m.tobytes()).hexdigest())
+
+
 def dressed():
     # their signs are read from the labels (qcore.pauli_product): the
     # readout of every non-identity 4-qubit label on a seeded state, and
@@ -79,6 +93,6 @@ def bosonic():
     print(repr(tc.correlation_bosonic(tc.CorrelationSpec(h, (0.0, 0.5, 1.2), ops, psi))))
 
 
-for probe in (sampled, one_period, dressed, bosonic):
+for probe in (sampled, one_period, calibration, dressed, bosonic):
     print("==", probe.__name__)
     probe()

@@ -161,7 +161,9 @@ def ion_hamiltonian(p: IonDriveParams, n_max: int) -> Schedule:
     amp_b = 0.5 * p.omega_b * cmath.exp(1j * p.phi_b)
 
     def c(t: float) -> complex:
-        return amp_r * cmath.exp(1j * tone * t) + amp_b * cmath.exp(-1j * tone * t)
+        # conj(exp(i x)) is exp(-i x) to the bit, at one exponential's cost
+        e = cmath.exp(1j * tone * t)
+        return amp_r * e + amp_b * e.conjugate()
 
     # sigma^+ raises into the level Pe selects, so beta rotates that level
     frame = OperatorSum(space, [(p.nu, ("I", "n")), (beta, ("Pe", "I"))]).matrix()

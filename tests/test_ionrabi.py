@@ -343,6 +343,21 @@ def test_adiabatic_duration_ladder():
     assert finals[-1] > 0.99
 
 
+def test_adiabatic_ramp_at_the_scenario_tol_is_near_a_tight_reference():
+    # the qrm-adiabatic defaults at the scenario's tol 1e-8: every final
+    # fidelity lies within 1e-9 of the same ramp at tol 1e-12 (the
+    # eighth-order pair errs by about 2e-11 here; a 5(4) pair at the same
+    # tol errs by 9.5e-8 at duration 48)
+    n_max = 16
+    h0, coupling = qrm_family(1.0, 1.0, n_max)
+    space = qc.HilbertSpace.qubit_boson(n_max=n_max)
+    for duration in (3.0, 6.0, 12.0, 24.0, 48.0):
+        loose, tight = (ir.adiabatic_ground_state(h0, coupling, 1.0, duration, space,
+                                                  n_checkpoints=7, tol=tol).final_fidelity
+                        for tol in (1e-8, 1e-12))
+        assert abs(loose - tight) < 1e-9, duration
+
+
 def parity_sectors(space):
     """The two sectors of the Rabi parity sigma_z (x) exp(i pi a^dag a),
     whose eigenvalue on the product state |q, n> is (-1)^(q + n)."""
@@ -818,8 +833,9 @@ def test_parity_dispersive_rejects_bad_inputs(monkeypatch):
 
 
 def test_pulse_propagator_keeps_no_step_history():
-    # a 30-column propagator of the dispersive pulse takes about 3000 RK45
-    # steps; storing every step and stacking them peaks above 80 MB
+    # a 30-column propagator of the dispersive pulse takes about 700 steps
+    # of the 8(5,3) pair; storing the 30 x 30 state of every step takes
+    # 10 MB, and stacking them doubles that
     space = qc.HilbertSpace.qubit_boson(n_max=14)
     h = ir._dispersive_pulse_schedule(space, 1.0, 20.0, 5.0, 19.87, 1.0)
     tracemalloc.start()

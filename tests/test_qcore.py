@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import expm
 
 from qworkbench import qcore as qc
@@ -791,7 +791,7 @@ def test_dimension_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# the adaptive stepper against scipy's RK45 (the oracle: same pair, same control)
+# the adaptive stepper against scipy's DOP853 (the oracle: same pair, same control)
 # ---------------------------------------------------------------------------
 
 def _recording(rhs, times):
@@ -802,12 +802,12 @@ def _recording(rhs, times):
 
 
 def _step_counts(times):
-    """(nfev, accepted, rejected) from the times at which an RK45 run
+    """(nfev, accepted, rejected) from the times at which a DOP853 run
     evaluated its right-hand side: f(t0) and one initial-step probe, then
-    six evaluations per attempted step, the last at t + h.  An attempt was
-    accepted when the next one starts past its end, rejected when the next
-    one retries from the same t with a shorter step."""
-    attempts = [times[i:i + 6] for i in range(2, len(times), 6)]
+    twelve evaluations per attempted step, the last at t + h.  An attempt
+    was accepted when the next one starts past its end, rejected when the
+    next one retries from the same t with a shorter step."""
+    attempts = [times[i:i + 12] for i in range(2, len(times), 12)]
     accepted = sum(1 for a, b in zip(attempts, attempts[1:]) if b[0] > a[-1]) + 1
     return len(times), accepted, len(attempts) - accepted
 
@@ -815,11 +815,11 @@ def _step_counts(times):
 def _against_solve_ivp(rhs, y0, t1, tol):
     """qcore's and scipy's counts and final states over [0, t1]."""
     scipy_times, times = [], []
-    sol = solve_ivp(_recording(rhs, scipy_times), (0.0, t1), y0, method="RK45",
+    sol = solve_ivp(_recording(rhs, scipy_times), (0.0, t1), y0, method="DOP853",
                     rtol=tol, atol=tol * 1e-2)
     assert sol.success
     accepted = len(sol.t) - 1
-    scipy_counts = (sol.nfev, accepted, (sol.nfev - 2) // 6 - accepted)
+    scipy_counts = (sol.nfev, accepted, (sol.nfev - 2) // 12 - accepted)
     assert _step_counts(scipy_times) == scipy_counts
     y = qc.integrate(_recording(rhs, times), y0, 0.0, t1, tol)
     return _step_counts(times), scipy_counts, np.max(np.abs(y - sol.y[:, -1]))
@@ -827,8 +827,9 @@ def _against_solve_ivp(rhs, y0, t1, tol):
 
 def test_stepper_tableau_is_dormand_prince():
     evolve = importlib.import_module("qworkbench.qcore.evolve")
-    for ours, theirs in ((evolve._DP_A, RK45.A), (evolve._DP_B, RK45.B),
-                         (evolve._DP_C, RK45.C), (evolve._DP_E, RK45.E)):
+    for ours, theirs in ((evolve._RK_A, DOP853.A), (evolve._RK_B, DOP853.B),
+                         (evolve._RK_C, DOP853.C), (evolve._RK_E3, DOP853.E3),
+                         (evolve._RK_E5, DOP853.E5)):
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
         assert ours.tobytes() == theirs.tobytes()
 
