@@ -77,7 +77,7 @@ def dressed():
 
 
 def bosonic():
-    # the bosonic correlator's Richardson stencil of gates: two flagged
+    # the probe-qubit protocol with non-unitary gates -iB: two flagged
     # spin-boson operators and a plain Pauli string on a seeded state of
     # a Rabi-type qubit-mode model at n_max = 10; no table or demo prints
     # this value
@@ -90,7 +90,7 @@ def bosonic():
     ops = (qc.OperatorSum(space, [(1.0, ("I", "x"))]), qc.OperatorSum.single(space, 0, "Y"),
            qc.OperatorSum(space, [(0.3 + 0.4j, ("Z", "x"))]))
     psi = qc.random_pure_state(space, np.random.default_rng(9))
-    print(repr(tc.correlation_bosonic(tc.CorrelationSpec(h, (0.0, 0.5, 1.2), ops, psi))))
+    print(repr(tc.correlation_ancilla(tc.CorrelationSpec(h, (0.0, 0.5, 1.2), ops, psi))))
 
 
 for probe in (sampled, one_period, calibration, dressed, bosonic):

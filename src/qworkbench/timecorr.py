@@ -6,6 +6,12 @@ controlled gates ``exp(-i |g><g| (x) (pi/2) O_k)`` interleave with segments
 of the system evolution, and the correlator is read off the final ancilla
 coherence as ``i^n (<sigma_x> + i <sigma_y>)``.
 
+Each operator is a sum of Hermitian terms ``c M``, and a term M is the gate
+``-i M``.  For a Pauli string P that is ``exp(-i (pi/2) P) = -i P``.  A
+spin-boson operator ``B = P (x) (a + a^dag)`` is the derivative of the
+signal in the angle of ``exp(-i theta B)`` at zero; the coherence is linear
+in each gate, so that derivative is the gate ``-i B`` exactly.
+
 The ancilla is only ever a control, so the protocol is simulated on the
 system space alone.  Its two branches evolve separately: the |e> branch
 sees only the segment propagators, the |g> branch sees the gates
@@ -13,8 +19,7 @@ interleaved with them, and the coherence ``<sigma_x> + i <sigma_y> =
 2 rho_ge`` is the branch overlap ``<psi_e|psi_g>`` (``Tr(U_e^dag W rho)``
 for a mixed state).  The segment propagators depend only on the evolution
 and the times, so each correlator computes them once and every chain of
-gates reuses them.  One loop, ``_protocol_sum``, runs every chain; the
-bosonic variant puts its finite-difference stencil into the gate.
+gates reuses them.
 
 Conventions fixed here:
 
@@ -26,7 +31,9 @@ Conventions fixed here:
 
 Shot sampling draws chain j's outcomes from stream ``(master_seed, j)`` of
 ``qcore.shot_uniforms``, so results are bit-identical under any parallel
-evaluation order.
+evaluation order.  It needs unitary gates, so it refuses a spin-boson
+operator: ``-i B`` is not unitary, and a sampled derivative would need one
+experiment per point of a finite-difference stencil.
 """
 from __future__ import annotations
 
@@ -48,7 +55,6 @@ from .qcore import (
     check_stream_key,
     evolve,
     expectation,
-    expm,
     pauli_terms,
     propagator,
     shot_means,
@@ -78,7 +84,6 @@ class CorrelationSpec:
     times: tuple
     operators: tuple
     initial: PureState | DensityMatrix
-    tol: float = 1e-10
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
@@ -109,7 +114,7 @@ class CorrelationSpec:
 
 def heisenberg_chain_expectation(evolution: Schedule, chain: Sequence,
                                  initial: PureState | DensityMatrix,
-                                 t_ref: float = 0.0, tol: float = 1e-10) -> complex:
+                                 t_ref: float = 0.0) -> complex:
     """<M_1(tau_1) M_2(tau_2) ... M_m(tau_m)> for an arbitrary left-to-right chain.
 
     ``chain`` is a sequence of ``(matrix, time)``; times may be in any
@@ -119,8 +124,8 @@ def heisenberg_chain_expectation(evolution: Schedule, chain: Sequence,
     us = {}  # U(t; t_ref), one per distinct time
     for _, t in chain:
         if t not in us:
-            us[t] = propagator(evolution, t_ref, t, tol) if t >= t_ref else \
-                propagator(evolution, t, t_ref, tol).conj().T
+            us[t] = propagator(evolution, t_ref, t) if t >= t_ref else \
+                propagator(evolution, t, t_ref).conj().T
     mats = [us[t].conj().T @ np.asarray(m, dtype=complex) @ us[t] for m, t in chain]
     if isinstance(initial, PureState):
         vec = initial.amplitudes
@@ -139,7 +144,7 @@ def correlation_exact(spec: CorrelationSpec) -> complex:
     chain = [(op.matrix(), t) for op, t in
              zip(reversed(spec.operators), reversed(spec.times))]
     return heisenberg_chain_expectation(spec.evolution, chain, spec.initial,
-                                        t_ref=spec.times[0], tol=spec.tol)
+                                        t_ref=spec.times[0])
 
 
 # ---------------------------------------------------------------------------
@@ -147,31 +152,36 @@ def correlation_exact(spec: CorrelationSpec) -> complex:
 # ---------------------------------------------------------------------------
 
 def _protocol_terms(op: OperatorSum) -> list:
-    """Expand an operator into ``(coeff, unitary-Hermitian matrix)`` terms.
+    """Expand an operator into ``(coeff, Hermitian matrix M)`` terms; M is
+    the gate ``-i M``.
 
     On a qubit-only space these are the Pauli strings of
     ``qcore.pauli_terms``, in its sorted label order, so chain j of a
-    correlator keeps its shot stream.  With bosonic factors only a scalar
-    multiple of a Pauli string (identity on every mode) is accepted, as one
-    term.
+    correlator keeps its shot stream.  With bosonic factors the operator
+    must be one term with Pauli letters on the qubits and ``I`` on every
+    mode but at most one ``x``: a Pauli string P or a spin-boson operator
+    ``B = P (x) (a + a^dag)``, returned at unit weight with the term's
+    coefficient.  ``-i P`` is unitary; ``-i B`` is not, so shots cannot be
+    sampled for it.
     """
     space = op.space
     if space.is_qubit_only:
         return [(q, dense_pauli(lbl)) for q, lbl in pauli_terms(op)]
     if len(op.terms) == 1:
         coeff, factors = op.terms[0]
-        if all((code in PAULI_LABELS) if isinstance(f, Qubit) else (code == "I")
-               for f, code in zip(space.factors, factors)):
+        qubits = {code for f, code in zip(space.factors, factors) if isinstance(f, Qubit)}
+        modes = [code for f, code in zip(space.factors, factors) if not isinstance(f, Qubit)]
+        if qubits <= set(PAULI_LABELS) and set(modes) <= {"I", "x"} and modes.count("x") <= 1:
             return [(coeff, OperatorSum(space, [(1.0, factors)]).matrix())]
     raise ValueError(
-        "operator is not a scalar multiple of a Pauli string and the "
-        "space has bosonic factors; cannot expand for the ancilla protocol"
+        "with bosonic factors an operator must be one term: a Pauli string, "
+        "or one with (a + a^dag) on one mode; cannot expand for the ancilla protocol"
     )
 
 
 def _segment_propagators(spec: CorrelationSpec) -> list:
     """V_k = U(t_{k+1}, t_k) for the n-1 evolution segments of ``spec``."""
-    return [propagator(spec.evolution, a, b, spec.tol)
+    return [propagator(spec.evolution, a, b)
             for a, b in zip(spec.times, spec.times[1:])]
 
 
@@ -195,18 +205,33 @@ def _branch_coherence(initial, gates: Sequence[np.ndarray],
     return complex(np.vdot(e, g))
 
 
-def _protocol_sum(spec: CorrelationSpec, per_op: Sequence,
-                  plan: ShotPlan | None = None) -> complex:
-    """Sum over chains of ``i^n`` x coefficient product x ancilla coherence.
+def correlation_ancilla(spec: CorrelationSpec, plan: ShotPlan | None = None) -> complex:
+    """Correlator via the probe-qubit protocol.
 
-    ``per_op[k]`` lists operator k's ``(coeff, gate)`` terms; a chain takes
-    one term per operator, in ``itertools.product`` order, and runs the
-    protocol once over segment propagators computed once for all chains.
+    On a qubit-only space each operator is read as its Pauli strings
+    (``qcore.pauli_terms``; a zero-weight string drops out); with bosonic
+    factors it must be one Pauli string P or one spin-boson term
+    ``B = P (x) (a + a^dag)``, with any complex weight.  Each Hermitian
+    term M is the gate ``-i M``.  A chain takes one term per operator, in
+    ``itertools.product`` order, and runs the protocol once over segment
+    propagators computed once for all chains; the correlator is the sum
+    over chains of ``i^n`` x coefficient product x ancilla coherence.
+
     With ``plan`` the coherence of chain j is estimated from
     ``ceil(shots/2)`` sigma_x outcomes and as many sigma_y outcomes
     (physically one cannot measure both in the same shot), drawn from the
-    stream ``(master_seed, j)``.
+    stream ``(master_seed, j)``.  A plan refuses a spin-boson operator with
+    ``ValueError``: its gate ``-i B`` is not unitary.
     """
+    per_op = [[(c, -1j * m) for c, m in _protocol_terms(op)]
+              for op in spec.operators]
+    if plan is not None and not spec.system.is_qubit_only:
+        for k, op in enumerate(spec.operators):
+            weight, factors = op.terms[0]
+            if "x" in factors:
+                raise ValueError(f"operator {k}, {weight} * {' (x) '.join(factors)}, is "
+                                 "spin-boson: its gate -iB is not unitary, so shots "
+                                 "cannot be sampled")
     phase = 1j ** spec.order
     segments = _segment_propagators(spec)
     total = 0.0 + 0.0j
@@ -222,84 +247,6 @@ def _protocol_sum(spec: CorrelationSpec, per_op: Sequence,
             coherence = complex(*shot_means([coherence.real, coherence.imag], u))
         total += coeff * phase * coherence
     return total
-
-
-def correlation_ancilla(spec: CorrelationSpec, plan: ShotPlan | None = None) -> complex:
-    """Correlator via the probe-qubit protocol.
-
-    On a qubit-only space each operator is read as its Pauli strings
-    (``qcore.pauli_terms``; a zero-weight string drops out); with bosonic
-    factors it must be a scalar multiple of one Pauli string.  Each string
-    P is the gate ``exp(-i (pi/2) P) = -i P``, and :func:`_protocol_sum`
-    sums the products of the expansions, so with ``plan`` chain j draws
-    from the stream ``(master_seed, j)``.
-    """
-    per_op = [[(c, -1j * pauli) for c, pauli in _protocol_terms(op)]
-              for op in spec.operators]
-    return _protocol_sum(spec, per_op, plan)
-
-
-# ---------------------------------------------------------------------------
-# bosonic variant: derivative of the ancilla signal
-# ---------------------------------------------------------------------------
-
-def _is_flagged_bosonic(op: OperatorSum) -> bool:
-    """True for a single term: Pauli letters on qubits, one (a+a^dag) factor."""
-    if len(op.terms) != 1:
-        return False
-    _, factors = op.terms[0]
-    n_x = 0
-    for f, code in zip(op.space.factors, factors):
-        if isinstance(f, Qubit):
-            if code not in PAULI_LABELS:
-                return False
-        else:
-            if code == "x":
-                n_x += 1
-            elif code != "I":
-                return False
-    return n_x == 1
-
-
-def correlation_bosonic(spec: CorrelationSpec, h: float = 1e-3,
-                        richardson: int = 1) -> complex:
-    """Correlator with spin-boson factors ``P (x) (a + a^dag)``.
-
-    A flagged operator ``c B``, ``B = P (x) (a + a^dag)``, is the derivative
-    of the ancilla signal with respect to the angle theta of its gate
-    ``exp(-i theta B)`` at zero: a central difference with step ``h``
-    (finite, >= 1e-8), extrapolated by one Richardson level if
-    ``richardson`` is 1 and not if it is 0.  The coherence is linear in
-    each gate and the signals here are exact, so the stencil may act on
-    the gate: the operator becomes one term ``(c, G)``, G the stencil of
-    gates, and the protocol runs once per chain.  Were shots sampled, each
-    stencil point would be its own experiment with its own stream.  Other
-    operators must be plain Pauli strings, with pi/2 gates.  A flagged
-    operator of weight 0 gives 0j, as in ``correlation_exact``.
-    """
-    if richardson not in (0, 1):
-        raise ValueError(f"richardson must be 0 or 1, got {richardson!r}")
-    if not (math.isfinite(h) and h >= 1e-8):
-        raise ValueError(f"h must be a finite derivative step >= 1e-8, got {h!r}")
-
-    def central(b: np.ndarray, s: float) -> np.ndarray:
-        return (expm(-1j * s * b) - expm(1j * s * b)) / (2.0 * s)
-
-    per_op = []
-    for op in spec.operators:
-        if _is_flagged_bosonic(op):
-            coeff, factors = op.terms[0]
-            b = OperatorSum(spec.system, [(1.0, factors)]).matrix()
-            gate = central(b, h)
-            if richardson:
-                gate = (4.0 * central(b, h / 2.0) - gate) / 3.0
-            per_op.append([(coeff, gate)] if coeff else [])
-        else:
-            terms = _protocol_terms(op)
-            if len(terms) != 1:
-                raise ValueError("non-flagged operators must be plain Pauli strings here")
-            per_op.append([(c, -1j * pauli) for c, pauli in terms])
-    return _protocol_sum(spec, per_op)
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +319,8 @@ def correlation_fermionic(evolution: Schedule, entries: Sequence, state,
 # linear response
 # ---------------------------------------------------------------------------
 
-def _two_time_correlator(h0: Schedule, a: OperatorSum, b: OperatorSum, state,
-                         tau: float, tol: float) -> complex:
-    """<B(tau) A(0)> through the protocol machinery."""
-    spec = CorrelationSpec(h0, (0.0, tau), (a, b), state, tol=tol)
-    if _is_flagged_bosonic(b) or _is_flagged_bosonic(a):
-        return correlation_bosonic(spec)
-    return correlation_ancilla(spec)
-
-
 def response_function(h0: Schedule, a: OperatorSum, b: OperatorSum, state,
-                      t_grid: Sequence, tol: float = 1e-10) -> np.ndarray:
+                      t_grid: Sequence) -> np.ndarray:
     """phi(t) = i <[B(t), A(0)]> on the grid, from ancilla correlators.
 
     For Hermitian A and B the commutator expectation is ``2i Im <B(t)A(0)>``
@@ -395,7 +333,7 @@ def response_function(h0: Schedule, a: OperatorSum, b: OperatorSum, state,
             raise ValueError(f"{name} must be Hermitian")
     out = np.empty(len(t_grid), dtype=float)
     for i, tau in enumerate(t_grid):
-        c = _two_time_correlator(h0, a, b, state, float(tau), tol)
+        c = correlation_ancilla(CorrelationSpec(h0, (0.0, float(tau)), (a, b), state))
         out[i] = -2.0 * c.imag  # i*(c - conj(c))
     return out
 
@@ -429,7 +367,7 @@ def linear_response_check(h0: Schedule, a: OperatorSum, b: OperatorSum, state,
         raise ValueError("linear response needs a constant h0: the Kubo "
                          "convolution assumes time-translation invariance")
     grid = np.linspace(0.0, t, n_grid)
-    phi = response_function(h0, a, b, state, grid, tol=tol)
+    phi = response_function(h0, a, b, state, grid)
     chi = susceptibility(phi, grid, omega)
     evolved = evolve(state, h0, 0.0, t, tol)
     base = expectation(evolved, b).real

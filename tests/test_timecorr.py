@@ -1,6 +1,5 @@
 """Ancilla-protocol correlators: oracle equivalence, sampling, linear response."""
 import math
-import re
 import warnings
 
 import numpy as np
@@ -262,12 +261,12 @@ def test_segment_propagators_computed_once(monkeypatch):
     tc.correlation_ancilla(tc.CorrelationSpec(qubit_schedule(0.9), (0.0, 0.7),
                                               (sm, pauli_op(space, "X")), qc.plus_state()))
     assert len(calls) == 1
-    # the Richardson stencil acts on the gate, so the protocol runs once
+    # a spin-boson operator is the one gate -iB, so the protocol runs once
     calls.clear()
     jc_space = qc.HilbertSpace.qubit_boson(n_max=8)
     sx = qc.OperatorSum.single(jc_space, 0, "X")
     bx = qc.OperatorSum(jc_space, [(1.0, ("I", "x"))])
-    tc.correlation_bosonic(tc.CorrelationSpec(jc_schedule(jc_space, 1.0), (0.0, 0.9), (sx, bx),
+    tc.correlation_ancilla(tc.CorrelationSpec(jc_schedule(jc_space, 1.0), (0.0, 0.9), (sx, bx),
                                               qc.basis_state(jc_space, [0, 0])))
     assert len(calls) == 1
     # four Jordan-Wigner entries expand into sixteen Pauli chains
@@ -333,7 +332,7 @@ def test_shot_validity_bound():
 
 
 # ---------------------------------------------------------------------------
-# bosonic variant
+# spin-boson operators: the gate -iB
 # ---------------------------------------------------------------------------
 
 def jc_schedule(space, g):
@@ -349,8 +348,8 @@ def test_bosonic_coherent_mean():
     h = qc.Schedule.constant(qc.OperatorSum.single(space, 0, "n", 1.0, hermitian=True))
     op = qc.OperatorSum.single(space, 0, "x")
     spec = tc.CorrelationSpec(h, (0.0,), (op,), state)
-    got = tc.correlation_bosonic(spec)
-    assert abs(got - 2.0 * alpha) < 1e-6
+    got = tc.correlation_ancilla(spec)
+    assert abs(got - 2.0 * alpha) < 1e-12
 
 
 def test_bosonic_two_time_vs_oracle():
@@ -361,7 +360,7 @@ def test_bosonic_two_time_vs_oracle():
     sx = qc.OperatorSum.single(space, 0, "X")
     bx = qc.OperatorSum(space, [(1.0, ("I", "x"))])
     spec = tc.CorrelationSpec(h, (0.0, 0.9), (sx, bx), state)
-    assert abs(tc.correlation_bosonic(spec) - tc.correlation_exact(spec)) < 1e-6
+    assert abs(tc.correlation_ancilla(spec) - tc.correlation_exact(spec)) < 1e-12
 
 
 def test_bosonic_flagged_pauli_factor():
@@ -372,12 +371,12 @@ def test_bosonic_flagged_pauli_factor():
     zb = qc.OperatorSum(space, [(1.0, ("Z", "x"))])
     sx = qc.OperatorSum.single(space, 0, "X")
     spec = tc.CorrelationSpec(h, (0.0, 0.5), (sx, zb), state)
-    assert abs(tc.correlation_bosonic(spec) - tc.correlation_exact(spec)) < 1e-6
+    assert abs(tc.correlation_ancilla(spec) - tc.correlation_exact(spec)) < 1e-12
 
 
 def test_bosonic_zero_weight_flagged_operator_is_zero():
     # a flagged operator of weight 0 gives 0j, as the exact correlator
-    # does; dividing by its weight made a NaN gate that expm refused
+    # does, with no warning
     space = qc.HilbertSpace.qubit_boson(n_max=12)
     zero = qc.OperatorSum(space, [(0.0, ("I", "x"))])
     sx = qc.OperatorSum.single(space, 0, "X")
@@ -385,7 +384,7 @@ def test_bosonic_zero_weight_flagged_operator_is_zero():
                               qc.basis_state(space, [0, 0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert tc.correlation_bosonic(spec) == 0j
+        assert tc.correlation_ancilla(spec) == 0j
     assert tc.correlation_exact(spec) == 0j
 
 
@@ -398,14 +397,14 @@ def seeded_low_photon_state(space, n_low=3, seed=7):
 
 
 def test_bosonic_three_flagged_operators_match_exact():
-    # the stencil acts on each gate, so the error is the stencil's own
-    # O(h^4), not roundoff amplified as eps/h^3 by nested differences of
-    # O(1) signals, which leaves 1.6e-6 here
+    # each flagged operator is the exact gate -iB, so the error is
+    # roundoff, not a stencil's truncation or roundoff amplified as
+    # eps/h^3 by nested differences of O(1) signals, which left 1.6e-6 here
     space = qc.HilbertSpace.qubit_boson(n_max=6)
     ops = tuple(qc.OperatorSum(space, [(1.0, (p, "x"))]) for p in "IZX")
     spec = tc.CorrelationSpec(jc_schedule(space, 0.8), (0.0, 0.4, 0.9), ops,
                               seeded_low_photon_state(space))
-    assert abs(tc.correlation_bosonic(spec) - tc.correlation_exact(spec)) < 1e-10
+    assert abs(tc.correlation_ancilla(spec) - tc.correlation_exact(spec)) < 1e-10
 
 
 def test_bosonic_complex_weight_flagged_operator():
@@ -413,12 +412,12 @@ def test_bosonic_complex_weight_flagged_operator():
     ops = (qc.OperatorSum.single(space, 0, "X"), qc.OperatorSum(space, [(0.3 + 0.4j, ("Y", "x"))]))
     spec = tc.CorrelationSpec(jc_schedule(space, 0.8), (0.0, 0.7), ops,
                               seeded_low_photon_state(space))
-    assert abs(tc.correlation_bosonic(spec) - tc.correlation_exact(spec)) < 1e-10
+    assert abs(tc.correlation_ancilla(spec) - tc.correlation_exact(spec)) < 1e-10
 
 
 def test_bosonic_protocol_runs_once_per_chain(monkeypatch):
     # one chain of single-term operators runs the protocol once; a signal
-    # per Richardson stencil point would take 4^2 = 16 runs
+    # per point of a four-point stencil would take 4^2 = 16 runs
     calls = []
     real = tc._branch_coherence
 
@@ -432,41 +431,62 @@ def test_bosonic_protocol_runs_once_per_chain(monkeypatch):
            qc.OperatorSum(space, [(1.0, ("Z", "x"))]))
     spec = tc.CorrelationSpec(jc_schedule(space, 0.8), (0.0, 0.4, 0.9), ops,
                               seeded_low_photon_state(space))
-    tc.correlation_bosonic(spec)
+    tc.correlation_ancilla(spec)
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name, value", [
-    ("h", float("nan")), ("h", float("inf")), ("h", -1.0), ("h", 1e-9),
-    ("richardson", 2), ("richardson", 5),
-])
-def test_bosonic_rejects_bad_step_and_richardson(name, value):
-    # richardson is a level count, not a truth value, so 2 or 5 is refused
-    # rather than run as 1; every bad value is named, and none reaches expm
+def rabi_schedule(space, w, wq, g, g_anti):
+    # w a^dag a + wq Z/2 with JC coupling g and anti-JC coupling g_anti
+    return qc.Schedule.constant(qc.OperatorSum(space, [
+        (w, ("I", "n")), (wq / 2, ("Z", "I")), (g, ("S+", "a")), (g, ("S-", "adag")),
+        (g_anti, ("S+", "adag")), (g_anti, ("S-", "a"))], hermitian=True))
+
+
+def rabi_sweep_specs(m):
+    """20 seeded specs with m flagged operators (P, "x"): one qubit (x) one
+    mode at n_max 6-13 under a Rabi-type H, 0-1 plain Pauli strings, unit
+    or complex weights, pure or mixed low-photon states."""
+    for seed in range(100 * m, 100 * m + 20):
+        rng = np.random.default_rng(seed)
+        space = qc.HilbertSpace.qubit_boson(n_max=int(rng.integers(6, 14)))
+        h = rabi_schedule(space, *rng.uniform(0.5, 1.5, 2), *rng.uniform(0.1, 0.6, 2))
+        terms = [(P, "x") for P in rng.choice(list("IXYZ"), size=m)]
+        terms += [(P, "I") for P in rng.choice(list("XYZ"), size=int(rng.integers(0, 2)))]
+        ops = []
+        for k in rng.permutation(len(terms)):
+            weight = 1.0 if rng.random() < 0.5 else complex(*rng.standard_normal(2))
+            ops.append(qc.OperatorSum(space, [(weight, terms[k])]))
+        times = tuple(np.sort(rng.uniform(0.0, 1.5, size=len(ops))))
+        low = [seeded_low_photon_state(space, seed=int(rng.integers(1 << 30))).amplitudes
+               for _ in range(3)]
+        if seed % 2:
+            state = qc.PureState(space, low[0])
+        else:
+            rho = sum(p * np.outer(v, v.conj()) for p, v in zip(rng.dirichlet(np.ones(3)), low))
+            state = qc.DensityMatrix(space, rho)
+        yield tc.CorrelationSpec(h, times, tuple(ops), state)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_bosonic_sweep_matches_exact(m):
+    # the gate -iB is exact: on 20 seeded Rabi-model specs per flagged
+    # count, the protocol agrees with the direct evaluation to roundoff
+    for spec in rabi_sweep_specs(m):
+        assert abs(tc.correlation_ancilla(spec) - tc.correlation_exact(spec)) < 1e-12
+
+
+def test_sampling_refuses_a_spin_boson_operator():
+    # -iB is not unitary, so no shot outcomes can be drawn for it; the
+    # error names the operator by its position and its term
     space = qc.HilbertSpace.qubit_boson(n_max=6)
-    spec = tc.CorrelationSpec(jc_schedule(space, 1.0), (0.0, 0.9),
-                              (qc.OperatorSum.single(space, 0, "X"),
-                               qc.OperatorSum(space, [(1.0, ("I", "x"))])),
+    ops = (qc.OperatorSum.single(space, 0, "X"), qc.OperatorSum(space, [(0.5, ("Z", "x"))]))
+    spec = tc.CorrelationSpec(jc_schedule(space, 1.0), (0.0, 0.9), ops,
                               qc.basis_state(space, [0, 0]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^{name} .* got {re.escape(repr(value))}$"):
-            tc.correlation_bosonic(spec, **{name: value})
-
-
-def test_bosonic_second_order_step_scaling():
-    # raw central difference (no Richardson): halving h shrinks the
-    # mismatch by ~4x
-    space = qc.HilbertSpace.qubit_boson(n_max=12)
-    h = jc_schedule(space, 1.0)
-    state = qc.basis_state(space, [0, 0])
-    sx = qc.OperatorSum.single(space, 0, "X")
-    bx = qc.OperatorSum(space, [(1.0, ("I", "x"))])
-    spec = tc.CorrelationSpec(h, (0.0, 0.8), (sx, bx), state)
-    exact = tc.correlation_exact(spec)
-    e1 = abs(tc.correlation_bosonic(spec, h=0.08, richardson=0) - exact)
-    e2 = abs(tc.correlation_bosonic(spec, h=0.04, richardson=0) - exact)
-    assert 2.5 < e1 / e2 < 6.0
+    with pytest.raises(ValueError, match=r"^operator 1, \(0\.5\+0j\) \* Z \(x\) x, is spin-boson"):
+        tc.correlation_ancilla(spec, tc.ShotPlan(shots=8))
+    # Pauli strings on the same space still sample
+    pauli_only = tc.CorrelationSpec(spec.evolution, spec.times, (ops[0], ops[0]), spec.initial)
+    tc.correlation_ancilla(pauli_only, tc.ShotPlan(shots=8))
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +635,24 @@ def test_response_motional_operator():
         c = tc.heisenberg_chain_expectation(
             h, [(b_op.matrix(), tau), (a_op.matrix(), 0.0)], state)
         assert abs(val - (-2.0 * c.imag)) < 1e-6
+
+
+def test_response_spin_boson_pair_matches_chain_oracle():
+    # A and B both spin-boson, so each chain holds two non-unitary gates,
+    # on a mixed state of a Rabi-type model
+    space = qc.HilbertSpace.qubit_boson(n_max=9)
+    h = rabi_schedule(space, 1.0, 0.8, 0.3, 0.1)
+    a_op = qc.OperatorSum(space, [(0.6, ("X", "x"))], hermitian=True)
+    b_op = qc.OperatorSum(space, [(-1.3, ("Z", "x"))], hermitian=True)
+    low = [seeded_low_photon_state(space, seed=s).amplitudes for s in (3, 4)]
+    state = qc.DensityMatrix(space, 0.7 * np.outer(low[0], low[0].conj())
+                             + 0.3 * np.outer(low[1], low[1].conj()))
+    grid = np.linspace(0.0, 2.0, 9)
+    phi = tc.response_function(h, a_op, b_op, state, grid)
+    for tau, val in zip(grid, phi):
+        c = tc.heisenberg_chain_expectation(
+            h, [(b_op.matrix(), tau), (a_op.matrix(), 0.0)], state)
+        assert abs(val - (-2.0 * c.imag)) < 1e-12
 
 
 def test_susceptibility_static_limit_and_nyquist():
