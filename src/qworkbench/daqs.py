@@ -440,9 +440,10 @@ def cqed_rabi_step_sweep(omega_r: float, omega_q: float, g: float, t: float,
     :class:`CqedRun` per count in order.
 
     What does not depend on the step count is built once: the two
-    Jaynes-Cummings generators, the collective flip, the exact reference
-    and the observables.  Each count exponentiates its own ``-i H tau``,
-    so every run equals the one-count call bit for bit.
+    Jaynes-Cummings schedules, whose eigenbases give every count's steps,
+    the collective flip, the exact reference and the observables.  A
+    count's steps depend on nothing else, so every run equals the
+    one-count call bit for bit.
     """
     step_counts = list(step_counts)
     if any(isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
@@ -463,6 +464,7 @@ def cqed_rabi_step_sweep(omega_r: float, omega_q: float, g: float, t: float,
 
     h1 = _tavis_cummings(n_qubits, db, 0.5 * omega_r, dq1, g)
     h2_tilde = _tavis_cummings(n_qubits, db, 0.5 * omega_r, dq2, g)
+    jc1, jc2 = Schedule.constant(h1, space), Schedule.constant(h2_tilde, space)
     flip = _collective_flip(n_qubits, db)
     h_exact = rabi_hamiltonian_dense(n_qubits, db, omega_r, omega_q, g)
     reference = evolve(initial, Schedule.constant(h_exact, space), 0.0, t)
@@ -475,7 +477,7 @@ def cqed_rabi_step_sweep(omega_r: float, omega_q: float, g: float, t: float,
         blocks = (("Flip", math.pi), ("JC-rot", tau), ("Flip", math.pi), ("JC", tau))
         plan = TrotterPlan(steps=steps, blocks=blocks, gate_count=4 * steps)
         if noise is None:
-            u_step = expm(-1j * h1 * tau) @ flip @ expm(-1j * h2_tilde * tau) @ flip.conj().T
+            u_step = propagator(jc1, 0.0, tau) @ flip @ propagator(jc2, 0.0, tau) @ flip.conj().T
             u = np.linalg.matrix_power(u_step, steps)
             final = PureState(space, u @ initial.amplitudes)
             fid = float(abs(np.vdot(reference.amplitudes, final.amplitudes)) ** 2)

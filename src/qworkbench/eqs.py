@@ -17,15 +17,16 @@ diag(-1, 1, 0, 1) of Osterloh & Siewert, PRA 72, 012337 (2005).
 
 Also here: the entangling-gate compiler from collective-spin interactions,
 the controlled-Z circuit identity for the three-qubit embedded evolution,
-single-site readout of dressed Pauli observables, and the depolarizing /
-crosstalk error models with their exact inversion.
+single-site readout of dressed Pauli observables, the depolarizing channel
+with its exact inversion, and the embedded Trotter circuit whose single-qubit
+z rotations leak onto their neighbors (crosstalk).
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -429,9 +430,8 @@ def measure_via_anticommutation(theta_label: str, state: PureState) -> DressedRe
     if label != theta_label or sign.imag:
         raise ValueError(f"no valid dressing found for {theta_label!r}")
     evolved = state.amplitudes
-    if dressings:
-        u = reduce(np.matmul, [pauli_rotation(p, math.pi / 4.0) for p in dressings])
-        evolved = u @ evolved
+    for p in reversed(dressings):  # U = R1 R2 acts on the ket R2 first
+        evolved = pauli_rotation(p, math.pi / 4.0) @ evolved
     raw = float(np.real(np.vdot(evolved, dense_pauli(readout) @ evolved)))
     return DressedReadout(sign.real * raw, len(dressings), readout, dressings)
 
@@ -440,38 +440,19 @@ def measure_via_anticommutation(theta_label: str, state: PureState) -> DressedRe
 # noise models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-gate depolarizing fidelity and nearest-neighbor crosstalk strength."""
-
-    gate_fidelity: float = 1.0   # epsilon in (0, 1]
-    crosstalk: float = 0.0       # Delta_0
-
-    def __post_init__(self):
-        if not (0.0 < self.gate_fidelity <= 1.0):
-            raise ValueError("gate fidelity must sit in (0, 1]")
-        if not math.isfinite(self.crosstalk):
-            raise ValueError("crosstalk strength must be finite")
-
-    def crosstalk_matrix(self, n: int) -> np.ndarray:
-        delta = np.eye(n)
-        for k in range(n - 1):
-            delta[k, k + 1] = self.crosstalk
-            delta[k + 1, k] = self.crosstalk
-        return delta
-
-
-def _depolarize(rho: np.ndarray, weight: float) -> np.ndarray:
-    """weight rho + (1 - weight) I/d for a d x d matrix ``rho``."""
-    d = rho.shape[0]
-    return weight * rho + (1.0 - weight) * np.eye(d) / d
-
-
 def apply_depolarizing(rho: DensityMatrix, epsilon: float, n_gates: int) -> DensityMatrix:
-    """n_gates-fold per-gate depolarizing: eps^n rho + (1 - eps^n) I/d."""
+    """n_gates-fold per-gate depolarizing: eps^n rho + (1 - eps^n) I/d.
+
+    Each channel ``D(rho) = eps rho + (1 - eps) I/d`` maps ``I/d`` to itself
+    and commutes with every unitary conjugation, so the channels after the
+    ``n_gates`` gates of a circuit compose to this one channel on its
+    noiseless output.  Raises ``ValueError`` unless ``epsilon`` is in (0, 1].
+    """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must sit in (0, 1]")
-    return DensityMatrix(rho.space, _depolarize(rho.matrix, epsilon ** n_gates))
+    weight = epsilon ** n_gates
+    d = rho.space.dim
+    return DensityMatrix(rho.space, weight * rho.matrix + (1.0 - weight) * np.eye(d) / d)
 
 
 def rescale_expectation(measured: float, epsilon: float, n_gates: int,
@@ -497,17 +478,18 @@ def rescale_expectation(measured: float, epsilon: float, n_gates: int,
 
 
 def crosstalk_z_rotation(theta: float, qubit: int, n: int, delta0: float) -> np.ndarray:
-    """exp(-i theta/2 sum_k Delta_{k,qubit} sigma_z^k): leakage of a
-    single-qubit z rotation onto nearest neighbors.
+    """Phase vector of exp(-i theta/2 sum_k Delta_k sigma_z^k): a z rotation
+    of ``qubit`` (Delta = 1) that leaks onto its nearest neighbors
+    (Delta = ``delta0``).
 
     The generator is a sum of z's, so the rotation is the diagonal matrix
-    of its phases; no exponential is computed."""
-    model = NoiseModel(crosstalk=delta0)
-    delta = model.crosstalk_matrix(n)
+    of these phases; no exponential is computed."""
+    delta = {k: delta0 for k in (qubit - 1, qubit + 1) if 0 <= k < n}
+    delta[qubit] = 1.0
     z, one = PAULIS["Z"].diagonal(), PAULIS["I"].diagonal()
-    gen = sum(delta[k, qubit] * kron_all([z if j == k else one for j in range(n)])
-              for k in range(n) if delta[k, qubit] != 0.0)
-    return np.diag(np.exp(-1j * 0.5 * theta * gen))
+    gen = sum(delta[k] * kron_all([z if j == k else one for j in range(n)])
+              for k in sorted(delta))
+    return np.exp(-1j * 0.5 * theta * gen)
 
 
 def cost_ratio(n_qubits: int, n_observables: int, epsilon: float, delta: float) -> float:
@@ -521,40 +503,37 @@ def cost_ratio(n_qubits: int, n_observables: int, epsilon: float, delta: float) 
 
 
 # ---------------------------------------------------------------------------
-# embedded Trotter circuit with noise annotations
+# embedded Trotter circuit with crosstalk
 # ---------------------------------------------------------------------------
 
 def trotter_embedded_circuit(terms: Sequence, t: float, steps: int,
-                             initial: PureState, noise: NoiseModel | None = None):
+                             initial: PureState, crosstalk: float = 0.0):
     """First-order Trotter evolution of a sum of Pauli-string terms.
 
     ``terms`` is a list of (coeff, label), each label one letter of ``IXYZ``
     per register qubit; each of the ``steps >= 1`` steps applies
     ``exp(-i coeff label t/steps)`` for every term.  Single-qubit rotations
     are compiled through z rotations so the crosstalk model (which affects
-    only z rotations) acts on them; multi-qubit exponentials are applied
+    only z rotations, leaking a finite fraction ``crosstalk`` onto each
+    nearest neighbor) acts on them; multi-qubit exponentials are applied
     exactly.  Every gate is built once, in closed form, before the step
-    loop (``pauli_rotation`` for Pauli exponentials, a diagonal for the z
-    rotations), and each step applies the same list to the ket.
+    loop (``pauli_rotation`` for Pauli exponentials, a phase vector for the
+    z rotations), and each step applies the same list to the ket.
 
-    With depolarizing noise each gate is followed by the channel
-    ``D(rho) = eps rho + (1 - eps) I/d``.  ``D`` maps ``I/d`` to itself and
-    commutes with every unitary conjugation, so the ``n_gates`` channels
-    compose to one: the result is
-    ``eps^n_gates |psi><psi| + (1 - eps^n_gates) I/d`` for the noiseless
-    output ket ``psi``, the same identity ``rescale_expectation`` inverts.
-
-    Returns ``(state_or_rho, n_gates)``.
+    Depolarizing noise after each gate is ``apply_depolarizing`` of the
+    output with the returned gate count.  Returns ``(state, n_gates)``;
+    raises ``ValueError`` for ``steps < 1``, a bad label or a non-finite
+    ``crosstalk``.
     """
     n = initial.space.n_factors
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if not math.isfinite(crosstalk):
+        raise ValueError("crosstalk strength must be finite")
     for _, label in terms:
         if len(label) != n or any(ch not in PAULI_LABELS for ch in label):
             raise ValueError(f"label {label!r} needs one letter of IXYZ for each "
                              f"of the {n} register qubits")
-    eps = noise.gate_fidelity if noise else 1.0
-    delta0 = noise.crosstalk if noise else 0.0
     dt = t / steps
     gates = []
     for coeff, label in terms:
@@ -567,7 +546,7 @@ def trotter_embedded_circuit(terms: Sequence, t: float, steps: int,
             # U sigma_z U^dag = sigma_axis; gates are listed first-applied
             # first, so the list reads [U^dag, Rz, U].
             q, axis = support[0], label[support[0]]
-            rz = crosstalk_z_rotation(theta, q, n, delta0)
+            rz = crosstalk_z_rotation(theta, q, n, crosstalk)
             if axis == "Z":
                 gates.append(rz)
             else:
@@ -580,9 +559,5 @@ def trotter_embedded_circuit(terms: Sequence, t: float, steps: int,
 
     psi = initial.amplitudes
     for u in gates * steps:
-        psi = u @ psi
-    n_gates = steps * len(gates)
-    if eps < 1.0:
-        rho = np.outer(psi, psi.conj())
-        return DensityMatrix(initial.space, _depolarize(rho, eps ** n_gates)), n_gates
-    return PureState(initial.space, psi), n_gates
+        psi = u * psi if u.ndim == 1 else u @ psi  # a phase vector is a diagonal
+    return PureState(initial.space, psi), steps * len(gates)

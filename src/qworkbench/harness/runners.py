@@ -280,17 +280,18 @@ def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
     def one(t):
         ideal = qc.evolve(psi0, h, 0.0, t)
         row = [float(t), eqs.monotone(ideal, spec).value]
+        # per-gate depolarizing folds into one channel on the noiseless output
+        clean, n_gates = eqs.trotter_embedded_circuit(terms, t, steps, psi0)
+        rho = clean.to_density_matrix()
         for eps in eps_list:
-            noisy, n_gates = eqs.trotter_embedded_circuit(
-                terms, t, steps, psi0, noise=eqs.NoiseModel(gate_fidelity=eps))
+            noisy = eqs.apply_depolarizing(rho, eps, n_gates)
             row.append(eqs.monotone(noisy, spec).value)
             try:
                 row.append(eqs.monotone(noisy, spec, rescale=(eps, n_gates)).value)
             except ValueError as exc:  # the weight eps^n_gates underflowed
                 raise InvariantBreach(f"t = {t}: {exc}") from exc
         for delta0 in xtalk_list:
-            skew, _ = eqs.trotter_embedded_circuit(
-                terms, t, steps, psi0, noise=eqs.NoiseModel(crosstalk=delta0))
+            skew, _ = eqs.trotter_embedded_circuit(terms, t, steps, psi0, crosstalk=delta0)
             row.append(eqs.monotone(skew, spec).value)
         return tuple(row)
 

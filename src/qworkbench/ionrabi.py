@@ -41,14 +41,13 @@ from .qcore import (
     TruncationError,
     carry,
     evolve,
-    expm,
     kron_all,
     on_factors,
+    pauli_rotation,
     propagator,
     shot_means,
     shot_uniforms,
 )
-from .qcore.operators import SIGMA_Y
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +683,7 @@ def _dispersive_calibration(db: int, delta_ratio: float, eps_frac: float,
     off_e, off_g = float(np.angle(u_plus[0, 0])), float(np.angle(u_plus[db, db]))
     flip = np.r_[db:2 * db, 0:db]             # X = sigma_x (x) 1 as an index swap
     u_minus = u_plus[np.ix_(flip, flip)]
-    axis_rot = kron_all([expm(-1j * t_star * SIGMA_Y), np.eye(db)])  # u sz u^dag = sx
+    axis_rot = kron_all([pauli_rotation("Y", t_star), np.eye(db)])  # u sz u^dag = sx
     readout = []
     for sign, u in ((1.0, u_plus), (-1.0, u_minus)):
         comp = np.repeat([cmath.exp(-1j * sign * off_e), cmath.exp(-1j * sign * off_g)], db)

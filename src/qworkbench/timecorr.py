@@ -157,26 +157,27 @@ def _protocol_terms(op: OperatorSum) -> list:
 
     On a qubit-only space these are the Pauli strings of
     ``qcore.pauli_terms``, in its sorted label order, so chain j of a
-    correlator keeps its shot stream.  With bosonic factors the operator
-    must be one term with Pauli letters on the qubits and ``I`` on every
-    mode but at most one ``x``: a Pauli string P or a spin-boson operator
-    ``B = P (x) (a + a^dag)``, returned at unit weight with the term's
-    coefficient.  ``-i P`` is unitary; ``-i B`` is not, so shots cannot be
-    sampled for it.
+    correlator keeps its shot stream.  With bosonic factors the operator is
+    read term by term, in its own order; each term must have Pauli letters
+    on the qubits and ``I`` on every mode but at most one ``x``: a Pauli
+    string P or a spin-boson operator ``B = P (x) (a + a^dag)``, returned
+    at unit weight with the term's coefficient.  ``-i P`` is unitary;
+    ``-i B`` is not, so shots cannot be sampled for it.
     """
     space = op.space
     if space.is_qubit_only:
         return [(q, dense_pauli(lbl)) for q, lbl in pauli_terms(op)]
-    if len(op.terms) == 1:
-        coeff, factors = op.terms[0]
+    out = []
+    for coeff, factors in op.terms:
         qubits = {code for f, code in zip(space.factors, factors) if isinstance(f, Qubit)}
         modes = [code for f, code in zip(space.factors, factors) if not isinstance(f, Qubit)]
-        if qubits <= set(PAULI_LABELS) and set(modes) <= {"I", "x"} and modes.count("x") <= 1:
-            return [(coeff, OperatorSum(space, [(1.0, factors)]).matrix())]
-    raise ValueError(
-        "with bosonic factors an operator must be one term: a Pauli string, "
-        "or one with (a + a^dag) on one mode; cannot expand for the ancilla protocol"
-    )
+        if not (qubits <= set(PAULI_LABELS) and set(modes) <= {"I", "x"}
+                and modes.count("x") <= 1):
+            raise ValueError(
+                "with bosonic factors each term must be a Pauli string, or one "
+                "with (a + a^dag) on one mode; cannot expand for the ancilla protocol")
+        out.append((coeff, OperatorSum(space, [(1.0, factors)]).matrix()))
+    return out
 
 
 def _segment_propagators(spec: CorrelationSpec) -> list:
@@ -210,8 +211,8 @@ def correlation_ancilla(spec: CorrelationSpec, plan: ShotPlan | None = None) -> 
 
     On a qubit-only space each operator is read as its Pauli strings
     (``qcore.pauli_terms``; a zero-weight string drops out); with bosonic
-    factors it must be one Pauli string P or one spin-boson term
-    ``B = P (x) (a + a^dag)``, with any complex weight.  Each Hermitian
+    factors it is read term by term, each a Pauli string P or a spin-boson
+    term ``B = P (x) (a + a^dag)``, with any complex weight.  Each Hermitian
     term M is the gate ``-i M``.  A chain takes one term per operator, in
     ``itertools.product`` order, and runs the protocol once over segment
     propagators computed once for all chains; the correlator is the sum
@@ -227,11 +228,11 @@ def correlation_ancilla(spec: CorrelationSpec, plan: ShotPlan | None = None) -> 
               for op in spec.operators]
     if plan is not None and not spec.system.is_qubit_only:
         for k, op in enumerate(spec.operators):
-            weight, factors = op.terms[0]
-            if "x" in factors:
-                raise ValueError(f"operator {k}, {weight} * {' (x) '.join(factors)}, is "
-                                 "spin-boson: its gate -iB is not unitary, so shots "
-                                 "cannot be sampled")
+            for weight, factors in op.terms:
+                if "x" in factors:
+                    raise ValueError(f"operator {k}, {weight} * {' (x) '.join(factors)}, is "
+                                     "spin-boson: its gate -iB is not unitary, so shots "
+                                     "cannot be sampled")
     phase = 1j ** spec.order
     segments = _segment_propagators(spec)
     total = 0.0 + 0.0j

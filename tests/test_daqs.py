@@ -607,7 +607,9 @@ def _per_count_cqed(omega_r, omega_q, g, t, steps, n_qubits, n_max, split, noise
     h_exact = daqs.rabi_hamiltonian_dense(n_qubits, db, omega_r, omega_q, g)
     reference = qc.evolve(initial, qc.Schedule.constant(h_exact, space), 0.0, t)
     if noise is None:
-        u_step = qc.expm(-1j * h1 * tau) @ flip @ qc.expm(-1j * h2_tilde * tau) @ flip.conj().T
+        u_step = (qc.propagator(qc.Schedule.constant(h1, space), 0.0, tau) @ flip
+                  @ qc.propagator(qc.Schedule.constant(h2_tilde, space), 0.0, tau)
+                  @ flip.conj().T)
         final = qc.PureState(space, np.linalg.matrix_power(u_step, steps) @ initial.amplitudes)
         fid = float(abs(np.vdot(reference.amplitudes, final.amplitudes)) ** 2)
     else:
@@ -650,11 +652,13 @@ def test_cqed_step_sweep_equals_per_count_runs(n_qubits, split, noise, counts):
 
 
 def test_cqed_scenario_exponentiates_per_count_only(monkeypatch):
-    # per preset: one eigh for the flip, one for the exact reference and two
-    # per step count (5 counts), 48 in all; 80 when every count rebuilt them
+    # per preset (4 presets): one eigh for the flip, one for the exact
+    # reference and one for each Jaynes-Cummings schedule, whatever the step
+    # count, 16 in all; 48 when each of the 5 counts exponentiated its own
+    # steps, 80 when every count rebuilt everything
     importlib.import_module("qworkbench.harness.runners")
     eighs = []
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m.shape) or real_eigh(m))
     harness.run_scenario(harness.ScenarioConfig("cqed-rabi"))
-    assert 0 < len(eighs) <= 48
+    assert 0 < len(eighs) <= 16

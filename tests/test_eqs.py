@@ -211,9 +211,8 @@ def test_monotone_readout_matches_direct_conjugation(kind, n):
         h = qc.OperatorSum(space, zip(rng.standard_normal(4), rng.choice(
             all_pauli_labels(n), size=4)))
         terms = [(c.real, "".join(f)) for c, f in eqs.embed_hamiltonian(h).terms]
-        clean, _ = eqs.trotter_embedded_circuit(terms, 0.4, 3, tilde)
-        noisy, n_gates = eqs.trotter_embedded_circuit(
-            terms, 0.4, 3, tilde, noise=eqs.NoiseModel(gate_fidelity=0.98))
+        clean, n_gates = eqs.trotter_embedded_circuit(terms, 0.4, 3, tilde)
+        noisy = eqs.apply_depolarizing(clean.to_density_matrix(), 0.98, n_gates)
         expected = direct_monotone(eqs.decode_state(clean), kind, n)
         assert abs(eqs.monotone(noisy, spec, rescale=(0.98, n_gates)).value
                    - expected) < 1e-12
@@ -491,7 +490,7 @@ def test_cost_ratio_small_for_realistic_fidelities():
 
 
 def test_crosstalk_zero_reproduces_clean_rotation():
-    u = eqs.crosstalk_z_rotation(0.7, qubit=1, n=3, delta0=0.0)
+    u = np.diag(eqs.crosstalk_z_rotation(0.7, qubit=1, n=3, delta0=0.0))
     clean = expm(-1j * 0.35 * qc.dense_pauli("IZI"))
     assert np.max(np.abs(u - clean)) < 1e-14
 
@@ -506,9 +505,8 @@ def test_trotter_circuit_clean_limit_and_noise():
     exact = expm(-1j * h * t) @ psi0.amplitudes
     assert abs(abs(np.vdot(exact, clean.amplitudes)) ** 2 - 1.0) < 1e-3
     # crosstalk off == plain circuit, channel-wise depolarizing invertible
-    noisy, ng = eqs.trotter_embedded_circuit(terms, t, steps=6, initial=psi0,
-                                             noise=eqs.NoiseModel(gate_fidelity=0.97))
-    ref, _ = eqs.trotter_embedded_circuit(terms, t, steps=6, initial=psi0)
+    ref, ng = eqs.trotter_embedded_circuit(terms, t, steps=6, initial=psi0)
+    noisy = eqs.apply_depolarizing(ref.to_density_matrix(), 0.97, ng)
     o = qc.dense_pauli("ZII")
     measured = float(np.real(np.trace(o @ noisy.matrix)))
     ideal = float(np.real(np.vdot(ref.amplitudes, o @ ref.amplitudes)))
@@ -519,9 +517,9 @@ def test_trotter_circuit_crosstalk_changes_dynamics():
     terms = [(1.0, "IYI"), (1.0, "IIY"), (-2.0, "YXX")]
     psi0 = qc.basis_state(qc.HilbertSpace.qubits(3), [0, 0, 0])
     base, _ = eqs.trotter_embedded_circuit(terms, 0.6, steps=6, initial=psi0,
-                                           noise=eqs.NoiseModel(1.0, crosstalk=0.0))
+                                           crosstalk=0.0)
     skew, _ = eqs.trotter_embedded_circuit(terms, 0.6, steps=6, initial=psi0,
-                                           noise=eqs.NoiseModel(1.0, crosstalk=0.05))
+                                           crosstalk=0.05)
     clean, _ = eqs.trotter_embedded_circuit(terms, 0.6, steps=6, initial=psi0)
     assert np.max(np.abs(base.amplitudes - clean.amplitudes)) < 1e-12
     assert np.max(np.abs(skew.amplitudes - clean.amplitudes)) > 1e-4
@@ -531,7 +529,6 @@ def test_trotter_circuit_builds_each_rotation_once(monkeypatch):
     # three single-qubit rotations (Y, Y, Z) and one three-qubit exponential
     terms = [(1.0, "IYI"), (1.0, "IIY"), (-2.0, "YXX"), (0.4, "ZII")]
     psi0 = qc.basis_state(qc.HilbertSpace.qubits(3), [0, 0, 0])
-    noise = eqs.NoiseModel(0.98, crosstalk=0.05)
     calls = []
     original = eqs.crosstalk_z_rotation
 
@@ -543,22 +540,24 @@ def test_trotter_circuit_builds_each_rotation_once(monkeypatch):
     for steps in (1, 6, 24):
         calls.clear()
         _, n_gates = eqs.trotter_embedded_circuit(terms, 0.6, steps=steps,
-                                                  initial=psi0, noise=noise)
+                                                  initial=psi0, crosstalk=0.05)
         assert len(calls) == 3
         assert n_gates == steps * (3 + 3 + 1 + 1)
 
 
-def _per_gate_density_loop(terms, t, steps, initial, noise):
+def _per_gate_density_loop(terms, t, steps, initial, eps, crosstalk):
     """The circuit as a per-gate density-matrix loop: every gate is
     exponentiated densely and followed by its own depolarizing channel."""
     n = initial.space.n_factors
+    delta = np.eye(n)  # Delta_{k,q}: 1 on the qubit, crosstalk on its neighbors
+    for k in range(n - 1):
+        delta[k, k + 1] = delta[k + 1, k] = crosstalk
     dt = t / steps
     gates = []
     for coeff, label in terms:
         support = [i for i, ch in enumerate(label) if ch != "I"]
         if len(support) == 1:
             q, axis = support[0], label[support[0]]
-            delta = noise.crosstalk_matrix(n)
             gen = sum(delta[k, q] * qc.dense_pauli("I" * k + "Z" + "I" * (n - k - 1))
                       for k in range(n))
             rz = qc.expm(-1j * coeff * dt * gen)
@@ -573,7 +572,6 @@ def _per_gate_density_loop(terms, t, steps, initial, noise):
         else:
             gates.append(qc.expm(-1j * coeff * dt * qc.dense_pauli(label)))
     rho = initial.to_density_matrix().matrix
-    eps = noise.gate_fidelity
     for u in gates * steps:
         rho = eps * (u @ rho @ u.conj().T) + (1.0 - eps) * np.eye(2 ** n) / 2 ** n
     return rho, steps * len(gates)
@@ -586,31 +584,32 @@ def test_folded_depolarizing_matches_per_gate_loop(crosstalk):
     terms = [(1.0, "IYII"), (1.0, "IIYI"), (0.6, "IIIX"), (0.3, "ZIII"), (-2.0, "YXXX")]
     psi0 = qc.basis_state(qc.HilbertSpace.qubits(4), [0, 0, 0, 0])
     for eps in (0.99, 0.9):
-        noise = eqs.NoiseModel(eps, crosstalk=crosstalk)
         for t in (0.25, 3.0):
-            noisy, n_gates = eqs.trotter_embedded_circuit(terms, t, 6, psi0, noise=noise)
-            rho, n_ref = _per_gate_density_loop(terms, t, 6, psi0, noise)
+            ket, n_gates = eqs.trotter_embedded_circuit(terms, t, 6, psi0, crosstalk=crosstalk)
+            noisy = eqs.apply_depolarizing(ket.to_density_matrix(), eps, n_gates)
+            rho, n_ref = _per_gate_density_loop(terms, t, 6, psi0, eps, crosstalk)
             assert n_gates == n_ref
             assert np.max(np.abs(noisy.matrix - rho)) < 1e-14
 
 
 def test_trotter_circuit_calls_no_eigh(monkeypatch):
-    # every gate is in closed form: Pauli rotations and diagonal z rotations
+    # every gate is in closed form: Pauli rotations and z-rotation phase vectors
     calls = []
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape))
     terms = [(1.0, "IYI"), (1.0, "IIX"), (-2.0, "YXX"), (0.4, "ZII")]
     psi0 = qc.basis_state(qc.HilbertSpace.qubits(3), [0, 0, 0])
-    for noise in (None, eqs.NoiseModel(0.98, crosstalk=0.05)):
-        eqs.trotter_embedded_circuit(terms, 0.6, steps=4, initial=psi0, noise=noise)
+    for crosstalk in (0.0, 0.05):
+        eqs.trotter_embedded_circuit(terms, 0.6, steps=4, initial=psi0, crosstalk=crosstalk)
     assert calls == []
 
 
 def test_noise_model_rejects_non_finite_values():
+    psi0 = qc.basis_state(qc.HilbertSpace.qubits(2), [0, 0])
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            eqs.NoiseModel(crosstalk=bad)
-        with pytest.raises(ValueError):
-            eqs.NoiseModel(gate_fidelity=bad)
+        with pytest.raises(ValueError, match="finite"):
+            eqs.trotter_embedded_circuit([(1.0, "XI")], 0.5, 2, psi0, crosstalk=bad)
+        with pytest.raises(ValueError, match="epsilon"):
+            eqs.apply_depolarizing(psi0.to_density_matrix(), bad, 3)
 
 
 @pytest.mark.parametrize("steps", [0, -2])

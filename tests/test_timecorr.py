@@ -388,6 +388,26 @@ def test_bosonic_zero_weight_flagged_operator_is_zero():
     assert tc.correlation_exact(spec) == 0j
 
 
+def test_bosonic_zero_operator_is_zero():
+    # no terms, no chains: 0j, as the exact correlator gives
+    space = qc.HilbertSpace.qubit_boson(n_max=4)
+    ops = (qc.OperatorSum.single(space, 0, "X"), qc.OperatorSum.zero(space))
+    spec = tc.CorrelationSpec(jc_schedule(space, 1.0), (0.0, 0.6), ops,
+                              qc.basis_state(space, [0, 1]))
+    assert tc.correlation_ancilla(spec) == 0j
+    assert tc.correlation_exact(spec) == 0j
+
+
+def test_bosonic_sum_of_spin_boson_terms_matches_exact():
+    # X (x) x + Y (x) x is read term by term, one gate -iB per term
+    space = qc.HilbertSpace.qubit_boson(n_max=4)
+    ops = (qc.OperatorSum(space, [(1.0, ("X", "x")), (1.0, ("Y", "x"))]),
+           qc.OperatorSum.single(space, 0, "Z"))
+    spec = tc.CorrelationSpec(jc_schedule(space, 0.8), (0.0, 0.7), ops,
+                              seeded_low_photon_state(space, n_low=2))
+    assert abs(tc.correlation_ancilla(spec) - tc.correlation_exact(spec)) < 1e-12
+
+
 def seeded_low_photon_state(space, n_low=3, seed=7):
     # random amplitudes on photon numbers 0..n_low of every qubit level
     rng = np.random.default_rng(seed)
@@ -484,6 +504,11 @@ def test_sampling_refuses_a_spin_boson_operator():
                               qc.basis_state(space, [0, 0]))
     with pytest.raises(ValueError, match=r"^operator 1, \(0\.5\+0j\) \* Z \(x\) x, is spin-boson"):
         tc.correlation_ancilla(spec, tc.ShotPlan(shots=8))
+    # every term is checked, not only the first
+    mixed = qc.OperatorSum(space, [(1.0, ("X", "I")), (0.5, ("Z", "x"))])
+    with pytest.raises(ValueError, match=r"^operator 0, \(0\.5\+0j\) \* Z \(x\) x, is spin-boson"):
+        tc.correlation_ancilla(tc.CorrelationSpec(spec.evolution, spec.times, (mixed, ops[0]),
+                                                  spec.initial), tc.ShotPlan(shots=8))
     # Pauli strings on the same space still sample
     pauli_only = tc.CorrelationSpec(spec.evolution, spec.times, (ops[0], ops[0]), spec.initial)
     tc.correlation_ancilla(pauli_only, tc.ShotPlan(shots=8))
