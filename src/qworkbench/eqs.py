@@ -18,8 +18,9 @@ diag(-1, 1, 0, 1) of Osterloh & Siewert, PRA 72, 012337 (2005).
 Also here: the entangling-gate compiler from collective-spin interactions,
 the controlled-Z circuit identity for the three-qubit embedded evolution,
 single-site readout of dressed Pauli observables, the depolarizing channel
-with its exact inversion, and the embedded Trotter circuit whose single-qubit
-z rotations leak onto their neighbors (crosstalk).
+with its exact inversion, and the embedded Trotter circuit, a list of Pauli
+rotations each applied to the ket in O(d) by ``qcore.pauli_apply``, whose
+single-qubit z rotations leak onto their neighbors (crosstalk).
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ from .qcore import (
     expm,
     kron_all,
     on_factors,
+    pauli_apply,
     pauli_product,
     pauli_rotation,
 )
@@ -216,7 +218,7 @@ def monotone(state: PureState | DensityMatrix, spec: MonotoneSpec,
 def concurrence_direct(psi: PureState | np.ndarray) -> float:
     """|<psi|sigma_y (x) sigma_y|psi*>| evaluated without the embedding."""
     amps = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, complex)
-    return float(abs(np.vdot(amps, dense_pauli("YY") @ amps.conj())))
+    return float(abs(np.vdot(amps, pauli_apply("YY", amps.conj()))))
 
 
 # ---------------------------------------------------------------------------
@@ -477,21 +479,6 @@ def rescale_expectation(measured: float, epsilon: float, n_gates: int,
     return (measured - (1.0 - weight) * tr / d) / weight
 
 
-def crosstalk_z_rotation(theta: float, qubit: int, n: int, delta0: float) -> np.ndarray:
-    """Phase vector of exp(-i theta/2 sum_k Delta_k sigma_z^k): a z rotation
-    of ``qubit`` (Delta = 1) that leaks onto its nearest neighbors
-    (Delta = ``delta0``).
-
-    The generator is a sum of z's, so the rotation is the diagonal matrix
-    of these phases; no exponential is computed."""
-    delta = {k: delta0 for k in (qubit - 1, qubit + 1) if 0 <= k < n}
-    delta[qubit] = 1.0
-    z, one = PAULIS["Z"].diagonal(), PAULIS["I"].diagonal()
-    gen = sum(delta[k] * kron_all([z if j == k else one for j in range(n)])
-              for k in sorted(delta))
-    return np.exp(-1j * 0.5 * theta * gen)
-
-
 def cost_ratio(n_qubits: int, n_observables: int, epsilon: float, delta: float) -> float:
     """Measurement-cost ratio of the embedding route versus full tomography,
     ``l (delta / (sqrt(3) eps))^{2 N}``, with a gate count that grows like
@@ -512,18 +499,19 @@ def trotter_embedded_circuit(terms: Sequence, t: float, steps: int,
 
     ``terms`` is a list of (coeff, label), each label one letter of ``IXYZ``
     per register qubit; each of the ``steps >= 1`` steps applies
-    ``exp(-i coeff label t/steps)`` for every term.  Single-qubit rotations
-    are compiled through z rotations so the crosstalk model (which affects
-    only z rotations, leaking a finite fraction ``crosstalk`` onto each
-    nearest neighbor) acts on them; multi-qubit exponentials are applied
-    exactly.  Every gate is built once, in closed form, before the step
-    loop (``pauli_rotation`` for Pauli exponentials, a phase vector for the
-    z rotations), and each step applies the same list to the ket.
+    ``exp(-i coeff label dt)``, dt = t/steps, for every term.  Every gate is
+    a Pauli rotation exp(-i phi P), applied to the ket as
+    ``cos(phi) psi - i sin(phi) P psi`` with ``pauli_apply``, so no d x d
+    matrix is formed.  A single-qubit rotation is compiled as U Rz U^dag
+    (U sigma_z U^dag = the axis; 3 gates, 1 for a z axis), and its Rz leaks
+    a fraction ``crosstalk`` onto each nearest neighbor; the leaked
+    exp(-i crosstalk coeff dt sigma_z^k) commutes with U, so it follows the
+    rotation as one more Pauli rotation.
 
     Depolarizing noise after each gate is ``apply_depolarizing`` of the
-    output with the returned gate count.  Returns ``(state, n_gates)``;
-    raises ``ValueError`` for ``steps < 1``, a bad label or a non-finite
-    ``crosstalk``.
+    output with the returned gate count, the compiled circuit's.  Returns
+    ``(state, n_gates)``; raises ``ValueError`` for ``steps < 1``, a bad
+    label or a non-finite ``crosstalk``.
     """
     n = initial.space.n_factors
     if steps < 1:
@@ -535,29 +523,21 @@ def trotter_embedded_circuit(terms: Sequence, t: float, steps: int,
             raise ValueError(f"label {label!r} needs one letter of IXYZ for each "
                              f"of the {n} register qubits")
     dt = t / steps
-    gates = []
+    rotations, n_gates = [], 0  # (phi, label) for exp(-i phi P(label))
     for coeff, label in terms:
+        rotations.append((coeff * dt, label))
         support = [i for i, ch in enumerate(label) if ch != "I"]
-        theta = 2.0 * coeff * dt  # exp(-i coeff P dt) = Rp(2 coeff dt) convention
         if len(support) == 1:
-            # single-qubit rotations run through Rz so the crosstalk model
-            # (which leaks z rotations onto neighbors) acts on them:
-            # exp(-i theta/2 sigma_axis) = U Rz(theta) U^dag with
-            # U sigma_z U^dag = sigma_axis; gates are listed first-applied
-            # first, so the list reads [U^dag, Rz, U].
-            q, axis = support[0], label[support[0]]
-            rz = crosstalk_z_rotation(theta, q, n, crosstalk)
-            if axis == "Z":
-                gates.append(rz)
-            else:
-                gen = "Y" if axis == "X" else "X"
-                angle = math.pi / 4.0 if axis == "X" else -math.pi / 4.0
-                u = pauli_rotation("I" * q + gen + "I" * (n - q - 1), angle)
-                gates.extend([u.conj().T, rz, u])
+            q = support[0]
+            n_gates += 1 if label[q] == "Z" else 3
+            if crosstalk:
+                rotations += [(crosstalk * coeff * dt, "I" * k + "Z" + "I" * (n - k - 1))
+                              for k in (q - 1, q + 1) if 0 <= k < n]
         else:
-            gates.append(pauli_rotation(label, coeff * dt))
+            n_gates += 1
 
     psi = initial.amplitudes
-    for u in gates * steps:
-        psi = u * psi if u.ndim == 1 else u @ psi  # a phase vector is a diagonal
-    return PureState(initial.space, psi), steps * len(gates)
+    for _ in range(steps):
+        for phi, label in rotations:
+            psi = math.cos(phi) * psi - 1j * math.sin(phi) * pauli_apply(label, psi)
+    return PureState(initial.space, psi), steps * n_gates

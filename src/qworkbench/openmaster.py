@@ -31,7 +31,7 @@ product is formed, adjacent factors of a chain at one time slot multiply
 symbolically into one Pauli string and a phase (X X = I drops out), so a
 chain forms one stacked product per remaining factor but the last, which
 enters the trace as an elementwise sum.  Order 0 is not sampled:
-xi_0(t) = U(t) rho0 U(t)^dag, with U from ``qcore.propagator``.
+xi_0(t) = U(t) rho0 U(t)^dag, the state ``qcore.evolve`` returns.
 """
 from __future__ import annotations
 
@@ -50,6 +50,8 @@ from .qcore import (
     check_count,
     check_stream_key,
     dense_pauli,
+    evolve,
+    expectation,
     expm,
     expm_block_toeplitz,
     integrate,
@@ -135,7 +137,9 @@ class LindbladModel:
 # ---------------------------------------------------------------------------
 
 def _expectation(omat: np.ndarray, xi: np.ndarray) -> float:
-    return float(np.real(np.trace(omat @ xi)))
+    """Re Tr(O xi) as the d^2 sum of O_ij xi_ji, as ``qcore.expectation``
+    forms it; a Dyson term is no density matrix, so it stays a raw array."""
+    return float((omat * xi.T).sum().real)
 
 
 def apply_dissipator(l: np.ndarray, ldl: np.ndarray, g: float, xi: np.ndarray) -> np.ndarray:
@@ -478,8 +482,7 @@ def _monte_carlo_orders(model, observable, rho0, orders, t, plan) -> list:
         if n == 0:
             if t < 0.0:
                 raise ValueError(f"t must be >= 0, got {t}")
-            u = propagator(model.h, 0.0, t)
-            out.append(_expectation(observable.matrix(), u @ rho0.matrix @ u.conj().T))
+            out.append(expectation(evolve(rho0, model.h, 0.0, t), observable).real)
         elif model.n_channels == 0:
             out.append(0.0)
         else:

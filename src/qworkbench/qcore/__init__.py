@@ -32,6 +32,7 @@ from .operators import (
     dense_pauli,
     kron_all,
     on_factors,
+    pauli_apply,
     pauli_product,
     pauli_rotation,
     pauli_terms,

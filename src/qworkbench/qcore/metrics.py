@@ -28,7 +28,7 @@ def expectation(state: PureState | DensityMatrix, op: OperatorSum | np.ndarray) 
     if isinstance(state, PureState):
         value = complex(np.vdot(state.amplitudes, mat @ state.amplitudes))
     else:
-        value = complex(np.sum(mat * state.matrix.T))  # sum_ij O_ij rho_ji: d^2 work
+        value = complex((mat * state.matrix.T).sum())  # sum_ij O_ij rho_ji: d^2 work
 
     if hermitian:
         if abs(value.imag) >= 1e-10:

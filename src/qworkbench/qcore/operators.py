@@ -5,7 +5,9 @@ primitive codes into matrices in the factor order of ``qcore.spaces``,
 ``on_factors`` places codes on chosen factors with ``"I"`` on the rest,
 and ``dense_pauli`` and ``kron_all`` cover Pauli labels and explicit
 factor lists; ``pauli_rotation`` exponentiates a Pauli label in closed
-form.  No module outside ``qcore`` pads with identities by hand.
+form, and ``pauli_apply`` applies one to a ket or a column block in O(d)
+work per column, with no d x d matrix.  No module outside ``qcore`` pads
+with identities by hand.
 ``pauli_terms`` reads a qubit operator as a sum of Pauli strings from its
 own terms, and ``pauli_product`` multiplies two Pauli strings, both
 symbolically.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -290,6 +293,42 @@ def pauli_rotation(label: str, theta: float) -> np.ndarray:
     u *= -1j * math.sin(theta)
     u.flat[::u.shape[0] + 1] += math.cos(theta)  # the diagonal
     return u
+
+
+@lru_cache(maxsize=256)
+def _pauli_action(label: str) -> tuple:
+    """(perm, phase), read-only, with P(label) @ y = phase * y[perm].
+
+    Row r of a Pauli matrix has its one nonzero entry in column r ^ f, f = 1
+    for X and Y, so P maps row k to column k xor x, x marking the X and Y
+    letters (qubit 0 the most significant bit).  ``phase`` is ``kron_all``
+    of those entries, i^(n_Y) times a vector of +-1."""
+    if not label:
+        raise ValueError("a Pauli label needs at least one letter")
+    try:
+        mats = [PAULIS[ch] for ch in label]
+    except KeyError as exc:
+        raise ValueError(f"bad Pauli letter {exc.args[0]!r} in {label!r}") from None
+    flips = [int(ch in "XY") for ch in label]
+    phase = kron_all([m[(0, 1), (f, 1 - f)] for m, f in zip(mats, flips)])
+    perm = np.arange(phase.size) ^ int("".join(map(str, flips)), 2)
+    phase.setflags(write=False)
+    perm.setflags(write=False)
+    return perm, phase
+
+
+def pauli_apply(label: str, y: np.ndarray) -> np.ndarray:
+    """P(label) @ y for a ket of shape (d,) or a column block of shape (d, m),
+    in O(d) work per column and with no d x d matrix: one index permutation
+    and one phase vector, cached per label.  Equal to ``dense_pauli(label) @
+    y`` exactly, since each row of P has one nonzero entry, a power of i.
+    Raises ``ValueError`` for an empty label, a letter other than ``I X Y Z``
+    or a ``y`` whose first axis is not 2^len(label) long."""
+    perm, phase = _pauli_action(label)
+    y = np.asarray(y)
+    if y.ndim not in (1, 2) or y.shape[0] != phase.size:
+        raise ValueError(f"{label!r} acts on {phase.size} rows, not on shape {y.shape}")
+    return (phase if y.ndim == 1 else phase[:, None]) * y[perm]
 
 
 def pauli_product(a: str, b: str) -> tuple:

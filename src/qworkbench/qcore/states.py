@@ -57,7 +57,7 @@ class DensityMatrix:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (space.dim, space.dim):
             raise ValueError(f"matrix of shape {matrix.shape} on a space of dimension {space.dim}")
-        herm_defect = float(np.max(np.abs(matrix - matrix.conj().T)))
+        herm_defect = float(np.abs(matrix - matrix.conj().T).max())
         if herm_defect > 1e-10:
             raise ValueError(f"density matrix has Hermiticity defect {herm_defect:.3e}")
         self.space = space
@@ -67,7 +67,7 @@ class DensityMatrix:
 
     @property
     def trace_error(self) -> float:
-        return abs(complex(np.trace(self.matrix)) - 1.0)
+        return abs(complex(self.matrix.trace()) - 1.0)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.space.dim})"

@@ -1,5 +1,7 @@
 """Embedding simulator, monotones, gate compilation, and noise inversion."""
 import math
+import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -489,12 +491,6 @@ def test_cost_ratio_small_for_realistic_fidelities():
     assert ratio == pytest.approx(explicit, rel=1e-12)
 
 
-def test_crosstalk_zero_reproduces_clean_rotation():
-    u = np.diag(eqs.crosstalk_z_rotation(0.7, qubit=1, n=3, delta0=0.0))
-    clean = expm(-1j * 0.35 * qc.dense_pauli("IZI"))
-    assert np.max(np.abs(u - clean)) < 1e-14
-
-
 def test_trotter_circuit_clean_limit_and_noise():
     # H~ = w1 Y1 + w2 Y2 - g Y0 X1 X2 on three qubits (embedded Ising form)
     terms = [(1.0, "IYI"), (1.0, "IIY"), (-2.0, "YXX")]
@@ -526,22 +522,24 @@ def test_trotter_circuit_crosstalk_changes_dynamics():
 
 
 def test_trotter_circuit_builds_each_rotation_once(monkeypatch):
-    # three single-qubit rotations (Y, Y, Z) and one three-qubit exponential
+    # three single-qubit rotations (Y, Y, Z) and one three-qubit exponential;
+    # with crosstalk each single-qubit rotation is followed by one z rotation
+    # per neighbor, so a step applies 3 + 2 + 1 + 2 Pauli rotations
     terms = [(1.0, "IYI"), (1.0, "IIY"), (-2.0, "YXX"), (0.4, "ZII")]
     psi0 = qc.basis_state(qc.HilbertSpace.qubits(3), [0, 0, 0])
     calls = []
-    original = eqs.crosstalk_z_rotation
+    original = eqs.pauli_apply
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(label, y):
+        calls.append(label)
+        return original(label, y)
 
-    monkeypatch.setattr(eqs, "crosstalk_z_rotation", counted)
+    monkeypatch.setattr(eqs, "pauli_apply", counted)
     for steps in (1, 6, 24):
         calls.clear()
         _, n_gates = eqs.trotter_embedded_circuit(terms, 0.6, steps=steps,
                                                   initial=psi0, crosstalk=0.05)
-        assert len(calls) == 3
+        assert len(calls) == steps * (3 + 2 + 1 + 2)
         assert n_gates == steps * (3 + 3 + 1 + 1)
 
 
@@ -593,7 +591,8 @@ def test_folded_depolarizing_matches_per_gate_loop(crosstalk):
 
 
 def test_trotter_circuit_calls_no_eigh(monkeypatch):
-    # every gate is in closed form: Pauli rotations and z-rotation phase vectors
+    # every gate, the crosstalk z rotations included, is a Pauli rotation
+    # applied in closed form through pauli_apply
     calls = []
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape))
     terms = [(1.0, "IYI"), (1.0, "IIX"), (-2.0, "YXX"), (0.4, "ZII")]
@@ -601,6 +600,80 @@ def test_trotter_circuit_calls_no_eigh(monkeypatch):
     for crosstalk in (0.0, 0.05):
         eqs.trotter_embedded_circuit(terms, 0.6, steps=4, initial=psi0, crosstalk=crosstalk)
     assert calls == []
+
+
+def _chain_terms(n, rng):
+    """Nearest-neighbor XX, YY and ZZ bonds, one single-qubit field per qubit
+    with its axis cycling X, Y, Z, and one random string, seeded weights."""
+    def site(letters, q):
+        return "I" * q + letters + "I" * (n - q - len(letters))
+
+    terms = [(rng.uniform(0.5, 1.5), site(2 * a, q)) for q in range(n - 1) for a in "XYZ"]
+    terms += [(rng.uniform(-1.0, 1.0), site("XYZ"[q % 3], q)) for q in range(n)]
+    return terms + [(rng.uniform(-1.0, 1.0), "".join(rng.choice(list("IXYZ"), size=n)))]
+
+
+def _per_gate_ket_loop(terms, t, steps, initial, crosstalk):
+    """The circuit as a dense per-gate loop on the ket, its gates built as
+    ``_per_gate_density_loop`` builds them: every gate exponentiated densely,
+    a single-qubit rotation as U Rz U^dag with the leaking Rz."""
+    n = initial.space.n_factors
+    dt = t / steps
+    gates = []
+    for coeff, label in terms:
+        support = [i for i, ch in enumerate(label) if ch != "I"]
+        if len(support) == 1:
+            q, axis = support[0], label[support[0]]
+            gen = sum((1.0 if k == q else crosstalk)
+                      * qc.dense_pauli("I" * k + "Z" + "I" * (n - k - 1))
+                      for k in range(max(q - 1, 0), min(q + 2, n)))
+            rz = qc.expm(-1j * coeff * dt * gen)
+            if axis == "Z":
+                gates.append(rz)
+            else:
+                sgn = -1.0 if axis == "X" else +1.0
+                u = qc.expm(sgn * 1j * math.pi / 4.0 * qc.dense_pauli(
+                    "I" * q + ("Y" if axis == "X" else "X") + "I" * (n - q - 1)))
+                gates.extend([u.conj().T, rz, u])
+        else:
+            gates.append(qc.expm(-1j * coeff * dt * qc.dense_pauli(label)))
+    psi = initial.amplitudes
+    for u in gates * steps:
+        psi = u @ psi
+    return psi, steps * len(gates)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("crosstalk", [0.0, 0.05])
+def test_trotter_circuit_matches_dense_per_gate_ket_loop(n, crosstalk):
+    rng = np.random.default_rng(380 + n)
+    terms = _chain_terms(n, rng)
+    psi0 = qc.random_pure_state(qc.HilbertSpace.qubits(n), rng)
+    ket, n_gates = eqs.trotter_embedded_circuit(terms, 0.7, 3, psi0, crosstalk=crosstalk)
+    ref, n_ref = _per_gate_ket_loop(terms, 0.7, 3, psi0, crosstalk)
+    assert n_gates == n_ref
+    assert np.max(np.abs(ket.amplitudes - ref)) < 1e-13
+
+
+def test_trotter_circuit_runs_twelve_qubits_in_o_d_memory():
+    # a dense gate list would need about 18 GiB here; the Pauli rotations
+    # act on the ket, so the run stays within a few kets' memory
+    n = 12
+    terms = [(1.0, "I" * q + 2 * a + "I" * (n - q - 2)) for q in range(n - 1) for a in "XYZ"]
+    terms += [(0.7, "I" * q + "X" + "I" * (n - q - 1)) for q in range(n)]
+    psi0 = qc.random_pure_state(qc.HilbertSpace.qubits(n), np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        ket, n_gates = eqs.trotter_embedded_circuit(terms, 1.0, 4, psi0, crosstalk=0.02)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_gates == 4 * (3 * (n - 1) + 3 * n)
+    assert elapsed < 1.0
+    assert peak < 100 * 2 ** 20
+    assert ket.norm_error < 1e-12
 
 
 def test_noise_model_rejects_non_finite_values():

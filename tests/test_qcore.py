@@ -608,6 +608,36 @@ def test_pauli_rotation_matches_expm():
                 assert np.max(np.abs(u - qc.expm(-1j * theta * p))) < 1e-15
 
 
+def test_pauli_apply_equals_the_dense_product():
+    # one index permutation and one phase vector give dense_pauli(label) @ y
+    # exactly: every label of 1-4 qubits and 50 random 8-qubit labels, on a
+    # ket and on a (d, 3) column block
+    rng = np.random.default_rng(38)
+    labels = [label for n in range(1, 5) for label in all_pauli_labels(n)]
+    labels += ["".join(rng.choice(list("IXYZ"), size=8)) for _ in range(50)]
+    for label in labels:
+        d = 2 ** len(label)
+        for shape in ((d,), (d, 3)):
+            y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.array_equal(qc.pauli_apply(label, y), qc.dense_pauli(label) @ y)
+
+
+def test_pauli_apply_checks_its_inputs_and_caches_read_only_arrays():
+    with pytest.raises(ValueError, match="bad Pauli letter"):
+        qc.pauli_apply("XQ", np.ones(4))
+    with pytest.raises(ValueError, match="at least one letter"):
+        qc.pauli_apply("", np.ones(1))
+    for bad in (np.ones(8), np.ones((2, 2)), np.ones((4, 2, 2))):
+        with pytest.raises(ValueError):
+            qc.pauli_apply("XY", bad)
+    operators = importlib.import_module("qworkbench.qcore.operators")
+    perm, phase = operators._pauli_action("XYZ")
+    assert operators._pauli_action("XYZ")[1] is phase
+    for cached in (perm, phase):
+        with pytest.raises(ValueError):
+            cached[0] = 0
+
+
 def test_no_module_outside_qcore_exponentiates_dense_pauli():
     # qcore.pauli_rotation is the one way to exponentiate a Pauli string;
     # an expm of a dense_pauli(...) expression writes it out again
