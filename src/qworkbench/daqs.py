@@ -348,11 +348,11 @@ def xy_block_physical(j_coupling: float, delta_mode: float, delta_spin: float,
 
     times = np.asarray(list(times), dtype=float)
     trace = evolve_trace(psi0, sched, times, tol=tol)
+    ideals = evolve_trace(spin0, ideal_sched, times)
     fids = np.empty(times.size)
-    for k, (t, st) in enumerate(zip(times, trace)):
-        ideal = evolve(spin0, ideal_sched, 0.0, t).amplitudes
-        rho_spin = partial_trace(st.to_density_matrix(), list(range(n_spins)))
-        fids[k] = float(np.real(np.vdot(ideal, rho_spin.matrix @ ideal)))
+    for k, (st, ideal) in enumerate(zip(trace, ideals)):
+        rho_spin = partial_trace(st.to_density_matrix(), list(range(n_spins))).matrix
+        fids[k] = float(np.real(np.vdot(ideal.amplitudes, rho_spin @ ideal.amplitudes)))
     return XYBlockResult(times=times, fidelities=fids, eta_eff=eta_eff)
 
 

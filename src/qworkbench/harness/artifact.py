@@ -3,7 +3,9 @@
 Identical (config, seed) runs must reproduce every table byte for byte, so
 floats are rendered with a fixed shortest-round-trip format and no
 timestamps enter the tables; wall time lives only in the metadata file.
-PyYAML loads only when :meth:`RunArtifact.write` writes that file.
+PyYAML loads only when :meth:`RunArtifact.write` writes that file, through
+libyaml's ``CSafeDumper`` when PyYAML was built with it and its
+``SafeDumper`` otherwise.
 """
 from __future__ import annotations
 
@@ -61,7 +63,15 @@ class RunArtifact:
         meta_lines = [f"scenario: {self.scenario}", f"seed: {self.master_seed}"]
         for table in self.tables:
             (root / f"{table.name}.csv").write_text(table.render(meta_lines))
-        metadata = {
+        # libyaml's emitter when PyYAML has it; both give the same bytes
+        dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+        (root / "metadata.yaml").write_text(yaml.dump(self.metadata(), Dumper=dumper,
+                                                      sort_keys=True))
+        return root
+
+    def metadata(self) -> dict:
+        """What ``write`` puts in ``metadata.yaml``."""
+        return {
             "tool_version": __version__,
             "scenario": self.scenario,
             "config": self.config,
@@ -71,8 +81,6 @@ class RunArtifact:
             "notes": self.notes,
             "tables": [t.name for t in self.tables],
         }
-        (root / "metadata.yaml").write_text(yaml.safe_dump(metadata, sort_keys=True))
-        return root
 
 
 class Stopwatch:

@@ -231,21 +231,22 @@ def _run_lindblad_bounds(params, seed, threads) -> RunArtifact:
 def _run_eqs_concurrence(params, seed, threads) -> RunArtifact:
     from .. import eqs
 
-    grid = np.linspace(0.0, math.pi, params["n_points"])
+    grid = np.linspace(0.0, math.pi, params["n_points"]).tolist()
     # H = -g ZZ embeds as g YZZ; the dynamics depends only on gt
     h = qc.OperatorSum.pauli_string(qc.HilbertSpace.qubits(2), "ZZ", -1.0)
     h_tilde = qc.Schedule.constant(eqs.embed_hamiltonian(h))
     psi0 = eqs.embed_state(qc.all_plus_state(2))
     spec = eqs.MonotoneSpec("Concurrence2", 2)
 
-    def one(gt):
-        state = qc.evolve(psi0, h_tilde, 0.0, gt)
+    def one(args):
+        gt, state = args
         # |<psi|YY K|psi>| from the enlarged-space observables ZYY and XYY
         c_eqs = eqs.monotone(state, spec).value
         direct = abs(math.sin(2.0 * gt))
-        return (float(gt), c_eqs, direct, abs(c_eqs - direct))
+        return (gt, c_eqs, direct, abs(c_eqs - direct))
 
-    rows = parallel_map(one, [float(x) for x in grid], threads)
+    # every state of the grid in one product, before the workers start
+    rows = parallel_map(one, list(zip(grid, qc.evolve_trace(psi0, h_tilde, grid))), threads)
     worst = max(r[-1] for r in rows)
     if worst > 1e-9:
         raise InvariantBreach(f"embedded concurrence off by {worst:.3e}")
@@ -269,7 +270,7 @@ def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
         (omega, "YII"), (omega, "IYI"), (omega, "IIY"), (g, "XXX")]))
     terms = [(c.real, "".join(factors)) for c, factors in h_tilde.terms]
     psi0 = qc.basis_state(h_tilde.space, [0, 0, 0, 0])
-    grid = np.linspace(0.0, params["t_max"], params["n_points"])[1:]
+    grid = np.linspace(0.0, params["t_max"], params["n_points"])[1:].tolist()
     steps = params["trotter_steps"]
     eps_list = list(params["gate_fidelities"])
     xtalk_list = list(params["crosstalk"])
@@ -277,9 +278,9 @@ def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
     # read from the pairs (Z mu YY, X mu YY), mu = I, X, Z
     spec = eqs.MonotoneSpec("Tangle3", 3)
 
-    def one(t):
-        ideal = qc.evolve(psi0, h, 0.0, t)
-        row = [float(t), eqs.monotone(ideal, spec).value]
+    def one(args):
+        t, ideal = args
+        row = [t, eqs.monotone(ideal, spec).value]
         # per-gate depolarizing folds into one channel on the noiseless output
         clean, n_gates = eqs.trotter_embedded_circuit(terms, t, steps, psi0)
         rho = clean.to_density_matrix()
@@ -295,7 +296,8 @@ def _run_eqs_3tangle(params, seed, threads) -> RunArtifact:
             row.append(eqs.monotone(skew, spec).value)
         return tuple(row)
 
-    rows = parallel_map(one, [float(t) for t in grid], threads)
+    # every ideal state of the grid in one product, before the workers start
+    rows = parallel_map(one, list(zip(grid, qc.evolve_trace(psi0, h, grid))), threads)
     cols = ["t", "tangle_ideal"]
     for eps in eps_list:
         cols += [f"tangle_eps_{eps}", f"tangle_eps_{eps}_rescaled"]
@@ -388,12 +390,9 @@ def _run_twophoton_dynamics(params, seed, threads) -> RunArtifact:
         psi0 = qc.basis_state(space, [1, 2])
         n_diag = qc.OperatorSum.single(space, -1, "n").matrix().diagonal().real
         z_diag = qc.OperatorSum.single(space, 0, "Z").matrix().diagonal().real
-        out = []
-        for t in grid:
-            prob = np.abs(qc.evolve(psi0, h, 0.0, float(t)).amplitudes) ** 2
-            out.append((float(t), float(np.sum(n_diag * prob)),
-                        float(np.sum(z_diag * prob))))
-        return out
+        prob = np.abs([state.amplitudes for state in qc.evolve_trace(psi0, h, grid)]) ** 2
+        return list(zip(grid.tolist(), np.sum(n_diag * prob, axis=1).tolist(),
+                        np.sum(z_diag * prob, axis=1).tolist()))
 
     n_max = params["n_max"]
     base, again = parallel_map(trace_for, [n_max, n_max + 10], threads)

@@ -408,10 +408,11 @@ class _ParitySectors:
     The Hamiltonian is real and has no element between two sectors, so
     each sector block is solved by one ``eigh``.  ``blocks[s][k]`` is the
     real block of term ``k`` on sector ``PARITY_SECTORS[s]``, whose
-    product-basis indices are ``index[s]``.  The coefficients and term
-    matrices are real, so summing ``c_k * blocks[s][k]`` in term order from
-    zero repeats, bit for bit, the real part of ``OperatorSum.matrix``'s
-    sum gathered onto the sector.
+    product-basis indices are ``index[s]``, gathered from the term's
+    factors by ``OperatorSum.blocks``, so no d x d matrix is formed.  The
+    coefficients and term matrices are real, so summing ``c_k *
+    blocks[s][k]`` in term order from zero repeats, bit for bit, the real
+    part of ``OperatorSum.matrix``'s sum gathered onto the sector.
     """
 
     n_qubits: int
@@ -427,9 +428,7 @@ class _ParitySectors:
         index = tuple(np.flatnonzero(np.abs(diag - lam) < 1e-9) for lam in PARITY_SECTORS)
 
         def gather(factors) -> list:
-            # one dense term alive at a time
-            term = OperatorSum(space, [(1.0, factors)]).matrix().real
-            return [term[np.ix_(idx, idx)] for idx in index]
+            return [b.real.copy() for b in OperatorSum(space, [(1.0, factors)]).blocks(index)]
 
         blocks = tuple(zip(*(gather(factors) for _, factors in template.terms)))
         for a in (*index, *(b for sector in blocks for b in sector)):

@@ -39,9 +39,14 @@ stepper:
   the schedule is constant and K = H.  One ``eigh`` of K, cached on the
   schedule, serves every time: a ket or a column block is carried as
   ``V (exp(-i w dt) * (V^dag y))``, two products with the eigenvectors,
-  and the d x d ``U_K`` is formed only where ``propagator`` and
-  ``propagator_stack`` of a constant schedule return it, the latter for
-  a whole stack of times in one gemm against ``V^dag``.
+  and ``evolve_trace`` carries a ket from t = 0 to a whole grid of times
+  at once, ``F(t) V (exp(-i w t) * (V^dag y))`` for every t in one
+  product with a (len(times), d) block.  The d x d ``U_K`` is formed only
+  where ``propagator`` and ``propagator_stack`` of a constant schedule
+  return it, the latter for a whole stack of times in one gemm against
+  ``V^dag``.  The phases ``exp(-i w t)`` come from one helper, which lets
+  an overflowing ``w t`` give a non-finite phase without a numpy warning,
+  so the caller's own checks report it.
 * periodic: the schedule declares the common period T of its
   coefficients, so ``K(t + T) = K(t)`` and a window splits into whole
   periods and at most one partial period at each end.  ``U_K(T, 0)`` is
@@ -344,7 +349,7 @@ class _ExactFrame:
     tolerance, are computed on first use and kept here.
     """
 
-    __slots__ = ("frame", "step", "static", "period", "_eig", "_one_period")
+    __slots__ = ("frame", "step", "static", "period", "_eig", "_w_max", "_one_period")
 
     def __init__(self, frame: np.ndarray | None, step, static: np.ndarray | None,
                  period: float | None):
@@ -352,31 +357,58 @@ class _ExactFrame:
         self.step = step
         self.static = static
         self.period = period
-        self._eig = None
+        self._eig = self._w_max = None
         self._one_period: dict = {}
 
-    def phase(self, t: float) -> np.ndarray:
-        """Diagonal of F(t) = exp(i t diag(frame))."""
+    def phase(self, t) -> np.ndarray:
+        """Diagonal of F(t) = exp(i t diag(frame)) at a time ``t``, or one
+        row per time of an (m, 1) column ``t``."""
         return np.exp(1j * t * self.frame)
 
     def eig(self):
         """(w, V, V^dag) of a static K, computed on first use, read-only."""
         if self._eig is None:
             w, v = np.linalg.eigh(self.static)
+            # _w_max first: a thread that finds _eig set reads both
+            self._w_max = float(np.max(np.abs(w)))
             self._eig = (_frozen(w), _frozen(v), _frozen(v.conj().T))
         return self._eig
 
+    def eig_phase(self, t) -> np.ndarray:
+        """exp(-i w t) over the eigenvalues w of a static K at a time ``t``,
+        or one row per time of an (m, 1) column ``t``.  A product w t that
+        overflows gives a non-finite phase, which the caller's checks
+        report, and no numpy warning."""
+        w = self.eig()[0]
+        if isinstance(t, float) and math.isfinite(t * self._w_max):
+            # no product overflows, and np.errstate costs more than the
+            # phases of a small K
+            return np.exp(-1j * t * w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(-1j * t * w)
+
     def unitary(self, dt: float) -> np.ndarray:
         """U_K(dt) = V diag(exp(-i w dt)) V^dag of a static K."""
-        w, v, vh = self.eig()
-        return (v * np.exp(-1j * dt * w)) @ vh
+        _, v, vh = self.eig()
+        return (v * self.eig_phase(dt)) @ vh
 
     def carry(self, dt: float, y: np.ndarray) -> np.ndarray:
         """U_K(dt) @ y = V (exp(-i w dt) * (V^dag y)) for a ket or a column
         block, without forming U_K."""
-        w, v, vh = self.eig()
-        phase = np.exp(-1j * dt * w).reshape((-1,) + (1,) * (y.ndim - 1))
+        _, v, vh = self.eig()
+        phase = self.eig_phase(dt).reshape((-1,) + (1,) * (y.ndim - 1))
         return v @ (phase * (vh @ y))
+
+    def carry_grid(self, times: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Rows U(t, 0) @ y of a lab-frame ket ``y`` for every time of a 1-D
+        ``times``, each carried from t = 0 in one product over the grid:
+        ``F(t) V (exp(-i w t) * (V^dag y))``, shape ``(len(times), d)``."""
+        _, v, vh = self.eig()
+        column = times[:, None]
+        kets = (self.eig_phase(column) * (vh @ y)) @ v.T
+        if self.frame is not None:
+            kets *= self.phase(column)
+        return kets
 
     def one_period(self, tol: float) -> np.ndarray:
         """U_K(T, 0) = F(T)^dag U(T, 0), integrated once per tolerance."""
@@ -676,7 +708,15 @@ def evolve(state: PureState | DensityMatrix, h: Schedule, t0: float, t1: float,
 def evolve_trace(state: PureState, h: Schedule, times: Sequence[float],
                  tol: float = DEFAULT_TOL) -> list:
     """States at each checkpoint of a nonempty, nonnegative, nondecreasing
-    ``times`` grid, for a pure ``state`` given at t = 0."""
+    ``times`` grid, for a pure ``state`` given at t = 0.
+
+    When K is static (a constant schedule, or a static K in a frame), every
+    time is carried from t = 0 at once, by one product of the eigenvectors
+    with a (len(times), d) block of phased coefficients
+    (``_ExactFrame.carry_grid``), and ``state`` itself stands at every
+    t = 0.  Periodic and stepped schedules go from checkpoint to
+    checkpoint, each window by ``evolve``.
+    """
     times = list(times)
     if not times:
         raise ValueError("times must not be empty")
@@ -684,6 +724,13 @@ def evolve_trace(state: PureState, h: Schedule, times: Sequence[float],
         raise ValueError("times must be >= 0: the state is given at t = 0")
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be nondecreasing")
+    ef = h.exact_frame
+    if ef is not None and ef.static is not None:
+        if state.space != h.space:
+            raise DimensionMismatchError("state and schedule live on different spaces")
+        kets = ef.carry_grid(np.array(times, dtype=float), state.amplitudes)
+        return [state if t == 0 else PureState(state.space, ket)
+                for t, ket in zip(times, kets)]
     out = []
     current, t_prev = state, 0.0
     for t in times:
@@ -718,7 +765,8 @@ def propagator_stack(h: Schedule, times, tol: float = DEFAULT_TOL) -> np.ndarray
     if np.any(times < 0):
         raise ValueError("times must be >= 0: the stack starts at t = 0")
     if h.is_constant:
-        w, v, vh = h.exact_frame.eig()
-        phases = np.exp(-1j * np.multiply.outer(times, w))[:, None, :]
-        return ((v * phases).reshape(-1, w.size) @ vh).reshape(-1, w.size, w.size)
+        _, v, vh = h.exact_frame.eig()
+        d = h.space.dim
+        phases = h.exact_frame.eig_phase(times[:, None])[:, None, :]
+        return ((v * phases).reshape(-1, d) @ vh).reshape(-1, d, d)
     return np.stack([propagator(h, 0.0, t, tol) for t in times])

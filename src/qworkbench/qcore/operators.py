@@ -1,7 +1,9 @@
 """Operators as weighted sums of tensor-product primitives, plus Pauli strings.
 
 Every dense operator of the package is built here: ``OperatorSum`` turns
-primitive codes into matrices in the factor order of ``qcore.spaces``,
+primitive codes into matrices in the factor order of ``qcore.spaces``, or
+into chosen principal blocks of that matrix, gathered factor by factor
+with no d x d matrix (``OperatorSum.blocks``),
 ``on_factors`` places codes on chosen factors with ``"I"`` on the rest,
 and ``dense_pauli`` and ``kron_all`` cover Pauli labels and explicit
 factor lists; ``pauli_rotation`` exponentiates a Pauli label in closed
@@ -91,6 +93,13 @@ def _boson_matrix(code, dim: int) -> np.ndarray:
         return np.eye(dim, dtype=complex)
     if code == "n":
         return boson_number(dim)
+    if code == "sq":
+        # a^2 + a^dag^2 in closed form: (a^2)[k, k + 2] = sqrt(k + 1) sqrt(k + 2)
+        # is the one nonzero product in that entry of a @ a, so the bits match it
+        sq = np.zeros((dim, dim), dtype=complex)
+        k = np.arange(dim - 2)
+        sq[k, k + 2] = np.sqrt(k + 1.0) * np.sqrt(k + 2.0)
+        return sq + sq.T
     a = boson_annihilation(dim)
     if code == "a":
         return a
@@ -98,10 +107,7 @@ def _boson_matrix(code, dim: int) -> np.ndarray:
         return a.conj().T
     if code == "x":
         return a + a.conj().T
-    if code == "p":
-        return 1j * (a.conj().T - a)
-    a2 = a @ a
-    return a2 + a2.conj().T  # "sq"
+    return 1j * (a.conj().T - a)  # "p"
 
 
 _BOSON_CODES = {"I", "a", "adag", "n", "x", "p", "sq"}
@@ -146,7 +152,10 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     the result is byte-identical to a chained ``np.kron``, signed zeros
     included, without its per-call shape handling.  The result is always a
     new array, also for a single factor, so a caller may write to it.
+    Raises ``ValueError`` for an empty list.
     """
+    if not len(mats):
+        raise ValueError("kron_all needs at least one factor")
     out = mats[0]
     ndim = out.ndim
     if ndim not in (1, 2) or any(m.ndim != ndim for m in mats[1:]):
@@ -264,6 +273,36 @@ class OperatorSum:
             acc.setflags(write=False)
             self._matrix = acc
         return self._matrix
+
+    def blocks(self, indices) -> list:
+        """``[matrix()[np.ix_(idx, idx)] for idx in indices]``, with no d x d matrix.
+
+        Each index array (1-D, in any order, possibly empty) is split into
+        one digit array per factor; each term builds its factor matrices
+        once, gathers each factor's entries at those digits, multiplies the
+        gathered factors left to right as ``kron_all`` multiplies them, and
+        is added into every block as ``matrix()`` adds it, scaled first.  A
+        block is therefore the dense gather bit for bit, in O(m^2) work per
+        factor for an m-index block.  The Hermiticity flag is not checked
+        here, since a block does not see the whole matrix.
+        """
+        digits = []
+        for idx in indices:
+            idx = np.asarray(idx, dtype=np.intp)
+            if idx.ndim != 1:
+                raise ValueError("each index set must be a 1-D array")
+            digits.append(np.unravel_index(idx, self.space.dims))
+        out = [np.zeros((ds[0].size, ds[0].size), dtype=complex) for ds in digits]
+        for coeff, factors in self.terms:
+            mats = [_factor_matrix(f, code) for f, code in zip(self.space.factors, factors)]
+            for acc, ds in zip(out, digits):
+                # out of place: numpy's in-place product of one-element
+                # arrays rounds differently from its vector loop
+                term = mats[0][np.ix_(ds[0], ds[0])]
+                for m, k in zip(mats[1:], ds[1:]):
+                    term = term * m[np.ix_(k, k)]
+                acc += coeff * term
+        return out
 
     def norm_inf(self) -> float:
         """Spectral norm (largest singular value) of the dense matrix."""

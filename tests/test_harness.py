@@ -1,5 +1,6 @@
 """Registry, config validation, determinism, and CLI exit codes."""
 import math
+import warnings
 
 import pytest
 
@@ -407,16 +408,28 @@ def test_underflowing_depolarizing_weight_is_an_invariant_breach(tmp_path, capsy
     assert cli_main(argv + ["--set", "gate_fidelities=1e-5"]) == 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_table_cell_is_an_invariant_breach(tmp_path, capsys):
     # omega0 = 1e308 is in its range, but the propagator's phases overflow;
-    # the run names the first NaN cell and writes no table
+    # the run names the first NaN cell, writes no table and prints no numpy
+    # warning
     assert cli_main(["run", "timecorr-2pt", "--set", "omega0=1e308", "--set", "n_points=5",
                      "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "timecorr-2pt").exists()
     err = capsys.readouterr().err
     assert "table 'two_point', column 're_direct', row 3: non-finite value nan" in err
+
+
+def test_overflowing_eigenbasis_phases_breach_with_no_numpy_warning():
+    # at the defaults but omega0 = 1e308, w t overflows in the eigenbasis
+    # phases exp(-i w t); the phases are formed with overflow ignored, so
+    # the run's own check is what reports it
+    config = harness.ScenarioConfig("timecorr-2pt", overrides={"omega0": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(harness.InvariantBreach,
+                           match="table 'two_point', column 're_direct', row 29"):
+            harness.run_scenario(config)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -430,6 +443,18 @@ def test_exact_lindblad_trace_drift_is_an_invariant_breach(gamma, tmp_path, caps
                      "--set", "n_points=3", "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "lindblad-reconstruction").exists()
     assert "exact state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario_id", sorted(row[0] for row in harness.list_scenarios()))
+def test_metadata_renders_the_same_bytes_through_libyaml(scenario_id):
+    # RunArtifact.write takes libyaml's CSafeDumper when PyYAML has it; it
+    # must write what the pure-Python SafeDumper writes
+    yaml = pytest.importorskip("yaml")
+    if not hasattr(yaml, "CSafeDumper"):
+        pytest.skip("PyYAML was built without libyaml")
+    metadata = harness.run_scenario(harness.ScenarioConfig(scenario_id)).metadata()
+    assert yaml.dump(metadata, Dumper=yaml.CSafeDumper, sort_keys=True) == \
+        yaml.dump(metadata, Dumper=yaml.SafeDumper, sort_keys=True)
 
 
 def test_exact_lindblad_trace_drift_is_recorded(tmp_path):

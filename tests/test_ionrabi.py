@@ -1017,6 +1017,35 @@ def test_parity_sector_blocks_equal_dense_gather(n_qubits):
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2])
+def test_parity_sectors_form_no_dense_matrix(n_qubits, monkeypatch):
+    # each term's sector blocks are gathered from its factors by
+    # OperatorSum.blocks: with OperatorSum.matrix and kron_all refused (the
+    # parity diagonal may still join its 1-D factors), the build gives the
+    # same blocks, bit for bit
+    n_max = 24
+    expected = ir._ParitySectors.build(n_qubits, n_max)
+    real_kron_all = qc.kron_all
+
+    def refuse(*args):
+        raise AssertionError("a dense d x d matrix was formed")
+
+    def vectors_only(mats):
+        if any(np.ndim(m) != 1 for m in mats):
+            refuse()
+        return real_kron_all(mats)
+
+    monkeypatch.setattr(qc.OperatorSum, "matrix", refuse)
+    monkeypatch.setattr(qc.operators, "kron_all", refuse)
+    monkeypatch.setattr(ir, "kron_all", vectors_only)
+    sectors = ir._ParitySectors.build(n_qubits, n_max)
+    assert all(np.array_equal(a, b) for a, b in zip(sectors.index, expected.index,
+                                                    strict=True))
+    for got, want in zip(sectors.blocks, expected.blocks, strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
 def test_two_photon_spectrum_equals_dense_sector_solve(n_qubits):
     # a test-local copy of the per-coupling solve that gathered each sector
     # out of the dense H: the same eigh inputs give the same bits

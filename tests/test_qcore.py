@@ -565,6 +565,47 @@ def test_evolve_never_forms_the_unitary_of_a_ket(monkeypatch):
                              - qc.evolve(psi, sched, 0.0, 1.0).amplitudes)) < 1e-13
 
 
+def test_evolve_trace_carries_a_static_grid_in_one_product(monkeypatch):
+    # a constant schedule and a static K in a frame: every time of a grid
+    # with zeros and repeated times is carried from t = 0 in one product, as
+    # a per-time evolve carries it, and the input state stands at t = 0
+    rng = np.random.default_rng(66)
+    cases, _, _ = _ket_route_schedules(rng)
+    times = [0.0, 0.0, 0.3, 0.3, 1.1, 2.5, 2.5, 7.0]
+    evolve_module = importlib.import_module("qworkbench.qcore.evolve")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a static grid went time by time")
+
+    for sched, psi in cases:
+        expected = [qc.evolve(psi, sched, 0.0, t).amplitudes for t in times]
+        with monkeypatch.context() as patch:
+            patch.setattr(evolve_module, "evolve", refuse)
+            trace = qc.evolve_trace(psi, sched, times)
+        assert trace[0] is psi and trace[1] is psi
+        assert all(state is not psi for state in trace[2:])
+        for state, ket in zip(trace, expected, strict=True):
+            assert state.space == psi.space
+            assert np.max(np.abs(state.amplitudes - ket)) < 1e-14
+        other = qc.random_pure_state(qc.HilbertSpace.qubits(2), rng)
+        with pytest.raises(qc.DimensionMismatchError):
+            qc.evolve_trace(other, sched, times)
+
+
+def test_overflowing_eigenbasis_phases_raise_no_numpy_warning():
+    # w t overflows past 1.8e308: every exact route gives a non-finite
+    # phase, which the caller's checks report, with no RuntimeWarning
+    space = qc.HilbertSpace.qubits(1)
+    h = qc.Schedule.constant(qc.OperatorSum.single(space, 0, "Z", 1e308, hermitian=True))
+    psi = qc.plus_state()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [qc.propagator(h, 0.0, 5.0), qc.propagator_stack(h, [0.5, 5.0]),
+                   qc.evolve(psi, h, 0.0, 5.0).amplitudes,
+                   qc.evolve_trace(psi, h, [0.0, 0.5, 5.0])[-1].amplitudes]
+    assert all(not np.isfinite(r).all() for r in results)
+
+
 def test_no_module_calls_np_kron():
     # kron_all is the one Kronecker product: OperatorSum, on_factors and
     # dense_pauli build on it, and any np.kron, in any module of the
@@ -1392,6 +1433,46 @@ def test_squeeze_primitive_is_self_adjoint():
     assert np.array_equal(dag.matrix(), op.matrix().conj().T)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 17, 121, 131, 1001])
+def test_squeeze_primitive_in_closed_form_equals_the_gemm(dim):
+    # sqrt(n+1) sqrt(n+2) on the second off-diagonal is the one nonzero
+    # product in each entry of a @ a, so the closed form keeps its bits
+    a = qc.boson_annihilation(dim)
+    a2 = a @ a
+    sq = qc.OperatorSum.single(qc.HilbertSpace((qc.Boson(dim - 1),)), 0, "sq").matrix()
+    assert np.array_equal(sq, a2 + a2.conj().T)
+
+
+def test_operator_blocks_equal_the_dense_gather():
+    # every qubit and mode primitive, the displacement included, alone on
+    # each factor of a space with three qubits and two modes, and a random
+    # sum of terms; index sets sorted, unsorted, repeated and empty
+    space = qc.HilbertSpace((qc.Qubit(), qc.Boson(5), qc.Qubit(), qc.Qubit(), qc.Boson(3)))
+    qubit_codes = ["I", "X", "Y", "Z", "S+", "S-", "Pe", "Pg"]
+    mode_codes = ["I", "a", "adag", "n", "x", "p", "sq", ("disp", 0.37)]
+    codes = [qubit_codes if isinstance(f, qc.Qubit) else mode_codes for f in space.factors]
+    rng = np.random.default_rng(68)
+    ops = [qc.OperatorSum(space, [(0.7 - 0.2j, qc.on_factors(space, {i: code}))])
+           for i, options in enumerate(codes) for code in options]
+    ops.append(qc.OperatorSum(space, [
+        (complex(*rng.standard_normal(2)),
+         tuple(options[rng.integers(len(options))] for options in codes))
+        for _ in range(12)]))
+    d = space.dim
+    indices = [np.arange(d), rng.permutation(d)[:50], np.sort(rng.permutation(d)[:31]),
+               rng.integers(0, d, 12), np.array([], dtype=int), [], [d - 1]]
+    for op in ops:
+        blocks = op.blocks(indices)
+        assert len(blocks) == len(indices)
+        for idx, block in zip(indices, blocks):
+            idx = np.asarray(idx, dtype=int)
+            assert np.array_equal(block, op.matrix()[np.ix_(idx, idx)])
+    with pytest.raises(ValueError):
+        ops[-1].blocks([np.array([0, d])])
+    with pytest.raises(ValueError):
+        ops[-1].blocks([np.zeros((2, 2), dtype=int)])
+
+
 def test_matrices_never_alias_the_primitive_constants():
     # matrix() scales each term in place, so no term may be a module constant
     space = qc.HilbertSpace.qubits(1)
@@ -1452,6 +1533,17 @@ def test_kron_all_rejects_mixed_ranks():
         qc.kron_all([np.eye(2), np.ones(2)])
     with pytest.raises(ValueError):
         qc.kron_all([np.ones(2), np.eye(2)])
+
+
+def test_empty_factor_lists_are_value_errors():
+    # kron_all checks for an empty list before it reads a factor, and the
+    # Pauli builders on it refuse the empty label with it
+    with pytest.raises(ValueError):
+        qc.kron_all([])
+    with pytest.raises(ValueError):
+        qc.dense_pauli("")
+    with pytest.raises(ValueError):
+        qc.pauli_rotation("", 0.3)
 
 
 def test_dense_pauli_rejects_bad_letter():
