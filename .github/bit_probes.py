@@ -93,6 +93,26 @@ def bosonic():
     print(repr(tc.correlation_ancilla(tc.CorrelationSpec(h, (0.0, 0.5, 1.2), ops, psi))))
 
 
-for probe in (sampled, one_period, calibration, dressed, bosonic):
+def qubit_chain():
+    # the probe-qubit protocol on a 3-qubit register, where each Pauli
+    # string acts as -1j * qcore.pauli_apply(label, y), a row gather: a
+    # three-time correlator of multi-term Pauli operators (ladder codes
+    # included) on a seeded ket and on its density matrix; no table or demo
+    # prints these values
+    import numpy as np
+    from qworkbench import qcore as qc, timecorr as tc
+    space = qc.HilbertSpace.qubits(3)
+    h = qc.Schedule.constant(qc.OperatorSum(space, [
+        (0.9, tuple("ZII")), (0.5, tuple("XXI")), (0.4, tuple("IYY")), (0.3, tuple("ZIX"))],
+        hermitian=True))
+    ops = (qc.OperatorSum(space, [(0.7, tuple("XZI")), (0.2j, tuple("IIY"))]),
+           qc.OperatorSum(space, [(1.0, ("S+", "I", "Z")), (0.6, tuple("YIX"))]),
+           qc.OperatorSum(space, [(0.5, tuple("ZZZ")), (-0.4, tuple("IXI")), (0.3, tuple("YII"))]))
+    psi = qc.random_pure_state(space, np.random.default_rng(13))
+    for state in (psi, psi.to_density_matrix()):
+        print(repr(tc.correlation_ancilla(tc.CorrelationSpec(h, (0.0, 0.45, 1.1), ops, state))))
+
+
+for probe in (sampled, one_period, calibration, dressed, bosonic, qubit_chain):
     print("==", probe.__name__)
     probe()

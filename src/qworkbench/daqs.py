@@ -37,7 +37,6 @@ from .qcore import (
     PureState,
     Schedule,
     basis_state,
-    dense_pauli,
     evolve,
     evolve_trace,
     expectation,
@@ -132,26 +131,18 @@ class SpinCouplingMatrix:
         return SpinCouplingMatrix(m)
 
 
-def _pair_string(n: int, i: int, j: int, letter: str) -> np.ndarray:
-    label = "".join(letter if k in (i, j) else "I" for k in range(n))
-    return dense_pauli(label)
-
-
 def analog_block(kind: str, coupling: SpinCouplingMatrix) -> np.ndarray:
-    """Dense H_XX, H_XY, or H_ZZ for the given couplings."""
+    """Dense H_XX, H_XY, or H_ZZ for the given couplings (read-only), summed
+    from one ``OperatorSum`` term J_ij P_i P_j per nonzero bond and letter."""
     n = coupling.n_spins
     letters = {"XX": ("X",), "XY": ("X", "Y"), "ZZ": ("Z",)}
     if kind not in letters:
         raise ValueError("kind must be one of XX, XY, ZZ")
-    d = 2 ** n
-    acc = np.zeros((d, d), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coupling.matrix[i, j] == 0.0:
-                continue
-            for letter in letters[kind]:
-                acc += coupling.matrix[i, j] * _pair_string(n, i, j, letter)
-    return acc
+    space = HilbertSpace.qubits(n)
+    return OperatorSum(space, [
+        (coupling.matrix[i, j], on_factors(space, {i: letter, j: letter}))
+        for i in range(n) for j in range(i + 1, n) if coupling.matrix[i, j] != 0.0
+        for letter in letters[kind]]).matrix()
 
 
 @dataclass(frozen=True)
@@ -188,9 +179,9 @@ class _Generators:
 
 def collective_y_rotation(n: int) -> np.ndarray:
     """R_y(pi/4) = exp(-i (pi/4) sum_i sigma_y^i) on ``n`` spins."""
-    gen = sum(dense_pauli("".join("Y" if k == q else "I" for k in range(n)))
-              for q in range(n))
-    return expm(-1j * math.pi / 4.0 * gen)
+    space = HilbertSpace.qubits(n)
+    gen = OperatorSum(space, [(1.0, on_factors(space, {q: "Y"})) for q in range(n)])
+    return expm(-1j * math.pi / 4.0 * gen.matrix())
 
 
 # ---------------------------------------------------------------------------

@@ -257,15 +257,11 @@ class Gate:
 
 def collective_spin_gate(theta: float, phi: float, k: int) -> np.ndarray:
     """exp(-i theta (cos(phi) Sx + sin(phi) Sy)^2 / 4) on k qubits."""
-    sx = sum(_single_site("X", q, k) for q in range(k))
-    sy = sum(_single_site("Y", q, k) for q in range(k))
+    space = HilbertSpace.qubits(k)
+    sx, sy = (OperatorSum(space, [(1.0, on_factors(space, {q: p})) for q in range(k)]).matrix()
+              for p in "XY")
     s = math.cos(phi) * sx + math.sin(phi) * sy
     return expm(-1j * theta * (s @ s) / 4.0)
-
-
-def _single_site(letter: str, site: int, n: int) -> np.ndarray:
-    """The Pauli ``letter`` on qubit ``site`` of ``n``, identity elsewhere."""
-    return dense_pauli("I" * site + letter + "I" * (n - site - 1))
 
 
 _AXIS_TO_BASE = {
@@ -375,22 +371,17 @@ class DressedReadout:
     evolutions: tuple    # the dressing Pauli strings
 
 
-def measure_via_anticommutation(theta_label: str, state: PureState) -> DressedReadout:
-    """Expectation of the Pauli string ``theta_label`` from one- or two-site
-    readout after at most two commuting pi/4 dressing evolutions, each
-    anticommuting with the readout.
-
-    Identity-free strings need a single evolution; strings with identity
-    slots take two.  Single-site observables pass straight through.  The
-    readout's sign is read from the labels; ``state`` must be a register of
-    ``len(theta_label)`` qubits.
-    """
+def _dressing(theta_label: str) -> tuple:
+    """(sign, readout, dressings) of the Pauli string ``theta_label``, from
+    the labels alone: <Theta> = sign <U^dag S U>, sign = +-1, for the
+    readout S (one or two sites) and U = prod_j exp(-i pi/4 P_j) over the
+    dressings, which commute and each anticommute with S.  Raises
+    ``ValueError`` for a letter other than ``I X Y Z``, an all-identity
+    string or a string the rule cannot dress."""
     n = len(theta_label)
     for ch in theta_label:
         if ch not in PAULI_LABELS:
             raise ValueError(f"bad Pauli letter {ch!r} in {theta_label!r}")
-    if state.space.n_factors != n or not state.space.is_qubit_only:
-        raise ValueError(f"the observable {theta_label!r} needs a {n}-qubit register")
     support = [i for i, ch in enumerate(theta_label) if ch != "I"]
     if not support:
         raise ValueError("nothing to measure")
@@ -427,15 +418,28 @@ def measure_via_anticommutation(theta_label: str, state: PureState) -> DressedRe
         readout = "".join(theta_label[i] if i in read_sites else "I" for i in range(n))
         dressings = ("".join(p1), "".join(p2))
 
-    # <U^dag S U> = sign <Theta> with sign = +-1
     sign, label = _conjugated(readout, dressings)
     if label != theta_label or sign.imag:
         raise ValueError(f"no valid dressing found for {theta_label!r}")
+    return sign.real, readout, dressings
+
+
+def measure_via_anticommutation(theta_label: str, state: PureState) -> DressedReadout:
+    """Expectation of the Pauli string ``theta_label`` from one- or two-site
+    readout after at most two commuting pi/4 dressing evolutions, each
+    anticommuting with the readout (``_dressing``: none for a single-site
+    string, one for an identity-free one, two otherwise).  ``state`` must
+    be a register of ``len(theta_label)`` qubits.
+    """
+    sign, readout, dressings = _dressing(theta_label)
+    n = len(theta_label)
+    if state.space.n_factors != n or not state.space.is_qubit_only:
+        raise ValueError(f"the observable {theta_label!r} needs a {n}-qubit register")
     evolved = state.amplitudes
     for p in reversed(dressings):  # U = R1 R2 acts on the ket R2 first
         evolved = pauli_rotation(p, math.pi / 4.0) @ evolved
     raw = float(np.real(np.vdot(evolved, dense_pauli(readout) @ evolved)))
-    return DressedReadout(sign.real * raw, len(dressings), readout, dressings)
+    return DressedReadout(sign * raw, len(dressings), readout, dressings)
 
 
 # ---------------------------------------------------------------------------

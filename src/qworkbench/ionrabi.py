@@ -59,7 +59,8 @@ class IonDriveParams:
     """Bichromatic sideband drive on a single trapped ion."""
 
     nu: float                 # trap frequency (rad/s)
-    omega0: float             # qubit splitting (rad/s)
+    omega0: float             # qubit splitting (rad/s); not read: the drive's
+                              # tones come from nu and the detunings
     omega_r: float            # red-sideband Rabi strength (rad/s)
     omega_b: float            # blue-sideband Rabi strength (rad/s)
     eta: float                # Lamb-Dicke parameter
@@ -83,12 +84,11 @@ class IonDriveParams:
 
 @dataclass(frozen=True)
 class RabiParams:
-    """Effective quantum Rabi parameters (with provenance in `source`)."""
+    """Effective quantum Rabi parameters."""
 
     omega0_r: float
     omega_r: float
     g: float
-    source: IonDriveParams | None = None
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,6 @@ class TwoPhotonParams:
     omega: float
     omega_q: float
     g: float
-    source: IonDriveParams | None = None
 
 
 def effective_qrm(p: IonDriveParams) -> RabiParams:
@@ -108,7 +107,6 @@ def effective_qrm(p: IonDriveParams) -> RabiParams:
         omega0_r=-(p.delta_r + p.delta_b) / 2.0,
         omega_r=(p.delta_r - p.delta_b) / 2.0,
         g=p.eta * p.omega_r / 2.0,
-        source=p,
     )
 
 
@@ -121,7 +119,6 @@ def effective_two_photon(p: IonDriveParams) -> TwoPhotonParams:
         omega=(p.delta_r - p.delta_b) / 4.0,
         omega_q=-(p.delta_r + p.delta_b) / 2.0,
         g=p.eta ** 2 * p.omega_r / 4.0,
-        source=p,
     )
 
 

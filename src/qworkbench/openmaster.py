@@ -26,11 +26,13 @@ O and every channel operator are read as Pauli strings from their own
 terms (``qcore.pauli_terms``), the nested dissipators are expanded into
 Pauli-string chains once per channel combination, and the chain means of
 all samples sharing that combination are evaluated together on the
-stacked propagators U(0, tau) of ``qcore.propagator_stack``.  Before any
-product is formed, adjacent factors of a chain at one time slot multiply
-symbolically into one Pauli string and a phase (X X = I drops out), so a
-chain forms one stacked product per remaining factor but the last, which
-enters the trace as an elementwise sum.  Order 0 is not sampled:
+stacked propagators U(0, tau) of ``qcore.propagator_stack``; a string P is
+conjugated as (P U)^dag U, where P U is a row gather (``qcore.pauli_apply``)
+and not a product.  Before any product is formed, adjacent factors of a
+chain at one time slot multiply symbolically into one Pauli string and a
+phase (X X = I drops out), so a chain forms one stacked product per
+remaining factor but the last, which enters the trace as an elementwise
+sum.  Order 0 is not sampled:
 xi_0(t) = U(t) rho0 U(t)^dag, the state ``qcore.evolve`` returns.
 """
 from __future__ import annotations
@@ -49,12 +51,12 @@ from .qcore import (
     Schedule,
     check_count,
     check_stream_key,
-    dense_pauli,
     evolve,
     expectation,
     expm,
     expm_block_toeplitz,
     integrate,
+    pauli_apply,
     pauli_product,
     pauli_terms,
     propagator,
@@ -349,7 +351,6 @@ class MonteCarloPlan:
 class Reconstruction:
     value: float
     per_order: list
-    mode: str
 
 
 def _merged_chain(ops) -> tuple:
@@ -376,8 +377,10 @@ def _stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _heisenberg(u: np.ndarray, lbl: str) -> np.ndarray:
-    """U^dag P U over a stack of unitaries, for the Pauli string ``lbl``."""
-    return _stack_product(_stack_product(u.conj().transpose(0, 2, 1), dense_pauli(lbl)), u)
+    """U^dag P U over a stack of unitaries, for the Pauli string ``lbl``,
+    formed as (P U)^dag U.  P U is a gather of U's rows
+    (``qcore.pauli_apply``), so the stack takes one product."""
+    return _stack_product(pauli_apply(lbl, u).conj().transpose(0, 2, 1), u)
 
 
 def _chain_sums(chains, rho0, times, h, slot0, shots, uniforms) -> np.ndarray:
@@ -494,11 +497,6 @@ def _monte_carlo_orders(model, observable, rho0, orders, t, plan) -> list:
     return out
 
 
-def _order_contribution_monte_carlo(model, observable, rho0, order, t, plan) -> float:
-    """The plan's estimate of one order on its own."""
-    return _monte_carlo_orders(model, observable, rho0, [order], t, plan)[0]
-
-
 def reconstruct(model: LindbladModel, observable: OperatorSum,
                 rho0: DensityMatrix, t: float, order: int,
                 plan: MonteCarloPlan | None = None) -> Reconstruction:
@@ -524,8 +522,7 @@ def reconstruct(model: LindbladModel, observable: OperatorSum,
                      for xi in _lindblad_terms(model, rho0, t, order, DEFAULT_TOL)]
     else:
         per_order = _monte_carlo_orders(model, observable, rho0, range(order + 1), t, plan)
-    return Reconstruction(value=float(sum(per_order)), per_order=per_order,
-                          mode="exact" if plan is None else "monte-carlo")
+    return Reconstruction(value=float(sum(per_order)), per_order=per_order)
 
 
 def truncated_states(model: LindbladModel, rho0: DensityMatrix, t: float,

@@ -7,9 +7,10 @@ with no d x d matrix (``OperatorSum.blocks``),
 ``on_factors`` places codes on chosen factors with ``"I"`` on the rest,
 and ``dense_pauli`` and ``kron_all`` cover Pauli labels and explicit
 factor lists; ``pauli_rotation`` exponentiates a Pauli label in closed
-form, and ``pauli_apply`` applies one to a ket or a column block in O(d)
-work per column, with no d x d matrix.  No module outside ``qcore`` pads
-with identities by hand.
+form, and ``pauli_apply`` applies one to a ket or a stack of column blocks
+in O(d) work per column, with no d x d matrix.  Outside ``qcore`` no module
+pads with identities by hand, and only ``eqs``'s readouts make a Pauli
+label dense.
 ``pauli_terms`` reads a qubit operator as a sum of Pauli strings from its
 own terms, and ``pauli_product`` multiplies two Pauli strings, both
 symbolically.
@@ -357,17 +358,20 @@ def _pauli_action(label: str) -> tuple:
 
 
 def pauli_apply(label: str, y: np.ndarray) -> np.ndarray:
-    """P(label) @ y for a ket of shape (d,) or a column block of shape (d, m),
+    """P(label) @ y for a ket of shape (d,) or a stack of column blocks of
+    shape (..., d, m), acting on axis 0 of a ket and on axis -2 of a stack,
     in O(d) work per column and with no d x d matrix: one index permutation
     and one phase vector, cached per label.  Equal to ``dense_pauli(label) @
     y`` exactly, since each row of P has one nonzero entry, a power of i.
     Raises ``ValueError`` for an empty label, a letter other than ``I X Y Z``
-    or a ``y`` whose first axis is not 2^len(label) long."""
+    or a ``y`` whose acted-on axis is not 2^len(label) long."""
     perm, phase = _pauli_action(label)
     y = np.asarray(y)
-    if y.ndim not in (1, 2) or y.shape[0] != phase.size:
-        raise ValueError(f"{label!r} acts on {phase.size} rows, not on shape {y.shape}")
-    return (phase if y.ndim == 1 else phase[:, None]) * y[perm]
+    if y.ndim == 1 and y.shape[0] == phase.size:
+        return phase * y[perm]
+    if y.ndim > 1 and y.shape[-2] == phase.size:
+        return phase[:, None] * y[..., perm, :]
+    raise ValueError(f"{label!r} acts on {phase.size} rows, not on shape {y.shape}")
 
 
 def pauli_product(a: str, b: str) -> tuple:

@@ -10,7 +10,8 @@ Each operator is a sum of Hermitian terms ``c M``, and a term M is the gate
 ``-i M``.  For a Pauli string P that is ``exp(-i (pi/2) P) = -i P``.  A
 spin-boson operator ``B = P (x) (a + a^dag)`` is the derivative of the
 signal in the angle of ``exp(-i theta B)`` at zero; the coherence is linear
-in each gate, so that derivative is the gate ``-i B`` exactly.
+in each gate, so that derivative is the gate ``-i B`` exactly.  A term acts
+on the branch state and forms no gate matrix: P by ``qcore.pauli_apply``.
 
 The ancilla is only ever a control, so the protocol is simulated on the
 system space alone.  Its two branches evolve separately: the |e> branch
@@ -55,12 +56,13 @@ from .qcore import (
     check_stream_key,
     evolve,
     expectation,
+    pauli_apply,
     pauli_terms,
     propagator,
     shot_means,
     shot_uniforms,
 )
-from .qcore.operators import PAULI_LABELS, dense_pauli
+from .qcore.operators import PAULI_LABELS
 from .qcore.spaces import DimensionMismatchError
 
 
@@ -152,21 +154,23 @@ def correlation_exact(spec: CorrelationSpec) -> complex:
 # ---------------------------------------------------------------------------
 
 def _protocol_terms(op: OperatorSum) -> list:
-    """Expand an operator into ``(coeff, Hermitian matrix M)`` terms; M is
-    the gate ``-i M``.
+    """Expand an operator into ``(coeff, action)`` terms, with ``action(y)``
+    the gate ``-i M`` of a Hermitian term M applied to a ket or a matrix y.
 
-    On a qubit-only space these are the Pauli strings of
+    On a qubit-only space the terms are the Pauli strings of
     ``qcore.pauli_terms``, in its sorted label order, so chain j of a
-    correlator keeps its shot stream.  With bosonic factors the operator is
+    correlator keeps its shot stream; a string P acts as
+    ``-1j * pauli_apply(P, y)``.  With bosonic factors the operator is
     read term by term, in its own order; each term must have Pauli letters
     on the qubits and ``I`` on every mode but at most one ``x``: a Pauli
-    string P or a spin-boson operator ``B = P (x) (a + a^dag)``, returned
-    at unit weight with the term's coefficient.  ``-i P`` is unitary;
-    ``-i B`` is not, so shots cannot be sampled for it.
+    string P or a spin-boson operator ``B = P (x) (a + a^dag)``, taken at
+    unit weight with the term's coefficient, which acts as ``-1j * (B @ y)``.
+    ``-i P`` is unitary; ``-i B`` is not, so shots cannot be sampled for it.
     """
     space = op.space
     if space.is_qubit_only:
-        return [(q, dense_pauli(lbl)) for q, lbl in pauli_terms(op)]
+        return [(q, lambda y, lbl=lbl: -1j * pauli_apply(lbl, y))
+                for q, lbl in pauli_terms(op)]
     out = []
     for coeff, factors in op.terms:
         qubits = {code for f, code in zip(space.factors, factors) if isinstance(f, Qubit)}
@@ -176,7 +180,8 @@ def _protocol_terms(op: OperatorSum) -> list:
             raise ValueError(
                 "with bosonic factors each term must be a Pauli string, or one "
                 "with (a + a^dag) on one mode; cannot expand for the ancilla protocol")
-        out.append((coeff, OperatorSum(space, [(1.0, factors)]).matrix()))
+        m = OperatorSum(space, [(1.0, factors)]).matrix()
+        out.append((coeff, lambda y, m=m: -1j * (m @ y)))
     return out
 
 
@@ -186,23 +191,22 @@ def _segment_propagators(spec: CorrelationSpec) -> list:
             for a, b in zip(spec.times, spec.times[1:])]
 
 
-def _branch_coherence(initial, gates: Sequence[np.ndarray],
-                      segments: Sequence[np.ndarray]) -> complex:
+def _branch_coherence(initial, gates: Sequence, segments: Sequence[np.ndarray]) -> complex:
     """Final ancilla coherence ``<sigma_x> + i <sigma_y>`` of the protocol.
 
     The |e> branch gets only the segment propagators, the |g> branch the
-    gates interleaved with them; the coherence is their overlap.  A mixed
-    state starts |e> from the identity and |g> from rho, so the same
-    ``vdot`` gives ``Tr(U_e^dag W rho)``.
+    gate actions of ``_protocol_terms`` interleaved with them; the coherence
+    is their overlap.  A mixed state starts |e> from the identity and |g>
+    from rho, so the same ``vdot`` gives ``Tr(U_e^dag W rho)``.
     """
     if isinstance(initial, PureState):
         e = g = initial.amplitudes
     else:
         e, g = np.eye(initial.space.dim, dtype=complex), initial.matrix
-    g = gates[0] @ g
+    g = gates[0](g)
     for v, gate in zip(segments, gates[1:]):
         e = v @ e
-        g = gate @ (v @ g)
+        g = gate(v @ g)
     return complex(np.vdot(e, g))
 
 
@@ -224,8 +228,7 @@ def correlation_ancilla(spec: CorrelationSpec, plan: ShotPlan | None = None) -> 
     stream ``(master_seed, j)``.  A plan refuses a spin-boson operator with
     ``ValueError``: its gate ``-i B`` is not unitary.
     """
-    per_op = [[(c, -1j * m) for c, m in _protocol_terms(op)]
-              for op in spec.operators]
+    per_op = [_protocol_terms(op) for op in spec.operators]
     if plan is not None and not spec.system.is_qubit_only:
         for k, op in enumerate(spec.operators):
             for weight, factors in op.terms:

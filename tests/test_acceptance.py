@@ -188,8 +188,7 @@ def test_criterion_06_monte_carlo_sample_bound():
     for seed in range(trials):
         plan = openmaster.MonteCarloPlan(samples_per_order=omega_1,
                                          master_seed=seed, shots_per_value=1)
-        est = openmaster._order_contribution_monte_carlo(model, obs, rho0,
-                                                         1, t, plan)
+        est = openmaster._monte_carlo_orders(model, obs, rho0, [1], t, plan)[0]
         if abs(est - truth) > delta_n:
             failures += 1
     rate = failures / trials

@@ -421,6 +421,31 @@ def test_dressing_rule_gives_theta_up_to_seven_qubits(monkeypatch):
             assert out.value == phase.real and phase.imag == 0 and abs(phase) == 1
 
 
+def test_dressing_rule_from_the_labels_up_to_seven_qubits():
+    # eqs._dressing, with no builder patched: for every label of 1-7 qubits
+    # the readout has one or two sites, each dressing anticommutes with it,
+    # the dressings commute, and S P_1 ... P_k = c Theta with (-i)^k c the
+    # returned sign, +-1
+    for n in range(1, 8):
+        for label in all_pauli_labels(n)[1:]:
+            sign, readout, dressings = eqs._dressing(label)
+            weight = sum(ch != "I" for ch in label)
+            assert len(dressings) == (0 if weight == 1 else 1 if weight == n else 2)
+            assert 1 <= sum(ch != "I" for ch in readout) <= 2
+            phase, product = 1, readout
+            for p in dressings:
+                assert qc.pauli_product(readout, p)[0].imag != 0
+                q, product = qc.pauli_product(product, p)
+                phase *= -1j * q
+            for p, r in zip(dressings, dressings[1:]):
+                assert qc.pauli_product(p, r)[0].imag == 0
+            assert product == label
+            assert sign == phase.real and phase.imag == 0 and abs(phase) == 1
+    for label, message in (("XQ", "bad Pauli letter 'Q'"), ("III", "nothing to measure")):
+        with pytest.raises(ValueError, match=message):
+            eqs._dressing(label)
+
+
 def test_dressed_readout_forms_one_dense_pauli(monkeypatch):
     # only the readout string becomes a matrix; the signs come from the labels
     rng = np.random.default_rng(47)

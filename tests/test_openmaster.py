@@ -571,7 +571,7 @@ def test_single_shot_samples_match_unmerged_oracle():
                 assert np.array_equal(om._sample_values(model, terms, rho0, order, t, plan),
                                       oracle)
                 volume = (n_channels * t) ** order / math.factorial(order)
-                assert (om._order_contribution_monte_carlo(model, obs, rho0, order, t, plan)
+                assert (om._monte_carlo_orders(model, obs, rho0, [order], t, plan)[0]
                         == volume * float(np.mean(oracle)))
 
 
@@ -604,8 +604,8 @@ def test_single_shot_success_rate_can_fail():
     target = 1.0 - math.exp(-beta) - 0.03
 
     def estimates(samples):
-        return np.array([om._order_contribution_monte_carlo(
-            model, obs, rho0, 1, t, om.MonteCarloPlan(samples, seed, 1))
+        return np.array([om._monte_carlo_orders(
+            model, obs, rho0, [1], t, om.MonteCarloPlan(samples, seed, 1))[0]
             for seed in range(200)])
 
     full = estimates(omega_1)

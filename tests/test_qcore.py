@@ -663,6 +663,20 @@ def test_pauli_apply_equals_the_dense_product():
             assert np.array_equal(qc.pauli_apply(label, y), qc.dense_pauli(label) @ y)
 
 
+def test_pauli_apply_acts_on_axis_minus_two_of_a_stack():
+    # a stack (M, d, m) is gathered along its rows, matrix by matrix, with
+    # the bits of dense_pauli(label) @ stack: every label of 1-3 qubits
+    rng = np.random.default_rng(40)
+    for label in (label for n in range(1, 4) for label in all_pauli_labels(n)):
+        d = 2 ** len(label)
+        for shape in ((5, d, d), (2, 3, d, 1)):
+            stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.array_equal(qc.pauli_apply(label, stack), qc.dense_pauli(label) @ stack)
+    for bad in (np.ones((3, 4, 8)), np.ones((3, 8, 4, 4)), np.ones((2, 4))):
+        with pytest.raises(ValueError, match="acts on 8 rows"):
+            qc.pauli_apply("XYZ", bad)
+
+
 def test_pauli_apply_checks_its_inputs_and_caches_read_only_arrays():
     with pytest.raises(ValueError, match="bad Pauli letter"):
         qc.pauli_apply("XQ", np.ones(4))
@@ -698,6 +712,36 @@ def test_no_module_outside_qcore_exponentiates_dense_pauli():
                    for arg in node.args for inner in ast.walk(arg)):
                 sites.append(f"{path.relative_to(package)}:{node.lineno}")
     assert not sites, sites
+
+
+def test_pauli_labels_are_made_dense_only_in_the_eqs_readouts():
+    # outside qcore a Pauli string acts through qcore.pauli_apply or is an
+    # OperatorSum term; dense_pauli is referenced only by the two eqs
+    # readouts that form their readout matrices, and imported only there
+    package = Path(qc.__file__).parent.parent
+    allowed = {("eqs.py", "_readout"), ("eqs.py", "measure_via_anticommutation")}
+    sites, importers = set(), set()
+    for path in sorted(package.rglob("*.py")):
+        rel = str(path.relative_to(package))
+        if "qcore" in path.relative_to(package).parts:
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name == "dense_pauli":
+                importers.add(rel)
+        scopes = [(None, tree)]
+        while scopes:
+            scope, node = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scopes.append((scope or child.name, child))
+                    continue
+                if (isinstance(child, ast.Name) and child.id == "dense_pauli") or \
+                        (isinstance(child, ast.Attribute) and child.attr == "dense_pauli"):
+                    sites.add((rel, scope))
+                scopes.append((scope, child))
+    assert sites == allowed, sites
+    assert importers == {"eqs.py"}, importers
 
 
 def test_carry_takes_a_column_block_and_checks_its_inputs():

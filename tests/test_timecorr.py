@@ -615,8 +615,9 @@ def test_fermionic_correlator_on_seven_modes_builds_no_pauli_basis(monkeypatch):
     op = qc.OperatorSum(space, [(0.4, "ZIIIIIX"), (-0.2j, "IIIIIIY"), (0.3, "XIIIIII")])
     terms = tc._protocol_terms(op)
     assert [c for c, _ in terms] == [-0.2j, 0.3, 0.4]
-    for (_, m), lbl in zip(terms, ("IIIIIIY", "XIIIIII", "ZIIIIIX")):
-        assert np.array_equal(m, qc.dense_pauli(lbl))
+    y = qc.random_pure_state(space, np.random.default_rng(19)).amplitudes
+    for (_, action), lbl in zip(terms, ("IIIIIIY", "XIIIIII", "ZIIIIIX"), strict=True):
+        assert np.array_equal(action(y), -1j * qc.dense_pauli(lbl) @ y)
 
 
 # ---------------------------------------------------------------------------
