@@ -60,11 +60,12 @@ def calibration():
 
 
 def dressed():
-    # their signs are read from the labels (qcore.pauli_product): the
-    # readout of every non-identity 4-qubit label on a seeded state, and
-    # the gate bytes of ms_compile for k = 2..5, must print the same with
-    # BLAS threads pinned (the job's setting) and unpinned; demo 04 prints
-    # only 8 decimals of these values
+    # their signs are read from the labels (qcore.pauli_product), and each
+    # pi/4 dressing acts on the ket as cos(phi) psi - i sin(phi) P psi
+    # through qcore.pauli_apply: the readout of every non-identity 4-qubit
+    # label on a seeded state, and the gate bytes of ms_compile for
+    # k = 2..5, must print the same with BLAS threads pinned (the job's
+    # setting) and unpinned; demo 04 prints only 8 decimals of these values
     import hashlib
     import numpy as np
     from qworkbench import eqs, qcore as qc
@@ -74,6 +75,23 @@ def dressed():
     for k in range(2, 6):
         gates = eqs.ms_compile("YZXYZ"[:k], 0.37)
         print(k, hashlib.sha256(b"".join(g.matrix.tobytes() for g in gates)).hexdigest())
+
+
+def monotone():
+    # the readout pairs are read from their labels by qcore.expectation,
+    # through qcore.pauli_apply on a ket and as an O(d) gather of the
+    # entries on a density matrix: a seeded 5-qubit OddN value on the
+    # register ket, on its embedded density matrix and on a depolarized
+    # copy read with rescale must print the same with BLAS threads pinned
+    # (the job's setting) and unpinned; no table or demo prints these values
+    import numpy as np
+    from qworkbench import eqs, qcore as qc
+    psi = qc.random_pure_state(qc.HilbertSpace.qubits(5), np.random.default_rng(21))
+    spec = eqs.MonotoneSpec("OddN", 5)
+    rho = eqs.embed_state(psi).to_density_matrix()
+    noisy = eqs.apply_depolarizing(rho, 0.97, 40)
+    print(repr([eqs.monotone(psi, spec).value, eqs.monotone(rho, spec).value,
+                eqs.monotone(noisy, spec, rescale=(0.97, 40)).value]))
 
 
 def bosonic():
@@ -113,6 +131,6 @@ def qubit_chain():
         print(repr(tc.correlation_ancilla(tc.CorrelationSpec(h, (0.0, 0.45, 1.1), ops, state))))
 
 
-for probe in (sampled, one_period, calibration, dressed, bosonic, qubit_chain):
+for probe in (sampled, one_period, calibration, dressed, monotone, bosonic, qubit_chain):
     print("==", probe.__name__)
     probe()

@@ -21,10 +21,16 @@ single-site readout of dressed Pauli observables, the depolarizing channel
 with its exact inversion, and the embedded Trotter circuit, a list of Pauli
 rotations each applied to the ket in O(d) by ``qcore.pauli_apply``, whose
 single-qubit z rotations leak onto their neighbors (crosstalk).
+
+Every readout here is a Pauli label: ``qcore.expectation`` reads it and
+``qcore.pauli_apply`` applies a dressing, so neither the monotones nor the
+dressed readout form a d x d matrix, and a 14-qubit register (d = 16384)
+is read in a few kets' memory.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,7 +43,6 @@ from .qcore import (
     HilbertSpace,
     OperatorSum,
     PureState,
-    dense_pauli,
     expectation,
     expm,
     kron_all,
@@ -132,6 +137,8 @@ class MonotoneSpec:
 
     def __post_init__(self):
         kind, n = self.kind, self.n_qubits
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_qubits must be an integer >= 1, got {n!r}")
         if kind == "Concurrence2" and n != 2:
             raise ValueError("the concurrence is a two-qubit monotone")
         if kind == "SecondOrder2" and n != 2:
@@ -158,7 +165,7 @@ class MonotoneResult:
 
 @lru_cache(maxsize=None)
 def _readout(kind: str, n: int) -> tuple:
-    """Weights, enlarged-space labels and read-only matrices of the readout.
+    """Weights and enlarged-space Pauli labels of the readout.
 
     Each antilinear term w <psi|P K|psi> of the monotone is read as the pair
     Z+P, X+P; the terms with a zero metric weight are not measured.
@@ -172,10 +179,7 @@ def _readout(kind: str, n: int) -> tuple:
                  for gj, mj in zip(METRIC_DIAGONAL, PAULI_LABELS)]
     terms = [(w, lbl) for w, lbl in terms if w != 0.0]
     observables = tuple(axis + lbl for _, lbl in terms for axis in "ZX")
-    matrices = tuple(dense_pauli(lbl) for lbl in observables)
-    for m in matrices:
-        m.setflags(write=False)
-    return tuple(w for w, _ in terms), observables, matrices
+    return tuple(w for w, _ in terms), observables
 
 
 def monotone(state: PureState | DensityMatrix, spec: MonotoneSpec,
@@ -187,7 +191,8 @@ def monotone(state: PureState | DensityMatrix, spec: MonotoneSpec,
     ``Concurrence2``/``EvenN`` and |sum w c^2| over the metric weights w
     otherwise.  ``state`` is the embedded image (one extra qubit, a
     ``PureState`` or a ``DensityMatrix``) or a register ``PureState``, which
-    is embedded first; the register size tells them apart.  With
+    is embedded first; the register size tells them apart.  Each readout is
+    a Pauli label read by ``qcore.expectation``, with no d x d matrix.  With
     ``rescale=(epsilon, n_gates)`` every readout is first passed through
     ``rescale_expectation``, which inverts the circuit's depolarizing noise.
 
@@ -200,12 +205,12 @@ def monotone(state: PureState | DensityMatrix, spec: MonotoneSpec,
     if state.space.n_factors != n + 1 or not state.space.is_qubit_only:
         raise ValueError(f"the {spec.kind} readout needs the {n + 1}-qubit embedded "
                          f"state or a {n}-qubit register ket")
-    weights, observables, matrices = _readout(spec.kind, n)
+    weights, observables = _readout(spec.kind, n)
     vals = []
-    for m in matrices:
-        v = expectation(state, m).real
+    for label in observables:
+        v = expectation(state, label).real
         if rescale is not None:
-            v = rescale_expectation(v, *rescale, m)
+            v = rescale_expectation(v, *rescale, label)
         vals.append(v)
     terms = [complex(vz, -vx) for vz, vx in zip(vals[::2], vals[1::2])]
     if spec.kind in ("Concurrence2", "EvenN"):
@@ -429,16 +434,19 @@ def measure_via_anticommutation(theta_label: str, state: PureState) -> DressedRe
     readout after at most two commuting pi/4 dressing evolutions, each
     anticommuting with the readout (``_dressing``: none for a single-site
     string, one for an identity-free one, two otherwise).  ``state`` must
-    be a register of ``len(theta_label)`` qubits.
+    be a register of ``len(theta_label)`` qubits.  Each dressing acts on the
+    ket as ``cos(phi) psi - i sin(phi) P psi`` through ``qcore.pauli_apply``
+    and the readout is read from its label by ``qcore.expectation``, so no
+    d x d matrix is formed.
     """
     sign, readout, dressings = _dressing(theta_label)
     n = len(theta_label)
     if state.space.n_factors != n or not state.space.is_qubit_only:
         raise ValueError(f"the observable {theta_label!r} needs a {n}-qubit register")
-    evolved = state.amplitudes
+    evolved, phi = state.amplitudes, math.pi / 4.0
     for p in reversed(dressings):  # U = R1 R2 acts on the ket R2 first
-        evolved = pauli_rotation(p, math.pi / 4.0) @ evolved
-    raw = float(np.real(np.vdot(evolved, dense_pauli(readout) @ evolved)))
+        evolved = math.cos(phi) * evolved - 1j * math.sin(phi) * pauli_apply(p, evolved)
+    raw = expectation(PureState(state.space, evolved), readout).real
     return DressedReadout(sign * raw, len(dressings), readout, dressings)
 
 
@@ -446,40 +454,56 @@ def measure_via_anticommutation(theta_label: str, state: PureState) -> DressedRe
 # noise models
 # ---------------------------------------------------------------------------
 
+def _depolarizing_weight(epsilon: float, n_gates: int) -> float:
+    """eps^n_gates, the weight the channel keeps on its input; raises
+    ``ValueError`` unless ``epsilon`` is in (0, 1] and ``n_gates`` is an
+    integer >= 0."""
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError("epsilon must sit in (0, 1]")
+    if not isinstance(n_gates, numbers.Integral) or n_gates < 0:
+        raise ValueError(f"n_gates must be an integer >= 0, got {n_gates!r}")
+    return epsilon ** n_gates
+
+
 def apply_depolarizing(rho: DensityMatrix, epsilon: float, n_gates: int) -> DensityMatrix:
     """n_gates-fold per-gate depolarizing: eps^n rho + (1 - eps^n) I/d.
 
     Each channel ``D(rho) = eps rho + (1 - eps) I/d`` maps ``I/d`` to itself
     and commutes with every unitary conjugation, so the channels after the
     ``n_gates`` gates of a circuit compose to this one channel on its
-    noiseless output.  Raises ``ValueError`` unless ``epsilon`` is in (0, 1].
+    noiseless output.  Raises ``ValueError`` unless ``epsilon`` is in (0, 1]
+    and ``n_gates`` is an integer >= 0.
     """
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError("epsilon must sit in (0, 1]")
-    weight = epsilon ** n_gates
+    weight = _depolarizing_weight(epsilon, n_gates)
     d = rho.space.dim
     return DensityMatrix(rho.space, weight * rho.matrix + (1.0 - weight) * np.eye(d) / d)
 
 
 def rescale_expectation(measured: float, epsilon: float, n_gates: int,
-                        observable: np.ndarray | OperatorSum) -> float:
+                        observable: np.ndarray | OperatorSum | str) -> float:
     """Exact inversion of the depolarizing channel on an expectation value.
 
     For traceless observables this is measured / eps^n; in general the
     identity's contribution ``(1 - eps^n) Tr(O)/d`` is subtracted first.
-    A weight eps^n that underflows to zero or to a subnormal number has
-    lost its digits, and raises ``ValueError``.
+    ``observable`` is a matrix, an ``OperatorSum`` or a Pauli label, whose
+    Tr(P)/d is 1 for the all-identity string and 0 for every other.  The
+    arguments are checked as ``apply_depolarizing`` checks them, and a weight
+    eps^n that underflows to zero or to a subnormal number has lost its
+    digits; each raises ``ValueError``.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    weight = epsilon ** n_gates
+    weight = _depolarizing_weight(epsilon, n_gates)
     if weight < sys.float_info.min:
         raise ValueError(f"the depolarizing weight epsilon^n_gates = {epsilon}^{n_gates} "
                          f"underflows to {weight}; the noise cannot be inverted")
-    omat = observable.matrix() if isinstance(observable, OperatorSum) else \
-        np.asarray(observable, dtype=complex)
-    d = omat.shape[0]
-    tr = complex(np.trace(omat)).real
+    if isinstance(observable, str):
+        if not observable or not set(observable) <= set(PAULI_LABELS):
+            raise ValueError(f"{observable!r} is not a Pauli label")
+        tr, d = float(set(observable) == {"I"}), 1
+    else:
+        omat = observable.matrix() if isinstance(observable, OperatorSum) else \
+            np.asarray(observable, dtype=complex)
+        d = omat.shape[0]
+        tr = complex(np.trace(omat)).real
     return (measured - (1.0 - weight) * tr / d) / weight
 
 

@@ -3,18 +3,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import OperatorSum
+from .operators import OperatorSum, _pauli_action, pauli_apply
 from .spaces import DimensionMismatchError, HilbertSpace, check_same_space
 from .states import DensityMatrix, PureState
 
 
-def expectation(state: PureState | DensityMatrix, op: OperatorSum | np.ndarray) -> complex:
+def expectation(state: PureState | DensityMatrix,
+                op: OperatorSum | np.ndarray | str) -> complex:
     """<psi|O|psi> or Tr(O rho).
 
-    When ``op`` is an OperatorSum flagged Hermitian the imaginary part must
-    be numerical dust (< 1e-10) and is returned as exactly zero.
+    ``op`` may be a Pauli label such as ``"ZIY"``; the state must then be a
+    register of ``len(op)`` qubits, or ``DimensionMismatchError`` is raised
+    (a qubit (x) mode space of the same dimension is not a register).  A
+    label is read with no d x d matrix: on a ket as ``vdot(psi,
+    pauli_apply(op, psi))``, on a density matrix as the O(d) gather Tr(P rho)
+    = sum_r phase_r rho[perm_r, r] over P's one entry per row.
+
+    When ``op`` is a label or an OperatorSum flagged Hermitian the imaginary
+    part must be numerical dust (< 1e-10) and is returned as exactly zero.
     """
-    if isinstance(op, OperatorSum):
+    if isinstance(op, str):
+        if not state.space.is_qubit_only or state.space.n_factors != len(op):
+            raise DimensionMismatchError(
+                f"the Pauli label {op!r} needs a register of {len(op)} qubits")
+        hermitian = True
+    elif isinstance(op, OperatorSum):
         if op.space != state.space:
             raise DimensionMismatchError("state and operator live on different spaces")
         mat = op.matrix()
@@ -25,7 +38,12 @@ def expectation(state: PureState | DensityMatrix, op: OperatorSum | np.ndarray) 
             raise DimensionMismatchError("operator matrix does not match the state's space")
         hermitian = False
 
-    if isinstance(state, PureState):
+    if isinstance(op, str) and isinstance(state, PureState):
+        value = complex(np.vdot(state.amplitudes, pauli_apply(op, state.amplitudes)))
+    elif isinstance(op, str):
+        perm, phase = _pauli_action(op)  # P[r, perm[r]] = phase[r]: d work
+        value = complex((phase * state.matrix[perm, np.arange(perm.size)]).sum())
+    elif isinstance(state, PureState):
         value = complex(np.vdot(state.amplitudes, mat @ state.amplitudes))
     else:
         value = complex((mat * state.matrix.T).sum())  # sum_ij O_ij rho_ji: d^2 work

@@ -8,9 +8,9 @@ with no d x d matrix (``OperatorSum.blocks``),
 and ``dense_pauli`` and ``kron_all`` cover Pauli labels and explicit
 factor lists; ``pauli_rotation`` exponentiates a Pauli label in closed
 form, and ``pauli_apply`` applies one to a ket or a stack of column blocks
-in O(d) work per column, with no d x d matrix.  Outside ``qcore`` no module
-pads with identities by hand, and only ``eqs``'s readouts make a Pauli
-label dense.
+in O(d) work per column, with no d x d matrix (``qcore.expectation`` reads
+a label through the same action).  Outside ``qcore`` no module pads with
+identities by hand or makes a Pauli label dense.
 ``pauli_terms`` reads a qubit operator as a sum of Pauli strings from its
 own terms, and ``pauli_product`` multiplies two Pauli strings, both
 symbolically.

@@ -2,7 +2,6 @@
 import math
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -220,10 +219,11 @@ def test_monotone_readout_matches_direct_conjugation(kind, n):
                    - expected) < 1e-12
     with pytest.raises(ValueError, match="embedded"):
         eqs.monotone(psi.to_density_matrix(), spec)
-    weights, observables, matrices = eqs._readout(kind, n)
-    assert eqs._readout(kind, n)[2] is matrices
-    assert len(matrices) == len(observables) == 2 * len(weights)
-    assert not any(m.flags.writeable for m in matrices)
+    # the readout is a cached tuple of enlarged-space labels, no matrices
+    weights, observables = eqs._readout(kind, n)
+    assert eqs._readout(kind, n)[1] is observables
+    assert len(observables) == 2 * len(weights)
+    assert all(isinstance(lbl, str) and len(lbl) == n + 1 for lbl in observables)
 
 
 def test_monotone_observable_lists():
@@ -244,6 +244,25 @@ def test_monotone_spec_validation():
         eqs.MonotoneSpec("EvenN", 3)
     with pytest.raises(ValueError):
         eqs.MonotoneSpec("OddN", 4)
+    # a register of no qubits, a negative or a float size: EvenN at 0 would
+    # read a 1-qubit ket as an embedded register and return about 1
+    for kind, n in (("EvenN", 0), ("EvenN", -2), ("OddN", -1), ("EvenN", 2.0)):
+        with pytest.raises(ValueError, match="n_qubits must be an integer >= 1"):
+            eqs.MonotoneSpec(kind, n)
+
+
+def test_monotone_reads_twelve_qubits_from_labels():
+    # EvenN on a 12-qubit register: the embedded register has d = 8192, where
+    # one dense readout matrix would take 1 GiB
+    n = 12
+    psi = qc.random_pure_state(qc.HilbertSpace.qubits(n), np.random.default_rng(112))
+    amps = psi.amplitudes
+    direct = abs(np.vdot(amps, qc.pauli_apply("Y" * n, amps.conj())))
+    start = time.perf_counter()
+    got = eqs.monotone(eqs.embed_state(psi), eqs.MonotoneSpec("EvenN", n))
+    assert time.perf_counter() - start < 1.0
+    assert got.observables == ("Z" + "Y" * n, "X" + "Y" * n)
+    assert abs(got.value - direct) < 1e-13
 
 
 def test_concurrence_protocol_through_embedded_evolution():
@@ -396,31 +415,6 @@ def test_conjugated_matches_dense():
     assert seen == {True, False}
 
 
-def test_dressing_rule_gives_theta_up_to_seven_qubits(monkeypatch):
-    # symbolic: the rotations and the readout matrix are 1 x 1 stand-ins, so
-    # the value is the sign the labels give; each dressing anticommutes with
-    # the readout, the dressings commute, and S P_1 ... P_k = c Theta with
-    # (-i)^k c = +-1
-    monkeypatch.setattr(eqs, "pauli_rotation", lambda label, theta: np.eye(1))
-    monkeypatch.setattr(eqs, "dense_pauli", lambda label: np.eye(1))
-    for n in range(1, 8):
-        state = SimpleNamespace(space=qc.HilbertSpace.qubits(n), amplitudes=np.ones(1))
-        for label in all_pauli_labels(n)[1:]:
-            out = eqs.measure_via_anticommutation(label, state)
-            weight = sum(ch != "I" for ch in label)
-            assert out.n_evolutions == (0 if weight == 1 else 1 if weight == n else 2)
-            assert 1 <= sum(ch != "I" for ch in out.readout) <= 2
-            phase, product = 1, out.readout
-            for p in out.evolutions:
-                assert qc.pauli_product(out.readout, p)[0].imag != 0
-                q, product = qc.pauli_product(product, p)
-                phase *= -1j * q
-            for p, r in zip(out.evolutions, out.evolutions[1:]):
-                assert qc.pauli_product(p, r)[0].imag == 0
-            assert product == label
-            assert out.value == phase.real and phase.imag == 0 and abs(phase) == 1
-
-
 def test_dressing_rule_from_the_labels_up_to_seven_qubits():
     # eqs._dressing, with no builder patched: for every label of 1-7 qubits
     # the readout has one or two sites, each dressing anticommutes with it,
@@ -446,22 +440,47 @@ def test_dressing_rule_from_the_labels_up_to_seven_qubits():
             eqs._dressing(label)
 
 
-def test_dressed_readout_forms_one_dense_pauli(monkeypatch):
-    # only the readout string becomes a matrix; the signs come from the labels
-    rng = np.random.default_rng(47)
-    psi = qc.random_pure_state(qc.HilbertSpace.qubits(5), rng)
-    calls = []
+def _random_labels(n, count, rng):
+    # random strings (mostly with identity slots), plus identity-free and
+    # single-site ones, so every dressing branch is read
+    labels = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(count)]
+    labels += ["".join(rng.choice(list("XYZ"), size=n)) for _ in range(3)]
+    labels += ["I" * q + ch + "I" * (n - q - 1) for q, ch in ((0, "X"), (n // 2, "Y"), (n - 1, "Z"))]
+    return [lbl for lbl in labels if lbl != "I" * n]
 
-    def counting(label):
-        calls.append(label)
-        return qc.dense_pauli(label)
 
-    monkeypatch.setattr(eqs, "dense_pauli", counting)
-    for label, n_evolutions in (("IIZII", 0), ("YXXZX", 1), ("XIYIZ", 2), ("IZZII", 2)):
-        calls.clear()
-        out = eqs.measure_via_anticommutation(label, psi)
-        assert out.n_evolutions == n_evolutions
-        assert calls == [out.readout]
+def test_dressed_readout_matches_the_dense_oracle_at_ten_qubits():
+    n = 10
+    rng = np.random.default_rng(210)
+    psi = qc.random_pure_state(qc.HilbertSpace.qubits(n), rng)
+    labels = _random_labels(n, 30, rng)
+    assert {eqs.measure_via_anticommutation(lbl, psi).n_evolutions for lbl in labels} == {0, 1, 2}
+    for label in labels:
+        direct = np.vdot(psi.amplitudes, qc.dense_pauli(label) @ psi.amplitudes).real
+        assert abs(eqs.measure_via_anticommutation(label, psi).value - direct) < 1e-13, label
+
+
+def test_dressed_readout_runs_fourteen_qubits_with_no_dense_matrix():
+    # d = 16384: one dense readout or dressing matrix would take 4 GiB, so
+    # the readouts finishing in well under a second within a few kets'
+    # memory shows that none is formed
+    n = 14
+    rng = np.random.default_rng(214)
+    psi = qc.random_pure_state(qc.HilbertSpace.qubits(n), rng)
+    labels = _random_labels(n, 30, rng)
+    expected = [np.vdot(psi.amplitudes, qc.pauli_apply(lbl, psi.amplitudes)).real
+                for lbl in labels]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = [eqs.measure_via_anticommutation(lbl, psi).value for lbl in labels]
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 50 * 2 ** 20
+    assert np.max(np.abs(np.array(got) - expected)) < 1e-13
 
 
 def test_dressed_readout_rejects_bad_input():
@@ -507,6 +526,32 @@ def test_noise_inversion_traceless_and_general():
             ideal = float(np.real(np.trace(o @ rho.matrix)))
             measured = float(np.real(np.trace(o @ noisy.matrix)))
             assert abs(eqs.rescale_expectation(measured, eps, n, o) - ideal) < 1e-12
+
+
+def test_depolarizing_and_its_inversion_refuse_out_of_range_arguments():
+    # a negative gate count would raise the weight past 1 and give a matrix
+    # with a negative eigenvalue; epsilon > 1 is no channel
+    rho = qc.random_pure_state(qc.HilbertSpace.qubits(2), np.random.default_rng(44)).to_density_matrix()
+    for eps, n_gates, message in ((0.9, -30, "n_gates"), (0.9, 2.5, "n_gates"),
+                                  (1.5, 3, "epsilon"), (0.0, 3, "epsilon")):
+        with pytest.raises(ValueError, match=message):
+            eqs.apply_depolarizing(rho, eps, n_gates)
+        with pytest.raises(ValueError, match=message):
+            eqs.rescale_expectation(0.3, eps, n_gates, "XZ")
+    with pytest.raises(ValueError, match="n_gates"):
+        eqs.rescale_expectation(0.3, 0.9, -3, qc.dense_pauli("XZ"))
+    for bad in ("", "XQ"):
+        with pytest.raises(ValueError, match="not a Pauli label"):
+            eqs.rescale_expectation(0.3, 0.9, 3, bad)
+
+
+def test_rescale_reads_a_label_as_its_dense_matrix():
+    # Tr(P)/d is 1 for the all-identity string and 0 otherwise, so a label
+    # inverts the channel with the bits of its dense matrix
+    for label in all_pauli_labels(2):
+        for eps, n_gates in ((0.97, 40), (0.5, 7)):
+            assert eqs.rescale_expectation(0.3, eps, n_gates, label) == \
+                eqs.rescale_expectation(0.3, eps, n_gates, qc.dense_pauli(label))
 
 
 def test_cost_ratio_small_for_realistic_fidelities():

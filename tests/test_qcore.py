@@ -714,34 +714,21 @@ def test_no_module_outside_qcore_exponentiates_dense_pauli():
     assert not sites, sites
 
 
-def test_pauli_labels_are_made_dense_only_in_the_eqs_readouts():
-    # outside qcore a Pauli string acts through qcore.pauli_apply or is an
-    # OperatorSum term; dense_pauli is referenced only by the two eqs
-    # readouts that form their readout matrices, and imported only there
+def test_no_module_outside_qcore_references_dense_pauli():
+    # outside qcore a Pauli string acts through qcore.pauli_apply, is read by
+    # qcore.expectation from its label or is an OperatorSum term; no module
+    # names dense_pauli, in an import or anywhere else
     package = Path(qc.__file__).parent.parent
-    allowed = {("eqs.py", "_readout"), ("eqs.py", "measure_via_anticommutation")}
-    sites, importers = set(), set()
+    sites = []
     for path in sorted(package.rglob("*.py")):
-        rel = str(path.relative_to(package))
         if "qcore" in path.relative_to(package).parts:
             continue
-        tree = ast.parse(path.read_text(), str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.alias) and node.name == "dense_pauli":
-                importers.add(rel)
-        scopes = [(None, tree)]
-        while scopes:
-            scope, node = scopes.pop()
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    scopes.append((scope or child.name, child))
-                    continue
-                if (isinstance(child, ast.Name) and child.id == "dense_pauli") or \
-                        (isinstance(child, ast.Attribute) and child.attr == "dense_pauli"):
-                    sites.add((rel, scope))
-                scopes.append((scope, child))
-    assert sites == allowed, sites
-    assert importers == {"eqs.py"}, importers
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.alias) and node.name == "dense_pauli") or \
+                    (isinstance(node, ast.Name) and node.id == "dense_pauli") or \
+                    (isinstance(node, ast.Attribute) and node.attr == "dense_pauli"):
+                sites.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert not sites, sites
 
 
 def test_carry_takes_a_column_block_and_checks_its_inputs():
@@ -1220,6 +1207,36 @@ def test_hermitian_flagged_expectation_is_real():
     y = qc.OperatorSum.single(space, 0, "Y", hermitian=True)
     val = qc.expectation(qc.plus_state(), y)
     assert val.imag == 0.0
+
+
+def test_expectation_of_a_label_is_that_of_its_dense_matrix():
+    # a label is read with no d x d matrix (pauli_apply on a ket, an O(d)
+    # gather on a density matrix) and is Hermitian: the imaginary part is 0
+    rng = np.random.default_rng(1213)
+    for n in (1, 2, 3):
+        space = qc.HilbertSpace.qubits(n)
+        g = rng.standard_normal((2 ** n, 2 ** n)) + 1j * rng.standard_normal((2 ** n, 2 ** n))
+        rho = qc.DensityMatrix(space, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        for state in (qc.random_pure_state(space, rng), rho):
+            for label in all_pauli_labels(n):
+                got = qc.expectation(state, label)
+                assert got.imag == 0.0
+                assert abs(got - qc.expectation(state, qc.dense_pauli(label))) < 1e-15, label
+
+
+def test_expectation_of_a_label_needs_a_register_of_its_length():
+    psi = qc.random_pure_state(qc.HilbertSpace.qubits(2), np.random.default_rng(1214))
+    for state in (psi, psi.to_density_matrix()):
+        for label in ("Z", "XYZ", ""):
+            with pytest.raises(qc.DimensionMismatchError, match="register"):
+                qc.expectation(state, label)
+        with pytest.raises(ValueError, match="bad Pauli letter 'Q'"):
+            qc.expectation(state, "XQ")
+    # a qubit (x) mode at n_max = 1 has d = 4 but is not two qubits
+    hybrid = qc.random_pure_state(qc.HilbertSpace.qubit_boson(n_max=1), np.random.default_rng(1215))
+    for state in (hybrid, hybrid.to_density_matrix()):
+        with pytest.raises(qc.DimensionMismatchError, match="2 qubits"):
+            qc.expectation(state, "XZ")
 
 
 # ---------------------------------------------------------------------------
