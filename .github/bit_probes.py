@@ -59,6 +59,25 @@ def calibration():
         print(hashlib.sha256(m.tobytes()).hexdigest())
 
 
+def parity():
+    # the parity protocol rotates each Fock level of the ket in closed form
+    # and reads sigma_z and sigma_y from its two qubit halves; the dispersive
+    # readout applies the calibration's cached operators (n_max = 14, as in
+    # the calibration probe) and reads the same way: both, exact and at
+    # 2000 shots, on three seeded qubit (x) boson kets, must print the same
+    # with BLAS threads pinned (the job's setting) and unpinned; demo 05
+    # prints only 3 decimals of the exact value
+    import numpy as np
+    from qworkbench import ionrabi, qcore as qc
+    rng = np.random.default_rng(42)
+    space = qc.HilbertSpace.qubit_boson(n_max=14)
+    for _ in range(3):
+        psi = qc.random_pure_state(space, rng)
+        print(repr([ionrabi.parity_measurement(psi),
+                    ionrabi.parity_measurement(psi, shots=2000, master_seed=7),
+                    ionrabi.parity_measurement_dispersive(psi)]))
+
+
 def dressed():
     # their signs are read from the labels (qcore.pauli_product), and each
     # pi/4 dressing acts on the ket as cos(phi) psi - i sin(phi) P psi
@@ -131,6 +150,6 @@ def qubit_chain():
         print(repr(tc.correlation_ancilla(tc.CorrelationSpec(h, (0.0, 0.45, 1.1), ops, state))))
 
 
-for probe in (sampled, one_period, calibration, dressed, monotone, bosonic, qubit_chain):
+for probe in (sampled, one_period, calibration, parity, dressed, monotone, bosonic, qubit_chain):
     print("==", probe.__name__)
     probe()

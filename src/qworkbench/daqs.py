@@ -1,7 +1,7 @@
 """Digital-analog Trotterization: Heisenberg chains from XX/XY analog
 blocks with collective rotations, and Rabi/Dicke digitization from
-Jaynes-Cummings steps interleaved with qubit flips, with error, noise and
-gate-count accounting.
+Jaynes-Cummings steps interleaved with qubit flips (an index permutation),
+with error, noise and gate-count accounting.
 
 The Heisenberg split is ``H = H_XY + H_ZZ`` with ``H_ZZ`` generated by
 conjugating the XX block with the collective rotation ``R_y(pi/4) =
@@ -42,13 +42,11 @@ from .qcore import (
     expectation,
     expm,
     integrate,
-    kron_all,
     on_factors,
     partial_trace,
     propagator,
 )
 from .openmaster import apply_dissipator
-from .qcore.operators import PAULIS
 
 MAX_SPINS = 12
 
@@ -392,8 +390,9 @@ def rabi_hamiltonian_dense(n_qubits: int, db: int, omega_r: float, omega_q: floa
 
 
 def _collective_flip(n_qubits: int, db: int) -> np.ndarray:
-    x = expm(-1j * math.pi / 2.0 * PAULIS["X"])
-    return kron_all([x] * n_qubits + [np.eye(db, dtype=complex)])
+    """The pi flip ``F = (-i)^N X^(x)N (x) 1`` as the permutation reversing the
+    qubit blocks; its phase cancels in every ``F M F^dag = M[perm][:, perm]``."""
+    return np.arange(2 ** n_qubits * db).reshape(2 ** n_qubits, db)[::-1].reshape(-1)
 
 
 def cqed_rabi_digitize(omega_r: float, omega_q: float, g: float, t: float,
@@ -468,7 +467,7 @@ def cqed_rabi_step_sweep(omega_r: float, omega_q: float, g: float, t: float,
         blocks = (("Flip", math.pi), ("JC-rot", tau), ("Flip", math.pi), ("JC", tau))
         plan = TrotterPlan(steps=steps, blocks=blocks, gate_count=4 * steps)
         if noise is None:
-            u_step = propagator(jc1, 0.0, tau) @ flip @ propagator(jc2, 0.0, tau) @ flip.conj().T
+            u_step = propagator(jc1, 0.0, tau) @ propagator(jc2, 0.0, tau)[np.ix_(flip, flip)]
             u = np.linalg.matrix_power(u_step, steps)
             final = PureState(space, u @ initial.amplitudes)
             fid = float(abs(np.vdot(reference.amplitudes, final.amplitudes)) ** 2)
@@ -520,7 +519,7 @@ def _cqed_noisy_run(space, initial, h1, h2_tilde, flip, n_qubits, tau, steps,
     def apply_flip(rho):
         if t_f > 0.0:
             return run_segment(rho, lambda s: flip_envelope(s) * sx_total, t_f)
-        return flip @ rho @ flip.conj().T
+        return rho[np.ix_(flip, flip)]
 
     for _ in range(steps):
         # counter-rotating step first, matching the noiseless ordering

@@ -9,7 +9,6 @@ libyaml's ``CSafeDumper`` when PyYAML was built with it and its
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,13 +80,3 @@ class RunArtifact:
             "notes": self.notes,
             "tables": [t.name for t in self.tables],
         }
-
-
-class Stopwatch:
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start
-        return False

@@ -42,7 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="KEY=VALUE", help="override one parameter")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--threads", type=int, default=None)
+    run.add_argument("--threads", type=int, default=None, metavar="N",
+                     help="worker threads over a scenario's independent items "
+                          "(default 1); they pay only for heavy items with BLAS "
+                          "pinned (OPENBLAS_NUM_THREADS=1): on two cores "
+                          "daqs-heisenberg at n_spins=9 took 7.6 s at 1 and 4.4 s "
+                          "at 2, and with BLAS threads unset 2 was slower at "
+                          "every setting tried")
     run.add_argument("--out", default=None, help="output directory")
     return parser
 

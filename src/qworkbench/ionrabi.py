@@ -27,7 +27,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +40,8 @@ from .qcore import (
     Schedule,
     TruncationError,
     carry,
-    evolve,
+    check_count,
+    evolve_trace,
     kron_all,
     on_factors,
     pauli_rotation,
@@ -283,10 +284,11 @@ def adiabatic_ground_state(h0: np.ndarray, coupling: np.ndarray, g_final: float,
     The ramp is a term-form schedule, ``h0`` with coefficient 1 and
     ``coupling`` with coefficient g(t), so no Hamiltonian is formed while it
     is integrated, and ``qcore`` steps only the blocks the two matrices
-    leave invariant (the parity sectors of the quantum Rabi ramp).  The
-    instantaneous ground state at each checkpoint comes from full
-    diagonalization of ``h0 + g * coupling``, with its phase fixed by
-    positive overlap with the previous checkpoint.  Degenerate ground
+    leave invariant (the parity sectors of the quantum Rabi ramp).
+    ``qcore.evolve_trace`` carries the g = 0 ground state from checkpoint
+    to checkpoint.  The instantaneous ground state at each checkpoint comes
+    from full diagonalization of ``h0 + g * coupling``, with its phase fixed
+    by positive overlap with the previous checkpoint.  Degenerate ground
     spaces (a gap below 1e-10 of ``max(1, |E_0|)``) are flagged, not
     resolved (the fidelity there refers to an arbitrary member).  Raises
     ``ValueError`` unless ``n_checkpoints`` is an integer of at least 2,
@@ -311,21 +313,19 @@ def adiabatic_ground_state(h0: np.ndarray, coupling: np.ndarray, g_final: float,
     fids = np.empty(n_checkpoints)
     gaps = np.empty(n_checkpoints)
     degenerate = np.zeros(n_checkpoints, dtype=bool)
-    current = reference = None
-    for i, t in enumerate(times):
-        evals, evecs = np.linalg.eigh(h0 + g_of_t(t) * coupling)
-        ground = evecs[:, 0]
-        if i == 0:  # times[0] = 0: the ramp starts in this ground state
-            current = PureState(space, ground)
-        else:
-            if np.vdot(reference, ground).real < 0.0:
+    evals, evecs = np.linalg.eigh(h0 + g_of_t(times[0]) * coupling)
+    ground = evecs[:, 0]   # times[0] = 0: the ramp starts in this ground state
+    states = evolve_trace(PureState(space, ground), schedule, times, tol)
+    for i, state in enumerate(states):
+        if i:
+            evals, evecs = np.linalg.eigh(h0 + g_of_t(times[i]) * coupling)
+            previous, ground = ground, evecs[:, 0]
+            if np.vdot(previous, ground).real < 0.0:
                 ground = -ground
-            current = evolve(current, schedule, times[i - 1], t, tol)
-        reference = ground
         gap = float(evals[1] - evals[0])
         gaps[i] = gap
         degenerate[i] = gap < 1e-10 * max(1.0, abs(evals[0]))
-        fids[i] = abs(np.vdot(ground, current.amplitudes)) ** 2
+        fids[i] = abs(np.vdot(ground, state.amplitudes)) ** 2
     return AdiabaticResult(final_fidelity=float(fids[-1]), times=times,
                            fidelities=fids, gaps=gaps, degenerate=degenerate)
 
@@ -556,34 +556,32 @@ def parity_measurement(state: PureState, shots: int | None = None,
     Re Pi = -(1/2)(<e^{+i n sx pi/2} sz> + <e^{-i n sx pi/2} sz>) and
     Im Pi = +(1/2)(<e^{+i n sx pi/2} sy> - <e^{-i n sx pi/2} sy>);
     each bracket is read after evolving under H = (+-) n sigma_x for a
-    time pi/4.  Optional shot sampling draws +-1 outcomes per observable.
+    time pi/4, applied on each Fock level in closed form:
+    ``psi_+- = cos(n pi/4) psi -+ i sin(n pi/4) sigma_x psi``.  ``shots``,
+    an integer >= 1 (else ``ValueError``), samples +-1 outcomes per observable.
     """
-    space = state.space
-    _require_qubit_boson(space)
-    n_sigma_x = Schedule.constant(OperatorSum(space, [(1.0, ("X", "n"))]))
-    u = propagator(n_sigma_x, 0.0, math.pi / 4.0)
-    psi_plus = u @ state.amplitudes               # for the e^{+...} bracket
-    psi_minus = u.conj().T @ state.amplitudes
-
-    def ev(vec, op, stream):
-        mean = float(np.real(np.vdot(vec, op @ vec)))
-        if shots is None:
-            return mean
-        return float(shot_means(mean, shot_uniforms(master_seed, stream, shots)))
-
-    return _parity_readout(space, psi_plus, psi_minus, ev)
+    _require_qubit_boson(state.space)
+    if shots is not None:
+        shots = check_count(shots, "shots")
+    psi = state.amplitudes.reshape(2, -1)         # sigma_x swaps the |e> and |g> rows
+    angle = (math.pi / 4.0) * np.arange(psi.shape[1])
+    kept, swapped = np.cos(angle) * psi, -1j * np.sin(angle) * psi[::-1]
+    return _parity_readout(kept + swapped, kept - swapped, shots, master_seed)
 
 
-def _parity_readout(space: HilbertSpace, psi_plus: np.ndarray, psi_minus: np.ndarray,
-                    ev: Callable) -> complex:
-    """Re Pi = -(<sz>_+ + <sz>_-)/2 and Im Pi = (<sy>_+ - <sy>_-)/2 from the
-    two rotated states; ``ev(vec, op, stream)`` estimates <vec|op|vec>, and
-    the four readouts take streams 0-3 in that order."""
-    sz = OperatorSum.single(space, 0, "Z").matrix()
-    sy = OperatorSum.single(space, 0, "Y").matrix()
-    re_part = -0.5 * (ev(psi_plus, sz, 0) + ev(psi_minus, sz, 1))
-    im_part = 0.5 * (ev(psi_plus, sy, 2) - ev(psi_minus, sy, 3))
-    return complex(re_part, im_part)
+def _parity_readout(psi_plus: np.ndarray, psi_minus: np.ndarray, shots: int | None = None,
+                    master_seed: int = 0) -> complex:
+    """Re Pi = -(<sz>_+ + <sz>_-)/2 and Im Pi = (<sy>_+ - <sy>_-)/2, read in
+    O(d) from the qubit halves ``psi_e``, ``psi_g`` of the two rotated kets:
+    <sz> = |psi_e|^2 - |psi_g|^2 and <sy> = 2 Im <psi_e|psi_g>.  With
+    ``shots``, <sz>_+, <sz>_-, <sy>_+ and <sy>_- are sampled on streams 0-3."""
+    halves = [psi.reshape(2, -1) for psi in (psi_plus, psi_minus)]
+    means = [np.vdot(e, e).real - np.vdot(g, g).real for e, g in halves] + \
+        [2.0 * np.vdot(e, g).imag for e, g in halves]
+    if shots is not None:
+        means = [shot_means(mean, shot_uniforms(master_seed, stream, shots))
+                 for stream, mean in enumerate(means)]
+    return complex(-0.5 * (means[0] + means[1]), 0.5 * (means[2] - means[3]))
 
 
 def parity_direct(state: PureState) -> complex:
@@ -712,9 +710,10 @@ def parity_measurement_dispersive(state: PureState, delta_ratio: float = 20.0,
     its first half only (the pulse is time-reversal symmetric in its
     carrier frame, so the second half is the transpose of the first), and
     keeps the two composite operators ``M_+-`` (pulse, offset compensation
-    and axis rotation), so a readout is two matrix-vector products and runs
-    no integrator.  Raises ``ValueError`` unless the state lives on one
-    qubit (x) boson, ``delta_ratio > 0`` and ``|eps_frac| < 1``.
+    and axis rotation), so a readout is two matrix-vector products and an
+    O(d) read of the kets, and runs no integrator.  Raises ``ValueError``
+    unless the state lives on one qubit (x) boson, ``delta_ratio > 0`` and
+    ``|eps_frac| < 1``.
     """
     space = state.space
     _require_qubit_boson(space)
@@ -726,5 +725,4 @@ def parity_measurement_dispersive(state: PureState, delta_ratio: float = 20.0,
     cal = _dispersive_calibration(db, delta_ratio, eps_frac, tol)
     psi_plus = cal.m_plus @ state.amplitudes     # ~ exp(-i n sigma_x t*)|psi>
     psi_minus = cal.m_minus @ state.amplitudes   # ~ exp(+i n sigma_x t*)|psi>
-    return _parity_readout(space, psi_plus, psi_minus,
-                           lambda vec, op, stream: float(np.real(np.vdot(vec, op @ vec))))
+    return _parity_readout(psi_plus, psi_minus)

@@ -590,6 +590,66 @@ def test_parity_protocol_sampled():
     assert abs(est - ir.parity_direct(st)) < 0.05
 
 
+@pytest.mark.parametrize("shots", [0, -3, 2.5, True])
+def test_parity_protocol_refuses_bad_shots(shots):
+    # shots=0 returned nan+nanj with two RuntimeWarnings; the others escaped
+    # as numpy errors
+    st = qc.basis_state(qc.HilbertSpace.qubit_boson(n_max=4), [1, 0])
+    with pytest.raises(ValueError, match="shots"):
+        ir.parity_measurement(st, shots=shots)
+
+
+def dense_readout(plus, minus):
+    """Re Pi = -(<sz>_+ + <sz>_-)/2 and Im Pi = (<sy>_+ - <sy>_-)/2 from
+    dense sigma_z (x) 1 and sigma_y (x) 1, and the four means."""
+    eye = np.eye(plus.size // 2)
+    means = [np.vdot(k, np.kron(qc.operators.PAULIS[p], eye) @ k).real
+             for p in "ZY" for k in (plus, minus)]
+    return complex(-0.5 * (means[0] + means[1]), 0.5 * (means[2] - means[3])), means
+
+
+@pytest.mark.parametrize("n_max", [1, 5, 14, 40])
+def test_parity_protocol_needs_no_dense_route(n_max, monkeypatch):
+    # the rotations act on the ket in closed form and the readouts read its
+    # qubit halves: with eigh, OperatorSum.matrix, the propagator and expm
+    # patched to raise, both protocols still run (the dispersive one once
+    # calibrated) and match the dense route: the rotated kets, the parity,
+    # each mean, and at a fixed seed each sampled mean
+    space = qc.HilbertSpace.qubit_boson(n_max=n_max)
+    rng = np.random.default_rng(70 + n_max)
+    states = [qc.random_pure_state(space, rng) for _ in range(3)]
+    u = expm(-1j * math.pi / 4.0 * np.kron(qc.operators.PAULIS["X"],
+                                           np.diag(np.arange(n_max + 1.0))))
+    monkeypatch.setattr(ir, "_DISPERSIVE_CAL_CACHE", {})
+    cal = ir._dispersive_calibration(n_max + 1, 6.0, 0.25, 1e-9) if n_max < 14 else None
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a dense route ran")
+
+    for target, name in ((np.linalg, "eigh"), (qc.OperatorSum, "matrix"), (qc, "propagator"),
+                         (ir, "propagator"), (qc, "expm")):
+        monkeypatch.setattr(target, name, fail)
+    readout, kets = ir._parity_readout, []
+    monkeypatch.setattr(ir, "_parity_readout",
+                        lambda plus, minus, *args: kets.append((plus, minus))
+                        or readout(plus, minus, *args))
+    for st in states:
+        plus, minus = u @ st.amplitudes, u.conj().T @ st.amplitudes
+        value, means = dense_readout(plus, minus)
+        assert abs(ir.parity_measurement(st) - value) <= 1e-14
+        assert np.max(np.abs(kets[-1][0].reshape(-1) - plus)) <= 1e-14
+        assert np.max(np.abs(kets[-1][1].reshape(-1) - minus)) <= 1e-14
+        half = readout(plus, np.zeros_like(minus))   # <sz>_+ and <sy>_+ alone
+        assert abs(half - complex(-0.5 * means[0], 0.5 * means[2])) <= 1e-14
+        sampled = [float(qc.shot_means(m, qc.shot_uniforms(7, stream, 2000)))
+                   for stream, m in enumerate(means)]
+        assert ir.parity_measurement(st, shots=2000, master_seed=7) == complex(
+            -0.5 * (sampled[0] + sampled[1]), 0.5 * (sampled[2] - sampled[3]))
+        if cal is not None:
+            value, _ = dense_readout(cal.m_plus @ st.amplitudes, cal.m_minus @ st.amplitudes)
+            assert abs(ir.parity_measurement_dispersive(st, delta_ratio=6.0) - value) <= 1e-14
+
+
 def test_parity_dispersive_low_manifold():
     space = qc.HilbertSpace.qubit_boson(n_max=14)
     for occ in ([1, 0], [0, 1], [1, 2]):

@@ -695,11 +695,18 @@ def test_pauli_apply_checks_its_inputs_and_caches_read_only_arrays():
 
 def test_no_module_outside_qcore_exponentiates_dense_pauli():
     # qcore.pauli_rotation is the one way to exponentiate a Pauli string;
-    # an expm of a dense_pauli(...) expression writes it out again
+    # an expm of a dense_pauli(...) expression, of a PAULIS entry or of a
+    # SIGMA_* constant writes it out again
     package = Path(qc.__file__).parent.parent
 
-    def name_of(func):
-        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    def name_of(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def dense(inner):
+        if isinstance(inner, ast.Call):
+            return name_of(inner.func) == "dense_pauli"
+        name = name_of(inner) or ""
+        return name == "PAULIS" or name.startswith("SIGMA_")
 
     sites = []
     for path in sorted(package.rglob("*.py")):
@@ -708,8 +715,7 @@ def test_no_module_outside_qcore_exponentiates_dense_pauli():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if not (isinstance(node, ast.Call) and name_of(node.func) == "expm"):
                 continue
-            if any(isinstance(inner, ast.Call) and name_of(inner.func) == "dense_pauli"
-                   for arg in node.args for inner in ast.walk(arg)):
+            if any(dense(inner) for arg in node.args for inner in ast.walk(arg)):
                 sites.append(f"{path.relative_to(package)}:{node.lineno}")
     assert not sites, sites
 
