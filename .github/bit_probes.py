@@ -150,6 +150,24 @@ def qubit_chain():
         print(repr(tc.correlation_ancilla(tc.CorrelationSpec(h, (0.0, 0.45, 1.1), ops, state))))
 
 
-for probe in (sampled, one_period, calibration, parity, dressed, monotone, bosonic, qubit_chain):
+def noisy_cqed():
+    # the noisy cQED digitization is a chain of LindbladModel segments, which
+    # openmaster.lindblad_exact steps at d = 24, above the size that takes
+    # the block exponential: two Trotter steps with finite raised-cosine
+    # flips under resonator loss, dephasing and relaxation, whose fidelity
+    # and the sha256 of whose final density matrix must print the same with
+    # BLAS threads pinned (the job's setting) and unpinned; demo 07 prints
+    # only 4 decimals of a longer run's fidelity
+    import hashlib
+    from qworkbench import daqs
+    noise = daqs.CqedNoise(kappa=0.01, gamma_phi=0.005, gamma_minus=0.002,
+                           flip_duration=0.02)
+    run = daqs.cqed_rabi_digitize(1.0, 1.0, 1.0, 0.5, 2, n_max=11, noise=noise, tol=1e-8)
+    print(repr(run.fidelity))
+    print(hashlib.sha256(run.state.matrix.tobytes()).hexdigest())
+
+
+for probe in (sampled, one_period, calibration, parity, dressed, monotone, bosonic, qubit_chain,
+              noisy_cqed):
     print("==", probe.__name__)
     probe()

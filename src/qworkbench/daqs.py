@@ -1,7 +1,9 @@
 """Digital-analog Trotterization: Heisenberg chains from XX/XY analog
 blocks with collective rotations, and Rabi/Dicke digitization from
 Jaynes-Cummings steps interleaved with qubit flips (an index permutation),
-with error, noise and gate-count accounting.
+with error, noise and gate-count accounting.  The noisy digitization writes
+no master equation: its segments are ``openmaster.LindbladModel``s, evolved
+by ``openmaster.lindblad_exact``.
 
 The Heisenberg split is ``H = H_XY + H_ZZ`` with ``H_ZZ`` generated by
 conjugating the XX block with the collective rotation ``R_y(pi/4) =
@@ -13,7 +15,8 @@ the two halves commute and a single step is exact.  Since
 ``exp(-i H_XY t/l)``.  The fully digital baseline exponentiates each bond
 in closed form: ``XX + YY + ZZ = 2 SWAP - I`` and ``SWAP^2 = I`` give
 ``exp(-i theta (2 SWAP - I)) = e^{i theta} (cos 2theta - i sin 2theta SWAP)``
-with ``theta = J_ij t/l``, where ``SWAP`` permutes rows.
+with ``theta = J_ij t/l``, where ``SWAP`` permutes rows; ``R_y`` itself is the
+tensor power of the one-spin rotation.
 
 Each coupling builds what these loops reuse (the constant schedules of
 ``H_XY`` and ``H``, the ``H_ZZ`` diagonal and one SWAP permutation per
@@ -40,13 +43,13 @@ from .qcore import (
     evolve,
     evolve_trace,
     expectation,
-    expm,
-    integrate,
+    kron_all,
     on_factors,
     partial_trace,
+    pauli_rotation,
     propagator,
 )
-from .openmaster import apply_dissipator
+from .openmaster import LindbladModel, lindblad_exact
 
 MAX_SPINS = 12
 
@@ -176,10 +179,8 @@ class _Generators:
 
 
 def collective_y_rotation(n: int) -> np.ndarray:
-    """R_y(pi/4) = exp(-i (pi/4) sum_i sigma_y^i) on ``n`` spins."""
-    space = HilbertSpace.qubits(n)
-    gen = OperatorSum(space, [(1.0, on_factors(space, {q: "Y"})) for q in range(n)])
-    return expm(-1j * math.pi / 4.0 * gen.matrix())
+    """R_y(pi/4) = exp(-i (pi/4) sum_i sigma_y^i) on ``n`` spins, in closed form."""
+    return kron_all([pauli_rotation("Y", math.pi / 4.0)] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +434,9 @@ def cqed_rabi_step_sweep(omega_r: float, omega_q: float, g: float, t: float,
     Jaynes-Cummings schedules, whose eigenbases give every count's steps,
     the collective flip, the exact reference and the observables.  A
     count's steps depend on nothing else, so every run equals the
-    one-count call bit for bit.
+    one-count call bit for bit.  ``tol`` is read only with ``noise``: it is
+    the stepper tolerance of the Lindblad segments, and the noiseless steps
+    are exact.
     """
     step_counts = list(step_counts)
     if any(isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
@@ -484,50 +487,36 @@ def cqed_rabi_step_sweep(omega_r: float, omega_q: float, g: float, t: float,
 
 def _cqed_noisy_run(space, initial, h1, h2_tilde, flip, n_qubits, tau, steps,
                     noise: CqedNoise, tol: float) -> DensityMatrix:
-    d = space.dim
+    """``steps`` noisy Trotter steps: each Jaynes-Cummings step and finite flip is
+    a ``LindbladModel`` with the run's collapse channels, evolved at ``tol``; an
+    instantaneous flip gathers rows and columns by ``flip``."""
     qubits = range(n_qubits)
-    collapse = [(noise.kappa, OperatorSum.single(space, -1, "a").matrix())] + \
-        [(noise.gamma_phi, OperatorSum.single(space, q, "Z").matrix()) for q in qubits] + \
-        [(noise.gamma_minus, OperatorSum.single(space, q, "S-").matrix()) for q in qubits]
-    collapse = [(op, op.conj().T @ op, r) for r, op in collapse if r > 0.0]
-    sx_total = OperatorSum(space, [(1.0, on_factors(space, {q: "X"})) for q in qubits]).matrix()
-
-    def dissipator(rho):
-        acc = np.zeros_like(rho)
-        for op, ldl, rate in collapse:
-            acc += apply_dissipator(op, ldl, rate, rho)
-        return acc
-
-    def run_segment(rho, h_of_t, duration):
-        def rhs(s, y):
-            m = y.reshape(d, d)
-            h = h_of_t(s)
-            out = -1j * (h @ m - m @ h) + dissipator(m)
-            return out.reshape(-1)
-
-        out = integrate(rhs, rho.reshape(-1), 0.0, duration, tol).reshape(d, d)
-        return 0.5 * (out + out.conj().T)
-
+    collapse = [(OperatorSum.single(space, -1, "a"), noise.kappa)] + \
+        [(OperatorSum.single(space, q, "Z"), noise.gamma_phi) for q in qubits] + \
+        [(OperatorSum.single(space, q, "S-"), noise.gamma_minus) for q in qubits]
+    collapse = [(op, rate) for op, rate in collapse if rate > 0.0]
+    jc1, jc2 = (LindbladModel(Schedule.constant(h, space), collapse) for h in (h1, h2_tilde))
     t_f = noise.flip_duration
+    if t_f > 0.0:
+        def envelope(s):
+            # raised cosine with integral pi/2 over [0, t_f]
+            return (math.pi / (2.0 * t_f)) * (1.0 - math.cos(2.0 * math.pi * s / t_f))
 
-    def flip_envelope(s):
-        # raised cosine with integral pi/2 over [0, t_f]
-        return (math.pi / (2.0 * t_f)) * (1.0 - math.cos(2.0 * math.pi * s / t_f))
-
-    rho = initial.to_density_matrix().matrix
+        sx_total = OperatorSum(space, [(1.0, on_factors(space, {q: "X"})) for q in qubits])
+        pulse = LindbladModel(Schedule.from_terms(space, [(envelope, sx_total.matrix())]),
+                              collapse)
 
     def apply_flip(rho):
         if t_f > 0.0:
-            return run_segment(rho, lambda s: flip_envelope(s) * sx_total, t_f)
-        return rho[np.ix_(flip, flip)]
+            return lindblad_exact(pulse, rho, t_f, tol)
+        return DensityMatrix(space, rho.matrix[np.ix_(flip, flip)], check_trace=False)
 
+    rho = initial.to_density_matrix()
     for _ in range(steps):
         # counter-rotating step first, matching the noiseless ordering
-        rho = apply_flip(rho)
-        rho = run_segment(rho, lambda s: h2_tilde, tau)
-        rho = apply_flip(rho)
-        rho = run_segment(rho, lambda s: h1, tau)
-    return DensityMatrix(space, rho, check_trace=False)
+        rho = lindblad_exact(jc2, apply_flip(rho), tau, tol)
+        rho = lindblad_exact(jc1, apply_flip(rho), tau, tol)
+    return rho
 
 
 def gate_count_bound(t: float, omega_r: float, omega_q: float, g: float,

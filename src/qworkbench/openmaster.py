@@ -10,13 +10,15 @@ over the channels.  The series terms are exact: for a generator L0(s) + LP(s)
 truncated at order n, the block stack [rho0, 0, ..., 0] obeys
 d xi_k/ds = L0 xi_k + LP xi_(k-1), so block k is the order-k simplex integral
 (Van Loan, IEEE TAC 23 (1978) 395).  A time-dependent generator is stepped on
-the stack.  A constant one generates the lower block-triangular Toeplitz
+the stack, and so is a constant one on more than ``_EXPONENTIAL_MAX_DIM``
+levels.  A smaller constant one generates the lower block-triangular Toeplitz
 matrix ``I_(n+1) kron L0 + S kron LP`` (S the sub-diagonal shift), which is
 never assembled: ``qcore.expm_block_toeplitz`` exponentiates its first block
 column, the stack [L0 t, LP t, 0, ..., 0], and block k of the result applied
 to vec(rho0) is xi_k(t).  L0 and LP there and ``liouvillian_matrix`` are the
 only superoperator matrices, in column stacking: ``vec(A X B) =
-(B^T kron A) vec(X)``.
+(B^T kron A) vec(X)``.  ``lindblad_exact``, order 0 of the same routine, is
+the package's one master-equation solver; ``daqs``'s noisy runs use it too.
 
 The Monte-Carlo estimator samples the simplex instead.  Order n draws one
 block of uniforms from stream ``(master_seed, n)`` of ``qcore.shot_uniforms``,
@@ -68,15 +70,12 @@ from .qcore.metrics import operator_infinity_norm
 
 _GAMMA_SUP_SAMPLES = 1024
 
+#: largest dimension d whose constant generator ``_dyson_blocks``
+#: exponentiates; above it the stepper is faster at every order
+_EXPONENTIAL_MAX_DIM = 8
+
 #: highest series order ``reconstruct`` evaluates (a cost guard)
 MAX_ORDER = 6
-
-
-def _as_rate(gamma) -> Callable[[float], float]:
-    if callable(gamma):
-        return gamma
-    g = float(gamma)
-    return lambda t: g
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,9 @@ class LindbladModel:
 
     ``is_constant`` is True when H is a constant schedule and every rate
     was given as a number; then the generator is one matrix for all times
-    and the exact routes exponentiate it once.  A callable rate is never
-    taken for constant, whatever values it returns: it always takes the
-    adaptive stepper.
+    and the exact routes exponentiate it once, up to ``_EXPONENTIAL_MAX_DIM``
+    levels (``_dyson_blocks``).  A callable rate is never taken for constant,
+    whatever values it returns: it always takes the adaptive stepper.
     """
 
     def __init__(self, h: Schedule | OperatorSum, channels: Sequence):
@@ -112,9 +111,9 @@ class LindbladModel:
             scale = op.norm_inf()
             if scale <= 0.0:
                 raise ValueError("Lindblad operator must be nonzero")
-            rate = _as_rate(gamma)
-            built.append(Channel(operator=(1.0 / scale) * op,
-                                 rate=(lambda t, r=rate, s=scale: (s ** 2) * r(t))))
+            rate = (lambda t, r=gamma, s=scale: (s ** 2) * r(t)) if callable(gamma) else \
+                (lambda t, g=(scale ** 2) * float(gamma): g)
+            built.append(Channel(operator=(1.0 / scale) * op, rate=rate))
         self.channels = tuple(built)
 
     @property
@@ -144,33 +143,31 @@ def _expectation(omat: np.ndarray, xi: np.ndarray) -> float:
     return float((omat * xi.T).sum().real)
 
 
-def apply_dissipator(l: np.ndarray, ldl: np.ndarray, g: float, xi: np.ndarray) -> np.ndarray:
+def apply_dissipator(l: np.ndarray, l_dag: np.ndarray, ldl: np.ndarray, g: float,
+                     xi: np.ndarray) -> np.ndarray:
     """g (L xi L^dag - {ldl, xi}/2) on a matrix or a stack, the package's one dissipator
-    formula.  With ldl = L^dag L it is the dissipator; with L^dag for L, its adjoint."""
-    return g * (l @ xi @ l.conj().T - 0.5 * (ldl @ xi + xi @ ldl))
+    formula.  With ldl = L^dag L it is the dissipator; with L and L^dag swapped, its adjoint."""
+    return g * (l @ xi @ l_dag - 0.5 * (ldl @ xi + xi @ ldl))
 
 
-def _commutator(h: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The action x -> -i[h, x] on a d x d matrix or a stack of them."""
-    return lambda x: -1j * (h @ x - x @ h)
-
-
-def _generator_actions(model: LindbladModel) -> Callable[[float], tuple]:
-    """s -> (L_H(s), L_D(s)) as actions on a d x d matrix or a stack of them;
-    each channel's L^dag L is formed once, and a time s reads H(s) and the rates."""
-    channels = [(l, l.conj().T @ l, ch.rate)
+def _generator_actions(model: LindbladModel) -> tuple:
+    """(L_H, L_D) as actions (s, x) -> L(s) x on a d x d matrix or a stack of
+    them.  Each channel's L^dag and L^dag L are formed once; a time s reads
+    H(s) and the rates."""
+    channels = [(l, l.conj().T, l.conj().T @ l, ch.rate)
                 for ch in model.channels for l in [ch.operator.matrix()]]
 
-    def parts(s):
-        def l_d(x):
-            acc = np.zeros_like(x)
-            for l, ldl, rate in channels:
-                acc += apply_dissipator(l, ldl, rate(s), x)
-            return acc
+    def l_h(s, x):
+        m = model.h.matrix_at(s)
+        return -1j * (m @ x - x @ m)
 
-        return _commutator(model.h.matrix_at(s)), l_d
+    def l_d(s, x):
+        acc = np.zeros_like(x)
+        for l, l_dag, ldl, rate in channels:
+            acc += apply_dissipator(l, l_dag, ldl, rate(s), x)
+        return acc
 
-    return parts
+    return l_h, l_d
 
 
 def _superoperator(action: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
@@ -183,7 +180,8 @@ def _superoperator(action: Callable[[np.ndarray], np.ndarray], d: int) -> np.nda
 def _generator_parts(model: LindbladModel, t: float) -> tuple:
     """(L_H, L_D): the Hamiltonian and dissipator superoperators at time ``t``."""
     d = model.space.dim
-    return tuple(_superoperator(action, d) for action in _generator_actions(model)(t))
+    return tuple(_superoperator(lambda x: action(t, x), d)
+                 for action in _generator_actions(model))
 
 
 def liouvillian_matrix(model: LindbladModel, t: float) -> np.ndarray:
@@ -192,39 +190,43 @@ def liouvillian_matrix(model: LindbladModel, t: float) -> np.ndarray:
     return l_h + l_d
 
 
-def _dyson_blocks(parts: Callable[[float], tuple], rho0: np.ndarray, t: float,
+def _dyson_blocks(parts: tuple, rho0: np.ndarray, t: float,
                   order: int, tol: float, constant: bool) -> np.ndarray:
     """Dyson terms [xi_0(t), ..., xi_order(t)] of dx/ds = (L0(s) + LP(s)) x, x(0) = rho0.
 
-    ``parts(s)`` returns the actions (L0(s), LP(s)); LP is not read at order
-    0.  A constant generator gets one block-Toeplitz exponential, else the
-    stepper runs on the block stack at ``rtol=tol``, ``atol=tol*1e-2`` (see the
-    module docstring).  A negative ``t`` raises ``ValueError``.
+    ``parts`` holds the actions (s, x) -> L0(s) x and (s, x) -> LP(s) x; LP
+    is not read at order 0.  A ``constant`` generator on d <=
+    ``_EXPONENTIAL_MAX_DIM`` gets one block-Toeplitz exponential; any other is
+    stepped on the block stack at ``rtol=tol``, ``atol=tol*1e-2``.  The size
+    alone decides: the exponential costs O(d^6), a stepper evaluation a few
+    d x d products.  On random two-channel models at t = 0.6 (one BLAS
+    thread) they tie at d = 8 and order 3, and from d = 16 the stepper wins
+    at every order.  It is explicit, so a large stiff constant generator
+    (rate * t >> 1) takes many small steps where the exponential would
+    square; no caller has one.  A negative ``t`` raises ``ValueError``.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     d = rho0.shape[0]
-    if constant:
-        l0, lp = parts(0.0)
+    if constant and d <= _EXPONENTIAL_MAX_DIM:
         blocks = np.zeros((order + 1, d * d, d * d), dtype=complex)
-        blocks[0] = _superoperator(l0, d) * t
-        if order:
-            blocks[1] = _superoperator(lp, d) * t
+        for k, action in enumerate(parts[:order + 1]):
+            blocks[k] = _superoperator(lambda x: action(0.0, x), d) * t
         e = expm_block_toeplitz(blocks)
         v = e.reshape(-1, d * d) @ rho0.T.reshape(-1)
         return v.reshape(order + 1, d, d).transpose(0, 2, 1)
 
     x0 = np.zeros((order + 1, d, d), dtype=complex)
     x0[0] = rho0
+    l0, lp = parts
 
     def rhs(s, y):
-        l0, lp = parts(s)
         x = y.reshape(order + 1, d, d)
-        dx = l0(x)
+        dx = l0(s, x)
         if order:
-            dx[1:] += lp(x[:-1])
+            dx[1:] += lp(s, x[:-1])
         return dx.reshape(-1)
 
     return integrate(rhs, x0.reshape(-1), 0.0, t, tol).reshape(order + 1, d, d)
@@ -232,27 +234,22 @@ def _dyson_blocks(parts: Callable[[float], tuple], rho0: np.ndarray, t: float,
 
 def lindblad_exact(model: LindbladModel, rho0: DensityMatrix, t: float,
                    tol: float = 1e-10) -> DensityMatrix:
-    """rho(t): order 0 of ``_dyson_blocks`` with L0 = L_H + L_D.  A constant model
-    (``LindbladModel.is_constant``) gets one matrix exponential, else the
-    adaptive stepper runs on rho.  A negative ``t`` raises ``ValueError``."""
+    """rho(t), symmetrized: order 0 of ``_dyson_blocks`` with L0 = L_H + L_D, so a
+    model is exponentiated only if constant and on at most ``_EXPONENTIAL_MAX_DIM``
+    levels, and else stepped at ``tol``.  A negative ``t`` raises ``ValueError``."""
     if rho0.space != model.space:
         raise ValueError("initial state does not live on the model's space")
     if t == 0.0:
         return rho0
-    parts = _generator_actions(model)
-
-    def generator(s):
-        l_h, l_d = parts(s)
-        return (lambda x: l_h(x) + l_d(x)), None
-
-    rho = _dyson_blocks(generator, rho0.matrix, t, 0, tol, model.is_constant)[0]
+    l_h, l_d = _generator_actions(model)
+    rho = _dyson_blocks((lambda s, x: l_h(s, x) + l_d(s, x), None), rho0.matrix, t, 0, tol,
+                        model.is_constant)[0]
     return DensityMatrix(model.space, 0.5 * (rho + rho.conj().T))
 
 
-def _lindblad_terms(model: LindbladModel, rho0: DensityMatrix, t: float, order: int,
-                    tol: float) -> np.ndarray:
+def _lindblad_terms(model: LindbladModel, rho0: DensityMatrix, t: float, order: int):
     """Dyson terms of the master equation with L0 = L_H and LP = L_D."""
-    return _dyson_blocks(_generator_actions(model), rho0.matrix, t, order, tol,
+    return _dyson_blocks(_generator_actions(model), rho0.matrix, t, order, DEFAULT_TOL,
                          model.is_constant)
 
 
@@ -288,7 +285,7 @@ def dyson_term(model: LindbladModel, observable: OperatorSum | np.ndarray,
         xi = conjugate(xi, current, s_k)
         ch = model.channels[channel_indices[k]]
         l = ch.operator.matrix()
-        xi = apply_dissipator(l, l.conj().T @ l, ch.rate(s_k), xi)
+        xi = apply_dissipator(l, l.conj().T, l.conj().T @ l, ch.rate(s_k), xi)
         current = s_k
     return _expectation(omat, conjugate(xi, current, t))
 
@@ -519,7 +516,7 @@ def reconstruct(model: LindbladModel, observable: OperatorSum,
         raise ValueError(f"order capped at {MAX_ORDER} (cost guard)")
     if plan is None:
         per_order = [_expectation(observable.matrix(), xi)
-                     for xi in _lindblad_terms(model, rho0, t, order, DEFAULT_TOL)]
+                     for xi in _lindblad_terms(model, rho0, t, order)]
     else:
         per_order = _monte_carlo_orders(model, observable, rho0, range(order + 1), t, plan)
     return Reconstruction(value=float(sum(per_order)), per_order=per_order)
@@ -534,7 +531,7 @@ def truncated_states(model: LindbladModel, rho0: DensityMatrix, t: float,
     docstring).  The truncated states are not exactly trace one or
     positive; that is the point of the bounds.
     """
-    return list(np.cumsum(_lindblad_terms(model, rho0, t, max_order, DEFAULT_TOL), axis=0))
+    return list(np.cumsum(_lindblad_terms(model, rho0, t, max_order), axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +599,7 @@ def dissipator_adjoint(model: LindbladModel, omat: np.ndarray, t: float) -> np.n
     acc = np.zeros_like(omat)
     for ch in model.channels:
         l = ch.operator.matrix()
-        acc += apply_dissipator(l.conj().T, l.conj().T @ l, ch.rate(t), omat)
+        acc += apply_dissipator(l.conj().T, l, l.conj().T @ l, ch.rate(t), omat)
     return acc
 
 
@@ -660,9 +657,8 @@ def nonhermitian_evolve(h: OperatorSum, gamma_op: OperatorSum, rho0: DensityMatr
                 "check the inputs")
         return DensityMatrix(h.space, 0.5 * (rho + rho.conj().T), check_trace=False)
 
-    parts = (_commutator(hm), lambda x: -(gm @ x + x @ gm))
-    return sum(_dyson_blocks(lambda s: parts, rho0.matrix, t, order, DEFAULT_TOL,
-                             constant=True))
+    parts = (lambda s, x: -1j * (hm @ x - x @ hm), lambda s, x: -(gm @ x + x @ gm))
+    return sum(_dyson_blocks(parts, rho0.matrix, t, order, DEFAULT_TOL, constant=True))
 
 
 def nonhermitian_bound(gamma_op: OperatorSum, n: int, t: float) -> float:

@@ -210,8 +210,9 @@ def _support(m: np.ndarray) -> tuple:
 
 class _TermForm:
     """H(t) = F(t) [sum_k f_k(t) H_k] F(t)^dag, F = exp(i t diag(frame)):
-    the lab-frame action ``apply`` and the carrier ``step``, which runs
-    ``integrate`` on ``-i H(t) y`` with the -i in each term's scalar.
+    the lab-frame action ``apply``, its matrix ``matrix`` and the carrier
+    ``step``, which runs ``integrate`` on ``-i H(t) y`` with the -i in each
+    term's scalar.
 
     ``terms`` holds each H_k once, as ``(rows, cols, block)``: when some
     coefficient depends on time, the smallest row range x column range
@@ -262,6 +263,19 @@ class _TermForm:
     def apply(self, t: float, y: np.ndarray) -> np.ndarray:
         """H(t) @ y."""
         return self._act(t, y, [f(t) for f in self.coeffs])
+
+    def matrix(self, t: float) -> np.ndarray:
+        """H(t), a new array: the terms scaled on their supports, in the frame."""
+        if len(self.terms) == 1 and self.terms[0][2].shape == (self.d, self.d):
+            out = self.coeffs[0](t) * self.terms[0][2]  # one whole term: nothing to sum
+        else:
+            out = np.zeros((self.d, self.d), dtype=complex)
+            for f, (rows, cols, block) in zip(self.coeffs, self.terms):
+                out[rows, cols] += f(t) * block
+        if self.i_frame is not None:
+            phase = np.exp(t * self.i_frame)
+            out = phase[:, None] * out * phase.conj()
+        return out
 
     def _generator(self, t: float, y: np.ndarray) -> np.ndarray:
         """-i H(t) @ y, which the stepper integrates: the -i goes into each
@@ -532,9 +546,7 @@ class Schedule:
         return self.exact_frame is not None and self.exact_frame.frame is None
 
     def matrix_at(self, t: float) -> np.ndarray:
-        if self.is_constant:
-            return self.exact_frame.static
-        return self.apply(t, np.eye(self.space.dim, dtype=complex))
+        return self.exact_frame.static if self.is_constant else self._terms.matrix(t)
 
 
 def _rms(x: np.ndarray) -> float:

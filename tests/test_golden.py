@@ -12,10 +12,13 @@ but a relative move of 1e-10 in a value of order one fails.
 A change that moves a table regenerates the golden files in the same
 commit, from the repository root::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py cqed-rabi
 
-and states which columns moved, and by how much.
+and states which columns moved, and by how much.  Named scenarios are
+rewritten and no others, so files that did not move keep the bytes of the
+host that wrote them; with no name, every scenario is rewritten.
 """
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,12 +80,32 @@ def test_default_tables_match_golden(scenario_id, tmp_path):
                     assert cell == golden, where
 
 
-def regenerate():
-    """Write every scenario's default tables at seed 0 under ``GOLDEN``."""
-    for scenario_id, _, _ in harness.list_scenarios():
+def test_regenerate_writes_only_the_named_scenarios(tmp_path, monkeypatch):
+    # a named scenario's golden files are rewritten and no other scenario's;
+    # an unknown name writes nothing
+    committed = GOLDEN
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    with pytest.raises(KeyError, match="no-such"):
+        regenerate(["timecorr-2pt", "no-such"])
+    assert not any(tmp_path.iterdir())
+    regenerate(["timecorr-2pt"])
+    assert [p.name for p in tmp_path.iterdir()] == ["timecorr-2pt"]
+    assert sorted(p.name for p in (tmp_path / "timecorr-2pt").iterdir()) == \
+        sorted(p.name for p in (committed / "timecorr-2pt").iterdir())
+
+
+def regenerate(scenario_ids=()):
+    """Write the named scenarios' default tables at seed 0 under ``GOLDEN``,
+    or every scenario's when none is named.  An unknown name raises
+    ``KeyError`` before any file is written."""
+    known = [row[0] for row in harness.list_scenarios()]
+    unknown = sorted(set(scenario_ids) - set(known))
+    if unknown:
+        raise KeyError(f"unknown scenarios {unknown}; known: {known}")
+    for scenario_id in scenario_ids or known:
         root = harness.run_scenario(harness.ScenarioConfig(scenario_id)).write(GOLDEN)
         (root / "metadata.yaml").unlink()
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

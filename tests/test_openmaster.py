@@ -1,11 +1,13 @@
 """Lindblad oracle, Dyson terms, Monte-Carlo reconstruction, and bounds."""
 import ast
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm as scipy_expm
 
 from qworkbench import openmaster as om
 from qworkbench import qcore as qc
@@ -699,7 +701,7 @@ def test_series_recursion():
         ld = np.zeros_like(prev)
         for ch in model.channels:
             l = ch.operator.matrix()
-            ld += om.apply_dissipator(l, l.conj().T @ l, ch.rate(s), prev)
+            ld += om.apply_dissipator(l, l.conj().T, l.conj().T @ l, ch.rate(s), prev)
         acc += w * conjugate(ld, s, t)
     assert np.max(np.abs(direct - acc)) < 1e-8
 
@@ -768,6 +770,73 @@ def test_constant_series_matches_the_stepped_block_route():
         assert np.max(np.abs(a - b)) < 1e-9
 
 
+def test_lindblad_scenario_sizes_take_the_block_exponential(monkeypatch):
+    # the lindblad-* models have one or two qubits: a constant two-qubit
+    # model's state and series still come from the block-Toeplitz exponential
+    rng = np.random.default_rng(307)
+    model = random_model(rng, n_qubits=2, n_channels=2)
+    rho0 = random_density_matrix(model.space, rng)
+    real, shapes = om.expm_block_toeplitz, []
+
+    def recording(blocks):
+        shapes.append(blocks.shape)
+        return real(blocks)
+
+    monkeypatch.setattr(om, "expm_block_toeplitz", recording)
+    om.lindblad_exact(model, rho0, 0.5)
+    om.truncated_states(model, rho0, 0.5, 3)
+    assert shapes == [(1, 16, 16), (4, 16, 16)]
+
+
+def test_constant_model_above_the_crossover_forms_no_superoperator(monkeypatch):
+    # at d = 16 a constant model is stepped on the block stack, and its state
+    # and series match the exponential of the kron block generator
+    rng = np.random.default_rng(311)
+    model = random_model(rng, n_qubits=4, n_channels=2)
+    d = model.space.dim
+    assert model.is_constant and d > om._EXPONENTIAL_MAX_DIM
+    rho0 = random_density_matrix(model.space, rng)
+    t, order = 0.5, 1
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a constant model above the crossover formed a superoperator")
+
+    with monkeypatch.context() as m:
+        m.setattr(om, "_superoperator", forbidden)
+        m.setattr(om, "expm_block_toeplitz", forbidden)
+        exact = om.lindblad_exact(model, rho0, t)
+        states = om.truncated_states(model, rho0, t, order)
+    blocks = [states[0]] + [b - a for a, b in zip(states, states[1:])]
+    l0, lp = kron_commutator(model.h.matrix_at(0.0)), kron_dissipator(model, 0.0)
+    v0 = rho0.matrix.reshape(-1, order="F")
+    want = (scipy_expm(t * (l0 + lp)) @ v0).reshape(d, d, order="F")
+    assert np.max(np.abs(exact.matrix - want)) < 1e-8
+    ref = scipy_expm(t * kron_block_generator(l0, lp, order))[:, :d * d] @ v0
+    for k, block in enumerate(ref.reshape(order + 1, d * d)):
+        assert np.max(np.abs(blocks[k] - block.reshape(d, d, order="F"))) < 1e-8
+
+
+def test_five_qubit_series_meets_the_truncation_bound():
+    # criterion 05's bound on a seeded constant 5-qubit model (d = 32), where
+    # the block exponential would take 4096-square blocks: the stepped series
+    # meets it against lindblad_exact at orders 0-3 in well under 2 s (about
+    # 0.1 s with one BLAS thread); the rates keep every bound below 0.3
+    rng = np.random.default_rng(505)
+    model = random_model(rng, n_qubits=5, n_channels=2, gamma_scale=0.1)
+    assert model.is_constant
+    rho0 = random_density_matrix(model.space, rng)
+    t = 0.5
+    start = time.perf_counter()
+    exact = om.lindblad_exact(model, rho0, t)
+    states = om.truncated_states(model, rho0, t, 3)
+    elapsed = time.perf_counter() - start
+    gb = model.gamma_bar(t)
+    for n, tilde in enumerate(states):
+        d1 = 0.5 * float(np.sum(np.linalg.svd(exact.matrix - tilde, compute_uv=False)))
+        assert d1 <= om.truncation_bound(n, t, gb, model.n_channels) + 1e-9
+    assert elapsed < 2.0, elapsed
+
+
 def test_openmaster_never_references_kron_all():
     # the constant route exponentiates the block-Toeplitz stack; no module
     # line assembles the dense Van Loan matrix
@@ -776,6 +845,24 @@ def test_openmaster_never_references_kron_all():
              if (isinstance(node, ast.Name) and node.id == "kron_all")
              or (isinstance(node, ast.Attribute) and node.attr == "kron_all")
              or (isinstance(node, ast.alias) and node.name == "kron_all")]
+    assert not sites, sites
+
+
+def test_only_openmaster_writes_a_master_equation():
+    # outside qcore, openmaster alone steps a state (qcore.integrate) or applies
+    # a dissipator; any other module evolves an open system through a
+    # LindbladModel and lindblad_exact
+    package = Path(om.__file__).parent
+    names = {"integrate", "apply_dissipator"}
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        if "qcore" in path.relative_to(package).parts or path.name == "openmaster.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.alias) and node.name in names) or \
+                    (isinstance(node, ast.Name) and node.id in names) or \
+                    (isinstance(node, ast.Attribute) and node.attr in names):
+                sites.append(f"{path.relative_to(package)}:{node.lineno}")
     assert not sites, sites
 
 
